@@ -323,6 +323,10 @@ def _canonical_2x2(A: Matrix, seed: int):
         cols = []
         for r in roots:
             ns = (A - ident.scale(r)).nullspace()
+            if not ns:
+                # approximate kinds: the eigenvalue missed the spectrum by
+                # more than the pivot tolerance
+                raise VerificationFailed(f"no eigenvector for the eigenvalue {r!r}")
             cols.append(ns[0])
         S = Matrix.from_cols(field, cols)
         return Matrix.diagonal(field, roots), S

@@ -6,6 +6,7 @@ small matrix spaces (the oracle the solvers are tested against).
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,10 +31,17 @@ class CountReport:
     passes: bool
 
     def csv_row(self) -> str:
+        """One RFC 4180 record; fields holding commas (tower elements print
+        as [a,b]) are quoted, everything else is written bare."""
+        import csv  # only the CSV output needs it; kept out of import time
+
         ks = ";".join(str(k) for k in self.exponents)
         ds = ";".join(repr(d) for d in self.coefficients)
-        return (f"{self.q},{self.m},{ks},{ds},{self.gamma!r},{self.count},"
-                f"{self.expected},{self.bound:.6f},{str(self.passes).lower()}")
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(
+            [self.q, self.m, ks, ds, repr(self.gamma), self.count, self.expected,
+             f"{self.bound:.6f}", str(self.passes).lower()])
+        return out.getvalue()
 
 
 CSV_HEADER = "q,m,k_list,delta_list,gamma,S,expected,bound,pass"

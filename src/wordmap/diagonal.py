@@ -693,25 +693,50 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
 def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
                          cap: int = 200000):
     """Hash-join over all of M_n(F_q)^2: X-powers are tabulated once and each
-    Y is checked by lookup, so the cost is ~2 q^{n^2} matrix operations."""
+    Y is checked by lookup, so the cost is ~2 q^{n^2} raw matrix powers.
+
+    A matrix is coded as its index in the enumeration order (its entries'
+    indices as base-q digits, row-major, first entry most significant), so
+    the table maps the code of X^{k1} to the first such X as plain ints, and
+    X and Y are rebuilt from their indices only for the answer."""
     field = A.field
     if not field.is_finite:
         return None
     n = A.nrows
-    cells = field.cardinality ** (n * n)
-    if cells > cap:
+    nn = n * n
+    if field.cardinality ** nn > cap:
         return None
-    elems = list(enumerate_elements(field))
+    kern = field.kernel
+    elems = [x.rep for x in enumerate_elements(field)]
+    digit = {r: i for i, r in enumerate(elems)}
+    q = len(elems)
+
+    def code(rows):
+        c = 0
+        for row in rows:
+            for r in row:
+                c = c * q + digit[r]
+        return c
+
+    def matrix(flat):
+        return [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+
     by_power = {}
-    mats = []
-    for flat in itertools.product(elems, repeat=n * n):
-        M = Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
-        mats.append(M)
-        by_power.setdefault(M ** k1, M)
-    for Y in mats:
-        want = A - (Y ** k2).scale(beta)
-        X = by_power.get(want)
-        if X is not None:
+    for idx, flat in enumerate(itertools.product(elems, repeat=nn)):
+        by_power.setdefault(code(kern.matpow(matrix(flat), k1)), idx)
+    target, b = A._raw(), beta.rep
+    for flat in itertools.product(elems, repeat=nn):
+        Y = matrix(flat)
+        want = [kern.vsub(ra, kern.vscale(rp, b))
+                for ra, rp in zip(target, kern.matpow(Y, k2))]
+        idx = by_power.get(code(want))
+        if idx is not None:
+            digits = []
+            for _ in range(nn):
+                idx, d = divmod(idx, q)
+                digits.append(elems[d])
+            X = Matrix._from_raw(field, matrix(digits[::-1]))
+            Y = Matrix._from_raw(field, Y)
             _check_two_term(X, Y, k1, k2, beta, A)
             return X, Y
     return None

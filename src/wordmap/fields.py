@@ -10,6 +10,24 @@ overloads the operators.  Raw representations:
   real       float
   complex    complex
 
+Kernel layer.  Each field also builds one immutable raw kernel
+(``Field.kernel``) that does the dense work on lists of raw reps: dot
+products, matrix products and powers, in-place reduced row echelon form
+and determinants, and polynomial add/sub/mul/divmod with the extended gcd
+and modular powers built on them.  There are two implementations:
+
+  PrimeKernel    F_p on plain ints; each dot product or convolution
+                 coefficient is summed exactly and reduced mod p once
+  GenericKernel  every other kind, through the closures above, in the
+                 operation order, zero skips and pivot rules of
+                 element-by-element arithmetic, so R/C results are the
+                 same floats FieldElement operators give
+
+FieldElement stays the public boundary: Matrix and Poly keep FieldElement
+entries and coefficients, unwrap the reps once per operation, call the
+kernel, and wrap the result once.  Extension inverses and the Rabin
+irreducibility test use the base field's polynomial kernel.
+
 Extensions are a single quotient step ``base[t]/(m)`` with ``base`` a prime
 field (giving F_{p^d}) or Q.  Approximate kinds carry an explicit tolerance
 used only when *comparing* values; every construction stays formula driven.
@@ -22,8 +40,10 @@ The field-spec grammar used by the CLI and the JSON formats:
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -40,6 +60,9 @@ from .errors import (
 
 # Finite fields up to this cardinality get full power tables / scans.
 SCAN_BOUND = 10**6
+# Prime fields up to this size keep one FieldElement per value, so that
+# wrapping kernel output is a table lookup rather than an allocation.
+ELEMENT_TABLE_BOUND = 1 << 12
 
 
 def _is_prime(n: int) -> bool:
@@ -157,7 +180,7 @@ class Field:
     __slots__ = (
         "kind", "p", "degree", "modulus", "tolerance", "base", "key",
         "_radd", "_rsub", "_rmul", "_rneg", "_rinv", "_zero_raw", "_one_raw",
-        "_zero", "_one", "_power_tables", "_nonresidue",
+        "_zero", "_one", "_power_tables", "_nonresidue", "kernel", "_elements",
     )
 
     def __init__(self, kind: str, p: int = 0, modulus: tuple = (),
@@ -199,11 +222,7 @@ class Field:
             self.degree = 1
             self.key = ("rationals",)
             self._zero_raw, self._one_raw = Fraction(0), Fraction(1)
-            self._radd = lambda a, b: a + b
-            self._rsub = lambda a, b: a - b
-            self._rmul = lambda a, b: a * b
-            self._rneg = lambda a: -a
-            self._rinv = lambda a: 1 / a
+            self._install_operator_ops()
         elif kind in ("real", "complex"):
             if tolerance <= 0:
                 raise UsageError("approximate fields need tolerance > 0")
@@ -211,15 +230,22 @@ class Field:
             self.key = (kind, tolerance)
             cast = float if kind == "real" else complex
             self._zero_raw, self._one_raw = cast(0), cast(1)
-            self._radd = lambda a, b: a + b
-            self._rsub = lambda a, b: a - b
-            self._rmul = lambda a, b: a * b
-            self._rneg = lambda a: -a
-            self._rinv = lambda a: 1 / a
+            self._install_operator_ops()
         else:
             raise UsageError(f"unknown field kind {kind!r}")
         self._zero = FieldElement(self, self._zero_raw)
         self._one = FieldElement(self, self._one_raw)
+        self.kernel = (PrimeKernel if kind == "prime" else GenericKernel)(self)
+        self._elements = None
+        if kind == "prime" and p <= ELEMENT_TABLE_BOUND:
+            self._elements = tuple(FieldElement(self, i) for i in range(p))
+
+    def _install_operator_ops(self):
+        """Q, R and C: the reps are Python numbers and the operators are
+        exactly the field operations."""
+        self._radd, self._rsub, self._rmul = operator.add, operator.sub, operator.mul
+        self._rneg = operator.neg
+        self._rinv = lambda a: 1 / a
 
     def _install_ext_ops(self):
         base, mod = self.base, self.modulus
@@ -265,7 +291,7 @@ class Field:
 
         def rinv(a):
             # extended Euclid over base[t]; returns u with u*a = 1 mod m
-            g, u = _list_gcdext(list(a), list(mod), base)
+            g, u = base.kernel.poly_gcdext(a, mod)
             if len(g) != 1:
                 raise DivisionByZero("element is a zero divisor (reducible modulus?)")
             c = binv(g[0])
@@ -299,10 +325,6 @@ class Field:
         if self.kind in ("real", "complex"):
             return abs(a - b) <= self.tolerance
         return a == b
-
-    def abs_raw(self, a) -> float:
-        """Magnitude used for pivot selection over approximate kinds."""
-        return abs(a)
 
     def sort_key_raw(self, a):
         if self.kind == "complex":
@@ -353,6 +375,12 @@ class Field:
 
     def element(self, raw) -> FieldElement:
         return FieldElement(self, raw)
+
+    def wrap(self, raws) -> tuple:
+        """FieldElements for a sequence of raw reps (kernel output)."""
+        if self._elements is not None:
+            return tuple(map(self._elements.__getitem__, raws))
+        return tuple([FieldElement(self, r) for r in raws])
 
     def __call__(self, value) -> FieldElement:
         """Coerce ints, fractions, floats, coefficient lists, or elements."""
@@ -440,77 +468,353 @@ class Field:
 
 
 # ----------------------------------------------------------------------
-# low-level coefficient-list polynomial helpers (used for ext inverses and
-# the Rabin irreducibility check; public Poly lives in polynomials.py)
+# raw kernels: dense matrix and polynomial arithmetic on lists of reps
 # ----------------------------------------------------------------------
 
-def _list_trim(a, base):
-    while a and base.is_zero_raw(a[-1]):
-        a.pop()
-    return a
+class GenericKernel:
+    """Raw arithmetic for any kind, through the field's raw closures.
+
+    A matrix is a list of row lists of raw reps; a polynomial is a list of
+    raw coefficients, low degree first, with no trailing zeros (results
+    included).  Ops return new lists, except that ``echelon`` and ``det``
+    work in place and ``matpow`` with k = 1 returns its argument.
+
+    The operation order, the skip of (tolerance-)zero left factors and the
+    pivot rules are those of element-by-element FieldElement arithmetic, so
+    R/C results come out bit for bit the same.
+    """
+
+    __slots__ = ("radd", "rsub", "rmul", "rneg", "inv", "zero", "one",
+                 "is_zero", "exact", "eps")
+
+    def __init__(self, field: "Field"):
+        self.radd, self.rsub, self.rmul = field._radd, field._rsub, field._rmul
+        self.rneg, self.inv = field._rneg, field._rinv
+        self.zero, self.one = field._zero_raw, field._one_raw
+        self.exact = field.is_exact
+        if self.exact:
+            self.is_zero = functools.partial(operator.eq, field._zero_raw)
+            self.eps = 0.0
+        else:
+            tol = field.tolerance
+            self.is_zero = lambda a: abs(a) <= tol
+            # pivots must exceed eps * max(1, largest magnitude)
+            self.eps = max(1e-12, tol * 1e-3)
+
+    def lead(self, xs):
+        """Pivot index of a vector for span tests: the first nonzero entry
+        (exact kinds) or the first entry of largest magnitude above eps."""
+        if self.exact:
+            is_zero = self.is_zero
+            for i, a in enumerate(xs):
+                if not is_zero(a):
+                    return i
+            return None
+        best, best_abs = None, self.eps
+        for i, a in enumerate(xs):
+            m = abs(a)
+            if m > best_abs:
+                best, best_abs = i, m
+        return best
+
+    def _pick_pivot(self, rows, start: int, col: int):
+        """Elimination pivot: the first nonzero row (exact kinds) or the
+        row of largest magnitude, refused at or below eps times the largest
+        entry of the whole working matrix."""
+        if self.exact:
+            is_zero = self.is_zero
+            for r in range(start, len(rows)):
+                if not is_zero(rows[r][col]):
+                    return r
+            return None
+        best, best_abs = None, 0.0
+        for r in range(start, len(rows)):
+            a = abs(rows[r][col])
+            if a > best_abs:
+                best, best_abs = r, a
+        scale = max((abs(x) for row in rows for x in row), default=0.0)
+        if best is None or best_abs <= self.eps * max(1.0, scale):
+            return None
+        return best
+
+    # -- vectors and matrices ------------------------------------------------
+
+    def dot(self, xs, ys):
+        radd, rmul, is_zero = self.radd, self.rmul, self.is_zero
+        acc = self.zero
+        for a, b in zip(xs, ys):
+            if not is_zero(a):
+                acc = radd(acc, rmul(a, b))
+        return acc
+
+    def vadd(self, xs, ys):
+        return list(map(self.radd, xs, ys))
+
+    def vsub(self, xs, ys):
+        return list(map(self.rsub, xs, ys))
+
+    def vscale(self, xs, c):
+        rmul = self.rmul
+        return [rmul(x, c) for x in xs]
+
+    def vsub_scaled(self, xs, c, ys):
+        """xs - c*ys."""
+        rsub, rmul = self.rsub, self.rmul
+        return [rsub(x, rmul(c, y)) for x, y in zip(xs, ys)]
+
+    def matmul(self, A, B):
+        radd, rmul, is_zero, zero = self.radd, self.rmul, self.is_zero, self.zero
+        cols = list(zip(*B))
+        out = []
+        for row in A:
+            nz = [(k, a) for k, a in enumerate(row) if not is_zero(a)]
+            out_row = []
+            for col in cols:
+                acc = zero
+                for k, a in nz:
+                    acc = radd(acc, rmul(a, col[k]))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
+    def matpow(self, A, k: int):
+        """A^k for k >= 1: binary powering that starts from A itself (not
+        from the identity) and skips the final, unused squaring."""
+        result = None
+        while True:
+            if k & 1:
+                result = A if result is None else self.matmul(result, A)
+            k >>= 1
+            if not k:
+                return result
+            A = self.matmul(A, A)
+
+    def echelon(self, rows, ncols: int = None) -> list:
+        """Reduced row echelon form over the first ``ncols`` columns, in
+        place; returns the pivot columns."""
+        rsub, rmul, is_zero = self.rsub, self.rmul, self.is_zero
+        nrows = len(rows)
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            piv = self._pick_pivot(rows, r, c)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = self.inv(rows[r][c])
+            prow = rows[r] = [rmul(a, inv) for a in rows[r]]
+            for rr in range(nrows):
+                if rr == r:
+                    continue
+                f = rows[rr][c]
+                if is_zero(f):
+                    continue
+                rows[rr] = [rsub(a, rmul(f, b)) for a, b in zip(rows[rr], prow)]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return pivots
+
+    def det(self, rows):
+        """Determinant by elimination, in place."""
+        rsub, rmul, is_zero = self.rsub, self.rmul, self.is_zero
+        n = len(rows)
+        d = self.one
+        for c in range(n):
+            piv = self._pick_pivot(rows, c, c)
+            if piv is None:
+                return self.zero
+            if piv != c:
+                rows[piv], rows[c] = rows[c], rows[piv]
+                d = self.rneg(d)
+            d = rmul(d, rows[c][c])
+            inv = self.inv(rows[c][c])
+            prow = rows[c]
+            for r in range(c + 1, n):
+                f = rmul(rows[r][c], inv)
+                if is_zero(f):
+                    continue
+                rows[r] = [rsub(a, rmul(f, b)) for a, b in zip(rows[r], prow)]
+        return d
+
+    # -- polynomials -----------------------------------------------------------
+
+    def poly_trim(self, a):
+        is_zero = self.is_zero
+        while a and is_zero(a[-1]):
+            a.pop()
+        return a
+
+    def poly_add(self, a, b):
+        n = max(len(a), len(b))
+        return self.poly_trim(self.vadd(list(a) + [self.zero] * (n - len(a)),
+                                        list(b) + [self.zero] * (n - len(b))))
+
+    def poly_sub(self, a, b):
+        n = max(len(a), len(b))
+        return self.poly_trim(self.vsub(list(a) + [self.zero] * (n - len(a)),
+                                        list(b) + [self.zero] * (n - len(b))))
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        radd, rmul, is_zero = self.radd, self.rmul, self.is_zero
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = radd(out[i + j], rmul(x, y))
+        return self.poly_trim(out)
+
+    def poly_divmod(self, a, b):
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        rsub, rmul, is_zero = self.rsub, self.rmul, self.is_zero
+        rem = list(a)
+        db = len(b) - 1
+        if len(rem) - 1 < db:
+            return [], rem
+        inv_lead = self.inv(b[-1])
+        quot = [self.zero] * (len(rem) - db)
+        while len(rem) - 1 >= db and rem:
+            c = rmul(rem[-1], inv_lead)
+            shift = len(rem) - 1 - db
+            quot[shift] = c
+            for i, bc in enumerate(b):
+                rem[shift + i] = rsub(rem[shift + i], rmul(c, bc))
+            while rem and is_zero(rem[-1]):
+                rem.pop()
+        return self.poly_trim(quot), rem
+
+    def poly_gcdext(self, a, b):
+        """(g, u) with g = gcd(a, b), not normalised, and u*a = g (mod b);
+        the arguments may carry trailing zeros."""
+        r0, r1 = self.poly_trim(list(a)), self.poly_trim(list(b))
+        u0, u1 = [self.one], []
+        while r1:
+            q, r = self.poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, self.poly_sub(u0, self.poly_mul(q, u1))
+        return r0, u0
+
+    def poly_powmod(self, a, e: int, m):
+        """a^e mod m by binary powering."""
+        result = self.poly_divmod([self.one], m)[1]
+        cur = self.poly_divmod(a, m)[1]
+        while e:
+            if e & 1:
+                result = self.poly_divmod(self.poly_mul(result, cur), m)[1]
+            e >>= 1
+            if e:
+                cur = self.poly_divmod(self.poly_mul(cur, cur), m)[1]
+        return result
 
 
-def _list_divmod(a, b, base):
-    a = _list_trim(list(a), base)
-    b = _list_trim(list(b), base)
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = base._rinv(b[-1])
-    q = [base._zero_raw] * max(0, da - db + 1)
-    while len(a) - 1 >= db and a:
-        c = base._rmul(a[-1], inv_lead)
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] = base._rsub(a[shift + i], base._rmul(c, bc))
-        _list_trim(a, base)
-    return q, a
+class PrimeKernel(GenericKernel):
+    """F_p on plain ints: the hot ops accumulate each dot product or
+    convolution coefficient exactly and reduce it mod p once; inverses are
+    a^(p-2).  The rest run through the field's closures, on the same ints."""
 
+    __slots__ = ("p",)
 
-def _list_mul(a, b, base):
-    if not a or not b:
-        return []
-    out = [base._zero_raw] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if base.is_zero_raw(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = base._radd(out[i + j], base._rmul(x, y))
-    return _list_trim(out, base)
+    def __init__(self, field: "Field"):
+        super().__init__(field)
+        self.p = field.p
 
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
 
-def _list_sub(a, b, base):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else base._zero_raw
-        y = b[i] if i < len(b) else base._zero_raw
-        out.append(base._rsub(x, y))
-    return _list_trim(out, base)
+    def vscale(self, xs, c):
+        p = self.p
+        return [x * c % p for x in xs]
 
+    def vsub_scaled(self, xs, c, ys):
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
 
-def _list_gcdext(a, b, base):
-    """Return (g, u) with g = gcd(a, b) and u*a = g (mod b)."""
-    r0, r1 = _list_trim(list(a), base), _list_trim(list(b), base)
-    u0, u1 = [base._one_raw], []
-    while r1:
-        q, r = _list_divmod(r0, r1, base)
-        r0, r1 = r1, r
-        u0, u1 = u1, _list_sub(u0, _list_mul(q, u1, base), base)
-    return r0, u0
+    def matmul(self, A, B):
+        """Dense rows take dot products with the columns of B; rows that
+        are at least two-thirds zeros combine the rows of B instead."""
+        p, mul = self.p, operator.mul
+        width = len(B[0]) if B else 0
+        cols = None
+        out = []
+        for row in A:
+            n = len(row)
+            if 3 * (n - row.count(0)) <= n:
+                acc = None
+                for k, a in enumerate(row):
+                    if a:
+                        acc = ([a * y for y in B[k]] if acc is None
+                               else [x + a * y for x, y in zip(acc, B[k])])
+                out.append([0] * width if acc is None else [x % p for x in acc])
+            else:
+                if cols is None:
+                    cols = list(zip(*B))
+                out.append([sum(map(mul, row, col)) % p for col in cols])
+        return out
 
+    def echelon(self, rows, ncols: int = None) -> list:
+        p = self.p
+        nrows = len(rows)
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            for piv in range(r, nrows):
+                if rows[piv][c]:
+                    break
+            else:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = pow(rows[r][c], p - 2, p)
+            prow = rows[r] = [a * inv % p for a in rows[r]]
+            # rows at and below r vanish left of c, so only the tail moves
+            tail = prow[c:]
+            for rr in range(nrows):
+                f = rows[rr][c]
+                if f and rr != r:
+                    row = rows[rr]
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return pivots
 
-def _list_powmod(a, e: int, mod, base):
-    result = [base._one_raw]
-    cur = list(a)
-    _, cur = _list_divmod(cur, mod, base) if len(cur) >= len(mod) else (None, cur)
-    while e:
-        if e & 1:
-            result = _list_divmod(_list_mul(result, cur, base), mod, base)[1]
-        cur = _list_divmod(_list_mul(cur, cur, base), mod, base)[1]
-        e >>= 1
-    return result
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        lb = len(b)
+        out = [0] * (len(a) + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + lb] = [s + x * y for s, y in zip(out[i:i + lb], b)]
+        p = self.p
+        return self.poly_trim([c % p for c in out])
+
+    def poly_divmod(self, a, b):
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        p = self.p
+        rem = list(a)
+        db = len(b) - 1
+        if len(rem) - 1 < db:
+            return [], rem
+        inv = pow(b[-1], p - 2, p)
+        quot = [0] * (len(rem) - db)
+        while len(rem) - 1 >= db:
+            c = rem[-1] * inv % p
+            shift = len(rem) - 1 - db
+            quot[shift] = c
+            rem[shift:] = [(r - c * y) % p for r, y in zip(rem[shift:], b)]
+            self.poly_trim(rem)
+        return self.poly_trim(quot), rem
 
 
 def _irreducible_over_prime(mod: tuple, base: Field) -> bool:
@@ -518,11 +822,13 @@ def _irreducible_over_prime(mod: tuple, base: Field) -> bool:
     d = len(mod) - 1
     if d == 1:
         return True
+    kern = base.kernel
+    mod = list(mod)
     q = base.cardinality
     x = [base._zero_raw, base._one_raw]
     # x^(q^d) == x mod m
-    frob = _list_powmod(x, q ** d, list(mod), base)
-    if _list_sub(frob, x, base):
+    frob = kern.poly_powmod(x, q ** d, mod)
+    if kern.poly_sub(frob, x):
         return False
     primes = set()
     n = d
@@ -535,8 +841,8 @@ def _irreducible_over_prime(mod: tuple, base: Field) -> bool:
     if n > 1:
         primes.add(n)
     for t in primes:
-        frob = _list_powmod(x, q ** (d // t), list(mod), base)
-        g, _ = _list_gcdext(_list_sub(frob, x, base), list(mod), base)
+        frob = kern.poly_powmod(x, q ** (d // t), mod)
+        g, _ = kern.poly_gcdext(kern.poly_sub(frob, x), mod)
         if len(g) - 1 != 0:
             return False
     return True

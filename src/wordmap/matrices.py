@@ -45,6 +45,20 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _from_raw(field: Field, raw_rows) -> "Matrix":
+        """Wrap rows of raw reps (the kernel's output) without coercion."""
+        M = object.__new__(Matrix)
+        M.field = field
+        M.rows = tuple(map(field.wrap, raw_rows))
+        M.nrows = len(M.rows)
+        M.ncols = len(M.rows[0]) if M.rows else 0
+        return M
+
+    def _raw(self) -> list:
+        """Fresh row lists of raw reps, ready for the kernel."""
+        return [[x.rep for x in row] for row in self.rows]
+
+    @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
         return Matrix(field, [[field(x) for x in row] for row in rows])
 
@@ -175,20 +189,23 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.field, [[a + b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        vadd = self.field.kernel.vadd
+        return Matrix._from_raw(self.field, [vadd(ra, rb) for ra, rb in
+                                             zip(self._raw(), other._raw())])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.field, [[a - b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        vsub = self.field.kernel.vsub
+        return Matrix._from_raw(self.field, [vsub(ra, rb) for ra, rb in
+                                             zip(self._raw(), other._raw())])
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, [[-a for a in row] for row in self.rows])
 
     def scale(self, c) -> "Matrix":
-        c = self.field(c)
-        return Matrix(self.field, [[a * c for a in row] for row in self.rows])
+        c = self.field(c).rep
+        vscale = self.field.kernel.vscale
+        return Matrix._from_raw(self.field, [vscale(row, c) for row in self._raw()])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -196,32 +213,16 @@ class Matrix:
         self._check(other)
         if self.ncols != other.nrows:
             raise UsageError("matrix dimensions do not match")
-        bcols = other.cols()
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            out_row = []
-            for colv in bcols:
-                acc = zero
-                for a, b in zip(row, colv):
-                    if not a.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.field, out)
+        return Matrix._from_raw(self.field,
+                                self.field.kernel.matmul(self._raw(), other._raw()))
 
     def __pow__(self, k: int) -> "Matrix":
         _require_square(self)
         if k < 0:
             return self.inverse() ** (-k)
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if k == 0:
+            return Matrix.identity(self.field, self.nrows)
+        return Matrix._from_raw(self.field, self.field.kernel.matpow(self._raw(), k))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
@@ -248,96 +249,73 @@ class Matrix:
         self._check(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        return all(a.is_close(b) for ra, rb in zip(self.rows, other.rows)
-                   for a, b in zip(ra, rb))
+        a, b = self._raw(), other._raw()
+        if self.field.is_exact:
+            return a == b
+        close = self.field.close_raw
+        return all(close(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(a) for a in row) for row in self.rows)
         return f"[{body}]"
 
-    def conjugate_by(self, P: "Matrix") -> "Matrix":
-        """P * self * P^-1."""
-        return P * self * P.inverse()
-
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        _, pivots = _row_echelon([list(r) for r in self.rows], self.field)
-        return len(pivots)
+        return len(self.field.kernel.echelon(self._raw()))
 
     def inverse(self) -> "Matrix":
         _require_square(self)
         n = self.nrows
         field = self.field
-        ident = Matrix.identity(field, n)
-        aug = [list(self.rows[i]) + list(ident.rows[i]) for i in range(n)]
-        reduced, pivots = _row_echelon(aug, field, ncols=n)
-        if len(pivots) != n:
+        zero, one = field._zero_raw, field._one_raw
+        aug = [row + [one if j == i else zero for j in range(n)]
+               for i, row in enumerate(self._raw())]
+        if len(field.kernel.echelon(aug, n)) != n:
             raise SingularMatrix("matrix is not invertible")
-        return Matrix(field, [row[n:] for row in reduced])
+        return Matrix._from_raw(field, [row[n:] for row in aug])
 
     def det(self) -> FieldElement:
         _require_square(self)
-        field = self.field
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = field.one()
-        for colidx in range(n):
-            piv = _pick_pivot(rows, colidx, colidx, field)
-            if piv is None:
-                return field.zero()
-            if piv != colidx:
-                rows[piv], rows[colidx] = rows[colidx], rows[piv]
-                det = -det
-            det = det * rows[colidx][colidx]
-            inv = rows[colidx][colidx].inverse()
-            for r in range(colidx + 1, n):
-                f = rows[r][colidx] * inv
-                if f.is_zero():
-                    continue
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[colidx])]
-        return det
+        return FieldElement(self.field, self.field.kernel.det(self._raw()))
 
     def nullspace(self) -> list:
         """Basis of the right kernel, deterministic order (free columns ascending)."""
         field = self.field
-        reduced, pivots = _row_echelon([list(r) for r in self.rows], field)
+        reduced = self._raw()
+        pivots = field.kernel.echelon(reduced)
         pivot_cols = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_cols]
+        rneg = field._rneg
         basis = []
-        for fcol in free:
-            vec = [field.zero()] * self.ncols
-            vec[fcol] = field.one()
+        for fcol in range(self.ncols):
+            if fcol in pivot_cols:
+                continue
+            vec = [field._zero_raw] * self.ncols
+            vec[fcol] = field._one_raw
             for rowidx, pcol in enumerate(pivots):
-                vec[pcol] = -reduced[rowidx][fcol]
-            basis.append(tuple(vec))
+                vec[pcol] = rneg(reduced[rowidx][fcol])
+            basis.append(field.wrap(vec))
         return basis
 
     def solve_right(self, b: Sequence[FieldElement]):
         """One solution x of self*x = b, or None."""
         field = self.field
-        aug = [list(self.rows[i]) + [b[i]] for i in range(self.nrows)]
-        reduced, pivots = _row_echelon(aug, field, ncols=self.ncols)
-        for rowidx in range(len(pivots), self.nrows):
-            if not _is_zero_row(reduced[rowidx][: self.ncols], field) or \
-                    not reduced[rowidx][self.ncols].is_zero():
-                if not reduced[rowidx][self.ncols].is_zero():
-                    return None
-        x = [field.zero()] * self.ncols
+        kern = field.kernel
+        n = self.ncols
+        aug = [row + [field(b[i]).rep] for i, row in enumerate(self._raw())]
+        pivots = kern.echelon(aug, n)
+        if any(not kern.is_zero(row[n]) for row in aug[len(pivots):]):
+            return None
+        x = [field._zero_raw] * n
         for rowidx, pcol in enumerate(pivots):
-            x[pcol] = reduced[rowidx][self.ncols]
-        return tuple(x)
+            x[pcol] = aug[rowidx][n]
+        return field.wrap(x)
 
     def apply(self, v: Sequence[FieldElement]) -> tuple:
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, x in zip(row, v):
-                if not a.is_zero():
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        field = self.field
+        dot = field.kernel.dot
+        v = [x.rep for x in v]
+        return field.wrap([dot([x.rep for x in row], v) for row in self.rows])
 
 
 def _require_square(A: Matrix):
@@ -345,109 +323,26 @@ def _require_square(A: Matrix):
         raise NonSquare(f"{A.nrows}x{A.ncols} matrix where square is required")
 
 
-def _pivot_eps(field: Field, scale: float) -> float:
-    if field.is_exact:
-        return 0.0
-    return max(1e-12, field.tolerance * 1e-3) * max(1.0, scale)
-
-
-def _pick_pivot(rows, start_row: int, col: int, field: Field):
-    if field.is_exact:
-        for r in range(start_row, len(rows)):
-            if not rows[r][col].is_zero():
-                return r
-        return None
-    best, best_abs = None, 0.0
-    for r in range(start_row, len(rows)):
-        a = field.abs_raw(rows[r][col].rep)
-        if a > best_abs:
-            best, best_abs = r, a
-    scale = max((field.abs_raw(x.rep) for row in rows for x in row), default=0.0)
-    if best is None or best_abs <= _pivot_eps(field, scale):
-        return None
-    return best
-
-
-def _is_zero_row(row, field: Field) -> bool:
-    return all(a.is_zero() for a in row)
-
-
-def _row_echelon(rows, field: Field, ncols: int = None):
-    """In-place reduced row echelon over the first ``ncols`` columns.
-    Returns (rows, pivot column list)."""
-    nrows = len(rows)
-    width = len(rows[0]) if rows else 0
-    ncols = width if ncols is None else ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = _pick_pivot(rows, r, c, field)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [a * inv for a in rows[r]]
-        for rr in range(nrows):
-            if rr == r:
-                continue
-            f = rows[rr][c]
-            if f.is_zero():
-                continue
-            rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 class _Echelon:
     """Incremental echelon structure for span-membership tests."""
 
-    def __init__(self, field: Field, n: int):
-        self.field = field
-        self.n = n
-        self.rows = {}  # pivot index -> normalised vector (list)
-
-    def _reduce(self, vec):
-        vec = list(vec)
-        field = self.field
-        for piv in sorted(self.rows):
-            c = vec[piv]
-            if c.is_zero():
-                continue
-            row = self.rows[piv]
-            vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
+    def __init__(self, field: Field):
+        self.kernel = field.kernel
+        self.rows = {}  # pivot index -> normalised raw vector
 
     def insert(self, vec) -> bool:
-        """Add vec to the span; True if it was independent."""
-        field = self.field
-        vec = self._reduce(vec)
-        piv = None
-        if field.is_exact:
-            for i, a in enumerate(vec):
-                if not a.is_zero():
-                    piv = i
-                    break
-        else:
-            scale = max((field.abs_raw(a.rep) for a in vec), default=0.0)
-            eps = _pivot_eps(field, 1.0)
-            best, best_abs = None, eps
-            for i, a in enumerate(vec):
-                m = field.abs_raw(a.rep)
-                if m > best_abs:
-                    best, best_abs = i, m
-            piv = best
+        """Add vec (FieldElements) to the span; True if it was independent."""
+        kern = self.kernel
+        vec = [x.rep for x in vec]
+        for piv in sorted(self.rows):
+            c = vec[piv]
+            if not kern.is_zero(c):
+                vec = kern.vsub_scaled(vec, c, self.rows[piv])
+        piv = kern.lead(vec)
         if piv is None:
             return False
-        inv = vec[piv].inverse()
-        self.rows[piv] = [a * inv for a in vec]
+        self.rows[piv] = kern.vscale(vec, kern.inv(vec[piv]))
         return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 # ----------------------------------------------------------------------
@@ -459,86 +354,64 @@ def charpoly(A: Matrix) -> Poly:
     _require_square(A)
     field = A.field
     n = A.nrows
-    one, zero = field.one(), field.zero()
     if n == 0:
         return Poly.one(field)
-    rows = A.rows
+    kern = field.kernel
+    dot, is_zero = kern.dot, kern.is_zero
+    radd, rmul, rneg = field._radd, field._rmul, field._rneg
+    one, zero = field._one_raw, field._zero_raw
+    rows = A._raw()
     C = [one]
     for r in range(1, n + 1):
-        a_rr = rows[r - 1][r - 1]
+        lead = [row[: r - 1] for row in rows[: r - 1]]
         R = rows[r - 1][: r - 1]
-        S = [rows[i][r - 1] for i in range(r - 1)]
-        t = [one, -a_rr]
-        v = list(S)
+        t = [one, rneg(rows[r - 1][r - 1])]
+        v = [rows[i][r - 1] for i in range(r - 1)]
         for j in range(2, r + 1):
             if j > 2:
-                v = [_dot(rows[i][: r - 1], v, zero) for i in range(r - 1)]
-            t.append(-_dot(R, v, zero))
+                v = [dot(row, v) for row in lead]
+            t.append(rneg(dot(R, v)))
         Cn = []
         for i in range(r + 1):
             acc = zero
             for j in range(max(0, i - r), min(i, r - 1) + 1):
                 ti = t[i - j]
-                if not ti.is_zero():
-                    acc = acc + ti * C[j]
+                if not is_zero(ti):
+                    acc = radd(acc, rmul(ti, C[j]))
             Cn.append(acc)
         C = Cn
-    return Poly(field, list(reversed(C)))
-
-
-def _dot(xs, ys, zero):
-    acc = zero
-    for a, b in zip(xs, ys):
-        if not a.is_zero():
-            acc = acc + a * b
-    return acc
+    return Poly._from_raw(field, kern.poly_trim(C[::-1]))
 
 
 def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
     """Monic minimal g with g(A)v = 0."""
     _require_square(A)
     field = A.field
+    kern = field.kernel
     n = A.nrows
-    ech_rows = []  # list of (vector, combo) reduced vectors with power-combination tails
-    cur = tuple(v)
-    combo = [field.one()]
+    zero, one = field._zero_raw, field._one_raw
+    rows = A._raw()
+    # reduced vectors with their pivots and power-combination tails
+    ech_rows = []
+    cur = [x.rep for x in v]
     for j in range(n + 1):
-        vec = list(cur)
-        tail = [field.zero()] * (n + 1)
-        for idx, c in enumerate(combo):
-            tail[idx] = c
-        for evec, etail in ech_rows:
-            piv = _first_nonzero(evec, field)
+        vec = cur
+        tail = [zero] * (n + 1)
+        tail[j] = one
+        for evec, etail, piv in ech_rows:
             c = vec[piv]
-            if c.is_zero():
+            if kern.is_zero(c):
                 continue
-            vec = [a - c * b for a, b in zip(vec, evec)]
-            tail = [a - c * b for a, b in zip(tail, etail)]
-        piv = _first_nonzero(vec, field)
+            vec = kern.vsub_scaled(vec, c, evec)
+            tail = kern.vsub_scaled(tail, c, etail)
+        piv = kern.lead(vec)
         if piv is None:
-            return Poly(field, tail).monic()
-        inv = vec[piv].inverse()
-        ech_rows.append(([a * inv for a in vec], [a * inv for a in tail]))
-        cur = A.apply(cur)
-        combo = [field.zero()] * (j + 2)
-        combo[j + 1] = field.one()
+            return Poly._from_raw(field, kern.poly_trim(tail)).monic()
+        inv = kern.inv(vec[piv])
+        evec = kern.vscale(vec, inv)
+        ech_rows.append((evec, kern.vscale(tail, inv), kern.lead(evec)))
+        cur = [kern.dot(row, cur) for row in rows]
     raise AssertionError("krylov annihilator did not terminate")
-
-
-def _first_nonzero(vec, field: Field):
-    if field.is_exact:
-        for i, a in enumerate(vec):
-            if not a.is_zero():
-                return i
-        return None
-    scale = max((field.abs_raw(a.rep) for a in vec), default=0.0)
-    eps = _pivot_eps(field, 1.0)
-    best, best_abs = None, eps
-    for i, a in enumerate(vec):
-        m = field.abs_raw(a.rep)
-        if m > best_abs:
-            best, best_abs = i, m
-    return best
 
 
 def minpoly(A: Matrix) -> Poly:
@@ -636,7 +509,7 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int) -> list:
         expected = (2 * dims[level] - dims[level - 1] - dims[level + 1]) // d
         if expected * d != 2 * dims[level] - dims[level - 1] - dims[level + 1]:
             raise AssertionError("kernel dimensions incompatible with factor degree")
-        ech = _Echelon(field, n)
+        ech = _Echelon(field)
         for vec in kers[level - 1]:
             ech.insert(vec)
         for w in carry:
@@ -886,7 +759,7 @@ def _cyclic_basis(M: Matrix) -> Matrix:
     for i in range(n):
         v = ident.col(i)
         cols = [v]
-        ech = _Echelon(field, n)
+        ech = _Echelon(field)
         ech.insert(v)
         ok = True
         cur = v
@@ -901,7 +774,7 @@ def _cyclic_basis(M: Matrix) -> Matrix:
     # combinations of standard basis vectors as a fallback
     def krylov(v):
         cols = [v]
-        ech = _Echelon(field, n)
+        ech = _Echelon(field)
         ech.insert(v)
         cur = v
         for _ in range(n - 1):

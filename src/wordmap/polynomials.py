@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import DescriptorMismatch, DivisionByZero, UsageError, ZeroPolynomial
+from .errors import DescriptorMismatch, UsageError, ZeroPolynomial
 from .fields import Field, FieldElement
 
 
@@ -24,6 +24,17 @@ class Poly:
         self.coeffs = tuple(elems)
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _from_raw(field: Field, raws) -> "Poly":
+        """Wrap trimmed raw coefficients (the kernel's output) without coercion."""
+        p = object.__new__(Poly)
+        p.field = field
+        p.coeffs = field.wrap(raws)
+        return p
+
+    def _raw(self) -> list:
+        return [c.rep for c in self.coeffs]
 
     @staticmethod
     def zero(field: Field) -> "Poly":
@@ -108,13 +119,13 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] + other[i] for i in range(n)])
+        return Poly._from_raw(self.field,
+                              self.field.kernel.poly_add(self._raw(), other._raw()))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] - other[i] for i in range(n)])
+        return Poly._from_raw(self.field,
+                              self.field.kernel.poly_sub(self._raw(), other._raw()))
 
     def __neg__(self) -> "Poly":
         return Poly(self.field, [-c for c in self.coeffs])
@@ -123,20 +134,13 @@ class Poly:
         if isinstance(other, FieldElement):
             return self.scale(other)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly._from_raw(self.field,
+                              self.field.kernel.poly_mul(self._raw(), other._raw()))
 
     def scale(self, c: FieldElement) -> "Poly":
-        c = self.field(c)
-        return Poly(self.field, [a * c for a in self.coeffs])
+        kern = self.field.kernel
+        return Poly._from_raw(self.field,
+                              kern.poly_trim(kern.vscale(self._raw(), self.field(c).rep)))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -152,24 +156,8 @@ class Poly:
 
     def divmod(self, other: "Poly") -> tuple:
         self._check(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = other.leading().inverse()
-        if len(rem) - 1 < db:
-            return Poly.zero(field), self
-        quot = [field.zero()] * (len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
-            quot[shift] = c
-            for i, bc in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * bc
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Poly(field, quot), Poly(field, rem)
+        quot, rem = self.field.kernel.poly_divmod(self._raw(), other._raw())
+        return Poly._from_raw(self.field, quot), Poly._from_raw(self.field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -191,12 +179,14 @@ class Poly:
         return Poly(field, out)
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        self._check(other)
+        divmod_ = self.field.kernel.poly_divmod
+        a, b = self._raw(), other._raw()
+        while b:
+            a, b = b, divmod_(a, b)[1]
+        if not a:
+            return Poly.zero(self.field)
+        return Poly._from_raw(self.field, a).monic()
 
     def lcm(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
@@ -204,14 +194,9 @@ class Poly:
         return ((self * other) // self.gcd(other)).monic()
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        result = Poly.one(self.field) % mod
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        self._check(mod)
+        return Poly._from_raw(self.field,
+                              self.field.kernel.poly_powmod(self._raw(), e, mod._raw()))
 
     def __call__(self, x):
         """Horner evaluation; x may be a FieldElement or a square Matrix."""
@@ -225,20 +210,20 @@ class Poly:
 
         if not isinstance(x, Matrix):
             raise UsageError(f"cannot evaluate polynomial at {type(x)!r}")
-        n = x.nrows
-        acc = Matrix.zeros(x.field, n, n)
-        for c in reversed(self.coeffs):
-            acc = acc * x + Matrix.identity(x.field, n).scale(c)
-        return acc
-
-    def shift_compose_linear(self, a: FieldElement, b: FieldElement) -> "Poly":
-        """p(a*T + b), used in tests and root transforms."""
-        field = self.field
-        lin = Poly(field, (b, a))
-        acc = Poly.zero(field)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly.constant(c)
-        return acc
+        if x.nrows != x.ncols:
+            raise UsageError("polynomials are evaluated at square matrices only")
+        field, n = x.field, x.nrows
+        kern, radd = field.kernel, field._radd
+        X = x._raw()
+        # Horner: acc <- acc*X + c*I, starting from the zero matrix
+        acc = [[field._zero_raw] * n for _ in range(n)]
+        for k, c in enumerate(reversed(self.coeffs)):
+            c = field(c).rep
+            if k:
+                acc = kern.matmul(acc, X)
+            for i in range(n):
+                acc[i][i] = radd(acc[i][i], c)
+        return Matrix._from_raw(field, acc)
 
 
 def approx_roots(p: Poly, iterations: int = 400) -> list:

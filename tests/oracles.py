@@ -3,7 +3,9 @@
 These deliberately avoid the library's production algorithms: the
 characteristic polynomial here is a Laplace cofactor expansion over
 polynomial entries, brute-force enumeration is plain nested iteration, and
-nothing below calls the code paths it is used to check.
+nothing below calls the code paths it is used to check.  The ``naive_*``
+functions are the element-by-element references for the raw kernels: they
+touch only FieldElement operators and the Matrix/Poly constructors.
 """
 
 import itertools
@@ -93,3 +95,242 @@ def random_invertible(field, n, rng):
             return M
         except SingularMatrix:
             continue
+
+
+# ----------------------------------------------------------------------
+# element-by-element references for the raw kernels
+#
+# Plain FieldElement operators in the operation order, zero skips and pivot
+# rules the kernels promise, so that kernel results must match these
+# exactly, float bits included.  They use only the Matrix and Poly
+# constructors and element arithmetic.
+# ----------------------------------------------------------------------
+
+def naive_dot(xs, ys, field):
+    acc = field.zero()
+    for a, b in zip(xs, ys):
+        if not a.is_zero():
+            acc = acc + a * b
+    return acc
+
+
+def naive_matmul(A, B):
+    field = A.field
+    cols = [[B.rows[i][j] for i in range(B.nrows)] for j in range(B.ncols)]
+    return Matrix(field, [[naive_dot(row, col, field) for col in cols]
+                          for row in A.rows])
+
+
+def naive_apply(A, v):
+    return tuple(naive_dot(row, v, A.field) for row in A.rows)
+
+
+def naive_power(A, k):
+    """Binary powering from the identity, as plain products."""
+    field, n = A.field, A.nrows
+    result = Matrix(field, [[field.one() if i == j else field.zero()
+                             for j in range(n)] for i in range(n)])
+    base = A
+    while k:
+        if k & 1:
+            result = naive_matmul(result, base)
+        base = naive_matmul(base, base)
+        k >>= 1
+    return result
+
+
+def _naive_pivot(rows, start, col, field):
+    if field.is_exact:
+        for r in range(start, len(rows)):
+            if not rows[r][col].is_zero():
+                return r
+        return None
+    best, best_abs = None, 0.0
+    for r in range(start, len(rows)):
+        a = abs(rows[r][col].rep)
+        if a > best_abs:
+            best, best_abs = r, a
+    scale = max((abs(x.rep) for row in rows for x in row), default=0.0)
+    eps = max(1e-12, field.tolerance * 1e-3) * max(1.0, scale)
+    if best is None or best_abs <= eps:
+        return None
+    return best
+
+
+def naive_echelon(rows, field, ncols=None):
+    """Reduced row echelon form of FieldElement rows; (rows, pivots)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = _naive_pivot(rows, r, c, field)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [a * inv for a in rows[r]]
+        for rr in range(nrows):
+            if rr != r and not rows[rr][c].is_zero():
+                f = rows[rr][c]
+                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def naive_rank(A):
+    return len(naive_echelon(A.rows, A.field)[1])
+
+
+def naive_inverse(A):
+    """The inverse, or None when A is singular."""
+    field, n = A.field, A.nrows
+    aug = [list(A.rows[i]) + [field.one() if j == i else field.zero() for j in range(n)]
+           for i in range(n)]
+    reduced, pivots = naive_echelon(aug, field, n)
+    if len(pivots) != n:
+        return None
+    return Matrix(field, [row[n:] for row in reduced])
+
+
+def naive_nullspace(A):
+    field = A.field
+    reduced, pivots = naive_echelon(A.rows, field)
+    basis = []
+    for fcol in range(A.ncols):
+        if fcol in pivots:
+            continue
+        vec = [field.zero()] * A.ncols
+        vec[fcol] = field.one()
+        for rowidx, pcol in enumerate(pivots):
+            vec[pcol] = -reduced[rowidx][fcol]
+        basis.append(tuple(vec))
+    return basis
+
+
+def naive_solve_right(A, b):
+    field, n = A.field, A.ncols
+    reduced, pivots = naive_echelon(
+        [list(A.rows[i]) + [b[i]] for i in range(A.nrows)], field, n)
+    if any(not row[n].is_zero() for row in reduced[len(pivots):]):
+        return None
+    x = [field.zero()] * n
+    for rowidx, pcol in enumerate(pivots):
+        x[pcol] = reduced[rowidx][n]
+    return tuple(x)
+
+
+def naive_det(A):
+    field = A.field
+    rows = [list(r) for r in A.rows]
+    n = len(rows)
+    det = field.one()
+    for c in range(n):
+        piv = _naive_pivot(rows, c, c, field)
+        if piv is None:
+            return field.zero()
+        if piv != c:
+            rows[piv], rows[c] = rows[c], rows[piv]
+            det = -det
+        det = det * rows[c][c]
+        inv = rows[c][c].inverse()
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv
+            if not f.is_zero():
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def naive_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def naive_berkowitz(A):
+    """Coefficients of det(T*I - A), low degree first, by Berkowitz."""
+    field, n = A.field, A.nrows
+    one, zero = field.one(), field.zero()
+    rows = A.rows
+    C = [one]
+    for r in range(1, n + 1):
+        R = rows[r - 1][: r - 1]
+        t = [one, -rows[r - 1][r - 1]]
+        v = [rows[i][r - 1] for i in range(r - 1)]
+        for j in range(2, r + 1):
+            if j > 2:
+                v = [naive_dot(rows[i][: r - 1], v, field) for i in range(r - 1)]
+            t.append(-naive_dot(R, v, field))
+        Cn = []
+        for i in range(r + 1):
+            acc = zero
+            for j in range(max(0, i - r), min(i, r - 1) + 1):
+                if not t[i - j].is_zero():
+                    acc = acc + t[i - j] * C[j]
+            Cn.append(acc)
+        C = Cn
+    return naive_trim(reversed(C))
+
+
+def naive_poly_mul(a, b, field):
+    if not a or not b:
+        return []
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return naive_trim(out)
+
+
+def naive_poly_divmod(a, b, field):
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return [], rem
+    inv_lead = b[-1].inverse()
+    quot = [field.zero()] * (len(rem) - db)
+    while len(rem) - 1 >= db and rem:
+        c = rem[-1] * inv_lead
+        shift = len(rem) - 1 - db
+        quot[shift] = c
+        for i, bc in enumerate(b):
+            rem[shift + i] = rem[shift + i] - c * bc
+        rem = naive_trim(rem)
+    return naive_trim(quot), rem
+
+
+def naive_poly_gcd(a, b, field):
+    """Monic gcd by the Euclidean algorithm ([] when both are zero)."""
+    while b:
+        a, b = b, naive_poly_divmod(a, b, field)[1]
+    if not a:
+        return []
+    inv = a[-1].inverse()
+    return naive_trim(c * inv for c in a)
+
+
+def naive_horner(coeffs, A):
+    """p(A) for p given by its coefficients, low degree first."""
+    field, n = A.field, A.nrows
+    ident = [[field.one() if i == j else field.zero() for j in range(n)]
+             for i in range(n)]
+    acc = Matrix(field, [[field.zero()] * n for _ in range(n)])
+    for c in reversed(coeffs):
+        prod = naive_matmul(acc, A)
+        acc = Matrix(field, [[x + ident[i][j] * c for j, x in enumerate(row)]
+                             for i, row in enumerate(prod.rows)])
+    return acc
+
+
+def brute_inverse(x):
+    """The inverse of a finite-field element by search."""
+    for y in enumerate_elements(x.field):
+        if (x * y).rep == x.field.one().rep:
+            return y
+    return None

@@ -156,3 +156,14 @@ def test_solve_text_output(capsys):
         "--matrix", '{"rows":2,"cols":2,"entries":[[0,1],[0,0]]}', "--out", "text")
     assert code == 0
     assert "verified: True" in out
+
+
+def test_solve_failed_verification_exits_1_without_traceback(capsys):
+    matrix = json.dumps({"rows": 2, "cols": 2,
+                         "entries": [[-5279.038, -7936.679], [-2078.835, -6900.555]]})
+    code, out, err = run(capsys, "solve", "--field", "R:tol=1e-9", "--word", "comm:m=4",
+                         "--matrix", matrix)
+    assert code == 1
+    assert out == ""
+    assert "no eigenvector" in err
+    assert "Traceback" not in err

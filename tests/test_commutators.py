@@ -322,3 +322,17 @@ def test_factor_two_repeated_extension_factor_tower():
     check(factor_two_trace_zero(A))
     B = Matrix.block_diag(F4, [Matrix.companion(p)] * 2)
     check(factor_two_trace_zero(B))
+
+
+# a real 2x2 target whose computed eigenvalue misses the spectrum by more
+# than the pivot tolerance, so the eigenvector nullspace comes back empty
+MISSED_EIGENVALUE_2X2 = [[-5279.038, -7936.679], [-2078.835, -6900.555]]
+
+
+def test_empty_eigenvector_nullspace_raises_verification_failed():
+    from wordmap.errors import VerificationFailed
+
+    R = Field("real", tolerance=1e-9)
+    A = Matrix.from_rows(R, MISSED_EIGENVALUE_2X2)
+    with pytest.raises(VerificationFailed, match="no eigenvector"):
+        solve_commutator_product(A, 4, seed=0)

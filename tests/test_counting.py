@@ -99,3 +99,23 @@ def test_image_monotone_under_zero_padding():
 def test_image_cap_guard():
     with pytest.raises(TooLarge):
         image_enumerate(CommutatorProduct(2), 3, F7, cap=10 ** 4)
+
+
+def test_csv_row_quotes_tower_elements():
+    import csv
+
+    from wordmap.fields import parse_field_spec
+
+    F9 = parse_field_spec("Fq:p=3,d=2,mod=[2,2,1]")
+    rep = count_solutions(F9, [F9(1), F9([0, 1])], [2, 2], F9([1, 2]))
+    (fields,) = list(csv.reader([rep.csv_row()]))
+    assert len(fields) == len(CSV_HEADER.split(","))
+    assert fields[3] == "[1,0];[0,1]"
+    assert fields[4] == "[1,2]"
+    assert fields[5] == str(rep.count)
+
+
+def test_csv_row_prime_field_is_unquoted():
+    rep = count_solutions(F5, [F5(1), F5(2)], [2, 3], F5(4))
+    assert rep.csv_row() == (f"5,2,2;3,1;2,4,{rep.count},{rep.expected},"
+                             f"{rep.bound:.6f},{str(rep.passes).lower()}")

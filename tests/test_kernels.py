@@ -1,0 +1,384 @@
+"""The raw kernels under Matrix and Poly against element-by-element
+references, on every field kind; plus CLI output pinned byte for byte.
+
+Results must agree exactly: exact kinds by value, R and C bit for bit
+(the generic kernel keeps the operation order, zero skips and pivot rules
+of the FieldElement operators).
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wordmap.cli import main
+from wordmap.diagonal import _exhaustive_two_term
+from wordmap.errors import ReduciblePolynomial, SingularMatrix
+from wordmap.fields import (
+    _irreducible_over_prime,
+    enumerate_elements,
+    extend,
+    parse_field_spec,
+)
+from wordmap.matrices import Matrix, charpoly, krylov_annihilator
+from wordmap.polynomials import Poly
+
+from oracles import (
+    brute_inverse,
+    naive_apply,
+    naive_berkowitz,
+    naive_det,
+    naive_horner,
+    naive_inverse,
+    naive_matmul,
+    naive_nullspace,
+    naive_poly_divmod,
+    naive_poly_gcd,
+    naive_poly_mul,
+    naive_power,
+    naive_rank,
+    naive_solve_right,
+)
+
+F4_SPEC = "Fq:p=2,d=2,mod=[1,1,1]"
+F9_SPEC = "Fq:p=3,d=2,mod=[2,2,1]"
+SPECS = ["Fp:2", "Fp:3", "Fp:101", F4_SPEC, F9_SPEC, "Q", "R:tol=1e-9", "C:tol=1e-9"]
+FIELDS = {spec: parse_field_spec(spec) for spec in SPECS}
+
+SETTINGS = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def bits(x):
+    """A value's exact identity: float bits for R and C, the rep otherwise."""
+    rep = x.rep
+    if isinstance(rep, float):
+        return rep.hex()
+    if isinstance(rep, complex):
+        return (rep.real.hex(), rep.imag.hex())
+    return rep
+
+
+def mbits(M):
+    return [[bits(x) for x in row] for row in M.rows]
+
+
+def vbits(v):
+    return [bits(x) for x in v]
+
+
+def _float():
+    # magnitudes from below the tolerance (skipped as zero) up to 1e3;
+    # adding 0.0 turns -0.0 into 0.0, whose sign no operation promises
+    return st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e-9, 1e-9),
+                     st.integers(-3, 3).map(float)).map(lambda x: x + 0.0)
+
+
+def elements(field):
+    if field.is_finite:
+        return st.sampled_from(list(enumerate_elements(field)))
+    if field.kind == "rationals":
+        return st.builds(lambda a, b: field(Fraction(a, b)),
+                         st.integers(-9, 9), st.integers(1, 4))
+    if field.kind == "real":
+        return _float().map(field)
+    return st.builds(complex, _float(), _float()).map(field)
+
+
+@st.composite
+def matrices(draw, field, nrows=None, ncols=None):
+    """Random matrices, some with repeated rows so that the rank drops."""
+    nrows = draw(st.integers(1, 6)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 6)) if ncols is None else ncols
+    rows = [draw(st.lists(elements(field), min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.integers(0, 3)) == 0:
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+    return Matrix(field, rows)
+
+
+def polys(field, max_degree=7):
+    return st.lists(elements(field), max_size=max_degree + 1).map(
+        lambda cs: Poly(field, cs))
+
+
+fields = pytest.mark.parametrize("spec", SPECS)
+
+
+# ----------------------------------------------------------------------
+# matrices
+# ----------------------------------------------------------------------
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_matmul_and_apply(spec, data):
+    field = FIELDS[spec]
+    A = data.draw(matrices(field))
+    B = data.draw(matrices(field, nrows=A.ncols))
+    assert mbits(A * B) == mbits(naive_matmul(A, B))
+    v = data.draw(st.lists(elements(field), min_size=A.ncols, max_size=A.ncols))
+    assert vbits(A.apply(v)) == vbits(naive_apply(A, v))
+
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_add_sub_scale(spec, data):
+    field = FIELDS[spec]
+    A = data.draw(matrices(field))
+    B = data.draw(matrices(field, A.nrows, A.ncols))
+    c = data.draw(elements(field))
+    assert mbits(A + B) == [[bits(a + b) for a, b in zip(ra, rb)]
+                            for ra, rb in zip(A.rows, B.rows)]
+    assert mbits(A - B) == [[bits(a - b) for a, b in zip(ra, rb)]
+                            for ra, rb in zip(A.rows, B.rows)]
+    assert mbits(A.scale(c)) == [[bits(a * c) for a in row] for row in A.rows]
+
+
+@fields
+@SETTINGS
+@given(data=st.data(), k=st.integers(0, 6))
+def test_power(spec, data, k):
+    field = FIELDS[spec]
+    n = data.draw(st.integers(1, 5))
+    A = data.draw(matrices(field, n, n))
+    assert mbits(A ** k) == mbits(naive_power(A, k))
+
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_rank_nullspace_solve_right(spec, data):
+    field = FIELDS[spec]
+    A = data.draw(matrices(field))
+    assert A.rank() == naive_rank(A)
+    assert [vbits(v) for v in A.nullspace()] == [vbits(v) for v in naive_nullspace(A)]
+    b = data.draw(st.lists(elements(field), min_size=A.nrows, max_size=A.nrows))
+    got, want = A.solve_right(b), naive_solve_right(A, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert vbits(got) == vbits(want)
+
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_inverse_and_det(spec, data):
+    field = FIELDS[spec]
+    n = data.draw(st.integers(1, 6))
+    A = data.draw(matrices(field, n, n))
+    want = naive_inverse(A)
+    if want is None:
+        with pytest.raises(SingularMatrix):
+            A.inverse()
+    else:
+        assert mbits(A.inverse()) == mbits(want)
+    assert bits(A.det()) == bits(naive_det(A))
+
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_charpoly_and_krylov(spec, data):
+    field = FIELDS[spec]
+    n = data.draw(st.integers(1, 6))
+    A = data.draw(matrices(field, n, n))
+    assert vbits(charpoly(A).coeffs) == vbits(naive_berkowitz(A))
+    if field.is_exact:
+        # the annihilator of v divides the characteristic polynomial and
+        # kills v; over R/C the float result has no exact property to check
+        v = data.draw(st.lists(elements(field), min_size=n, max_size=n))
+        g = krylov_annihilator(A, v)
+        assert g.is_monic()
+        assert all(x.is_zero() for x in naive_apply(naive_horner(g.coeffs, A), v))
+        assert (charpoly(A) % g).is_zero()
+
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_poly_evaluation_at_matrix(spec, data):
+    field = FIELDS[spec]
+    n = data.draw(st.integers(1, 4))
+    A = data.draw(matrices(field, n, n))
+    p = data.draw(polys(field, 5))
+    assert mbits(p(A)) == mbits(naive_horner(p.coeffs, A))
+
+
+# ----------------------------------------------------------------------
+# polynomials
+# ----------------------------------------------------------------------
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_poly_mul_divmod_gcd(spec, data):
+    field = FIELDS[spec]
+    a = data.draw(polys(field))
+    b = data.draw(polys(field))
+    assert vbits((a * b).coeffs) == vbits(naive_poly_mul(a.coeffs, b.coeffs, field))
+    if not b.is_zero():
+        q, r = a.divmod(b)
+        nq, nr = naive_poly_divmod(a.coeffs, b.coeffs, field)
+        assert (vbits(q.coeffs), vbits(r.coeffs)) == (vbits(nq), vbits(nr))
+    assert vbits(a.gcd(b).coeffs) == vbits(naive_poly_gcd(a.coeffs, b.coeffs, field))
+
+
+@pytest.mark.parametrize("spec", ["Fp:2", "Fp:3", "Fp:101", F4_SPEC, F9_SPEC, "Q"])
+@SETTINGS
+@given(data=st.data(), e=st.integers(0, 300))
+def test_poly_pow_mod(spec, data, e):
+    field = FIELDS[spec]
+    a = data.draw(polys(field, 5))
+    m = data.draw(polys(field, 4).filter(lambda p: not p.is_zero()))
+    want = Poly.one(field)
+    for _ in range(e):
+        want = (want * a) % m
+    assert a.pow_mod(e, m) == want % m
+
+
+# ----------------------------------------------------------------------
+# extension fields: inverses and the irreducibility test
+# ----------------------------------------------------------------------
+
+def _tower_over_f9():
+    F9 = FIELDS[F9_SPEC]
+    for g in enumerate_elements(F9):
+        try:
+            return extend(F9, Poly(F9, [-g, F9.zero(), F9.one()]))[0]
+        except ReduciblePolynomial:
+            continue
+    raise AssertionError("F_9 has a non-square")
+
+
+TOWER = _tower_over_f9()
+
+
+@pytest.mark.parametrize("field", [FIELDS[F4_SPEC], FIELDS[F9_SPEC], TOWER],
+                         ids=["F4", "F9", "F81-tower"])
+def test_extension_inverse(field):
+    for x in enumerate_elements(field):
+        if x.is_zero():
+            continue
+        assert x.inverse() == brute_inverse(x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducibility_test_by_roots(p):
+    """Up to degree 3 a monic polynomial is irreducible iff it has no root."""
+    base = parse_field_spec(f"Fp:{p}")
+    for d in (2, 3):
+        for tail in itertools.product(range(p), repeat=d):
+            mod = tuple(tail) + (1,)
+            has_root = any(sum(c * x ** i for i, c in enumerate(mod)) % p == 0
+                           for x in range(p))
+            assert _irreducible_over_prime(mod, base) == (not has_root)
+
+
+# ----------------------------------------------------------------------
+# the exhaustive fallback
+# ----------------------------------------------------------------------
+
+def _object_hash_join(A, k1, beta, k2):
+    """The hash join over Matrix objects: first X per power, first Y."""
+    field, n = A.field, A.nrows
+    elems = list(enumerate_elements(field))
+    mats = [Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
+            for flat in itertools.product(elems, repeat=n * n)]
+    by_power = {}
+    for M in mats:
+        by_power.setdefault(naive_power(M, k1), M)
+    for Y in mats:
+        want = A - naive_power(Y, k2).scale(beta)
+        if want in by_power:
+            return by_power[want], Y
+    return None
+
+
+@pytest.mark.parametrize("spec,k1,k2", [("Fp:2", 2, 2), ("Fp:3", 2, 2),
+                                        ("Fp:3", 2, 3), (F4_SPEC, 3, 2)])
+def test_exhaustive_two_term_matches_object_search(spec, k1, k2):
+    field = FIELDS[spec]
+    rng = random.Random(k1 * 10 + k2)
+    elems = list(enumerate_elements(field))
+    beta = elems[-1]
+    for _ in range(6):
+        A = Matrix(field, [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
+        assert _exhaustive_two_term(A, k1, beta, k2) == _object_hash_join(A, k1, beta, k2)
+
+
+# ----------------------------------------------------------------------
+# CLI output pinned byte for byte
+# ----------------------------------------------------------------------
+
+# (field, word, n, seed, SHA-256 of the `wordmap solve` stdout); recorded
+# with the element-by-element arithmetic the kernels replaced
+GOLDEN = [
+    ("Fp:101", "comm:m=4", 4, 1,
+     "b5705cf620b9e68618bbcec69470a5961bf58f329afb92f1f3b50ee4b03a68c9"),
+    ("Fp:101", "comm:m=4", 6, 2,
+     "feb4e9b14a6a51a6d29de7717e0cd3954e85916adb32097ce745668e37ce12b9"),
+    ("Fp:101", "comm:m=2", 5, 3,
+     "d86c4a9305fee9412dc3d713822e488325dd5c1d9cbe390018f15e96d4ff9271"),
+    ("Fp:101", "comm:m=6", 4, 4,
+     "fe1d761f1f63eaabd5bac7e4e0d7dae6e3acff08898198293ebfc912705faa83"),
+    ("Fp:101", "diag:d=1,k=2;d=3,k=2", 3, 5,
+     "e1825c178f58ef4b6cd67a15b677729baedffacfe765e2872f251e82576e987c"),
+    ("Fp:101", "diag:d=1,k=2;d=1,k=3", 4, 6,
+     "d7c7cf16a464ec4103b5203d2fcb6dce5c3044a601897655f71aec89a7283b33"),
+    (F9_SPEC, "comm:m=4", 3, 7,
+     "192994ed229c76f70d11730a5ab24c8e16986f2adfb7cecff8faf6f235b2df9b"),
+    (F9_SPEC, "comm:m=2", 3, 8,
+     "b3e1d7e7da82eb9f74ae14fcf8f56b2f1f5054731c6567e17fd4e1f4b8e2b246"),
+    (F9_SPEC, "diag:d=1,k=2;d=1,k=2", 2, 9,
+     "2877f18066a7accab85b776914fb95b9becdc8e777847367311f47dc1859f5e9"),
+    ("Q", "comm:m=4", 3, 10,
+     "5885f86b9028b9dde576d85840992afc9524a8d627801f802cefeff2e05ba5a7"),
+    ("Q", "comm:m=2", 4, 11,
+     "f033971a8484f1cb4244385a84d42b2025a92f90e2476223ef42b9a318b8e26f"),
+    ("Q", "diag:d=1,k=1;d=2,k=2", 3, 12,
+     "c7126c3bc6e71664ad3d421426a942a446d99af49a4e6a0c36e5c2967698d57c"),
+    ("Q", "comm:m=6", 4, 13,
+     "ecdcf8b4addf77a598975d5b4d2e4591e76761af8cb6576f55af7bc508549fe8"),
+]
+
+
+def _golden_target(spec, wspec, n, seed) -> str:
+    rng = random.Random(seed)
+
+    def entry():
+        if spec == "Q":
+            return str(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        if spec == F9_SPEC:
+            return [rng.randrange(3), rng.randrange(3)]
+        return rng.randrange(101)
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if wspec == "comm:m=2":  # the image of one commutator is trace zero
+        diag = [rows[i][i] for i in range(n - 1)]
+        if spec == "Q":
+            rows[-1][-1] = str(-sum(Fraction(d) for d in diag))
+        elif spec == F9_SPEC:
+            rows[-1][-1] = [-sum(d[0] for d in diag) % 3, -sum(d[1] for d in diag) % 3]
+        else:
+            rows[-1][-1] = -sum(diag) % 101
+    return json.dumps({"field": spec, "rows": n, "cols": n, "entries": rows})
+
+
+@pytest.mark.parametrize("spec,wspec,n,seed,digest", GOLDEN)
+def test_cli_solve_output_is_pinned(spec, wspec, n, seed, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["solve", "--field", spec, "--word", wspec, "--matrix",
+                     _golden_target(spec, wspec, n, seed), "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
