@@ -6,6 +6,7 @@ small matrix spaces (the oracle the solvers are tested against).
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 from typing import Tuple
@@ -33,8 +34,6 @@ class CountReport:
     def csv_row(self) -> str:
         """One RFC 4180 record; fields holding commas (tower elements print
         as [a,b]) are quoted, everything else is written bare."""
-        import csv  # only the CSV output needs it; kept out of import time
-
         ks = ";".join(str(k) for k in self.exponents)
         ds = ";".join(repr(d) for d in self.coefficients)
         out = io.StringIO()

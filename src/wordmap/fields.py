@@ -737,26 +737,9 @@ class PrimeKernel(GenericKernel):
         return [(x - c * y) % p for x, y in zip(xs, ys)]
 
     def matmul(self, A, B):
-        """Dense rows take dot products with the columns of B; rows that
-        are at least two-thirds zeros combine the rows of B instead."""
         p, mul = self.p, operator.mul
-        width = len(B[0]) if B else 0
-        cols = None
-        out = []
-        for row in A:
-            n = len(row)
-            if 3 * (n - row.count(0)) <= n:
-                acc = None
-                for k, a in enumerate(row):
-                    if a:
-                        acc = ([a * y for y in B[k]] if acc is None
-                               else [x + a * y for x, y in zip(acc, B[k])])
-                out.append([0] * width if acc is None else [x % p for x in acc])
-            else:
-                if cols is None:
-                    cols = list(zip(*B))
-                out.append([sum(map(mul, row, col)) % p for col in cols])
-        return out
+        cols = list(zip(*B))
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in A]
 
     def echelon(self, rows, ncols: int = None) -> list:
         p = self.p

@@ -249,11 +249,9 @@ class Matrix:
         self._check(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        a, b = self._raw(), other._raw()
-        if self.field.is_exact:
-            return a == b
         close = self.field.close_raw
-        return all(close(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        return all(close(x, y) for ra, rb in zip(self._raw(), other._raw())
+                   for x, y in zip(ra, rb))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(a) for a in row) for row in self.rows)
