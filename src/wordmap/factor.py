@@ -7,9 +7,11 @@ randomised with an explicit seed; in characteristic 2 it uses the additive
 trace map since the multiplicative variant degenerates there.
 
 Over Q only content removal, rational-root extraction, and quadratic/cubic
-splits are performed.  A residual factor of degree >= 4 with no rational
-root is returned whole with ``certified=False``; downstream code treats it
-as irreducible and final witnesses are verified unconditionally anyway.
+splits are performed.  Rational-root candidates p/q are taken only inside
+Fujiwara's bound on the size of the complex roots, computed in integers.
+A residual factor of degree >= 4 with no rational root is returned whole
+with ``certified=False``; downstream code treats it as irreducible and
+final witnesses are verified unconditionally anyway.
 """
 
 from __future__ import annotations
@@ -220,21 +222,54 @@ def _random_raw(field: Field, rng: random.Random):
 # rationals
 # ----------------------------------------------------------------------
 
-def _divisors(n: int) -> list:
+def _divisors(n: int, limit: int) -> list:
+    """The positive divisors of n that are at most ``limit``, ascending."""
     n = abs(n)
     small, large = [], []
     i = 1
-    while i * i <= n:
+    while i * i <= n and i <= limit:
         if n % i == 0:
             small.append(i)
-            if i != n // i:
+            if i != n // i and n // i <= limit:
                 large.append(n // i)
         i += 1
     return small + large[::-1]
 
 
+def _iroot_ceil(m: int, k: int) -> int:
+    """The least c >= 0 with c**k >= m, in integer arithmetic."""
+    if m <= 0:
+        return 0
+    c = 1 << -(-m.bit_length() // k)  # c**k > m
+    while True:  # Newton from above settles on the floor of the k-th root
+        d = ((k - 1) * c + m // c ** (k - 1)) // k
+        if d >= c:
+            break
+        c = d
+    return c if c ** k >= m else c + 1
+
+
+def _root_bound(ints: list) -> int:
+    """An integer B with |z| <= B for every complex root z of the integer
+    polynomial ``ints`` (low degree first, nonzero constant term): Fujiwara's
+    bound 2*max(|a_{n-i}/a_n|^(1/i) for i < n, |a_0/(2 a_n)|^(1/n)), rounded
+    up exactly: term i needs B^i * |a_n| >= |a_{n-i}| * 2^i, and the last
+    term B^n * |a_n| >= |a_0| * 2^(n-1)."""
+    n = len(ints) - 1
+    an = abs(ints[-1])
+    bound = 0
+    for i in range(1, n + 1):
+        num = abs(ints[n - i]) << (i if i < n else n - 1)
+        bound = max(bound, _iroot_ceil(-(-num // an), i))
+    return bound
+
+
 def _rational_roots(f: Poly) -> list:
-    """All rational roots of f (integer-cleared), each listed once."""
+    """All rational roots of f (integer-cleared), each listed once.
+
+    Candidates p/q (p | a_0, q | a_n) are taken only inside Fujiwara's root
+    bound B (``_root_bound``), so p runs over the divisors of a_0 up to
+    B*|a_n| rather than over all of them."""
     field = f.field
     denom = 1
     for c in f.coeffs:
@@ -245,13 +280,16 @@ def _rational_roots(f: Poly) -> list:
     if not ints:
         return []
     a0, an = ints[0], ints[-1]
+    bound = _root_bound(ints)
     roots = []
     seen = set()
     candidates = [Fraction(0)]
-    for pnum in _divisors(a0):
-        for pden in _divisors(an):
-            candidates.append(Fraction(pnum, pden))
-            candidates.append(Fraction(-pnum, pden))
+    dens = _divisors(an, abs(an))
+    for pnum in _divisors(a0, bound * abs(an)):
+        for pden in dens:
+            if pnum <= bound * pden:
+                candidates.append(Fraction(pnum, pden))
+                candidates.append(Fraction(-pnum, pden))
     for cand in candidates:
         if cand in seen:
             continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -187,14 +188,19 @@ class Matrix:
         if other.field.key != self.field.key:
             raise DescriptorMismatch("matrices over different fields")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _check_same_shape(self, other: "Matrix"):
         self._check(other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise UsageError("matrix dimensions do not match")
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        self._check_same_shape(other)
         vadd = self.field.kernel.vadd
         return Matrix._from_raw(self.field, [vadd(ra, rb) for ra, rb in
                                              zip(self._raw(), other._raw())])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
+        self._check_same_shape(other)
         vsub = self.field.kernel.vsub
         return Matrix._from_raw(self.field, [vsub(ra, rb) for ra, rb in
                                              zip(self._raw(), other._raw())])
@@ -300,6 +306,8 @@ class Matrix:
         field = self.field
         kern = field.kernel
         n = self.ncols
+        if len(b) != self.nrows:
+            raise UsageError("right-hand side length does not match the matrix rows")
         aug = [row + [field(b[i]).rep] for i, row in enumerate(self._raw())]
         pivots = kern.echelon(aug, n)
         if any(not kern.is_zero(row[n]) for row in aug[len(pivots):]):
@@ -720,16 +728,34 @@ def generalized_jordan_form(A: Matrix, seed: int = 0) -> GeneralizedJordanForm:
         block_data = _jordan_block_data(A, pairs)
     else:
         # numeric root clusters are validated by the chain structure; widen
-        # the cluster radius until the multiplicities are consistent
+        # the cluster radius until the multiplicities are consistent.  The
+        # spectrum is computed once; a radius that reproduces clusters
+        # already rejected is not checked again (the chain check depends
+        # only on A and the clusters, so it would fail the same way).
+        chi = charpoly(A)
+        roots = approx_roots(chi)
+        scale = 1.0 + max(abs(r) for r in roots) if roots else 1.0
         last_err = None
         block_data = None
+        rejected = {}
         for attempt in range(14):
-            try:
-                pairs = _approx_charpoly_factors(A, attempt)
-                block_data = _jordan_block_data(A, pairs)
+            radius = max(1e-8, field.tolerance * 1e-1) * scale * 8.0 ** attempt
+            if radius > 0.05 * scale:  # the radius only grows from here
+                last_err = VerificationFailed("eigenvalue cluster radius escalation exhausted")
                 break
-            except (VerificationFailed, AssertionError) as exc:
+            try:
+                pairs = _approx_charpoly_factors(chi, roots, radius)
+            except VerificationFailed as exc:  # an unpaired complex cluster over R
                 last_err = exc
+                continue
+            key = _pairs_key(pairs)
+            if key not in rejected:
+                try:
+                    block_data = _jordan_block_data(A, pairs)
+                    break
+                except (VerificationFailed, AssertionError) as exc:
+                    rejected[key] = exc
+            last_err = rejected[key]
         if block_data is None:
             raise VerificationFailed(
                 f"no consistent eigenvalue clustering found: {last_err}")
@@ -864,25 +890,30 @@ def _cluster_roots(roots, radius):
     return clusters
 
 
-def _approx_charpoly_factors(A: Matrix, attempt: int = 0) -> list:
+def _approx_charpoly_factors(chi: Poly, roots, radius: float) -> list:
     """(poly, multiplicity, True) clusters over R/C from numeric roots.
 
-    A root of multiplicity m is only located to about eps^(1/m) by the
-    global iteration, so the cluster radius escalates with ``attempt``
-    (the caller retries until the chain structure validates the clusters);
-    over R every complex cluster must find a conjugate partner at the
-    current radius.  Cluster centers are polished by Newton on a
-    derivative of the characteristic polynomial.
+    The caller computes the spectrum once, ``chi`` and its Durand-Kerner
+    ``roots``, and passes it in for every cluster radius it tries.  A root
+    of multiplicity m is only located to about eps^(1/m) by the global
+    iteration, so the caller escalates ``radius`` until the chain structure
+    validates the clusters; over R every complex cluster must find a
+    conjugate partner at that radius.  Cluster centers are polished by
+    Newton on a derivative of the characteristic polynomial.
     """
-    field = A.field
-    chi = charpoly(A)
-    roots = approx_roots(chi)
-    scale = 1.0 + max(abs(r) for r in roots) if roots else 1.0
     coeffs = [complex(c.rep) for c in chi.coeffs]
-    radius = max(1e-8, field.tolerance * 1e-1) * scale * 8.0 ** attempt
-    if radius > 0.05 * scale:
-        raise VerificationFailed("eigenvalue cluster radius escalation exhausted")
-    return _pair_clusters(field, _cluster_roots(roots, radius), radius, coeffs)
+    return _pair_clusters(chi.field, _cluster_roots(roots, radius), radius, coeffs)
+
+
+def _pairs_key(pairs) -> tuple:
+    """The clusters of one attempt with their float bits exact (-0.0 and
+    0.0 differ), for recognising clusters that were already tried."""
+    return tuple((s, tuple(_float_bits(c.rep) for c in p.coeffs)) for p, s, _ in pairs)
+
+
+def _float_bits(x) -> bytes:
+    x = complex(x)
+    return struct.pack("<dd", x.real, x.imag)
 
 
 def _pair_clusters(field, clusters, radius, coeffs):

@@ -9,6 +9,8 @@ touch only FieldElement operators and the Matrix/Poly constructors.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from wordmap.fields import enumerate_elements
 from wordmap.matrices import Matrix
@@ -334,3 +336,38 @@ def brute_inverse(x):
         if (x * y).rep == x.field.one().rep:
             return y
     return None
+
+
+def naive_rational_roots(f):
+    """Rational roots of a Poly over Q by the rational root theorem with no
+    size bound: every ±p/q with p | a_0 and q | a_n, found by trial division
+    up to sqrt(|a_0|) and sqrt(|a_n|), in that candidate order."""
+    def divisors(n):
+        n = abs(n)
+        small, large = [], []
+        i = 1
+        while i * i <= n:
+            if n % i == 0:
+                small.append(i)
+                if i != n // i:
+                    large.append(n // i)
+            i += 1
+        return small + large[::-1]
+
+    denom = 1
+    for c in f.coeffs:
+        denom = denom * c.rep.denominator // math.gcd(denom, c.rep.denominator)
+    ints = [int(c.rep * denom) for c in f.coeffs]
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+    if not ints:
+        return []
+    candidates = [Fraction(0)]
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            candidates += [Fraction(p, q), Fraction(-p, q)]
+    roots = []
+    for cand in dict.fromkeys(candidates):
+        if f(f.field(cand)).is_zero():
+            roots.append(cand)
+    return roots

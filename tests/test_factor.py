@@ -1,11 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordmap.errors import UnsupportedField, ZeroPolynomial
-from wordmap.factor import factor, is_irreducible, is_separable
+from wordmap.factor import _iroot_ceil, _rational_roots, factor, is_irreducible, is_separable
 from wordmap.fields import Field, GF, enumerate_elements
 from wordmap.polynomials import Poly
+
+from oracles import naive_rational_roots
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -142,3 +147,60 @@ def test_factor_tower_field():
         fac = factor(f, seed=1)
         assert fac.expand() == f
         assert all(is_irreducible(t.poly) for t in fac.factors)
+
+
+# ----------------------------------------------------------------------
+# rational roots inside the root bound
+# ----------------------------------------------------------------------
+
+def planted_root(size):
+    return st.tuples(st.integers(-size, size), st.integers(1, 50))
+
+
+# derandomized: the unbounded reference evaluates every divisor pair, so the
+# cost of an example grows with the divisor counts of a_0 and a_n
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(big=planted_root(10**6),
+       small=st.lists(planted_root(50), max_size=1),
+       cofactor=st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+       lead=st.integers(-9, 9).filter(bool),
+       huge=st.sampled_from((1, 10**320)),
+       x_power=st.integers(0, 2),
+       scale=st.fractions(Fraction(-7, 3), Fraction(7, 3), max_denominator=9),
+       monic=st.booleans())
+def test_rational_roots_match_unbounded_search(big, small, cofactor, lead, huge,
+                                               x_power, scale, monic):
+    """Planted roots p/q with |p| <= 10^6 and q <= 50, a non-monic cofactor
+    (with a middle coefficient of 10^320 in some draws, past the float
+    range), powers of x, and rational scalings give the same roots in the
+    same order as trial division over every divisor of a_0 and a_n."""
+    if scale == 0:
+        scale = Fraction(1)
+    f = Poly(Q, [0] * x_power + [1])
+    for p, q in [big] + small:
+        f = f * Poly(Q, [-p, q])
+    # the cofactor lead * x^2 + huge * c_1 x + c_0 has its own (rational or
+    # irrational) roots besides the planted ones
+    g = Poly(Q, cofactor[:-1] + [cofactor[-1] * huge, lead])
+    f = (f * g).scale(Q(scale))
+    if monic:
+        f = f.monic()
+    got = _rational_roots(f)
+    assert got == naive_rational_roots(f)
+    for p, q in [big] + small:
+        assert Fraction(p, q) in got
+
+
+def test_rational_roots_with_coefficients_past_float_range():
+    # (x - 3)(2x + 5)(x^2 + 10^400 x + 7): the root bound is about 10^400,
+    # and int / int would overflow a float
+    f = Poly(Q, [-3, 1]) * Poly(Q, [5, 2]) * Poly(Q, [7, 10**400, 1])
+    assert sorted(_rational_roots(f)) == [Fraction(-5, 2), Fraction(3)]
+    assert _rational_roots(f) == naive_rational_roots(f)
+
+
+@given(m=st.integers(0, 10**60), k=st.integers(1, 9))
+def test_iroot_ceil_is_least_kth_root_above(m, k):
+    c = _iroot_ceil(m, k)
+    assert c ** k >= m
+    assert c == 0 or (c - 1) ** k < m

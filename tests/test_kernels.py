@@ -320,8 +320,9 @@ def test_exhaustive_two_term_matches_object_search(spec, k1, k2):
 # CLI output pinned byte for byte
 # ----------------------------------------------------------------------
 
-# (field, word, n, seed, SHA-256 of the `wordmap solve` stdout); recorded
-# with the element-by-element arithmetic the kernels replaced
+# (field, word, n, seed, SHA-256 of the `wordmap solve` stdout); the exact
+# kinds recorded with the element-by-element arithmetic the kernels
+# replaced, the R/C ones with the per-attempt spectrum of the R/C Jordan form
 GOLDEN = [
     ("Fp:101", "comm:m=4", 4, 1,
      "b5705cf620b9e68618bbcec69470a5961bf58f329afb92f1f3b50ee4b03a68c9"),
@@ -349,6 +350,14 @@ GOLDEN = [
      "c7126c3bc6e71664ad3d421426a942a446d99af49a4e6a0c36e5c2967698d57c"),
     ("Q", "comm:m=6", 4, 13,
      "ecdcf8b4addf77a598975d5b4d2e4591e76761af8cb6576f55af7bc508549fe8"),
+    ("R:tol=1e-9", "diag:d=1,k=2;d=1,k=3", 4, 14,
+     "c751577513bd3f532a905cdf44008dd81ae47531fef52fa69cf5e2631aa561d5"),
+    ("R:tol=1e-9", "comm:m=4", 3, 15,
+     "f4ab5e91cf8efc72066efca7df0e72529f7c1f2209a1a4a70a4986820f17e7a7"),
+    ("C:tol=1e-9", "diag:d=1,k=2;d=1,k=3", 3, 16,
+     "821ad7e7f050769fce6a13f8731bc1baa02c4f8d12acc84e20333a4e471b2bde"),
+    ("C:tol=1e-9", "comm:m=4", 4, 17,
+     "a0443a482cb2d85ea192c73c18bd87f00d89eab9b12a519e3416873f6ac5c80d"),
 ]
 
 
@@ -360,6 +369,10 @@ def _golden_target(spec, wspec, n, seed) -> str:
             return str(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
         if spec == F9_SPEC:
             return [rng.randrange(3), rng.randrange(3)]
+        if spec.startswith("R"):
+            return round(rng.uniform(-2, 2), 2)
+        if spec.startswith("C"):
+            return [round(rng.uniform(-2, 2), 2), round(rng.uniform(-2, 2), 2)]
         return rng.randrange(101)
 
     rows = [[entry() for _ in range(n)] for _ in range(n)]

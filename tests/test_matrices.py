@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from wordmap.errors import NotNilpotent, NotSimilar
+import wordmap.matrices as matrices_mod
+from wordmap.errors import NotNilpotent, NotSimilar, UsageError, VerificationFailed
 from wordmap.fields import Field, GF, extend
 from wordmap.matrices import (
     Matrix,
@@ -241,3 +242,62 @@ def test_jordan_form_defective_approx():
     gj = generalized_jordan_form(B)
     assert sum(b.size * b.degree for b in gj.blocks) == 3
     assert (gj.conjugator * B * gj.conjugator.inverse()).allclose(gj.realization)
+
+
+def test_add_sub_reject_unequal_shapes():
+    for a, b in ((Matrix.identity(F5, 2), Matrix.identity(F5, 3)),
+                 (Matrix.zeros(F5, 2, 3), Matrix.zeros(F5, 3, 2))):
+        with pytest.raises(UsageError):
+            a + b
+        with pytest.raises(UsageError):
+            a - b
+    two = Matrix.identity(F5, 2)
+    assert two + two == Matrix.identity(F5, 2).scale(F5(2))
+
+
+def test_solve_right_rejects_wrong_length():
+    ident = Matrix.identity(F5, 3)
+    for b in ([F5(1)], [F5(1)] * 4):
+        with pytest.raises(UsageError):
+            ident.solve_right(b)
+    assert ident.solve_right([F5(1), F5(2), F5(3)]) == (F5(1), F5(2), F5(3))
+
+
+R9 = Field("real", tolerance=1e-9)
+C9 = Field("complex", tolerance=1e-9)
+
+
+def _large_entries(field, seed):
+    rng = random.Random(seed)
+    return Matrix(field, [[field(round(rng.uniform(-1e4, 1e4), 1)) for _ in range(3)]
+                          for _ in range(3)])
+
+
+@pytest.mark.parametrize("target,exhausts", [
+    (Matrix.jordan_block(R9(2.5), 3), False),
+    (Matrix.jordan_block(C9(1j), 2), False),
+    (_large_entries(R9, 0), True),  # absolute tolerances fail at this scale
+    (_large_entries(C9, 1), True),
+])
+def test_jordan_form_approx_computes_one_spectrum(monkeypatch, target, exhausts):
+    calls = {"charpoly": 0, "approx_roots": 0}
+
+    def counted(name):
+        inner = getattr(matrices_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(matrices_mod, name, counted(name))
+    if exhausts:
+        with pytest.raises(VerificationFailed) as info:
+            generalized_jordan_form(target)
+        assert str(info.value) == ("no consistent eigenvalue clustering found: "
+                                   "eigenvalue cluster radius escalation exhausted")
+    else:
+        gj = generalized_jordan_form(target)
+        assert (gj.conjugator * target * gj.conjugator.inverse()).allclose(gj.realization)
+    assert calls == {"charpoly": 1, "approx_roots": 1}
