@@ -25,8 +25,9 @@ runs before NotFound is raised, making the negative an actual proof.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import (
     CharPolyMismatch,
@@ -39,6 +40,7 @@ from .errors import (
     ZeroLeadingCoordinate,
 )
 from .fields import (
+    SCAN_BOUND,
     Field,
     FieldElement,
     enumerate_elements,
@@ -49,9 +51,9 @@ from .fields import (
 from .matrices import (
     Matrix,
     Partition,
+    _random_element,
     charpoly,
     eigenbasis,
-    minpoly,
     nilpotent_conjugator,
     nilpotent_partition,
 )
@@ -63,6 +65,15 @@ from .words import DiagonalWord, Witness, make_witness
 # ----------------------------------------------------------------------
 # scalar equations
 # ----------------------------------------------------------------------
+
+def _finite_candidates(field: Field, seed: int, tries: int):
+    """Every element in enumeration order up to SCAN_BOUND (so exhaustion is
+    a proof), ``tries`` seeded random elements beyond it."""
+    if field.cardinality <= SCAN_BOUND:
+        return enumerate_elements(field)
+    rng = random.Random(seed)
+    return (_random_element(field, rng) for _ in range(tries))
+
 
 def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
                          beta: FieldElement, seed: int = 0,
@@ -78,16 +89,7 @@ def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
         raise UsageError("beta must be nonzero")
     if field.is_finite:
         first = None
-        if field.cardinality <= 10 ** 6:
-            candidates = enumerate_elements(field)
-        else:
-            import random
-
-            rng = random.Random(seed)
-            from .matrices import _random_element
-
-            candidates = (_random_element(field, rng) for _ in range(tries))
-        for a in candidates:
+        for a in _finite_candidates(field, seed, tries):
             pa = a ** k1
             if first is not None and pa == first[0]:
                 continue
@@ -147,7 +149,7 @@ def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
             continue
         try:
             roots = kth_roots((alpha - pa) / beta, k2)
-        except Unsupported:
+        except Unsupported:  # number fields: only the root of zero is known
             roots = []
         if not roots:
             continue
@@ -162,28 +164,23 @@ def scalar_solution(field: Field, alpha: FieldElement, k1: int, k2: int,
                     beta: FieldElement, seed: int = 0, tries: int = 4096) -> tuple:
     """One solution (a, b) of a^{k1} + beta*b^{k2} = alpha."""
     alpha, beta = field(alpha), field(beta)
-    if field.is_finite and field.cardinality > 10 ** 6:
-        import random
-
-        from .matrices import _random_element
-
-        rng = random.Random(seed)
-        candidates = (_random_element(field, rng) for _ in range(tries))
-    elif field.is_finite:
-        candidates = enumerate_elements(field)
+    if field.is_finite:
+        for a in _finite_candidates(field, seed, tries):
+            roots = kth_roots((alpha - a ** k1) / beta, k2)
+            if roots:
+                return a, roots[0]
     elif field.kind in ("real", "complex"):
         (a, b), _ = scalar_two_solutions(field, alpha, k1, k2, beta, seed)
         return a, b
     else:
-        candidates = (field(v) for v in
-                      (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8))
-    for a in candidates:
-        try:
-            roots = kth_roots((alpha - a ** k1) / beta, k2)
-        except Unsupported:
-            roots = []
-        if roots:
-            return a, roots[0]
+        for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8):
+            a = field(v)
+            try:
+                roots = kth_roots((alpha - a ** k1) / beta, k2)
+            except Unsupported:  # number fields: only the root of zero is known
+                continue
+            if roots:
+                return a, roots[0]
     raise NotFound(
         f"no scalar solution of X^{k1} + {beta!r}*Y^{k2} = {alpha!r} over {field}")
 
@@ -635,28 +632,17 @@ def solve_diagonal_word(A: Matrix, word: DiagonalWord, seed: int = 0) -> Witness
         if k == 1:
             mats = [zero_mat] * m
             mats[idx] = A.scale(delta.inverse())
-            return make_witness(word, A, mats, flags=_diag_flags(mats))
+            return make_witness(word, A, mats)
     if m == 1:
         delta, k = word.terms[0]
         X = _matrix_kth_root(A.scale(delta.inverse()), k, seed)
-        return make_witness(word, A, [X], flags=_diag_flags([X]))
+        return make_witness(word, A, [X])
     (d1, k1), (d2, k2) = word.terms[0], word.terms[1]
     Aprime = A.scale(d1.inverse())
     beta = d2 / d1
     X, Y, conjs = _solve_two_term(Aprime, k1, beta, k2, seed)
     mats = [X, Y] + [zero_mat] * (m - 2)
-    return make_witness(word, A, mats, conjugators=conjs, flags=_diag_flags(mats))
-
-
-def _diag_flags(mats) -> Optional[tuple]:
-    field = mats[0].field
-    if not field.is_exact:
-        return None
-    flags = []
-    for M in mats:
-        mp = minpoly(M)
-        flags.append(mp.gcd(mp.derivative()).degree == 0)
-    return tuple(flags)
+    return make_witness(word, A, mats, conjugators=conjs)
 
 
 def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,

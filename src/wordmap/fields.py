@@ -28,6 +28,15 @@ entries and coefficients, unwrap the reps once per operation, call the
 kernel, and wrap the result once.  Extension inverses and the Rabin
 irreducibility test use the base field's polynomial kernel.
 
+K-th roots over F_q are computed per call, with no table and no state kept
+on the Field: with g = gcd(k, q-1), exponent inversion when g = 1; else the
+power-residue test e^((q-1)/g) = 1 first, then Tonelli-Shanks for k = 2
+and, for any other k, the linear part gcd(x^k - e, x^q - x) split by the
+Cantor-Zassenhaus equal-degree step of ``factor``.  For q <= SCAN_BOUND the
+roots come in ``enumerate_elements`` order, so the root a scalar search
+picks does not depend on the algorithm; above it they come in the order the
+algorithm gives (Tonelli-Shanks: [r, -r]).
+
 Extensions are a single quotient step ``base[t]/(m)`` with ``base`` a prime
 field (giving F_{p^d}) or Q.  Approximate kinds carry an explicit tolerance
 used only when *comparing* values; every construction stays formula driven.
@@ -44,6 +53,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -58,7 +68,8 @@ from .errors import (
     UsageError,
 )
 
-# Finite fields up to this cardinality get full power tables / scans.
+# Finite fields up to this cardinality have their elements enumerated as
+# candidates in scalar searches, and get their k-th roots in enumeration order.
 SCAN_BOUND = 10**6
 # Prime fields up to this size keep one FieldElement per value, so that
 # wrapping kernel output is a table lookup rather than an allocation.
@@ -180,7 +191,7 @@ class Field:
     __slots__ = (
         "kind", "p", "degree", "modulus", "tolerance", "base", "key",
         "_radd", "_rsub", "_rmul", "_rneg", "_rinv", "_zero_raw", "_one_raw",
-        "_zero", "_one", "_power_tables", "_nonresidue", "kernel", "_elements",
+        "_zero", "_one", "kernel", "_elements",
     )
 
     def __init__(self, kind: str, p: int = 0, modulus: tuple = (),
@@ -190,8 +201,6 @@ class Field:
         self.base = base
         self.modulus = modulus
         self.tolerance = tolerance
-        self._power_tables = {}
-        self._nonresidue = None
         if kind == "prime":
             if not _is_prime(p):
                 raise UsageError(f"{p} is not prime")
@@ -871,16 +880,41 @@ def enumerate_elements(field: Field) -> Iterator[FieldElement]:
     raise InfiniteField(f"{field} is not finite")
 
 
-def _power_table(field: Field, k: int) -> dict:
-    """Map raw value v -> list of raw x with x^k = v (finite fields, scan scale)."""
-    tab = field._power_tables.get(k)
-    if tab is None:
-        tab = {}
-        for x in enumerate_elements(field):
-            v = field._rpow(x.rep, k)
-            tab.setdefault(v, []).append(x.rep)
-        field._power_tables[k] = tab
-    return tab
+def _element_index(field: Field, rep) -> int:
+    """Position of a raw value in ``enumerate_elements(field)`` order."""
+    if field.kind == "prime":
+        return rep
+    b, idx = field.base.cardinality, 0
+    for c in reversed(rep):
+        idx = idx * b + _element_index(field.base, c)
+    return idx
+
+
+def _element_at(field: Field, idx: int):
+    """The raw value at position ``idx`` of ``enumerate_elements(field)``."""
+    if field.kind == "prime":
+        return idx
+    b, rep = field.base.cardinality, []
+    for _ in range(field.degree):
+        idx, digit = divmod(idx, b)
+        rep.append(_element_at(field.base, digit))
+    return tuple(rep)
+
+
+def _first_nonresidue(field: Field):
+    """Raw value of the first non-square in enumeration order (q odd).
+
+    The first |base| elements in that order are the base field's; in an
+    extension of even degree every one of them is a square, so the search
+    starts after them."""
+    q = field.cardinality
+    start = 1
+    if field.kind == "ext" and field.degree % 2 == 0:
+        start = field.base.cardinality
+    for idx in itertools.count(start):
+        rep = _element_at(field, idx)
+        if field._rpow(rep, (q - 1) // 2) != field._one_raw:
+            return rep
 
 
 def _sqrt_odd_finite(field: Field, e: FieldElement) -> FieldElement:
@@ -890,17 +924,8 @@ def _sqrt_odd_finite(field: Field, e: FieldElement) -> FieldElement:
     while s % 2 == 0:
         s //= 2
         r += 1
-    z = field._nonresidue
-    if z is None:
-        for cand in enumerate_elements(field):
-            if cand.is_zero():
-                continue
-            if field._rpow(cand.rep, (q - 1) // 2) != field._one_raw:
-                z = cand
-                break
-        field._nonresidue = z
     m = r
-    c = z ** s
+    c = field.element(_first_nonresidue(field)) ** s
     t = e ** s
     x = e ** ((s + 1) // 2)
     one = field.one()
@@ -917,6 +942,18 @@ def _sqrt_odd_finite(field: Field, e: FieldElement) -> FieldElement:
     return x
 
 
+def _roots_by_gcd(field: Field, e: FieldElement, k: int) -> list:
+    """The roots of x^k - e: its linear part gcd(x^k - e, x^q - x), split
+    into linear factors by Cantor-Zassenhaus with a fixed seed."""
+    from .factor import _equal_degree  # deferred: factor imports this module
+    from .polynomials import Poly
+
+    f = Poly(field, [-e] + [field.zero()] * (k - 1) + [field.one()])
+    x = Poly.x(field)
+    linear = f.gcd(x.pow_mod(field.cardinality, f) - x)
+    return [-g[0] for g in _equal_degree(linear, 1, random.Random(0))]
+
+
 def _integer_kth_root(n: int, k: int) -> Optional[int]:
     if n < 0:
         return None
@@ -931,30 +968,36 @@ def _integer_kth_root(n: int, k: int) -> Optional[int]:
 
 def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
     """All x with x^k = e (finite fields, Q); real roots over R; principal
-    root over C unless ``all_roots``.  Empty list when none exist."""
+    root over C unless ``all_roots``.  Empty list when none exist.
+
+    Over F_q, with g = gcd(k, q-1): g = 1 gives the single root
+    e^(k^-1 mod q-1); otherwise e is a k-th power iff e^((q-1)/g) = 1, and
+    then k = 2 is Tonelli-Shanks, giving [r, -r], and any other k splits the
+    linear part gcd(x^k - e, x^q - x) by Cantor-Zassenhaus.  For q <=
+    SCAN_BOUND the roots come in ``enumerate_elements`` order; above it they
+    come in the order the algorithm gives them."""
     if k < 1:
         raise UsageError("k must be >= 1")
     field = e.field
     if k == 1:
         return [e]
     if field.is_finite:
-        q = field.cardinality
         if e.is_zero():
             return [field.zero()]
-        if q <= SCAN_BOUND:
-            tab = _power_table(field, k)
-            return [field.element(r) for r in tab.get(e.rep, [])]
+        q = field.cardinality
         g = math.gcd(k, q - 1)
         if g == 1:
-            einv = pow(k % (q - 1), -1, q - 1)
-            return [e ** einv]
+            return [e ** pow(k % (q - 1), -1, q - 1)]
+        if e ** ((q - 1) // g) != field.one():
+            return []
         if k == 2:
-            if field._rpow(e.rep, (q - 1) // 2) != field._one_raw:
-                return []
             r = _sqrt_odd_finite(field, e)
-            return [r, -r]
-        raise Unsupported(
-            f"k-th roots with gcd(k, q-1) = {g} > 1 beyond the scan bound")
+            roots = [r, -r]
+        else:
+            roots = _roots_by_gcd(field, e, k)
+        if q <= SCAN_BOUND:
+            roots.sort(key=lambda x: _element_index(field, x.rep))
+        return roots
     if field.kind == "ext":
         # number field Q(alpha): only the trivial root is recognised
         if field.is_zero_raw(e.rep):

@@ -42,6 +42,13 @@ class Matrix:
         self.rows = tuple(tuple(r) for r in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
+        for row in self.rows:
+            if len(row) != self.ncols:
+                raise UsageError(f"ragged rows: lengths {len(row)} and {self.ncols}")
+            for x in row:
+                if not isinstance(x, FieldElement) or (
+                        x.field is not field and x.field.key != field.key):
+                    raise UsageError(f"matrix entry {x!r} is not an element of {field}")
 
     # -- constructors -------------------------------------------------------
 

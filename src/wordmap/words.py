@@ -12,7 +12,7 @@ pipe-separated coefficient lists for extension fields (d=[1|0|1]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import UsageError, VerificationFailed
 from .fields import Field, FieldElement
@@ -137,7 +137,6 @@ class Witness:
     target: Matrix
     matrices: Tuple[Matrix, ...]
     conjugators: Tuple[Matrix, ...] = ()
-    diagonalizable_flags: Optional[Tuple[bool, ...]] = None
 
     @property
     def verified(self) -> bool:
@@ -147,10 +146,10 @@ class Witness:
         return eval_word(self.word, self.matrices).allclose(self.target)
 
 
-def make_witness(word, target: Matrix, mats, conjugators=(), flags=None) -> Witness:
+def make_witness(word, target: Matrix, mats, conjugators=()) -> Witness:
     """The single gate every solver returns through: re-evaluate and compare."""
     got = eval_word(word, mats)
     if not got.allclose(target):
         raise VerificationFailed(
             f"witness evaluation mismatch for {getattr(word, 'spec_string', lambda: word)()}")
-    return Witness(word, target, tuple(mats), tuple(conjugators), flags)
+    return Witness(word, target, tuple(mats), tuple(conjugators))

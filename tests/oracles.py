@@ -371,3 +371,8 @@ def naive_rational_roots(f):
         if f(f.field(cand)).is_zero():
             roots.append(cand)
     return roots
+
+
+def naive_kth_roots(e, k):
+    """Every x with x^k = e, by trying each element in enumeration order."""
+    return [x for x in enumerate_elements(e.field) if x ** k == e]

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 import random
 
@@ -13,6 +15,7 @@ from wordmap.errors import (
 )
 from wordmap.fields import (
     GF,
+    SCAN_BOUND,
     Field,
     arith,
     enumerate_elements,
@@ -22,6 +25,8 @@ from wordmap.fields import (
     regular_solution_search,
 )
 from wordmap.polynomials import Poly
+
+from oracles import naive_kth_roots
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -103,6 +108,74 @@ def test_kth_roots_large_field_tonelli():
     assert math.gcd(7, 101 ** 3 - 1) == 1
     (r,) = kth_roots(e3, 7)
     assert r ** 7 == e3
+
+
+def _tower(base, d):
+    """base[t]/(m) for the first irreducible monic m of degree d."""
+    from wordmap.factor import is_irreducible
+
+    for tail in itertools.product(list(enumerate_elements(base)), repeat=d):
+        m = Poly(base, list(tail) + [base.one()])
+        if is_irreducible(m):
+            return extend(base, m)[0]
+
+
+# (field, stride): every stride-th element and its k-th power is a target
+ROOT_FIELDS = [(GF(q), 1) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 101)] + [
+    (_tower(GF(4), 2), 1), (_tower(GF(4), 3), 7), (_tower(GF(9), 2), 7)]
+
+
+@pytest.mark.parametrize("field,stride", ROOT_FIELDS, ids=lambda v: repr(v))
+def test_kth_roots_match_enumeration(field, stride):
+    # the roots, order included, are those a scan in enumeration order finds
+    elems = list(enumerate_elements(field))[::stride]
+    for k in range(1, 7):
+        targets = {y.rep: y for x in elems for y in (x, x ** k)}
+        for e in targets.values():
+            assert kth_roots(e, k) == naive_kth_roots(e, k)
+
+
+def test_kth_roots_beyond_scan_bound_with_common_factor():
+    # gcd(3, q-1) = 3 above SCAN_BOUND: three cube roots, or none
+    big = Field("prime", p=1000003)
+    assert math.gcd(3, big.p - 1) == 3 and big.p > SCAN_BOUND
+    x = big(123456)
+    roots = kth_roots(x ** 3, 3)
+    assert len({r.rep for r in roots}) == 3 and x in roots
+    assert all(r ** 3 == x ** 3 for r in roots)
+    non_cube = next(big(v) for v in range(2, 100)
+                    if big(v) ** ((big.p - 1) // 3) != big.one())
+    assert kth_roots(non_cube, 3) == []
+
+
+def test_field_holds_no_state_changed_by_roots_or_solves():
+    from wordmap.diagonal import solve_diagonal_word
+    from wordmap.matrices import Matrix
+    from wordmap.words import DiagonalWord
+
+    F101 = Field("prime", p=101)
+    fields = [F101, GF(9), GF(101 ** 2), Field("prime", p=1000003)]
+
+    def snapshot():
+        return [[(getattr(f, s), copy.copy(getattr(f, s))) for s in Field.__slots__]
+                for f in fields]
+
+    def assert_unchanged(before):
+        for f, slots in zip(fields, before):
+            for name, (obj, shallow) in zip(Field.__slots__, slots):
+                assert getattr(f, name) is obj, name
+                if isinstance(obj, (dict, list, set)):
+                    assert obj == shallow, name
+
+    before = snapshot()
+    for f in fields:
+        for k in (2, 3, 5):
+            kth_roots(f.generator() if f.kind == "ext" else f(7), k)
+    assert_unchanged(before)
+    word = DiagonalWord(((F101.one(), 2), (F101.one(), 3)))
+    A = Matrix.companion(Poly(F101, [3, 0, 1]))  # x^2 + 3: F_{101^2} block
+    solve_diagonal_word(A, word)
+    assert_unchanged(before)
 
 
 def test_enumerate_fields():

@@ -322,7 +322,9 @@ def test_exhaustive_two_term_matches_object_search(spec, k1, k2):
 
 # (field, word, n, seed, SHA-256 of the `wordmap solve` stdout); the exact
 # kinds recorded with the element-by-element arithmetic the kernels
-# replaced, the R/C ones with the per-attempt spectrum of the R/C Jordan form
+# replaced, the R/C ones with the per-attempt spectrum of the R/C Jordan form,
+# the F_9 targets with an irreducible cubic factor (roots in F_729) and the
+# F_4 one (cube roots with gcd(3, q-1) = 3) with per-field power tables
 GOLDEN = [
     ("Fp:101", "comm:m=4", 4, 1,
      "b5705cf620b9e68618bbcec69470a5961bf58f329afb92f1f3b50ee4b03a68c9"),
@@ -342,6 +344,12 @@ GOLDEN = [
      "b3e1d7e7da82eb9f74ae14fcf8f56b2f1f5054731c6567e17fd4e1f4b8e2b246"),
     (F9_SPEC, "diag:d=1,k=2;d=1,k=2", 2, 9,
      "2877f18066a7accab85b776914fb95b9becdc8e777847367311f47dc1859f5e9"),
+    (F9_SPEC, "diag:d=1,k=2;d=1,k=2", 3, 21,
+     "b9807fc819dd1865d0d7b3f9c2e3d9ae05399e6e6db0fca0bdad4e8f887327b7"),
+    (F9_SPEC, "diag:d=1,k=2;d=1,k=3", 3, 22,
+     "6b88ca2c79377653f13b3b734210e3b8fcd2225b152b54f950acc03300145b38"),
+    (F4_SPEC, "diag:d=1,k=2;d=1,k=3", 3, 28,
+     "0ac24d09017513fbae3f8dc592709deb0ef335919be78202e1da53330ac0c423"),
     ("Q", "comm:m=4", 3, 10,
      "5885f86b9028b9dde576d85840992afc9524a8d627801f802cefeff2e05ba5a7"),
     ("Q", "comm:m=2", 4, 11,
@@ -369,6 +377,8 @@ def _golden_target(spec, wspec, n, seed) -> str:
             return str(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
         if spec == F9_SPEC:
             return [rng.randrange(3), rng.randrange(3)]
+        if spec == F4_SPEC:
+            return [rng.randrange(2), rng.randrange(2)]
         if spec.startswith("R"):
             return round(rng.uniform(-2, 2), 2)
         if spec.startswith("C"):

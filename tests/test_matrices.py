@@ -263,6 +263,25 @@ def test_solve_right_rejects_wrong_length():
     assert ident.solve_right([F5(1), F5(2), F5(3)]) == (F5(1), F5(2), F5(3))
 
 
+def test_matrix_rejects_entries_outside_its_field():
+    R = Field("real", tolerance=1e-9)
+    with pytest.raises(UsageError):  # raw floats, not elements of R
+        Matrix(R, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(UsageError):
+        Matrix(F5, [[F5(1), F7(1)]])
+    with pytest.raises(UsageError):
+        Matrix(F5, [[F5(1), 2]])
+    same_key = Field("prime", p=5)  # another descriptor of the same field
+    assert Matrix(F5, [[same_key(2)]]) == Matrix.from_rows(F5, [[2]])
+
+
+def test_matrix_rejects_ragged_rows():
+    for rows in ([[F5(1), F5(2)], [F5(3)]], [[F5(1)], [F5(2), F5(3)]]):
+        with pytest.raises(UsageError):
+            Matrix(F5, rows)
+    assert Matrix(F5, []).nrows == 0
+
+
 R9 = Field("real", tolerance=1e-9)
 C9 = Field("complex", tolerance=1e-9)
 
