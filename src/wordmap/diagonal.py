@@ -58,7 +58,7 @@ from .matrices import (
     nilpotent_partition,
 )
 from .polynomials import Poly
-from .reduction import BlockPlan, assemble, plan
+from .reduction import BlockPlan, solve_blockwise
 from .words import DiagonalWord, Witness, make_witness
 
 
@@ -212,37 +212,24 @@ def invertible_jordan_decompose(alpha: FieldElement, n: int, k1: int, k2: int,
         C = Matrix.diagonal(field, [b])
         _check_two_term(B, C, k1, k2, beta, Matrix.diagonal(field, [alpha]))
         return B, C
-    pa, pc = a ** k1, c ** k1
-    pb, pd = beta * b ** k2, beta * d ** k2
-    one, zero = field.one(), field.zero()
-    gblock = Matrix(field, [[pa, one], [zero, pc]])
-    hblock = Matrix(field, [[pd, one], [zero, pb]])
+    # B^{k1} = G_n (diagonal blocks [[a^k1, 1], [0, c^k1]]) and
+    # beta*C^{k2} = H_n (blocks [[beta*d^k2, 1], [0, beta*b^k2]], offset by
+    # one place along the diagonal): the bidiagonal summands of J_{alpha,n}
+    zero = field.zero()
     tb = _power_sum_ratio(a, c, k1).inverse()
     td = (beta * _power_sum_ratio(d, b, k2)).inverse()
     bblock = Matrix(field, [[a, tb], [zero, c]])
     cblock = Matrix(field, [[d, td], [zero, b]])
     if n % 2 == 0:
-        G = Matrix.block_diag(field, [gblock] * (n // 2))
-        hparts = [Matrix.diagonal(field, [pb])] + [hblock] * ((n - 2) // 2) \
-            + [Matrix.diagonal(field, [pd])]
         B = Matrix.block_diag(field, [bblock] * (n // 2))
         cparts = [Matrix.diagonal(field, [b])] + [cblock] * ((n - 2) // 2) \
             + [Matrix.diagonal(field, [d])]
     else:
-        G = Matrix.block_diag(field, [gblock] * ((n - 1) // 2)
-                              + [Matrix.diagonal(field, [pa])])
-        hparts = [Matrix.diagonal(field, [pb])] + [hblock] * ((n - 1) // 2)
         B = Matrix.block_diag(field, [bblock] * ((n - 1) // 2)
                               + [Matrix.diagonal(field, [a])])
         cparts = [Matrix.diagonal(field, [b])] + [cblock] * ((n - 1) // 2)
-    H = Matrix.block_diag(field, hparts)
     C = Matrix.block_diag(field, cparts)
-    target = Matrix.jordan_block(alpha, n)
-    if not (G + H).allclose(target):
-        raise VerificationFailed("G_n + H_n does not reproduce the Jordan block")
-    if not (B ** k1).allclose(G) or not (C ** k2).scale(beta).allclose(H):
-        raise VerificationFailed("power witnesses do not reproduce G_n / H_n")
-    _check_two_term(B, C, k1, k2, beta, target)
+    _check_two_term(B, C, k1, k2, beta, Matrix.jordan_block(alpha, n))
     return B, C
 
 
@@ -356,20 +343,10 @@ def large_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
         idxs = list(range(r, n + 1, k1))
         groups.append((len(idxs), r, idxs))
     groups.sort(key=lambda g: (g[0], g[1]))
-    if tuple(g[0] for g in groups) != part.parts:
-        raise VerificationFailed("residue grouping disagrees with the predicted partition")
     order = [i - 1 for _, _, idxs in groups for i in idxs]
     P = Matrix.permutation(field, order)
     J = Matrix.jordan_block(field.zero(), n)
     X = P * J * P.inverse()
-    C = X ** k1
-    expected = Matrix.block_diag(field, [
-        Matrix.jordan_block(field.zero(), s) for s in part])
-    if C != expected:
-        raise VerificationFailed("permuted Jordan power is not the predicted block sum")
-    jspec = junction_matrix(field, part)
-    if J - C != jspec.realization:
-        raise VerificationFailed("difference is not the junction matrix")
     Y, _ = junction_as_scaled_power(field, part, k2, beta)
     _check_two_term(X, Y, k1, k2, beta, J)
     return X, Y
@@ -660,13 +637,10 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
         X, Y, conjs = _solve_two_term(
             A.scale(beta.inverse()), k2, beta.inverse(), k1, seed)
         return Y, X, conjs
-    word2 = DiagonalWord(((field.one(), k1), (beta, k2)))
     try:
-        rplan = plan(A, seed)
-        for bp in rplan.blocks:
-            bp.solution = _solve_block(bp, k1, beta, k2, seed)
-        witness = assemble(rplan, word2)
-        return witness.matrices[0], witness.matrices[1], witness.conjugators
+        (X, Y), P = solve_blockwise(
+            A, lambda bp: _solve_block(bp, k1, beta, k2, seed), seed)
+        return X, Y, (P,)
     except NotFound:
         # over a tiny field the whole witness space is searchable, which
         # turns NotFound into an actual proof of unreachability
@@ -721,10 +695,8 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
             for _ in range(nn):
                 idx, d = divmod(idx, q)
                 digits.append(elems[d])
-            X = Matrix._from_raw(field, matrix(digits[::-1]))
-            Y = Matrix._from_raw(field, Y)
-            _check_two_term(X, Y, k1, k2, beta, A)
-            return X, Y
+            return (Matrix._from_raw(field, matrix(digits[::-1])),
+                    Matrix._from_raw(field, Y))
     return None
 
 
@@ -760,10 +732,7 @@ def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int)
                 Yp, Xp = large_nilpotent_decompose(L, l, k2, k1, beta_L.inverse())
                 E = _nilpotent_scaling(L, l, beta_L)
                 Ei = E.inverse()
-                X, Y = Ei * Xp * E, Ei * Yp * E
-                _check_two_term(X, Y, k1, k2, beta_L,
-                                Matrix.jordan_block(L.zero(), l))
-                return X, Y
+                return Ei * Xp * E, Ei * Yp * E
             except (NotFound, PartitionTooSmall, SizeTooSmall):
                 pass
         raise small_err
@@ -794,19 +763,15 @@ def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int, seed: int):
             Y = Matrix.diagonal(field, [kth_roots(a / beta, k2)[0]])
         else:
             raise Unsupported("negative scalar with positive even word over R")
-        _check_two_term(X, Y, k1, k2, beta, A)
         return X, Y, ()
     if n == 2 and k1 == 2 and k2 == 2 and beta.rep > 0:
         return _sum_of_two_squares_2x2(A, beta, seed)
     # per-block attempt: complex-pair blocks always work, real blocks work
     # when individually reachable (nonnegative eigenvalues, large nilpotents)
     try:
-        word2 = DiagonalWord(((field.one(), k1), (beta, k2)))
-        rplan = plan(A, seed)
-        for bp in rplan.blocks:
-            bp.solution = _solve_block(bp, k1, beta, k2, seed)
-        witness = assemble(rplan, word2)
-        return witness.matrices[0], witness.matrices[1], witness.conjugators
+        (X, Y), P = solve_blockwise(
+            A, lambda bp: _solve_block(bp, k1, beta, k2, seed), seed)
+        return X, Y, (P,)
     except NotFound as exc:
         raise Unsupported(
             f"even/even exponents over R beyond 2x2 sums of squares are open "
@@ -817,9 +782,7 @@ def _sum_of_two_squares_2x2(A: Matrix, beta: FieldElement, seed: int):
     """X^2 + beta*Y^2 = A over R for beta > 0, through the beta = 1 case."""
     sqrt_beta = kth_roots(beta, 2)[0]
     X, Z = _two_squares_2x2(A, seed)
-    Y = Z.scale(sqrt_beta.inverse())
-    _check_two_term(X, Y, 2, 2, beta, A)
-    return X, Y, ()
+    return X, Z.scale(sqrt_beta.inverse()), ()
 
 
 def _two_squares_2x2(A: Matrix, seed: int):
@@ -832,12 +795,9 @@ def _two_squares_2x2(A: Matrix, seed: int):
     tol = field.tolerance * (1.0 + abs(tr.rep) + abs(det.rep))
     if disc.rep < -tol:
         # irreducible characteristic polynomial: complex-block route
-        word2 = DiagonalWord(((one, 2), (one, 2)))
-        rplan = plan(A, seed)
-        for bp in rplan.blocks:
-            bp.solution = _solve_block(bp, 2, one, 2, seed)
-        witness = assemble(rplan, word2)
-        return witness.matrices[0], witness.matrices[1]
+        (X, Z), _ = solve_blockwise(
+            A, lambda bp: _solve_block(bp, 2, one, 2, seed), seed)
+        return X, Z
     import math
 
     r1 = (tr.rep - math.sqrt(max(disc.rep, 0.0))) / 2.0
@@ -897,12 +857,8 @@ def _two_squares_2x2(A: Matrix, seed: int):
 
 def _matrix_kth_root(A: Matrix, k: int, seed: int) -> Matrix:
     """Best-effort X with X^k = A; NotFound when a block obstructs."""
-    rplan = plan(A, seed)
-    for bp in rplan.blocks:
-        bp.solution = (_block_kth_root(bp, k),)
-    word1 = DiagonalWord(((A.field.one(), k),))
-    witness = assemble(rplan, word1)
-    return witness.matrices[0]
+    (X,), _ = solve_blockwise(A, lambda bp: (_block_kth_root(bp, k),), seed)
+    return X
 
 
 def _block_kth_root(bp: BlockPlan, k: int) -> Matrix:

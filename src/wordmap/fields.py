@@ -844,23 +844,6 @@ def _irreducible_over_prime(mod: tuple, base: Field) -> bool:
 # spec-level operations
 # ----------------------------------------------------------------------
 
-def arith(op: str, x: FieldElement, y: FieldElement = None) -> FieldElement:
-    """Dispatch-style arithmetic entry point (the operators do the work)."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return x.inverse()
-    raise UsageError(f"unknown op {op!r}")
-
-
 def enumerate_elements(field: Field) -> Iterator[FieldElement]:
     """Yield every element of a finite field once, in a deterministic order."""
     if field.kind == "prime":
@@ -1263,8 +1246,11 @@ def GF(q: int, modulus=None) -> Field:
 
 
 def _monic_polys(p: int, d: int) -> Iterator[tuple]:
-    for tail in itertools.product(range(p), repeat=d):
-        yield tuple(tail) + (1,)
+    """Monic degree-d candidates, constant term varying slowest; for d >= 2
+    the constant term starts at 1, since t divides every other candidate."""
+    for const in range(1 if d >= 2 else 0, p):
+        for tail in itertools.product(range(p), repeat=d - 1):
+            yield (const,) + tail + (1,)
 
 
 RATIONALS = Field("rationals")

@@ -1,8 +1,15 @@
 """Dense matrices over a Field, plus the exact decompositions the solvers
 need: Berkowitz characteristic polynomials, Krylov minimal polynomials,
-nullspaces, similarity solving, nilpotent Jordan structure, the generalized
-Jordan form with companion blocks, and the companion-lift homomorphism that
-carries extension-field witnesses back to the base field.
+nullspaces, nilpotent Jordan structure, the generalized Jordan form with
+companion blocks, and the companion-lift homomorphism that carries
+extension-field witnesses back to the base field.
+
+Verification rule: a result is checked where a public entry point returns
+it (``generalized_jordan_form``), where a failed check selects another
+attempt (the cluster-radius loop), or where the next step needs it.  The
+helpers that build a basis or conjugator for a solver (``eigenbasis``,
+``nilpotent_conjugator``) check nothing; the public solve that uses them
+verifies its finished witness once.
 
 Conventions.  The companion matrix of p(x) = x^n + a_{n-1}x^{n-1} + ... + a_0
 has subdiagonal ones and last column (-a_0, ..., -a_{n-1}).  J_{p,l} is the
@@ -13,11 +20,10 @@ superdiagonal ones).  Nilpotent partitions are reported weakly increasing.
 
 from __future__ import annotations
 
-import itertools
 import random
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DescriptorMismatch,
@@ -573,93 +579,7 @@ def nilpotent_conjugator(N1: Matrix, N2: Matrix) -> Matrix:
     S2, l2 = nilpotent_jordan_basis(N2)
     if l1 != l2:
         raise NotSimilar(f"nilpotent partitions differ: {l1} vs {l2}")
-    Q = S2 * S1.inverse()
-    if not (Q * N1 * Q.inverse()).allclose(N2):
-        raise VerificationFailed("nilpotent conjugator failed to verify")
-    return Q
-
-
-# ----------------------------------------------------------------------
-# similarity
-# ----------------------------------------------------------------------
-
-def solve_similarity(A: Matrix, B: Matrix, seed: int = 0, tries: int = 32) -> Matrix:
-    """Invertible P with P A P^-1 = B, from the solution space of X A = B X."""
-    _require_square(A)
-    _require_square(B)
-    if A.nrows != B.nrows:
-        raise NotSimilar("sizes differ")
-    field = A.field
-    if field.is_exact and charpoly(A) != charpoly(B):
-        raise NotSimilar("characteristic polynomials differ")
-    n = A.nrows
-    zero = field.zero()
-    sys_rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [zero] * (n * n)
-            for l in range(n):
-                row[i * n + l] = row[i * n + l] + A.rows[l][j]
-            for k in range(n):
-                row[k * n + j] = row[k * n + j] - B.rows[i][k]
-            sys_rows.append(row)
-    sysm = Matrix(field, sys_rows)
-    basis = sysm.nullspace()
-    if not basis:
-        raise NotSimilar("no solutions of X A = B X")
-    mats = [Matrix(field, [vec[i * n:(i + 1) * n] for i in range(n)]) for vec in basis]
-
-    def try_candidate(X):
-        try:
-            Xi = X.inverse()
-        except SingularMatrix:
-            return None
-        if (X * A * Xi).allclose(B):
-            return X
-        return None
-
-    for X in mats:
-        got = try_candidate(X)
-        if got is not None:
-            return got
-    rng = random.Random(seed)
-    pool = _combination_pool(field)
-    for _ in range(tries):
-        coeffs = [pool(rng) for _ in mats]
-        X = Matrix.zeros(field, n, n)
-        for c, M in zip(coeffs, mats):
-            X = X + M.scale(c)
-        got = try_candidate(X)
-        if got is not None:
-            return got
-    if field.is_finite and field.cardinality ** len(mats) <= 65536:
-        from .fields import enumerate_elements
-
-        elems = list(enumerate_elements(field))
-        for coeffs in itertools.product(elems, repeat=len(mats)):
-            X = Matrix.zeros(field, n, n)
-            for c, M in zip(coeffs, mats):
-                X = X + M.scale(c)
-            got = try_candidate(X)
-            if got is not None:
-                return got
-        raise NotSimilar("solution space contains no invertible element")
-    raise NotSimilar("no invertible solution found within the retry bound")
-
-
-def _combination_pool(field: Field) -> Callable:
-    if field.is_finite:
-        card = field.cardinality
-        if card <= SCANNABLE_COMBOS:
-            from .fields import enumerate_elements
-
-            elems = list(enumerate_elements(field))
-            return lambda rng: elems[rng.randrange(len(elems))]
-        return lambda rng: _random_element(field, rng)
-    return lambda rng: field(rng.randrange(-9, 10))
-
-
-SCANNABLE_COMBOS = 4096
+    return S2 * S1.inverse()
 
 
 def _random_element(field: Field, rng: random.Random) -> FieldElement:
@@ -682,11 +602,7 @@ def eigenbasis(M: Matrix, eigenvalues) -> Matrix:
         if not ns:
             raise NotSimilar(f"no eigenvector for {lam!r}")
         cols.append(ns[0])
-    S = Matrix.from_cols(field, cols)
-    check = S.inverse() * M * S
-    if not check.allclose(Matrix.diagonal(field, list(eigenvalues))):
-        raise VerificationFailed("eigenbasis failed to diagonalise")
-    return S
+    return Matrix.from_cols(field, cols)
 
 
 # ----------------------------------------------------------------------

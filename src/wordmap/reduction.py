@@ -5,14 +5,18 @@ J_{alpha,l} over K(alpha), lifting the block witnesses back through the
 companion-lift homomorphism, and conjugating the assembled block-diagonal
 solution by the Jordan conjugator solves the original equation.  Over R a
 quadratic factor is handled through C and lifted back to real 2x2 blocks.
+
+``plan`` / ``assemble`` / ``solve_blockwise`` serve the diagonal-word
+solver.  They verify nothing: the public solve that calls them checks the
+finished witness once, by evaluating its word against the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import VerificationFailed
+from .errors import UsageError
 from .fields import Field, FieldElement
 from .matrices import (
     GeneralizedJordanForm,
@@ -21,10 +25,9 @@ from .matrices import (
     generalized_jordan_form,
 )
 from .polynomials import Poly, approx_roots
-from .words import Witness, make_witness
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockPlan:
     """One Jordan block of the target, moved to its working field."""
 
@@ -36,15 +39,14 @@ class BlockPlan:
     target: Matrix                 # J_{alpha, l} over the working field
     complex_root: Optional[complex]  # chosen root for the R -> C route
     span: Tuple[int, int]          # column range inside the realization
-    solution: Optional[Tuple[Matrix, ...]] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionPlan:
     base_field: Field
     target: Matrix
     jordan: GeneralizedJordanForm
-    blocks: List[BlockPlan]
+    blocks: Tuple[BlockPlan, ...]
 
 
 def plan(A: Matrix, seed: int = 0) -> ReductionPlan:
@@ -84,7 +86,7 @@ def plan(A: Matrix, seed: int = 0) -> ReductionPlan:
             alpha = L(root)
             blocks.append(BlockPlan(p, l, L, alpha, lambda x, L=L: L(complex(x.rep)),
                                     Matrix.jordan_block(alpha, l), root, span))
-    return ReductionPlan(field, A, jf, blocks)
+    return ReductionPlan(field, A, jf, tuple(blocks))
 
 
 def _quadratic_complex_root(p: Poly) -> complex:
@@ -95,37 +97,32 @@ def _quadratic_complex_root(p: Poly) -> complex:
     return roots[0]
 
 
-def assemble(rplan: ReductionPlan, word, conjugators_extra=()) -> Witness:
-    """Lift the per-block solutions, direct-sum them per word position, and
-    conjugate back; the word is re-evaluated against the original target."""
+def assemble(rplan: ReductionPlan,
+             solutions: Sequence[Tuple[Matrix, ...]]) -> Tuple[Tuple[Matrix, ...], Matrix]:
+    """(matrices, P): lift the per-block solutions (one tuple per block, in
+    ``rplan.blocks`` order), direct-sum them per word position and conjugate
+    back by the Jordan conjugator P.  The result is not verified here."""
     field = rplan.base_field
-    arity = word.arity
-    for bp in rplan.blocks:
-        if bp.solution is None:
-            raise VerificationFailed("assemble called before every block was solved")
-        if len(bp.solution) != arity:
-            raise VerificationFailed("block solution arity mismatch")
-    per_position = []
-    for pos in range(arity):
+    solutions = [tuple(sol) for sol in solutions]
+    if len(solutions) != len(rplan.blocks) or len({len(sol) for sol in solutions}) != 1:
+        raise UsageError("assemble needs one solution tuple of equal length per block")
+    P = rplan.jordan.conjugator
+    Pinv = P.inverse()
+    mats = []
+    for pos in range(len(solutions[0])):
         lifted = []
-        for bp in rplan.blocks:
-            W = bp.solution[pos]
+        for bp, sol in zip(rplan.blocks, solutions):
+            W = sol[pos]
             if bp.field.key == field.key:
                 lifted.append(W)
             else:
                 lifted.append(companion_lift(W, bp.poly, bp.complex_root))
-        per_position.append(Matrix.block_diag(field, lifted))
-    P = rplan.jordan.conjugator
-    Pinv = P.inverse()
-    mats = [Pinv * M * P for M in per_position]
-    return make_witness(word, rplan.target, mats,
-                        conjugators=(P,) + tuple(conjugators_extra))
+        mats.append(Pinv * Matrix.block_diag(field, lifted) * P)
+    return tuple(mats), P
 
 
-def solve_blockwise(A: Matrix, word, block_solver: Callable[[BlockPlan], tuple],
-                    seed: int = 0) -> Witness:
-    """plan -> per-block solve -> assemble, verifying the final identity."""
+def solve_blockwise(A: Matrix, block_solver: Callable[[BlockPlan], tuple],
+                    seed: int = 0) -> Tuple[Tuple[Matrix, ...], Matrix]:
+    """plan -> ``block_solver`` on each block -> assemble: (matrices, P)."""
     rplan = plan(A, seed)
-    for bp in rplan.blocks:
-        bp.solution = tuple(block_solver(bp))
-    return assemble(rplan, word)
+    return assemble(rplan, [block_solver(bp) for bp in rplan.blocks])

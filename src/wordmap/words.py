@@ -138,13 +138,6 @@ class Witness:
     matrices: Tuple[Matrix, ...]
     conjugators: Tuple[Matrix, ...] = ()
 
-    @property
-    def verified(self) -> bool:
-        return True  # construction refuses to emit unverified witnesses
-
-    def reverify(self) -> bool:
-        return eval_word(self.word, self.matrices).allclose(self.target)
-
 
 def make_witness(word, target: Matrix, mats, conjugators=()) -> Witness:
     """The single gate every solver returns through: re-evaluate and compare."""

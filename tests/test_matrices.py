@@ -3,7 +3,7 @@ import random
 import pytest
 
 import wordmap.matrices as matrices_mod
-from wordmap.errors import NotNilpotent, NotSimilar, UsageError, VerificationFailed
+from wordmap.errors import NotNilpotent, UsageError, VerificationFailed
 from wordmap.fields import Field, GF, extend
 from wordmap.matrices import (
     Matrix,
@@ -16,7 +16,6 @@ from wordmap.matrices import (
     minpoly,
     nilpotent_conjugator,
     nilpotent_partition,
-    solve_similarity,
 )
 from wordmap.polynomials import Poly
 
@@ -72,37 +71,6 @@ def test_minpoly_examples():
     J = Matrix.jordan_block(F5(0), 4)
     assert minpoly(J * J) == Poly(F5, [0, 0, 1])
     assert (J * J * J * J).is_zero() and not (J * J).is_zero()
-
-
-def test_solve_similarity_identity_and_transpose():
-    I2 = Matrix.identity(F7, 2)
-    P = solve_similarity(I2, I2)
-    assert P * I2 * P.inverse() == I2
-    J = Matrix.jordan_block(F7(0), 2)
-    P = solve_similarity(J, J.transpose())
-    assert P * J * P.inverse() == J.transpose()
-
-
-def test_solve_similarity_diagonal_swap():
-    D1, D2 = Matrix.diagonal(F7, [1, 2]), Matrix.diagonal(F7, [2, 1])
-    P = solve_similarity(D1, D2)
-    assert P * D1 * P.inverse() == D2
-
-
-def test_solve_similarity_rejects():
-    with pytest.raises(NotSimilar):
-        solve_similarity(Matrix.diagonal(F7, [1, 2]), Matrix.diagonal(F7, [1, 3]))
-    with pytest.raises(NotSimilar):
-        solve_similarity(Matrix.jordan_block(F2(1), 2), Matrix.diagonal(F2, [1, 1]))
-
-
-def test_solve_similarity_tiny_field_exhaustive_path():
-    # over F_2 random combinations are often singular; the fallback must cope
-    A = Matrix.block_diag(F2, [Matrix.jordan_block(F2(0), 2),
-                               Matrix.jordan_block(F2(0), 2)])
-    B = A.transpose()
-    P = solve_similarity(A, B, seed=3)
-    assert P * A * P.inverse() == B
 
 
 def test_nilpotent_partition_examples():
@@ -220,16 +188,6 @@ def test_partition_validation():
 def test_is_nilpotent():
     assert is_nilpotent(Matrix.jordan_block(F5(0), 3))
     assert not is_nilpotent(Matrix.identity(F5, 2))
-
-
-def test_solve_similarity_deterministic_with_seed():
-    rng = random.Random(17)
-    A = random_matrix(F101, 3, rng)
-    P0 = random_invertible(F101, 3, rng)
-    B = P0 * A * P0.inverse()
-    got1 = solve_similarity(A, B, seed=9)
-    got2 = solve_similarity(A, B, seed=9)
-    assert got1 == got2
 
 
 def test_jordan_form_defective_approx():

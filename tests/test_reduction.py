@@ -1,9 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
+import wordmap.commutators as commutators_mod
+import wordmap.diagonal as diagonal_mod
+from wordmap.commutators import solve_commutator_product, trace_zero_to_commutator
 from wordmap.diagonal import solve_diagonal_word
-from wordmap.errors import VerificationFailed
+from wordmap.errors import UsageError, VerificationFailed
 from wordmap.fields import Field
 from wordmap.matrices import Matrix
 from wordmap.polynomials import Poly
@@ -48,16 +52,82 @@ def test_plan_f2_companion_goes_f4():
     assert (alpha * alpha + alpha + bp.field.one()).is_zero()
 
 
-def test_assemble_verifies():
+def test_assemble_returns_block_solutions_unverified():
     A = Matrix.diagonal(F5, [2])
     rp = plan(A)
-    word = DiagonalWord(((F5(1), 2), (F5(1), 2)))
-    rp.blocks[0].solution = (Matrix.diagonal(F5, [0]), Matrix.diagonal(F5, [3]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rp.blocks[0].target = A
+    # a wrong block solution comes back as it is: the public solve's gate
+    # is the only check
+    wrong = (Matrix.diagonal(F5, [0]), Matrix.diagonal(F5, [3]))
+    mats, P = assemble(rp, [wrong])
+    assert mats == wrong and P == rp.jordan.conjugator
+    mats, _ = assemble(rp, [(Matrix.diagonal(F5, [1]), Matrix.diagonal(F5, [1]))])
+    assert eval_word(DiagonalWord(((F5(1), 2), (F5(1), 2))), mats) == A
+    with pytest.raises(UsageError):
+        assemble(rp, [])
+    with pytest.raises(UsageError):
+        assemble(plan(Matrix.diagonal(F5, [1, 2])), [wrong, wrong[:1]])
+
+
+def test_solve_blockwise_lifts_and_conjugates_back():
+    # each block solved by its own Jordan block gives back the target: the
+    # F_4 block of an F_2 target, an F_101 target with the quadratic factor
+    # x^2 + 2 (an F_{101^2} block) next to J_{7,2}, and a random F_101 target
+    rng = random.Random(8)
+    for A, extension_blocks in (
+            (Matrix.companion(Poly(F2, [1, 1, 1])), 1),
+            (Matrix.block_diag(F101, [Matrix.companion(Poly(F101, [2, 0, 1])),
+                                      Matrix.jordan_block(F101(7), 2)]), 1),
+            (random_matrix(F101, 5, rng), None)):
+        seen = []
+
+        def block_solver(bp):
+            seen.append(bp)
+            return (bp.target,)
+        (X,), P = solve_blockwise(A, block_solver, seed=2)
+        assert X == A
+        rp = plan(A, seed=2)
+        assert P == rp.jordan.conjugator
+        assert [bp.span for bp in seen] == [bp.span for bp in rp.blocks]
+        if extension_blocks is not None:
+            assert sum(bp.field.key != A.field.key for bp in seen) == extension_blocks
+
+
+def test_single_gate_refuses_corrupted_block(monkeypatch):
+    A = random_matrix(F101, 3, random.Random(4))
+    word = DiagonalWord(((F101(1), 2), (F101(3), 3)))
+    assert eval_word(word, solve_diagonal_word(A, word).matrices) == A
+    calls = []
+
+    def corrupted(bp, k1, beta, k2, seed):
+        calls.append(bp)
+        one = Matrix.identity(bp.field, bp.size)
+        return one, one
+    monkeypatch.setattr(diagonal_mod, "_solve_block", corrupted)
     with pytest.raises(VerificationFailed):
-        assemble(rp, word)
-    rp.blocks[0].solution = (Matrix.diagonal(F5, [1]), Matrix.diagonal(F5, [1]))
-    w = assemble(rp, word)
-    assert eval_word(word, w.matrices) == A
+        solve_diagonal_word(A, word)
+    assert calls
+
+
+def test_single_gate_refuses_corrupted_commutator(monkeypatch):
+    T = Matrix.from_rows(F101, [[1, 2, 3], [4, 5, 6], [7, 8, -6]])
+    X, Y = trace_zero_to_commutator(T)
+    assert X * Y - Y * X == T
+
+    calls = []
+
+    def corrupted(T):
+        calls.append(T)
+        n = T.nrows
+        return Matrix.identity(T.field, n), Matrix.unit(T.field, n, 0, 1)
+    monkeypatch.setattr(commutators_mod, "_zero_diag_commutator", corrupted)
+    with pytest.raises(VerificationFailed):
+        trace_zero_to_commutator(T)
+    assert calls == [T]
+    with pytest.raises(VerificationFailed):
+        solve_commutator_product(T, 2)
+    assert len(calls) == 2
 
 
 def test_round_trip_property_f101():

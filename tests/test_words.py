@@ -1,5 +1,11 @@
+import random
+import sys
+
 import pytest
 
+import wordmap.words as words_mod
+from wordmap.commutators import solve_commutator_product
+from wordmap.diagonal import solve_diagonal_word
 from wordmap.errors import UsageError, VerificationFailed
 from wordmap.fields import Field
 from wordmap.matrices import Matrix
@@ -11,8 +17,13 @@ from wordmap.words import (
     parse_word,
 )
 
+from oracles import random_matrix
+
+F2 = Field("prime", p=2)
 F5 = Field("prime", p=5)
+F101 = Field("prime", p=101)
 Q = Field("rationals")
+R = Field("real", tolerance=1e-9)
 
 
 def test_parse_comm():
@@ -61,9 +72,60 @@ def test_make_witness_refuses_mismatch():
     with pytest.raises(VerificationFailed):
         make_witness(word, Matrix.diagonal(F5, [3]), [X])
     w = make_witness(word, Matrix.diagonal(F5, [4]), [X])
-    assert w.verified and w.reverify()
+    assert w.matrices == (X,) and w.target == Matrix.diagonal(F5, [4])
 
 
 def test_word_spec_round_trip():
     for spec in ("comm:m=2", "comm:m=6"):
         assert parse_word(spec, F5).spec_string() == spec
+
+
+def _diag_case(field, spec, rows):
+    return lambda: solve_diagonal_word(Matrix.from_rows(field, rows),
+                                       parse_word(spec, field), seed=0)
+
+
+def _comm_case(m, n, seed):
+    A = random_matrix(F101, n, random.Random(seed))
+    if m == 2:  # the image of one commutator is trace zero
+        A = A - Matrix.unit(F101, n, n - 1, n - 1).scale(A.trace())
+    return lambda: solve_commutator_product(A, m, seed=0)
+
+
+# route -> solve: each public solve must evaluate its word exactly once
+ONE_EVALUATION = {
+    "jordan": lambda: solve_diagonal_word(
+        random_matrix(F101, 4, random.Random(3)),
+        parse_word("diag:d=1,k=2;d=3,k=3", F101), seed=0),
+    "exhaustive-F2": _diag_case(F2, "diag:d=1,k=3;d=1,k=3", [[0, 1], [1, 1]]),
+    "m=1-root": _diag_case(F101, "diag:d=1,k=2", [[4, 1], [0, 4]]),
+    "k=1-absorb": _diag_case(F5, "diag:d=1,k=2;d=2,k=1", [[1, 2], [3, 4]]),
+    "R-even-even": _diag_case(R, "diag:d=1,k=2;d=1,k=2",
+                              [[1, 1, 0], [0, 2, 1], [0, 0, 3]]),
+    "comm:m=2": _comm_case(2, 4, 5),
+    "comm:m=4": _comm_case(4, 4, 6),
+    "comm:m=6": _comm_case(6, 3, 7),
+}
+
+
+@pytest.mark.parametrize("solve", list(ONE_EVALUATION.values()), ids=list(ONE_EVALUATION))
+def test_each_public_solve_evaluates_its_word_once(monkeypatch, solve):
+    calls = {"make_witness": 0, "eval_word": 0}
+
+    def counted(name):
+        inner = getattr(words_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    # solvers import these by name, so rebind every module-level reference
+    for name in calls:
+        original, wrapper = getattr(words_mod, name), counted(name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("wordmap") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    w = solve()
+    assert eval_word(w.word, w.matrices).allclose(w.target)
+    assert calls == {"make_witness": 1, "eval_word": 1}
