@@ -14,14 +14,19 @@ Kernel layer.  Each field also builds one immutable raw kernel
 (``Field.kernel``) that does the dense work on lists of raw reps: dot
 products, matrix products and powers, in-place reduced row echelon form
 and determinants, and polynomial add/sub/mul/divmod with the extended gcd
-and modular powers built on them.  There are two implementations:
+and modular powers built on them.  There are three implementations,
+picked by the field kind:
 
-  PrimeKernel    F_p on plain ints; each dot product or convolution
-                 coefficient is summed exactly and reduced mod p once
-  GenericKernel  every other kind, through the closures above, in the
-                 operation order, zero skips and pivot rules of
-                 element-by-element arithmetic, so R/C results are the
-                 same floats FieldElement operators give
+  PrimeKernel     F_p on plain ints; each dot product or convolution
+                  coefficient is summed exactly and reduced mod p once
+  RationalKernel  Q on integers: dot and matrix products clear rows and
+                  columns to one common denominator, and echelon is
+                  fraction-free Gauss-Jordan on primitive integer rows;
+                  the other ops are the generic ones
+  GenericKernel   every other kind, through the closures above, in the
+                  operation order, zero skips and pivot rules of
+                  element-by-element arithmetic, so R/C results are the
+                  same floats FieldElement operators give
 
 FieldElement stays the public boundary: Matrix and Poly keep FieldElement
 entries and coefficients, unwrap the reps once per operation, call the
@@ -233,8 +238,8 @@ class Field:
             self._zero_raw, self._one_raw = Fraction(0), Fraction(1)
             self._install_operator_ops()
         elif kind in ("real", "complex"):
-            if tolerance <= 0:
-                raise UsageError("approximate fields need tolerance > 0")
+            if not (math.isfinite(tolerance) and tolerance > 0):
+                raise UsageError("approximate fields need a finite tolerance > 0")
             self.degree = 1
             self.key = (kind, tolerance)
             cast = float if kind == "real" else complex
@@ -244,7 +249,7 @@ class Field:
             raise UsageError(f"unknown field kind {kind!r}")
         self._zero = FieldElement(self, self._zero_raw)
         self._one = FieldElement(self, self._one_raw)
-        self.kernel = (PrimeKernel if kind == "prime" else GenericKernel)(self)
+        self.kernel = _KERNELS.get(kind, GenericKernel)(self)
         self._elements = None
         if kind == "prime" and p <= ELEMENT_TABLE_BOUND:
             self._elements = tuple(FieldElement(self, i) for i in range(p))
@@ -408,11 +413,12 @@ class Field:
                 return FieldElement(self, tuple(coeffs))
             return self.embed_base(self.base(value))
         if self.kind == "rationals":
-            if isinstance(value, str):
-                return FieldElement(self, Fraction(value))
             if isinstance(value, float):
                 raise UsageError("refusing silent float -> Q coercion")
-            return FieldElement(self, Fraction(value))
+            try:
+                return FieldElement(self, Fraction(value))
+            except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+                raise UsageError(f"not a rational number: {value!r}") from exc
         if self.kind == "real":
             return FieldElement(self, float(value))
         if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -807,6 +813,92 @@ class PrimeKernel(GenericKernel):
             rem[shift:] = [(r - c * y) % p for r, y in zip(rem[shift:], b)]
             self.poly_trim(rem)
         return self.poly_trim(quot), rem
+
+
+def _cleared(xs):
+    """(v, d): integers v and one denominator d > 0 with xs = v / d."""
+    d = math.lcm(*[x.denominator for x in xs])
+    if d == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+class RationalKernel(GenericKernel):
+    """Q on integers.  A dot product or matrix product clears each row and
+    each column to integers over one lcm denominator, so an entry costs one
+    integer dot product and one Fraction.  ``echelon`` is fraction-free
+    Gauss-Jordan on primitive integer rows, with the pivot rule of the
+    generic kernel; it returns the same rows: normalised pivot rows and,
+    past them, the reduced non-pivot rows at their true scale."""
+
+    __slots__ = ()
+
+    def dot(self, xs, ys):
+        u, du = _cleared(xs)
+        v, dv = _cleared(ys)
+        return Fraction(sum(map(operator.mul, u, v)), du * dv)
+
+    def matmul(self, A, B):
+        mul = operator.mul
+        cols = [_cleared(col) for col in zip(*B)]
+        out = []
+        for row in A:
+            u, du = _cleared(row)
+            out.append([Fraction(sum(map(mul, u, v)), du * dv) for v, dv in cols])
+        return out
+
+    def echelon(self, rows, ncols: int = None) -> list:
+        nrows = len(rows)
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        # row i is scales[i] * ints[i], with ints[i] primitive (or zero)
+        ints, scales = [], []
+        for row in rows:
+            v, d = _cleared(row)
+            g = math.gcd(*v)
+            ints.append([a // g for a in v] if g > 1 else v)
+            scales.append(Fraction(g, d))
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            for piv in range(r, nrows):
+                if ints[piv][c]:
+                    break
+            else:
+                continue
+            ints[r], ints[piv] = ints[piv], ints[r]
+            scales[r], scales[piv] = scales[piv], scales[r]
+            prow = ints[r]
+            p = prow[c]
+            # rows at and below r vanish left of c, the pivot row included
+            tail = prow[c:]
+            for rr in range(nrows):
+                f = ints[rr][c]
+                if not f or rr == r:
+                    continue
+                row = ints[rr]
+                new = [a * p for a in row[:c]]
+                new += [a * p - f * b for a, b in zip(row[c:], tail)]
+                g = math.gcd(*new)
+                ints[rr] = [a // g for a in new] if g > 1 else new
+                if rr > r:
+                    # (s/p)(p*v - f*w) = (s*g/p) * new/g; rows above r
+                    # are pivot rows, whose scale the normalisation drops
+                    scales[rr] = scales[rr] * g / p
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        for i, c in enumerate(pivots):
+            p = ints[i][c]
+            rows[i] = [Fraction(a, p) for a in ints[i]]
+        for i in range(r, nrows):
+            s = scales[i]
+            rows[i] = [s * a for a in ints[i]]
+        return pivots
+
+
+_KERNELS = {"prime": PrimeKernel, "rationals": RationalKernel}
 
 
 def _irreducible_over_prime(mod: tuple, base: Field) -> bool:

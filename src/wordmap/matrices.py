@@ -198,6 +198,8 @@ class Matrix:
         return [self.col(j) for j in range(self.ncols)]
 
     def _check(self, other: "Matrix"):
+        if not isinstance(other, Matrix):
+            raise UsageError(f"expected a Matrix operand, got {type(other).__name__}")
         if other.field.key != self.field.key:
             raise DescriptorMismatch("matrices over different fields")
 
@@ -236,6 +238,8 @@ class Matrix:
                                 self.field.kernel.matmul(self._raw(), other._raw()))
 
     def __pow__(self, k: int) -> "Matrix":
+        if not isinstance(k, int):
+            raise UsageError(f"matrix powers need an int exponent, got {type(k).__name__}")
         _require_square(self)
         if k < 0:
             return self.inverse() ** (-k)

@@ -114,6 +114,8 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Poly"):
+        if not isinstance(other, Poly):
+            raise UsageError(f"expected a Poly operand, got {type(other).__name__}")
         if other.field.key != self.field.key:
             raise DescriptorMismatch("polynomials over different fields")
 
@@ -143,6 +145,8 @@ class Poly:
                               kern.poly_trim(kern.vscale(self._raw(), self.field(c).rep)))
 
     def __pow__(self, k: int) -> "Poly":
+        if not isinstance(k, int):
+            raise UsageError(f"polynomial powers need an int exponent, got {type(k).__name__}")
         if k < 0:
             raise UsageError("negative polynomial power")
         result = Poly.one(self.field)

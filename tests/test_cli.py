@@ -104,6 +104,17 @@ def test_malformed_input_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("word,entry", [("comm:m=4", '"1/0"'), ("comm:m=4", "null"),
+                                        ("diag:d=1/0,k=2;d=1,k=2", '"1"')])
+def test_bad_rational_input_exits_1_without_traceback(capsys, word, entry):
+    code, out, err = run(capsys, "solve", "--field", "Q", "--word", word, "--matrix",
+                         '{"rows":1,"cols":1,"entries":[[%s]]}' % entry)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_real_field_solve(capsys):
     code, out, _ = run(
         capsys, "solve", "--field", "R:tol=1e-9", "--word", "diag:d=1,k=2;d=1,k=2",

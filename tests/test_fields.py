@@ -48,6 +48,12 @@ def test_rational_fraction_arithmetic():
     assert (Q(3) / Q(7)).rep.numerator == 3
 
 
+@pytest.mark.parametrize("value", ["1/0", "abc", "nan", "inf", None, [1, 2], 1 + 2j])
+def test_rational_coercion_errors_are_usage_errors(value):
+    with pytest.raises(UsageError):
+        Q(value)
+
+
 def test_f4_generator_relation():
     F4 = parse_field_spec("Fq:p=2,d=2,mod=[1,1,1]")
     t = F4.generator()
@@ -296,6 +302,17 @@ def test_field_spec_round_trip():
         parse_field_spec("Fp:6")
     with pytest.raises(UsageError):
         parse_field_spec("nonsense")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_approximate_fields_need_finite_positive_tolerance(tol):
+    for kind in ("real", "complex"):
+        with pytest.raises(UsageError):
+            Field(kind, tolerance=tol)
+    with pytest.raises(UsageError):
+        parse_field_spec(f"R:tol={tol}")
+    with pytest.raises(UsageError):
+        parse_field_spec(f"C:tol={tol}")
 
 
 def test_kth_roots_complex_principal_and_all():

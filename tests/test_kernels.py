@@ -1,5 +1,6 @@
 """The raw kernels under Matrix and Poly against element-by-element
-references, on every field kind; plus CLI output pinned byte for byte.
+references, on every field kind; the Q kernel against the generic kernel
+on the same raw rows; plus CLI output pinned byte for byte.
 
 Results must agree exactly: exact kinds by value, R and C bit for bit
 (the generic kernel keeps the operation order, zero skips and pivot rules
@@ -22,6 +23,8 @@ from wordmap.cli import main
 from wordmap.diagonal import _exhaustive_two_term
 from wordmap.errors import ReduciblePolynomial, SingularMatrix
 from wordmap.fields import (
+    GenericKernel,
+    RationalKernel,
     _irreducible_over_prime,
     enumerate_elements,
     extend,
@@ -212,6 +215,65 @@ def test_poly_evaluation_at_matrix(spec, data):
     A = data.draw(matrices(field, n, n))
     p = data.draw(polys(field, 5))
     assert mbits(p(A)) == mbits(naive_horner(p.coeffs, A))
+
+
+# ----------------------------------------------------------------------
+# the Q kernel against the generic kernel, on the same raw rows
+# ----------------------------------------------------------------------
+
+def _wide_rationals():
+    """Q entries with denominators up to 10^12, some of them 10^320 / d."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**12)),
+        st.builds(Fraction, st.sampled_from([10**320, -10**320 - 7]),
+                  st.integers(1, 10**12)))
+
+
+@st.composite
+def _raw_q_rows(draw, width, ncols, nrows=None):
+    """Raw rows of Fractions with zero rows, repeated rows, and rows that
+    repeat a multiple of an earlier row on the first ``ncols`` columns only
+    (so that non-pivot rows keep nonzero augmented columns)."""
+    nrows = draw(st.integers(0, 6)) if nrows is None else nrows
+    rows = [draw(st.lists(_wide_rationals(), min_size=width, max_size=width))
+            for _ in range(nrows)]
+    for i in range(1, nrows):
+        j = draw(st.integers(0, i - 1))
+        how = draw(st.integers(0, 4))
+        if how == 0:
+            rows[i] = list(rows[j])
+        elif how == 1:
+            rows[i] = [Fraction(0)] * width
+        elif how == 2:
+            c = draw(_wide_rationals())
+            rows[i] = [c * x for x in rows[j][:ncols]] + rows[i][ncols:]
+    return rows
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_rational_kernel_matches_generic_kernel(data):
+    field = FIELDS["Q"]
+    kern, ref = field.kernel, GenericKernel(field)
+    assert type(kern) is RationalKernel
+    width = data.draw(st.integers(0, 6))
+    ncols = data.draw(st.integers(0, width))
+    rows = data.draw(_raw_q_rows(width, ncols))
+    # in-place echelon: every row, pivot or not, augmented columns included
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    assert kern.echelon(got, ncols) == ref.echelon(want, ncols)
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    assert kern.echelon(got) == ref.echelon(want)
+    assert got == want
+    other = data.draw(_raw_q_rows(data.draw(st.integers(0, 4)), 0, width))
+    assert kern.matmul(rows, other) == ref.matmul(rows, other)
+    for xs in rows:
+        for ys in rows:
+            assert kern.dot(xs, ys) == ref.dot(xs, ys)
 
 
 # ----------------------------------------------------------------------

@@ -213,6 +213,22 @@ def test_add_sub_reject_unequal_shapes():
     assert two + two == Matrix.identity(F5, 2).scale(F5(2))
 
 
+def test_foreign_operands_raise_usage_error():
+    A = Matrix.identity(F5, 2)
+    P = Poly(F5, [1, 2])
+    for bad in (2, 1.5, "x", None):
+        for op in (lambda: A + bad, lambda: A - bad, lambda: A * bad,
+                   lambda: P + bad, lambda: P - bad, lambda: P * bad):
+            with pytest.raises(UsageError):
+                op()
+    for k in (1.5, "2", None):
+        with pytest.raises(UsageError):
+            A ** k
+        with pytest.raises(UsageError):
+            P ** k
+    assert A * F5(2) == A + A and A ** 3 == A and P * F5(2) == P + P
+
+
 def test_solve_right_rejects_wrong_length():
     ident = Matrix.identity(F5, 3)
     for b in ([F5(1)], [F5(1)] * 4):
