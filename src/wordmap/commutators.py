@@ -292,9 +292,12 @@ def factor_two_trace_zero(A: Matrix, seed: int = 0) -> TraceZeroPair:
     return _checked_pair(Gi * u * G, Gi * v * G, A)
 
 
-def _factor_two_canonical(A: Matrix, seed: int = 0):
+def _factor_two_canonical(A: Matrix, seed: int = 0, blocks=None):
     """(U, V, G) with U*V = G A G^-1, a middle that depends only on the
-    Jordan data of A (so conjugate inputs share it)."""
+    Jordan data of A (so conjugate inputs share it).  ``blocks``, when
+    given, are the Jordan blocks of A and A is their realization: the
+    realization is a fixed point of ``generalized_jordan_form`` (same
+    blocks, identity conjugator), so its Jordan form is not computed."""
     field = A.field
     n = A.nrows
     if n != A.ncols:
@@ -309,7 +312,7 @@ def _factor_two_canonical(A: Matrix, seed: int = 0):
         shape, S = _canonical_2x2(A, seed)
         pair = two_by_two_trace_zero(shape)
         return pair.t1, pair.t2, S.inverse()
-    pairs, G = _factorization_tasks(A, seed)
+    pairs, G = _factorization_tasks(A, seed, blocks)
     u = Matrix.block_diag(field, [pair.t1 for pair in pairs])
     v = Matrix.block_diag(field, [pair.t2 for pair in pairs])
     return u, v, G
@@ -380,16 +383,20 @@ def _quadratic_roots(chi: Poly, seed: int) -> list:
     return out
 
 
-def _factorization_tasks(A: Matrix, seed: int):
+def _factorization_tasks(A: Matrix, seed: int, blocks=None):
     """Cover the Jordan blocks of A by factorizable groups.
 
     Returns (pairs, G): one TraceZeroPair over K per task, whose target is
     the direct sum of the task's blocks after the global reordering; G
-    conjugates A onto the concatenated task targets.
+    conjugates A onto the concatenated task targets.  ``blocks`` are as in
+    ``_factor_two_canonical``.
     """
     field = A.field
-    jf = generalized_jordan_form(A, seed)
-    blocks = list(jf.blocks)
+    P = None  # the Jordan conjugator of A; None when A is its realization
+    if blocks is None:
+        jf = generalized_jordan_form(A, seed)
+        blocks, P = jf.blocks, jf.conjugator
+    blocks = list(blocks)
     by_factor = {}
     for idx, spec in enumerate(blocks):
         by_factor.setdefault(spec.poly, []).append(idx)
@@ -520,7 +527,8 @@ def _factorization_tasks(A: Matrix, seed: int):
     Rall = Matrix.block_diag(field, [
         fix if fix is not None else Matrix.identity(field, task_pairs[t].target.nrows)
         for t, fix in enumerate(fixups)])
-    return task_pairs, Rall * Pi * jf.conjugator
+    G = Rall * Pi
+    return task_pairs, G if P is None else G * P
 
 
 # ----------------------------------------------------------------------
@@ -658,14 +666,11 @@ def _zero_diagonalize(T: Matrix):
     n = T.nrows
     Z = T
     S = Matrix.identity(field, n)
-    ident = S
 
     def shear(r, s, lam):
         nonlocal Z, S
-        E = ident + Matrix.unit(field, n, r, s).scale(lam)
-        Einv = ident - Matrix.unit(field, n, r, s).scale(lam)
-        Z = E * Z * Einv
-        S = E * S
+        Z = Z.shear(r, s, lam)
+        S = S.shear(r, s, lam, conjugate=False)
 
     budget = 8 * n * n + 16
     while budget > 0:
@@ -769,10 +774,7 @@ def _commutator_linear_search(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
     def shear(M):
         i = rng.randrange(n)
         j = (i + 1 + rng.randrange(n - 1)) % n
-        lam = _random_element(field, rng)
-        E = Matrix.identity(field, n) + Matrix.unit(field, n, i, j).scale(lam)
-        Einv = Matrix.identity(field, n) - Matrix.unit(field, n, i, j).scale(lam)
-        return E * M * Einv
+        return M.shear(i, j, _random_element(field, rng))
 
     def candidates():
         yield Matrix.cyclic_shift(field, n)
@@ -818,10 +820,10 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         raise UsageError("square matrix expected")
     if m == 2 and not A.trace().is_zero():
         raise NonzeroTrace("target has nonzero trace")
+    blocks = None  # the Jordan blocks that M realizes, when M is not A
     if field.is_exact and n >= 2 and not A.is_zero():
         jf = generalized_jordan_form(A, seed)
-        G = jf.conjugator
-        M = jf.realization
+        G, M, blocks = jf.conjugator, jf.realization, jf.blocks
     else:
         G = Matrix.identity(field, n)
         M = A
@@ -840,9 +842,9 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         rest_target = (U.inverse() ** peel) * M
         for _ in range(peel):
             mats_mid.extend([xu, yu])
+        u, v, G2 = _factor_two_canonical(rest_target, seed)
     else:
-        rest_target = M
-    u, v, G2 = _factor_two_canonical(rest_target, seed)
+        u, v, G2 = _factor_two_canonical(M, seed, blocks)
     G2i = G2.inverse()
     x1, x2 = trace_zero_to_commutator(u, seed)
     x3, x4 = trace_zero_to_commutator(v, seed)

@@ -2,9 +2,13 @@
 
 Finite fields get the full pipeline: squarefree decomposition (with p-th
 root extraction in characteristic p), distinct-degree splitting, then
-Cantor-Zassenhaus equal-degree splitting.  The equal-degree step is
-randomised with an explicit seed; in characteristic 2 it uses the additive
-trace map since the multiplicative variant degenerates there.
+Cantor-Zassenhaus equal-degree splitting.  Distinct-degree splitting takes
+x^(q^d) mod g from x^(q^(d-1)) by one product with the Frobenius matrix of g
+(column j is x^(qj) mod g): h -> h^q is F_q-linear, so only x^q mod g needs
+a modular power (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 14).  The equal-degree step is randomised with an explicit seed; in
+characteristic 2 it uses the additive trace map since the multiplicative
+variant degenerates there.
 
 Over Q only content removal, rational-root extraction, and quadratic/cubic
 splits are performed.  Rational-root candidates p/q are taken only inside
@@ -164,25 +168,56 @@ def _squarefree_factor(f: Poly, rng: random.Random) -> list:
 
 
 def _distinct_degree(f: Poly) -> list:
+    """(g_d, d) for monic squarefree f: g_d is the product of the irreducible
+    factors of degree d.  h runs through x^(q^d) mod g; from d = 2 on it is
+    advanced by the Frobenius matrix of g, built once from x^q mod g and
+    reduced modulo g whenever g loses a factor."""
     field = f.field
+    kern = field.kernel
     q = field.cardinality
     x = Poly.x(field)
     out = []
     h = x
     g = f
+    frob = None  # rows j = 0..deg g - 1: x^(qj) mod g, padded to deg g
     d = 0
     while g.degree > 0:
         d += 1
         if 2 * d > g.degree:
             out.append((g, g.degree))
             break
-        h = h.pow_mod(q, g)
+        if d == 1:
+            h = h.pow_mod(q, g)
+        else:
+            if frob is None:
+                frob = _frobenius_rows(h, g)
+            hv = _padded(kern, h._raw(), g.degree)
+            h = Poly._from_raw(field, kern.poly_trim(kern.matmul([hv], frob)[0]))
         gd = g.gcd(h - x)
         if gd.degree > 0:
             out.append((gd, d))
             g = g // gd
             h = h % g
+            if frob is not None:
+                graw = g._raw()
+                frob = [_padded(kern, kern.poly_divmod(kern.poly_trim(row), graw)[1], g.degree)
+                        for row in frob[:g.degree]]
     return out
+
+
+def _padded(kern, a: list, m: int) -> list:
+    return a + [kern.zero] * (m - len(a))
+
+
+def _frobenius_rows(xq: Poly, g: Poly) -> list:
+    """The Frobenius matrix of g, from xq = x^q mod g: row j holds x^(qj) mod
+    g, padded to deg g, so that h^q mod g is the row vector h times it."""
+    kern = g.field.kernel
+    graw, xraw = g._raw(), xq._raw()
+    rows = [[kern.one]]
+    for _ in range(g.degree - 1):
+        rows.append(kern.poly_divmod(kern.poly_mul(rows[-1], xraw), graw)[1])
+    return [_padded(kern, row, g.degree) for row in rows]
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:

@@ -12,9 +12,10 @@ overloads the operators.  Raw representations:
 
 Kernel layer.  Each field also builds one immutable raw kernel
 (``Field.kernel``) that does the dense work on lists of raw reps: dot
-products, matrix products and powers, in-place reduced row echelon form
-and determinants, and polynomial add/sub/mul/divmod with the extended gcd
-and modular powers built on them.  There are three implementations,
+products, matrix products and powers, shears E*M*E^-1 (row and column
+operations over exact kinds), in-place reduced row echelon form and
+determinants, and polynomial add/sub/mul/divmod with the extended gcd and
+modular powers built on them.  There are three implementations,
 picked by the field kind:
 
   PrimeKernel     F_p on plain ints; each dot product or convolution
@@ -151,6 +152,8 @@ class FieldElement:
         return FieldElement(self.field, self.field._rneg(self.rep))
 
     def __pow__(self, k: int):
+        if not isinstance(k, int):
+            raise UsageError(f"field powers need an int exponent, got {type(k).__name__}")
         f = self.field
         if k < 0:
             return self.inverse() ** (-k)
@@ -188,6 +191,18 @@ class FieldElement:
 
     def sort_key(self):
         return self.field.sort_key_raw(self.rep)
+
+
+def _integer(value) -> int:
+    """An int from an int, an integral float or fraction, or an integer
+    string; UsageError for anything else."""
+    try:
+        n = int(value)
+        if isinstance(value, (float, Fraction)) and n != value:
+            raise ValueError("not integral")
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise UsageError(f"not an integer: {value!r}") from exc
+    return n
 
 
 class Field:
@@ -397,13 +412,16 @@ class Field:
         return tuple([FieldElement(self, r) for r in raws])
 
     def __call__(self, value) -> FieldElement:
-        """Coerce ints, fractions, floats, coefficient lists, or elements."""
+        """Coerce ints, fractions, floats, coefficient lists, or elements.
+        A value that is not one of the field raises UsageError: finite
+        fields take integers only (integral floats and fractions included),
+        R and C finite numbers only."""
         if isinstance(value, FieldElement):
             if value.field is self or value.field.key == self.key:
                 return value
             raise DescriptorMismatch(f"cannot coerce {value.field} into {self}")
         if self.kind == "prime":
-            return FieldElement(self, int(value) % self.p)
+            return FieldElement(self, _integer(value) % self.p)
         if self.kind == "ext":
             if isinstance(value, (list, tuple)):
                 coeffs = [self.base(v).rep for v in value]
@@ -419,11 +437,18 @@ class Field:
                 return FieldElement(self, Fraction(value))
             except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
                 raise UsageError(f"not a rational number: {value!r}") from exc
-        if self.kind == "real":
-            return FieldElement(self, float(value))
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return FieldElement(self, complex(float(value[0]), float(value[1])))
-        return FieldElement(self, complex(value))
+        try:
+            if self.kind == "real":
+                x = float(value)
+            elif isinstance(value, (list, tuple)) and len(value) == 2:
+                x = complex(float(value[0]), float(value[1]))
+            else:
+                x = complex(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise UsageError(f"not a {self.kind} number: {value!r}") from exc
+        if not cmath.isfinite(x):
+            raise UsageError(f"not a finite {self.kind} number: {value!r}")
+        return FieldElement(self, x)
 
     def embed_base(self, x: FieldElement) -> FieldElement:
         """Embed a base-field element into this extension."""
@@ -491,8 +516,8 @@ class GenericKernel:
 
     A matrix is a list of row lists of raw reps; a polynomial is a list of
     raw coefficients, low degree first, with no trailing zeros (results
-    included).  Ops return new lists, except that ``echelon`` and ``det``
-    work in place and ``matpow`` with k = 1 returns its argument.
+    included).  Ops return new lists, except that ``echelon``, ``det`` and
+    ``shear`` work in place and ``matpow`` with k = 1 returns its argument.
 
     The operation order, the skip of (tolerance-)zero left factors and the
     pivot rules are those of element-by-element FieldElement arithmetic, so
@@ -591,6 +616,32 @@ class GenericKernel:
                 out_row.append(acc)
             out.append(out_row)
         return out
+
+    def shear(self, rows, r: int, s: int, c, conjugate: bool = True):
+        """In place: rows becomes E*rows*E^-1, or E*rows when ``conjugate``
+        is false, for E = I + c*e_{r,s} with r != s.
+
+        Exact kinds do it as row r += c*row s, then column s -= c*column r:
+        the values are unique, so they equal the dense products.  R/C keep
+        the dense products, whose skips of tolerance-zero left factors set
+        the float bits."""
+        if self.exact:
+            radd, rsub, rmul = self.radd, self.rsub, self.rmul
+            rows[r] = [radd(a, rmul(c, b)) for a, b in zip(rows[r], rows[s])]
+            if conjugate:
+                for row in rows:
+                    row[s] = rsub(row[s], rmul(c, row[r]))
+            return
+        n = len(rows)
+        zero, one = self.zero, self.one
+        ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        unit = [[zero] * n for _ in range(n)]
+        unit[r][s] = one
+        scaled = [self.vscale(row, c) for row in unit]
+        out = self.matmul([self.vadd(a, b) for a, b in zip(ident, scaled)], rows)
+        if conjugate:
+            out = self.matmul(out, [self.vsub(a, b) for a, b in zip(ident, scaled)])
+        rows[:] = out
 
     def matpow(self, A, k: int):
         """A^k for k >= 1: binary powering that starts from A itself (not
@@ -902,8 +953,13 @@ _KERNELS = {"prime": PrimeKernel, "rationals": RationalKernel}
 
 
 def _irreducible_over_prime(mod: tuple, base: Field) -> bool:
-    """Rabin irreducibility test for a monic polynomial over a finite field."""
+    """Rabin irreducibility test for a monic polynomial over a finite field.
+    Raises UsageError for a modulus that is not monic of degree >= 1 (the
+    polynomial divisions of the test would not terminate)."""
     d = len(mod) - 1
+    if d < 1 or mod[-1] != base._one_raw:
+        raise UsageError(
+            f"modulus {list(mod)} is not monic of degree >= 1 over GF({base.cardinality})")
     if d == 1:
         return True
     kern = base.kernel
@@ -1287,7 +1343,10 @@ def parse_field_spec(spec: str) -> Field:
         head, mod_part = body.split("mod=[", 1)
         if not mod_part.endswith("]"):
             raise UsageError(f"field spec {spec!r}: unterminated mod list")
-        mod = tuple(int(c) for c in mod_part[:-1].split(","))
+        try:
+            mod = tuple(int(c) for c in mod_part[:-1].split(","))
+        except ValueError as exc:
+            raise UsageError(f"field spec {spec!r}: mod entries must be integers") from exc
         for item in head.strip(",").split(","):
             if not item:
                 continue
@@ -1297,6 +1356,8 @@ def parse_field_spec(spec: str) -> Field:
             p, d = int(parts["p"]), int(parts["d"])
         except (KeyError, ValueError) as exc:
             raise UsageError(f"field spec {spec!r} needs p= and d=") from exc
+        if d < 1:
+            raise UsageError(f"field spec {spec!r} needs d >= 1")
         if len(mod) != d + 1:
             raise UsageError(f"mod list must have degree d = {d}")
         base = Field("prime", p=p)
@@ -1330,7 +1391,12 @@ def GF(q: int, modulus=None) -> Field:
             if n == 1:
                 base = Field("prime", p=p)
                 if modulus is not None:
-                    return Field("ext", modulus=tuple(c % p for c in modulus), base=base)
+                    modulus = tuple(c % p for c in modulus)
+                    if len(modulus) != d + 1:
+                        raise UsageError(f"GF({q}) needs a modulus of degree {d}")
+                    if not _irreducible_over_prime(modulus, base):
+                        raise ReduciblePolynomial(f"modulus {list(modulus)} factors over F_{p}")
+                    return Field("ext", modulus=modulus, base=base)
                 for cand in _monic_polys(p, d):
                     if _irreducible_over_prime(cand, base):
                         return Field("ext", modulus=cand, base=base)

@@ -336,9 +336,24 @@ class Matrix:
 
     def apply(self, v: Sequence[FieldElement]) -> tuple:
         field = self.field
-        dot = field.kernel.dot
-        v = [x.rep for x in v]
-        return field.wrap([dot([x.rep for x in row], v) for row in self.rows])
+        return field.wrap(_times_vector(field.kernel, self._raw(), [x.rep for x in v]))
+
+    def shear(self, r: int, s: int, c, conjugate: bool = True) -> "Matrix":
+        """E*self*E^-1, or E*self when ``conjugate`` is false, for the
+        shear E = I + c*e_{r,s} (r != s)."""
+        _require_square(self)
+        if r == s:
+            raise UsageError("a shear needs two distinct indices")
+        rows = self._raw()
+        self.field.kernel.shear(rows, r, s, self.field(c).rep, conjugate)
+        return Matrix._from_raw(self.field, rows)
+
+
+def _times_vector(kern, rows, v) -> list:
+    """rows * v as one kernel product against v as a single column, so a
+    kernel that prepares its operands (Q clears denominators) does so for
+    v once rather than once per row."""
+    return [r[0] for r in kern.matmul(rows, [[x] for x in v])]
 
 
 def _require_square(A: Matrix):
@@ -392,7 +407,7 @@ def charpoly(A: Matrix) -> Poly:
         v = [rows[i][r - 1] for i in range(r - 1)]
         for j in range(2, r + 1):
             if j > 2:
-                v = [dot(row, v) for row in lead]
+                v = _times_vector(kern, lead, v)
             t.append(rneg(dot(R, v)))
         Cn = []
         for i in range(r + 1):
@@ -433,7 +448,7 @@ def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
         inv = kern.inv(vec[piv])
         evec = kern.vscale(vec, inv)
         ech_rows.append((evec, kern.vscale(tail, inv), kern.lead(evec)))
-        cur = [kern.dot(row, cur) for row in rows]
+        cur = _times_vector(kern, rows, cur)
     raise AssertionError("krylov annihilator did not terminate")
 
 
@@ -506,10 +521,14 @@ def nilpotent_partition(A: Matrix) -> Partition:
     return Partition(tuple(sorted(parts)))
 
 
-def _chain_filtration(A: Matrix, B: Matrix, d: int) -> list:
+def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
     """Chain tops (v, level) for the K[x]-module structure of A on ker-powers
     of B = p(A), deg p = d.  Independence is tested K-linearly on the A-orbits
-    {A^i v : i < d}, which realises L-linear independence for L = K[x]/(p)."""
+    {A^i v : i < d}, which realises L-linear independence for L = K[x]/(p).
+
+    The kernels ker B^j grow until they stabilise; ``dim``, when the caller
+    knows the dimension of the generalized eigenspace, stops them as soon as
+    they reach it, which saves one power of B and its nullspace."""
     field = A.field
     n = A.nrows
     kers = [[]]
@@ -519,7 +538,7 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int) -> list:
         if len(ker) == len(kers[-1]):
             break
         kers.append(ker)
-        if len(ker) == n:
+        if len(ker) == n or len(ker) == dim:
             break
         Bj = Bj * B
     s = len(kers) - 1
@@ -778,13 +797,17 @@ def _newton_refine_root(coeffs, z: complex, mult: int, iters: int = 40) -> compl
 
 def _jordan_block_data(A: Matrix, pairs) -> list:
     """(poly, l, krylov columns) per block; raises when the kernel chain
-    structure contradicts the claimed factor multiplicities."""
+    structure contradicts the claimed factor multiplicities.  Over exact
+    kinds the generalized eigenspace of p has dimension s * deg p, and the
+    kernel chain stops there; over R/C the multiplicity is a guess from the
+    root clusters, and the chain runs until it stabilises, which tests it."""
     block_data = []
+    exact = A.field.is_exact
     for p, s, certified in pairs:
         d = p.degree
         B = p(A)
         try:
-            chains = _chain_filtration(A, B, d)
+            chains = _chain_filtration(A, B, d, s * d if exact else None)
         except AssertionError as exc:
             if not certified:
                 raise FactorizationUnavailable(

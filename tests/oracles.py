@@ -376,3 +376,28 @@ def naive_rational_roots(f):
 def naive_kth_roots(e, k):
     """Every x with x^k = e, by trying each element in enumeration order."""
     return [x for x in enumerate_elements(e.field) if x ** k == e]
+
+
+def power_per_degree_distinct_degree(f):
+    """Distinct-degree splitting of a monic polynomial over F_q with one
+    modular power x^(q^d) = (x^(q^(d-1)))^q mod g per degree d: the loop
+    the Frobenius-matrix step of ``factor._distinct_degree`` replaced."""
+    field = f.field
+    q = field.cardinality
+    x = Poly.x(field)
+    out = []
+    h = x
+    g = f
+    d = 0
+    while g.degree > 0:
+        d += 1
+        if 2 * d > g.degree:
+            out.append((g, g.degree))
+            break
+        h = h.pow_mod(q, g)
+        gd = g.gcd(h - x)
+        if gd.degree > 0:
+            out.append((gd, d))
+            g = g // gd
+            h = h % g
+    return out

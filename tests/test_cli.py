@@ -115,6 +115,18 @@ def test_bad_rational_input_exits_1_without_traceback(capsys, word, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,entry", [("Fp:5", "1.5"), ("Fp:5", '"abc"'), ("Fp:5", "null"),
+                                         ("Fq:p=3,d=2,mod=[2,2,1]", "[0.5, 1]"),
+                                         ("R:tol=1e-9", '"nan"'), ("C:tol=1e-9", '"inf"')])
+def test_bad_entries_exit_1_without_traceback(capsys, field, entry):
+    code, out, err = run(capsys, "solve", "--field", field, "--word", "comm:m=4",
+                         "--matrix", '{"entries": [[%s, 0], [0, 1]]}' % entry)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_real_field_solve(capsys):
     code, out, _ = run(
         capsys, "solve", "--field", "R:tol=1e-9", "--word", "diag:d=1,k=2;d=1,k=2",

@@ -6,11 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordmap.errors import UnsupportedField, ZeroPolynomial
-from wordmap.factor import _iroot_ceil, _rational_roots, factor, is_irreducible, is_separable
-from wordmap.fields import Field, GF, enumerate_elements
+from wordmap.factor import (
+    _distinct_degree,
+    _iroot_ceil,
+    _rational_roots,
+    factor,
+    is_irreducible,
+    is_separable,
+)
+from wordmap.fields import Field, GF, enumerate_elements, extend
 from wordmap.polynomials import Poly
 
-from oracles import naive_rational_roots
+from oracles import naive_rational_roots, power_per_degree_distinct_degree
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -231,3 +238,46 @@ def test_iroot_ceil_is_least_kth_root_above(m, k):
     c = _iroot_ceil(m, k)
     assert c ** k >= m
     assert c == 0 or (c - 1) ** k < m
+
+
+# ----------------------------------------------------------------------
+# distinct-degree splitting by the Frobenius matrix
+# ----------------------------------------------------------------------
+
+def _tower_f16():
+    F4 = GF(4)
+    t = F4.generator()
+    # T^2 + T + t has no root in F_4, so it is irreducible
+    F16, _, _ = extend(F4, Poly(F4, [t, F4.one(), F4.one()]))
+    return F16
+
+
+DDF_FIELDS = [Field("prime", p=3), Field("prime", p=101), GF(9), GF(25), GF(8), GF(16),
+              _tower_f16()]
+
+
+@pytest.mark.parametrize("field", DDF_FIELDS, ids=repr)
+def test_distinct_degree_matches_power_per_degree(field):
+    """Random monic polynomials, and products of random monic factors of
+    mixed degrees (so that g loses factors at several degrees and the
+    Frobenius matrix is reduced after each split), give the same (g_d, d)
+    list as one modular power per degree."""
+    rng = random.Random(field.cardinality)
+    elems = list(enumerate_elements(field)) if field.cardinality <= 256 else None
+
+    def monic(deg):
+        draw = (lambda: rng.choice(elems)) if elems else (lambda: field(rng.randrange(field.p)))
+        return Poly(field, [draw() for _ in range(deg)] + [field.one()])
+
+    cases = [monic(rng.randrange(1, 13)) for _ in range(12)]
+    for _ in range(12):
+        f = Poly.one(field)
+        for _ in range(rng.randrange(1, 5)):
+            f = f * monic(rng.randrange(1, 5))
+        cases.append(f)
+    splits = 0
+    for f in cases:
+        got = _distinct_degree(f)
+        assert got == power_per_degree_distinct_degree(f)
+        splits += len(got) > 1
+    assert splits >= 5

@@ -1,10 +1,15 @@
 import copy
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import wordmap
 from wordmap.errors import (
     DescriptorMismatch,
     DivisionByZero,
@@ -52,6 +57,81 @@ def test_rational_fraction_arithmetic():
 def test_rational_coercion_errors_are_usage_errors(value):
     with pytest.raises(UsageError):
         Q(value)
+
+
+COERCION_SPECS = ["Fp:5", "Fq:p=3,d=2,mod=[2,2,1]", "R:tol=1e-9", "C:tol=1e-9"]
+
+
+@pytest.mark.parametrize("spec", COERCION_SPECS)
+@pytest.mark.parametrize("value", ["abc", None, math.nan, math.inf, -math.inf, "nan", "inf"])
+def test_coercion_errors_are_usage_errors(spec, value):
+    field = parse_field_spec(spec)
+    with pytest.raises(UsageError):
+        field(value)
+    with pytest.raises(UsageError):
+        field(2) + value
+
+
+@pytest.mark.parametrize("spec", ["Fp:5", "Fq:p=3,d=2,mod=[2,2,1]"])
+@pytest.mark.parametrize("value", [1.5, -0.25, Fraction(3, 2), "1.5", "1/2", 1 + 2j])
+def test_finite_fields_refuse_non_integers(spec, value):
+    with pytest.raises(UsageError):
+        parse_field_spec(spec)(value)
+
+
+def test_integral_values_still_coerce():
+    assert F5(7.0) == F5(2) == F5(Fraction(12, 6)) == F5("7") == F5(-3)
+    F9 = parse_field_spec("Fq:p=3,d=2,mod=[2,2,1]")
+    assert F9([1.0, 2]) == F9([1, 2]) and F9(4.0) == F9(1)
+    R = parse_field_spec("R:tol=1e-9")
+    assert R(2).rep == 2.0 and R("0.5").rep == 0.5 and R(Fraction(1, 4)).rep == 0.25
+    C = parse_field_spec("C:tol=1e-9")
+    assert C([1, -2]).rep == 1 - 2j and C(1j).rep == 1j and C("1+2j").rep == 1 + 2j
+
+
+@pytest.mark.parametrize("spec", ["Fp:5", "Fq:p=3,d=2,mod=[2,2,1]", "Q", "R:tol=1e-9",
+                                  "C:tol=1e-9"])
+def test_field_powers_need_int_exponents(spec):
+    x = parse_field_spec(spec)(2)
+    for k in (1.5, 2.0, "2", None):
+        with pytest.raises(UsageError):
+            x ** k
+    assert x ** 3 == x * x * x
+
+
+@pytest.mark.parametrize("spec", ["Fq:p=3,d=2,mod=[1,x,1]", "Fq:p=3,d=2,mod=[]",
+                                  "Fq:p=3,d=0,mod=[1]", "Fq:p=3,d=2,mod=[1,0,3]",
+                                  "Fq:p=3,d=2,mod=[1,0,0]"])
+def test_bad_extension_specs_are_usage_errors(spec):
+    with pytest.raises(UsageError):
+        parse_field_spec(spec)
+
+
+def test_non_monic_spec_modulus_fails_fast_from_the_cli():
+    """mod=[1,0,3] has leading coefficient 0 mod 3: the Rabin test's
+    polynomial division once looped forever on it.  A subprocess with a
+    timeout keeps a regression from hanging the suite."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordmap.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordmap.cli", "solve", "--field", "Fq:p=3,d=2,mod=[1,0,3]",
+         "--word", "comm:m=4", "--matrix", '{"entries": [[1, 0], [0, 1]]}'],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_gf_checks_a_given_modulus():
+    with pytest.raises(ReduciblePolynomial):
+        GF(4, modulus=(1, 0, 1))  # (T + 1)^2 over F_2
+    with pytest.raises(UsageError):
+        GF(9, modulus=(1, 0, 3))  # leading coefficient 0 mod 3
+    with pytest.raises(UsageError):
+        GF(9, modulus=(1, 1))
+    assert GF(4, modulus=(1, 1, 1)).modulus == (1, 1, 1)
+    assert GF(9, modulus=(1, 0, 4)).modulus == (1, 0, 1)
 
 
 def test_f4_generator_relation():

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wordmap.cli import main
+from wordmap.commutators import factor_two_trace_zero
 from wordmap.diagonal import _exhaustive_two_term
 from wordmap.errors import ReduciblePolynomial, SingularMatrix
 from wordmap.fields import (
@@ -35,6 +36,7 @@ from wordmap.polynomials import Poly
 
 from oracles import (
     brute_inverse,
+    random_invertible,
     naive_apply,
     naive_berkowitz,
     naive_det,
@@ -130,6 +132,42 @@ def test_matmul_and_apply(spec, data):
     assert mbits(A * B) == mbits(naive_matmul(A, B))
     v = data.draw(st.lists(elements(field), min_size=A.ncols, max_size=A.ncols))
     assert vbits(A.apply(v)) == vbits(naive_apply(A, v))
+
+
+def _shear_float():
+    # signed zeros and magnitudes below the tolerance, which the dense
+    # products skip as zero left factors, next to ordinary ones
+    return st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-9, 1e-9),
+                     st.floats(-1e3, 1e3))
+
+
+def shear_elements(field):
+    if field.kind == "real":
+        return _shear_float().map(field)
+    if field.kind == "complex":
+        return st.builds(complex, _shear_float(), _shear_float()).map(field)
+    return elements(field)
+
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_shear_matches_dense_products(spec, data):
+    """Matrix.shear against the dense products E*Z*E^-1 and E*Z, with E and
+    E^-1 built as I +/- c*e_{r,s} by matrix arithmetic, bit for bit."""
+    field = FIELDS[spec]
+    n = data.draw(st.integers(2, 6))
+    Z = Matrix(field, [data.draw(st.lists(shear_elements(field), min_size=n, max_size=n))
+                       for _ in range(n)])
+    r = data.draw(st.integers(0, n - 1))
+    s = data.draw(st.integers(0, n - 2))
+    s += s >= r
+    c = data.draw(shear_elements(field))
+    ident = Matrix.identity(field, n)
+    step = Matrix.unit(field, n, r, s).scale(c)
+    E, E_inv = ident + step, ident - step
+    assert mbits(Z.shear(r, s, c)) == mbits(naive_matmul(naive_matmul(E, Z), E_inv))
+    assert mbits(Z.shear(r, s, c, conjugate=False)) == mbits(naive_matmul(E, Z))
 
 
 @fields
@@ -428,6 +466,15 @@ GOLDEN = [
      "821ad7e7f050769fce6a13f8731bc1baa02c4f8d12acc84e20333a4e471b2bde"),
     ("C:tol=1e-9", "comm:m=4", 4, 17,
      "a0443a482cb2d85ea192c73c18bd87f00d89eab9b12a519e3416873f6ac5c80d"),
+    # recorded before the m = 4 solve reused its Jordan form, shears became
+    # row and column operations and distinct-degree splitting took the
+    # Frobenius matrix
+    ("Fp:101", "comm:m=4", 9, 29,
+     "2ba7dd99333c4c9091b01f9d3c543f279affd5c7894153fd9d0d311288f52225"),
+    ("Fp:101", "comm:m=4", 12, 30,
+     "5463be03e88c5b2bb17f69d79a6af4de7c2ba3603fbc7d9641bdbed76c211420"),
+    ("Q", "comm:m=4", 6, 31,
+     "d9719bb9ad3c435752d71dbf1053b95680317ef75b499b26b1d7a88fc6f866d4"),
 ]
 
 
@@ -467,3 +514,67 @@ def test_cli_solve_output_is_pinned(spec, wspec, n, seed, digest):
                      _golden_target(spec, wspec, n, seed), "--seed", str(seed)])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# Targets S J S^-1 with repeated factors and Jordan blocks of size >= 2:
+# (field, word, blocks as (monic poly coefficients, low first; size l),
+# seed of S, SHA-256 of the `wordmap solve` stdout), recorded as above
+GOLDEN_JORDAN = [
+    ("Fp:101", "comm:m=4", [([98, 1], 3), ([98, 1], 1), ([99, 0, 1], 2), ([94, 1], 2)],
+     32, "a1ae74eb35f54c1b2f5c9790bf76d10ebba5568b47e842865492c9a9ab7456bb"),
+    ("Fp:101", "comm:m=6", [([0, 1], 2), ([0, 1], 2), ([5, 1], 1), ([99, 0, 1], 1)],
+     33, "f5c32da26ce061f03626bd32d33c03542cd1df6ad9aff8e6fd17cee1450801d3"),
+    ("Fp:101", "diag:d=1,k=2;d=1,k=3", [([2, 1], 2), ([2, 1], 1), ([99, 0, 1], 1)],
+     34, "601bb343996297b8d947a4a81b8eeec0560528a0d8e2c746db1f01234031055f"),
+    ("Fp:3", "comm:m=4", [([2, 1], 2), ([2, 1], 1), ([1, 0, 1], 2)],
+     35, "3d85f82982986c4dff602ba5e32fca60efdfb544197f6b285a5d0f6ba1b97207"),
+    ("Fp:3", "comm:m=4", [([0, 1], 2), ([0, 1], 1), ([1, 1], 2), ([1, 0, 1], 1)],
+     36, "4cc5dae59350ec08d217b9592f511cf89657c4fdf6a4fffd919a60fff087ff8c"),
+]
+
+
+def _jordan_target(spec, blocks, seed):
+    field = FIELDS[spec]
+    J = Matrix.block_diag(field, [
+        Matrix.generalized_jordan_block(Poly(field, coeffs), l) for coeffs, l in blocks])
+    S = random_invertible(field, J.nrows, random.Random(seed))
+    return S * J * S.inverse()
+
+
+@pytest.mark.parametrize("spec,wspec,blocks,seed,digest", GOLDEN_JORDAN)
+def test_cli_solve_output_on_jordan_targets_is_pinned(spec, wspec, blocks, seed, digest):
+    A = _jordan_target(spec, blocks, seed)
+    target = json.dumps({"field": spec, "rows": A.nrows, "cols": A.ncols,
+                         "entries": [[x.rep for x in row] for row in A.rows]})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["solve", "--field", spec, "--word", wspec, "--matrix", target,
+                     "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# factor_two_trace_zero(A, seed): SHA-256 of repr((T1, T2)) for the GOLDEN
+# random targets and one Jordan target, recorded as above
+GOLDEN_FACTOR_TWO = [
+    ("Fp:101", 6, 37, "00809f887f7af76d8f87d3cbde5823999accd43d860fd70887371ea8d0bc765b"),
+    ("Fp:101", 11, 38, "f8faaceda608f7556e267c3bbd2ae33540f7f9aaadf548c181d6a4921676df06"),
+    ("Q", 5, 39, "1f150dddc1d621de389b67b5c830421be385e427678cc0d4a4579a9100a7fdfd"),
+    (F9_SPEC, 4, 40, "5f98242385a3a42683fff73f34335d254078cc67b46a2edae418909ffaf8439d"),
+]
+
+
+@pytest.mark.parametrize("spec,n,seed,digest", GOLDEN_FACTOR_TWO)
+def test_factor_two_trace_zero_output_is_pinned(spec, n, seed, digest):
+    field = FIELDS[spec]
+    entries = json.loads(_golden_target(spec, "comm:m=4", n, seed))["entries"]
+    A = Matrix(field, [[field(x) for x in row] for row in entries])
+    pair = factor_two_trace_zero(A, seed)
+    assert hashlib.sha256(repr((pair.t1, pair.t2)).encode()).hexdigest() == digest
+
+
+def test_factor_two_trace_zero_on_a_jordan_target_is_pinned():
+    spec, _, blocks, seed, _ = GOLDEN_JORDAN[0]
+    pair = factor_two_trace_zero(_jordan_target(spec, blocks, seed), seed)
+    assert hashlib.sha256(repr((pair.t1, pair.t2)).encode()).hexdigest() == \
+        "8fd0af4babf8a92b524aa0eeecdecd5512467a4e130f4d3eb42ee46c91ee01a2"

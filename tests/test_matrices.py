@@ -1,10 +1,19 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wordmap.matrices as matrices_mod
-from wordmap.errors import NotNilpotent, UsageError, VerificationFailed
-from wordmap.fields import Field, GF, extend
+from wordmap.errors import (
+    FactorizationUnavailable,
+    InseparableCharPoly,
+    NotNilpotent,
+    UsageError,
+    VerificationFailed,
+)
+from wordmap.factor import is_irreducible
+from wordmap.fields import Field, GF, enumerate_elements, extend
 from wordmap.matrices import (
     Matrix,
     Partition,
@@ -104,6 +113,72 @@ def test_jordan_form_fixed_points():
     assert len(gj.blocks) == 1
     assert gj.blocks[0].poly == Poly(F7, [0, 1]) and gj.blocks[0].size == 3
     assert gj.conjugator == Matrix.identity(F7, 3)
+
+
+def _f16_over_f4():
+    F4 = GF(4)
+    F16, _, _ = extend(F4, Poly(F4, [F4.generator(), F4.one(), F4.one()]))
+    return F16
+
+
+# every exact kind: prime fields, F_{p^d}, a tower, and Q
+EXACT_FIELDS = [F2, Field("prime", p=3), F101, GF(4), GF(9), _f16_over_f4(), Q]
+
+
+def _exact_elements(field):
+    if field.is_finite:
+        return st.sampled_from(list(enumerate_elements(field)))
+    return st.integers(-3, 3).map(field)
+
+
+@st.composite
+def jordan_targets(draw):
+    """A random matrix, or S J S^-1 for S = L*U with random unit triangular
+    L and U, and J a direct sum of generalized Jordan blocks of random
+    irreducible factors of degree 1 or 2, often repeated."""
+    field = draw(st.sampled_from(EXACT_FIELDS))
+    elems = _exact_elements(field)
+    if not draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        return Matrix(field, [draw(st.lists(elems, min_size=n, max_size=n)) for _ in range(n)])
+    factors, blocks, n = [], [], 0
+    while n < 2 or (n < 6 and draw(st.booleans())):
+        if factors and draw(st.booleans()):
+            p = draw(st.sampled_from(factors))
+        else:
+            deg = draw(st.integers(1, 2))
+            p = Poly(field, draw(st.lists(elems, min_size=deg, max_size=deg)) + [field.one()])
+            if not is_irreducible(p):
+                continue
+            factors.append(p)
+        l = draw(st.integers(1, 3))
+        blocks.append(Matrix.generalized_jordan_block(p, l))
+        n += l * p.degree
+    one, zero = field.one(), field.zero()
+    L = [[draw(elems) if i > j else one if i == j else zero for j in range(n)]
+         for i in range(n)]
+    U = [[draw(elems) if i < j else one if i == j else zero for j in range(n)]
+         for i in range(n)]
+    S = Matrix(field, L) * Matrix(field, U)
+    return S * Matrix.block_diag(field, blocks) * S.inverse()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(A=jordan_targets(), seed=st.integers(0, 3))
+def test_realization_is_a_fixed_point_of_the_jordan_form(A, seed):
+    """The Jordan form of a realization is (the same blocks, the identity,
+    the same realization); the m = 4 commutator solve relies on it to skip
+    a second Jordan form."""
+    try:
+        jf = generalized_jordan_form(A, seed)
+    except (FactorizationUnavailable, InseparableCharPoly):
+        # over Q an uncertified factor can split, or be left a product with
+        # repeated factors (the sextic (x^2+1)(x^2+x+1)^2): no form to reuse
+        return
+    again = generalized_jordan_form(jf.realization, seed)
+    assert again.blocks == jf.blocks
+    assert again.conjugator == Matrix.identity(A.field, A.nrows)
+    assert again.realization == jf.realization
 
 
 def test_jordan_form_rotation_over_q():
