@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wordmap.cli import main
-from wordmap.commutators import factor_two_trace_zero
-from wordmap.diagonal import _exhaustive_two_term
+from wordmap.commutators import factor_two_trace_zero, solve_commutator_product
+from wordmap.diagonal import _exhaustive_two_term, solve_diagonal_word
 from wordmap.errors import ReduciblePolynomial, SingularMatrix
 from wordmap.fields import (
     GenericKernel,
@@ -33,6 +33,7 @@ from wordmap.fields import (
 )
 from wordmap.matrices import Matrix, charpoly, krylov_annihilator
 from wordmap.polynomials import Poly
+from wordmap.words import DiagonalWord
 
 from oracles import (
     brute_inverse,
@@ -350,17 +351,18 @@ def test_poly_pow_mod(spec, data, e):
 # extension fields: inverses and the irreducibility test
 # ----------------------------------------------------------------------
 
-def _tower_over_f9():
-    F9 = FIELDS[F9_SPEC]
-    for g in enumerate_elements(F9):
+def _quadratic_tower(base, middle):
+    """base[t]/(t^2 + middle*t - g) for the first g in enumeration order
+    that makes the modulus irreducible."""
+    for g in enumerate_elements(base):
         try:
-            return extend(F9, Poly(F9, [-g, F9.zero(), F9.one()]))[0]
+            return extend(base, Poly(base, [-g, middle, base.one()]))[0]
         except ReduciblePolynomial:
             continue
-    raise AssertionError("F_9 has a non-square")
+    raise AssertionError(f"no irreducible quadratic t^2 + {middle!r}t - g over {base}")
 
 
-TOWER = _tower_over_f9()
+TOWER = _quadratic_tower(FIELDS[F9_SPEC], FIELDS[F9_SPEC].zero())
 
 
 @pytest.mark.parametrize("field", [FIELDS[F4_SPEC], FIELDS[F9_SPEC], TOWER],
@@ -475,6 +477,9 @@ GOLDEN = [
      "5463be03e88c5b2bb17f69d79a6af4de7c2ba3603fbc7d9641bdbed76c211420"),
     ("Q", "comm:m=4", 6, 31,
      "d9719bb9ad3c435752d71dbf1053b95680317ef75b499b26b1d7a88fc6f866d4"),
+    # recorded with the per-element closure arithmetic of F_4
+    (F4_SPEC, "comm:m=4", 3, 43,
+     "c56ba6e6b095dafbee48df767b2cadfc0fab13bc46e6593650a6055a1d574323"),
 ]
 
 
@@ -578,3 +583,38 @@ def test_factor_two_trace_zero_on_a_jordan_target_is_pinned():
     pair = factor_two_trace_zero(_jordan_target(spec, blocks, seed), seed)
     assert hashlib.sha256(repr((pair.t1, pair.t2)).encode()).hexdigest() == \
         "8fd0af4babf8a92b524aa0eeecdecd5512467a4e130f4d3eb42ee46c91ee01a2"
+
+
+# Witnesses over the towers F_16 = F_4[t]/(t^2 + t + g) and F_81 =
+# F_9[t]/(t^2 + t + g) for random targets drawn with random.Random(40): the
+# SHA-256 of repr((matrices, conjugators)), recorded with the per-element
+# closure arithmetic of extension fields
+GOLDEN_TOWER = [
+    (F4_SPEC, "comm:m=4", 3,
+     "78b892b2b19f4d226d986889c74f6b554806301ba18bbb0e66d1c42155dde396"),
+    (F4_SPEC, "X^2+Y^3", 2,
+     "2bc106f28200809714ae6aa8e7c41a0bfb01a2af56516a241e1cea57df57ec36"),
+    (F4_SPEC, "X^2+Y^3", 3,
+     "f459f6db5efd2b5f8a15dc3a74e46902bfbc30403252bbdb2d1cb489edbe0e91"),
+    (F9_SPEC, "comm:m=4", 3,
+     "51e3e4300ee65e13f14b69602c393ecbbe6ee266933c48f44cfe3a98509bec6a"),
+    (F9_SPEC, "X^2+Y^3", 2,
+     "a208a8e3476c25cada4d95b9815d44d6a1078ba76f10d13d6066dd422f2175bb"),
+    (F9_SPEC, "X^2+Y^3", 3,
+     "6b789fce98e4a04d803fa70e192e0305a66edbfd1f89d2faf48ab971f0650790"),
+]
+
+
+@pytest.mark.parametrize("spec,word,n,digest", GOLDEN_TOWER)
+def test_tower_witnesses_are_pinned(spec, word, n, digest):
+    base = FIELDS[spec]
+    L = _quadratic_tower(base, base.one())
+    elems = list(enumerate_elements(L))
+    rng = random.Random(40)
+    A = Matrix(L, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
+    if word == "comm:m=4":
+        w = solve_commutator_product(A, 4, 40)
+    else:
+        w = solve_diagonal_word(A, DiagonalWord(((L.one(), 2), (L.one(), 3))), 40)
+    got = hashlib.sha256(repr((w.matrices, w.conjugators)).encode()).hexdigest()
+    assert got == digest
