@@ -10,12 +10,13 @@ ch. 14).  The equal-degree step is randomised with an explicit seed; in
 characteristic 2 it uses the additive trace map since the multiplicative
 variant degenerates there.
 
-Over Q only content removal, rational-root extraction, and quadratic/cubic
-splits are performed.  Rational-root candidates p/q are taken only inside
-Fujiwara's bound on the size of the complex roots, computed in integers.
-A residual factor of degree >= 4 with no rational root is returned whole
-with ``certified=False``; downstream code treats it as irreducible and
-final witnesses are verified unconditionally anyway.
+Over Q only content removal, rational-root extraction, squarefree
+decomposition of what remains, and quadratic/cubic splits are performed.
+Rational-root candidates p/q are taken only inside Fujiwara's bound on the
+size of the complex roots, computed in integers.  A squarefree residual
+factor of degree >= 4 with no rational root is returned whole with
+``certified=False``; downstream code treats it as irreducible and final
+witnesses are verified unconditionally anyway.
 """
 
 from __future__ import annotations
@@ -368,9 +369,14 @@ def _factor_rationals(f: Poly) -> list:
             probe = probe // inner
             mult += 1
         if probe.degree == 0 and mult >= 1 and inner.degree < work.degree:
-            for term in _factor_rationals(inner):
+            pieces = [(inner, mult)]
+        else:
+            # repeated factors of several multiplicities
+            pieces = _squarefree_decomposition(work)
+        for piece, mult in pieces:
+            for term in _factor_rationals(piece):
                 out.append(FactorTerm(term.poly, term.multiplicity * mult, term.certified))
-            return out
+        return out
     certified = work.degree < 4
     out.append(FactorTerm(work.monic(), 1, certified))
     return out

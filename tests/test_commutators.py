@@ -336,3 +336,34 @@ def test_empty_eigenvector_nullspace_raises_verification_failed():
     A = Matrix.from_rows(R, MISSED_EIGENVALUE_2X2)
     with pytest.raises(VerificationFailed, match="no eigenvector"):
         solve_commutator_product(A, 4, seed=0)
+
+
+def _two_multiplicity_q_target():
+    """companion(x^2+1) + J_{x^2+x+1,2} over Q: charpoly (x^2+1)(x^2+x+1)^2,
+    repeated factors that are no perfect power."""
+    Q = Field("rationals")
+    return Matrix.block_diag(Q, [Matrix.companion(Poly(Q, [1, 0, 1])),
+                                 Matrix.generalized_jordan_block(Poly(Q, [1, 1, 1]), 2)])
+
+
+def test_m4_over_q_with_factors_of_two_multiplicities():
+    J = _two_multiplicity_q_target()
+    S = Matrix.from_rows(J.field, [[1 if j >= i else 0 for j in range(6)] for i in range(6)])
+    S = S * Matrix.from_rows(J.field, [[2 if i == j + 1 else int(i == j) for j in range(6)]
+                                       for i in range(6)])
+    for A in (J, S * J * S.inverse()):
+        w = solve_commutator_product(A, 4, seed=0)
+        assert eval_word(CommutatorProduct(4), w.matrices) == A
+
+
+def test_cli_m4_over_q_with_factors_of_two_multiplicities(capsys):
+    import json
+
+    from wordmap.cli import main
+
+    A = _two_multiplicity_q_target()
+    entries = [[str(x.rep) for x in row] for row in A.rows]
+    code = main(["solve", "--field", "Q", "--word", "comm:m=4", "--matrix",
+                 json.dumps({"rows": 6, "cols": 6, "entries": entries})])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True

@@ -75,6 +75,20 @@ def test_factor_q_perfect_power():
     assert fac.factors[0].poly == Poly(Q, [1, 0, 1])
 
 
+def test_factor_q_repeated_factors_of_two_multiplicities():
+    # (T^2+1)(T^2+T+1)^2 is no perfect power: split by multiplicity, in
+    # increasing order, then each part as a squarefree residual
+    f = Poly(Q, [1, 0, 1]) * Poly(Q, [1, 1, 1]) ** 2
+    fac = factor(f)
+    assert [(t.poly, t.multiplicity, t.certified) for t in fac.factors] == [
+        (Poly(Q, [1, 0, 1]), 1, True), (Poly(Q, [1, 1, 1]), 2, True)]
+    # T^4 + T + 1 has degree 4: kept whole and flagged, with multiplicity 2
+    g = Poly(Q, [1, 1, 0, 0, 1])
+    fac = factor(Poly(Q, [2, 1]) * Poly(Q, [1, 0, 1]) * g ** 2)
+    assert [(t.poly, t.multiplicity, t.certified) for t in fac.factors] == [
+        (Poly(Q, [2, 1]), 1, True), (Poly(Q, [1, 0, 1]), 1, True), (g, 2, False)]
+
+
 def test_factor_roundtrip_random():
     rng = random.Random(7)
     for field in (F2, F3, F7):
