@@ -34,6 +34,21 @@ entries and coefficients, unwrap the reps once per operation, call the
 kernel, and wrap the result once.  Extension inverses and the Rabin
 irreducibility test use the base field's polynomial kernel.
 
+Log tables.  A finite extension with q <= ELEMENT_TABLE_BOUND, towers
+included, replaces its element closures with Zech-logarithm lookups when
+it is constructed (Lidl and Niederreiter, Finite Fields, ch. 2): with g a
+primitive element, a product is antilog[log a + log b] and a sum is
+antilog[log a + zech[log b - log a]], where g^zech[i] = 1 + g^i.  The
+reps stay coefficient tuples, so values and orders do not change; only
+the cost of an operation does.  g is the first element in
+``enumerate_elements`` order with g^((q-1)/r) != 1 for every prime r |
+q-1.  The tables are installed only if g^0..g^(q-2) are q-1 distinct
+nonzero values and g^(q-1) = 1, which proves the modulus irreducible; a
+``Field("ext", ...)`` over a reducible modulus, and every field above the
+bound, keeps the closures (and their ``DivisionByZero`` on zero
+divisors).  The tables are built once, with about one multiplication and
+one addition per element, and never change.
+
 K-th roots over F_q are computed per call, with no table and no state kept
 on the Field: with g = gcd(k, q-1), exponent inversion when g = 1; else the
 power-residue test e^((q-1)/g) = 1 first, then Tonelli-Shanks for k = 2
@@ -78,7 +93,8 @@ from .errors import (
 # candidates in scalar searches, and get their k-th roots in enumeration order.
 SCAN_BOUND = 10**6
 # Prime fields up to this size keep one FieldElement per value, so that
-# wrapping kernel output is a table lookup rather than an allocation.
+# wrapping kernel output is a table lookup rather than an allocation;
+# finite extensions up to this size do their arithmetic by log tables.
 ELEMENT_TABLE_BOUND = 1 << 12
 
 
@@ -247,6 +263,10 @@ class Field:
             self._one_raw = tuple(
                 base._one_raw if i == 0 else base._zero_raw for i in range(d))
             self._install_ext_ops()
+            if self.is_finite and self.cardinality <= ELEMENT_TABLE_BOUND:
+                tables = _log_tables(self)
+                if tables is not None:
+                    self._install_log_ops(*tables)
         elif kind == "rationals":
             self.degree = 1
             self.key = ("rationals",)
@@ -327,6 +347,45 @@ class Field:
             out = [bmul(c, x) for x in u]
             out += [bzero] * (d - len(out))
             return tuple(out[:d])
+
+        self._radd, self._rsub, self._rmul = radd, rsub, rmul
+        self._rneg, self._rinv = rneg, rinv
+
+    def _install_log_ops(self, log, antilog, zech):
+        """Arithmetic by table lookups; see ``_log_tables`` for the layout."""
+        n = self.cardinality - 1
+        zero_log = 2 * n
+        neg_shift = log[self._rneg(self._one_raw)]  # -1 = g^neg_shift
+
+        def rmul(a, b):
+            return antilog[log[a] + log[b]]
+
+        def rneg(a):
+            return antilog[log[a] + neg_shift]
+
+        def radd(a, b):
+            la, lb = log[a], log[b]
+            if la == zero_log:
+                return b
+            if lb == zero_log:
+                return a
+            return antilog[la + zech[lb - la]]
+
+        def rsub(a, b):
+            lb = log[b]
+            if lb == zero_log:
+                return a
+            lb += neg_shift
+            la = log[a]
+            if la == zero_log:
+                return antilog[lb]
+            return antilog[la + zech[lb - la]]
+
+        def rinv(a):
+            la = log[a]
+            if la == zero_log:
+                raise DivisionByZero(f"inverse of zero in {self}")
+            return antilog[n - la]
 
         self._radd, self._rsub, self._rmul = radd, rsub, rmul
         self._rneg, self._rinv = rneg, rinv
@@ -970,22 +1029,90 @@ def _irreducible_over_prime(mod: tuple, base: Field) -> bool:
     frob = kern.poly_powmod(x, q ** d, mod)
     if kern.poly_sub(frob, x):
         return False
-    primes = set()
-    n = d
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            primes.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        primes.add(n)
-    for t in primes:
+    for t in _prime_divisors(d):
         frob = kern.poly_powmod(x, q ** (d // t), mod)
         g, _ = kern.poly_gcdext(kern.poly_sub(frob, x), mod)
         if len(g) - 1 != 0:
             return False
     return True
+
+
+def _prime_divisors(n: int) -> list:
+    """The distinct prime divisors of n >= 1, in increasing order."""
+    primes = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _log_tables(field: Field):
+    """Zech-logarithm tables (log, antilog, zech) of a finite extension
+    field, built with its closure arithmetic; None when the modulus is
+    reducible.
+
+    With n = q - 1 and g the first element in ``enumerate_elements`` order
+    whose powers g^(n/r), r a prime divisor of n, all differ from 1:
+
+      log      dict raw -> i with g^i = raw, 0 <= i < n; zero maps to 2n
+      antilog  tuple of length 4n + 1: g^(i mod n) at i < 2n, zero from 2n
+               on, so a sum of two logs indexes it with no reduction
+      zech     tuple of length 2n: zech[i] = log(1 + g^(i mod n)), so
+               log(g^a + g^b) = a + zech[b - a] for any b - a in (-2n, 2n)
+
+    The tables are kept only if g^0..g^(n-1) are n distinct nonzero values
+    and g^n = 1: then every nonzero element is a unit, which proves the
+    modulus irreducible.  Building them costs one multiplication by g and
+    one addition of 1 per element, after the search for g."""
+    base, d = field.base, field.degree
+    n = field.cardinality - 1
+    zero, one = field._zero_raw, field._one_raw
+    bzero, bone = base._zero_raw, base._one_raw
+    exps = [n // r for r in _prime_divisors(n)]
+    # for d >= 2 the first |base| elements are the base field's: their
+    # orders divide |base| - 1, a proper divisor of n, so none passes
+    for i in range(base.cardinality if d >= 2 else 1, n + 1):
+        g = _element_at(field, i)
+        if all(field._rpow(g, e) != one for e in exps):
+            break
+    else:
+        return None
+
+    # x*g by Horner's rule on the coefficients of g, where x*t shifts x up
+    # and subtracts its top coefficient times the modulus
+    kern, mod = base.kernel, list(field.modulus[:d])
+    e = max(i for i, c in enumerate(g) if c != bzero)
+    neg_g = [base._rneg(c) for c in g]
+
+    def times_g(x):
+        acc = x if g[e] == bone else kern.vscale(x, g[e])
+        for j in range(e - 1, -1, -1):
+            acc = kern.vsub_scaled([bzero] + acc[:-1], acc[-1], mod)
+            if g[j] != bzero:
+                acc = kern.vsub_scaled(acc, neg_g[j], x)
+        return acc
+
+    log, powers = {one: 0}, [one]
+    x = list(one)
+    for i in range(1, n):
+        x = times_g(x)
+        rep = tuple(x)
+        if rep in log or rep == zero:
+            return None
+        log[rep] = i
+        powers.append(rep)
+    if tuple(times_g(x)) != one:
+        return None
+    log[zero] = 2 * n
+    badd = base._radd
+    zech = [log[(badd(y[0], bone),) + y[1:]] for y in powers]
+    return log, tuple(powers * 2 + [zero] * (2 * n + 1)), tuple(zech * 2)
 
 
 # ----------------------------------------------------------------------

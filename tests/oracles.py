@@ -338,6 +338,57 @@ def brute_inverse(x):
     return None
 
 
+# Raw arithmetic of F_p and of quotients base[t]/(m) from the definitions:
+# coefficientwise sums, schoolbook products reduced by the modulus, down to
+# integers mod p.  Nothing here calls the field's own operations.
+
+def ref_add(field, a, b):
+    if field.kind == "prime":
+        return (a + b) % field.p
+    return tuple(ref_add(field.base, x, y) for x, y in zip(a, b))
+
+
+def ref_neg(field, a):
+    if field.kind == "prime":
+        return -a % field.p
+    return tuple(ref_neg(field.base, x) for x in a)
+
+
+def ref_sub(field, a, b):
+    return ref_add(field, a, ref_neg(field, b))
+
+
+def ref_mul(field, a, b):
+    if field.kind == "prime":
+        return a * b % field.p
+    base, d, mod = field.base, field.degree, field.modulus
+    conv = [base._zero_raw] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = ref_add(base, conv[i + j], ref_mul(base, x, y))
+    # t^k = t^(k-d) * (t^d - m(t)) for k >= d: clear the top coefficients
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k]
+        for j in range(d + 1):
+            conv[k - d + j] = ref_sub(base, conv[k - d + j], ref_mul(base, c, mod[j]))
+    return tuple(conv[:d])
+
+
+def ref_pow(field, a, k):
+    """a^k for k >= 0 by k - 1 schoolbook products."""
+    out = field._one_raw
+    for _ in range(k):
+        out = ref_mul(field, out, a)
+    return out
+
+
+def ref_inverses(field):
+    """raw -> raw inverse of every unit of a finite field or ring, by search."""
+    raws = [x.rep for x in enumerate_elements(field)]
+    one = field._one_raw
+    return {a: b for a in raws for b in raws if ref_mul(field, a, b) == one}
+
+
 def naive_rational_roots(f):
     """Rational roots of a Poly over Q by the rational root theorem with no
     size bound: every ±p/q with p | a_0 and q | a_n, found by trial division

@@ -19,9 +19,11 @@ from wordmap.errors import (
     UsageError,
 )
 from wordmap.fields import (
+    ELEMENT_TABLE_BOUND,
     GF,
     SCAN_BOUND,
     Field,
+    _log_tables,
     enumerate_elements,
     extend,
     kth_roots,
@@ -30,7 +32,7 @@ from wordmap.fields import (
 )
 from wordmap.polynomials import Poly
 
-from oracles import naive_kth_roots
+from oracles import naive_kth_roots, ref_add, ref_inverses, ref_mul, ref_neg, ref_pow, ref_sub
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -252,7 +254,7 @@ def test_field_holds_no_state_changed_by_roots_or_solves():
     from wordmap.words import DiagonalWord
 
     F101 = Field("prime", p=101)
-    fields = [F101, GF(9), GF(101 ** 2), Field("prime", p=1000003)]
+    fields = [F101, GF(9), _tower(GF(4), 2), GF(101 ** 2), Field("prime", p=1000003)]
 
     def snapshot():
         return [[(getattr(f, s), copy.copy(getattr(f, s))) for s in Field.__slots__]
@@ -438,3 +440,88 @@ def test_extension_tower_over_f4():
     x = alpha + embed(F4.generator())
     roots = kth_roots(x * x, 2)
     assert roots and all(r * r == x * x for r in roots)
+
+
+# ----------------------------------------------------------------------
+# log-table arithmetic of finite extensions with q <= ELEMENT_TABLE_BOUND
+# ----------------------------------------------------------------------
+
+EXHAUSTIVE_TABLE_FIELDS = [GF(q) for q in (4, 8, 9, 25, 27, 49, 64)] + [
+    _tower(GF(4), 2), _tower(GF(9), 2)]
+SAMPLED_TABLE_FIELDS = [_tower(GF(9), 3), GF(2187), GF(3721), GF(4096)]
+POWERS = (0, 1, 2, 3, 5, 7)
+
+
+def _check_ops(field, a, b):
+    x, y = field.element(a), field.element(b)
+    assert (x + y).rep == ref_add(field, a, b)
+    assert (x - y).rep == ref_sub(field, a, b)
+    assert (-x).rep == ref_neg(field, a)
+    assert (x * y).rep == ref_mul(field, a, b)
+
+
+@pytest.mark.parametrize("field", EXHAUSTIVE_TABLE_FIELDS, ids=repr)
+def test_table_arithmetic_matches_schoolbook_on_every_pair(field):
+    assert field.cardinality <= ELEMENT_TABLE_BOUND and _log_tables(field) is not None
+    raws = [x.rep for x in enumerate_elements(field)]
+    for a in raws:
+        for b in raws:
+            _check_ops(field, a, b)
+    inverses = ref_inverses(field)
+    assert len(inverses) == field.cardinality - 1
+    for a in raws[1:]:
+        x = field.element(a)
+        assert x.inverse().rep == inverses[a]
+        for k in POWERS:
+            assert (x ** k).rep == ref_pow(field, a, k)
+            assert (x ** -k).rep == ref_pow(field, inverses[a], k)
+    with pytest.raises(DivisionByZero):
+        field.zero().inverse()
+
+
+@pytest.mark.parametrize("field", SAMPLED_TABLE_FIELDS, ids=repr)
+def test_table_arithmetic_matches_schoolbook_on_seeded_pairs(field):
+    assert field.cardinality <= ELEMENT_TABLE_BOUND and _log_tables(field) is not None
+    raws = [x.rep for x in enumerate_elements(field)]
+    rng = random.Random(field.cardinality)
+    one = field.one().rep
+    for _ in range(2000):
+        a, b = rng.choice(raws), rng.choice(raws)
+        _check_ops(field, a, b)
+        if a == field.zero().rep:
+            continue
+        # an inverse is unique, so the product test is what a search finds
+        x = field.element(a)
+        inv = x.inverse().rep
+        assert ref_mul(field, a, inv) == one
+        k = rng.choice(POWERS)
+        assert (x ** k).rep == ref_pow(field, a, k)
+        assert (x ** -k).rep == ref_pow(field, inv, k)
+
+
+def test_reducible_modulus_keeps_closure_arithmetic():
+    R = Field("ext", modulus=(1, 0, 1), base=F2)  # t^2 + 1 = (t + 1)^2 over F_2
+    assert _log_tables(R) is None
+    raws = [x.rep for x in enumerate_elements(R)]
+    for a in raws:
+        for b in raws:
+            _check_ops(R, a, b)
+    t_plus_1 = R.generator() + R.one()
+    assert (t_plus_1 * t_plus_1).is_zero()
+    with pytest.raises(DivisionByZero):
+        t_plus_1.inverse()
+    assert R.generator().inverse() == R.generator()
+    S = Field("ext", modulus=(2, 0, 1), base=F3)  # t^2 + 2 = (t + 1)(t + 2)
+    assert _log_tables(S) is None
+    with pytest.raises(DivisionByZero):
+        (S.generator() + S.one()).inverse()
+
+
+def test_fields_past_the_bound_keep_closure_arithmetic():
+    L = GF(101 ** 2)
+    assert L.cardinality > ELEMENT_TABLE_BOUND
+    rng = random.Random(5)
+    for _ in range(200):
+        a = (rng.randrange(101), rng.randrange(101))
+        b = (rng.randrange(101), rng.randrange(101))
+        _check_ops(L, a, b)
