@@ -1084,8 +1084,9 @@ def _log_tables(field: Field):
     else:
         return None
 
-    # x*g by Horner's rule on the coefficients of g, where x*t shifts x up
-    # and subtracts its top coefficient times the modulus
+    # x*g by Horner's rule on the coefficients of g (g has low degree, so
+    # this is a few vector ops where the closure product is d^2 base ops):
+    # x*t shifts x up and subtracts its top coefficient times the modulus
     kern, mod = base.kernel, list(field.modulus[:d])
     e = max(i for i, c in enumerate(g) if c != bzero)
     neg_g = [base._rneg(c) for c in g]

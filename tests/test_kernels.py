@@ -585,10 +585,10 @@ def test_factor_two_trace_zero_on_a_jordan_target_is_pinned():
         "8fd0af4babf8a92b524aa0eeecdecd5512467a4e130f4d3eb42ee46c91ee01a2"
 
 
-# Witnesses over the towers F_16 = F_4[t]/(t^2 + t + g) and F_81 =
-# F_9[t]/(t^2 + t + g) for random targets drawn with random.Random(40): the
-# SHA-256 of repr((matrices, conjugators)), recorded with the per-element
-# closure arithmetic of extension fields
+# Witnesses over the towers F_16 = F_4[t]/(t^2 + t - g) and F_81 =
+# F_9[t]/(t^2 + t - g) (``_quadratic_tower``) for random targets drawn with
+# random.Random(40): the SHA-256 of repr((matrices, conjugators)), recorded
+# with the per-element closure arithmetic of extension fields
 GOLDEN_TOWER = [
     (F4_SPEC, "comm:m=4", 3,
      "78b892b2b19f4d226d986889c74f6b554806301ba18bbb0e66d1c42155dde396"),
