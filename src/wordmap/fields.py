@@ -1063,8 +1063,9 @@ def _log_tables(field: Field):
       log      dict raw -> i with g^i = raw, 0 <= i < n; zero maps to 2n
       antilog  tuple of length 4n + 1: g^(i mod n) at i < 2n, zero from 2n
                on, so a sum of two logs indexes it with no reduction
-      zech     tuple of length 2n: zech[i] = log(1 + g^(i mod n)), so
-               log(g^a + g^b) = a + zech[b - a] for any b - a in (-2n, 2n)
+      zech     tuple of length 2n: zech[i] = log(1 + g^(i mod n)), 2n
+               where that sum is zero, so log(g^a + g^b) = a + zech[b - a]
+               for any b - a in (-2n, 2n)
 
     The tables are kept only if g^0..g^(n-1) are n distinct nonzero values
     and g^n = 1: then every nonzero element is a unit, which proves the

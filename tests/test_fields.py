@@ -477,6 +477,8 @@ def test_table_arithmetic_matches_schoolbook_on_every_pair(field):
             assert (x ** -k).rep == ref_pow(field, inverses[a], k)
     with pytest.raises(DivisionByZero):
         field.zero().inverse()
+    with pytest.raises(DivisionByZero):
+        field._rinv(field._zero_raw)  # the raw op the kernels call
 
 
 @pytest.mark.parametrize("field", SAMPLED_TABLE_FIELDS, ids=repr)
