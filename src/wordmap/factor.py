@@ -358,22 +358,10 @@ def _factor_rationals(f: Poly) -> list:
         # no rational root at this point -> irreducible over Q
         out.append(FactorTerm(work.monic(), 1))
         return out
-    # try to peel perfect powers apart cheaply via squarefree structure
-    dg = work.derivative()
-    g = work.gcd(dg)
+    # split repeated factors apart by squarefree decomposition
+    g = work.gcd(work.derivative())
     if g.degree >= 1:
-        inner = work // g
-        mult = 0
-        probe = work
-        while (probe % inner).is_zero():
-            probe = probe // inner
-            mult += 1
-        if probe.degree == 0 and mult >= 1 and inner.degree < work.degree:
-            pieces = [(inner, mult)]
-        else:
-            # repeated factors of several multiplicities
-            pieces = _squarefree_decomposition(work)
-        for piece, mult in pieces:
+        for piece, mult in _squarefree_decomposition(work):
             for term in _factor_rationals(piece):
                 out.append(FactorTerm(term.poly, term.multiplicity * mult, term.certified))
         return out

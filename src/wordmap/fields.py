@@ -1095,7 +1095,9 @@ def _log_tables(field: Field):
     def times_g(x):
         acc = x if g[e] == bone else kern.vscale(x, g[e])
         for j in range(e - 1, -1, -1):
-            acc = kern.vsub_scaled([bzero] + acc[:-1], acc[-1], mod)
+            top, acc = acc[-1], [bzero] + acc[:-1]
+            if top != bzero:
+                acc = kern.vsub_scaled(acc, top, mod)
             if g[j] != bzero:
                 acc = kern.vsub_scaled(acc, neg_g[j], x)
         return acc

@@ -73,6 +73,13 @@ def test_factor_q_perfect_power():
     assert len(fac.factors) == 1
     assert fac.factors[0].multiplicity == 2
     assert fac.factors[0].poly == Poly(Q, [1, 0, 1])
+    # r^m with r squarefree: one term r with multiplicity m, and r factored
+    # as a squarefree residual (a degree-4 r stays whole and uncertified)
+    g = Poly(Q, [1, 1, 0, 0, 1])
+    h = Poly(Q, [1, 0, 1]) * Poly(Q, [2, 0, 1])
+    for f, want in ((g ** 3, [(g, 3, False)]), (h ** 2, [(h, 2, False)]),
+                    (Poly(Q, [1, 0, 1]) ** 5, [(Poly(Q, [1, 0, 1]), 5, True)])):
+        assert [(t.poly, t.multiplicity, t.certified) for t in factor(f).factors] == want
 
 
 def test_factor_q_repeated_factors_of_two_multiplicities():
