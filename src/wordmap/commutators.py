@@ -30,7 +30,7 @@ from .errors import (
     VerificationFailed,
     WitnessNotFound,
 )
-from .fields import Field, FieldElement, enumerate_elements
+from .fields import Field, FieldElement, enumerate_elements, random_element
 from .matrices import (
     Matrix,
     _cyclic_basis,
@@ -769,23 +769,22 @@ def _commutator_linear_search(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
     field = T.field
     n = T.nrows
     rng = random.Random(seed)
-    from .matrices import _random_element
 
     def shear(M):
         i = rng.randrange(n)
         j = (i + 1 + rng.randrange(n - 1)) % n
-        return M.shear(i, j, _random_element(field, rng))
+        return M.shear(i, j, random_element(field, rng))
 
     def candidates():
         yield Matrix.cyclic_shift(field, n)
         yield Matrix.companion(charpoly(T))
         while True:
-            coeffs = [_random_element(field, rng) for _ in range(n)] + [field.one()]
+            coeffs = [random_element(field, rng) for _ in range(n)] + [field.one()]
             C = Matrix.companion(Poly(field, coeffs))
             yield C
             yield shear(shear(C))
             yield Matrix(field, [
-                [_random_element(field, rng) for _ in range(n)] for _ in range(n)])
+                [random_element(field, rng) for _ in range(n)] for _ in range(n)])
 
     if field.is_finite:
         # success odds per cyclic candidate are about q^(1-n)

@@ -45,13 +45,13 @@ from .fields import (
     FieldElement,
     enumerate_elements,
     kth_roots,
+    random_element,
     regular_solution_iter,
     regular_solution_search,
 )
 from .matrices import (
     Matrix,
     Partition,
-    _random_element,
     charpoly,
     eigenbasis,
     nilpotent_conjugator,
@@ -61,23 +61,31 @@ from .polynomials import Poly
 from .reduction import BlockPlan, solve_blockwise
 from .words import DiagonalWord, Witness, make_witness
 
+# Seeded random scalar candidates tried over fields above SCAN_BOUND.
+RANDOM_TRIES = 4096
+# Regular solutions tried per scalar equation by the 2x2 nilpotent route.
+PAIR_CAP = 64
+# Values tried for the free corner z of the bordered construction.
+CORNER_CAP = 16
+# Largest witness space q^(n^2) the exhaustive hash join enumerates.
+EXHAUSTIVE_CAP = 200000
+
 
 # ----------------------------------------------------------------------
 # scalar equations
 # ----------------------------------------------------------------------
 
-def _finite_candidates(field: Field, seed: int, tries: int):
+def _finite_candidates(field: Field, seed: int):
     """Every element in enumeration order up to SCAN_BOUND (so exhaustion is
-    a proof), ``tries`` seeded random elements beyond it."""
+    a proof), RANDOM_TRIES seeded random elements beyond it."""
     if field.cardinality <= SCAN_BOUND:
         return enumerate_elements(field)
     rng = random.Random(seed)
-    return (_random_element(field, rng) for _ in range(tries))
+    return (random_element(field, rng) for _ in range(RANDOM_TRIES))
 
 
 def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
-                         beta: FieldElement, seed: int = 0,
-                         tries: int = 4096) -> tuple:
+                         beta: FieldElement, seed: int = 0) -> tuple:
     """Two solutions (a,b), (c,d) of a^{k1} + beta*b^{k2} = alpha with
     a^{k1} != c^{k1} and b^{k2} != d^{k2}.
 
@@ -89,7 +97,7 @@ def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
         raise UsageError("beta must be nonzero")
     if field.is_finite:
         first = None
-        for a in _finite_candidates(field, seed, tries):
+        for a in _finite_candidates(field, seed):
             pa = a ** k1
             if first is not None and pa == first[0]:
                 continue
@@ -161,11 +169,11 @@ def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
 
 
 def scalar_solution(field: Field, alpha: FieldElement, k1: int, k2: int,
-                    beta: FieldElement, seed: int = 0, tries: int = 4096) -> tuple:
+                    beta: FieldElement, seed: int = 0) -> tuple:
     """One solution (a, b) of a^{k1} + beta*b^{k2} = alpha."""
     alpha, beta = field(alpha), field(beta)
     if field.is_finite:
-        for a in _finite_candidates(field, seed, tries):
+        for a in _finite_candidates(field, seed):
             roots = kth_roots((alpha - a ** k1) / beta, k2)
             if roots:
                 return a, roots[0]
@@ -493,7 +501,7 @@ def _first_eps(field: Field) -> FieldElement:
     return field.one()
 
 
-def _corner_candidates(field: Field, cap: int = 16) -> list:
+def _corner_candidates(field: Field) -> list:
     """Values for the free corner z; the construction pairs corners (z, -z).
     z = 1 first, then other field values for small-field robustness."""
     one = field.one()
@@ -501,14 +509,13 @@ def _corner_candidates(field: Field, cap: int = 16) -> list:
         return [one]
     out = [one]
     for e in enumerate_elements(field):
-        if e != one and len(out) < cap:
+        if e != one and len(out) < CORNER_CAP:
             out.append(e)
     return out
 
 
 def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
-                              beta: FieldElement, seed: int = 0,
-                              pair_cap: int = 64) -> Tuple[Matrix, Matrix]:
+                              beta: FieldElement, seed: int = 0) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X^{k1} + beta*Y^{k2} = J_{0,n} for 2 <= n < 2*k1, via
     regular solutions of the two scalar power-sum equations."""
     beta = field(beta)
@@ -520,7 +527,7 @@ def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
     one = field.one()
     if n == 2:
         for z in _corner_candidates(field):
-            got = _small_nilpotent_2(field, k1, k2, beta, z, pair_cap)
+            got = _small_nilpotent_2(field, k1, k2, beta, z)
             if got is not None:
                 _check_two_term(got[0], got[1], k1, k2, beta, target)
                 return got
@@ -561,13 +568,13 @@ def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
 
 
 def _small_nilpotent_2(field: Field, k1: int, k2: int, beta: FieldElement,
-                       z: FieldElement, pair_cap: int):
+                       z: FieldElement):
     one = field.one()
-    mus = itertools.islice(regular_solution_iter(field, k1, 2, z), pair_cap)
+    mus = itertools.islice(regular_solution_iter(field, k1, 2, z), PAIR_CAP)
     for mu in mus:
         P = mu[0] ** k1 * mu[1] ** k1
         lams = itertools.islice(
-            regular_solution_iter(field, k2, 2, -(z / beta)), pair_cap)
+            regular_solution_iter(field, k2, 2, -(z / beta)), PAIR_CAP)
         for lam in lams:
             Qv = beta * beta * lam[0] ** k2 * lam[1] ** k2
             if P.is_zero():
@@ -650,8 +657,7 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
         return got[0], got[1], ()
 
 
-def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
-                         cap: int = 200000):
+def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     """Hash-join over all of M_n(F_q)^2: X-powers are tabulated once and each
     Y is checked by lookup, so the cost is ~2 q^{n^2} raw matrix powers.
 
@@ -664,7 +670,7 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
         return None
     n = A.nrows
     nn = n * n
-    if field.cardinality ** nn > cap:
+    if field.cardinality ** nn > EXHAUSTIVE_CAP:
         return None
     kern = field.kernel
     elems = [x.rep for x in enumerate_elements(field)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedField, ZeroPolynomial
-from .fields import Field, FieldElement
+from .fields import FieldElement, _irreducible_over_prime, random_element
 from .polynomials import Poly
 
 
@@ -87,19 +87,17 @@ def is_separable(f: Poly) -> bool:
     return True
 
 
-def is_irreducible(f: Poly, seed: int = 0) -> bool:
+def is_irreducible(f: Poly) -> bool:
+    """The irreducibility predicate ``Field`` checks every extension modulus
+    with: Rabin's test on the monic f over finite fields (towers included);
+    over Q a single factor of multiplicity one from ``factor``, where an
+    uncertified factor of degree >= 4 counts as irreducible."""
     if f.degree < 1:
         return False
-    fac = factor(f, seed)
-    return len(fac.factors) == 1 and fac.factors[0].multiplicity == 1
-
-
-def q_irreducibility_status(f: Poly) -> str:
-    """'irreducible', 'reducible', or 'unverified' for a monic poly over Q."""
+    if f.field.is_finite:
+        return _irreducible_over_prime(f.monic()._raw(), f.field)
     fac = factor(f)
-    if len(fac.factors) != 1 or fac.factors[0].multiplicity != 1:
-        return "reducible"
-    return "irreducible" if fac.factors[0].certified else "unverified"
+    return len(fac.factors) == 1 and fac.factors[0].multiplicity == 1
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +228,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:
     p = field.characteristic
     one = Poly.one(field)
     while True:
-        a = Poly(field, [field.element(_random_raw(field, rng)) for _ in range(f.degree)])
+        a = Poly(field, [random_element(field, rng) for _ in range(f.degree)])
         if a.degree < 1:
             continue
         if p == 2:
@@ -246,12 +244,6 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:
         g = f.gcd(b)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree((f // g).monic(), d, rng)
-
-
-def _random_raw(field: Field, rng: random.Random):
-    if field.kind == "prime":
-        return rng.randrange(field.p)
-    return tuple(_random_raw(field.base, rng) for _ in range(field.degree))
 
 
 # ----------------------------------------------------------------------

@@ -42,12 +42,9 @@ antilog[log a + zech[log b - log a]], where g^zech[i] = 1 + g^i.  The
 reps stay coefficient tuples, so values and orders do not change; only
 the cost of an operation does.  g is the first element in
 ``enumerate_elements`` order with g^((q-1)/r) != 1 for every prime r |
-q-1.  The tables are installed only if g^0..g^(q-2) are q-1 distinct
-nonzero values and g^(q-1) = 1, which proves the modulus irreducible; a
-``Field("ext", ...)`` over a reducible modulus, and every field above the
-bound, keeps the closures (and their ``DivisionByZero`` on zero
-divisors).  The tables are built once, with about one multiplication and
-one addition per element, and never change.
+q-1.  Every finite extension with q <= ELEMENT_TABLE_BOUND gets tables;
+fields above the bound keep the closures.  The tables are built once, with
+about one multiplication and one addition per element, and never change.
 
 K-th roots over F_q are computed per call, with no table and no state kept
 on the Field: with g = gcd(k, q-1), exponent inversion when g = 1; else the
@@ -58,9 +55,15 @@ roots come in ``enumerate_elements`` order, so the root a scalar search
 picks does not depend on the algorithm; above it they come in the order the
 algorithm gives (Tonelli-Shanks: [r, -r]).
 
-Extensions are a single quotient step ``base[t]/(m)`` with ``base`` a prime
-field (giving F_{p^d}) or Q.  Approximate kinds carry an explicit tolerance
-used only when *comparing* values; every construction stays formula driven.
+Extensions are a quotient step ``base[t]/(m)`` with ``base`` a finite field
+(giving F_{p^d} and towers over F_{p^d}) or Q.  An extension ``Field``
+refuses a modulus that is not monic (UsageError) or not irreducible
+(ReduciblePolynomial); it is the one place that checks, through
+``factor.is_irreducible``: Rabin's test over finite bases, factoring over
+Q, where a squarefree factor of degree >= 4 with no rational root is
+accepted uncertified.  ``extend``, ``GF`` and ``parse_field_spec`` rely on
+that check.  Approximate kinds carry an explicit tolerance used only when
+*comparing* values; every construction stays formula driven.
 
 The field-spec grammar used by the CLI and the JSON formats:
 
@@ -256,6 +259,12 @@ class Field:
             d = len(modulus) - 1
             if d < 1 or modulus[-1] != base._one_raw:
                 raise UsageError("modulus must be monic of degree >= 1")
+            from .factor import is_irreducible  # deferred: factor imports this module
+            from .polynomials import Poly
+
+            mod_poly = Poly._from_raw(base, modulus)
+            if not is_irreducible(mod_poly):
+                raise ReduciblePolynomial(f"modulus {mod_poly!r} factors over {base!r}")
             self.degree = d
             self.p = base.p
             self.key = ("ext", base.key, modulus)
@@ -264,9 +273,7 @@ class Field:
                 base._one_raw if i == 0 else base._zero_raw for i in range(d))
             self._install_ext_ops()
             if self.is_finite and self.cardinality <= ELEMENT_TABLE_BOUND:
-                tables = _log_tables(self)
-                if tables is not None:
-                    self._install_log_ops(*tables)
+                self._install_log_ops(*_log_tables(self))
         elif kind == "rationals":
             self.degree = 1
             self.key = ("rationals",)
@@ -1011,14 +1018,12 @@ class RationalKernel(GenericKernel):
 _KERNELS = {"prime": PrimeKernel, "rationals": RationalKernel}
 
 
-def _irreducible_over_prime(mod: tuple, base: Field) -> bool:
-    """Rabin irreducibility test for a monic polynomial over a finite field.
-    Raises UsageError for a modulus that is not monic of degree >= 1 (the
-    polynomial divisions of the test would not terminate)."""
+def _irreducible_over_prime(mod, base: Field) -> bool:
+    """Rabin's irreducibility test (Rabin 1980) for a monic polynomial of
+    degree d >= 1 over a finite field F_q, raw coefficients low degree
+    first: x^(q^d) = x mod m, and gcd(x^(q^(d/r)) - x, m) = 1 for every
+    prime r | d.  Callers go through ``factor.is_irreducible``."""
     d = len(mod) - 1
-    if d < 1 or mod[-1] != base._one_raw:
-        raise UsageError(
-            f"modulus {list(mod)} is not monic of degree >= 1 over GF({base.cardinality})")
     if d == 1:
         return True
     kern = base.kernel
@@ -1054,8 +1059,8 @@ def _prime_divisors(n: int) -> list:
 
 def _log_tables(field: Field):
     """Zech-logarithm tables (log, antilog, zech) of a finite extension
-    field, built with its closure arithmetic; None when the modulus is
-    reducible.
+    field, built with its closure arithmetic.  The modulus is irreducible
+    (``Field`` refuses any other), so a primitive element exists.
 
     With n = q - 1 and g the first element in ``enumerate_elements`` order
     whose powers g^(n/r), r a prime divisor of n, all differ from 1:
@@ -1067,10 +1072,8 @@ def _log_tables(field: Field):
                where that sum is zero, so log(g^a + g^b) = a + zech[b - a]
                for any b - a in (-2n, 2n)
 
-    The tables are kept only if g^0..g^(n-1) are n distinct nonzero values
-    and g^n = 1: then every nonzero element is a unit, which proves the
-    modulus irreducible.  Building them costs one multiplication by g and
-    one addition of 1 per element, after the search for g."""
+    Building them costs one multiplication by g and one addition of 1 per
+    element, after the search for g."""
     base, d = field.base, field.degree
     n = field.cardinality - 1
     zero, one = field._zero_raw, field._one_raw
@@ -1082,8 +1085,6 @@ def _log_tables(field: Field):
         g = _element_at(field, i)
         if all(field._rpow(g, e) != one for e in exps):
             break
-    else:
-        return None
 
     # x*g by Horner's rule on the coefficients of g (g has low degree, so
     # this is a few vector ops where the closure product is d^2 base ops):
@@ -1107,12 +1108,8 @@ def _log_tables(field: Field):
     for i in range(1, n):
         x = times_g(x)
         rep = tuple(x)
-        if rep in log or rep == zero:
-            return None
         log[rep] = i
         powers.append(rep)
-    if tuple(times_g(x)) != one:
-        return None
     log[zero] = 2 * n
     badd = base._radd
     zech = [log[(badd(y[0], bone),) + y[1:]] for y in powers]
@@ -1140,6 +1137,18 @@ def enumerate_elements(field: Field) -> Iterator[FieldElement]:
             yield FieldElement(field, tuple(rep))
         return
     raise InfiniteField(f"{field} is not finite")
+
+
+def random_element(field: Field, rng: random.Random) -> FieldElement:
+    """A seeded random element: over finite fields one ``randrange(p)`` per
+    prime-field coefficient, low degree first; elsewhere an integer drawn by
+    ``randrange(-9, 10)``."""
+    if field.kind == "prime":
+        return field.element(rng.randrange(field.p))
+    if field.is_finite:
+        return field.element(tuple(
+            random_element(field.base, rng).rep for _ in range(field.degree)))
+    return field(rng.randrange(-9, 10))
 
 
 def _element_index(field: Field, rep) -> int:
@@ -1305,7 +1314,8 @@ def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
 
 
 def extend(base: Field, modulus) -> tuple:
-    """Quotient extension base[t]/(p).  Returns (field, generator, embed)."""
+    """Quotient extension base[t]/(p).  Returns (field, generator, embed);
+    ``Field`` refuses a p that is not monic or not irreducible."""
     from .polynomials import Poly  # deferred: polynomials imports this module
 
     if not (base.is_finite or base.kind == "rationals"):
@@ -1316,18 +1326,6 @@ def extend(base: Field, modulus) -> tuple:
         coeffs = tuple(c.rep for c in modulus.coeffs)
     else:
         coeffs = tuple(base(c).rep for c in modulus)
-    if len(coeffs) < 2 or coeffs[-1] != base._one_raw:
-        raise UsageError("modulus must be monic of degree >= 1")
-    if base.is_finite:
-        if not _irreducible_over_prime(coeffs, base):
-            raise ReduciblePolynomial(
-                f"modulus {list(coeffs)} factors over GF({base.cardinality})")
-    else:
-        from .factor import q_irreducibility_status
-
-        status = q_irreducibility_status(Poly(base, coeffs))
-        if status == "reducible":
-            raise ReduciblePolynomial(f"modulus {list(coeffs)} factors over Q")
     field = Field("ext", modulus=coeffs, base=base)
     return field, field.generator(), field.embed_base
 
@@ -1491,11 +1489,8 @@ def parse_field_spec(spec: str) -> Field:
             raise UsageError(f"field spec {spec!r} needs d >= 1")
         if len(mod) != d + 1:
             raise UsageError(f"mod list must have degree d = {d}")
-        base = Field("prime", p=p)
-        modulus = tuple(c % p for c in mod)
-        if not _irreducible_over_prime(modulus, base):
-            raise ReduciblePolynomial(f"mod {list(mod)} is reducible over F_{p}")
-        return Field("ext", modulus=modulus, base=base)
+        base = Field("prime", p=p)  # refuses p = 0 before c % p divides by it
+        return Field("ext", modulus=tuple(c % p for c in mod), base=base)
     for prefix, kind in (("R", "real"), ("C", "complex")):
         if spec == prefix:
             return Field(kind, tolerance=1e-9)
@@ -1525,12 +1520,12 @@ def GF(q: int, modulus=None) -> Field:
                     modulus = tuple(c % p for c in modulus)
                     if len(modulus) != d + 1:
                         raise UsageError(f"GF({q}) needs a modulus of degree {d}")
-                    if not _irreducible_over_prime(modulus, base):
-                        raise ReduciblePolynomial(f"modulus {list(modulus)} factors over F_{p}")
                     return Field("ext", modulus=modulus, base=base)
                 for cand in _monic_polys(p, d):
-                    if _irreducible_over_prime(cand, base):
+                    try:
                         return Field("ext", modulus=cand, base=base)
+                    except ReduciblePolynomial:
+                        continue
     raise UsageError(f"{q} is not a prime power")
 
 

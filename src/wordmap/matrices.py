@@ -20,7 +20,6 @@ superdiagonal ones).  Nilpotent partitions are reported weakly increasing.
 
 from __future__ import annotations
 
-import random
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
@@ -38,6 +37,9 @@ from .errors import (
 )
 from .fields import Field, FieldElement
 from .polynomials import Poly, approx_roots
+
+# Newton steps ``_newton_refine_root`` takes at most.
+NEWTON_ITERATIONS = 40
 
 
 class Matrix:
@@ -605,15 +607,6 @@ def nilpotent_conjugator(N1: Matrix, N2: Matrix) -> Matrix:
     return S2 * S1.inverse()
 
 
-def _random_element(field: Field, rng: random.Random) -> FieldElement:
-    if field.kind == "prime":
-        return field.element(rng.randrange(field.p))
-    if field.kind == "ext" and field.is_finite:
-        return field.element(tuple(
-            _random_element(field.base, rng).rep for _ in range(field.degree)))
-    return field(rng.randrange(-9, 10))
-
-
 def eigenbasis(M: Matrix, eigenvalues) -> Matrix:
     """S with S^-1 M S = diag(eigenvalues); eigenvalues must be simple."""
     field = M.field
@@ -769,7 +762,7 @@ def _cyclic_basis(M: Matrix) -> Matrix:
     raise NotSimilar("matrix block has no cyclic vector")
 
 
-def _newton_refine_root(coeffs, z: complex, mult: int, iters: int = 40) -> complex:
+def _newton_refine_root(coeffs, z: complex, mult: int) -> complex:
     """Polish a root of multiplicity ``mult``: it is a simple root of the
     (mult-1)-th derivative, where Newton converges to machine precision."""
     der = [complex(c) for c in coeffs]
@@ -783,7 +776,7 @@ def _newton_refine_root(coeffs, z: complex, mult: int, iters: int = 40) -> compl
         return acc
 
     dder = [der[i] * i for i in range(1, len(der))]
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERATIONS):
         fz = ev(der, z)
         dz = ev(dder, z)
         if dz == 0:

@@ -12,6 +12,9 @@ from typing import Iterator, Sequence
 from .errors import DescriptorMismatch, UsageError, ZeroPolynomial
 from .fields import Field, FieldElement
 
+# Durand-Kerner sweeps ``approx_roots`` makes at most.
+APPROX_ROOT_ITERATIONS = 400
+
 
 class Poly:
     __slots__ = ("field", "coeffs")
@@ -230,7 +233,7 @@ class Poly:
         return Matrix._from_raw(field, acc)
 
 
-def approx_roots(p: Poly, iterations: int = 400) -> list:
+def approx_roots(p: Poly) -> list:
     """All complex roots of a real/complex-coefficient polynomial by the
     Durand-Kerner iteration.  Desk-scale degrees only."""
     if p.degree < 1:
@@ -248,7 +251,7 @@ def approx_roots(p: Poly, iterations: int = 400) -> list:
             acc = acc * z + c
         return acc
 
-    for _ in range(iterations):
+    for _ in range(APPROX_ROOT_ITERATIONS):
         moved = 0.0
         new = []
         for i, z in enumerate(roots):

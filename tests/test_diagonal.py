@@ -340,6 +340,29 @@ def test_solve_diagonal_word_f3_nilpotent_via_exhaustion():
     assert eval_word(word, w.matrices) == A
 
 
+@pytest.mark.parametrize("field,n,d2", [(F3, 5, 1), (F5, 6, 2)])
+def test_small_nilpotent_fallback_swaps_the_exponents(monkeypatch, field, n, d2):
+    """J_{0,n} with n < 2*k1 = 8: the small-nilpotent route and the scalar
+    pair at alpha = 0 find nothing, so the block is solved by the large-index
+    route with k1 and k2 swapped, conjugated back by the scaling of J_{0,n}
+    by beta = d2."""
+    import wordmap.diagonal as diagonal_mod
+
+    calls = []
+    scaling = diagonal_mod._nilpotent_scaling
+
+    def spy(L, size, c):
+        calls.append((size, c))
+        return scaling(L, size, c)
+
+    monkeypatch.setattr(diagonal_mod, "_nilpotent_scaling", spy)
+    word = DiagonalWord(((field(1), 4), (field(d2), 2)))
+    A = Matrix.jordan_block(field(0), n)
+    w = solve_diagonal_word(A, word)
+    assert calls == [(n, field(d2))]
+    assert eval_word(word, w.matrices) == A
+
+
 def test_solver_matches_exhaustive_image_oracle_f3():
     # dual route: on M_2(F_3) the solver and the brute-force image agree
     # exactly, so NotFound would be a proof of unreachability (none here)

@@ -501,22 +501,22 @@ def test_table_arithmetic_matches_schoolbook_on_seeded_pairs(field):
         assert (x ** -k).rep == ref_pow(field, inv, k)
 
 
-def test_reducible_modulus_keeps_closure_arithmetic():
-    R = Field("ext", modulus=(1, 0, 1), base=F2)  # t^2 + 1 = (t + 1)^2 over F_2
-    assert _log_tables(R) is None
-    raws = [x.rep for x in enumerate_elements(R)]
-    for a in raws:
-        for b in raws:
-            _check_ops(R, a, b)
-    t_plus_1 = R.generator() + R.one()
-    assert (t_plus_1 * t_plus_1).is_zero()
-    with pytest.raises(DivisionByZero):
-        t_plus_1.inverse()
-    assert R.generator().inverse() == R.generator()
-    S = Field("ext", modulus=(2, 0, 1), base=F3)  # t^2 + 2 = (t + 1)(t + 2)
-    assert _log_tables(S) is None
-    with pytest.raises(DivisionByZero):
-        (S.generator() + S.one()).inverse()
+# (base, modulus coefficients low degree first, a root of the modulus)
+REDUCIBLE_MODULI = [
+    (F2, [1, 0, 1], 1),                  # t^2 + 1 = (t + 1)^2
+    (F3, [2, 0, 1], 1),                  # t^2 + 2 = (t + 1)(t + 2)
+    (Field("prime", p=101), [-1, 0, 1], 1),  # q = 101^2, past the table bound
+    (GF(4), [1, 1, 1], [0, 1]),          # t^2 + t + 1 = (t + a)(t + a + 1), a^2 = a + 1
+    (Q, [-1, 0, 1], 1),                  # x^2 - 1 = (x - 1)(x + 1)
+]
+
+
+@pytest.mark.parametrize("base,coeffs,root", REDUCIBLE_MODULI, ids=lambda v: repr(v))
+def test_field_refuses_a_reducible_modulus(base, coeffs, root):
+    modulus = Poly(base, coeffs)
+    assert modulus(base(root)).is_zero()
+    with pytest.raises(ReduciblePolynomial):
+        Field("ext", modulus=tuple(c.rep for c in modulus.coeffs), base=base)
 
 
 def test_fields_past_the_bound_keep_closure_arithmetic():
