@@ -13,7 +13,7 @@ from .fields import Field, FieldElement, GF, parse_field_spec, kth_roots, \
 from .polynomials import Poly
 from .matrices import Matrix, Partition, charpoly, minpoly, \
     generalized_jordan_form, companion_lift, nilpotent_partition
-from .factor import factor, is_separable
+from .factor import factor
 from .words import CommutatorProduct, DiagonalWord, Witness, eval_word, parse_word
 from .commutators import factor_two_trace_zero, trace_zero_to_commutator, \
     solve_commutator_product

@@ -1,7 +1,9 @@
 """Quantitative layer: exact solution counts for diagonal equations over
 finite fields, the Lang-Weil style bound that controls them, the scalar
 threshold q > k1^4 * k2^4, and exhaustive image enumeration for word maps on
-small matrix spaces (the oracle the solvers are tested against).
+small matrix spaces (the oracle the solvers are tested against).  The
+enumeration walks ``matrices.MatrixSpace``, the one enumeration of M_n(F_q);
+its code order decides which matrices ``ImageSummary.missing`` lists.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Tuple
 
 from .errors import TooLarge, UsageError
 from .fields import Field, FieldElement, enumerate_elements
-from .matrices import Matrix
+from .matrices import Matrix, MatrixSpace
 from .words import CommutatorProduct, DiagonalWord
 
 DEFAULT_CAP = 2 * 10 ** 8
@@ -121,52 +123,54 @@ class ImageSummary:
         return self.size == self.total
 
 
-def _all_matrices(field: Field, n: int):
-    elems = list(enumerate_elements(field))
-    import itertools
-
-    for flat in itertools.product(elems, repeat=n * n):
-        yield Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
-
-
 def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> ImageSummary:
     """Exact image of the word map on M_n(F_q)^m by exhaustive enumeration.
 
-    Product words enumerate single-commutator values once and compose value
-    sets; diagonal words compose per-term value sets, so the tuple count
-    never materialises.
+    Values are ``MatrixSpace`` codes.  Product words enumerate
+    single-commutator values once and compose value sets; diagonal words
+    compose per-term value sets, so the tuple count never materialises.
+    ``missing`` lists the first ten non-values in the space's code order.
     """
     if not field.is_finite:
         raise UsageError("image enumeration needs a finite field")
-    q = field.cardinality
-    cells = q ** (n * n)
+    cells = MatrixSpace.cardinality(field, n)
     work = cells ** 2 if word.arity >= 2 else cells
     if work > cap:
         raise TooLarge(f"enumeration needs about {work} evaluations, over the cap {cap}")
+    space = MatrixSpace(field, n)
+    kern = field.kernel
+    code, rows_at = space.code, space.rows_at
     if isinstance(word, CommutatorProduct):
+        mats = list(space.rows())
         singles = set()
-        mats = list(_all_matrices(field, n))
         for X in mats:
             for Y in mats:
-                singles.add(X * Y - Y * X)
+                singles.add(code([kern.vsub(a, b) for a, b in
+                                  zip(kern.matmul(X, Y), kern.matmul(Y, X))]))
+        single_rows = [rows_at(c) for c in singles]
         image = singles
         for _ in range(word.m // 2 - 1):
-            image = {a * b for a in image for b in singles}
+            image = {code(kern.matmul(A, B))
+                     for A in map(rows_at, image) for B in single_rows}
     elif isinstance(word, DiagonalWord):
         image = None
         for delta, k in word.terms:
-            values = {(M ** k).scale(delta) for M in _all_matrices(field, n)}
+            d = delta.rep
+            values = {code([kern.vscale(row, d) for row in kern.matpow(M, k)])
+                      for M in space.rows()}
             if image is None:
                 image = values
             else:
-                image = {a + b for a in image for b in values}
+                value_rows = [rows_at(c) for c in values]
+                image = {code([kern.vadd(a, b) for a, b in zip(A, B)])
+                         for A in map(rows_at, image) for B in value_rows}
     else:
         raise UsageError(f"unknown word {word!r}")
     missing = []
     if len(image) != cells:
-        for M in _all_matrices(field, n):
-            if M not in image:
-                missing.append(M)
+        for c in range(cells):
+            if c not in image:
+                missing.append(space.matrix_at(c))
                 if len(missing) == 10:
                     break
     return ImageSummary(len(image), cells, tuple(missing))

@@ -19,7 +19,8 @@ Searches (scalar solutions, regular solutions) are deterministic and their
 exhaustion is reported as NotFound: over a small finite field that is a
 legitimate mathematical answer, not a failure.  When the whole witness
 space M_n(F_q)^2 is small enough to enumerate, a final hash-join search
-runs before NotFound is raised, making the negative an actual proof.
+over ``matrices.MatrixSpace`` runs before NotFound is raised, making the
+negative an actual proof; the space's code order decides its witness.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .fields import (
 )
 from .matrices import (
     Matrix,
+    MatrixSpace,
     Partition,
     charpoly,
     eigenbasis,
@@ -507,11 +509,8 @@ def _corner_candidates(field: Field) -> list:
     one = field.one()
     if not field.is_finite:
         return [one]
-    out = [one]
-    for e in enumerate_elements(field):
-        if e != one and len(out) < CORNER_CAP:
-            out.append(e)
-    return out
+    others = (e for e in enumerate_elements(field) if e != one)
+    return [one] + list(itertools.islice(others, CORNER_CAP - 1))
 
 
 def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
@@ -658,51 +657,32 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
 
 
 def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
-    """Hash-join over all of M_n(F_q)^2: X-powers are tabulated once and each
-    Y is checked by lookup, so the cost is ~2 q^{n^2} raw matrix powers.
-
-    A matrix is coded as its index in the enumeration order (its entries'
-    indices as base-q digits, row-major, first entry most significant), so
-    the table maps the code of X^{k1} to the first such X as plain ints, and
-    X and Y are rebuilt from their indices only for the answer."""
+    """Hash-join over all of M_n(F_q)^2 in ``MatrixSpace`` code order: the
+    code of each X^{k1} maps to the first such X, and Y is walked lazily
+    until A - beta*Y^{k2} is a tabulated power, so the first hit decides the
+    witness.  When k2 == k1 the Y powers are the tabulated ones, and only
+    the first Y of each power can be the first hit."""
     field = A.field
     if not field.is_finite:
         return None
     n = A.nrows
-    nn = n * n
-    if field.cardinality ** nn > EXHAUSTIVE_CAP:
+    if MatrixSpace.cardinality(field, n) > EXHAUSTIVE_CAP:
         return None
+    space = MatrixSpace(field, n)
     kern = field.kernel
-    elems = [x.rep for x in enumerate_elements(field)]
-    digit = {r: i for i, r in enumerate(elems)}
-    q = len(elems)
-
-    def code(rows):
-        c = 0
-        for row in rows:
-            for r in row:
-                c = c * q + digit[r]
-        return c
-
-    def matrix(flat):
-        return [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-
     by_power = {}
-    for idx, flat in enumerate(itertools.product(elems, repeat=nn)):
-        by_power.setdefault(code(kern.matpow(matrix(flat), k1)), idx)
+    for idx, X in enumerate(space.rows()):
+        by_power.setdefault(space.code(kern.matpow(X, k1)), idx)
+    if k2 == k1:
+        pairs = ((y, space.rows_at(c)) for c, y in by_power.items())
+    else:
+        pairs = ((y, kern.matpow(Y, k2)) for y, Y in enumerate(space.rows()))
     target, b = A._raw(), beta.rep
-    for flat in itertools.product(elems, repeat=nn):
-        Y = matrix(flat)
-        want = [kern.vsub(ra, kern.vscale(rp, b))
-                for ra, rp in zip(target, kern.matpow(Y, k2))]
-        idx = by_power.get(code(want))
-        if idx is not None:
-            digits = []
-            for _ in range(nn):
-                idx, d = divmod(idx, q)
-                digits.append(elems[d])
-            return (Matrix._from_raw(field, matrix(digits[::-1])),
-                    Matrix._from_raw(field, Y))
+    for y, power in pairs:
+        want = [kern.vsub(ra, kern.vscale(rp, b)) for ra, rp in zip(target, power)]
+        x = by_power.get(space.code(want))
+        if x is not None:
+            return space.matrix_at(x), space.matrix_at(y)
     return None
 
 

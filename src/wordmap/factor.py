@@ -72,21 +72,6 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     return fac
 
 
-def is_separable(f: Poly) -> bool:
-    """True iff every irreducible factor g has gcd(g, g') = 1.  All supported
-    exact fields are perfect, so this is always true there; the check is kept
-    explicit for the guard paths."""
-    if f.is_zero():
-        raise ZeroPolynomial("separability of the zero polynomial")
-    if f.field.kind in ("real", "complex"):
-        return True
-    for term in factor(f):
-        g = term.poly
-        if g.degree >= 1 and g.gcd(g.derivative()).degree != 0:
-            return False
-    return True
-
-
 def is_irreducible(f: Poly) -> bool:
     """The irreducibility predicate ``Field`` checks every extension modulus
     with: Rabin's test on the monic f over finite fields (towers included);

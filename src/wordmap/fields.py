@@ -1346,26 +1346,25 @@ def regular_solution_iter(field: Field, k: int, n: int, gamma: FieldElement,
     gamma = field(gamma)
     if n < 1:
         raise UsageError("n must be >= 1")
-    if field.is_finite:
-        yield from _regular_iter_finite(field, k, n, gamma, require_nonzero)
-        return
     if field.kind in ("real", "complex"):
         sol = _regular_construct_analytic(field, k, n, gamma, require_nonzero)
         if sol is not None:
             yield sol
         return
-    # Q: bounded small search; large-field existence guarantees do not cover Q
-    yield from _regular_iter_candidates(
-        field, k, n, gamma, require_nonzero,
-        [field(v) for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)])
-
-
-def _regular_iter_finite(field, k, n, gamma, require_nonzero):
-    yield from _regular_iter_candidates(
-        field, k, n, gamma, require_nonzero, list(enumerate_elements(field)))
+    if field.is_finite:
+        # walked lazily, once per level of the search, so a search over a
+        # large field stops at its first solution
+        candidates = lambda: enumerate_elements(field)
+    else:
+        # Q: bounded small search; large-field existence guarantees do not cover Q
+        small = [field(v) for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
+        candidates = lambda: small
+    yield from _regular_iter_candidates(field, k, n, gamma, require_nonzero, candidates)
 
 
 def _regular_iter_candidates(field, k, n, gamma, require_nonzero, candidates):
+    """Regular solutions with the first n - 1 coordinates drawn from
+    ``candidates()`` in its order and the last one from a k-th root."""
     def close(total, used):
         """Pick the last coordinate by a k-th root."""
         want = gamma - total
@@ -1387,7 +1386,7 @@ def _regular_iter_candidates(field, k, n, gamma, require_nonzero, candidates):
             if last is not None:
                 yield tuple(prefix) + (last,)
             return
-        for cand in candidates:
+        for cand in candidates():
             if require_nonzero and cand.is_zero():
                 continue
             p = cand ** k

@@ -2,7 +2,9 @@
 need: Berkowitz characteristic polynomials, Krylov minimal polynomials,
 nullspaces, nilpotent Jordan structure, the generalized Jordan form with
 companion blocks, and the companion-lift homomorphism that carries
-extension-field witnesses back to the base field.
+extension-field witnesses back to the base field.  ``MatrixSpace`` is the
+one enumeration of M_n(F_q): its order decides ``ImageSummary.missing`` and
+the witness of the exhaustive diagonal-word search.
 
 Verification rule: a result is checked where a public entry point returns
 it (``generalized_jordan_form``), where a failed check selects another
@@ -20,6 +22,7 @@ superdiagonal ones).  Nilpotent partitions are reported weakly increasing.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
@@ -27,7 +30,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .errors import (
     DescriptorMismatch,
     FactorizationUnavailable,
-    InseparableCharPoly,
     NonSquare,
     NotNilpotent,
     NotSimilar,
@@ -35,7 +37,7 @@ from .errors import (
     UsageError,
     VerificationFailed,
 )
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, enumerate_elements
 from .polynomials import Poly, approx_roots
 
 # Newton steps ``_newton_refine_root`` takes at most.
@@ -363,6 +365,54 @@ def _require_square(A: Matrix):
         raise NonSquare(f"{A.nrows}x{A.ncols} matrix where square is required")
 
 
+class MatrixSpace:
+    """M_n(F_q) in its one enumeration order, for the brute-force searches.
+
+    A matrix's code is its index in that order: its entries' indices in
+    ``enumerate_elements`` order read as base-q digits, row-major, the first
+    entry most significant.  Rows are raw reps, ready for the kernel; the
+    element tables cost O(q), so callers check ``cardinality`` against their
+    size bounds first."""
+
+    @staticmethod
+    def cardinality(field: Field, n: int) -> int:
+        """q^(n^2), without building the space; refuses n < 1."""
+        if not isinstance(n, int) or n < 1:
+            raise UsageError(f"matrix size must be a positive int, got {n!r}")
+        return field.cardinality ** (n * n)
+
+    def __init__(self, field: Field, n: int):
+        MatrixSpace.cardinality(field, n)
+        self.field = field
+        self.n = n
+        self._reps = [x.rep for x in enumerate_elements(field)]
+        self._digit = {r: i for i, r in enumerate(self._reps)}
+
+    def rows(self):
+        """Every matrix as fresh row lists, in code order."""
+        n = self.n
+        for flat in itertools.product(self._reps, repeat=n * n):
+            yield [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+
+    def code(self, rows) -> int:
+        digit, q, c = self._digit, len(self._reps), 0
+        for row in rows:
+            for r in row:
+                c = c * q + digit[r]
+        return c
+
+    def rows_at(self, code: int) -> list:
+        n, q, reps = self.n, len(self._reps), self._reps
+        flat = [None] * (n * n)
+        for t in range(n * n - 1, -1, -1):
+            code, d = divmod(code, q)
+            flat[t] = reps[d]
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+    def matrix_at(self, code: int) -> Matrix:
+        return Matrix._from_raw(self.field, self.rows_at(code))
+
+
 class _Echelon:
     """Incremental echelon structure for span-membership tests."""
 
@@ -661,9 +711,6 @@ def generalized_jordan_form(A: Matrix, seed: int = 0) -> GeneralizedJordanForm:
         chi = charpoly(A)
         fac = factor(chi, seed)
         pairs = [(t.poly, t.multiplicity, t.certified) for t in fac.factors]
-        for p, _, _ in pairs:
-            if p.degree >= 1 and p.gcd(p.derivative()).degree != 0:
-                raise InseparableCharPoly(f"inseparable factor {p!r}")
         block_data = _jordan_block_data(A, pairs)
     else:
         # numeric root clusters are validated by the chain structure; widen
@@ -715,50 +762,27 @@ def generalized_jordan_form(A: Matrix, seed: int = 0) -> GeneralizedJordanForm:
 
 
 def _cyclic_basis(M: Matrix) -> Matrix:
-    """Krylov basis from a cyclic vector of M (M must be non-derogatory)."""
+    """Krylov basis from a cyclic vector of M (M must be non-derogatory).
+    Candidates, in order: the standard basis vectors, then sums of two of
+    them, then the sums of the first 3, 4, ..., n."""
     field = M.field
     n = M.nrows
-    ident = Matrix.identity(field, n)
-    for i in range(n):
-        v = ident.col(i)
-        cols = [v]
-        ech = _Echelon(field)
-        ech.insert(v)
-        ok = True
-        cur = v
-        for _ in range(n - 1):
-            cur = M.apply(cur)
-            if not ech.insert(cur):
-                ok = False
-                break
-            cols.append(cur)
-        if ok:
-            return Matrix.from_cols(field, cols)
-    # combinations of standard basis vectors as a fallback
-    def krylov(v):
-        cols = [v]
-        ech = _Echelon(field)
-        ech.insert(v)
-        cur = v
-        for _ in range(n - 1):
-            cur = M.apply(cur)
-            if not ech.insert(cur):
-                return None
-            cols.append(cur)
-        return Matrix.from_cols(field, cols)
-
     one, zero = field.one(), field.zero()
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = tuple(one if t in (i, j) else zero for t in range(n))
-            got = krylov(v)
-            if got is not None:
-                return got
-    for count in range(3, n + 1):
-        v = tuple(one if t < count else zero for t in range(n))
-        got = krylov(v)
-        if got is not None:
-            return got
+    supports = itertools.chain(((i,) for i in range(n)),
+                               itertools.combinations(range(n), 2),
+                               (range(count) for count in range(3, n + 1)))
+    for support in supports:
+        v = tuple(one if t in support else zero for t in range(n))
+        cols = [v]
+        ech = _Echelon(field)
+        ech.insert(v)
+        for _ in range(n - 1):
+            v = M.apply(v)
+            if not ech.insert(v):
+                break
+            cols.append(v)
+        else:
+            return Matrix.from_cols(field, cols)
     raise NotSimilar("matrix block has no cyclic vector")
 
 

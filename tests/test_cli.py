@@ -164,6 +164,15 @@ def test_enumerate_image_cap_exit(capsys):
     assert code == 1  # cap violations are usage-level, not math negatives
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_enumerate_image_needs_a_positive_size(capsys, n):
+    code, out, err = run(capsys, "enumerate-image", "--field", "Fp:2",
+                         "--word", "comm:m=2", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_count_extension_field(capsys):
     code, out, _ = run(
         capsys, "count", "--field", "Fq:p=2,d=2,mod=[1,1,1]",

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from wordmap.counting import (
@@ -8,9 +10,9 @@ from wordmap.counting import (
     threshold,
 )
 from wordmap.errors import TooLarge, UsageError
-from wordmap.fields import Field
+from wordmap.fields import Field, parse_field_spec
 from wordmap.matrices import Matrix
-from wordmap.words import CommutatorProduct, DiagonalWord
+from wordmap.words import CommutatorProduct, DiagonalWord, parse_word
 
 from oracles import all_matrices, brute_solution_count
 
@@ -99,6 +101,78 @@ def test_image_monotone_under_zero_padding():
 def test_image_cap_guard():
     with pytest.raises(TooLarge):
         image_enumerate(CommutatorProduct(2), 3, F7, cap=10 ** 4)
+
+
+@pytest.mark.parametrize("n", [0, -2, -5, 1.5, "2"])
+def test_image_needs_a_positive_int_size(n):
+    with pytest.raises(UsageError):
+        image_enumerate(CommutatorProduct(2), n, F2)
+
+
+F4_SPEC = "Fq:p=2,d=2,mod=[1,1,1]"
+# SHA-256 of repr(()): the image is everything
+NOTHING_MISSING = "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"
+
+# (field, word, n, image size, total, SHA-256 of repr(missing)), recorded
+# when the image was enumerated over Matrix objects; ``missing`` is the first
+# ten non-values in enumeration order, so the digest pins that order too
+IMAGE_GOLDEN = [
+    ("Fp:2", "comm:m=2", 2, 8, 16, "f672b1545423add746512781caf51345158120461ac7565044a845e62766c253"),
+    ("Fp:2", "comm:m=4", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=1", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=2", 2, 10, 16, "02da609a315d1538b63ba42384047caf5de03a17c6634f5f5ccc8c8b7c5f554f"),
+    ("Fp:2", "diag:d=1,k=3", 2, 11, 16, "4639475895f84fdf6f6c8265e48b534392517114ec4262d91599788b521ac800"),
+    ("Fp:2", "diag:d=1,k=1;d=1,k=3", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=2;d=1,k=2", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=2;d=1,k=3", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=3;d=1,k=2", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=3;d=1,k=3", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=2;d=1,k=2;d=1,k=3", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=3;d=1,k=3;d=1,k=3", 2, 16, 16, NOTHING_MISSING),
+    ("Fp:3", "comm:m=2", 2, 27, 81, "4e0ae782f5b7553e18a17828bb6787420e79e40bd3adecae6217eba11f3163b7"),
+    ("Fp:3", "comm:m=4", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=2,k=1", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=2,k=2", 2, 29, 81, "928f8b62d75f39d4117b61e90911f0aa71b29f0f8b559474f64c1308f0580b3f"),
+    ("Fp:3", "diag:d=2,k=3", 2, 57, 81, "255247a761051c04c0ceee0f006f6c0d6f6a8aa953caa4b93592ebaeda17bc2d"),
+    ("Fp:3", "diag:d=1,k=1;d=2,k=3", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=1,k=2;d=2,k=2", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=1,k=2;d=2,k=3", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=1,k=3;d=2,k=2", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=1,k=3;d=2,k=3", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=1,k=2;d=2,k=2;d=1,k=3", 2, 81, 81, NOTHING_MISSING),
+    ("Fp:3", "diag:d=2,k=3;d=1,k=3;d=1,k=3", 2, 81, 81, NOTHING_MISSING),
+    (F4_SPEC, "comm:m=2", 2, 64, 256, "4ae0f7a162cd137fdad6c9b1ca78c50e3efe250ee54efb1776b50fba2d1c3ffb"),
+    (F4_SPEC, "diag:d=[1|1],k=1", 2, 256, 256, NOTHING_MISSING),
+    (F4_SPEC, "diag:d=[1|1],k=2", 2, 196, 256, "ba9ba447ece1645db32fe4497b4c3eea297d6745052405d2338b28de9bfe06b6"),
+    (F4_SPEC, "diag:d=[1|1],k=3", 2, 61, 256, "f62dbe3f51d178eb6788faa8fac952541742351e8724343838bff49108deb4a5"),
+    (F4_SPEC, "diag:d=1,k=1;d=[1|1],k=3", 2, 256, 256, NOTHING_MISSING),
+    (F4_SPEC, "diag:d=1,k=2;d=[1|1],k=2", 2, 256, 256, NOTHING_MISSING),
+    (F4_SPEC, "diag:d=1,k=3;d=[1|1],k=3", 2, 256, 256, NOTHING_MISSING),
+    (F4_SPEC, "diag:d=1,k=2;d=[1|1],k=2;d=1,k=3", 2, 256, 256, NOTHING_MISSING),
+    (F4_SPEC, "diag:d=[1|1],k=3;d=1,k=3;d=1,k=3", 2, 256, 256, NOTHING_MISSING),
+    ("Fp:5", "diag:d=4,k=1", 2, 625, 625, NOTHING_MISSING),
+    ("Fp:5", "diag:d=4,k=2", 2, 223, 625, "f004dc4d6f24ceeee2d4aa62eb17196572b7e8afd1b182a155d7444d0e42d94f"),
+    ("Fp:5", "diag:d=4,k=3", 2, 441, 625, "d5087eeb7c217a47aaccc0ba0b0ff63d28b70e59f243bc3fd94e38649e9faced"),
+    ("Fp:5", "diag:d=1,k=2;d=4,k=2", 2, 625, 625, NOTHING_MISSING),
+    ("Fp:5", "diag:d=1,k=2;d=4,k=3", 2, 625, 625, NOTHING_MISSING),
+    ("Fp:5", "diag:d=1,k=3;d=4,k=3", 2, 625, 625, NOTHING_MISSING),
+    ("Fp:5", "diag:d=1,k=2;d=4,k=2;d=1,k=3", 2, 625, 625, NOTHING_MISSING),
+    ("Fp:2", "comm:m=2", 3, 256, 512, "3626598e493a1aa913ebcca112360a65cab8352070c2b3708cbd20da4ee88e5a"),
+    ("Fp:2", "diag:d=1,k=1", 3, 512, 512, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=2", 3, 260, 512, "585083191ad7b13abd840746c941f1c77251eef83e81e685b28f1b6ca5ee19cc"),
+    ("Fp:2", "diag:d=1,k=3", 3, 253, 512, "253d1f28f4044184cca12978d19901c8a863d70246400c94b61f6bb2b91bfc95"),
+    ("Fp:2", "diag:d=1,k=2;d=1,k=2", 3, 512, 512, NOTHING_MISSING),
+    ("Fp:2", "diag:d=1,k=3;d=1,k=3", 3, 512, 512, NOTHING_MISSING),
+]
+
+
+@pytest.mark.parametrize("spec,wspec,n,size,total,digest", IMAGE_GOLDEN,
+                         ids=[f"{s}-{w}-n={n}" for s, w, n, *_ in IMAGE_GOLDEN])
+def test_image_enumerate_is_pinned(spec, wspec, n, size, total, digest):
+    field = parse_field_spec(spec)
+    summary = image_enumerate(parse_word(wspec, field), n, field)
+    assert (summary.size, summary.total) == (size, total)
+    assert hashlib.sha256(repr(summary.missing).encode()).hexdigest() == digest
 
 
 def test_csv_row_quotes_tower_elements():

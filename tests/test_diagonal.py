@@ -1,7 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import wordmap
 
 from wordmap.diagonal import (
     bordered_matrix,
@@ -514,6 +519,32 @@ def test_cube_roots_beyond_scan_bound(d2):
     word = DiagonalWord(((F101.one(), 3), (F101(d2), 3)))
     w = solve_diagonal_word(A, word)
     assert eval_word(word, w.matrices) == A
+
+
+def test_nilpotent_blocks_beyond_scan_bound_stop_at_their_first_candidates():
+    """J_{0,2} and J_{0,3} over F_{101^4} take the small-nilpotent route,
+    whose corner values and regular solutions are searched in enumeration
+    order.  Both searches once listed all 10^8 elements first and hung; a
+    subprocess with a timeout keeps a regression from hanging the suite."""
+    code = (
+        "from wordmap.diagonal import solve_diagonal_word\n"
+        "from wordmap.fields import GF\n"
+        "from wordmap.matrices import Matrix\n"
+        "from wordmap.words import DiagonalWord, eval_word\n"
+        "L = GF(101 ** 4)\n"
+        "for size in (2, 3):\n"
+        "    A = Matrix.jordan_block(L.zero(), size)\n"
+        "    for k1, k2 in ((2, 2), (3, 2)):\n"
+        "        word = DiagonalWord(((L.one(), k1), (L.one(), k2)))\n"
+        "        assert eval_word(word, solve_diagonal_word(A, word).matrices) == A\n"
+        "print('ok')\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordmap.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_defective_blocks_over_r_and_c():

@@ -12,7 +12,6 @@ from wordmap.factor import (
     _rational_roots,
     factor,
     is_irreducible,
-    is_separable,
 )
 from wordmap.fields import Field, GF, enumerate_elements, extend
 from wordmap.polynomials import Poly
@@ -126,25 +125,6 @@ def test_factor_errors():
         factor(Poly.zero(F2))
     with pytest.raises(UnsupportedField):
         factor(Poly(Field("real", tolerance=1e-9), [1.0, 1.0]))
-
-
-def test_separable_examples():
-    assert is_separable(Poly(Q, [1, -2, 1]))  # (T-1)^2: factor itself separable
-    assert is_separable(Poly(F2, [0, 1, 0, 1]))  # T^3+T over F2
-    with pytest.raises(ZeroPolynomial):
-        is_separable(Poly.zero(F3))
-
-
-def test_separable_always_true_over_perfect_fields():
-    rng = random.Random(3)
-    for field in (F2, F3, F5, Q):
-        for _ in range(25):
-            deg = rng.randrange(1, 7)
-            if field.kind == "rationals":
-                coeffs = [rng.randrange(-4, 5) for _ in range(deg)] + [1]
-            else:
-                coeffs = [rng.randrange(field.p) for _ in range(deg)] + [1]
-            assert is_separable(Poly(field, coeffs))
 
 
 def test_factor_deterministic_given_seed():

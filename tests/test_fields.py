@@ -220,14 +220,33 @@ def _tower(base, d):
             return extend(base, m)[0]
 
 
+# Test cases name their fields by repr and build them inside the test, so a
+# fault in field construction fails that test rather than the module's
+# collection: a tower (base q, degree) from ``_tower``, or a field spec (each
+# one GF(q)'s own choice of modulus).
+TOWERS = {"Ftower:card=16": (4, 2), "Ftower:card=64": (4, 3),
+          "Ftower:card=81": (9, 2), "Ftower:card=729": (9, 3)}
+
+
+def _field(name):
+    if name in TOWERS:
+        q, d = TOWERS[name]
+        return _tower(GF(q), d)
+    return parse_field_spec(name)
+
+
 # (field, stride): every stride-th element and its k-th power is a target
-ROOT_FIELDS = [(GF(q), 1) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 101)] + [
-    (_tower(GF(4), 2), 1), (_tower(GF(4), 3), 7), (_tower(GF(9), 2), 7)]
+ROOT_FIELDS = [(name, 1) for name in (
+    "Fp:2", "Fp:3", "Fq:p=2,d=2,mod=[1,1,1]", "Fp:5", "Fp:7", "Fq:p=2,d=3,mod=[1,0,1,1]",
+    "Fq:p=3,d=2,mod=[1,0,1]", "Fp:11", "Fp:13", "Fq:p=2,d=4,mod=[1,0,0,1,1]",
+    "Fq:p=5,d=2,mod=[1,1,1]", "Fq:p=3,d=3,mod=[1,0,2,1]", "Fq:p=7,d=2,mod=[1,0,1]",
+    "Fp:101", "Ftower:card=16")] + [("Ftower:card=64", 7), ("Ftower:card=81", 7)]
 
 
-@pytest.mark.parametrize("field,stride", ROOT_FIELDS, ids=lambda v: repr(v))
-def test_kth_roots_match_enumeration(field, stride):
+@pytest.mark.parametrize("name,stride", ROOT_FIELDS)
+def test_kth_roots_match_enumeration(name, stride):
     # the roots, order included, are those a scan in enumeration order finds
+    field = _field(name)
     elems = list(enumerate_elements(field))[::stride]
     for k in range(1, 7):
         targets = {y.rep: y for x in elems for y in (x, x ** k)}
@@ -446,9 +465,13 @@ def test_extension_tower_over_f4():
 # log-table arithmetic of finite extensions with q <= ELEMENT_TABLE_BOUND
 # ----------------------------------------------------------------------
 
-EXHAUSTIVE_TABLE_FIELDS = [GF(q) for q in (4, 8, 9, 25, 27, 49, 64)] + [
-    _tower(GF(4), 2), _tower(GF(9), 2)]
-SAMPLED_TABLE_FIELDS = [_tower(GF(9), 3), GF(2187), GF(3721), GF(4096)]
+EXHAUSTIVE_TABLE_FIELDS = [
+    "Fq:p=2,d=2,mod=[1,1,1]", "Fq:p=2,d=3,mod=[1,0,1,1]", "Fq:p=3,d=2,mod=[1,0,1]",
+    "Fq:p=5,d=2,mod=[1,1,1]", "Fq:p=3,d=3,mod=[1,0,2,1]", "Fq:p=7,d=2,mod=[1,0,1]",
+    "Fq:p=2,d=6,mod=[1,0,0,0,0,1,1]", "Ftower:card=16", "Ftower:card=81"]
+SAMPLED_TABLE_FIELDS = ["Ftower:card=729", "Fq:p=3,d=7,mod=[1,0,0,0,0,1,2,1]",
+                        "Fq:p=61,d=2,mod=[1,5,1]",
+                        "Fq:p=2,d=12,mod=[1,0,0,0,0,0,0,0,0,1,0,0,1]"]
 POWERS = (0, 1, 2, 3, 5, 7)
 
 
@@ -460,8 +483,9 @@ def _check_ops(field, a, b):
     assert (x * y).rep == ref_mul(field, a, b)
 
 
-@pytest.mark.parametrize("field", EXHAUSTIVE_TABLE_FIELDS, ids=repr)
-def test_table_arithmetic_matches_schoolbook_on_every_pair(field):
+@pytest.mark.parametrize("name", EXHAUSTIVE_TABLE_FIELDS)
+def test_table_arithmetic_matches_schoolbook_on_every_pair(name):
+    field = _field(name)
     assert field.cardinality <= ELEMENT_TABLE_BOUND and _log_tables(field) is not None
     raws = [x.rep for x in enumerate_elements(field)]
     for a in raws:
@@ -481,8 +505,9 @@ def test_table_arithmetic_matches_schoolbook_on_every_pair(field):
         field._rinv(field._zero_raw)  # the raw op the kernels call
 
 
-@pytest.mark.parametrize("field", SAMPLED_TABLE_FIELDS, ids=repr)
-def test_table_arithmetic_matches_schoolbook_on_seeded_pairs(field):
+@pytest.mark.parametrize("name", SAMPLED_TABLE_FIELDS)
+def test_table_arithmetic_matches_schoolbook_on_seeded_pairs(name):
+    field = _field(name)
     assert field.cardinality <= ELEMENT_TABLE_BOUND and _log_tables(field) is not None
     raws = [x.rep for x in enumerate_elements(field)]
     rng = random.Random(field.cardinality)
@@ -503,16 +528,17 @@ def test_table_arithmetic_matches_schoolbook_on_seeded_pairs(field):
 
 # (base, modulus coefficients low degree first, a root of the modulus)
 REDUCIBLE_MODULI = [
-    (F2, [1, 0, 1], 1),                  # t^2 + 1 = (t + 1)^2
-    (F3, [2, 0, 1], 1),                  # t^2 + 2 = (t + 1)(t + 2)
-    (Field("prime", p=101), [-1, 0, 1], 1),  # q = 101^2, past the table bound
-    (GF(4), [1, 1, 1], [0, 1]),          # t^2 + t + 1 = (t + a)(t + a + 1), a^2 = a + 1
-    (Q, [-1, 0, 1], 1),                  # x^2 - 1 = (x - 1)(x + 1)
+    ("Fp:2", [1, 0, 1], 1),                    # t^2 + 1 = (t + 1)^2
+    ("Fp:3", [2, 0, 1], 1),                    # t^2 + 2 = (t + 1)(t + 2)
+    ("Fp:101", [-1, 0, 1], 1),                 # q = 101^2, past the table bound
+    ("Fq:p=2,d=2,mod=[1,1,1]", [1, 1, 1], [0, 1]),  # (t + a)(t + a + 1), a^2 = a + 1
+    ("Q", [-1, 0, 1], 1),                      # x^2 - 1 = (x - 1)(x + 1)
 ]
 
 
-@pytest.mark.parametrize("base,coeffs,root", REDUCIBLE_MODULI, ids=lambda v: repr(v))
-def test_field_refuses_a_reducible_modulus(base, coeffs, root):
+@pytest.mark.parametrize("name,coeffs,root", REDUCIBLE_MODULI, ids=lambda v: str(v))
+def test_field_refuses_a_reducible_modulus(name, coeffs, root):
+    base = _field(name)
     modulus = Poly(base, coeffs)
     assert modulus(base(root)).is_zero()
     with pytest.raises(ReduciblePolynomial):

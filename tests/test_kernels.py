@@ -406,7 +406,7 @@ def _object_hash_join(A, k1, beta, k2):
     return None
 
 
-@pytest.mark.parametrize("spec,k1,k2", [("Fp:2", 2, 2), ("Fp:3", 2, 2),
+@pytest.mark.parametrize("spec,k1,k2", [("Fp:2", 2, 2), ("Fp:2", 3, 3), ("Fp:3", 2, 2),
                                         ("Fp:3", 2, 3), (F4_SPEC, 3, 2)])
 def test_exhaustive_two_term_matches_object_search(spec, k1, k2):
     field = FIELDS[spec]

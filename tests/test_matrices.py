@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 import wordmap.matrices as matrices_mod
 from wordmap.errors import (
     FactorizationUnavailable,
-    InseparableCharPoly,
     NotNilpotent,
     UsageError,
     VerificationFailed,
 )
 from wordmap.factor import is_irreducible
-from wordmap.fields import Field, GF, enumerate_elements, extend
+from wordmap.fields import Field, GF, enumerate_elements, extend, parse_field_spec
 from wordmap.matrices import (
     Matrix,
+    MatrixSpace,
     Partition,
     charpoly,
     companion_lift,
@@ -28,7 +28,7 @@ from wordmap.matrices import (
 )
 from wordmap.polynomials import Poly
 
-from oracles import charpoly_cofactor, random_invertible, random_matrix
+from oracles import all_matrices, charpoly_cofactor, random_invertible, random_matrix
 
 F2 = Field("prime", p=2)
 F5 = Field("prime", p=5)
@@ -171,9 +171,8 @@ def test_realization_is_a_fixed_point_of_the_jordan_form(A, seed):
     a second Jordan form."""
     try:
         jf = generalized_jordan_form(A, seed)
-    except (FactorizationUnavailable, InseparableCharPoly):
-        # over Q an uncertified factor can split, or be left a product with
-        # repeated factors (the sextic (x^2+1)(x^2+x+1)^2): no form to reuse
+    except FactorizationUnavailable:
+        # over Q an uncertified factor can split: no form to reuse
         return
     again = generalized_jordan_form(jf.realization, seed)
     assert again.blocks == jf.blocks
@@ -369,3 +368,29 @@ def test_jordan_form_approx_computes_one_spectrum(monkeypatch, target, exhausts)
         gj = generalized_jordan_form(target)
         assert (gj.conjugator * target * gj.conjugator.inverse()).allclose(gj.realization)
     assert calls == {"charpoly": 1, "approx_roots": 1}
+
+
+# ----------------------------------------------------------------------
+# the enumeration of M_n(F_q)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec,n", [("Fp:2", 1), ("Fp:2", 2), ("Fp:3", 2),
+                                    ("Fq:p=2,d=2,mod=[1,1,1]", 2), ("Fp:2", 3)])
+def test_matrix_space_order_and_round_trip(spec, n):
+    field = parse_field_spec(spec)
+    space = MatrixSpace(field, n)
+    expected = list(all_matrices(field, n))
+    assert len(list(space.rows())) == len(expected) == MatrixSpace.cardinality(field, n)
+    for code, (rows, M) in enumerate(zip(space.rows(), expected)):
+        assert Matrix._from_raw(field, rows) == M
+        assert space.code(rows) == code
+        assert space.rows_at(code) == rows
+        assert space.matrix_at(code) == M
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.5, "2"])
+def test_matrix_space_needs_a_positive_int_size(n):
+    with pytest.raises(UsageError):
+        MatrixSpace(F2, n)
+    with pytest.raises(UsageError):
+        MatrixSpace.cardinality(F2, n)
