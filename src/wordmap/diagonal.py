@@ -660,8 +660,7 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     """Hash-join over all of M_n(F_q)^2 in ``MatrixSpace`` code order: the
     code of each X^{k1} maps to the first such X, and Y is walked lazily
     until A - beta*Y^{k2} is a tabulated power, so the first hit decides the
-    witness.  When k2 == k1 the Y powers are the tabulated ones, and only
-    the first Y of each power can be the first hit."""
+    witness."""
     field = A.field
     if not field.is_finite:
         return None
@@ -673,13 +672,10 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     by_power = {}
     for idx, X in enumerate(space.rows()):
         by_power.setdefault(space.code(kern.matpow(X, k1)), idx)
-    if k2 == k1:
-        pairs = ((y, space.rows_at(c)) for c, y in by_power.items())
-    else:
-        pairs = ((y, kern.matpow(Y, k2)) for y, Y in enumerate(space.rows()))
     target, b = A._raw(), beta.rep
-    for y, power in pairs:
-        want = [kern.vsub(ra, kern.vscale(rp, b)) for ra, rp in zip(target, power)]
+    for y, Y in enumerate(space.rows()):
+        want = [kern.vsub(ra, kern.vscale(rp, b))
+                for ra, rp in zip(target, kern.matpow(Y, k2))]
         x = by_power.get(space.code(want))
         if x is not None:
             return space.matrix_at(x), space.matrix_at(y)

@@ -1352,9 +1352,19 @@ def regular_solution_iter(field: Field, k: int, n: int, gamma: FieldElement,
             yield sol
         return
     if field.is_finite:
-        # walked lazily, once per level of the search, so a search over a
-        # large field stops at its first solution
-        candidates = lambda: enumerate_elements(field)
+        # every level walks one shared list, built from a single pass over
+        # the field only as far as some level has read, so each element is
+        # made once and a search over a large field stops at its first hit
+        seen, fresh = [], enumerate_elements(field)
+
+        def candidates():
+            for i in itertools.count():
+                if i == len(seen):
+                    nxt = next(fresh, None)
+                    if nxt is None:
+                        return
+                    seen.append(nxt)
+                yield seen[i]
     else:
         # Q: bounded small search; large-field existence guarantees do not cover Q
         small = [field(v) for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
