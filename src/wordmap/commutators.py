@@ -30,7 +30,7 @@ from .errors import (
     VerificationFailed,
     WitnessNotFound,
 )
-from .fields import Field, FieldElement, enumerate_elements, random_element
+from .fields import Field, FieldElement, enumerate_elements, extend, random_element
 from .matrices import (
     Matrix,
     _cyclic_basis,
@@ -386,6 +386,21 @@ def _quadratic_roots(chi: Poly, seed: int) -> list:
 def _factorization_tasks(A: Matrix, seed: int, blocks=None):
     """Cover the Jordan blocks of A by factorizable groups.
 
+    Factors are taken in ``sort_key`` order and blocks in Jordan-form order.
+    The cover rules, in task order:
+
+    1. A lone scalar block (the only 1x1 block of a linear factor) goes with
+       the first larger linear-factor block to Jordan-plus-scalar, or else
+       with the first block of the first extension factor to the companion
+       merge: one companion of the coprime product.
+    2. Each other linear-factor block of size >= 2 is its own Jordan task.
+    3. The remaining scalars form one diagonal.
+    4. Per extension factor p, a lone 1x1 block is the companion of p over
+       K.  Otherwise the tasks are Jordan-plus-scalar (when p has exactly
+       one 1x1 block and a larger one), Jordan (each other block of size
+       >= 2) and diagonal (the 1x1 blocks left) over K(alpha), built once
+       per factor, each lifted back to K through the companion map.
+
     Returns (pairs, G): one TraceZeroPair over K per task, whose target is
     the direct sum of the task's blocks after the global reordering; G
     conjugates A onto the concatenated task targets.  ``blocks`` are as in
@@ -401,118 +416,58 @@ def _factorization_tasks(A: Matrix, seed: int, blocks=None):
     for idx, spec in enumerate(blocks):
         by_factor.setdefault(spec.poly, []).append(idx)
 
-    deg1_bigs, deg1_scalars = [], []
-    ext_factors = []
+    bigs, scalars, ext_factors = [], [], []
     for p in sorted(by_factor, key=lambda q: q.sort_key()):
         idxs = by_factor[p]
         if p.degree == 1:
             for i in idxs:
-                (deg1_bigs if blocks[i].size >= 2 else deg1_scalars).append(i)
+                (bigs if blocks[i].size >= 2 else scalars).append(i)
         else:
-            ext_factors.append((p, list(idxs)))
+            ext_factors.append((p, idxs))
 
-    plans = []  # ("jordan", i) etc, resolved below
-    leftover = None
-    if len(deg1_scalars) == 1:
-        leftover = deg1_scalars[0]
-        deg1_scalars = []
-    if leftover is not None and deg1_bigs:
-        plans.append(("jordan_plus", deg1_bigs[0], leftover))
-        deg1_bigs = deg1_bigs[1:]
-        leftover = None
-    if leftover is not None:
-        # coprime merge with the first extension block (always exists: n >= 3)
-        if not ext_factors:
-            raise Unsupported("isolated scalar block with no partner (n >= 2 expected)")
-        p, idxs = ext_factors[0]
-        plans.append(("companion_merge", leftover, idxs.pop(0)))
-        if not idxs:
-            ext_factors.pop(0)
-        leftover = None
-    for i in deg1_bigs:
-        plans.append(("jordan", i))
-    if deg1_scalars:
-        plans.append(("diag", tuple(deg1_scalars)))
-    for p, idxs in ext_factors:
-        bigs = [i for i in idxs if blocks[i].size >= 2]
-        scas = [i for i in idxs if blocks[i].size == 1]
-        if not bigs and len(scas) == 1:
-            plans.append(("ext_companion", scas[0]))
-            continue
-        if len(scas) == 1 and bigs:
-            plans.append(("ext_jordan_plus", bigs[0], scas[0]))
-            bigs, scas = bigs[1:], []
-        for i in bigs:
-            plans.append(("ext_jordan", i))
-        if scas:
-            plans.append(("ext_diag", tuple(scas)))
-
-    covered = []
-    task_pairs = []
-    fixups = []  # per-task conjugator R with R (+)blocks R^-1 = pair.target
-    for item in plans:
-        kind = item[0]
-        if kind == "jordan":
-            i = item[1]
-            pair = jordan_block_trace_zero(blocks[i].alpha, blocks[i].size)
-            idxs = [i]
-            R = None
-        elif kind == "jordan_plus":
-            i, j = item[1], item[2]
-            pair = jordan_plus_scalar_trace_zero(
-                blocks[i].alpha, blocks[i].size, blocks[j].alpha)
-            idxs = [i, j]
-            R = None
-        elif kind == "diag":
-            idxs = list(item[1])
-            pair = diagonal_trace_zero([blocks[i].alpha for i in idxs])
-            R = None
-        elif kind == "companion_merge":
-            i, j = item[1], item[2]
-            gamma = blocks[i].alpha
-            p, l = blocks[j].poly, blocks[j].size
-            lin = Poly.x(field) - Poly.constant(gamma)
-            f = lin * p ** l
-            pair = companion_trace_zero(f)
-            idxs = [i, j]
+    tasks = []  # (pair, block indices, R with R (+)blocks R^-1 = pair.target, or None)
+    if len(scalars) == 1:
+        s = scalars.pop()
+        if bigs:
+            i = bigs.pop(0)
+            tasks.append((jordan_plus_scalar_trace_zero(
+                blocks[i].alpha, blocks[i].size, blocks[s].alpha), [i, s], None))
+        elif ext_factors:
+            p, idxs = ext_factors[0]
+            j = idxs.pop(0)
+            if not idxs:
+                ext_factors.pop(0)
+            gamma = blocks[s].alpha
+            pair = companion_trace_zero((Poly.x(field) - Poly.constant(gamma))
+                                        * p ** blocks[j].size)
             B = Matrix.block_diag(field, [
                 Matrix.diagonal(field, [gamma]), blocks[j].realization()])
-            R = _cyclic_basis(B).inverse()
-        elif kind == "ext_companion":
-            i = item[1]
-            p = blocks[i].poly
-            if p.degree == 2:
-                comp = Matrix.companion(p)
-                pair = two_by_two_trace_zero(comp)
-            else:
-                pair = companion_trace_zero(p)
-            idxs = [i]
-            R = None
+            tasks.append((pair, [s, j], _cyclic_basis(B).inverse()))
         else:
-            # extension-field constructions, lifted through the companion map
-            p = blocks[item[1]].poly if kind != "ext_diag" else blocks[item[1][0]].poly
-            from .fields import extend
+            raise Unsupported("isolated scalar block with no partner (n >= 2 expected)")
+    for i in bigs:
+        tasks.append((jordan_block_trace_zero(blocks[i].alpha, blocks[i].size), [i], None))
+    if scalars:
+        tasks.append((diagonal_trace_zero([blocks[i].alpha for i in scalars]), scalars, None))
+    for p, idxs in ext_factors:
+        bigs = [i for i in idxs if blocks[i].size >= 2]
+        scalars = [i for i in idxs if blocks[i].size == 1]
+        if not bigs and len(scalars) == 1:
+            pair = (two_by_two_trace_zero(Matrix.companion(p)) if p.degree == 2
+                    else companion_trace_zero(p))
+            tasks.append((pair, scalars, None))
+            continue
+        _, alpha, _ = extend(field, p)
+        if len(scalars) == 1 and bigs:
+            i = bigs.pop(0)
+            pair = jordan_plus_scalar_trace_zero(alpha, blocks[i].size, alpha)
+            tasks.append((_lifted(pair, p), [i, scalars.pop()], None))
+        for i in bigs:
+            tasks.append((_lifted(jordan_block_trace_zero(alpha, blocks[i].size), p), [i], None))
+        if scalars:
+            tasks.append((_lifted(diagonal_trace_zero([alpha] * len(scalars)), p), scalars, None))
 
-            L, alpha, embed = extend(field, p)
-            if kind == "ext_jordan":
-                i = item[1]
-                lpair = jordan_block_trace_zero(alpha, blocks[i].size)
-                idxs = [i]
-            elif kind == "ext_jordan_plus":
-                i, j = item[1], item[2]
-                lpair = jordan_plus_scalar_trace_zero(alpha, blocks[i].size, alpha)
-                idxs = [i, j]
-            else:
-                idxs = list(item[1])
-                lpair = diagonal_trace_zero([alpha] * len(idxs))
-            pair = TraceZeroPair(companion_lift(lpair.t1, p), companion_lift(lpair.t2, p),
-                                 companion_lift(lpair.target, p))
-            R = None
-        task_pairs.append(pair)
-        covered.append(idxs)
-        fixups.append(R)
-
-    flat = [i for idxs in covered for i in idxs]
+    flat = [i for _, idxs, _ in tasks for i in idxs]
     if sorted(flat) != list(range(len(blocks))):
         raise VerificationFailed("task planner failed to cover every Jordan block")
     # permutation sending the Jordan realization layout to the task layout
@@ -522,13 +477,18 @@ def _factorization_tasks(A: Matrix, seed: int, blocks=None):
         size = spec.size * spec.degree
         spans.append(range(off, off + size))
         off += size
-    order = [pos for idxs in covered for i in idxs for pos in spans[i]]
-    Pi = Matrix.permutation(field, order)
+    Pi = Matrix.permutation(field, [pos for i in flat for pos in spans[i]])
     Rall = Matrix.block_diag(field, [
-        fix if fix is not None else Matrix.identity(field, task_pairs[t].target.nrows)
-        for t, fix in enumerate(fixups)])
+        R if R is not None else Matrix.identity(field, pair.target.nrows)
+        for pair, _, R in tasks])
     G = Rall * Pi
-    return task_pairs, G if P is None else G * P
+    return [pair for pair, _, _ in tasks], G if P is None else G * P
+
+
+def _lifted(pair: TraceZeroPair, p: Poly) -> TraceZeroPair:
+    """A pair over K(alpha) = K[t]/(p) moved to K through the companion map."""
+    return TraceZeroPair(companion_lift(pair.t1, p), companion_lift(pair.t2, p),
+                         companion_lift(pair.target, p))
 
 
 # ----------------------------------------------------------------------

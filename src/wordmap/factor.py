@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedField, ZeroPolynomial
+from .errors import UnsupportedField, VerificationFailed, ZeroPolynomial
 from .fields import FieldElement, _irreducible_over_prime, random_element
 from .polynomials import Poly
 
@@ -68,7 +68,7 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     terms.sort(key=lambda t: t.poly.sort_key())
     fac = Factorization(unit, tuple(terms))
     if fac.expand() != f:
-        raise AssertionError("factorization does not reproduce its input")
+        raise VerificationFailed("factorization does not reproduce its input")
     return fac
 
 

@@ -251,9 +251,6 @@ class Matrix:
             return Matrix.identity(self.field, self.nrows)
         return Matrix._from_raw(self.field, self.field.kernel.matpow(self._raw(), k))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
-
     def trace(self) -> FieldElement:
         _require_square(self)
         acc = self.field.zero()
@@ -501,7 +498,7 @@ def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
         evec = kern.vscale(vec, inv)
         ech_rows.append((evec, kern.vscale(tail, inv), kern.lead(evec)))
         cur = _times_vector(kern, rows, cur)
-    raise AssertionError("krylov annihilator did not terminate")
+    raise VerificationFailed("krylov annihilator did not terminate")
 
 
 def minpoly(A: Matrix) -> Poly:
@@ -602,7 +599,7 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
     for level in range(s, 0, -1):
         expected = (2 * dims[level] - dims[level - 1] - dims[level + 1]) // d
         if expected * d != 2 * dims[level] - dims[level - 1] - dims[level + 1]:
-            raise AssertionError("kernel dimensions incompatible with factor degree")
+            raise VerificationFailed("kernel dimensions incompatible with factor degree")
         ech = _Echelon(field)
         for vec in kers[level - 1]:
             ech.insert(vec)
@@ -619,11 +616,11 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
                 orbit = A.apply(u)
                 for _ in range(d - 1):
                     if not ech.insert(orbit):
-                        raise AssertionError("orbit of a new chain top is dependent")
+                        raise VerificationFailed("orbit of a new chain top is dependent")
                     orbit = A.apply(orbit)
                 new_tops.append(u)
         if len(new_tops) != expected:
-            raise AssertionError(
+            raise VerificationFailed(
                 f"found {len(new_tops)} chain tops at level {level}, expected {expected}")
         chains.extend((u, level) for u in new_tops)
         carry = [B.apply(w) for w in carry] + [B.apply(u) for u in new_tops]
@@ -739,7 +736,7 @@ def generalized_jordan_form(A: Matrix, seed: int = 0) -> GeneralizedJordanForm:
                 try:
                     block_data = _jordan_block_data(A, pairs)
                     break
-                except (VerificationFailed, AssertionError) as exc:
+                except VerificationFailed as exc:
                     rejected[key] = exc
             last_err = rejected[key]
         if block_data is None:
@@ -825,7 +822,7 @@ def _jordan_block_data(A: Matrix, pairs) -> list:
         B = p(A)
         try:
             chains = _chain_filtration(A, B, d, s * d if exact else None)
-        except AssertionError as exc:
+        except VerificationFailed as exc:
             if not certified:
                 raise FactorizationUnavailable(
                     f"uncertified factor {p!r} over Q behaved reducibly: {exc}") from exc

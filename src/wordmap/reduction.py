@@ -13,11 +13,12 @@ finished witness once, by evaluating its word against the target.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import UsageError
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, extend
 from .matrices import (
     GeneralizedJordanForm,
     Matrix,
@@ -38,55 +39,38 @@ class BlockPlan:
     embed: Optional[Callable]      # base -> working field (None when identity)
     target: Matrix                 # J_{alpha, l} over the working field
     complex_root: Optional[complex]  # chosen root for the R -> C route
-    span: Tuple[int, int]          # column range inside the realization
 
 
 @dataclass(frozen=True)
 class ReductionPlan:
     base_field: Field
-    target: Matrix
     jordan: GeneralizedJordanForm
     blocks: Tuple[BlockPlan, ...]
 
 
 def plan(A: Matrix, seed: int = 0) -> ReductionPlan:
-    """Jordan-split A; one BlockPlan per block, extensions built as needed."""
+    """Jordan-split A; one BlockPlan per block.  A factor's blocks are
+    adjacent in the Jordan form, so its working field is built once: the
+    base field for a linear factor, K(alpha) over exact kinds, and over R
+    the field C with a chosen root of the quadratic factor."""
     field = A.field
     jf = generalized_jordan_form(A, seed)
     blocks = []
-    ext_cache = {}
-    offset = 0
-    for spec in jf.blocks:
-        p, l, d = spec.poly, spec.size, spec.degree
-        span = (offset, offset + l * d)
-        offset += l * d
-        if d == 1:
-            alpha = spec.alpha
-            blocks.append(BlockPlan(p, l, field, alpha, None,
-                                    Matrix.jordan_block(alpha, l), None, span))
-            continue
-        if field.is_exact:
-            key = tuple(c.rep for c in p.coeffs)
-            if key not in ext_cache:
-                from .fields import extend
-
-                ext_cache[key] = extend(field, p)
-            L, alpha, embed = ext_cache[key]
-            blocks.append(BlockPlan(p, l, L, alpha, embed,
-                                    Matrix.jordan_block(alpha, l), None, span))
+    for p, specs in itertools.groupby(jf.blocks, key=lambda spec: spec.poly):
+        root = None
+        if p.degree == 1:
+            L, alpha, embed = field, -p[0], None
+        elif field.is_exact:
+            L, alpha, embed = extend(field, p)
         else:
-            # real base, quadratic factor: work over C with a chosen root
-            from .fields import Field as F
-
-            L = ext_cache.get("C")
-            if L is None:
-                L = F("complex", tolerance=field.tolerance)
-                ext_cache["C"] = L
+            L = Field("complex", tolerance=field.tolerance)
             root = _quadratic_complex_root(p)
             alpha = L(root)
-            blocks.append(BlockPlan(p, l, L, alpha, lambda x, L=L: L(complex(x.rep)),
-                                    Matrix.jordan_block(alpha, l), root, span))
-    return ReductionPlan(field, A, jf, tuple(blocks))
+            embed = lambda x, L=L: L(complex(x.rep))
+        blocks.extend(BlockPlan(p, spec.size, L, alpha, embed,
+                                Matrix.jordan_block(alpha, spec.size), root)
+                      for spec in specs)
+    return ReductionPlan(field, jf, tuple(blocks))
 
 
 def _quadratic_complex_root(p: Poly) -> complex:

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+import wordmap.matrices as matrices
 from wordmap.cli import main
+from wordmap.commutators import solve_commutator_product
+from wordmap.errors import VerificationFailed
+from wordmap.fields import Field
+from wordmap.matrices import Matrix
 
 
 def run(capsys, *argv):
@@ -199,3 +204,21 @@ def test_solve_failed_verification_exits_1_without_traceback(capsys):
     assert out == ""
     assert "no eigenvector" in err
     assert "Traceback" not in err
+
+
+def test_failed_chain_check_exits_1_without_traceback(capsys, monkeypatch):
+    # a kernel chain that contradicts a certified factor is an internal
+    # consistency failure: the library raises VerificationFailed, and the
+    # CLI prints one error line. Passing the chain filtration one more than
+    # the factor degree makes its own dimension check fail.
+    chain_filtration = matrices._chain_filtration
+    monkeypatch.setattr(matrices, "_chain_filtration",
+                        lambda A, B, d, dim=None: chain_filtration(A, B, d + 1, dim))
+    F5 = Field("prime", p=5)
+    with pytest.raises(VerificationFailed, match="incompatible with factor degree"):
+        solve_commutator_product(Matrix.from_rows(F5, [[1, 2], [3, 4]]), 4)
+    code, out, err = run(capsys, "solve", "--field", "Fp:5", "--word", "comm:m=4",
+                         "--matrix", '{"rows":2,"cols":2,"entries":[[1,2],[3,4]]}')
+    assert code == 1
+    assert out == ""
+    assert err == "error: kernel dimensions incompatible with factor degree\n"

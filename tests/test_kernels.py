@@ -535,6 +535,12 @@ GOLDEN_JORDAN = [
      35, "3d85f82982986c4dff602ba5e32fca60efdfb544197f6b285a5d0f6ba1b97207"),
     ("Fp:3", "comm:m=4", [([0, 1], 2), ([0, 1], 1), ([1, 1], 2), ([1, 0, 1], 1)],
      36, "4cc5dae59350ec08d217b9592f511cf89657c4fdf6a4fffd919a60fff087ff8c"),
+    # one extension factor with one block of size 2 and one 1x1 block: the
+    # Jordan-plus-scalar task over K(alpha)
+    ("Fp:3", "comm:m=4", [([1, 0, 1], 2), ([1, 0, 1], 1)],
+     41, "a116cbe1b17881d14ea271d4bfb0dc1b68f1c696b2946b9f7da359ccfe14c29b"),
+    ("Fp:101", "comm:m=4", [([1, 1, 0, 1], 2), ([1, 1, 0, 1], 1)],
+     42, "e440bfaea35a6924c790f2e57fdf228ed33db7a96771a69b97438becafd2efba"),
 ]
 
 

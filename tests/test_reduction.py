@@ -5,7 +5,13 @@ import pytest
 
 import wordmap.commutators as commutators_mod
 import wordmap.diagonal as diagonal_mod
-from wordmap.commutators import solve_commutator_product, trace_zero_to_commutator
+import wordmap.fields as fields_mod
+import wordmap.reduction as reduction_mod
+from wordmap.commutators import (
+    factor_two_trace_zero,
+    solve_commutator_product,
+    trace_zero_to_commutator,
+)
 from wordmap.diagonal import solve_diagonal_word
 from wordmap.errors import UsageError, VerificationFailed
 from wordmap.fields import Field
@@ -14,7 +20,7 @@ from wordmap.polynomials import Poly
 from wordmap.reduction import assemble, plan, solve_blockwise
 from wordmap.words import DiagonalWord, eval_word
 
-from oracles import random_matrix
+from oracles import random_invertible, random_matrix
 
 F2 = Field("prime", p=2)
 F5 = Field("prime", p=5)
@@ -89,9 +95,35 @@ def test_solve_blockwise_lifts_and_conjugates_back():
         assert X == A
         rp = plan(A, seed=2)
         assert P == rp.jordan.conjugator
-        assert [bp.span for bp in seen] == [bp.span for bp in rp.blocks]
+        assert [(bp.poly, bp.size, bp.alpha) for bp in seen] == \
+            [(bp.poly, bp.size, bp.alpha) for bp in rp.blocks]
         if extension_blocks is not None:
             assert sum(bp.field.key != A.field.key for bp in seen) == extension_blocks
+
+
+def test_each_extension_factor_builds_its_field_once(monkeypatch):
+    # S (J_{x^2+1,2} + J_{x^2+1,2} + C(x^2+1) + C(x^2+1)) S^-1 over F_3: four
+    # blocks of one extension factor, so each solve builds F_9 once
+    F3 = Field("prime", p=3)
+    p = Poly(F3, [1, 0, 1])
+    J = Matrix.block_diag(F3, [Matrix.generalized_jordan_block(p, l) for l in (2, 2, 1, 1)])
+    S = random_invertible(F3, 12, random.Random(5))
+    A = S * J * S.inverse()
+    calls = []
+    extend = fields_mod.extend
+
+    def counting(base, modulus):
+        calls.append(modulus)
+        return extend(base, modulus)
+    for module in (fields_mod, commutators_mod, reduction_mod):
+        monkeypatch.setattr(module, "extend", counting)
+    pair = factor_two_trace_zero(A)
+    assert pair.t1 * pair.t2 == A
+    assert calls == [p]
+    calls.clear()
+    rp = plan(A)
+    assert [bp.size for bp in rp.blocks] == [2, 2, 1, 1]
+    assert calls == [p]
 
 
 def test_single_gate_refuses_corrupted_block(monkeypatch):
