@@ -51,20 +51,31 @@ def _field_from_args(args) -> Field:
 def _load_json_arg(text: str) -> dict:
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.loads(text)
+    else:
+        with open(text, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError("expected a JSON object")
+    return data
 
 
 def matrix_from_json(obj: dict, field: Field) -> Matrix:
+    if not isinstance(obj, dict):
+        raise UsageError("a matrix must be a JSON object")
     if "field" in obj and obj["field"] != field.spec_string():
         other = parse_field_spec(obj["field"])
         if other.key != field.key:
             raise UsageError(
                 f"matrix field {obj['field']!r} does not match {field.spec_string()!r}")
     entries = obj["entries"]
-    rows = int(obj.get("rows", len(entries)))
-    cols = int(obj.get("cols", len(entries[0]) if entries else 0))
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise UsageError("matrix entries must be a list of rows")
+    try:
+        rows = int(obj.get("rows", len(entries)))
+        cols = int(obj.get("cols", len(entries[0]) if entries else 0))
+    except TypeError as exc:
+        raise UsageError("matrix rows and cols must be integers") from exc
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise UsageError("matrix entries do not match the declared shape")
     return Matrix(field, [[field.entry_from_json(v) for v in row] for row in entries])
@@ -121,6 +132,8 @@ def _cmd_verify(args) -> int:
         target = matrix_from_json(_load_json_arg(args.matrix), field)
     else:
         target = matrix_from_json(data["target"], field)
+    if not isinstance(data["witnesses"], list):
+        raise UsageError("witnesses must be a list of matrices")
     mats = [matrix_from_json(obj, field) for obj in data["witnesses"]]
     got = eval_word(word, mats)
     ok = got.allclose(target)

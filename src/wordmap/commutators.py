@@ -4,9 +4,12 @@ Every matrix over a perfect field is a product of two trace-zero matrices;
 the constructions here produce the two factors explicitly for each canonical
 shape (2x2 shapes, Jordan blocks, diagonals, Jordan-plus-scalar, companions)
 and a dispatcher that routes an arbitrary matrix through its generalized
-Jordan form.  A second layer writes any trace-zero matrix as one commutator
-[X, Y], which together solves [X1,X2]...[X_{m-1},X_m] = A for even m >= 4
-(and m = 2 exactly on the trace-zero slice).
+Jordan form; the blocks of an extension factor are solved over the
+factor's working field (``reduction.working_field``: K(alpha), or C with a
+chosen root over R) and lifted back through the companion map.  A second
+layer writes any trace-zero matrix as one commutator [X, Y], which together
+solves [X1,X2]...[X_{m-1},X_m] = A for even m >= 4 (and m = 2 exactly on
+the trace-zero slice).
 
 Verification rule: the public factor-pair constructors (the ``*_trace_zero``
 functions and ``factor_two_trace_zero``) check their pair by direct
@@ -30,7 +33,7 @@ from .errors import (
     VerificationFailed,
     WitnessNotFound,
 )
-from .fields import Field, FieldElement, enumerate_elements, extend, random_element
+from .fields import Field, FieldElement, enumerate_elements, random_element
 from .matrices import (
     Matrix,
     _cyclic_basis,
@@ -39,6 +42,7 @@ from .matrices import (
     companion_lift,
 )
 from .polynomials import Poly
+from .reduction import working_field
 from .words import CommutatorProduct, Witness, make_witness
 
 
@@ -166,45 +170,31 @@ def diagonal_trace_zero(entries) -> TraceZeroPair:
         return _checked_pair(z, z, target)
     if n == 1:
         raise UnhandledShape("a nonzero 1x1 block is not a product of two trace-zero 1x1s")
-    groups = []  # ("pair", i, j) | ("triple", i, j, k) | ("zeros", idxs)
-    if n % 2 == 0:
-        order_pool = list(range(n))
-        for t in range(0, n, 2):
-            groups.append(("pair", order_pool[t], order_pool[t + 1]))
-    elif len(nz) >= 2:
+    order, blocks1, blocks2 = [], [], []
+    pairs, zeros = list(range(n)), []
+    if n % 2 == 1 and len(nz) >= 2:
         i, k = nz[0], nz[1]
         j = next(t for t in range(n) if t not in (i, k))
-        groups.append(("triple", i, j, k))
-        rest = [t for t in range(n) if t not in (i, j, k)]
-        for t in range(0, len(rest), 2):
-            groups.append(("pair", rest[t], rest[t + 1]))
-    else:
+        order.extend([i, j, k])
+        a1, a2, a3 = entries[i], entries[j], entries[k]
+        blocks1.append(Matrix(field, [
+            [zero, a3, zero], [-a1, a3, zero], [zero, zero, -a3]]))
+        blocks2.append(Matrix(field, [
+            [one, -(a2 / a1), zero], [a1 / a3, zero, zero], [zero, zero, -one]]))
+        pairs = [t for t in pairs if t not in (i, j, k)]
+    elif n % 2 == 1:
         i = nz[0]
         j = next(t for t in range(n) if t != i)
-        groups.append(("pair", i, j))
-        rest = [t for t in range(n) if t not in (i, j)]
-        groups.append(("zeros", rest))
-    order, blocks1, blocks2 = [], [], []
-    for g in groups:
-        if g[0] == "pair":
-            _, i, j = g
-            order.extend([i, j])
-            blocks1.append(Matrix(field, [[zero, one], [one, zero]]))
-            blocks2.append(Matrix(field, [[zero, entries[j]], [entries[i], zero]]))
-        elif g[0] == "triple":
-            _, i, j, k = g
-            order.extend([i, j, k])
-            a1, a2, a3 = entries[i], entries[j], entries[k]
-            blocks1.append(Matrix(field, [
-                [zero, a3, zero], [-a1, a3, zero], [zero, zero, -a3]]))
-            blocks2.append(Matrix(field, [
-                [one, -(a2 / a1), zero], [a1 / a3, zero, zero], [zero, zero, -one]]))
-        else:
-            idxs = g[1]
-            order.extend(idxs)
-            z = Matrix.zeros(field, len(idxs), len(idxs))
-            blocks1.append(z)
-            blocks2.append(z)
+        pairs, zeros = [i, j], [t for t in range(n) if t not in (i, j)]
+    for i, j in zip(pairs[::2], pairs[1::2]):
+        order.extend([i, j])
+        blocks1.append(Matrix(field, [[zero, one], [one, zero]]))
+        blocks2.append(Matrix(field, [[zero, entries[j]], [entries[i], zero]]))
+    if zeros:
+        order.extend(zeros)
+        z = Matrix.zeros(field, len(zeros), len(zeros))
+        blocks1.append(z)
+        blocks2.append(z)
     P = Matrix.permutation(field, order)
     t1 = Matrix.block_diag(field, blocks1)
     t2 = Matrix.block_diag(field, blocks2)
@@ -313,8 +303,8 @@ def _factor_two_canonical(A: Matrix, seed: int = 0, blocks=None):
         pair = two_by_two_trace_zero(shape)
         return pair.t1, pair.t2, S.inverse()
     pairs, G = _factorization_tasks(A, seed, blocks)
-    u = Matrix.block_diag(field, [pair.t1 for pair in pairs])
-    v = Matrix.block_diag(field, [pair.t2 for pair in pairs])
+    u = Matrix.block_diag(field, [t1 for t1, _ in pairs])
+    v = Matrix.block_diag(field, [t2 for _, t2 in pairs])
     return u, v, G
 
 
@@ -398,12 +388,14 @@ def _factorization_tasks(A: Matrix, seed: int, blocks=None):
     4. Per extension factor p, a lone 1x1 block is the companion of p over
        K.  Otherwise the tasks are Jordan-plus-scalar (when p has exactly
        one 1x1 block and a larger one), Jordan (each other block of size
-       >= 2) and diagonal (the 1x1 blocks left) over K(alpha), built once
-       per factor, each lifted back to K through the companion map.
+       >= 2) and diagonal (the 1x1 blocks left) over the factor's working
+       field (``reduction.working_field``: K(alpha), or C with a chosen
+       root over R), chosen once per factor, each lifted back to K through
+       the companion map.
 
-    Returns (pairs, G): one TraceZeroPair over K per task, whose target is
-    the direct sum of the task's blocks after the global reordering; G
-    conjugates A onto the concatenated task targets.  ``blocks`` are as in
+    Returns (pairs, G): one (t1, t2) over K per task, whose product is the
+    direct sum of the task's blocks after the global reordering; G
+    conjugates A onto the concatenated task products.  ``blocks`` are as in
     ``_factor_two_canonical``.
     """
     field = A.field
@@ -425,7 +417,7 @@ def _factorization_tasks(A: Matrix, seed: int, blocks=None):
         else:
             ext_factors.append((p, idxs))
 
-    tasks = []  # (pair, block indices, R with R (+)blocks R^-1 = pair.target, or None)
+    tasks = []  # ((t1, t2), block indices, R with R (+)blocks R^-1 = t1*t2, or None)
     if len(scalars) == 1:
         s = scalars.pop()
         if bigs:
@@ -457,15 +449,18 @@ def _factorization_tasks(A: Matrix, seed: int, blocks=None):
                     else companion_trace_zero(p))
             tasks.append((pair, scalars, None))
             continue
-        _, alpha, _ = extend(field, p)
+        _, alpha, _, root = working_field(field, p)
+        ext_tasks = []  # (pair over the working field, block indices)
         if len(scalars) == 1 and bigs:
             i = bigs.pop(0)
             pair = jordan_plus_scalar_trace_zero(alpha, blocks[i].size, alpha)
-            tasks.append((_lifted(pair, p), [i, scalars.pop()], None))
+            ext_tasks.append((pair, [i, scalars.pop()]))
         for i in bigs:
-            tasks.append((_lifted(jordan_block_trace_zero(alpha, blocks[i].size), p), [i], None))
+            ext_tasks.append((jordan_block_trace_zero(alpha, blocks[i].size), [i]))
         if scalars:
-            tasks.append((_lifted(diagonal_trace_zero([alpha] * len(scalars)), p), scalars, None))
+            ext_tasks.append((diagonal_trace_zero([alpha] * len(scalars)), scalars))
+        tasks.extend((tuple(companion_lift(M, p, root) for M in pair), idxs, None)
+                     for pair, idxs in ext_tasks)
 
     flat = [i for _, idxs, _ in tasks for i in idxs]
     if sorted(flat) != list(range(len(blocks))):
@@ -479,16 +474,10 @@ def _factorization_tasks(A: Matrix, seed: int, blocks=None):
         off += size
     Pi = Matrix.permutation(field, [pos for i in flat for pos in spans[i]])
     Rall = Matrix.block_diag(field, [
-        R if R is not None else Matrix.identity(field, pair.target.nrows)
-        for pair, _, R in tasks])
+        R if R is not None else Matrix.identity(field, t1.nrows)
+        for (t1, _), _, R in tasks])
     G = Rall * Pi
     return [pair for pair, _, _ in tasks], G if P is None else G * P
-
-
-def _lifted(pair: TraceZeroPair, p: Poly) -> TraceZeroPair:
-    """A pair over K(alpha) = K[t]/(p) moved to K through the companion map."""
-    return TraceZeroPair(companion_lift(pair.t1, p), companion_lift(pair.t2, p),
-                         companion_lift(pair.target, p))
 
 
 # ----------------------------------------------------------------------

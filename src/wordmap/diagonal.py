@@ -65,6 +65,8 @@ from .words import DiagonalWord, Witness, make_witness
 
 # Seeded random scalar candidates tried over fields above SCAN_BOUND.
 RANDOM_TRIES = 4096
+# Scalar candidates a tried over Q and number fields.
+SMALL_INTEGERS = (0,) + tuple(v for i in range(1, 11) for v in (i, -i))
 # Regular solutions tried per scalar equation by the 2x2 nilpotent route.
 PAIR_CAP = 64
 # Values tried for the free corner z of the bordered construction.
@@ -77,13 +79,27 @@ EXHAUSTIVE_CAP = 200000
 # scalar equations
 # ----------------------------------------------------------------------
 
-def _finite_candidates(field: Field, seed: int):
-    """Every element in enumeration order up to SCAN_BOUND (so exhaustion is
-    a proof), RANDOM_TRIES seeded random elements beyond it."""
-    if field.cardinality <= SCAN_BOUND:
-        return enumerate_elements(field)
-    rng = random.Random(seed)
-    return (random_element(field, rng) for _ in range(RANDOM_TRIES))
+def _scalar_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
+                      beta: FieldElement, seed: int):
+    """(a, b) with a^{k1} + beta*b^{k2} = alpha for each candidate a that
+    leaves a k2-th power, b its first k2-th root.  Finite fields try every
+    element in enumeration order up to SCAN_BOUND (so exhaustion is a
+    proof) and RANDOM_TRIES seeded random elements beyond it; Q and number
+    fields try SMALL_INTEGERS."""
+    if not field.is_finite:
+        candidates = (field(v) for v in SMALL_INTEGERS)
+    elif field.cardinality <= SCAN_BOUND:
+        candidates = enumerate_elements(field)
+    else:
+        rng = random.Random(seed)
+        candidates = (random_element(field, rng) for _ in range(RANDOM_TRIES))
+    for a in candidates:
+        try:
+            roots = kth_roots((alpha - a ** k1) / beta, k2)
+        except Unsupported:  # number fields: only the root of zero is known
+            continue
+        if roots:
+            yield a, roots[0]
 
 
 def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
@@ -97,32 +113,12 @@ def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
     alpha, beta = field(alpha), field(beta)
     if beta.is_zero():
         raise UsageError("beta must be nonzero")
-    if field.is_finite:
-        first = None
-        for a in _finite_candidates(field, seed):
-            pa = a ** k1
-            if first is not None and pa == first[0]:
-                continue
-            roots = kth_roots((alpha - pa) / beta, k2)
-            if not roots:
-                continue
-            if first is None:
-                first = (pa, a, roots[0])
-                continue
-            return ((first[1], first[2]), (a, roots[0]))
-        raise NotFound(
-            f"fewer than two scalar solutions of X^{k1} + {beta!r}*Y^{k2} = {alpha!r}")
-    if field.kind == "complex":
+    if field.kind == "complex" or (field.kind == "real" and k2 % 2 == 1):
         a, c = field(0), field(1)
         b = kth_roots((alpha - a ** k1) / beta, k2)[0]
         d = kth_roots((alpha - c ** k1) / beta, k2)[0]
         return ((a, b), (c, d))
     if field.kind == "real":
-        if k2 % 2 == 1:
-            a, c = field(0), field(1)
-            b = kth_roots((alpha - a ** k1) / beta, k2)[0]
-            d = kth_roots((alpha - c ** k1) / beta, k2)[0]
-            return ((a, b), (c, d))
         if k1 % 2 == 1:
             # choose the a-side to make both b-targets exact even powers
             t1, t2 = field(1), field(2 ** k2)
@@ -149,24 +145,16 @@ def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
             return tuple(out)
         raise NotFound(
             f"no real solutions of X^{k1} + {beta!r}*Y^{k2} = {alpha!r} with even powers")
-    # rationals and number fields: bounded small search, honest NotFound
-    first = None
-    small = [field(v) for v in
-             (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8, 9, -9, 10, -10)]
-    for a in small:
-        pa = a ** k1
-        if first is not None and pa == first[0]:
-            continue
-        try:
-            roots = kth_roots((alpha - pa) / beta, k2)
-        except Unsupported:  # number fields: only the root of zero is known
-            roots = []
-        if not roots:
-            continue
-        if first is None:
-            first = (pa, a, roots[0])
-            continue
-        return ((first[1], first[2]), (a, roots[0]))
+    hits = _scalar_solutions(field, alpha, k1, k2, beta, seed)
+    first = next(hits, None)
+    if first is not None:
+        power = first[0] ** k1
+        for a, b in hits:
+            if a ** k1 != power:
+                return first, (a, b)
+    if field.is_finite:
+        raise NotFound(
+            f"fewer than two scalar solutions of X^{k1} + {beta!r}*Y^{k2} = {alpha!r}")
     raise NotFound(f"no two small solutions for alpha = {alpha!r} over {field}")
 
 
@@ -174,23 +162,11 @@ def scalar_solution(field: Field, alpha: FieldElement, k1: int, k2: int,
                     beta: FieldElement, seed: int = 0) -> tuple:
     """One solution (a, b) of a^{k1} + beta*b^{k2} = alpha."""
     alpha, beta = field(alpha), field(beta)
-    if field.is_finite:
-        for a in _finite_candidates(field, seed):
-            roots = kth_roots((alpha - a ** k1) / beta, k2)
-            if roots:
-                return a, roots[0]
-    elif field.kind in ("real", "complex"):
+    if field.kind in ("real", "complex"):
         (a, b), _ = scalar_two_solutions(field, alpha, k1, k2, beta, seed)
         return a, b
-    else:
-        for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8):
-            a = field(v)
-            try:
-                roots = kth_roots((alpha - a ** k1) / beta, k2)
-            except Unsupported:  # number fields: only the root of zero is known
-                continue
-            if roots:
-                return a, roots[0]
+    for hit in _scalar_solutions(field, alpha, k1, k2, beta, seed):
+        return hit
     raise NotFound(
         f"no scalar solution of X^{k1} + {beta!r}*Y^{k2} = {alpha!r} over {field}")
 
@@ -768,7 +744,7 @@ def _sum_of_two_squares_2x2(A: Matrix, beta: FieldElement, seed: int):
 
 
 def _two_squares_2x2(A: Matrix, seed: int):
-    """X, Z with X^2 + Z^2 = A (real 2x2); None routes back to the caller."""
+    """X, Z with X^2 + Z^2 = A (real 2x2)."""
     field = A.field
     one, zero = field.one(), field.zero()
     tr = A.trace()

@@ -1463,6 +1463,8 @@ def _regular_construct_analytic(field, k, n, gamma, require_nonzero):
 # ----------------------------------------------------------------------
 
 def parse_field_spec(spec: str) -> Field:
+    if not isinstance(spec, str):
+        raise UsageError(f"field spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec == "Q":
         return Field("rationals")

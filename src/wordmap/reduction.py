@@ -6,6 +6,8 @@ companion-lift homomorphism, and conjugating the assembled block-diagonal
 solution by the Jordan conjugator solves the original equation.  Over R a
 quadratic factor is handled through C and lifted back to real 2x2 blocks.
 
+``working_field`` is the one choice of a Jordan factor's field; it serves
+both the diagonal-word solver and the commutator task planner.
 ``plan`` / ``assemble`` / ``solve_blockwise`` serve the diagonal-word
 solver.  They verify nothing: the public solve that calls them checks the
 finished witness once, by evaluating its word against the target.
@@ -48,37 +50,31 @@ class ReductionPlan:
     blocks: Tuple[BlockPlan, ...]
 
 
+def working_field(field: Field, p: Poly) -> tuple:
+    """(L, alpha, embed, root) for the Jordan factor p: the base field for a
+    linear factor, K(alpha) over exact kinds, and over R the field C with
+    ``root`` a chosen root of p, which ``companion_lift`` needs to lift back."""
+    if p.degree == 1:
+        return field, -p[0], None, None
+    if field.is_exact:
+        return extend(field, p) + (None,)
+    L = Field("complex", tolerance=field.tolerance)
+    roots = approx_roots(p)
+    root = next((r for r in roots if r.imag > 0), roots[0])
+    return L, L(root), lambda x: L(complex(x.rep)), root
+
+
 def plan(A: Matrix, seed: int = 0) -> ReductionPlan:
     """Jordan-split A; one BlockPlan per block.  A factor's blocks are
-    adjacent in the Jordan form, so its working field is built once: the
-    base field for a linear factor, K(alpha) over exact kinds, and over R
-    the field C with a chosen root of the quadratic factor."""
-    field = A.field
+    adjacent in the Jordan form, so its working field is built once."""
     jf = generalized_jordan_form(A, seed)
     blocks = []
     for p, specs in itertools.groupby(jf.blocks, key=lambda spec: spec.poly):
-        root = None
-        if p.degree == 1:
-            L, alpha, embed = field, -p[0], None
-        elif field.is_exact:
-            L, alpha, embed = extend(field, p)
-        else:
-            L = Field("complex", tolerance=field.tolerance)
-            root = _quadratic_complex_root(p)
-            alpha = L(root)
-            embed = lambda x, L=L: L(complex(x.rep))
+        L, alpha, embed, root = working_field(A.field, p)
         blocks.extend(BlockPlan(p, spec.size, L, alpha, embed,
                                 Matrix.jordan_block(alpha, spec.size), root)
                       for spec in specs)
-    return ReductionPlan(field, jf, tuple(blocks))
-
-
-def _quadratic_complex_root(p: Poly) -> complex:
-    roots = approx_roots(p)
-    for r in roots:
-        if r.imag > 0:
-            return r
-    return roots[0]
+    return ReductionPlan(A.field, jf, tuple(blocks))
 
 
 def assemble(rplan: ReductionPlan,

@@ -85,6 +85,8 @@ def eval_word(word, mats) -> Matrix:
 
 
 def parse_word(spec: str, field: Field):
+    if not isinstance(spec, str):
+        raise UsageError(f"word spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec.startswith("comm:"):
         body = spec[5:]

@@ -132,6 +132,42 @@ def test_bad_entries_exit_1_without_traceback(capsys, field, entry):
     assert "Traceback" not in err
 
 
+def _solve_argv(matrix):
+    return ["solve", "--field", "Fp:5", "--word", "comm:m=4", "--matrix", matrix]
+
+
+def _verify_argv(**fields):
+    data = {"field": "Fp:5", "word": "comm:m=2",
+            "target": {"entries": [[0, 1], [0, 0]]}, "witnesses": []}
+    data.update(fields)
+    return ["verify", "--witness", json.dumps(data)]
+
+
+@pytest.mark.parametrize("argv,file_text", [
+    (_solve_argv("{path}"), "[[1, 0], [0, 1]]"),
+    (_solve_argv("{path}"), '"abc"'),
+    (_solve_argv('{"entries": 5}'), None),
+    (_solve_argv('{"entries": [1, 2]}'), None),
+    (_solve_argv('{"field": 5, "entries": [[1, 0], [0, 1]]}'), None),
+    (_solve_argv('{"rows": null, "entries": [[1, 0], [0, 1]]}'), None),
+    (_verify_argv(witnesses=5), None),
+    (_verify_argv(witnesses=[5]), None),
+    (_verify_argv(word=5), None),
+    (_verify_argv(field=5), None),
+], ids=["array-file", "string-file", "entries-int", "entries-flat", "field-int",
+        "rows-null", "witnesses-int", "witness-int", "word-int", "verify-field-int"])
+def test_malformed_json_exits_1_without_traceback(tmp_path, capsys, argv, file_text):
+    if file_text is not None:
+        path = tmp_path / "matrix.json"
+        path.write_text(file_text)
+        argv = [str(path) if a == "{path}" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_real_field_solve(capsys):
     code, out, _ = run(
         capsys, "solve", "--field", "R:tol=1e-9", "--word", "diag:d=1,k=2;d=1,k=2",

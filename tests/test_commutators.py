@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -14,7 +15,7 @@ from wordmap.commutators import (
     trace_zero_to_commutator,
     two_by_two_trace_zero,
 )
-from wordmap.errors import NonzeroTrace, UnhandledShape, Unsupported
+from wordmap.errors import NonzeroTrace, UnhandledShape, Unsupported, WordmapError
 from wordmap.fields import Field, GF, extend
 from wordmap.matrices import Matrix, generalized_jordan_form
 from wordmap.polynomials import Poly
@@ -121,6 +122,25 @@ def test_diagonal_zero_handling():
     check(diagonal_trace_zero([F7(0), F7(0), F7(0), F7(0), F7(0)]))
     check(diagonal_trace_zero([F7(1), F7(0), F7(2), F7(0), F7(5)]))
     check(diagonal_trace_zero([F2(1), F2(1), F2(1)]))
+
+
+# SHA-256 of repr((t1, t2)) for the inputs above and two all-nonzero
+# diagonals, recorded before the block layout was rewritten
+DIAGONAL_GOLDEN = [
+    (F7, [0, 0], "438a1d332bdf33eea3a217dc56ca1857a17463f337a375a0d755a8563a66f0d0"),
+    (F7, [5, 0, 0], "2343d94f45aedc24c0fdb20a73baff45367f35c4535ebae446e1b2059faca180"),
+    (F7, [0, 0, 0, 0, 0], "1f265737e40850e19f9d30cac95ca87d04bdb86fea649c033133ea31a67c0b6f"),
+    (F7, [1, 0, 2, 0, 5], "1cfc6fa1d71801279b314aa6999f028a8aa1c9bae655d7af1acafd3e6884bc82"),
+    (F2, [1, 1, 1], "e1d0156b86299e0eed94b9193c926b3916a0dca20fd45c7f6bf1937420eb7e1e"),
+    (F7, [1, 2], "f8c2a2e1ee8e07d489e10461a8a18d984bb5afde1b92a50a2492434c404b8530"),
+    (F7, [1, 2, 3], "8b6785471fff59609f7f83bad6c8cb33d4936c6f4e57a7896f9129b37e1a5447"),
+]
+
+
+@pytest.mark.parametrize("field,entries,digest", DIAGONAL_GOLDEN)
+def test_diagonal_trace_zero_is_pinned(field, entries, digest):
+    pair = diagonal_trace_zero([field(v) for v in entries])
+    assert hashlib.sha256(repr((pair.t1, pair.t2)).encode()).hexdigest() == digest
 
 
 def test_jordan_plus_scalar_cases():
@@ -336,6 +356,31 @@ def test_empty_eigenvector_nullspace_raises_verification_failed():
     A = Matrix.from_rows(R, MISSED_EIGENVALUE_2X2)
     with pytest.raises(VerificationFailed, match="no eigenvector"):
         solve_commutator_product(A, 4, seed=0)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 1)], ids=["C+C", "J2+C"])
+def test_real_repeated_complex_pair(sizes):
+    # S (C(x^2+1) + C(x^2+1)) S^-1 (n = 4) and S (J_{x^2+1,2} + C(x^2+1)) S^-1
+    # (n = 6) over R: the planner solves the factor's blocks over C with a
+    # chosen root and lifts them back to real 2x2 blocks
+    R = Field("real", tolerance=1e-9)
+    p = Poly(R, [1, 0, 1])
+    J = Matrix.block_diag(R, [Matrix.generalized_jordan_block(p, l) for l in sizes])
+    n = J.nrows
+    rng = random.Random(0)
+    while True:
+        S = Matrix(R, [[R(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+        try:
+            A = S * J * S.inverse()
+            generalized_jordan_form(A)
+            break
+        except WordmapError:
+            continue
+    w = solve_commutator_product(A, 4)
+    assert eval_word(CommutatorProduct(4), w.matrices).allclose(A)
+    pair = factor_two_trace_zero(A)
+    assert (pair.t1 * pair.t2).allclose(A)
+    assert pair.t1.trace().is_zero() and pair.t2.trace().is_zero()
 
 
 def _two_multiplicity_q_target():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -17,12 +18,19 @@ from wordmap.diagonal import (
     large_nilpotent_decompose,
     nilpotent_power_partition,
     bordered_charpoly_closed_form,
+    scalar_solution,
     scalar_two_solutions,
     small_nilpotent_decompose,
     solve_diagonal_word,
 )
-from wordmap.errors import NotFound, SizeTooSmall, Unsupported, ZeroLeadingCoordinate
-from wordmap.fields import Field, kth_roots, regular_solution_search
+from wordmap.errors import (
+    NotFound,
+    SizeTooSmall,
+    Unsupported,
+    WordmapError,
+    ZeroLeadingCoordinate,
+)
+from wordmap.fields import Field, kth_roots, parse_field_spec, regular_solution_search
 from wordmap.matrices import Matrix, Partition, charpoly, minpoly, nilpotent_partition
 from wordmap.polynomials import Poly
 from wordmap.words import DiagonalWord, eval_word
@@ -67,6 +75,50 @@ def test_scalar_two_solutions_not_found_small_field():
     # pair with distinct first powers exists
     with pytest.raises(NotFound):
         scalar_two_solutions(F3, F3(2), 2, 2, F3(1))
+
+
+# SHA-256 over the lines scalar_solution and scalar_two_solutions give (the
+# solution's repr, or the error type and message) for every alpha, (k1, k2)
+# in (2, 2), (2, 3), (3, 3) and beta in 1, 3 (and the generator over
+# extensions); recorded before the two searches were merged.  GF(101^3) lies
+# above SCAN_BOUND, so its candidates are seeded random draws.
+SCALAR_GOLDEN = [
+    ("Fp:7", "9e2ba55500ea92a4ce0ca5ae068a91f65186e7a65af06fe6207291757088181f",
+     "10b771d86a50cde5de3e117941bbb024c1ad66d77359ac924b99a3424a7e50d2"),
+    ("Fq:p=3,d=2,mod=[1,0,1]",
+     "6a4df7b1af4118096636dbfb73e259039459927a7425712a094aea17dbca3373",
+     "6e59f7552034e628d3c8e20c65df294671f8d732e17d6e3e0dabb230ca18c8be"),
+    ("Fq:p=101,d=3,mod=[1,0,1,1]",
+     "d3474144aff2d8c70513474bbda5df856ec33e914360aa078e7022c6c138671d",
+     "c6cb92c82a6cb211a59a00c7e189ba36d7fefadd79efa1ec400da79bd45c20da"),
+    ("Q", "5c45b14edf43edcd086c5adb362efb2bd8057e781cfd9a742fb72a39f7e57c0a",
+     "1b30d94301abbcd6b018c1e971aaa11ab832f057e2a4df4fd67eb3e884e1cc5d"),
+]
+
+
+@pytest.mark.parametrize("spec,one_digest,two_digest", SCALAR_GOLDEN,
+                         ids=[spec for spec, _, _ in SCALAR_GOLDEN])
+def test_scalar_solutions_are_pinned(spec, one_digest, two_digest):
+    field = parse_field_spec(spec)
+    if field.kind == "rationals":
+        alphas = [field(v) for v in (0, 1, -1, 2, 7, "1/2", -19)]
+    else:
+        g = field.generator() if field.kind == "ext" else field(3)
+        alphas = [field(0), field(1), field(2), g, g + field(1)]
+    betas = [field(1), field(3)] + ([field.generator()] if field.kind == "ext" else [])
+    digests = []
+    for fn in (scalar_solution, scalar_two_solutions):
+        h = hashlib.sha256()
+        for alpha in alphas:
+            for k1, k2 in ((2, 2), (2, 3), (3, 3)):
+                for beta in betas:
+                    try:
+                        line = repr(fn(field, alpha, k1, k2, beta))
+                    except WordmapError as exc:
+                        line = f"{type(exc).__name__}: {exc}"
+                    h.update((line + "\n").encode())
+        digests.append(h.hexdigest())
+    assert digests == [one_digest, two_digest]
 
 
 # -- invertible Jordan blocks -------------------------------------------------

@@ -115,7 +115,7 @@ def test_each_extension_factor_builds_its_field_once(monkeypatch):
     def counting(base, modulus):
         calls.append(modulus)
         return extend(base, modulus)
-    for module in (fields_mod, commutators_mod, reduction_mod):
+    for module in (fields_mod, reduction_mod):
         monkeypatch.setattr(module, "extend", counting)
     pair = factor_two_trace_zero(A)
     assert pair.t1 * pair.t2 == A
