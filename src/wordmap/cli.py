@@ -78,6 +78,8 @@ def matrix_from_json(obj: dict, field: Field) -> Matrix:
         raise UsageError("matrix rows and cols must be integers") from exc
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise UsageError("matrix entries do not match the declared shape")
+    if not rows or not cols:
+        raise UsageError("a matrix needs at least one row and one column")
     return Matrix(field, [[field.entry_from_json(v) for v in row] for row in entries])
 
 
@@ -214,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve and verify word equations on matrix algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field=True):
+    def common(p, field=True, outs=("json", "text")):
         if field:
             p.add_argument("--field", required=True, help="Fp:7 | Fq:p=2,d=2,mod=[1,1,1] | Q | R:tol=1e-9 | C:tol=1e-9")
             p.add_argument("--tolerance", type=float, default=None,
                            help="override the comparison tolerance of R/C fields")
-        p.add_argument("--out", choices=("json", "text", "csv"), default="json")
+        p.add_argument("--out", choices=outs, default="json")
 
     p = sub.add_parser("solve", help="solve a word equation and emit a verified witness")
     common(p)
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate_image)
 
     p = sub.add_parser("count", help="count scalar solutions and check the bound")
-    common(p)
+    common(p, outs=("json", "text", "csv"))
     p.add_argument("--word", required=True, help="diagonal word giving deltas and exponents")
     p.add_argument("--gamma", default="1", help="target value (field literal)")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -268,7 +270,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
     except (WordmapError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        missing = "missing key " if isinstance(exc, KeyError) else ""
+        sys.stderr.write(f"error: {missing}{exc}\n")
         return 1
 
 

@@ -56,10 +56,6 @@ class NotSimilar(WordmapError):
     """No invertible solution of X*A = B*X exists."""
 
 
-class FactorizationUnavailable(WordmapError):
-    """A factor over Q could not be certified/used as irreducible."""
-
-
 class NotNilpotent(WordmapError):
     """Nilpotent matrix required."""
 

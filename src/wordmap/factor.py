@@ -10,24 +10,32 @@ ch. 14).  The equal-degree step is randomised with an explicit seed; in
 characteristic 2 it uses the additive trace map since the multiplicative
 variant degenerates there.
 
-Over Q only content removal, rational-root extraction, squarefree
-decomposition of what remains, and quadratic/cubic splits are performed.
-Rational-root candidates p/q are taken only inside Fujiwara's bound on the
-size of the complex roots, computed in integers.  A squarefree residual
-factor of degree >= 4 with no rational root is returned whole with
-``certified=False``; downstream code treats it as irreducible and final
-witnesses are verified unconditionally anyway.
+Over Q, f is factored by Zassenhaus's algorithm (ch. 15) on the same
+pipeline: its primitive integer multiple is factored modulo the least odd
+prime p that does not divide lc(f) and keeps f squarefree; the factors
+mod p are Hensel-lifted quadratically past twice the Mignotte bound and
+recombined in subsets, smallest first.  f squarefree mod p proves f
+squarefree, so squarefree decomposition over Q runs only when no prime up
+to 13 does that.  Every factor returned is proven irreducible.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UnsupportedField, VerificationFailed, ZeroPolynomial
-from .fields import FieldElement, _irreducible_over_prime, random_element
+from .fields import (
+    Field,
+    FieldElement,
+    _cleared,
+    _irreducible_over_prime,
+    _is_prime,
+    random_element,
+)
 from .polynomials import Poly
 
 
@@ -35,7 +43,6 @@ from .polynomials import Poly
 class FactorTerm:
     poly: Poly
     multiplicity: int
-    certified: bool = True
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     if field.is_finite:
         terms = _factor_finite(f, seed)
     elif field.kind == "rationals":
-        terms = _factor_rationals(f)
+        terms = _factor_rationals(f, seed)
     else:
         raise UnsupportedField(f"factorization over {field} is not supported")
     unit = f.leading()
@@ -75,8 +82,7 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 def is_irreducible(f: Poly) -> bool:
     """The irreducibility predicate ``Field`` checks every extension modulus
     with: Rabin's test on the monic f over finite fields (towers included);
-    over Q a single factor of multiplicity one from ``factor``, where an
-    uncertified factor of degree >= 4 counts as irreducible."""
+    over Q a single factor of multiplicity one from ``factor``."""
     if f.degree < 1:
         return False
     if f.field.is_finite:
@@ -235,113 +241,117 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:
 # rationals
 # ----------------------------------------------------------------------
 
-def _divisors(n: int, limit: int) -> list:
-    """The positive divisors of n that are at most ``limit``, ascending."""
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n and i <= limit:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i and n // i <= limit:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
-def _iroot_ceil(m: int, k: int) -> int:
-    """The least c >= 0 with c**k >= m, in integer arithmetic."""
-    if m <= 0:
-        return 0
-    c = 1 << -(-m.bit_length() // k)  # c**k > m
-    while True:  # Newton from above settles on the floor of the k-th root
-        d = ((k - 1) * c + m // c ** (k - 1)) // k
-        if d >= c:
-            break
-        c = d
-    return c if c ** k >= m else c + 1
-
-
-def _root_bound(ints: list) -> int:
-    """An integer B with |z| <= B for every complex root z of the integer
-    polynomial ``ints`` (low degree first, nonzero constant term): Fujiwara's
-    bound 2*max(|a_{n-i}/a_n|^(1/i) for i < n, |a_0/(2 a_n)|^(1/n)), rounded
-    up exactly: term i needs B^i * |a_n| >= |a_{n-i}| * 2^i, and the last
-    term B^n * |a_n| >= |a_0| * 2^(n-1)."""
-    n = len(ints) - 1
-    an = abs(ints[-1])
-    bound = 0
-    for i in range(1, n + 1):
-        num = abs(ints[n - i]) << (i if i < n else n - 1)
-        bound = max(bound, _iroot_ceil(-(-num // an), i))
-    return bound
-
-
-def _rational_roots(f: Poly) -> list:
-    """All rational roots of f (integer-cleared), each listed once.
-
-    Candidates p/q (p | a_0, q | a_n) are taken only inside Fujiwara's root
-    bound B (``_root_bound``), so p runs over the divisors of a_0 up to
-    B*|a_n| rather than over all of them."""
-    field = f.field
-    denom = 1
-    for c in f.coeffs:
-        denom = denom * c.rep.denominator // math.gcd(denom, c.rep.denominator)
-    ints = [int(c.rep * denom) for c in f.coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # x | f: root 0 handled by caller loop via evaluation
-    if not ints:
+def _factor_rationals(f: Poly, seed: int) -> list:
+    rng = random.Random(seed)
+    if f.degree < 1:
         return []
-    a0, an = ints[0], ints[-1]
-    bound = _root_bound(ints)
-    roots = []
-    seen = set()
-    candidates = [Fraction(0)]
-    dens = _divisors(an, abs(an))
-    for pnum in _divisors(a0, bound * abs(an)):
-        for pden in dens:
-            if pnum <= bound * pden:
-                candidates.append(Fraction(pnum, pden))
-                candidates.append(Fraction(-pnum, pden))
-    for cand in candidates:
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if f(field(cand)).is_zero():
-            roots.append(cand)
-    return roots
+    factors = _zassenhaus(_primitive(f._raw()), rng, 13)
+    if factors is not None:
+        return [FactorTerm(Poly(f.field, g).monic(), 1) for g in factors]
+    # no small prime keeps f squarefree: split off its repeated factors
+    return [FactorTerm(Poly(f.field, g).monic(), mult)
+            for piece, mult in _squarefree_decomposition(f.monic())
+            for g in _zassenhaus(_primitive(piece._raw()), rng)]
 
 
-def _factor_rationals(f: Poly) -> list:
-    field = f.field
-    work = f.monic()
-    out = []
-    x = Poly.x(field)
-    # strip rational roots (with multiplicity)
-    while work.degree >= 1:
-        roots = _rational_roots(work)
-        if not roots:
-            break
-        for r in sorted(roots):
-            lin = x - Poly.constant(field(r))
-            mult = 0
-            while (work % lin).is_zero():
-                work = work // lin
-                mult += 1
-            out.append(FactorTerm(lin, mult))
-    if work.degree == 0:
-        return out
-    if work.degree in (2, 3):
-        # no rational root at this point -> irreducible over Q
-        out.append(FactorTerm(work.monic(), 1))
-        return out
-    # split repeated factors apart by squarefree decomposition
-    g = work.gcd(work.derivative())
-    if g.degree >= 1:
-        for piece, mult in _squarefree_decomposition(work):
-            for term in _factor_rationals(piece):
-                out.append(FactorTerm(term.poly, term.multiplicity * mult, term.certified))
-        return out
-    certified = work.degree < 4
-    out.append(FactorTerm(work.monic(), 1, certified))
-    return out
+def _primitive(xs: list) -> list:
+    """The primitive integer multiple, with positive leading coefficient, of
+    the rationals xs."""
+    ints, _ = _cleared(xs)
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
+    """The irreducible factors in Z[x] of the squarefree primitive f (integer
+    coefficients, low degree first), by Zassenhaus's algorithm (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Alg. 15.19).  p is the least
+    odd prime that does not divide lc(f) and keeps f squarefree mod p; None
+    when there is none up to ``limit``.  The factors mod p are
+    lifted past twice the Mignotte bound B = lc(f) 2^n ||f||_2 and subsets
+    of them recombined, smallest first: a candidate pair g*, h* with
+    ||g*||_1 ||h*||_1 <= B is exactly a factorization of lc(f) f."""
+    for p in itertools.count(3, 2):
+        if p > limit:
+            return None
+        if f[-1] % p and _is_prime(p):
+            fp = Poly(Field("prime", p=p), f)
+            if fp.gcd(fp.derivative()).degree == 0:
+                break
+    modular = [g._raw() for g in _squarefree_factor(fp.monic(), rng)]
+    bound = (f[-1] << len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    M = p
+    while M <= 2 * bound:
+        M *= p
+    lifted = _hensel_lift(f, modular, fp.field.kernel, M)
+
+    def symmetric(polys):  # lc(f) * prod polys mod M, coefficients in (-M/2, M/2]
+        return [c - M if 2 * c > M else c for c in _zprod([[f[-1]]] + polys, M)]
+
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            rest = [h for i, h in enumerate(lifted) if i not in subset]
+            g, h = symmetric([lifted[i] for i in subset]), symmetric(rest)
+            if sum(map(abs, g)) * sum(map(abs, h)) <= bound:
+                out.append(_primitive(g))
+                f, lifted = _primitive(h), rest
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def _hensel_lift(f: list, modular: list, kern, M: int) -> list:
+    """Monic h_i = g_i mod p with f = lc(f) prod h_i mod M (a power of p),
+    for the coprime monic g_i in ``modular`` with f = lc(f) prod g_i mod p;
+    ``kern`` is the kernel of F_p.  Split in halves f = g h, then g, h and
+    s = g^-1 mod h take quadratic Newton steps (h -= s (g h - f) mod h;
+    g = f quo h; s -= s (s g - 1) mod h), and each half is lifted alike."""
+    if len(modular) == 1:
+        return [_zmul(f, [pow(f[-1], -1, M)], M)]
+    p = kern.p
+    half = len(modular) // 2
+    h = _zprod(modular[half:], p)
+    g = _zdivmod(f, h, p)[0]
+    r, s = kern.poly_gcdext(g, h)
+    s = _zmul(s, [pow(r[0], -1, p)], p)
+    m = p
+    while m < M:
+        m = min(m * m, M)
+        h = _zsub(h, _zdivmod(_zmul(s, _zsub(_zmul(g, h, m), f, m), m), h, m)[1], m)
+        g = _zdivmod(f, h, m)[0]
+        s = _zsub(s, _zdivmod(_zmul(s, _zsub(_zmul(s, g, m), [1], m), m), h, m)[1], m)
+    return (_hensel_lift(g, modular[:half], kern, M)
+            + _hensel_lift(h, modular[half:], kern, M))
+
+
+# Integer polynomials mod m, low degree first; leading zeros are allowed.
+
+def _zmul(a: list, b: list, m: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = [c + x * y for c, y in zip(out[i:i + len(b)], b)]
+    return [c % m for c in out]
+
+
+def _zsub(a: list, b: list, m: int) -> list:
+    return [(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def _zprod(polys: list, m: int) -> list:
+    return functools.reduce(lambda a, b: _zmul(a, b, m), polys)
+
+
+def _zdivmod(a: list, b: list, m: int) -> tuple:
+    """Quotient and remainder (padded to deg b) of a by the monic b, mod m."""
+    rem = [c % m for c in a]
+    d = len(b) - 1
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + d]
+        if c:
+            rem[i:i + d + 1] = [(x - c * y) % m for x, y in zip(rem[i:i + d + 1], b)]
+    return quot, rem[:d]
+

@@ -60,10 +60,9 @@ Extensions are a quotient step ``base[t]/(m)`` with ``base`` a finite field
 refuses a modulus that is not monic (UsageError) or not irreducible
 (ReduciblePolynomial); it is the one place that checks, through
 ``factor.is_irreducible``: Rabin's test over finite bases, factoring over
-Q, where a squarefree factor of degree >= 4 with no rational root is
-accepted uncertified.  ``extend``, ``GF`` and ``parse_field_spec`` rely on
-that check.  Approximate kinds carry an explicit tolerance used only when
-*comparing* values; every construction stays formula driven.
+Q.  ``extend``, ``GF`` and ``parse_field_spec`` rely on that check.
+Approximate kinds carry an explicit tolerance used only when *comparing*
+values; every construction stays formula driven.
 
 The field-spec grammar used by the CLI and the JSON formats:
 
@@ -1225,16 +1224,17 @@ def _roots_by_gcd(field: Field, e: FieldElement, k: int) -> list:
     return [-g[0] for g in _equal_degree(linear, 1, random.Random(0))]
 
 
-def _integer_kth_root(n: int, k: int) -> Optional[int]:
-    if n < 0:
-        return None
-    if n in (0, 1):
-        return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+def _iroot_ceil(m: int, k: int) -> int:
+    """The least c >= 0 with c**k >= m, in integer arithmetic."""
+    if m <= 0:
+        return 0
+    c = 1 << -(-m.bit_length() // k)  # c**k > m
+    while True:  # Newton from above settles on the floor of the k-th root
+        d = ((k - 1) * c + m // c ** (k - 1)) // k
+        if d >= c:
+            break
+        c = d
+    return c if c ** k >= m else c + 1
 
 
 def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
@@ -1265,7 +1265,7 @@ def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
             r = _sqrt_odd_finite(field, e)
             roots = [r, -r]
         else:
-            roots = _roots_by_gcd(field, e, k)
+            roots = _roots_by_gcd(field, e, (k - 1) % (q - 1) + 1)  # same on F_q^*
         if q <= SCAN_BOUND:
             roots.sort(key=lambda x: _element_index(field, x.rep))
         return roots
@@ -1282,9 +1282,8 @@ def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
         neg = num < 0
         if neg and k % 2 == 0:
             return []
-        rn = _integer_kth_root(abs(num), k)
-        rd = _integer_kth_root(den, k)
-        if rn is None or rd is None:
+        rn, rd = _iroot_ceil(abs(num), k), _iroot_ceil(den, k)
+        if rn ** k != abs(num) or rd ** k != den:
             return []
         root = Fraction(-rn if neg else rn, rd)
         roots = [field.element(root)]

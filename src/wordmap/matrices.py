@@ -29,7 +29,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DescriptorMismatch,
-    FactorizationUnavailable,
     NonSquare,
     NotNilpotent,
     NotSimilar,
@@ -700,14 +699,15 @@ class GeneralizedJordanForm:
 
 def generalized_jordan_form(A: Matrix, seed: int = 0) -> GeneralizedJordanForm:
     _require_square(A)
+    if not A.nrows:
+        raise UsageError("the Jordan form needs a matrix of size at least 1")
     field = A.field
-    n = A.nrows
     if field.is_exact:
         from .factor import factor
 
         chi = charpoly(A)
         fac = factor(chi, seed)
-        pairs = [(t.poly, t.multiplicity, t.certified) for t in fac.factors]
+        pairs = [(t.poly, t.multiplicity) for t in fac.factors]
         block_data = _jordan_block_data(A, pairs)
     else:
         # numeric root clusters are validated by the chain structure; widen
@@ -817,21 +817,12 @@ def _jordan_block_data(A: Matrix, pairs) -> list:
     root clusters, and the chain runs until it stabilises, which tests it."""
     block_data = []
     exact = A.field.is_exact
-    for p, s, certified in pairs:
+    for p, s in pairs:
         d = p.degree
         B = p(A)
-        try:
-            chains = _chain_filtration(A, B, d, s * d if exact else None)
-        except VerificationFailed as exc:
-            if not certified:
-                raise FactorizationUnavailable(
-                    f"uncertified factor {p!r} over Q behaved reducibly: {exc}") from exc
-            raise
+        chains = _chain_filtration(A, B, d, s * d if exact else None)
         chains.sort(key=lambda c: -c[1])
         if sum(l for _, l in chains) != s:
-            if not certified:
-                raise FactorizationUnavailable(
-                    f"uncertified factor {p!r}: multiplicity mismatch")
             raise VerificationFailed("chain multiplicities do not match the factorization")
         for v, l in chains:
             cols = [v]
@@ -855,7 +846,7 @@ def _cluster_roots(roots, radius):
 
 
 def _approx_charpoly_factors(chi: Poly, roots, radius: float) -> list:
-    """(poly, multiplicity, True) clusters over R/C from numeric roots.
+    """(poly, multiplicity) clusters over R/C from numeric roots.
 
     The caller computes the spectrum once, ``chi`` and its Durand-Kerner
     ``roots``, and passes it in for every cluster radius it tries.  A root
@@ -872,7 +863,7 @@ def _approx_charpoly_factors(chi: Poly, roots, radius: float) -> list:
 def _pairs_key(pairs) -> tuple:
     """The clusters of one attempt with their float bits exact (-0.0 and
     0.0 differ), for recognising clusters that were already tried."""
-    return tuple((s, tuple(_float_bits(c.rep) for c in p.coeffs)) for p, s, _ in pairs)
+    return tuple((s, tuple(_float_bits(c.rep) for c in p.coeffs)) for p, s in pairs)
 
 
 def _float_bits(x) -> bytes:
@@ -887,7 +878,7 @@ def _pair_clusters(field, clusters, radius, coeffs):
     pairs = []
     if field.kind == "complex":
         for z, m in clusters:
-            pairs.append((Poly(field, [field(-z), field.one()]), m, True))
+            pairs.append((Poly(field, [field(-z), field.one()]), m))
         return pairs
     used = [False] * len(clusters)
     for i, (z, m) in enumerate(clusters):
@@ -895,7 +886,7 @@ def _pair_clusters(field, clusters, radius, coeffs):
             continue
         if abs(z.imag) <= radius:
             used[i] = True
-            pairs.append((Poly(field, [field(-z.real), field.one()]), m, True))
+            pairs.append((Poly(field, [field(-z.real), field.one()]), m))
             continue
         for j in range(i + 1, len(clusters)):
             if not used[j] and clusters[j][1] == m and \
@@ -903,7 +894,7 @@ def _pair_clusters(field, clusters, radius, coeffs):
                 used[i] = used[j] = True
                 b = -2.0 * z.real
                 c = abs(z) ** 2
-                pairs.append((Poly(field, [field(c), field(b), field.one()]), m, True))
+                pairs.append((Poly(field, [field(c), field(b), field.one()]), m))
                 break
         else:
             raise VerificationFailed("unpaired complex eigenvalue over R")

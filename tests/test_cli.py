@@ -168,6 +168,30 @@ def test_malformed_json_exits_1_without_traceback(tmp_path, capsys, argv, file_t
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--field", "Fp:5", "--word", "diag:d=1,k=2;d=1,k=2",
+      "--matrix", '{"entries": []}'], "at least one row and one column"),
+    (["solve", "--field", "Fp:5", "--word", "comm:m=4", "--matrix", '{"entries": []}'],
+     "at least one row and one column"),
+    (["solve", "--field", "Fp:5", "--word", "comm:m=4", "--matrix", '{"entries": [[]]}'],
+     "at least one row and one column"),
+    (["solve", "--field", "Fp:5", "--word", "comm:m=4", "--matrix", '{"entries": [[1]]}',
+      "--out", "csv"], "invalid choice: 'csv'"),
+    (["enumerate-image", "--field", "Fp:2", "--word", "comm:m=2", "--n", "1",
+      "--out", "csv"], "invalid choice: 'csv'"),
+    (["verify", "--witness", '{"field": "Fp:5", "word": "comm:m=2", "witnesses": []}'],
+     "missing key 'target'"),
+], ids=["diag-empty", "comm-empty", "comm-no-columns", "solve-csv", "image-csv",
+        "verify-no-target"])
+def test_boundary_inputs_exit_1_without_traceback(capsys, argv, message):
+    # only count writes CSV; an empty matrix has no Jordan form
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_real_field_solve(capsys):
     code, out, _ = run(
         capsys, "solve", "--field", "R:tol=1e-9", "--word", "diag:d=1,k=2;d=1,k=2",

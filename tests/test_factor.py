@@ -1,19 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import wordmap
 from wordmap.errors import UnsupportedField, ZeroPolynomial
-from wordmap.factor import (
-    _distinct_degree,
-    _iroot_ceil,
-    _rational_roots,
-    factor,
-    is_irreducible,
-)
-from wordmap.fields import Field, GF, enumerate_elements, extend
+from wordmap.factor import _distinct_degree, factor, is_irreducible
+from wordmap.fields import Field, GF, _iroot_ceil, enumerate_elements, extend
 from wordmap.polynomials import Poly
 
 from oracles import naive_rational_roots, power_per_degree_distinct_degree
@@ -45,7 +43,6 @@ def test_factor_q_irreducible_quadratic():
     fac = factor(Poly(Q, [1, 0, 1]))
     assert len(fac.factors) == 1
     assert fac.factors[0].multiplicity == 1
-    assert fac.factors[0].certified
 
 
 def test_factor_q_rational_roots_and_units():
@@ -59,11 +56,11 @@ def test_factor_q_rational_roots_and_units():
 
 
 def test_factor_q_degree4_unverified():
-    # T^4 + T + 1 has no rational root; residual stays whole, flagged
+    # T^4 + T + 1 has no rational root, and it is irreducible mod 2
     f = Poly(Q, [1, 1, 0, 0, 1])
     fac = factor(f)
     assert len(fac.factors) == 1
-    assert not fac.factors[0].certified
+    assert fac.factors[0].multiplicity == 1
 
 
 def test_factor_q_perfect_power():
@@ -72,27 +69,94 @@ def test_factor_q_perfect_power():
     assert len(fac.factors) == 1
     assert fac.factors[0].multiplicity == 2
     assert fac.factors[0].poly == Poly(Q, [1, 0, 1])
-    # r^m with r squarefree: one term r with multiplicity m, and r factored
-    # as a squarefree residual (a degree-4 r stays whole and uncertified)
+    # r^m with r squarefree: each irreducible factor of r with multiplicity m
     g = Poly(Q, [1, 1, 0, 0, 1])
     h = Poly(Q, [1, 0, 1]) * Poly(Q, [2, 0, 1])
-    for f, want in ((g ** 3, [(g, 3, False)]), (h ** 2, [(h, 2, False)]),
-                    (Poly(Q, [1, 0, 1]) ** 5, [(Poly(Q, [1, 0, 1]), 5, True)])):
-        assert [(t.poly, t.multiplicity, t.certified) for t in factor(f).factors] == want
+    for f, want in ((g ** 3, [(g, 3)]),
+                    (h ** 2, [(Poly(Q, [1, 0, 1]), 2), (Poly(Q, [2, 0, 1]), 2)]),
+                    (Poly(Q, [1, 0, 1]) ** 5, [(Poly(Q, [1, 0, 1]), 5)])):
+        assert [(t.poly, t.multiplicity) for t in factor(f).factors] == want
 
 
 def test_factor_q_repeated_factors_of_two_multiplicities():
-    # (T^2+1)(T^2+T+1)^2 is no perfect power: split by multiplicity, in
-    # increasing order, then each part as a squarefree residual
+    # (T^2+1)(T^2+T+1)^2 is no perfect power: split by multiplicity, then
+    # each part factored
     f = Poly(Q, [1, 0, 1]) * Poly(Q, [1, 1, 1]) ** 2
     fac = factor(f)
-    assert [(t.poly, t.multiplicity, t.certified) for t in fac.factors] == [
-        (Poly(Q, [1, 0, 1]), 1, True), (Poly(Q, [1, 1, 1]), 2, True)]
-    # T^4 + T + 1 has degree 4: kept whole and flagged, with multiplicity 2
+    assert [(t.poly, t.multiplicity) for t in fac.factors] == [
+        (Poly(Q, [1, 0, 1]), 1), (Poly(Q, [1, 1, 1]), 2)]
     g = Poly(Q, [1, 1, 0, 0, 1])
     fac = factor(Poly(Q, [2, 1]) * Poly(Q, [1, 0, 1]) * g ** 2)
-    assert [(t.poly, t.multiplicity, t.certified) for t in fac.factors] == [
-        (Poly(Q, [2, 1]), 1, True), (Poly(Q, [1, 0, 1]), 1, True), (g, 2, False)]
+    assert [(t.poly, t.multiplicity) for t in fac.factors] == [
+        (Poly(Q, [2, 1]), 1), (Poly(Q, [1, 0, 1]), 1), (g, 2)]
+
+
+@st.composite
+def irreducible_over_q(draw):
+    """A monic polynomial over Q of degree 1 to 4 whose integer multiple
+    Rabin's test proves irreducible mod a prime that keeps its degree, so
+    that it is irreducible over Q."""
+    deg = draw(st.integers(1, 4))
+    ints = draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg))
+    ints.append(draw(st.integers(1, 6)))
+    for p in (3, 5, 7, 11, 13):
+        if ints[-1] % p and is_irreducible(Poly(Field("prime", p=p), ints)):
+            return Poly(Q, ints).monic()
+    assume(False)
+
+
+SWINNERTON_DYER_8 = Poly(Q, [576, 0, -960, 0, 352, 0, -40, 0, 1])  # sqrt2 + sqrt3 + sqrt5
+
+
+# x^4 + 1, x^4 - 10x^2 + 1 and the degree-8 minimal polynomial of
+# sqrt2 + sqrt3 + sqrt5 are irreducible over Q but split mod every prime, so
+# only recombination of the lifted factors proves them whole; x^4 + 4 and
+# (x^2 + 1)(x^2 + 2) have no rational root and must split
+@settings(max_examples=60, deadline=None)
+@given(planted=st.lists(st.tuples(irreducible_over_q(), st.integers(1, 3)),
+                        min_size=1, max_size=3),
+       scale=st.fractions(-50, 50, max_denominator=20).map(lambda s: s or Fraction(1)))
+@example(planted=[(Poly(Q, [1, 0, 0, 0, 1]), 1)], scale=Fraction(1))
+@example(planted=[(Poly(Q, [1, 0, -10, 0, 1]), 2)], scale=Fraction(-3, 7))
+@example(planted=[(Poly(Q, [2, -2, 1]), 1), (Poly(Q, [2, 2, 1]), 1)], scale=Fraction(1))
+@example(planted=[(Poly(Q, [1, 0, 1]), 1), (Poly(Q, [2, 0, 1]), 1)], scale=Fraction(5))
+@example(planted=[(SWINNERTON_DYER_8, 1), (Poly(Q, [-1, 1]), 1)], scale=Fraction(2))
+def test_factor_q_returns_planted_factors(planted, scale):
+    want = {}
+    for g, mult in planted:
+        want[g] = want.get(g, 0) + mult
+    f = Poly.constant(Q(scale))
+    for g, mult in want.items():
+        f = f * g ** mult
+    fac = factor(f)
+    assert fac.unit == Q(scale)
+    assert [(t.poly, t.multiplicity) for t in fac.factors] == \
+        sorted(want.items(), key=lambda t: t[0].sort_key())
+
+
+def test_huge_rational_eigenvalues_factor_at_once():
+    """comm:m=4 on [[a, 1], [0, 3]] with a = 10^16 + 7 and 10^320 + 7: the
+    charpoly (x - a)(x - 3) once had its rational roots found by trial
+    division of a_0, which never ended; a subprocess with a timeout keeps a
+    regression from hanging the suite."""
+    code = (
+        "from wordmap.commutators import solve_commutator_product\n"
+        "from wordmap.fields import Field\n"
+        "from wordmap.matrices import Matrix\n"
+        "from wordmap.words import CommutatorProduct, eval_word\n"
+        "Q = Field('rationals')\n"
+        "for a in (10 ** 16 + 7, 10 ** 320 + 7):\n"
+        "    A = Matrix.from_rows(Q, [[a, 1], [0, 3]])\n"
+        "    w = solve_commutator_product(A, 4)\n"
+        "    assert eval_word(CommutatorProduct(4), w.matrices) == A\n"
+        "print('ok')\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordmap.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_factor_roundtrip_random():
@@ -158,7 +222,7 @@ def test_factor_tower_field():
 
 
 # ----------------------------------------------------------------------
-# rational roots inside the root bound
+# rational roots
 # ----------------------------------------------------------------------
 
 HUGE = 10**320
@@ -167,9 +231,8 @@ HUGE = 10**320
 # a derandomized hypothesis search drew for this test.  They are listed
 # because that search also draws integer literals mined from src/wordmap, so
 # deleting an unrelated literal there changes the examples; with c0 = 0 and
-# huge = 10^320 the constant term grows to about 10^325, and both
-# _rational_roots and the unbounded reference trial-divide it up to its
-# square root, which never ends.
+# huge = 10^320 the constant term grows to about 10^325, and the unbounded
+# reference trial-divides it up to its square root, which never ends.
 RATIONAL_ROOT_EXAMPLES = [
     ((-6053, 42), [(-24, 20)], (-5, 5), 1, HUGE, 0, "2/5", False),
     ((-207170, 39), [], (4, 3), -5, HUGE, 0, "-11/5", False),
@@ -204,11 +267,16 @@ RATIONAL_ROOT_EXAMPLES = [
 ]
 
 
+def linear_roots(f):
+    return sorted(-t.poly[0].rep for t in factor(f).factors if t.poly.degree == 1)
+
+
 def test_rational_roots_match_unbounded_search():
     """Planted roots p/q with |p| <= 10^6 and q <= 50, a non-monic cofactor
     (with a middle coefficient of 10^320 in some draws, past the float
-    range), powers of x, and rational scalings give the same roots in the
-    same order as trial division over every divisor of a_0 and a_n."""
+    range), powers of x, and rational scalings: the roots of the linear
+    factors are those trial division over every divisor of a_0 and a_n
+    finds."""
     for big, small, cofactor, lead, huge, x_power, scale, monic in RATIONAL_ROOT_EXAMPLES:
         scale = Fraction(scale) or Fraction(1)
         f = Poly(Q, [0] * x_power + [1])
@@ -220,8 +288,8 @@ def test_rational_roots_match_unbounded_search():
         f = (f * g).scale(Q(scale))
         if monic:
             f = f.monic()
-        got = _rational_roots(f)
-        assert got == naive_rational_roots(f)
+        got = linear_roots(f)
+        assert got == sorted(naive_rational_roots(f))
         for p, q in [big] + small:
             assert Fraction(p, q) in got
 
@@ -230,11 +298,17 @@ def test_rational_roots_with_coefficients_past_float_range():
     # (x - 3)(2x + 5)(x^2 + 10^400 x + 7): the root bound is about 10^400,
     # and int / int would overflow a float
     f = Poly(Q, [-3, 1]) * Poly(Q, [5, 2]) * Poly(Q, [7, 10**400, 1])
-    assert sorted(_rational_roots(f)) == [Fraction(-5, 2), Fraction(3)]
-    assert _rational_roots(f) == naive_rational_roots(f)
+    assert linear_roots(f) == [Fraction(-5, 2), Fraction(3)]
+    assert linear_roots(f) == sorted(naive_rational_roots(f))
 
 
 @given(m=st.integers(0, 10**60), k=st.integers(1, 9))
+@example(m=10**400, k=2)
+@example(m=10**400 + 1, k=2)
+@example(m=3**900, k=3)
+@example(m=3**900 - 1, k=3)
+@example(m=(2**61 - 1)**2, k=2)
+@example(m=(2**61 - 1)**2 + 1, k=2)
 def test_iroot_ceil_is_least_kth_root_above(m, k):
     c = _iroot_ceil(m, k)
     assert c ** k >= m

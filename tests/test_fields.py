@@ -267,6 +267,29 @@ def test_kth_roots_beyond_scan_bound_with_common_factor():
     assert kth_roots(non_cube, 3) == []
 
 
+@pytest.mark.parametrize("name", ["Fp:7", "Fp:13", "Fq:p=7,d=2,mod=[1,0,1]"])
+def test_kth_roots_with_exponents_past_the_index_range(name):
+    # x^k - e was once built densely, and k = 10^30 raised OverflowError
+    field = _field(name)
+    for k in (10**30, 10**30 + 1, 3 * 10**40 + 2):
+        targets = {y.rep: y for x in enumerate_elements(field) for y in (x, x ** k)}
+        for e in targets.values():
+            assert kth_roots(e, k) == naive_kth_roots(e, k)
+
+
+def test_kth_roots_of_rationals_past_the_float_range():
+    # the integer k-th root was once the rounded float n ** (1/k)
+    assert kth_roots(Q(10**400), 2) == [Q(10**200), Q(-10**200)]
+    assert kth_roots(Q(10**400 + 1), 2) == []
+    assert kth_roots(Q(3**900), 3) == [Q(3**300)]
+    assert kth_roots(Q(Fraction(-3**900, 2**600)), 3) == [Q(Fraction(-3**300, 2**200))]
+    assert kth_roots(Q(3**900 - 1), 3) == []
+    n = 2**61 - 1
+    assert kth_roots(Q(n * n), 2) == [Q(n), Q(-n)]
+    assert kth_roots(Q(n * n + 1), 2) == []
+    assert kth_roots(Q(Fraction(1, n * n)), 4) == []
+
+
 def test_field_holds_no_state_changed_by_roots_or_solves():
     from wordmap.diagonal import solve_diagonal_word
     from wordmap.matrices import Matrix
@@ -328,6 +351,18 @@ def test_extend_rationals_gaussian():
 def test_extend_rejects_reducible():
     with pytest.raises(ReduciblePolynomial):
         extend(F2, Poly(F2, [0, 1, 1]))  # t^2 + t = t(t+1)
+
+
+def test_extension_of_q_needs_an_irreducible_modulus():
+    # (x^2 + 1)(x^2 + 2) and x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2) have no
+    # rational root; x^4 + 1, x^4 - 10x^2 + 1 and the minimal polynomial of
+    # sqrt2 + sqrt3 + sqrt5 are irreducible but split mod every prime
+    for modulus in ((2, 0, 3, 0, 1), (4, 0, 0, 0, 1)):
+        with pytest.raises(ReduciblePolynomial):
+            Field("ext", modulus=modulus, base=Q)
+    for modulus in ((1, 0, 0, 0, 1), (1, 0, -10, 0, 1), (576, 0, -960, 0, 352, 0, -40, 0, 1)):
+        L, _, _ = extend(Q, modulus)
+        assert L.degree == len(modulus) - 1
 
 
 def test_extend_embedding_is_homomorphism():

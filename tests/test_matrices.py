@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import wordmap.matrices as matrices_mod
 from wordmap.errors import (
-    FactorizationUnavailable,
     NotNilpotent,
     UsageError,
     VerificationFailed,
@@ -169,15 +168,18 @@ def test_realization_is_a_fixed_point_of_the_jordan_form(A, seed):
     """The Jordan form of a realization is (the same blocks, the identity,
     the same realization); the m = 4 commutator solve relies on it to skip
     a second Jordan form."""
-    try:
-        jf = generalized_jordan_form(A, seed)
-    except FactorizationUnavailable:
-        # over Q an uncertified factor can split: no form to reuse
-        return
+    jf = generalized_jordan_form(A, seed)
     again = generalized_jordan_form(jf.realization, seed)
     assert again.blocks == jf.blocks
     assert again.conjugator == Matrix.identity(A.field, A.nrows)
     assert again.realization == jf.realization
+
+
+def test_jordan_form_of_the_empty_matrix_is_a_usage_error():
+    # it once raised IndexError
+    for field in (Field("prime", p=5), Q):
+        with pytest.raises(UsageError):
+            generalized_jordan_form(Matrix(field, []))
 
 
 def test_jordan_form_rotation_over_q():
