@@ -38,16 +38,6 @@ NEGATIVE = (NotFound, Unsupported, NonzeroTrace, WitnessNotFound,
             SizeTooSmall, PartitionTooSmall)
 
 
-def _field_from_args(args) -> Field:
-    field = parse_field_spec(args.field)
-    tol = getattr(args, "tolerance", None)
-    if tol is not None:
-        if field.kind not in ("real", "complex"):
-            raise UsageError("--tolerance only applies to R/C fields")
-        field = Field(field.kind, tolerance=tol)
-    return field
-
-
 def _load_json_arg(text: str) -> dict:
     text = text.strip()
     if text.startswith("{"):
@@ -104,7 +94,7 @@ def _emit(payload: dict, out: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    field = _field_from_args(args)
+    field = parse_field_spec(args.field)
     word = parse_word(args.word, field)
     target = matrix_from_json(_load_json_arg(args.matrix), field)
     if isinstance(word, CommutatorProduct):
@@ -151,7 +141,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate_image(args) -> int:
-    field = _field_from_args(args)
+    field = parse_field_spec(args.field)
     word = parse_word(args.word, field)
     summary = image_enumerate(word, args.n, field, cap=args.cap)
     payload = {
@@ -170,7 +160,7 @@ def _cmd_enumerate_image(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    field = _field_from_args(args)
+    field = parse_field_spec(args.field)
     word = parse_word(args.word, field)
     if not isinstance(word, DiagonalWord):
         raise UsageError("count takes a diagonal word")
@@ -219,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, field=True, outs=("json", "text")):
         if field:
             p.add_argument("--field", required=True, help="Fp:7 | Fq:p=2,d=2,mod=[1,1,1] | Q | R:tol=1e-9 | C:tol=1e-9")
-            p.add_argument("--tolerance", type=float, default=None,
-                           help="override the comparison tolerance of R/C fields")
         p.add_argument("--out", choices=outs, default="json")
 
     p = sub.add_parser("solve", help="solve a word equation and emit a verified witness")

@@ -172,12 +172,30 @@ def scalar_solution(field: Field, alpha: FieldElement, k1: int, k2: int,
 
 
 def _power_sum_ratio(u: FieldElement, w: FieldElement, k: int) -> FieldElement:
-    """sum_{i<k} u^i w^{k-1-i}; nonzero whenever u^k != w^k."""
+    """S(k) = sum_{i<k} u^i w^{k-1-i}; nonzero whenever u^k != w^k.
+
+    Exact kinds walk the bits of k with S(2j) = S(j) (u^j + w^j) and
+    S(j+1) = u^j + w S(j), in O(log k) products and no division, skipping
+    the powers the last step does not use; R and C keep the k-term sum,
+    whose float bits the pinned digests carry."""
     field = u.field
-    acc = field.zero()
-    for i in range(k):
-        acc = acc + u ** i * w ** (k - 1 - i)
-    return acc
+    if not field.is_exact:
+        acc = field.zero()
+        for i in range(k):
+            acc = acc + u ** i * w ** (k - 1 - i)
+        return acc
+    bits = bin(k)[3:]
+    s, uj, wj = field.one(), u, w  # S(j), u^j, w^j for j = 1
+    for i, bit in enumerate(bits):
+        last = i == len(bits) - 1
+        s = s * (uj + wj)
+        if bit == "1" or not last:
+            uj, wj = uj * uj, wj * wj
+        if bit == "1":
+            s = uj + w * s
+            if not last:
+                uj, wj = uj * u, wj * w
+    return s
 
 
 def invertible_jordan_decompose(alpha: FieldElement, n: int, k1: int, k2: int,

@@ -14,9 +14,13 @@ Over Q, f is factored by Zassenhaus's algorithm (ch. 15) on the same
 pipeline: its primitive integer multiple is factored modulo the least odd
 prime p that does not divide lc(f) and keeps f squarefree; the factors
 mod p are Hensel-lifted quadratically past twice the Mignotte bound and
-recombined in subsets, smallest first.  f squarefree mod p proves f
-squarefree, so squarefree decomposition over Q runs only when no prime up
-to 13 does that.  Every factor returned is proven irreducible.
+recombined in subsets, smallest first; lifting and recombination run on
+``PrimeKernel(p^k)``, the kernel of F_p taken modulo a prime power.  f
+squarefree mod p proves f squarefree, so squarefree decomposition over Q
+runs only when no prime up to 13 does that.  Every factor returned is
+proven irreducible, so ``is_irreducible`` is "one factor of multiplicity
+one" over every base: over F_q the distinct-degree step does the work of
+Rabin's test.
 """
 
 from __future__ import annotations
@@ -28,14 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import UnsupportedField, VerificationFailed, ZeroPolynomial
-from .fields import (
-    Field,
-    FieldElement,
-    _cleared,
-    _irreducible_over_prime,
-    _is_prime,
-    random_element,
-)
+from .fields import Field, FieldElement, PrimeKernel, _cleared, _is_prime, random_element
 from .polynomials import Poly
 
 
@@ -81,12 +78,10 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 
 def is_irreducible(f: Poly) -> bool:
     """The irreducibility predicate ``Field`` checks every extension modulus
-    with: Rabin's test on the monic f over finite fields (towers included);
-    over Q a single factor of multiplicity one from ``factor``."""
+    with, over every base ``factor`` supports: f is irreducible when its
+    factorization is one factor of multiplicity one."""
     if f.degree < 1:
         return False
-    if f.field.is_finite:
-        return _irreducible_over_prime(f.monic()._raw(), f.field)
     fac = factor(f)
     return len(fac.factors) == 1 and fac.factors[0].multiplicity == 1
 
@@ -284,9 +279,11 @@ def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
     while M <= 2 * bound:
         M *= p
     lifted = _hensel_lift(f, modular, fp.field.kernel, M)
+    kern = PrimeKernel(M)
 
     def symmetric(polys):  # lc(f) * prod polys mod M, coefficients in (-M/2, M/2]
-        return [c - M if 2 * c > M else c for c in _zprod([[f[-1]]] + polys, M)]
+        return [c - M if 2 * c > M else c
+                for c in functools.reduce(kern.poly_mul, polys, [f[-1]])]
 
     out, size = [], 1
     while 2 * size <= len(lifted):
@@ -302,56 +299,27 @@ def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
     return out + [f]
 
 
-def _hensel_lift(f: list, modular: list, kern, M: int) -> list:
+def _hensel_lift(f: list, modular: list, kern: PrimeKernel, M: int) -> list:
     """Monic h_i = g_i mod p with f = lc(f) prod h_i mod M (a power of p),
     for the coprime monic g_i in ``modular`` with f = lc(f) prod g_i mod p;
     ``kern`` is the kernel of F_p.  Split in halves f = g h, then g, h and
     s = g^-1 mod h take quadratic Newton steps (h -= s (g h - f) mod h;
-    g = f quo h; s -= s (s g - 1) mod h), and each half is lifted alike."""
+    g = f quo h; s -= s (s g - 1) mod h) on the kernel of Z/m, and each half
+    is lifted alike."""
     if len(modular) == 1:
-        return [_zmul(f, [pow(f[-1], -1, M)], M)]
-    p = kern.p
+        return [PrimeKernel(M).vscale(f, pow(f[-1], -1, M))]
     half = len(modular) // 2
-    h = _zprod(modular[half:], p)
-    g = _zdivmod(f, h, p)[0]
+    h = functools.reduce(kern.poly_mul, modular[half:])
+    g = kern.poly_divmod(f, h)[0]
     r, s = kern.poly_gcdext(g, h)
-    s = _zmul(s, [pow(r[0], -1, p)], p)
-    m = p
+    s = kern.vscale(s, kern.inv(r[0]))
+    m = kern.m
     while m < M:
         m = min(m * m, M)
-        h = _zsub(h, _zdivmod(_zmul(s, _zsub(_zmul(g, h, m), f, m), m), h, m)[1], m)
-        g = _zdivmod(f, h, m)[0]
-        s = _zsub(s, _zdivmod(_zmul(s, _zsub(_zmul(s, g, m), [1], m), m), h, m)[1], m)
+        km = PrimeKernel(m)
+        mul, sub, divmod_ = km.poly_mul, km.poly_sub, km.poly_divmod
+        h = sub(h, divmod_(mul(s, sub(mul(g, h), f)), h)[1])
+        g = divmod_(f, h)[0]
+        s = sub(s, divmod_(mul(s, sub(mul(s, g), [1])), h)[1])
     return (_hensel_lift(g, modular[:half], kern, M)
             + _hensel_lift(h, modular[half:], kern, M))
-
-
-# Integer polynomials mod m, low degree first; leading zeros are allowed.
-
-def _zmul(a: list, b: list, m: int) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + len(b)] = [c + x * y for c, y in zip(out[i:i + len(b)], b)]
-    return [c % m for c in out]
-
-
-def _zsub(a: list, b: list, m: int) -> list:
-    return [(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)]
-
-
-def _zprod(polys: list, m: int) -> list:
-    return functools.reduce(lambda a, b: _zmul(a, b, m), polys)
-
-
-def _zdivmod(a: list, b: list, m: int) -> tuple:
-    """Quotient and remainder (padded to deg b) of a by the monic b, mod m."""
-    rem = [c % m for c in a]
-    d = len(b) - 1
-    quot = [0] * max(len(rem) - d, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = quot[i] = rem[i + d]
-        if c:
-            rem[i:i + d + 1] = [(x - c * y) % m for x, y in zip(rem[i:i + d + 1], b)]
-    return quot, rem[:d]
-

@@ -18,8 +18,11 @@ determinants, and polynomial add/sub/mul/divmod with the extended gcd and
 modular powers built on them.  There are three implementations,
 picked by the field kind:
 
-  PrimeKernel     F_p on plain ints; each dot product or convolution
-                  coefficient is summed exactly and reduced mod p once
+  PrimeKernel     Z/m on plain ints, built from m alone: the kernel of
+                  F_p, whose element closures come from it, and of the
+                  Z/p^k that Hensel lifting in ``factor`` works in; each
+                  dot product or convolution coefficient is summed
+                  exactly and reduced mod m once
   RationalKernel  Q on integers: dot and matrix products clear rows and
                   columns to one common denominator, and echelon is
                   fraction-free Gauss-Jordan on primitive integer rows;
@@ -31,8 +34,8 @@ picked by the field kind:
 
 FieldElement stays the public boundary: Matrix and Poly keep FieldElement
 entries and coefficients, unwrap the reps once per operation, call the
-kernel, and wrap the result once.  Extension inverses and the Rabin
-irreducibility test use the base field's polynomial kernel.
+kernel, and wrap the result once.  Extension inverses use the base
+field's polynomial kernel.
 
 Log tables.  A finite extension with q <= ELEMENT_TABLE_BOUND, towers
 included, replaces its element closures with Zech-logarithm lookups when
@@ -59,8 +62,8 @@ Extensions are a quotient step ``base[t]/(m)`` with ``base`` a finite field
 (giving F_{p^d} and towers over F_{p^d}) or Q.  An extension ``Field``
 refuses a modulus that is not monic (UsageError) or not irreducible
 (ReduciblePolynomial); it is the one place that checks, through
-``factor.is_irreducible``: Rabin's test over finite bases, factoring over
-Q.  ``extend``, ``GF`` and ``parse_field_spec`` rely on that check.
+``factor.is_irreducible``, which factors the modulus over every base.
+``extend``, ``GF`` and ``parse_field_spec`` rely on that check.
 Approximate kinds carry an explicit tolerance used only when *comparing*
 values; every construction stays formula driven.
 
@@ -245,11 +248,9 @@ class Field:
             self.degree = 1
             self.key = ("prime", p)
             self._zero_raw, self._one_raw = 0, 1
-            self._radd = lambda a, b: (a + b) % p
-            self._rsub = lambda a, b: (a - b) % p
-            self._rmul = lambda a, b: (a * b) % p
-            self._rneg = lambda a: (-a) % p
-            self._rinv = lambda a: pow(a, p - 2, p)
+            self.kernel = kern = PrimeKernel(p)
+            self._radd, self._rsub, self._rmul = kern.radd, kern.rsub, kern.rmul
+            self._rneg, self._rinv = kern.rneg, kern.inv
         elif kind == "ext":
             if base is None or not (base.kind in ("prime", "rationals")
                                     or (base.kind == "ext" and base.is_finite)):
@@ -290,7 +291,8 @@ class Field:
             raise UsageError(f"unknown field kind {kind!r}")
         self._zero = FieldElement(self, self._zero_raw)
         self._one = FieldElement(self, self._one_raw)
-        self.kernel = _KERNELS.get(kind, GenericKernel)(self)
+        if kind != "prime":
+            self.kernel = (RationalKernel if kind == "rationals" else GenericKernel)(self)
         self._elements = None
         if kind == "prime" and p <= ELEMENT_TABLE_BOUND:
             self._elements = tuple(FieldElement(self, i) for i in range(p))
@@ -846,34 +848,43 @@ class GenericKernel:
 
 
 class PrimeKernel(GenericKernel):
-    """F_p on plain ints: the hot ops accumulate each dot product or
-    convolution coefficient exactly and reduce it mod p once; inverses are
-    a^(p-2).  The rest run through the field's closures, on the same ints."""
+    """Z/m on plain ints, for any modulus m >= 2: F_p when m is prime, and
+    Z/p^k for Hensel lifting.  The hot ops accumulate each dot product or
+    convolution coefficient exactly and reduce it mod m once.  Inverses are
+    pow(a, -1, m), so every division (echelon pivots, leading coefficients
+    of divisors) needs a unit; over F_p every nonzero a is one."""
 
-    __slots__ = ("p",)
+    __slots__ = ("m",)
 
-    def __init__(self, field: "Field"):
-        super().__init__(field)
-        self.p = field.p
+    def __init__(self, m: int):
+        self.m = m
+        self.radd = lambda a, b: (a + b) % m
+        self.rsub = lambda a, b: (a - b) % m
+        self.rmul = lambda a, b: a * b % m
+        self.rneg = lambda a: -a % m
+        self.inv = lambda a: pow(a, -1, m)
+        self.zero, self.one = 0, 1
+        self.exact, self.eps = True, 0.0
+        self.is_zero = functools.partial(operator.eq, 0)
 
     def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.p
+        return sum(map(operator.mul, xs, ys)) % self.m
 
     def vscale(self, xs, c):
-        p = self.p
-        return [x * c % p for x in xs]
+        m = self.m
+        return [x * c % m for x in xs]
 
     def vsub_scaled(self, xs, c, ys):
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(xs, ys)]
+        m = self.m
+        return [(x - c * y) % m for x, y in zip(xs, ys)]
 
     def matmul(self, A, B):
-        p, mul = self.p, operator.mul
+        m, mul = self.m, operator.mul
         cols = list(zip(*B))
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in A]
+        return [[sum(map(mul, row, col)) % m for col in cols] for row in A]
 
     def echelon(self, rows, ncols: int = None) -> list:
-        p = self.p
+        m = self.m
         nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
@@ -886,20 +897,24 @@ class PrimeKernel(GenericKernel):
             else:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][c], p - 2, p)
-            prow = rows[r] = [a * inv % p for a in rows[r]]
+            inv = pow(rows[r][c], -1, m)
+            prow = rows[r] = [a * inv % m for a in rows[r]]
             # rows at and below r vanish left of c, so only the tail moves
             tail = prow[c:]
             for rr in range(nrows):
                 f = rows[rr][c]
                 if f and rr != r:
                     row = rows[rr]
-                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+                    row[c:] = [(a - f * b) % m for a, b in zip(row[c:], tail)]
             pivots.append(c)
             r += 1
             if r == nrows:
                 break
         return pivots
+
+    def poly_sub(self, a, b):
+        m = self.m
+        return self.poly_trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
     def poly_mul(self, a, b):
         if not a or not b:
@@ -909,26 +924,25 @@ class PrimeKernel(GenericKernel):
         for i, x in enumerate(a):
             if x:
                 out[i:i + lb] = [s + x * y for s, y in zip(out[i:i + lb], b)]
-        p = self.p
-        return self.poly_trim([c % p for c in out])
+        m = self.m
+        return self.poly_trim([c % m for c in out])
 
     def poly_divmod(self, a, b):
+        """One pass over the quotient positions, top down, skipping zero
+        quotient coefficients; the leading coefficient of b must be a unit.
+        The coefficients of a may be any ints."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
-        p = self.p
-        rem = list(a)
-        db = len(b) - 1
-        if len(rem) - 1 < db:
-            return [], rem
-        inv = pow(b[-1], p - 2, p)
-        quot = [0] * (len(rem) - db)
-        while len(rem) - 1 >= db:
-            c = rem[-1] * inv % p
-            shift = len(rem) - 1 - db
-            quot[shift] = c
-            rem[shift:] = [(r - c * y) % p for r, y in zip(rem[shift:], b)]
-            self.poly_trim(rem)
-        return self.poly_trim(quot), rem
+        m = self.m
+        rem = [c % m for c in a]
+        d = len(b) - 1
+        inv = pow(b[-1], -1, m)
+        quot = [0] * max(len(rem) - d, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = rem[i + d] * inv % m
+            if c:
+                rem[i:i + d + 1] = [(x - c * y) % m for x, y in zip(rem[i:i + d + 1], b)]
+        return self.poly_trim(quot), self.poly_trim(rem[:d])
 
 
 def _cleared(xs):
@@ -1012,33 +1026,6 @@ class RationalKernel(GenericKernel):
             s = scales[i]
             rows[i] = [s * a for a in ints[i]]
         return pivots
-
-
-_KERNELS = {"prime": PrimeKernel, "rationals": RationalKernel}
-
-
-def _irreducible_over_prime(mod, base: Field) -> bool:
-    """Rabin's irreducibility test (Rabin 1980) for a monic polynomial of
-    degree d >= 1 over a finite field F_q, raw coefficients low degree
-    first: x^(q^d) = x mod m, and gcd(x^(q^(d/r)) - x, m) = 1 for every
-    prime r | d.  Callers go through ``factor.is_irreducible``."""
-    d = len(mod) - 1
-    if d == 1:
-        return True
-    kern = base.kernel
-    mod = list(mod)
-    q = base.cardinality
-    x = [base._zero_raw, base._one_raw]
-    # x^(q^d) == x mod m
-    frob = kern.poly_powmod(x, q ** d, mod)
-    if kern.poly_sub(frob, x):
-        return False
-    for t in _prime_divisors(d):
-        frob = kern.poly_powmod(x, q ** (d // t), mod)
-        g, _ = kern.poly_gcdext(kern.poly_sub(frob, x), mod)
-        if len(g) - 1 != 0:
-            return False
-    return True
 
 
 def _prime_divisors(n: int) -> list:
@@ -1226,8 +1213,10 @@ def _roots_by_gcd(field: Field, e: FieldElement, k: int) -> list:
 
 def _iroot_ceil(m: int, k: int) -> int:
     """The least c >= 0 with c**k >= m, in integer arithmetic."""
-    if m <= 0:
-        return 0
+    if m <= 1:
+        return max(m, 0)
+    if k >= m.bit_length():  # 2**k > m > 1
+        return 2
     c = 1 << -(-m.bit_length() // k)  # c**k > m
     while True:  # Newton from above settles on the floor of the k-th root
         d = ((k - 1) * c + m // c ** (k - 1)) // k
@@ -1282,6 +1271,8 @@ def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
         neg = num < 0
         if neg and k % 2 == 0:
             return []
+        if k >= max(abs(num), den).bit_length() and (abs(num), den) != (1, 1):
+            return []  # only 1 is a k-th power below 2**k
         rn, rd = _iroot_ceil(abs(num), k), _iroot_ceil(den, k)
         if rn ** k != abs(num) or rd ** k != den:
             return []

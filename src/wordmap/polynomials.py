@@ -186,11 +186,16 @@ class Poly:
         return Poly(field, out)
 
     def gcd(self, other: "Poly") -> "Poly":
+        """The monic gcd.  Over exact kinds every remainder is made monic,
+        which keeps Q coefficients small; R and C divide as they come."""
         self._check(other)
-        divmod_ = self.field.kernel.poly_divmod
+        kern = self.field.kernel
+        exact = self.field.is_exact
         a, b = self._raw(), other._raw()
         while b:
-            a, b = b, divmod_(a, b)[1]
+            if exact:
+                b = kern.vscale(b, kern.inv(b[-1]))
+            a, b = b, kern.poly_divmod(a, b)[1]
         if not a:
             return Poly.zero(self.field)
         return Poly._from_raw(self.field, a).monic()

@@ -429,6 +429,21 @@ def naive_kth_roots(e, k):
     return [x for x in enumerate_elements(e.field) if x ** k == e]
 
 
+def rabin_irreducible(mod, base):
+    """Rabin's irreducibility test (Rabin 1980) for a monic polynomial of
+    degree d >= 1 over a finite field F_q, raw coefficients low degree
+    first: x^(q^d) = x mod m, and gcd(x^(q^(d/r)) - x, m) = 1 for every
+    prime r | d.  The reference for ``factor.is_irreducible``, which
+    decides by factoring."""
+    m = Poly(base, [base.element(c) for c in mod])
+    d, q = m.degree, base.cardinality
+    x = Poly.x(base)
+    if x.pow_mod(q ** d, m) != x % m:
+        return False
+    primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
+    return all(m.gcd(x.pow_mod(q ** (d // r), m) - x).degree == 0 for r in primes)
+
+
 def power_per_degree_distinct_degree(f):
     """Distinct-degree splitting of a monic polynomial over F_q with one
     modular power x^(q^d) = (x^(q^(d-1)))^q mod g per degree d: the loop

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import wordmap
 
 import wordmap.matrices as matrices
 from wordmap.cli import main
@@ -282,3 +287,38 @@ def test_failed_chain_check_exits_1_without_traceback(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: kernel dimensions incompatible with factor degree\n"
+
+
+def test_tolerance_option_is_refused(capsys):
+    # R/C tolerances are set by the field spec (R:tol=...) alone
+    code, out, err = run(capsys, "solve", "--field", "R:tol=1e-9", "--tolerance", "1e-6",
+                         "--word", "comm:m=4", "--matrix", '{"entries":[[1.0]]}')
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: wordmap")
+    assert "unrecognized arguments: --tolerance 1e-6" in err
+    assert "Traceback" not in err
+
+
+HUGE_K = str(10 ** 30)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--field", "Q", "--word", f"diag:d=1,k={HUGE_K}", "--matrix", '{"entries":[["2"]]}'], 2),
+    (["--field", "Fp:7", "--word", f"diag:d=1,k={HUGE_K};d=1,k={HUGE_K}",
+      "--matrix", '{"entries":[[2,1],[0,2]]}'], 0),
+], ids=["Q-not-a-power", "Fp7-jordan-block"])
+def test_huge_exponents_answer_at_once(argv, code):
+    """A k-th root over Q and the power sum of an invertible Jordan block
+    once took time linear in k; a subprocess with a timeout keeps a
+    regression from hanging the suite."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordmap.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "wordmap.cli", "solve", *argv],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["verified"] is True
+    else:
+        assert proc.stderr.startswith("NotFound: ")

@@ -10,6 +10,7 @@ import pytest
 import wordmap
 
 from wordmap.diagonal import (
+    _power_sum_ratio,
     bordered_matrix,
     bordered_solve,
     invertible_jordan_decompose,
@@ -122,6 +123,22 @@ def test_scalar_solutions_are_pinned(spec, one_digest, two_digest):
 
 
 # -- invertible Jordan blocks -------------------------------------------------
+
+def test_power_sum_ratio_matches_the_sum():
+    """The O(log k) recurrence over exact kinds against the k-term sum."""
+    rng = random.Random(800)
+    F9 = parse_field_spec("Fq:p=3,d=2,mod=[2,2,1]")
+    draws = {F7: lambda: F7(rng.randrange(7)), F101: lambda: F101(rng.randrange(101)),
+             F9: lambda: F9([rng.randrange(3), rng.randrange(3)]),
+             Q: lambda: Q(rng.randrange(-9, 10)) / Q(rng.randrange(1, 10))}
+    for field, draw in draws.items():
+        for _ in range(200):
+            u, w, k = draw(), draw(), rng.randrange(1, 41)
+            want = field.zero()
+            for i in range(k):
+                want = want + u ** i * w ** (k - 1 - i)
+            assert _power_sum_ratio(u, w, k) == want, (field, u, w, k)
+
 
 def test_invertible_jordan_f7_known_values():
     B, Cm = invertible_jordan_decompose(F7(5), 2, 2, 2, F7(1))

@@ -14,7 +14,7 @@ from wordmap.factor import _distinct_degree, factor, is_irreducible
 from wordmap.fields import Field, GF, _iroot_ceil, enumerate_elements, extend
 from wordmap.polynomials import Poly
 
-from oracles import naive_rational_roots, power_per_degree_distinct_degree
+from oracles import naive_rational_roots, power_per_degree_distinct_degree, rabin_irreducible
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -94,7 +94,7 @@ def test_factor_q_repeated_factors_of_two_multiplicities():
 @st.composite
 def irreducible_over_q(draw):
     """A monic polynomial over Q of degree 1 to 4 whose integer multiple
-    Rabin's test proves irreducible mod a prime that keeps its degree, so
+    is_irreducible proves irreducible mod a prime that keeps its degree, so
     that it is irreducible over Q."""
     deg = draw(st.integers(1, 4))
     ints = draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg))
@@ -159,6 +159,35 @@ def test_huge_rational_eigenvalues_factor_at_once():
     assert proc.stdout == "ok\n"
 
 
+def test_repeated_factors_with_large_coefficients_factor_quickly():
+    """g1^3 g2^2 g3^2 g4 over Q with random degree-5 g_i and 31-digit
+    coefficients: the squarefree decomposition's gcds once let their
+    Fraction remainders grow for minutes; a subprocess with a timeout keeps
+    a regression from hanging the suite."""
+    code = (
+        "import random\n"
+        "from wordmap.factor import factor\n"
+        "from wordmap.fields import Field\n"
+        "from wordmap.polynomials import Poly\n"
+        "Q = Field('rationals')\n"
+        "rng = random.Random(1)\n"
+        "gs = [Poly(Q, [rng.randrange(-10**31, 10**31) for _ in range(5)]\n"
+        "           + [rng.randrange(1, 10**31)]) for _ in range(4)]\n"
+        "want = sorted(zip([g.monic() for g in gs], (3, 2, 2, 1)),\n"
+        "              key=lambda t: t[0].sort_key())\n"
+        "f = gs[0] ** 3 * gs[1] ** 2 * gs[2] ** 2 * gs[3]\n"
+        "assert f.degree == 40\n"
+        "assert [(t.poly, t.multiplicity) for t in factor(f).factors] == want\n"
+        "print('ok')\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordmap.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 def test_factor_roundtrip_random():
     rng = random.Random(7)
     for field in (F2, F3, F7):
@@ -169,7 +198,7 @@ def test_factor_roundtrip_random():
             fac = factor(f, seed=rng.randrange(1000))
             assert fac.expand() == f
             for term in fac.factors:
-                assert is_irreducible(term.poly)
+                assert rabin_irreducible(term.poly._raw(), field)
             refac = factor(fac.expand(), seed=1)
             assert as_pairs(refac) == as_pairs(fac)
 
@@ -218,7 +247,7 @@ def test_factor_tower_field():
         f = Poly(F16, [rng.choice(elems) for _ in range(deg)] + [F16.one()])
         fac = factor(f, seed=1)
         assert fac.expand() == f
-        assert all(is_irreducible(t.poly) for t in fac.factors)
+        assert all(rabin_irreducible(t.poly._raw(), F16) for t in fac.factors)
 
 
 # ----------------------------------------------------------------------
@@ -313,6 +342,11 @@ def test_iroot_ceil_is_least_kth_root_above(m, k):
     c = _iroot_ceil(m, k)
     assert c ** k >= m
     assert c == 0 or (c - 1) ** k < m
+
+
+def test_iroot_ceil_huge_exponent():
+    k = 10 ** 30
+    assert [_iroot_ceil(m, k) for m in (0, 1, 2, 10 ** 20)] == [0, 1, 2, 2]
 
 
 # ----------------------------------------------------------------------

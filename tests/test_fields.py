@@ -163,6 +163,16 @@ def test_kth_roots_rationals():
     assert kth_roots(Q(-4), 2) == []
 
 
+@pytest.mark.parametrize("k", [10 ** 30, 10 ** 30 + 1])
+def test_kth_roots_rationals_huge_exponent(k):
+    """Below 2^k only 1 is a k-th power, so these answer without k-sized work."""
+    odd = k % 2
+    assert kth_roots(Q(1), k) == ([Q(1)] if odd else [Q(1), Q(-1)])
+    assert kth_roots(Q(-1), k) == ([Q(-1)] if odd else [])
+    for e in ("1/2", "2", "-1/2", "-2"):
+        assert kth_roots(Q(e), k) == []
+
+
 def test_kth_roots_count_matches_gcd():
     # for e a nonzero k-th power, the number of k-th roots is gcd(k, q-1)
     for field in (F5, F7, GF(9)):

@@ -23,10 +23,11 @@ from wordmap.cli import main
 from wordmap.commutators import factor_two_trace_zero, solve_commutator_product
 from wordmap.diagonal import _exhaustive_two_term, solve_diagonal_word
 from wordmap.errors import ReduciblePolynomial, SingularMatrix
+from wordmap.factor import is_irreducible
 from wordmap.fields import (
     GenericKernel,
+    PrimeKernel,
     RationalKernel,
-    _irreducible_over_prime,
     enumerate_elements,
     extend,
     parse_field_spec,
@@ -51,6 +52,7 @@ from oracles import (
     naive_power,
     naive_rank,
     naive_solve_right,
+    rabin_irreducible,
 )
 
 F4_SPEC = "Fq:p=2,d=2,mod=[1,1,1]"
@@ -383,7 +385,82 @@ def test_irreducibility_test_by_roots(p):
             mod = tuple(tail) + (1,)
             has_root = any(sum(c * x ** i for i, c in enumerate(mod)) % p == 0
                            for x in range(p))
-            assert _irreducible_over_prime(mod, base) == (not has_root)
+            assert is_irreducible(Poly(base, mod)) == (not has_root)
+
+
+def _monic_polys(field, d):
+    elems = list(enumerate_elements(field))
+    for tail in itertools.product(elems, repeat=d):
+        yield Poly(field, list(tail) + [field.one()])
+
+
+@pytest.mark.parametrize("spec", ["Fp:2", "Fp:3", "Fp:5", F4_SPEC, F9_SPEC])
+def test_is_irreducible_matches_rabin_on_every_monic(spec):
+    """Factoring decides irreducibility; Rabin's test is the reference."""
+    field = parse_field_spec(spec)
+    for d in (2, 3, 4):
+        for f in _monic_polys(field, d):
+            assert is_irreducible(f) == rabin_irreducible(f._raw(), field), f
+
+
+def test_is_irreducible_matches_rabin_over_f101():
+    field = FIELDS["Fp:101"]
+    rng = random.Random(101)
+    for d in range(1, 13):
+        for _ in range(6):
+            f = Poly(field, [rng.randrange(101) for _ in range(d)] + [1])
+            assert is_irreducible(f) == rabin_irreducible(f._raw(), field), f
+
+
+def test_is_irreducible_matches_rabin_over_f16_tower():
+    F16 = _quadratic_tower(FIELDS[F4_SPEC], FIELDS[F4_SPEC].one())
+    assert F16.cardinality == 16
+    polys = list(_monic_polys(F16, 2))
+    rng = random.Random(16)
+    elems = list(enumerate_elements(F16))
+    for d in (3, 4):
+        polys += [Poly(F16, [rng.choice(elems) for _ in range(d)] + [F16.one()])
+                  for _ in range(40)]
+    for f in polys:
+        assert is_irreducible(f) == rabin_irreducible(f._raw(), F16), f
+
+
+def _int_poly_mod(a, m):
+    """Coefficients mod m with trailing zeros dropped."""
+    out = [c % m for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_poly_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 101]), k=st.integers(1, 6), data=st.data())
+def test_prime_kernel_mod_prime_power(p, k, data):
+    """PrimeKernel(p^k), the ring Hensel lifting works in, against integer
+    polynomial arithmetic reduced mod p^k; inputs may be any ints."""
+    m = p ** k
+    kern = PrimeKernel(m)
+    ints = st.lists(st.integers(-3 * m, 3 * m), max_size=8)
+    a, b = data.draw(ints), data.draw(ints)
+    assert kern.poly_mul(a, b) == _int_poly_mod(_int_poly_mul(a, b), m)
+    pad = max(len(a), len(b))
+    diff = [x - y for x, y in zip(a + [0] * (pad - len(a)), b + [0] * (pad - len(b)))]
+    assert kern.poly_sub(a, b) == _int_poly_mod(diff, m)
+    monic = data.draw(st.lists(st.integers(-3 * m, 3 * m), max_size=5)) + [1]
+    quot, rem = kern.poly_divmod(a, monic)
+    assert quot == _int_poly_mod(quot, m) and rem == _int_poly_mod(rem, m)
+    assert len(rem) < len(monic)
+    back = _int_poly_mul(quot, monic)
+    back = [x + (rem[i] if i < len(rem) else 0) for i, x in enumerate(back + [0] * len(rem))]
+    assert _int_poly_mod(back, m) == _int_poly_mod(a, m)
 
 
 # ----------------------------------------------------------------------
