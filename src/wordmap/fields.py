@@ -1213,10 +1213,8 @@ def _roots_by_gcd(field: Field, e: FieldElement, k: int) -> list:
 
 def _iroot_ceil(m: int, k: int) -> int:
     """The least c >= 0 with c**k >= m, in integer arithmetic."""
-    if m <= 1:
+    if m <= 1:  # without a power of k, which may be huge
         return max(m, 0)
-    if k >= m.bit_length():  # 2**k > m > 1
-        return 2
     c = 1 << -(-m.bit_length() // k)  # c**k > m
     while True:  # Newton from above settles on the floor of the k-th root
         d = ((k - 1) * c + m // c ** (k - 1)) // k

@@ -94,14 +94,16 @@ def test_factor_q_repeated_factors_of_two_multiplicities():
 @st.composite
 def irreducible_over_q(draw):
     """A monic polynomial over Q of degree 1 to 4 whose integer multiple
-    is_irreducible proves irreducible mod a prime that keeps its degree, so
+    Rabin's test proves irreducible mod a prime that keeps its degree, so
     that it is irreducible over Q."""
     deg = draw(st.integers(1, 4))
     ints = draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg))
     ints.append(draw(st.integers(1, 6)))
     for p in (3, 5, 7, 11, 13):
-        if ints[-1] % p and is_irreducible(Poly(Field("prime", p=p), ints)):
-            return Poly(Q, ints).monic()
+        if ints[-1] % p:
+            inv = pow(ints[-1], -1, p)
+            if rabin_irreducible([c * inv % p for c in ints], Field("prime", p=p)):
+                return Poly(Q, ints).monic()
     assume(False)
 
 
@@ -342,11 +344,6 @@ def test_iroot_ceil_is_least_kth_root_above(m, k):
     c = _iroot_ceil(m, k)
     assert c ** k >= m
     assert c == 0 or (c - 1) ** k < m
-
-
-def test_iroot_ceil_huge_exponent():
-    k = 10 ** 30
-    assert [_iroot_ceil(m, k) for m in (0, 1, 2, 10 ** 20)] == [0, 1, 2, 2]
 
 
 # ----------------------------------------------------------------------
