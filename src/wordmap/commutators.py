@@ -66,10 +66,10 @@ def _checked_pair(t1: Matrix, t2: Matrix, target: Matrix) -> TraceZeroPair:
     return TraceZeroPair(t1, t2, target)
 
 
-def _conjugated_pair(pair: TraceZeroPair, S: Matrix, target: Matrix) -> TraceZeroPair:
+def _conjugated_pair(t1: Matrix, t2: Matrix, S: Matrix, target: Matrix) -> TraceZeroPair:
     """(S t1 S^-1, S t2 S^-1) against the conjugated target."""
     Si = S.inverse()
-    return _checked_pair(S * pair.t1 * Si, S * pair.t2 * Si, target)
+    return _checked_pair(S * t1 * Si, S * t2 * Si, target)
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +146,7 @@ def jordan_block_trace_zero(alpha: FieldElement, n: int) -> TraceZeroPair:
     t2 = Matrix(field, rows)
     signs = [one if i % 2 == 0 else -one for i in range(n - 1)]
     D = _sign_diag_fix(field, signs)
-    return _conjugated_pair(TraceZeroPair(t1, t2, t1 * t2), D, target)
+    return _conjugated_pair(t1, t2, D, target)
 
 
 def diagonal_trace_zero(entries) -> TraceZeroPair:
@@ -239,7 +239,7 @@ def jordan_plus_scalar_trace_zero(alpha: FieldElement, n: int,
     prod = t1 * t2
     signs = [prod.rows[i][i + 1] for i in range(n - 1)]
     D = _sign_diag_fix(field, signs, extra=1)
-    return _conjugated_pair(TraceZeroPair(t1, t2, prod), D, target)
+    return _conjugated_pair(t1, t2, D, target)
 
 
 def companion_trace_zero(p: Poly) -> TraceZeroPair:
@@ -276,13 +276,15 @@ def companion_trace_zero(p: Poly) -> TraceZeroPair:
 
 def factor_two_trace_zero(A: Matrix, seed: int = 0) -> TraceZeroPair:
     """Write any square A (n >= 2; n = 1 only for A = 0) as T1*T2 with
-    trace(T1) = trace(T2) = 0, routing through the generalized Jordan form."""
-    u, v, G = _factor_two_canonical(A, seed)
+    trace(T1) = trace(T2) = 0, routing through the generalized Jordan form.
+    The pair is a fixed function of A alone: ``seed`` is accepted for the
+    callers that pass one and changes nothing."""
+    u, v, G = _factor_two_canonical(A)
     Gi = G.inverse()
     return _checked_pair(Gi * u * G, Gi * v * G, A)
 
 
-def _factor_two_canonical(A: Matrix, seed: int = 0, blocks=None):
+def _factor_two_canonical(A: Matrix, blocks=None):
     """(U, V, G) with U*V = G A G^-1, a middle that depends only on the
     Jordan data of A (so conjugate inputs share it).  ``blocks``, when
     given, are the Jordan blocks of A and A is their realization: the
@@ -299,22 +301,22 @@ def _factor_two_canonical(A: Matrix, seed: int = 0, blocks=None):
     if n == 1:
         raise Unsupported("a nonzero 1x1 matrix is not a product of two trace-zero factors")
     if n == 2:
-        shape, S = _canonical_2x2(A, seed)
+        shape, S = _canonical_2x2(A)
         pair = two_by_two_trace_zero(shape)
         return pair.t1, pair.t2, S.inverse()
-    pairs, G = _factorization_tasks(A, seed, blocks)
+    pairs, G = _factorization_tasks(A, blocks)
     u = Matrix.block_diag(field, [t1 for t1, _ in pairs])
     v = Matrix.block_diag(field, [t2 for _, t2 in pairs])
     return u, v, G
 
 
-def _canonical_2x2(A: Matrix, seed: int):
+def _canonical_2x2(A: Matrix):
     """(canonical shape C, S) with S^-1 A S = C; C is one of the 2x2 canonical shapes."""
     field = A.field
     chi = charpoly(A)
     a = -chi[1]
     b = -chi[0]
-    roots = _quadratic_roots(chi, seed)
+    roots = _quadratic_roots(chi)
     ident = Matrix.identity(field, 2)
     if len(roots) == 2 and roots[0] != roots[1]:
         cols = []
@@ -347,13 +349,13 @@ def _canonical_2x2(A: Matrix, seed: int):
     return comp, S
 
 
-def _quadratic_roots(chi: Poly, seed: int) -> list:
+def _quadratic_roots(chi: Poly) -> list:
     field = chi.field
     if field.is_exact:
         from .factor import factor
 
         roots = []
-        for term in factor(chi, seed):
+        for term in factor(chi):
             if term.poly.degree == 1:
                 roots.extend([-term.poly[0]] * term.multiplicity)
         roots.sort(key=lambda r: r.sort_key())
@@ -373,7 +375,7 @@ def _quadratic_roots(chi: Poly, seed: int) -> list:
     return out
 
 
-def _factorization_tasks(A: Matrix, seed: int, blocks=None):
+def _factorization_tasks(A: Matrix, blocks=None):
     """Cover the Jordan blocks of A by factorizable groups.
 
     Factors are taken in ``sort_key`` order and blocks in Jordan-form order.
@@ -401,7 +403,7 @@ def _factorization_tasks(A: Matrix, seed: int, blocks=None):
     field = A.field
     P = None  # the Jordan conjugator of A; None when A is its realization
     if blocks is None:
-        jf = generalized_jordan_form(A, seed)
+        jf = generalized_jordan_form(A)
         blocks, P = jf.blocks, jf.conjugator
     blocks = list(blocks)
     by_factor = {}
@@ -770,7 +772,7 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         raise NonzeroTrace("target has nonzero trace")
     blocks = None  # the Jordan blocks that M realizes, when M is not A
     if field.is_exact and n >= 2 and not A.is_zero():
-        jf = generalized_jordan_form(A, seed)
+        jf = generalized_jordan_form(A)
         G, M, blocks = jf.conjugator, jf.realization, jf.blocks
     else:
         G = Matrix.identity(field, n)
@@ -790,9 +792,9 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         rest_target = (U.inverse() ** peel) * M
         for _ in range(peel):
             mats_mid.extend([xu, yu])
-        u, v, G2 = _factor_two_canonical(rest_target, seed)
+        u, v, G2 = _factor_two_canonical(rest_target)
     else:
-        u, v, G2 = _factor_two_canonical(M, seed, blocks)
+        u, v, G2 = _factor_two_canonical(M, blocks)
     G2i = G2.inverse()
     x1, x2 = trace_zero_to_commutator(u, seed)
     x3, x4 = trace_zero_to_commutator(v, seed)

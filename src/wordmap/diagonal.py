@@ -84,15 +84,17 @@ def _scalar_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
     """(a, b) with a^{k1} + beta*b^{k2} = alpha for each candidate a that
     leaves a k2-th power, b its first k2-th root.  Finite fields try every
     element in enumeration order up to SCAN_BOUND (so exhaustion is a
-    proof) and RANDOM_TRIES seeded random elements beyond it; Q and number
-    fields try SMALL_INTEGERS."""
+    proof) and RANDOM_TRIES seeded random elements beyond it, then zero,
+    which random draws almost never hit; Q and number fields try
+    SMALL_INTEGERS."""
     if not field.is_finite:
         candidates = (field(v) for v in SMALL_INTEGERS)
     elif field.cardinality <= SCAN_BOUND:
         candidates = enumerate_elements(field)
     else:
         rng = random.Random(seed)
-        candidates = (random_element(field, rng) for _ in range(RANDOM_TRIES))
+        candidates = itertools.chain(
+            (random_element(field, rng) for _ in range(RANDOM_TRIES)), [field.zero()])
     for a in candidates:
         try:
             roots = kth_roots((alpha - a ** k1) / beta, k2)
@@ -199,8 +201,7 @@ def _power_sum_ratio(u: FieldElement, w: FieldElement, k: int) -> FieldElement:
 
 
 def invertible_jordan_decompose(alpha: FieldElement, n: int, k1: int, k2: int,
-                                beta: FieldElement, sols: tuple = None,
-                                seed: int = 0) -> Tuple[Matrix, Matrix]:
+                                beta: FieldElement, sols: tuple = None) -> Tuple[Matrix, Matrix]:
     """(B, C) with B^{k1} + beta*C^{k2} = J_{alpha,n}, both diagonalizable.
 
     Works for alpha = 0 too, whenever the scalar equation has the two
@@ -209,7 +210,7 @@ def invertible_jordan_decompose(alpha: FieldElement, n: int, k1: int, k2: int,
     field = alpha.field
     beta = field(beta)
     if sols is None:
-        sols = scalar_two_solutions(field, alpha, k1, k2, beta, seed)
+        sols = scalar_two_solutions(field, alpha, k1, k2, beta)
     (a, b), (c, d) = sols
     if n == 1:
         B = Matrix.diagonal(field, [a])
@@ -508,7 +509,7 @@ def _corner_candidates(field: Field) -> list:
 
 
 def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
-                              beta: FieldElement, seed: int = 0) -> Tuple[Matrix, Matrix]:
+                              beta: FieldElement) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X^{k1} + beta*Y^{k2} = J_{0,n} for 2 <= n < 2*k1, via
     regular solutions of the two scalar power-sum equations."""
     beta = field(beta)
@@ -612,7 +613,7 @@ def solve_diagonal_word(A: Matrix, word: DiagonalWord, seed: int = 0) -> Witness
             return make_witness(word, A, mats)
     if m == 1:
         delta, k = word.terms[0]
-        X = _matrix_kth_root(A.scale(delta.inverse()), k, seed)
+        X = _matrix_kth_root(A.scale(delta.inverse()), k)
         return make_witness(word, A, [X])
     (d1, k1), (d2, k2) = word.terms[0], word.terms[1]
     Aprime = A.scale(d1.inverse())
@@ -628,7 +629,7 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
     field = A.field
     if field.kind == "real":
         if k1 % 2 == 0 and k2 % 2 == 0:
-            return _real_even_even(A, k1, beta, k2, seed)
+            return _real_even_even(A, k1, beta, k2)
         if k2 % 2 == 0:
             X, Y, conjs = _solve_two_term(
                 A.scale(beta.inverse()), k2, beta.inverse(), k1, seed)
@@ -639,7 +640,7 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
         return Y, X, conjs
     try:
         (X, Y), P = solve_blockwise(
-            A, lambda bp: _solve_block(bp, k1, beta, k2, seed), seed)
+            A, lambda bp: _solve_block(bp, k1, beta, k2, seed))
         return X, Y, (P,)
     except NotFound:
         # over a tiny field the whole witness space is searchable, which
@@ -676,7 +677,7 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     return None
 
 
-def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int):
+def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int = 0):
     """Solve X^{k1} + beta*Y^{k2} = J_{alpha,l} in the block's working field."""
     L = bp.field
     beta_L = bp.embed(beta) if bp.embed is not None else beta
@@ -694,7 +695,7 @@ def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int)
     if l >= 2 * k1:
         return large_nilpotent_decompose(L, l, k1, k2, beta_L)
     try:
-        return small_nilpotent_decompose(L, l, k1, k2, beta_L, seed)
+        return small_nilpotent_decompose(L, l, k1, k2, beta_L)
     except NotFound as small_err:
         # two independent fallbacks: the alpha = 0 scalar-pair route, and the
         # large-index route with the exponents' roles swapped
@@ -726,7 +727,10 @@ def _nilpotent_scaling(field: Field, n: int, c: FieldElement) -> Matrix:
 # the real even/even corner (open beyond 2x2 sums of squares)
 # ----------------------------------------------------------------------
 
-def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int, seed: int):
+def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int):
+    """X^{k1} + beta*Y^{k2} = A over R with k1, k2 even.  Blocks are solved
+    over R or C, where the scalar steps are closed forms, so no seed is
+    needed."""
     field = A.field
     n = A.nrows
     if n == 1:
@@ -741,12 +745,11 @@ def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int, seed: int):
             raise Unsupported("negative scalar with positive even word over R")
         return X, Y, ()
     if n == 2 and k1 == 2 and k2 == 2 and beta.rep > 0:
-        return _sum_of_two_squares_2x2(A, beta, seed)
+        return _sum_of_two_squares_2x2(A, beta)
     # per-block attempt: complex-pair blocks always work, real blocks work
     # when individually reachable (nonnegative eigenvalues, large nilpotents)
     try:
-        (X, Y), P = solve_blockwise(
-            A, lambda bp: _solve_block(bp, k1, beta, k2, seed), seed)
+        (X, Y), P = solve_blockwise(A, lambda bp: _solve_block(bp, k1, beta, k2))
         return X, Y, (P,)
     except NotFound as exc:
         raise Unsupported(
@@ -754,14 +757,14 @@ def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int, seed: int):
             f"({exc})") from exc
 
 
-def _sum_of_two_squares_2x2(A: Matrix, beta: FieldElement, seed: int):
+def _sum_of_two_squares_2x2(A: Matrix, beta: FieldElement):
     """X^2 + beta*Y^2 = A over R for beta > 0, through the beta = 1 case."""
     sqrt_beta = kth_roots(beta, 2)[0]
-    X, Z = _two_squares_2x2(A, seed)
+    X, Z = _two_squares_2x2(A)
     return X, Z.scale(sqrt_beta.inverse()), ()
 
 
-def _two_squares_2x2(A: Matrix, seed: int):
+def _two_squares_2x2(A: Matrix):
     """X, Z with X^2 + Z^2 = A (real 2x2)."""
     field = A.field
     one, zero = field.one(), field.zero()
@@ -771,8 +774,7 @@ def _two_squares_2x2(A: Matrix, seed: int):
     tol = field.tolerance * (1.0 + abs(tr.rep) + abs(det.rep))
     if disc.rep < -tol:
         # irreducible characteristic polynomial: complex-block route
-        (X, Z), _ = solve_blockwise(
-            A, lambda bp: _solve_block(bp, 2, one, 2, seed), seed)
+        (X, Z), _ = solve_blockwise(A, lambda bp: _solve_block(bp, 2, one, 2))
         return X, Z
     import math
 
@@ -831,9 +833,9 @@ def _two_squares_2x2(A: Matrix, seed: int):
 # pure power equations (m = 1)
 # ----------------------------------------------------------------------
 
-def _matrix_kth_root(A: Matrix, k: int, seed: int) -> Matrix:
+def _matrix_kth_root(A: Matrix, k: int) -> Matrix:
     """Best-effort X with X^k = A; NotFound when a block obstructs."""
-    (X,), _ = solve_blockwise(A, lambda bp: (_block_kth_root(bp, k),), seed)
+    (X,), _ = solve_blockwise(A, lambda bp: (_block_kth_root(bp, k),))
     return X
 
 

@@ -6,7 +6,8 @@ Cantor-Zassenhaus equal-degree splitting.  Distinct-degree splitting takes
 x^(q^d) mod g from x^(q^(d-1)) by one product with the Frobenius matrix of g
 (column j is x^(qj) mod g): h -> h^q is F_q-linear, so only x^q mod g needs
 a modular power (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 14).  The equal-degree step is randomised with an explicit seed; in
+ch. 14).  The equal-degree step draws from a fixed ``random.Random(0)``;
+the factors are sorted, so the draws change only the time taken.  In
 characteristic 2 it uses the additive trace map since the multiplicative
 variant degenerates there.
 
@@ -57,15 +58,17 @@ class Factorization:
         return iter(self.factors)
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
-    """Factor f into monic irreducibles times a unit (see module docstring)."""
+def factor(f: Poly) -> Factorization:
+    """Factor f into monic irreducibles times a unit (see module docstring).
+    The factorization is unique and its factors are sorted, so the result
+    depends on f alone."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     field = f.field
     if field.is_finite:
-        terms = _factor_finite(f, seed)
+        terms = _factor_finite(f)
     elif field.kind == "rationals":
-        terms = _factor_rationals(f, seed)
+        terms = _factor_rationals(f)
     else:
         raise UnsupportedField(f"factorization over {field} is not supported")
     unit = f.leading()
@@ -90,8 +93,8 @@ def is_irreducible(f: Poly) -> bool:
 # finite fields
 # ----------------------------------------------------------------------
 
-def _factor_finite(f: Poly, seed: int) -> list:
-    rng = random.Random(seed)
+def _factor_finite(f: Poly) -> list:
+    rng = random.Random(0)
     out = []
     for g, mult in _squarefree_decomposition(f.monic()):
         for h in _squarefree_factor(g, rng):
@@ -236,8 +239,8 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:
 # rationals
 # ----------------------------------------------------------------------
 
-def _factor_rationals(f: Poly, seed: int) -> list:
-    rng = random.Random(seed)
+def _factor_rationals(f: Poly) -> list:
+    rng = random.Random(0)
     if f.degree < 1:
         return []
     factors = _zassenhaus(_primitive(f._raw()), rng, 13)

@@ -13,9 +13,9 @@ overloads the operators.  Raw representations:
 Kernel layer.  Each field also builds one immutable raw kernel
 (``Field.kernel``) that does the dense work on lists of raw reps: dot
 products, matrix products and powers, shears E*M*E^-1 (row and column
-operations over exact kinds), in-place reduced row echelon form and
-determinants, and polynomial add/sub/mul/divmod with the extended gcd and
-modular powers built on them.  There are three implementations,
+operations over exact kinds), in-place reduced row echelon form, and
+polynomial add/sub/mul/divmod with the extended gcd and modular powers
+built on them.  There are three implementations,
 picked by the field kind:
 
   PrimeKernel     Z/m on plain ints, built from m alone: the kernel of
@@ -401,13 +401,14 @@ class Field:
     # -- basic raw helpers ------------------------------------------------
 
     def _rpow(self, a, k: int):
+        """a^k by binary powering; the last, unused squaring is skipped."""
         result = self._one_raw
-        base = a
         while k:
             if k & 1:
-                result = self._rmul(result, base)
-            base = self._rmul(base, base)
+                result = self._rmul(result, a)
             k >>= 1
+            if k:
+                a = self._rmul(a, a)
         return result
 
     def is_zero_raw(self, a) -> bool:
@@ -583,8 +584,8 @@ class GenericKernel:
 
     A matrix is a list of row lists of raw reps; a polynomial is a list of
     raw coefficients, low degree first, with no trailing zeros (results
-    included).  Ops return new lists, except that ``echelon``, ``det`` and
-    ``shear`` work in place and ``matpow`` with k = 1 returns its argument.
+    included).  Ops return new lists, except that ``echelon`` and ``shear``
+    work in place and ``matpow`` with k = 1 returns its argument.
 
     The operation order, the skip of (tolerance-)zero left factors and the
     pivot rules are those of element-by-element FieldElement arithmetic, so
@@ -750,28 +751,6 @@ class GenericKernel:
             if r == nrows:
                 break
         return pivots
-
-    def det(self, rows):
-        """Determinant by elimination, in place."""
-        rsub, rmul, is_zero = self.rsub, self.rmul, self.is_zero
-        n = len(rows)
-        d = self.one
-        for c in range(n):
-            piv = self._pick_pivot(rows, c, c)
-            if piv is None:
-                return self.zero
-            if piv != c:
-                rows[piv], rows[c] = rows[c], rows[piv]
-                d = self.rneg(d)
-            d = rmul(d, rows[c][c])
-            inv = self.inv(rows[c][c])
-            prow = rows[c]
-            for r in range(c + 1, n):
-                f = rmul(rows[r][c], inv)
-                if is_zero(f):
-                    continue
-                rows[r] = [rsub(a, rmul(f, b)) for a, b in zip(rows[r], prow)]
-        return d
 
     # -- polynomials -----------------------------------------------------------
 
@@ -1224,9 +1203,9 @@ def _iroot_ceil(m: int, k: int) -> int:
     return c if c ** k >= m else c + 1
 
 
-def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
-    """All x with x^k = e (finite fields, Q); real roots over R; principal
-    root over C unless ``all_roots``.  Empty list when none exist.
+def kth_roots(e: FieldElement, k: int) -> list:
+    """All x with x^k = e (finite fields, Q); real roots over R; the
+    principal root over C.  Empty list when none exist.
 
     Over F_q, with g = gcd(k, q-1): g = 1 gives the single root
     e^(k^-1 mod q-1); otherwise e is a k-th power iff e^((q-1)/g) = 1, and
@@ -1295,10 +1274,7 @@ def kth_roots(e: FieldElement, k: int, all_roots: bool = False) -> list:
     if abs(v) <= field.tolerance:
         return [field.zero()]
     principal = v ** (1.0 / k) if v.imag == 0 and v.real > 0 else cmath.exp(cmath.log(v) / k)
-    if not all_roots:
-        return [field.element(principal)]
-    zeta = cmath.exp(2j * cmath.pi / k)
-    return [field.element(principal * zeta ** i) for i in range(k)]
+    return [field.element(principal)]
 
 
 def extend(base: Field, modulus) -> tuple:

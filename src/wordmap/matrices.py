@@ -296,10 +296,6 @@ class Matrix:
             raise SingularMatrix("matrix is not invertible")
         return Matrix._from_raw(field, [row[n:] for row in aug])
 
-    def det(self) -> FieldElement:
-        _require_square(self)
-        return FieldElement(self.field, self.field.kernel.det(self._raw()))
-
     def nullspace(self) -> list:
         """Basis of the right kernel, deterministic order (free columns ascending)."""
         field = self.field
@@ -697,7 +693,10 @@ class GeneralizedJordanForm:
     realization: Matrix
 
 
-def generalized_jordan_form(A: Matrix, seed: int = 0) -> GeneralizedJordanForm:
+def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
+    """P A P^-1 = the direct sum of generalized Jordan blocks J_{f,l}.
+    The blocks come from the factorization of charpoly(A), which is unique,
+    so the form depends on A alone."""
     _require_square(A)
     if not A.nrows:
         raise UsageError("the Jordan form needs a matrix of size at least 1")
@@ -706,7 +705,7 @@ def generalized_jordan_form(A: Matrix, seed: int = 0) -> GeneralizedJordanForm:
         from .factor import factor
 
         chi = charpoly(A)
-        fac = factor(chi, seed)
+        fac = factor(chi)
         pairs = [(t.poly, t.multiplicity) for t in fac.factors]
         block_data = _jordan_block_data(A, pairs)
     else:

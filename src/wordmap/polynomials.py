@@ -157,8 +157,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # the last squaring would go unused
+                base = base * base
         return result
 
     def divmod(self, other: "Poly") -> tuple:

@@ -64,10 +64,10 @@ def working_field(field: Field, p: Poly) -> tuple:
     return L, L(root), lambda x: L(complex(x.rep)), root
 
 
-def plan(A: Matrix, seed: int = 0) -> ReductionPlan:
+def plan(A: Matrix) -> ReductionPlan:
     """Jordan-split A; one BlockPlan per block.  A factor's blocks are
     adjacent in the Jordan form, so its working field is built once."""
-    jf = generalized_jordan_form(A, seed)
+    jf = generalized_jordan_form(A)
     blocks = []
     for p, specs in itertools.groupby(jf.blocks, key=lambda spec: spec.poly):
         L, alpha, embed, root = working_field(A.field, p)
@@ -101,8 +101,8 @@ def assemble(rplan: ReductionPlan,
     return tuple(mats), P
 
 
-def solve_blockwise(A: Matrix, block_solver: Callable[[BlockPlan], tuple],
-                    seed: int = 0) -> Tuple[Tuple[Matrix, ...], Matrix]:
+def solve_blockwise(A: Matrix, block_solver: Callable[[BlockPlan], tuple]
+                    ) -> Tuple[Tuple[Matrix, ...], Matrix]:
     """plan -> ``block_solver`` on each block -> assemble: (matrices, P)."""
-    rplan = plan(A, seed)
+    rplan = plan(A)
     return assemble(rplan, [block_solver(bp) for bp in rplan.blocks])

@@ -225,27 +225,6 @@ def naive_solve_right(A, b):
     return tuple(x)
 
 
-def naive_det(A):
-    field = A.field
-    rows = [list(r) for r in A.rows]
-    n = len(rows)
-    det = field.one()
-    for c in range(n):
-        piv = _naive_pivot(rows, c, c, field)
-        if piv is None:
-            return field.zero()
-        if piv != c:
-            rows[piv], rows[c] = rows[c], rows[piv]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if not f.is_zero():
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
-
-
 def naive_trim(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_zero():

@@ -10,6 +10,7 @@ import pytest
 import wordmap
 
 from wordmap.diagonal import (
+    EXHAUSTIVE_CAP,
     _power_sum_ratio,
     bordered_matrix,
     bordered_solve,
@@ -36,7 +37,7 @@ from wordmap.matrices import Matrix, Partition, charpoly, minpoly, nilpotent_par
 from wordmap.polynomials import Poly
 from wordmap.words import DiagonalWord, eval_word
 
-from oracles import charpoly_cofactor, random_matrix
+from oracles import all_matrices, charpoly_cofactor, naive_power, random_matrix
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -82,7 +83,9 @@ def test_scalar_two_solutions_not_found_small_field():
 # solution's repr, or the error type and message) for every alpha, (k1, k2)
 # in (2, 2), (2, 3), (3, 3) and beta in 1, 3 (and the generator over
 # extensions); recorded before the two searches were merged.  GF(101^3) lies
-# above SCAN_BOUND, so its candidates are seeded random draws.
+# above SCAN_BOUND, so its candidates are seeded random draws and then zero;
+# its one_digest was recorded again when zero was added, which turned its
+# one NotFound line (alpha = 0, k1 = k2 = 2, beta = 3) into (0, 0).
 SCALAR_GOLDEN = [
     ("Fp:7", "9e2ba55500ea92a4ce0ca5ae068a91f65186e7a65af06fe6207291757088181f",
      "10b771d86a50cde5de3e117941bbb024c1ad66d77359ac924b99a3424a7e50d2"),
@@ -90,11 +93,19 @@ SCALAR_GOLDEN = [
      "6a4df7b1af4118096636dbfb73e259039459927a7425712a094aea17dbca3373",
      "6e59f7552034e628d3c8e20c65df294671f8d732e17d6e3e0dabb230ca18c8be"),
     ("Fq:p=101,d=3,mod=[1,0,1,1]",
-     "d3474144aff2d8c70513474bbda5df856ec33e914360aa078e7022c6c138671d",
+     "4383edaec0a7a46b8378c0303e27088a9b319382e812727ce745a1562c86b50a",
      "c6cb92c82a6cb211a59a00c7e189ba36d7fefadd79efa1ec400da79bd45c20da"),
     ("Q", "5c45b14edf43edcd086c5adb362efb2bd8057e781cfd9a742fb72a39f7e57c0a",
      "1b30d94301abbcd6b018c1e971aaa11ab832f057e2a4df4fd67eb3e884e1cc5d"),
 ]
+
+
+def test_scalar_solution_above_scan_bound_tries_zero():
+    """a^2 + 3 b^2 = 0 has only a = b = 0 in GF(101^3), since -3 is not a
+    square there, and random draws almost never hit a = 0."""
+    field = parse_field_spec("Fq:p=101,d=3,mod=[1,0,1,1]")
+    zero = field.zero()
+    assert scalar_solution(field, zero, 2, 2, field(3)) == (zero, zero)
 
 
 @pytest.mark.parametrize("spec,one_digest,two_digest", SCALAR_GOLDEN,
@@ -453,6 +464,35 @@ def test_solver_matches_exhaustive_image_oracle_f3():
     for A in mats:
         w = solve_diagonal_word(A, word, seed=0)
         assert eval_word(word, w.matrices) == A
+
+
+@pytest.mark.parametrize("spec,n", [("Fp:2", 2), ("Fp:2", 3), ("Fp:3", 2),
+                                    ("Fq:p=2,d=2,mod=[1,1,1]", 2), ("Fp:5", 2)])
+def test_finite_not_found_within_the_exhaustive_cap_is_a_proof(spec, n):
+    """With q^(n^2) <= EXHAUSTIVE_CAP, X^{k1} + Y^{k2} = A either answers
+    with a witness or raises NotFound, and NotFound comes exactly when a
+    hash join over every (X, Y) finds no solution."""
+    field = parse_field_spec(spec)
+    assert field.cardinality ** (n * n) <= EXHAUSTIVE_CAP
+    mats = list(all_matrices(field, n))
+
+    def key(M):
+        return tuple(tuple(x.rep for x in row) for row in M.rows)
+
+    powers = {k: [naive_power(X, k) for X in mats] for k in (2, 3)}
+    power_keys = {k: {key(P) for P in ps} for k, ps in powers.items()}
+    rng = random.Random(f"{spec} n={n}")
+    for k1, k2 in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        word = DiagonalWord(((field.one(), k1), (field.one(), k2)))
+        for A in rng.sample(mats, 12):
+            reachable = any(key(A - Q) in power_keys[k1] for Q in powers[k2])
+            try:
+                X, Y = solve_diagonal_word(A, word).matrices
+            except NotFound:
+                assert not reachable, (k1, k2, key(A))
+                continue
+            assert naive_power(X, k1) + naive_power(Y, k2) == A
+            assert reachable
 
 
 # -- real and complex dispatch ---------------------------------------------------

@@ -466,9 +466,6 @@ def test_kth_roots_complex_principal_and_all():
     e = C(complex(0, 8))
     (r,) = kth_roots(e, 3)
     assert abs((r ** 3).rep - 8j) < 1e-9
-    roots = kth_roots(e, 3, all_roots=True)
-    assert len(roots) == 3
-    assert all(abs((z ** 3).rep - 8j) < 1e-8 for z in roots)
 
 
 def test_kth_roots_real():

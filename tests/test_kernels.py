@@ -41,7 +41,6 @@ from oracles import (
     random_invertible,
     naive_apply,
     naive_berkowitz,
-    naive_det,
     naive_horner,
     naive_inverse,
     naive_matmul,
@@ -226,7 +225,6 @@ def test_inverse_and_det(spec, data):
             A.inverse()
     else:
         assert mbits(A.inverse()) == mbits(want)
-    assert bits(A.det()) == bits(naive_det(A))
 
 
 @fields
