@@ -2,8 +2,9 @@
 finite fields, the Lang-Weil style bound that controls them, the scalar
 threshold q > k1^4 * k2^4, and exhaustive image enumeration for word maps on
 small matrix spaces (the oracle the solvers are tested against).  The
-enumeration walks ``matrices.MatrixSpace``, the one enumeration of M_n(F_q);
-its code order decides which matrices ``ImageSummary.missing`` lists.
+enumeration computes on ``matrices.MatrixSpace``'s digit planes, every
+matrix of M_n(F_q) at once; the space's code order decides which matrices
+``ImageSummary.missing`` lists.
 """
 
 from __future__ import annotations
@@ -126,10 +127,16 @@ class ImageSummary:
 def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> ImageSummary:
     """Exact image of the word map on M_n(F_q)^m by exhaustive enumeration.
 
-    Values are ``MatrixSpace`` codes.  Product words enumerate
-    single-commutator values once and compose value sets; diagonal words
-    compose per-term value sets, so the tuple count never materialises.
-    ``missing`` lists the first ten non-values in the space's code order.
+    Values are ``MatrixSpace`` codes, computed on its digit planes (one
+    byte per matrix and entry for q <= 256): a diagonal term's values are
+    its power planes times its coefficient; a sumset adds each value of
+    the smaller set to the planes of the larger; [X, Y] is linear in Y, so
+    each X gives [X, Y] for every Y, X running over one matrix per class
+    of X + cI and cX; a product of commutators multiplies each element of
+    the smaller factor set into the planes of the larger.  The cap still
+    bounds ``work``, the evaluations of a walk over every tuple.
+    ``missing`` is read off the set of values in code order: the first ten
+    non-values, whatever order the planes computed them in.
     """
     if not field.is_finite:
         raise UsageError("image enumeration needs a finite field")
@@ -138,32 +145,19 @@ def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> Image
     if work > cap:
         raise TooLarge(f"enumeration needs about {work} evaluations, over the cap {cap}")
     space = MatrixSpace(field, n)
-    kern = field.kernel
-    code, rows_at = space.code, space.rows_at
     if isinstance(word, CommutatorProduct):
-        mats = list(space.rows())
-        singles = set()
-        for X in mats:
-            for Y in mats:
-                singles.add(code([kern.vsub(a, b) for a, b in
-                                  zip(kern.matmul(X, Y), kern.matmul(Y, X))]))
-        single_rows = [rows_at(c) for c in singles]
+        singles = _commutators(space)
         image = singles
         for _ in range(word.m // 2 - 1):
-            image = {code(kern.matmul(A, B))
-                     for A in map(rows_at, image) for B in single_rows}
+            image = _products(space, image, singles)
     elif isinstance(word, DiagonalWord):
         image = None
         for delta, k in word.terms:
-            d = delta.rep
-            values = {code([kern.vscale(row, d) for row in kern.matpow(M, k)])
-                      for M in space.rows()}
-            if image is None:
-                image = values
-            else:
-                value_rows = [rows_at(c) for c in values]
-                image = {code([kern.vadd(a, b) for a, b in zip(A, B)])
-                         for A in map(rows_at, image) for B in value_rows}
+            d = space.digit(delta.rep)
+            values = set()
+            for planes in space.blocks():
+                values.update(space.codes([space.scale(P, d) for P in space.power(planes, k)]))
+            image = values if image is None else _sumset(space, image, values)
     else:
         raise UsageError(f"unknown word {word!r}")
     missing = []
@@ -174,3 +168,48 @@ def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> Image
                 if len(missing) == 10:
                     break
     return ImageSummary(len(image), cells, tuple(missing))
+
+
+def _commutators(space: MatrixSpace) -> set:
+    """Codes of every [X, Y]: entry (i, j) is sum_k X_ik Y_kj - Y_ik X_kj.
+    As [X + cI, Y] = [X, Y] and [cX, Y] = [X, cY], the X with last entry
+    zero and first nonzero entry one already give every value."""
+    n, Y = space.n, space.planes()
+    neg = space.table(space.field._rneg)
+    out = set()
+    for x in range(0, space.size, space.q):
+        X = space.digits_at(x)
+        if next((d for d in X if d != space.zero), space.one) != space.one:
+            continue
+        out.update(space.codes([
+            space.lincomb([(X[i * n + k], Y[k * n + j]) for k in range(n)]
+                          + [(neg[X[k * n + j]], Y[i * n + k]) for k in range(n)], space.size)
+            for i in range(n) for j in range(n)]))
+    return out
+
+
+def _products(space: MatrixSpace, left: set, right: set) -> set:
+    """Codes of every A B with A in ``left`` and B in ``right``: each element
+    of the smaller set, as a constant, times the planes of the larger."""
+    n = space.n
+    const_left = len(left) <= len(right)
+    consts, many = (left, right) if const_left else (right, left)
+    P = space.select(space.planes(), list(many))
+    out = set()
+    for c in consts:
+        C = space.digits_at(c)
+        out.update(space.codes([
+            space.lincomb([(C[i * n + k], P[k * n + j]) if const_left else
+                           (C[k * n + j], P[i * n + k]) for k in range(n)], len(many))
+            for i in range(n) for j in range(n)]))
+    return out
+
+
+def _sumset(space: MatrixSpace, first: set, second: set) -> set:
+    """Codes of every A + B with A in ``first`` and B in ``second``."""
+    few, many = sorted((first, second), key=len)
+    planes = space.select(space.planes(), list(many))
+    out = set()
+    for v in few:
+        out.update(space.codes([space.shift(P, d) for P, d in zip(planes, space.digits_at(v))]))
+    return out

@@ -19,13 +19,15 @@ Searches (scalar solutions, regular solutions) are deterministic and their
 exhaustion is reported as NotFound: over a small finite field that is a
 legitimate mathematical answer, not a failure.  When the whole witness
 space M_n(F_q)^2 is small enough to enumerate, a final hash-join search
-over ``matrices.MatrixSpace`` runs before NotFound is raised, making the
-negative an actual proof; the space's code order decides its witness.
+on ``matrices.MatrixSpace``'s digit planes runs before NotFound is raised,
+making the negative an actual proof; the space's code order decides its
+witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Tuple
@@ -86,9 +88,14 @@ def _scalar_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
     element in enumeration order up to SCAN_BOUND (so exhaustion is a
     proof) and RANDOM_TRIES seeded random elements beyond it, then zero,
     which random draws almost never hit; Q and number fields try
-    SMALL_INTEGERS."""
+    SMALL_INTEGERS.  At alpha = 0 over F_q a hit with a != 0 has b != 0, so
+    -beta = a^{k1} / b^{k2} is a g-th power in F_q^*, g = gcd(k1, k2, q - 1);
+    when it is not, zero is the only candidate that can hit."""
     if not field.is_finite:
         candidates = (field(v) for v in SMALL_INTEGERS)
+    elif alpha.is_zero() and (-beta) ** (
+            (field.cardinality - 1) // math.gcd(k1, k2, field.cardinality - 1)) != field.one():
+        candidates = [field.zero()]
     elif field.cardinality <= SCAN_BOUND:
         candidates = enumerate_elements(field)
     else:
@@ -652,10 +659,15 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
 
 
 def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
-    """Hash-join over all of M_n(F_q)^2 in ``MatrixSpace`` code order: the
-    code of each X^{k1} maps to the first such X, and Y is walked lazily
-    until A - beta*Y^{k2} is a tabulated power, so the first hit decides the
-    witness."""
+    """Hash join over all of M_n(F_q)^2 on ``MatrixSpace``'s digit planes
+    (one byte per matrix and entry for q <= 256).
+
+    X^{k1} for every X at once gives a dict from each power's code to the
+    first X with it; A - beta*Y^{k2} for every Y at once is n^2 unary
+    translates of Y^{k2}'s planes (X^{k1}'s when k1 = k2), and the first Y
+    whose value is in the dict decides the witness.  Both sides keep the
+    lowest code, so the pair is the one a walk in code order meets first.
+    Each table is dropped once read, to keep the peak memory low."""
     field = A.field
     if not field.is_finite:
         return None
@@ -663,18 +675,22 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     if MatrixSpace.cardinality(field, n) > EXHAUSTIVE_CAP:
         return None
     space = MatrixSpace(field, n)
-    kern = field.kernel
-    by_power = {}
-    for idx, X in enumerate(space.rows()):
-        by_power.setdefault(space.code(kern.matpow(X, k1)), idx)
-    target, b = A._raw(), beta.rep
-    for y, Y in enumerate(space.rows()):
-        want = [kern.vsub(ra, kern.vscale(rp, b))
-                for ra, rp in zip(target, kern.matpow(Y, k2))]
-        x = by_power.get(space.code(want))
-        if x is not None:
-            return space.matrix_at(x), space.matrix_at(y)
-    return None
+    planes = space.planes()
+    powers = space.power(planes, k1)
+    codes = space.codes(powers)
+    first_x = dict(zip(reversed(codes), range(len(codes) - 1, -1, -1)))
+    del codes
+    if k2 != k1:
+        powers = space.power(planes, k2)
+    del planes
+    rsub, rmul, b = field._rsub, field._rmul, beta.rep
+    want = space.codes([space.apply(P, space.table(lambda r, a=a: rsub(a, rmul(b, r))))
+                        for P, a in zip(powers, itertools.chain(*A._raw()))])
+    del powers
+    y = bytes(map(first_x.__contains__, want)).find(1)
+    if y < 0:
+        return None
+    return space.matrix_at(first_x[want[y]]), space.matrix_at(y)
 
 
 def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int = 0):

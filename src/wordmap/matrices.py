@@ -3,8 +3,9 @@ need: Berkowitz characteristic polynomials, Krylov minimal polynomials,
 nullspaces, nilpotent Jordan structure, the generalized Jordan form with
 companion blocks, and the companion-lift homomorphism that carries
 extension-field witnesses back to the base field.  ``MatrixSpace`` is the
-one enumeration of M_n(F_q): its order decides ``ImageSummary.missing`` and
-the witness of the exhaustive diagonal-word search.
+one enumeration of M_n(F_q) and the whole-space kernel of the searches
+over it: its order decides ``ImageSummary.missing`` and the witness of the
+exhaustive diagonal-word search.
 
 Verification rule: a result is checked where a public entry point returns
 it (``generalized_jordan_form``), where a failed check selects another
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import struct
+import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -41,6 +44,10 @@ from .polynomials import Poly, approx_roots
 
 # Newton steps ``_newton_refine_root`` takes at most.
 NEWTON_ITERATIONS = 40
+# Codes per run of ``MatrixSpace.blocks`` (at least q): it bounds the
+# planes a whole-space pass holds at once.
+BLOCK_CODES = 1 << 18
+_BYTE = 256
 
 
 class Matrix:
@@ -358,13 +365,26 @@ def _require_square(A: Matrix):
 
 
 class MatrixSpace:
-    """M_n(F_q) in its one enumeration order, for the brute-force searches.
+    """M_n(F_q) in its one enumeration order, and the whole-space kernel of
+    the brute-force searches.
 
-    A matrix's code is its index in that order: its entries' indices in
-    ``enumerate_elements`` order read as base-q digits, row-major, the first
-    entry most significant.  Rows are raw reps, ready for the kernel; the
-    element tables cost O(q), so callers check ``cardinality`` against their
-    size bounds first."""
+    A matrix's code is its index in that order: its entries' digits
+    (indices in ``enumerate_elements`` order) as base-q digits, row-major,
+    first entry most significant.  The searches keep the first hit or
+    non-value in code order, so this order alone decides their witnesses
+    and ``ImageSummary.missing``, however the kernel computes.
+
+    Digit planes: over a run of codes, entry t's plane holds entry t's
+    digit of the run's i-th matrix in slot i, so n^2 planes stand for all
+    of them.  For q <= 256 a plane is a ``bytes``, one byte per slot: a
+    map of one entry is one ``translate``; a sum or product packs each
+    slot pair into a*q + b by big-int arithmetic, carry-free while that
+    fits a byte (always for q <= 16; above, the first digit goes in groups
+    of 256 // q values, one masked translate each), then translates once.
+    For q > 256 (n = 1 under the default caps) a plane is a list of ints.
+    ``codes`` widens the planes into 4- or 8-byte slots and takes one
+    weighted big-int sum.
+    """
 
     @staticmethod
     def cardinality(field: Field, n: int) -> int:
@@ -374,35 +394,179 @@ class MatrixSpace:
         return field.cardinality ** (n * n)
 
     def __init__(self, field: Field, n: int):
-        MatrixSpace.cardinality(field, n)
+        self.size = MatrixSpace.cardinality(field, n)
         self.field = field
         self.n = n
-        self._reps = [x.rep for x in enumerate_elements(field)]
-        self._digit = {r: i for i, r in enumerate(self._reps)}
+        reps = self._reps = [x.rep for x in enumerate_elements(field)]
+        digit = self._digit = {r: i for i, r in enumerate(reps)}
+        q = self.q = len(reps)
+        self.zero, self.one = digit[field._zero_raw], digit[field._one_raw]
+        self._narrow = q <= _BYTE
+        self._ops = (field._radd, field._rmul)
+        if not self._narrow:
+            return
+        # _rows[op][c] is the table of d -> c + d (op 0) or c * d (op 1)
+        self._rows = [[self.table(partial(f, r)) for r in reps] for f in self._ops]
+        # (a, b) packs into a byte as (a mod g)*q + b, g = 256 // q, with one
+        # mask and one pair table per group of g consecutive first digits
+        g = _BYTE // q
+        groups = [range(h, min(h + g, q)) for h in range(0, q, g)]
+        self._low = bytes(d % g for d in range(_BYTE))
+        self._masks = [bytes(255 if d in grp else 0 for d in range(_BYTE)) for grp in groups]
+        self._pairs = [[b"".join(rows[a][:q] for a in grp).ljust(_BYTE, b"\0")
+                        for grp in groups] for rows in self._rows]
 
-    def rows(self):
-        """Every matrix as fresh row lists, in code order."""
-        n = self.n
-        for flat in itertools.product(self._reps, repeat=n * n):
-            yield [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+    # -- codes and single matrices ---------------------------------------
 
-    def code(self, rows) -> int:
-        digit, q, c = self._digit, len(self._reps), 0
-        for row in rows:
-            for r in row:
-                c = c * q + digit[r]
-        return c
+    def digits_at(self, code: int) -> list:
+        """The n^2 digits of a code, row-major."""
+        q, out = self.q, [0] * (self.n * self.n)
+        for t in range(len(out) - 1, -1, -1):
+            code, out[t] = divmod(code, q)
+        return out
 
     def rows_at(self, code: int) -> list:
-        n, q, reps = self.n, len(self._reps), self._reps
-        flat = [None] * (n * n)
-        for t in range(n * n - 1, -1, -1):
-            code, d = divmod(code, q)
-            flat[t] = reps[d]
+        n, reps = self.n, self._reps
+        flat = [reps[d] for d in self.digits_at(code)]
         return [flat[i * n:(i + 1) * n] for i in range(n)]
 
     def matrix_at(self, code: int) -> Matrix:
         return Matrix._from_raw(self.field, self.rows_at(code))
+
+    def digit(self, rep) -> int:
+        return self._digit[rep]
+
+    # -- digit planes -----------------------------------------------------
+
+    def _fill(self, d: int, count: int):
+        return bytes((d,)) * count if self._narrow else [d] * count
+
+    def planes(self) -> list:
+        """The digit planes of the whole space, in code order."""
+        return next(self.blocks(self.size))
+
+    def blocks(self, limit: int = BLOCK_CODES):
+        """The digit planes of the whole space, run by run in code order:
+        q^j consecutive codes per run, for the largest j >= 1 with
+        q^j <= limit.  The last j entries repeat the same planes in every
+        run; the others are constant over a run."""
+        q, nn = self.q, self.n * self.n
+        j = nn
+        while j > 1 and q ** j > limit:
+            j -= 1
+        span = q ** j
+        low = []
+        for t in range(j):
+            runs = [self._fill(d, q ** (j - 1 - t)) for d in range(q)]
+            period = b"".join(runs) if self._narrow else list(itertools.chain(*runs))
+            low.append(period * q ** t)
+        for top in range(q ** (nn - j)):
+            yield [self._fill(d, span) for d in self.digits_at(top)[j:]] + low
+
+    def select(self, P, codes) -> list:
+        """The planes P restricted to the slots ``codes``, in that order."""
+        seq = bytes if self._narrow else list
+        return [seq(map(plane.__getitem__, codes)) for plane in P]
+
+    def codes(self, P):
+        """The code of the matrix in each slot of the planes P."""
+        q = self.q
+        if not self._narrow:
+            acc = [0] * len(P[0])
+            for plane in P:
+                acc = [c * q + d for c, d in zip(acc, plane)]
+            return acc
+        count = len(P[0])
+        fmt, width = ("I", 4) if self.size <= 1 << 32 else ("Q", 8)
+        order = sys.byteorder
+        buf = bytearray(width * count)
+        low = 0 if order == "little" else width - 1
+        acc = 0
+        for plane in P:
+            buf[low::width] = plane
+            acc = acc * q + int.from_bytes(buf, order)
+        return memoryview(acc.to_bytes(width * count, order)).cast(fmt)
+
+    # -- arithmetic on planes ---------------------------------------------
+
+    def table(self, f):
+        """The translate table of d -> digit of f(element d), f on raw reps."""
+        digit = self._digit
+        out = [digit[f(r)] for r in self._reps]
+        return bytes(out).ljust(_BYTE, b"\0") if self._narrow else out
+
+    def apply(self, plane, table):
+        if self._narrow:
+            return plane.translate(table)
+        return list(map(table.__getitem__, plane))
+
+    def _row(self, op: int, c: int):
+        if self._narrow:
+            return self._rows[op][c]
+        return self.table(partial(self._ops[op], self._reps[c]))
+
+    def _binary(self, op: int, P, Q):
+        if not self._narrow:
+            f, reps, digit = self._ops[op], self._reps, self._digit
+            return [digit[f(reps[a], reps[b])] for a, b in zip(P, Q)]
+        count, tables = len(P), self._pairs[op]
+        low = P if len(tables) == 1 else P.translate(self._low)
+        packed = (int.from_bytes(low, "little") * self.q
+                  + int.from_bytes(Q, "little")).to_bytes(count, "little")
+        if len(tables) == 1:
+            return packed.translate(tables[0])
+        out = 0
+        for mask, table in zip(self._masks, tables):
+            out |= (int.from_bytes(P.translate(mask), "little")
+                    & int.from_bytes(packed.translate(table), "little"))
+        return out.to_bytes(count, "little")
+
+    def shift(self, P, c: int):
+        """c + P for a digit c."""
+        return self.apply(P, self._row(0, c))
+
+    def scale(self, P, c: int):
+        """c * P for a digit c."""
+        return self.apply(P, self._row(1, c))
+
+    def add(self, P, Q):
+        return self._binary(0, P, Q)
+
+    def mul(self, P, Q):
+        return self._binary(1, P, Q)
+
+    def lincomb(self, terms, count: int):
+        """sum c * P over (digit c, plane P) terms of ``count`` slots."""
+        acc = None
+        for c, P in terms:
+            if c == self.zero:
+                continue
+            if c != self.one:
+                P = self.scale(P, c)
+            acc = P if acc is None else self.add(acc, P)
+        return self._fill(self.zero, count) if acc is None else acc
+
+    def matmul(self, X, Y) -> list:
+        n, add, mul = self.n, self.add, self.mul
+        out = []
+        for i in range(n):
+            for j in range(n):
+                acc = mul(X[i * n], Y[j])
+                for k in range(1, n):
+                    acc = add(acc, mul(X[i * n + k], Y[k * n + j]))
+                out.append(acc)
+        return out
+
+    def power(self, X, k: int) -> list:
+        """X^k for k >= 1, by the binary powering of ``kernel.matpow``."""
+        result = None
+        while True:
+            if k & 1:
+                result = X if result is None else self.matmul(result, X)
+            k >>= 1
+            if not k:
+                return result
+            X = self.matmul(X, X)
 
 
 class _Echelon:

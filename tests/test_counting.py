@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 
 import pytest
 
 from wordmap.counting import (
     CSV_HEADER,
+    DEFAULT_CAP,
     count_solutions,
     image_enumerate,
     lang_weil_bound,
@@ -173,6 +175,45 @@ def test_image_enumerate_is_pinned(spec, wspec, n, size, total, digest):
     summary = image_enumerate(parse_word(wspec, field), n, field)
     assert (summary.size, summary.total) == (size, total)
     assert hashlib.sha256(repr(summary.missing).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec", ["Fp:7", "Fq:p=3,d=2,mod=[2,2,1]"])
+def test_image_of_commutators_is_the_trace_zero_law(spec):
+    """On M_2(F_q) one commutator reaches exactly the q^3 trace-zero
+    matrices, and ``missing`` is the first ten of the others in code order;
+    a product of two commutators reaches everything."""
+    field = parse_field_spec(spec)
+    q = field.cardinality
+    one = image_enumerate(CommutatorProduct(2), 2, field)
+    assert (one.size, one.total) == (q ** 3, q ** 4)
+    nonzero_trace = (M for M in all_matrices(field, 2) if not M.trace().is_zero())
+    assert one.missing == tuple(itertools.islice(nonzero_trace, 10))
+    two = image_enumerate(CommutatorProduct(4), 2, field)
+    assert (two.size, two.total, two.missing) == (q ** 4, q ** 4, ())
+
+
+def test_image_just_over_the_default_cap_is_refused():
+    """comm:m=2 on M_2(F_11) needs 11^8 = 214,358,881 evaluations, just
+    over DEFAULT_CAP."""
+    F11 = Field("prime", p=11)
+    assert 11 ** 8 > DEFAULT_CAP > 7 ** 8
+    with pytest.raises(TooLarge) as err:
+        image_enumerate(CommutatorProduct(2), 2, F11)
+    assert str(err.value) == ("enumeration needs about 214358881 evaluations, "
+                              "over the cap 200000000")
+
+
+def test_image_over_a_field_above_one_byte():
+    """F_257 at n = 1: the planes hold one int per slot; the squares are 0
+    and the 128 quadratic residues."""
+    F257 = Field("prime", p=257)
+    summary = image_enumerate(DiagonalWord(((F257(1), 2),)), 1, F257)
+    residues = {x * x % 257 for x in range(257)}
+    assert (summary.size, summary.total) == (129, 257)
+    assert [M.rows[0][0].rep for M in summary.missing] == \
+        [x for x in range(257) if x not in residues][:10]
+    both = image_enumerate(DiagonalWord(((F257(1), 2), (F257(3), 2))), 1, F257)
+    assert both.surjective
 
 
 def test_csv_row_quotes_tower_elements():

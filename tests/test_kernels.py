@@ -8,6 +8,7 @@ of the FieldElement operators).
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -32,7 +33,7 @@ from wordmap.fields import (
     extend,
     parse_field_spec,
 )
-from wordmap.matrices import Matrix, charpoly, krylov_annihilator
+from wordmap.matrices import Matrix, MatrixSpace, charpoly, krylov_annihilator
 from wordmap.polynomials import Poly
 from wordmap.words import DiagonalWord
 
@@ -486,16 +487,84 @@ def _object_hash_join(A, k1, beta, k2):
     return None
 
 
-@pytest.mark.parametrize("spec,k1,k2", [("Fp:2", 2, 2), ("Fp:2", 3, 3), ("Fp:3", 2, 2),
-                                        ("Fp:3", 2, 3), (F4_SPEC, 3, 2)])
-def test_exhaustive_two_term_matches_object_search(spec, k1, k2):
+OBJECT_SEARCH_CELLS = [("Fp:2", 2, 2, 2), ("Fp:2", 2, 3, 3), ("Fp:3", 2, 2, 2),
+                       ("Fp:3", 2, 2, 3), (F4_SPEC, 2, 3, 2), ("Fp:2", 3, 2, 3)]
+
+
+@pytest.mark.parametrize("spec,n,k1,k2", OBJECT_SEARCH_CELLS,
+                         ids=[f"{s}-{k1}-{k2}" + ("" if n == 2 else f"-n={n}")
+                              for s, n, k1, k2 in OBJECT_SEARCH_CELLS])
+def test_exhaustive_two_term_matches_object_search(spec, n, k1, k2):
     field = FIELDS[spec]
     rng = random.Random(k1 * 10 + k2)
     elems = list(enumerate_elements(field))
     beta = elems[-1]
-    for _ in range(6):
-        A = Matrix(field, [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
+    for _ in range(6 if n == 2 else 3):
+        A = Matrix(field, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
         assert _exhaustive_two_term(A, k1, beta, k2) == _object_hash_join(A, k1, beta, k2)
+
+
+# (field, n, k1, k2, codes of targets that have no witness), beta the
+# field's last element.  X^3 + Y^3 reaches all of M_4(F_2), and no random
+# target of the small exponents missed, so the NotFound targets come with
+# exponents that make every power a semisimple idempotent: lcm of the unit
+# orders times the p-power that kills the nilpotent part (84 for M_3(F_2),
+# 312 for M_3(F_3), 720 for M_2(F_9), 420 for M_4(F_2)).
+EXHAUSTIVE_CELLS = [
+    ("Fp:2", 3, 84, 84, (507, 499)),
+    ("Fp:3", 3, 2, 3, ()),
+    ("Fp:3", 3, 312, 312, (2067,)),
+    (F9_SPEC, 2, 8, 3, ()),
+    (F9_SPEC, 2, 720, 720, (1100,)),
+    ("Fp:17", 2, 48, 16, (26236,)),
+    ("Fp:2", 4, 3, 3, ()),
+    ("Fp:2", 4, 420, 420, (3452,)),
+]
+
+
+@pytest.mark.parametrize("spec,n,k1,k2,misses", EXHAUSTIVE_CELLS,
+                         ids=[f"{s}-n={n}-{k1},{k2}" for s, n, k1, k2, _ in EXHAUSTIVE_CELLS])
+def test_exhaustive_two_term_on_spaces_beyond_the_object_search(spec, n, k1, k2, misses):
+    """Seeded samples of the power planes against naive_power; then the
+    join against a reference that keeps, per power value, its first code:
+    the witness is the first Y whose A - beta*Y^k2 is a k1-th power, with
+    the first X of that power, or NotFound."""
+    field = parse_field_spec(spec)
+    space = MatrixSpace(field, n)
+    beta = list(enumerate_elements(field))[-1]
+    rng = random.Random(f"{spec} {n} {k1} {k2}")
+    index = {x.rep: i for i, x in enumerate(enumerate_elements(field))}
+
+    def code(M):
+        return functools.reduce(lambda c, x: c * space.q + index[x.rep],
+                                itertools.chain(*M.rows), 0)
+
+    whole = space.planes()
+    first = {}  # code of a power -> the first code with that power
+    for k in {k1, k2}:
+        codes = space.codes(space.power(whole, k))
+        for c in rng.sample(range(space.size), 6):
+            assert space.matrix_at(codes[c]) == naive_power(space.matrix_at(c), k)
+        first[k] = {}
+        for i, c in enumerate(codes):
+            first[k].setdefault(c, i)
+
+    def reference(A):
+        for c, y in first[k2].items():  # in order of first code
+            x = first[k1].get(code(A - space.matrix_at(c).scale(beta)))
+            if x is not None:
+                return space.matrix_at(x), space.matrix_at(y)
+        return None
+
+    planted = (naive_power(space.matrix_at(rng.randrange(space.size)), k1)
+               + naive_power(space.matrix_at(rng.randrange(space.size)), k2).scale(beta))
+    for A, reachable in [(planted, True)] + [(space.matrix_at(c), False) for c in misses]:
+        got = _exhaustive_two_term(A, k1, beta, k2)
+        assert got == reference(A)
+        assert (got is not None) == reachable
+        if reachable:
+            X, Y = got
+            assert naive_power(X, k1) + naive_power(Y, k2).scale(beta) == A
 
 
 # ----------------------------------------------------------------------

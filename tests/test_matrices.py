@@ -379,15 +379,24 @@ def test_jordan_form_approx_computes_one_spectrum(monkeypatch, target, exhausts)
 @pytest.mark.parametrize("spec,n", [("Fp:2", 1), ("Fp:2", 2), ("Fp:3", 2),
                                     ("Fq:p=2,d=2,mod=[1,1,1]", 2), ("Fp:2", 3)])
 def test_matrix_space_order_and_round_trip(spec, n):
+    """Slot c of the digit planes holds the matrix of code c, and the runs
+    of ``blocks`` concatenate to the whole-space planes."""
     field = parse_field_spec(spec)
     space = MatrixSpace(field, n)
     expected = list(all_matrices(field, n))
-    assert len(list(space.rows())) == len(expected) == MatrixSpace.cardinality(field, n)
-    for code, (rows, M) in enumerate(zip(space.rows(), expected)):
+    planes = space.planes()
+    assert len(expected) == MatrixSpace.cardinality(field, n) == space.size
+    assert [len(P) for P in planes] == [space.size] * (n * n)
+    assert list(space.codes(planes)) == list(range(space.size))
+    reps = [x.rep for x in enumerate_elements(field)]
+    for code, M in enumerate(expected):
+        rows = [[reps[planes[i * n + j][code]] for j in range(n)] for i in range(n)]
         assert Matrix._from_raw(field, rows) == M
-        assert space.code(rows) == code
         assert space.rows_at(code) == rows
         assert space.matrix_at(code) == M
+    for limit in range(1, space.size + 1, 3):
+        runs = list(space.blocks(limit))
+        assert [b"".join(run[t] for run in runs) for t in range(n * n)] == planes
 
 
 @pytest.mark.parametrize("n", [0, -2, 1.5, "2"])
@@ -396,3 +405,36 @@ def test_matrix_space_needs_a_positive_int_size(n):
         MatrixSpace(F2, n)
     with pytest.raises(UsageError):
         MatrixSpace.cardinality(F2, n)
+
+
+# one field per way the planes hold digits and combine two planes: digit
+# pairs in one byte (q <= 16), one masked translate per digit (16 < q <= 256),
+# and a list with one int per slot (q > 256)
+PLANE_CELLS = [("Fp:2", 3), ("Fq:p=3,d=2,mod=[2,2,1]", 2), ("Fp:17", 2),
+               ("Fq:p=5,d=2,mod=[2,1,1]", 2), ("Fp:257", 1)]
+
+
+@pytest.mark.parametrize("spec,n", PLANE_CELLS, ids=[f"{s}-{n}" for s, n in PLANE_CELLS])
+def test_matrix_space_kernel_matches_matrix_arithmetic(spec, n):
+    """Sums, products, powers, constants and linear combinations on the
+    planes of seeded code samples, against Matrix arithmetic."""
+    field = parse_field_spec(spec)
+    space = MatrixSpace(field, n)
+    rng = random.Random(16)
+    xs = [rng.randrange(space.size) for _ in range(40)]
+    ys = [rng.randrange(space.size) for _ in range(40)]
+    whole = space.planes()
+    X, Y = space.select(whole, xs), space.select(whole, ys)
+    mats = lambda planes: [space.matrix_at(c) for c in space.codes(planes)]
+    Xs, Ys = mats(X), mats(Y)
+    assert Xs == [space.matrix_at(x) for x in xs]
+    assert mats(space.matmul(X, Y)) == [A * B for A, B in zip(Xs, Ys)]
+    assert mats([space.add(P, Q) for P, Q in zip(X, Y)]) == [A + B for A, B in zip(Xs, Ys)]
+    assert mats(space.power(X, 5)) == [A ** 5 for A in Xs]
+    elems = list(enumerate_elements(field))
+    c, d = rng.randrange(space.q), rng.randrange(space.q)
+    assert mats([space.scale(P, c) for P in X]) == [A.scale(elems[c]) for A in Xs]
+    shifted = [space.shift(P, c) for P in X]
+    assert mats(shifted) == [A + Matrix.from_rows(field, [[elems[c]] * n] * n) for A in Xs]
+    combo = [space.lincomb([(c, P), (d, Q), (space.zero, P)], len(xs)) for P, Q in zip(X, Y)]
+    assert mats(combo) == [A.scale(elems[c]) + B.scale(elems[d]) for A, B in zip(Xs, Ys)]
