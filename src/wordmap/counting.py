@@ -190,7 +190,8 @@ def _commutators(space: MatrixSpace) -> set:
 
 def _products(space: MatrixSpace, left: set, right: set) -> set:
     """Codes of every A B with A in ``left`` and B in ``right``: each element
-    of the smaller set, as a constant, times the planes of the larger."""
+    of the smaller set, as a constant, times the planes of the larger.  It
+    stops once the products are all of M_n(F_q)."""
     n = space.n
     const_left = len(left) <= len(right)
     consts, many = (left, right) if const_left else (right, left)
@@ -202,14 +203,19 @@ def _products(space: MatrixSpace, left: set, right: set) -> set:
             space.lincomb([(C[i * n + k], P[k * n + j]) if const_left else
                            (C[k * n + j], P[i * n + k]) for k in range(n)], len(many))
             for i in range(n) for j in range(n)]))
+        if len(out) == space.size:
+            break
     return out
 
 
 def _sumset(space: MatrixSpace, first: set, second: set) -> set:
-    """Codes of every A + B with A in ``first`` and B in ``second``."""
+    """Codes of every A + B with A in ``first`` and B in ``second``; it
+    stops once the sums are all of M_n(F_q)."""
     few, many = sorted((first, second), key=len)
     planes = space.select(space.planes(), list(many))
     out = set()
     for v in few:
         out.update(space.codes([space.shift(P, d) for P, d in zip(planes, space.digits_at(v))]))
+        if len(out) == space.size:
+            break
     return out

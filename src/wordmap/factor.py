@@ -159,7 +159,8 @@ def _distinct_degree(f: Poly) -> list:
     """(g_d, d) for monic squarefree f: g_d is the product of the irreducible
     factors of degree d.  h runs through x^(q^d) mod g; from d = 2 on it is
     advanced by the Frobenius matrix of g, built once from x^q mod g and
-    reduced modulo g whenever g loses a factor."""
+    reduced modulo g whenever g loses a factor, and applied through one
+    prepared product per g."""
     field = f.field
     kern = field.kernel
     q = field.cardinality
@@ -179,8 +180,9 @@ def _distinct_degree(f: Poly) -> list:
         else:
             if frob is None:
                 frob = _frobenius_rows(h, g)
+                advance = _row_times(kern, frob)
             hv = _padded(kern, h._raw(), g.degree)
-            h = Poly._from_raw(field, kern.poly_trim(kern.matmul([hv], frob)[0]))
+            h = Poly._from_raw(field, kern.poly_trim(advance(hv)))
         gd = g.gcd(h - x)
         if gd.degree > 0:
             out.append((gd, d))
@@ -190,7 +192,13 @@ def _distinct_degree(f: Poly) -> list:
                 graw = g._raw()
                 frob = [_padded(kern, kern.poly_divmod(kern.poly_trim(row), graw)[1], g.degree)
                         for row in frob[:g.degree]]
+                advance = _row_times(kern, frob)
     return out
+
+
+def _row_times(kern, rows):
+    """v -> v * rows for row vectors v, prepared once."""
+    return kern.matvec_fn([list(col) for col in zip(*rows)])
 
 
 def _padded(kern, a: list, m: int) -> list:

@@ -69,14 +69,21 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def _from_raw(field: Field, raw_rows) -> "Matrix":
-        """Wrap rows of raw reps (the kernel's output) without coercion."""
+    def _unchecked(field: Field, rows) -> "Matrix":
+        """A matrix from equal-length rows of elements of ``field`` (its
+        constants, the entries of its matrices and polynomials), without
+        the per-entry check of ``Matrix(...)``."""
         M = object.__new__(Matrix)
         M.field = field
-        M.rows = tuple(map(field.wrap, raw_rows))
+        M.rows = tuple(map(tuple, rows))
         M.nrows = len(M.rows)
         M.ncols = len(M.rows[0]) if M.rows else 0
         return M
+
+    @staticmethod
+    def _from_raw(field: Field, raw_rows) -> "Matrix":
+        """Wrap rows of raw reps (the kernel's output) without coercion."""
+        return Matrix._unchecked(field, map(field.wrap, raw_rows))
 
     def _raw(self) -> list:
         """Fresh row lists of raw reps, ready for the kernel."""
@@ -90,19 +97,20 @@ class Matrix:
     def zeros(field: Field, nrows: int, ncols: int = None) -> "Matrix":
         ncols = nrows if ncols is None else ncols
         z = field.zero()
-        return Matrix(field, [[z] * ncols for _ in range(nrows)])
+        return Matrix._unchecked(field, [[z] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._unchecked(field, [[o if i == j else z for j in range(n)]
+                                         for i in range(n)])
 
     @staticmethod
     def unit(field: Field, n: int, i: int, j: int) -> "Matrix":
         """e_{i,j}: single 1 at 0-indexed position (i, j)."""
         z, o = field.zero(), field.one()
-        return Matrix(field, [[o if (r, c) == (i, j) else z for c in range(n)]
-                              for r in range(n)])
+        return Matrix._unchecked(field, [[o if (r, c) == (i, j) else z for c in range(n)]
+                                         for r in range(n)])
 
     @staticmethod
     def diagonal(field: Field, entries) -> "Matrix":
@@ -124,7 +132,7 @@ class Matrix:
             rows[i][i - 1] = o
         for i in range(n):
             rows[i][n - 1] = -p[i]
-        return Matrix(field, rows)
+        return Matrix._unchecked(field, rows)
 
     @staticmethod
     def jordan_block(alpha: FieldElement, l: int) -> "Matrix":
@@ -136,7 +144,7 @@ class Matrix:
             rows[i][i] = alpha
             if i + 1 < l:
                 rows[i][i + 1] = o
-        return Matrix(field, rows)
+        return Matrix._unchecked(field, rows)
 
     @staticmethod
     def generalized_jordan_block(p: Poly, l: int) -> "Matrix":
@@ -154,11 +162,14 @@ class Matrix:
             if b + 1 < l:
                 for i in range(d):
                     rows[b * d + i][(b + 1) * d + i] = o
-        return Matrix(field, rows)
+        return Matrix._unchecked(field, rows)
 
     @staticmethod
     def block_diag(field: Field, mats: Iterable["Matrix"]) -> "Matrix":
         mats = list(mats)
+        for m in mats:
+            if m.ncols and m.field is not field and m.field.key != field.key:
+                raise UsageError(f"matrix entry {m.rows[0][0]!r} is not an element of {field}")
         n = sum(m.nrows for m in mats)
         z = field.zero()
         rows = [[z] * n for _ in range(n)]
@@ -168,7 +179,7 @@ class Matrix:
                 for j in range(m.ncols):
                     rows[off + i][off + j] = m.rows[i][j]
             off += m.nrows
-        return Matrix(field, rows)
+        return Matrix._unchecked(field, rows)
 
     @staticmethod
     def cyclic_shift(field: Field, n: int) -> "Matrix":
@@ -178,7 +189,7 @@ class Matrix:
         for i in range(n - 1):
             rows[i][i + 1] = o
         rows[n - 1][0] = o
-        return Matrix(field, rows)
+        return Matrix._unchecked(field, rows)
 
     @staticmethod
     def permutation(field: Field, order: Sequence[int]) -> "Matrix":
@@ -188,7 +199,7 @@ class Matrix:
         rows = [[z] * n for _ in range(n)]
         for t, src in enumerate(order):
             rows[t][src] = o
-        return Matrix(field, rows)
+        return Matrix._unchecked(field, rows)
 
     @staticmethod
     def from_cols(field: Field, cols) -> "Matrix":
@@ -294,32 +305,11 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         _require_square(self)
-        n = self.nrows
-        field = self.field
-        zero, one = field._zero_raw, field._one_raw
-        aug = [row + [one if j == i else zero for j in range(n)]
-               for i, row in enumerate(self._raw())]
-        if len(field.kernel.echelon(aug, n)) != n:
-            raise SingularMatrix("matrix is not invertible")
-        return Matrix._from_raw(field, [row[n:] for row in aug])
+        return Matrix._from_raw(self.field, _inverse_raw(self.field, self._raw()))
 
     def nullspace(self) -> list:
         """Basis of the right kernel, deterministic order (free columns ascending)."""
-        field = self.field
-        reduced = self._raw()
-        pivots = field.kernel.echelon(reduced)
-        pivot_cols = set(pivots)
-        rneg = field._rneg
-        basis = []
-        for fcol in range(self.ncols):
-            if fcol in pivot_cols:
-                continue
-            vec = [field._zero_raw] * self.ncols
-            vec[fcol] = field._one_raw
-            for rowidx, pcol in enumerate(pivots):
-                vec[pcol] = rneg(reduced[rowidx][fcol])
-            basis.append(field.wrap(vec))
-        return basis
+        return [self.field.wrap(v) for v in _nullspace_raw(self.field, self._raw())]
 
     def solve_right(self, b: Sequence[FieldElement]):
         """One solution x of self*x = b, or None."""
@@ -339,7 +329,9 @@ class Matrix:
 
     def apply(self, v: Sequence[FieldElement]) -> tuple:
         field = self.field
-        return field.wrap(_times_vector(field.kernel, self._raw(), [x.rep for x in v]))
+        # a single product, for which preparing a matvec_fn does not pay
+        col = field.kernel.matmul(self._raw(), [[x.rep] for x in v])
+        return field.wrap([r[0] for r in col])
 
     def shear(self, r: int, s: int, c, conjugate: bool = True) -> "Matrix":
         """E*self*E^-1, or E*self when ``conjugate`` is false, for the
@@ -352,11 +344,39 @@ class Matrix:
         return Matrix._from_raw(self.field, rows)
 
 
-def _times_vector(kern, rows, v) -> list:
-    """rows * v as one kernel product against v as a single column, so a
-    kernel that prepares its operands (Q clears denominators) does so for
-    v once rather than once per row."""
-    return [r[0] for r in kern.matmul(rows, [[x] for x in v])]
+def _inverse_raw(field: Field, rows) -> list:
+    """The inverse of a square matrix of raw rows, as raw rows; ``rows``
+    is left as it is."""
+    n = len(rows)
+    zero, one = field._zero_raw, field._one_raw
+    aug = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(rows)]
+    if len(field.kernel.echelon(aug, n)) != n:
+        raise SingularMatrix("matrix is not invertible")
+    return [row[n:] for row in aug]
+
+
+def _nullspace_raw(field: Field, rows) -> list:
+    """Raw basis vectors of the right kernel of raw rows, free columns
+    ascending; ``rows`` is reduced in place."""
+    ncols = len(rows[0]) if rows else 0
+    pivots = field.kernel.echelon(rows)
+    pivot_cols = set(pivots)
+    rneg = field._rneg
+    basis = []
+    for fcol in range(ncols):
+        if fcol in pivot_cols:
+            continue
+        vec = [field._zero_raw] * ncols
+        vec[fcol] = field._one_raw
+        for rowidx, pcol in enumerate(pivots):
+            vec[pcol] = rneg(rows[rowidx][fcol])
+        basis.append(vec)
+    return basis
+
+
+def _transpose(vecs) -> list:
+    """Rows from columns, or columns from rows, as lists."""
+    return [list(r) for r in zip(*vecs)]
 
 
 def _require_square(A: Matrix):
@@ -572,14 +592,13 @@ class MatrixSpace:
 class _Echelon:
     """Incremental echelon structure for span-membership tests."""
 
-    def __init__(self, field: Field):
-        self.kernel = field.kernel
+    def __init__(self, kernel):
+        self.kernel = kernel
         self.rows = {}  # pivot index -> normalised raw vector
 
     def insert(self, vec) -> bool:
-        """Add vec (FieldElements) to the span; True if it was independent."""
+        """Add the raw vector vec to the span; True if it was independent."""
         kern = self.kernel
-        vec = [x.rep for x in vec]
         for piv in sorted(self.rows):
             c = vec[piv]
             if not kern.is_zero(c):
@@ -609,13 +628,14 @@ def charpoly(A: Matrix) -> Poly:
     rows = A._raw()
     C = [one]
     for r in range(1, n + 1):
-        lead = [row[: r - 1] for row in rows[: r - 1]]
         R = rows[r - 1][: r - 1]
         t = [one, rneg(rows[r - 1][r - 1])]
         v = [rows[i][r - 1] for i in range(r - 1)]
+        if r > 2:
+            lead = kern.matvec_fn([row[: r - 1] for row in rows[: r - 1]])
         for j in range(2, r + 1):
             if j > 2:
-                v = _times_vector(kern, lead, v)
+                v = lead(v)
             t.append(rneg(dot(R, v)))
         Cn = []
         for i in range(r + 1):
@@ -636,7 +656,7 @@ def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
     kern = field.kernel
     n = A.nrows
     zero, one = field._zero_raw, field._one_raw
-    rows = A._raw()
+    apply = kern.matvec_fn(A._raw())
     # reduced vectors with their pivots and power-combination tails
     ech_rows = []
     cur = [x.rep for x in v]
@@ -656,7 +676,7 @@ def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
         inv = kern.inv(vec[piv])
         evec = kern.vscale(vec, inv)
         ech_rows.append((evec, kern.vscale(tail, inv), kern.lead(evec)))
-        cur = _times_vector(kern, rows, cur)
+        cur = apply(cur)
     raise VerificationFailed("krylov annihilator did not terminate")
 
 
@@ -730,59 +750,67 @@ def nilpotent_partition(A: Matrix) -> Partition:
 
 
 def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
-    """Chain tops (v, level) for the K[x]-module structure of A on ker-powers
-    of B = p(A), deg p = d.  Independence is tested K-linearly on the A-orbits
-    {A^i v : i < d}, which realises L-linear independence for L = K[x]/(p).
+    """Chain tops (v, level), v a raw vector, for the K[x]-module structure
+    of A on ker-powers of B = p(A), deg p = d.  Independence is tested
+    K-linearly on the A-orbits {A^i v : i < d}, which realises L-linear
+    independence for L = K[x]/(p).
 
     The kernels ker B^j grow until they stabilise; ``dim``, when the caller
     knows the dimension of the generalized eigenspace, stops them as soon as
     they reach it, which saves one power of B and its nullspace."""
     field = A.field
+    kern = field.kernel
     n = A.nrows
+    braw = B._raw()
     kers = [[]]
-    Bj = B
+    Bj = braw
     while True:
-        ker = Matrix.nullspace(Bj)
+        ker = _nullspace_raw(field, [row[:] for row in Bj])
         if len(ker) == len(kers[-1]):
             break
         kers.append(ker)
         if len(ker) == n or len(ker) == dim:
             break
-        Bj = Bj * B
+        Bj = kern.matmul(Bj, braw)
     s = len(kers) - 1
     if s == 0:
         return []
     dims = [len(k) for k in kers] + [len(kers[-1])]
+    # A-orbits have more than one vector only for d > 1, and chains are
+    # carried down by B only from a level above the first
+    apply_a = kern.matvec_fn(A._raw()) if d > 1 else None
+    apply_b = kern.matvec_fn(braw) if s > 1 else None
     chains = []
     carry = []
     for level in range(s, 0, -1):
         expected = (2 * dims[level] - dims[level - 1] - dims[level + 1]) // d
         if expected * d != 2 * dims[level] - dims[level - 1] - dims[level + 1]:
             raise VerificationFailed("kernel dimensions incompatible with factor degree")
-        ech = _Echelon(field)
+        ech = _Echelon(kern)
         for vec in kers[level - 1]:
             ech.insert(vec)
-        for w in carry:
-            orbit = w
-            for _ in range(d):
+        for orbit in carry:
+            ech.insert(orbit)
+            for _ in range(d - 1):
+                orbit = apply_a(orbit)
                 ech.insert(orbit)
-                orbit = A.apply(orbit)
         new_tops = []
         for u in kers[level]:
             if len(new_tops) == expected:
                 break
             if ech.insert(u):
-                orbit = A.apply(u)
+                orbit = u
                 for _ in range(d - 1):
+                    orbit = apply_a(orbit)
                     if not ech.insert(orbit):
                         raise VerificationFailed("orbit of a new chain top is dependent")
-                    orbit = A.apply(orbit)
                 new_tops.append(u)
         if len(new_tops) != expected:
             raise VerificationFailed(
                 f"found {len(new_tops)} chain tops at level {level}, expected {expected}")
         chains.extend((u, level) for u in new_tops)
-        carry = [B.apply(w) for w in carry] + [B.apply(u) for u in new_tops]
+        if level > 1:
+            carry = [apply_b(w) for w in carry + new_tops]
     return chains
 
 
@@ -794,13 +822,14 @@ def nilpotent_jordan_basis(N: Matrix) -> tuple:
         raise NotNilpotent("matrix is not nilpotent")
     chains = _chain_filtration(N, N, 1)
     chains.sort(key=lambda c: -c[1])
+    apply = N.field.kernel.matvec_fn(N._raw())
     cols = []
     for v, l in chains:
         chain_vecs = [v]
         for _ in range(l - 1):
-            chain_vecs.append(N.apply(chain_vecs[-1]))
+            chain_vecs.append(apply(chain_vecs[-1]))
         cols.extend(reversed(chain_vecs))
-    S = Matrix.from_cols(N.field, cols)
+    S = Matrix._from_raw(N.field, _transpose(cols))
     return S, tuple(l for _, l in chains)
 
 
@@ -908,41 +937,53 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
 
     specs = tuple(JordanBlockSpec(p, l) for p, l, _ in block_data)
     realization = Matrix.block_diag(field, [b.realization() for b in specs])
-    qcols = []
+    # Q's columns: each block's Krylov columns times the inverse of the
+    # cyclic basis of its J_{p,l}, so that Q^-1 A Q is the realization
+    kern = field.kernel
+    Q = [[] for _ in range(A.nrows)]
     for p, l, cols in block_data:
-        Jb = Matrix.generalized_jordan_block(p, l)
-        W = _cyclic_basis(Jb)
-        part = Matrix.from_cols(field, cols) * W.inverse()
-        qcols.extend(part.cols())
-    Q = Matrix.from_cols(field, qcols)
-    P = Q.inverse()
-    if not (P * A * Q).allclose(realization):
+        W = _cyclic_basis_cols(Matrix.generalized_jordan_block(p, l))
+        part = kern.matmul(_transpose(cols), _inverse_raw(field, _transpose(W)))
+        for qrow, prow in zip(Q, part):
+            qrow.extend(prow)
+    P = _inverse_raw(field, Q)
+    close = field.close_raw
+    if not all(close(x, y) for ra, rb in zip(kern.matmul(kern.matmul(P, A._raw()), Q),
+                                             realization._raw())
+               for x, y in zip(ra, rb)):
         raise VerificationFailed("generalized Jordan form failed to verify")
-    return GeneralizedJordanForm(specs, P, realization)
+    return GeneralizedJordanForm(specs, Matrix._from_raw(field, P), realization)
 
 
 def _cyclic_basis(M: Matrix) -> Matrix:
-    """Krylov basis from a cyclic vector of M (M must be non-derogatory).
-    Candidates, in order: the standard basis vectors, then sums of two of
-    them, then the sums of the first 3, 4, ..., n."""
+    """Krylov basis from a cyclic vector of M (M must be non-derogatory)."""
+    return Matrix._from_raw(M.field, _transpose(_cyclic_basis_cols(M)))
+
+
+def _cyclic_basis_cols(M: Matrix) -> list:
+    """The columns of ``_cyclic_basis(M)`` as raw vectors.  Candidates, in
+    order: the standard basis vectors, then sums of two of them, then the
+    sums of the first 3, 4, ..., n."""
     field = M.field
+    kern = field.kernel
     n = M.nrows
-    one, zero = field.one(), field.zero()
+    one, zero = field._one_raw, field._zero_raw
+    apply = kern.matvec_fn(M._raw())
     supports = itertools.chain(((i,) for i in range(n)),
                                itertools.combinations(range(n), 2),
                                (range(count) for count in range(3, n + 1)))
     for support in supports:
-        v = tuple(one if t in support else zero for t in range(n))
+        v = [one if t in support else zero for t in range(n)]
         cols = [v]
-        ech = _Echelon(field)
+        ech = _Echelon(kern)
         ech.insert(v)
         for _ in range(n - 1):
-            v = M.apply(v)
+            v = apply(v)
             if not ech.insert(v):
                 break
             cols.append(v)
         else:
-            return Matrix.from_cols(field, cols)
+            return cols
     raise NotSimilar("matrix block has no cyclic vector")
 
 
@@ -973,13 +1014,14 @@ def _newton_refine_root(coeffs, z: complex, mult: int) -> complex:
 
 
 def _jordan_block_data(A: Matrix, pairs) -> list:
-    """(poly, l, krylov columns) per block; raises when the kernel chain
+    """(poly, l, raw Krylov columns) per block; raises when the kernel chain
     structure contradicts the claimed factor multiplicities.  Over exact
     kinds the generalized eigenspace of p has dimension s * deg p, and the
     kernel chain stops there; over R/C the multiplicity is a guess from the
     root clusters, and the chain runs until it stabilises, which tests it."""
     block_data = []
     exact = A.field.is_exact
+    apply = A.field.kernel.matvec_fn(A._raw())
     for p, s in pairs:
         d = p.degree
         B = p(A)
@@ -990,7 +1032,7 @@ def _jordan_block_data(A: Matrix, pairs) -> list:
         for v, l in chains:
             cols = [v]
             for _ in range(l * d - 1):
-                cols.append(A.apply(cols[-1]))
+                cols.append(apply(cols[-1]))
             block_data.append((p, l, cols))
     return block_data
 

@@ -228,11 +228,14 @@ class Poly:
         field, n = x.field, x.nrows
         kern, radd = field.kernel, field._radd
         X = x._raw()
-        # Horner: acc <- acc*X + c*I, starting from the zero matrix
+        coeffs = [field(c).rep for c in reversed(self.coeffs)]
+        # Horner: acc <- acc*X + c*I, starting from the zero matrix; over
+        # exact kinds the first product (c*I)*X is c*X, so it is skipped
         acc = [[field._zero_raw] * n for _ in range(n)]
-        for k, c in enumerate(reversed(self.coeffs)):
-            c = field(c).rep
-            if k:
+        for k, c in enumerate(coeffs):
+            if k == 1 and kern.exact:
+                acc = [kern.vscale(row, coeffs[0]) for row in X]
+            elif k:
                 acc = kern.matmul(acc, X)
             for i in range(n):
                 acc[i][i] = radd(acc[i][i], c)

@@ -6,6 +6,8 @@ import pytest
 from wordmap.counting import (
     CSV_HEADER,
     DEFAULT_CAP,
+    _products,
+    _sumset,
     count_solutions,
     image_enumerate,
     lang_weil_bound,
@@ -13,7 +15,7 @@ from wordmap.counting import (
 )
 from wordmap.errors import TooLarge, UsageError
 from wordmap.fields import Field, parse_field_spec
-from wordmap.matrices import Matrix
+from wordmap.matrices import Matrix, MatrixSpace
 from wordmap.words import CommutatorProduct, DiagonalWord, parse_word
 
 from oracles import all_matrices, brute_solution_count
@@ -98,6 +100,19 @@ def test_image_monotone_under_zero_padding():
     s2 = image_enumerate(word2, 2, F3)
     s3 = image_enumerate(word3, 2, F3)
     assert s3.size >= s2.size
+
+
+def test_sumset_and_products_stop_once_they_hold_every_matrix():
+    space = MatrixSpace(F2, 2)
+    codes, calls = space.codes, []
+    space.codes = lambda P: calls.append(P) or codes(P)
+    every = set(range(space.size))
+    # codes 9 and 6 are I and the swap: either one times M_2(F_2), or any
+    # matrix plus it, is already all of M_2(F_2)
+    assert space.matrix_at(9) == Matrix.identity(F2, 2)
+    assert _products(space, {9, 6}, every) == every
+    assert _sumset(space, {0, 5}, every) == every
+    assert len(calls) == 2
 
 
 def test_image_cap_guard():

@@ -33,7 +33,13 @@ from wordmap.fields import (
     extend,
     parse_field_spec,
 )
-from wordmap.matrices import Matrix, MatrixSpace, charpoly, krylov_annihilator
+from wordmap.matrices import (
+    Matrix,
+    MatrixSpace,
+    charpoly,
+    generalized_jordan_form,
+    krylov_annihilator,
+)
 from wordmap.polynomials import Poly
 from wordmap.words import DiagonalWord
 
@@ -468,6 +474,87 @@ def test_prime_kernel_mod_prime_power(p, k, data):
 
 
 # ----------------------------------------------------------------------
+# PrimeKernel's packed layout against its list loops
+# ----------------------------------------------------------------------
+
+PACK_MODULI = [2, 3, 101, 65521, 2 ** 31 - 1]
+
+
+def test_slot_widths_at_the_layout_boundaries():
+    # a slot holds terms*(m-1)^2 + m: 65521 needs 8 bytes from two terms
+    # on, and 2^31 - 1 fits no slot from five terms on (list loops)
+    assert PrimeKernel(65521)._slot(1) == (4, "I")
+    assert PrimeKernel(65521)._slot(2) == (8, "Q")
+    assert PrimeKernel(2 ** 31 - 1)._slot(4) == (8, "Q")
+    assert PrimeKernel(2 ** 31 - 1)._slot(5) is None
+
+
+def _residue_rows(rng, m, nrows, ncols, fill=None):
+    """Random residues, or every entry ``fill`` (m - 1 puts each slot at its
+    bound), with some zero rows and some rows combined from earlier ones,
+    so that the rank drops."""
+    if fill is not None:
+        return [[fill] * ncols for _ in range(nrows)]
+    rows = [[rng.randrange(m) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows[i] = [0] * ncols
+        elif kind == 1:
+            j, c = rng.randrange(i), rng.randrange(m)
+            rows[i] = [(a + c * b) % m for a, b in zip(rows[i - 1], rows[j])]
+    return rows
+
+
+def _product_shapes():
+    """(rows of A, inner, columns of B): square 1..16, non-square, and B
+    with 1 to 5 columns on both sides of the packing threshold."""
+    shapes = [(n, n, n) for n in range(1, 17)]
+    shapes += [(1, 7, 9), (9, 1, 7), (7, 9, 1), (16, 3, 11), (3, 16, 8), (5, 12, 16)]
+    shapes += [(r, inner, c) for c in range(1, 6) for r, inner in ((1, 6), (12, 12), (6, 16))]
+    return shapes
+
+
+@pytest.mark.parametrize("m", PACK_MODULI)
+def test_packed_products_equal_the_list_loops(m):
+    kern, rng = PrimeKernel(m), random.Random(m)
+    for r, inner, c in _product_shapes():
+        for fill in (None, m - 1):
+            A = _residue_rows(rng, m, r, inner, fill)
+            B = _residue_rows(rng, m, inner, c, fill)
+            want = [[sum(a * b for a, b in zip(row, col)) % m for col in zip(*B)]
+                    for row in A]
+            assert kern.matmul(A, B) == want
+            apply = kern.matvec_fn(A)
+            for v in (B[0] if c == inner else [m - 1] * inner, [0] * inner):
+                assert apply(v) == [sum(a * b for a, b in zip(row, v)) % m for row in A]
+
+
+def _echelon_shapes():
+    """(rows, width, ncols): square 1..16, non-square, and augmented rows
+    reduced over their left half only, as in ``inverse``."""
+    shapes = [(n, n, None) for n in range(1, 17)]
+    shapes += [(6, 8, None), (8, 6, None), (16, 5, None), (5, 16, None), (12, 3, None)]
+    shapes += [(n, 2 * n, n) for n in (3, 6, 8, 12, 16)] + [(9, 10, 9), (7, 8, 0)]
+    return shapes
+
+
+@pytest.mark.parametrize("m", PACK_MODULI)
+def test_packed_echelon_equals_the_list_loop(m):
+    kern, rng = PrimeKernel(m), random.Random(m)
+    for nrows, width, ncols in _echelon_shapes():
+        for fill in (None, None, m - 1):
+            rows = _residue_rows(rng, m, nrows, width, fill)
+            if ncols and width == 2 * ncols and fill is None:  # an inverse's augmented rows
+                rows = [row[:ncols] + [int(i == j) for j in range(ncols)]
+                        for i, row in enumerate(rows)]
+            got, want = [row[:] for row in rows], [row[:] for row in rows]
+            pivots = kern.echelon(got, ncols)
+            assert pivots == kern._echelon_lists(want, width if ncols is None else ncols)
+            assert got == want
+
+
+# ----------------------------------------------------------------------
 # the exhaustive fallback
 # ----------------------------------------------------------------------
 
@@ -773,3 +860,104 @@ def test_tower_witnesses_are_pinned(spec, word, n, digest):
         w = solve_diagonal_word(A, DiagonalWord(((L.one(), 2), (L.one(), 3))), 40)
     got = hashlib.sha256(repr((w.matrices, w.conjugators)).encode()).hexdigest()
     assert got == digest
+
+
+# generalized_jordan_form over R and C, float bits included: the SHA-256 of
+# the blocks' sizes and polynomials and of the conjugator, every rep as
+# float.hex
+RC_JORDAN_BLOCKS = {
+    "real-pair": [([-0.5, 1], 2), ([0.25, 1], 1)],
+    "complex-pair": [([1, 0, 1], 2)],
+    "complex-pair-split": [([1, -1, 1], 1), ([1, -1, 1], 1), ([0.5, 1], 1)],
+    "complex-root": [([-1j, 1], 2), ([0.5, 1], 1)],
+}
+GOLDEN_RC_JORDAN = [
+    ("R:tol=1e-9", "random", 2, 1,
+     "9cc27d4557d01ea68d73095f6f217064fbf965607b9c528a2a6225d5e8445b01"),
+    ("R:tol=1e-9", "random", 2, 2,
+     "26b0fee4328315d967dbe1a72b4b4883bd2b5b61ed26b7da9c099af3d10c0a23"),
+    ("R:tol=1e-9", "random", 3, 1,
+     "a77b4ed3be51fd715f5525a8aede6dba44660fc44011bd58e7fd2845cf763071"),
+    ("R:tol=1e-9", "random", 3, 2,
+     "0cbfea47a02a84e9260aaa4dc44c0991a4a803ce23a830843c3a0f0f537cc044"),
+    ("R:tol=1e-9", "random", 4, 1,
+     "045d2747380a10cadabce4ee5b5cfc90f6d5b47d13e745b8054cf7ded5681882"),
+    ("R:tol=1e-9", "random", 4, 2,
+     "30394329386ee0f644f1a07d9c0d83b5d0df73657ab41f73c6fb4e4bada0b607"),
+    ("R:tol=1e-9", "random", 5, 1,
+     "99c79752acf222b6ad645ba3b9f100207b5ae001d5122c43a7271b353ee50f93"),
+    ("R:tol=1e-9", "random", 5, 2,
+     "ff573326a4a63cca08da04187bbc9d4bbc27f441919d416867eafe38b471b1b4"),
+    ("R:tol=1e-9", "random", 6, 1,
+     "cee969f24f8b9937b12df03bc11dd83de09041cf2312b17ea4c3f3a5bbb9e9f2"),
+    ("R:tol=1e-9", "random", 6, 2,
+     "940655ab15840de2b7d4ecce7fd689fae8a4da5f8f8a9428e1e9f739e62d933c"),
+    ("C:tol=1e-9", "random", 2, 1,
+     "0340d2656038577f0f516c2f94c7e53bd52d8b00a857525e558894ecd7599458"),
+    ("C:tol=1e-9", "random", 2, 2,
+     "b0098c2537b284f50fb7b2b56af0ae6402564cef739239100f66db2c3acab804"),
+    ("C:tol=1e-9", "random", 3, 1,
+     "9c8c0e24504205dfc8591f60ec4a36dd9696852a12b45cac9515a4906e267061"),
+    ("C:tol=1e-9", "random", 3, 2,
+     "01d5cf59938a282b849d6bbe3f8676ef9ebd6b1a595c2c8af32640873481c493"),
+    ("C:tol=1e-9", "random", 4, 1,
+     "8406a98d493b6de6265f451b6b6c27d9ceb69b340df2da93bb3bab6330c138f7"),
+    ("C:tol=1e-9", "random", 4, 2,
+     "5b719eba08208c39cb8b1c8d1c578d063a48b30b44de042993b0baa0a099ecb0"),
+    ("C:tol=1e-9", "random", 5, 1,
+     "50f1405f08b6b944e76b5710630f06682dc7189698c58dbd2e34afcd27c8dab1"),
+    ("C:tol=1e-9", "random", 5, 2,
+     "9cfb2e250cd449aea54e037b6644c0749e34ff6a2b11d0d28f998a68a19211f2"),
+    ("C:tol=1e-9", "random", 6, 1,
+     "4efa581ecb3abe7b0fb96c6e768a338d4ebfaa4060bc4e8650b38aeba734e2ee"),
+    ("C:tol=1e-9", "random", 6, 2,
+     "c336e7fc166aaf65efbda4febba79b121a873f7e19622d8a92c8f4687d344e2d"),
+    ("R:tol=1e-9", "real-pair", 3, 1,
+     "fbd451240ca88f8c0bd9ae3b5cb5fb2f011cd77bede8b10319cc58d9c756f510"),
+    ("R:tol=1e-9", "complex-pair", 4, 1,
+     "a334e74685427ba70aef399629ef15857c3e7353bc2b5441f9ab392b24551dad"),
+    ("R:tol=1e-9", "complex-pair-split", 5, 2,
+     "1130221158c9a21ceb8a4835158edcd59f58c115c076b2d2e19fbc726b393bef"),
+    ("C:tol=1e-9", "complex-root", 3, 1,
+     "db69f5b50d048695563de15d12bb778a4e24362011a863f6da59cef52b9c2986"),
+    ("C:tol=1e-9", "real-pair", 3, 3,
+     "aaaa0153bba7d524ebf324502d1b84e7c2283e67cea8cde5bbe500f25ebf0f24"),
+]
+
+
+def _unimodular(field, n, rng):
+    """L*U with unit diagonals and entries in -1..1: its inverse is an
+    integer matrix, so S J S^-1 is formed without rounding."""
+    L = Matrix.from_rows(field, [[int(i == j) if j >= i else rng.randint(-1, 1)
+                                  for j in range(n)] for i in range(n)])
+    U = Matrix.from_rows(field, [[int(i == j) if j <= i else rng.randint(-1, 1)
+                                  for j in range(n)] for i in range(n)])
+    return L * U
+
+
+def _rc_jordan_target(field, kind, n, seed):
+    """Magnitude-1 entries: uniform in [-1, 1] (both parts over C), or a
+    repeated real eigenvalue, a repeated complex pair over R, a complex
+    pair twice, or a repeated complex root over C, conjugated by _unimodular."""
+    rng = random.Random(seed)
+    if kind == "random":
+        if field.kind == "real":
+            def draw():
+                return rng.uniform(-1, 1)
+        else:
+            def draw():
+                return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return Matrix.from_rows(field, [[draw() for _ in range(n)] for _ in range(n)])
+    J = Matrix.block_diag(field, [Matrix.generalized_jordan_block(Poly(field, cs), l)
+                                  for cs, l in RC_JORDAN_BLOCKS[kind]])
+    assert J.nrows == n
+    S = _unimodular(field, n, rng)
+    return S * J * S.inverse()
+
+
+@pytest.mark.parametrize("spec,kind,n,seed,digest", GOLDEN_RC_JORDAN)
+def test_rc_jordan_form_bits_are_pinned(spec, kind, n, seed, digest):
+    form = generalized_jordan_form(_rc_jordan_target(parse_field_spec(spec), kind, n, seed))
+    data = ([(b.size, [bits(c) for c in b.poly.coeffs]) for b in form.blocks],
+            mbits(form.conjugator))
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest

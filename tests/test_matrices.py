@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import wordmap.matrices as matrices_mod
 from wordmap.errors import (
+    DescriptorMismatch,
     NotNilpotent,
     UsageError,
     VerificationFailed,
@@ -330,6 +331,22 @@ def test_matrix_rejects_ragged_rows():
         with pytest.raises(UsageError):
             Matrix(F5, rows)
     assert Matrix(F5, []).nrows == 0
+
+
+def test_checked_constructors_keep_their_refusals():
+    # from_rows and from_cols build through Matrix's own checks; block_diag
+    # checks each operand's field once, with the same message
+    with pytest.raises(UsageError, match=r"^ragged rows: lengths 1 and 2$"):
+        Matrix.from_rows(F5, [[1, 2], [3]])
+    with pytest.raises(DescriptorMismatch, match="cannot coerce Fp:7 into Fp:5"):
+        Matrix.from_rows(F5, [[F7(1)]])
+    with pytest.raises(UsageError, match=r"^matrix entry 1 is not an element of Fp:5$"):
+        Matrix.from_cols(F5, [[F5(1)], [F7(1)]])
+    with pytest.raises(UsageError, match=r"^matrix entry 3 is not an element of Fp:5$"):
+        Matrix.block_diag(F5, [Matrix.identity(F5, 1), Matrix.identity(F7, 2).scale(3)])
+    same_key = Field("prime", p=5)
+    assert Matrix.block_diag(F5, [Matrix.identity(same_key, 2), Matrix.zeros(F5, 0)]) == \
+        Matrix.identity(F5, 2)
 
 
 R9 = Field("real", tolerance=1e-9)
