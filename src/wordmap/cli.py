@@ -13,6 +13,7 @@ Unsupported, nonzero trace, failed verification of a supplied witness);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,10 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing keeps no
+    state in it, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -14,9 +14,13 @@ the trace-zero slice).
 Verification rule: the public factor-pair constructors (the ``*_trace_zero``
 functions and ``factor_two_trace_zero``) check their pair by direct
 multiplication, ``trace_zero_to_commutator`` checks X*Y - Y*X = T once at
-its end, and ``solve_commutator_product`` checks the finished word.  The
-internal steps between them (lifted pairs, task assembly, the component and
-zero-diagonal commutators) check nothing that a later gate checks again.
+its end, whichever route answered, and ``solve_commutator_product`` checks
+the finished word.  The internal steps between them (lifted pairs, task
+assembly, and the routes of ``_commutator``, whose component split recurses
+into ``_commutator`` rather than the public function) check nothing that a
+later gate checks again; the scalar formula and the linear search's partner
+check stay, since their failures raise ``WitnessNotFound`` or select the
+next candidate.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .fields import Field, FieldElement, enumerate_elements, random_element
 from .matrices import (
     Matrix,
     _cyclic_basis,
+    _inverse_raw,
     charpoly,
     generalized_jordan_form,
     companion_lift,
@@ -488,29 +493,37 @@ def _factorization_tasks(A: Matrix, blocks=None):
 
 def trace_zero_to_commutator(T: Matrix, seed: int = 0) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X*Y - Y*X = T, for trace(T) = 0."""
-    field = T.field
-    n = T.nrows
     if not T.trace().is_zero():
         raise NonzeroTrace("commutators have trace zero")
-    if T.is_zero():
-        z = Matrix.zeros(field, n, n)
-        return z, z
-    if n >= 2 and _is_scalar(T):
-        return _scalar_commutator(T)
-    got = _component_commutator(T, seed)
-    if got is None:
-        got = _zero_diag_commutator(T)
-    if got is None:
-        return _commutator_linear_search(T, seed)  # checks each partner itself
-    X, Y = got
+    X, Y = _commutator(T, seed)
     if not (X * Y - Y * X).allclose(T):
         raise VerificationFailed("commutator witness failed to verify")
     return X, Y
 
 
-def _support_components(T: Matrix) -> list:
-    """Connected components of the symmetric nonzero-support graph."""
+def _commutator(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
+    """(X, Y) with X*Y - Y*X = T for trace(T) = 0, unchecked: the first
+    route that applies of zero, scalar, support components, zero diagonal
+    and the linear search."""
+    if T.is_zero():
+        z = Matrix.zeros(T.field, T.nrows, T.nrows)
+        return z, z
+    if T.nrows >= 2 and _is_scalar(T):
+        return _scalar_commutator(T)
+    return (_component_commutator(T, seed) or _zero_diag_commutator(T)
+            or _commutator_linear_search(T, seed))
+
+
+def _component_commutator(T: Matrix, seed: int):
+    """Solve per connected component of the symmetric nonzero support when
+    every component has trace zero; the diagonal matrix of the [D, B] step
+    then only needs distinct values inside each component, which rescues
+    small fields."""
+    field = T.field
+    kern = field.kernel
+    is_zero = kern.is_zero
     n = T.nrows
+    rows = T._raw()
     parent = list(range(n))
 
     def find(a):
@@ -520,41 +533,32 @@ def _support_components(T: Matrix) -> list:
         return a
 
     for i in range(n):
-        for j in range(n):
-            if i != j and (not T.rows[i][j].is_zero() or not T.rows[j][i].is_zero()):
+        for j in range(i + 1, n):
+            if not is_zero(rows[i][j]) or not is_zero(rows[j][i]):
                 parent[find(i)] = find(j)
-    comps = {}
+    groups = {}
     for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    return sorted(comps.values())
-
-
-def _component_commutator(T: Matrix, seed: int):
-    """Solve per support component when every component has trace zero;
-    the diagonal matrix of the [D, B] step then only needs distinct values
-    inside each component, which rescues small fields."""
-    field = T.field
-    n = T.nrows
-    comps = _support_components(T)
+        groups.setdefault(find(i), []).append(i)
+    comps = list(groups.values())  # ascending, ordered by their least index
     if len(comps) <= 1:
         return None
     for comp in comps:
-        tr = field.zero()
+        tr = kern.zero
         for i in comp:
-            tr = tr + T.rows[i][i]
-        if not tr.is_zero():
+            tr = kern.radd(tr, rows[i][i])
+        if not is_zero(tr):
             return None
     zero = field.zero()
     x_rows = [[zero] * n for _ in range(n)]
     y_rows = [[zero] * n for _ in range(n)]
     for comp in comps:
-        sub = Matrix(field, [[T.rows[i][j] for j in comp] for i in comp])
-        Xc, Yc = trace_zero_to_commutator(sub, seed)
+        sub = Matrix._from_raw(field, [[rows[i][j] for j in comp] for i in comp])
+        Xc, Yc = _commutator(sub, seed)
         for a, i in enumerate(comp):
             for b, j in enumerate(comp):
                 x_rows[i][j] = Xc.rows[a][b]
                 y_rows[i][j] = Yc.rows[a][b]
-    return Matrix(field, x_rows), Matrix(field, y_rows)
+    return Matrix._unchecked(field, x_rows), Matrix._unchecked(field, y_rows)
 
 
 def _is_scalar(T: Matrix) -> bool:
@@ -582,6 +586,9 @@ def _scalar_commutator(T: Matrix) -> Tuple[Matrix, Matrix]:
 
 
 def _zero_diag_commutator(T: Matrix):
+    """Shoda's [D, B]: with Z = S T S^-1 of zero diagonal and D diagonal
+    with distinct d_i, B_ij = Z_ij / (d_i - d_j), both conjugated back by
+    S.  None when K has fewer than n elements or the shears get stuck."""
     field = T.field
     n = T.nrows
     if field.is_finite and field.cardinality < n:
@@ -590,90 +597,59 @@ def _zero_diag_commutator(T: Matrix):
     if res is None:
         return None
     S, Z = res
+    kern = field.kernel
+    rmul, rsub, inv, zero = kern.rmul, kern.rsub, kern.inv, kern.zero
     if field.is_finite:
-        dvals = []
-        for e in enumerate_elements(field):
-            dvals.append(e)
-            if len(dvals) == n:
-                break
+        dvals = [e.rep for _, e in zip(range(n), enumerate_elements(field))]
     else:
-        dvals = [field(i) for i in range(n)]
-    D = Matrix.diagonal(field, dvals)
-    zero = field.zero()
-    b_rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                b_rows[i][j] = Z.rows[i][j] / (dvals[i] - dvals[j])
-    B = Matrix(field, b_rows)
-    Si = S.inverse()
-    return Si * D * S, Si * B * S
+        dvals = [field(i).rep for i in range(n)]
+    D = [[dvals[i] if i == j else zero for j in range(n)] for i in range(n)]
+    B = [[zero if i == j else rmul(Z[i][j], inv(rsub(dvals[i], dvals[j])))
+          for j in range(n)] for i in range(n)]
+    Si = _inverse_raw(field, S)
+    matmul = kern.matmul
+    return (Matrix._from_raw(field, matmul(matmul(Si, D), S)),
+            Matrix._from_raw(field, matmul(matmul(Si, B), S)))
 
 
 def _zero_diagonalize(T: Matrix):
-    """(S, Z) with Z = S T S^-1 of zero diagonal, via 2x2 shear merges.
-    Returns None when the merge loop gets stuck (tiny-field pathologies)."""
-    field = T.field
+    """Raw rows (S, Z) with Z = S T S^-1 of zero diagonal, via 2x2 shear
+    merges.  Returns None when the merge loop gets stuck (tiny-field
+    pathologies)."""
+    kern = T.field.kernel
+    is_zero, rmul, inv = kern.is_zero, kern.rmul, kern.inv
     n = T.nrows
-    Z = T
-    S = Matrix.identity(field, n)
+    Z = T._raw()
+    S = [[kern.one if i == j else kern.zero for j in range(n)] for i in range(n)]
 
-    def shear(r, s, lam):
-        nonlocal Z, S
-        Z = Z.shear(r, s, lam)
-        S = S.shear(r, s, lam, conjugate=False)
+    def shear(r, s, c):
+        kern.shear(Z, r, s, c)
+        kern.shear(S, r, s, c, conjugate=False)
 
-    budget = 8 * n * n + 16
-    while budget > 0:
-        budget -= 1
-        diag = [Z.rows[i][i] for i in range(n)]
-        nonzero = [i for i in range(n) if not diag[i].is_zero()]
+    for _ in range(8 * n * n + 16):
+        nonzero = [i for i in range(n) if not is_zero(Z[i][i])]
         if not nonzero:
             return S, Z
-        action = None
-        # merges first: both diagonal entries nonzero
-        for i in nonzero:
-            for j in range(n):
-                if j == i or diag[j].is_zero():
-                    continue
-                if _pair_feasible(Z, i, j):
-                    action = (i, j)
-                    break
-            if action:
-                break
-        if action is None:
-            for i in nonzero:
-                for j in range(n):
-                    if j == i or not diag[j].is_zero():
-                        continue
-                    if _pair_feasible(Z, i, j):
-                        action = (i, j)
-                        break
-                if action:
-                    break
-        if action is None:
+        # a pair that is coupled or has unequal diagonal entries: merges
+        # of two nonzero diagonal entries first
+        pair = next(((i, j) for zero_j in (False, True) for i in nonzero
+                     for j in range(n)
+                     if j != i and is_zero(Z[j][j]) == zero_j
+                     and (not is_zero(Z[i][j]) or not is_zero(Z[j][i])
+                          or Z[i][i] != Z[j][j])), None)
+        if pair is None:
             return None
-        i, j = action
-        a, b = Z.rows[i][i], Z.rows[i][j]
-        d = Z.rows[j][i]
-        if b.is_zero() and d.is_zero():
-            shear(i, j, field.one())  # creates coupling since diag entries differ
-            b = Z.rows[i][j]
-        a = Z.rows[i][i]
-        b = Z.rows[i][j]
-        d = Z.rows[j][i]
-        if not b.is_zero():
-            shear(j, i, a / b)
-        elif not d.is_zero():
-            shear(i, j, -(a / d))
+        i, j = pair
+        if is_zero(Z[i][j]) and is_zero(Z[j][i]):
+            shear(i, j, kern.one)  # creates coupling since diag entries differ
+        a, b, d = Z[i][i], Z[i][j], Z[j][i]
+        if not is_zero(b):
+            shear(j, i, rmul(a, inv(b)))
+        elif not is_zero(d):
+            shear(i, j, kern.rneg(rmul(a, inv(d))))
         else:
             return None
     return None
-
-
-def _pair_feasible(Z: Matrix, i: int, j: int) -> bool:
-    coupled = (not Z.rows[i][j].is_zero()) or (not Z.rows[j][i].is_zero())
-    return coupled or Z.rows[i][i] != Z.rows[j][j]
 
 
 def _solve_partner(X: Matrix, T: Matrix):

@@ -289,6 +289,23 @@ def test_failed_chain_check_exits_1_without_traceback(capsys, monkeypatch):
     assert err == "error: kernel dimensions incompatible with factor degree\n"
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # parsing keeps no state in the parser, so one serves every call
+    import wordmap.cli as cli
+
+    cli._parser.cache_clear()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    argv = ("threshold", "--k1", "2", "--k2", "3")
+    first = run(capsys, *argv)
+    code, out, err = run(capsys, "threshold", "--k1", "2")
+    assert (code, out) == (1, "")
+    assert "the following arguments are required: --k2" in err
+    assert run(capsys, *argv) == first
+    assert built == [1]
+
+
 def test_tolerance_option_is_refused(capsys):
     # R/C tolerances are set by the field spec (R:tol=...) alone
     code, out, err = run(capsys, "solve", "--field", "R:tol=1e-9", "--tolerance", "1e-6",

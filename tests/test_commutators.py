@@ -6,6 +6,7 @@ import pytest
 
 from wordmap.commutators import (
     TraceZeroPair,
+    _zero_diag_commutator,
     companion_trace_zero,
     diagonal_trace_zero,
     factor_two_trace_zero,
@@ -16,7 +17,7 @@ from wordmap.commutators import (
     two_by_two_trace_zero,
 )
 from wordmap.errors import NonzeroTrace, UnhandledShape, Unsupported, WordmapError
-from wordmap.fields import Field, GF, extend
+from wordmap.fields import Field, GF, extend, parse_field_spec
 from wordmap.matrices import Matrix, generalized_jordan_form
 from wordmap.polynomials import Poly
 from wordmap.words import CommutatorProduct, eval_word
@@ -325,6 +326,30 @@ def test_commutator_component_split():
     T = Matrix.block_diag(F2, blocks)
     X, Y = trace_zero_to_commutator(T)
     assert X * Y - Y * X == T
+
+
+# SHA-256 of repr((X, Y)) for the F_4 target below, recorded before the
+# zero-diagonal route moved onto the kernel's raw rows
+STUCK_F4_DIGEST = "e04c3a89be8a930b6be0fe4a0ac78300cede1b66e111973bca18c07e1517d39b"
+
+
+def test_stuck_zero_diagonal_falls_back_to_the_linear_search():
+    # over F_4, diag(1+t, 0, 1+t) keeps merging for the whole shear budget;
+    # over R, diagonal entries 1e-12 apart give a merge shear whose coupling
+    # is within the tolerance
+    F4 = parse_field_spec("Fq:p=2,d=2,mod=[1,1,1]")
+    T = Matrix(F4, [[F4(e) for e in row] for row in
+                    [[[1, 1], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+                     [[0, 0], [0, 0], [1, 1]]]])
+    assert _zero_diag_commutator(T) is None
+    X, Y = trace_zero_to_commutator(T)
+    assert X * Y - Y * X == T
+    assert hashlib.sha256(repr((X, Y)).encode()).hexdigest() == STUCK_F4_DIGEST
+    R = Field("real", tolerance=1e-9)
+    T = Matrix.diagonal(R, [1.0, 1.0 + 1e-12, -2.0])
+    assert _zero_diag_commutator(T) is None
+    X, Y = trace_zero_to_commutator(T)
+    assert (X * Y - Y * X).allclose(T)
 
 
 def test_factor_two_repeated_extension_factor_tower():

@@ -70,6 +70,14 @@ def test_scalar_two_solutions_complex_and_real():
     (a, b), (c, d) = scalar_two_solutions(R, R(-3.5), 2, 3, R(2))
     assert abs((a ** 2 + R(2) * b ** 3).rep + 3.5) < 1e-9
     assert abs((c ** 2 + R(2) * d ** 3).rep + 3.5) < 1e-9
+    # over R an even k2 takes b^k2 = 1 and 2^k2 when k1 is odd, and
+    # b^k2 = t, 2t with t = (1 + |alpha|) / |beta| when beta < 0, k1 even
+    for alpha, k1, k2, beta in ((-1.5, 3, 2, 2.0), (2.0, 3, 4, -0.5), (0.0, 1, 2, 1.0),
+                                (-1.5, 2, 2, -2.0), (2.0, 4, 2, -1.0), (0.0, 2, 4, -0.5)):
+        (a, b), (c, d) = scalar_two_solutions(R, R(alpha), k1, k2, R(beta))
+        for x, y in ((a, b), (c, d)):
+            assert abs((x ** k1 + R(beta) * y ** k2).rep - alpha) < 1e-9
+        assert not (a ** k1).is_close(c ** k1) and not (b ** k2).is_close(d ** k2)
 
 
 def test_scalar_two_solutions_not_found_small_field():
@@ -544,15 +552,31 @@ def test_solve_real_even_even_unsupported_beyond_2x2():
         solve_diagonal_word(A, word)
 
 
+def test_solve_real_even_even_scalars():
+    # a 1x1 target takes a root on the side whose sign allows it
+    for k1, k2, beta, a in ((2, 2, 1.0, 1.5), (2, 4, 1.0, 0.0), (4, 2, -2.0, -1.5),
+                            (2, 2, -0.5, -2.0)):
+        word = DiagonalWord(((R(1), k1), (R(beta), k2)))
+        A = Matrix.from_rows(R, [[a]])
+        w = solve_diagonal_word(A, word)
+        assert eval_word(word, w.matrices).allclose(A)
+    for beta in (1.0, 2.0):
+        with pytest.raises(Unsupported, match="negative scalar"):
+            solve_diagonal_word(Matrix.from_rows(R, [[-1.0]]),
+                                DiagonalWord(((R(1), 2), (R(beta), 2))))
+
+
 def test_solve_real_odd_exponent_random():
+    # over R an even second exponent with an odd first one swaps the terms
     rng = random.Random(9)
-    word = DiagonalWord(((R(1), 2), (R(2), 3)))
-    for n in (1, 2, 3, 4):
-        for _ in range(5):
-            A = random_matrix(R, n, rng)
-            w = solve_diagonal_word(A, word)
-            got = eval_word(word, w.matrices)
-            assert got.allclose(A)
+    for word in (DiagonalWord(((R(1), 2), (R(2), 3))), DiagonalWord(((R(1), 3), (R(1), 2))),
+                 DiagonalWord(((R(1), 3), (R(-2), 2)))):
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                A = random_matrix(R, n, rng)
+                w = solve_diagonal_word(A, word)
+                got = eval_word(word, w.matrices)
+                assert got.allclose(A)
 
 
 def test_solve_complex_always():
