@@ -75,11 +75,12 @@ def matrix_from_json(obj: dict, field: Field) -> Matrix:
 
 
 def matrix_to_json(M: Matrix) -> dict:
+    field = M.field
     return {
-        "field": M.field.spec_string(),
+        "field": field.spec_string(),
         "rows": M.nrows,
         "cols": M.ncols,
-        "entries": [[M.field.entry_to_json(v) for v in row] for row in M.rows],
+        "entries": [[field.entry_to_json(field.element(v)) for v in row] for row in M.reps],
     }
 
 

@@ -18,9 +18,8 @@ its end, whichever route answered, and ``solve_commutator_product`` checks
 the finished word.  The internal steps between them (lifted pairs, task
 assembly, and the routes of ``_commutator``, whose component split recurses
 into ``_commutator`` rather than the public function) check nothing that a
-later gate checks again; the scalar formula and the linear search's partner
-check stay, since their failures raise ``WitnessNotFound`` or select the
-next candidate.
+later gate checks again; the linear search's partner check stays, since
+its failure selects the next candidate.
 """
 
 from __future__ import annotations
@@ -42,6 +41,9 @@ from .matrices import (
     Matrix,
     _cyclic_basis,
     _inverse_raw,
+    _nullspace_raw,
+    _solve_raw,
+    _transpose,
     charpoly,
     generalized_jordan_form,
     companion_lift,
@@ -87,8 +89,7 @@ def two_by_two_trace_zero(A: Matrix) -> TraceZeroPair:
     if A.nrows != 2 or A.ncols != 2:
         raise UnhandledShape("2x2 matrix expected")
     field = A.field
-    a00, a01 = A.rows[0]
-    a10, a11 = A.rows[1]
+    a00, a01, a10, a11 = A[0, 0], A[0, 1], A[1, 0], A[1, 1]
     one = field.one()
     zero = field.zero()
     if a01.is_zero() and a10.is_zero():
@@ -242,7 +243,7 @@ def jordan_plus_scalar_trace_zero(alpha: FieldElement, n: int,
             r2[j][j] = one if (j + 1) % 2 == 0 else -one
     t1, t2 = Matrix(field, r1), Matrix(field, r2)
     prod = t1 * t2
-    signs = [prod.rows[i][i + 1] for i in range(n - 1)]
+    signs = [prod[i, i + 1] for i in range(n - 1)]
     D = _sign_diag_fix(field, signs, extra=1)
     return _conjugated_pair(t1, t2, D, target)
 
@@ -326,30 +327,31 @@ def _canonical_2x2(A: Matrix):
     if len(roots) == 2 and roots[0] != roots[1]:
         cols = []
         for r in roots:
-            ns = (A - ident.scale(r)).nullspace()
+            ns = _nullspace_raw(field, (A - ident.scale(r)).reps)
             if not ns:
                 # approximate kinds: the eigenvalue missed the spectrum by
                 # more than the pivot tolerance
                 raise VerificationFailed(f"no eigenvector for the eigenvalue {r!r}")
             cols.append(ns[0])
-        S = Matrix.from_cols(field, cols)
+        S = Matrix._from_raw(field, _transpose(cols))
         return Matrix.diagonal(field, roots), S
+    kern = field.kernel
     if len(roots) >= 1:
         alpha = roots[0]
         N = A - ident.scale(alpha)
         if N.is_zero():
             return Matrix.diagonal(field, [alpha, alpha]), ident
-        for i in range(2):
-            v = ident.col(i)
-            u = N.apply(v)
-            if not all(x.is_zero() for x in u):
-                S = Matrix.from_cols(field, [u, v])
+        apply = kern.matvec_fn(N.reps)
+        for v in ident.reps:  # e_0, e_1
+            u = apply(v)
+            if not all(map(kern.is_zero, u)):
+                S = Matrix._from_raw(field, _transpose([u, v]))
                 jshape = Matrix(field, [[alpha, field.one()], [field.zero(), alpha]])
                 return jshape, S
         raise VerificationFailed("double root without Jordan vector")
     # irreducible characteristic polynomial: cyclic to the companion shape
-    v = ident.col(0)
-    S = Matrix.from_cols(field, [v, A.apply(v)])
+    v = ident.reps[0]
+    S = Matrix._from_raw(field, _transpose([v, kern.matvec_fn(A.reps)(v)]))
     comp = Matrix(field, [[field.zero(), b], [field.one(), a]])
     return comp, S
 
@@ -504,11 +506,15 @@ def trace_zero_to_commutator(T: Matrix, seed: int = 0) -> Tuple[Matrix, Matrix]:
 def _commutator(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X*Y - Y*X = T for trace(T) = 0, unchecked: the first
     route that applies of zero, scalar, support components, zero diagonal
-    and the linear search."""
+    and the linear search.  A nonzero scalar has trace zero only in
+    characteristic p with p | n, so only there is the scalar route tried;
+    in characteristic 0 a target within the tolerance of c*I goes on to
+    the other routes."""
     if T.is_zero():
         z = Matrix.zeros(T.field, T.nrows, T.nrows)
         return z, z
-    if T.nrows >= 2 and _is_scalar(T):
+    p = T.field.characteristic
+    if p and T.nrows % p == 0 and T == Matrix.identity(T.field, T.nrows).scale(T[0, 0]):
         return _scalar_commutator(T)
     return (_component_commutator(T, seed) or _zero_diag_commutator(T)
             or _commutator_linear_search(T, seed))
@@ -523,7 +529,7 @@ def _component_commutator(T: Matrix, seed: int):
     kern = field.kernel
     is_zero = kern.is_zero
     n = T.nrows
-    rows = T._raw()
+    rows = T.reps
     parent = list(range(n))
 
     def find(a):
@@ -548,41 +554,25 @@ def _component_commutator(T: Matrix, seed: int):
             tr = kern.radd(tr, rows[i][i])
         if not is_zero(tr):
             return None
-    zero = field.zero()
-    x_rows = [[zero] * n for _ in range(n)]
-    y_rows = [[zero] * n for _ in range(n)]
+    x_rows = [[kern.zero] * n for _ in range(n)]
+    y_rows = [[kern.zero] * n for _ in range(n)]
     for comp in comps:
         sub = Matrix._from_raw(field, [[rows[i][j] for j in comp] for i in comp])
         Xc, Yc = _commutator(sub, seed)
         for a, i in enumerate(comp):
             for b, j in enumerate(comp):
-                x_rows[i][j] = Xc.rows[a][b]
-                y_rows[i][j] = Yc.rows[a][b]
-    return Matrix._unchecked(field, x_rows), Matrix._unchecked(field, y_rows)
-
-
-def _is_scalar(T: Matrix) -> bool:
-    c = T.rows[0][0]
-    ident = Matrix.identity(T.field, T.nrows)
-    return T.allclose(ident.scale(c))
+                x_rows[i][j] = Xc.reps[a][b]
+                y_rows[i][j] = Yc.reps[a][b]
+    return Matrix._from_raw(field, x_rows), Matrix._from_raw(field, y_rows)
 
 
 def _scalar_commutator(T: Matrix) -> Tuple[Matrix, Matrix]:
-    """c*I = [shift, weighted shift]; possible exactly when char | n, which
-    trace zero already forces for a nonzero scalar."""
-    field = T.field
-    n = T.nrows
-    c = T.rows[0][0]
-    zero = field.zero()
-    x_rows = [[zero] * n for _ in range(n)]
-    y_rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        x_rows[(i + 1) % n][i] = field.one()
-        y_rows[i][(i + 1) % n] = -(field(i + 1) * c)
-    X, Y = Matrix(field, x_rows), Matrix(field, y_rows)
-    if not (X * Y - Y * X).allclose(T):
-        raise WitnessNotFound("scalar commutator formula failed (characteristic?)")
-    return X, Y
+    """c*I = [X, Y] for X the cyclic shift down and Y the shift up weighted
+    by y_{i,i+1} = -(i+1)c; exact when char | n."""
+    field, n, c = T.field, T.nrows, T[0, 0]
+    X = Matrix.permutation(field, [(i - 1) % n for i in range(n)])
+    D = Matrix.diagonal(field, [-(field(i + 1) * c) for i in range(n)])
+    return X, D * Matrix.cyclic_shift(field, n)
 
 
 def _zero_diag_commutator(T: Matrix):
@@ -615,12 +605,14 @@ def _zero_diag_commutator(T: Matrix):
 def _zero_diagonalize(T: Matrix):
     """Raw rows (S, Z) with Z = S T S^-1 of zero diagonal, via 2x2 shear
     merges.  Returns None when the merge loop gets stuck (tiny-field
-    pathologies)."""
+    pathologies) or Z comes back to a state it had: Z alone decides each
+    step, so from there the merges cycle."""
     kern = T.field.kernel
     is_zero, rmul, inv = kern.is_zero, kern.rmul, kern.inv
     n = T.nrows
-    Z = T._raw()
+    Z = list(map(list, T.reps))
     S = [[kern.one if i == j else kern.zero for j in range(n)] for i in range(n)]
+    seen = set()
 
     def shear(r, s, c):
         kern.shear(Z, r, s, c)
@@ -630,6 +622,10 @@ def _zero_diagonalize(T: Matrix):
         nonzero = [i for i in range(n) if not is_zero(Z[i][i])]
         if not nonzero:
             return S, Z
+        state = tuple(map(tuple, Z))
+        if state in seen:
+            return None
+        seen.add(state)
         # a pair that is coupled or has unequal diagonal entries: merges
         # of two nonzero diagonal entries first
         pair = next(((i, j) for zero_j in (False, True) for i in nonzero
@@ -656,22 +652,21 @@ def _solve_partner(X: Matrix, T: Matrix):
     """Y with X*Y - Y*X = T, if T lies in the image of ad_X."""
     field = T.field
     n = T.nrows
-    zero = field.zero()
-    rows = []
-    rhs = []
+    radd, rsub = field._radd, field._rsub
+    x = X.reps
+    aug = []
     for i in range(n):
         for j in range(n):
-            row = [zero] * (n * n)
+            row = [field._zero_raw] * (n * n)
             for l in range(n):
-                row[l * n + j] = row[l * n + j] + X.rows[i][l]
+                row[l * n + j] = radd(row[l * n + j], x[i][l])
             for k in range(n):
-                row[i * n + k] = row[i * n + k] - X.rows[k][j]
-            rows.append(row)
-            rhs.append(T.rows[i][j])
-    sol = Matrix(field, rows).solve_right(rhs)
+                row[i * n + k] = rsub(row[i * n + k], x[k][j])
+            aug.append(row + [T.reps[i][j]])
+    sol = _solve_raw(field, aug, n * n)
     if sol is None:
         return None
-    Y = Matrix(field, [sol[i * n:(i + 1) * n] for i in range(n)])
+    Y = Matrix._from_raw(field, [sol[i * n:(i + 1) * n] for i in range(n)])
     if (X * Y - Y * X).allclose(T):
         return Y
     return None

@@ -56,6 +56,7 @@ from .matrices import (
     Matrix,
     MatrixSpace,
     Partition,
+    _transpose,
     charpoly,
     eigenbasis,
     nilpotent_conjugator,
@@ -482,8 +483,7 @@ def bordered_solve(field: Field, eps: FieldElement, z: FieldElement, mu, k: int,
     if field.is_exact:
         if chi != expected:
             raise CharPolyMismatch("bordered system signs are inconsistent")
-    elif not all(a.is_close(b) for a, b in
-                 zip(chi.coeffs, expected.coeffs)):
+    elif not all(map(field.close_raw, chi.reps, expected.reps)):
         raise CharPolyMismatch("bordered system signs are inconsistent (approx)")
     S = eigenbasis(M, powers)
     W = S * Matrix.diagonal(field, mu) * S.inverse()
@@ -685,7 +685,7 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     del planes
     rsub, rmul, b = field._rsub, field._rmul, beta.rep
     want = space.codes([space.apply(P, space.table(lambda r, a=a: rsub(a, rmul(b, r))))
-                        for P, a in zip(powers, itertools.chain(*A._raw()))])
+                        for P, a in zip(powers, itertools.chain(*A.reps))])
     del powers
     y = bytes(map(first_x.__contains__, want)).find(1)
     if y < 0:
@@ -750,7 +750,7 @@ def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int):
     field = A.field
     n = A.nrows
     if n == 1:
-        a = A.rows[0][0]
+        a = A[0, 0]
         if a.rep >= 0:
             X = Matrix.diagonal(field, [kth_roots(a, k1)[0]])
             Y = Matrix.zeros(field, 1, 1)
@@ -785,15 +785,13 @@ def _two_squares_2x2(A: Matrix):
     field = A.field
     one, zero = field.one(), field.zero()
     tr = A.trace()
-    det = A.rows[0][0] * A.rows[1][1] - A.rows[0][1] * A.rows[1][0]
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     disc = tr * tr - field(4) * det
     tol = field.tolerance * (1.0 + abs(tr.rep) + abs(det.rep))
     if disc.rep < -tol:
         # irreducible characteristic polynomial: complex-block route
         (X, Z), _ = solve_blockwise(A, lambda bp: _solve_block(bp, 2, one, 2))
         return X, Z
-    import math
-
     r1 = (tr.rep - math.sqrt(max(disc.rep, 0.0))) / 2.0
     r2 = (tr.rep + math.sqrt(max(disc.rep, 0.0))) / 2.0
     ident = Matrix.identity(field, 2)
@@ -806,19 +804,17 @@ def _two_squares_2x2(A: Matrix):
             got = M * M + M * M
             if got.allclose(A):
                 return M, M
-            alpha = A.rows[0][0]
+            alpha = A[0, 0]
             half = alpha / field(2)
             M = Matrix(field, [[zero, half], [one, zero]])
             return M, M
+        apply = field.kernel.matvec_fn(N.reps)
         v = None
-        for i in range(2):
-            cand = ident.col(i)
-            w = N.apply(cand)
-            if any(abs(c.rep) > tol for c in w):
+        for cand in ident.reps:  # e_0, e_1
+            if any(abs(c) > tol for c in apply(cand)):
                 v = cand
                 break
-        u = N.apply(v)
-        S = Matrix.from_cols(field, [u, v])
+        S = Matrix._from_raw(field, _transpose([apply(v), v]))
         X0 = Matrix(field, [[zero, alpha - field(0.25)], [one, zero]])
         Y0 = Matrix(field, [[field(0.5), one], [zero, field(0.5)]])
         Si = S.inverse()
@@ -874,12 +870,12 @@ def _block_kth_root(bp: BlockPlan, k: int) -> Matrix:
             return X
         lvl = None
         for t in range(1, l):
-            if any(not E.rows[i][i + t].is_zero() for i in range(l - t)):
+            if any(not E[i, i + t].is_zero() for i in range(l - t)):
                 lvl = t
                 break
         if lvl is None:
             raise NotFound("matrix root correction stalled")
-        coeff = E.rows[0][lvl]
+        coeff = E[0, lvl]
         denom = L(k) * r ** (k - 1)
         if denom.is_zero():
             raise NotFound(f"characteristic divides {k}: no triangular root")

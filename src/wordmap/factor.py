@@ -108,10 +108,7 @@ def _pth_root_poly(f: Poly) -> Poly:
     field = f.field
     p = field.characteristic
     root_exp = p ** (field.absolute_degree - 1)
-    coeffs = []
-    for i in range(0, f.degree + 1, p):
-        coeffs.append(f[i] ** root_exp)
-    return Poly(field, coeffs)
+    return Poly._from_raw(field, [field._rpow(c, root_exp) for c in f.reps[::p]])
 
 
 def _squarefree_decomposition(f: Poly) -> list:
@@ -181,7 +178,7 @@ def _distinct_degree(f: Poly) -> list:
             if frob is None:
                 frob = _frobenius_rows(h, g)
                 advance = _row_times(kern, frob)
-            hv = _padded(kern, h._raw(), g.degree)
+            hv = _padded(kern, h.reps, g.degree)
             h = Poly._from_raw(field, kern.poly_trim(advance(hv)))
         gd = g.gcd(h - x)
         if gd.degree > 0:
@@ -189,8 +186,7 @@ def _distinct_degree(f: Poly) -> list:
             g = g // gd
             h = h % g
             if frob is not None:
-                graw = g._raw()
-                frob = [_padded(kern, kern.poly_divmod(kern.poly_trim(row), graw)[1], g.degree)
+                frob = [_padded(kern, kern.poly_divmod(kern.poly_trim(row), g.reps)[1], g.degree)
                         for row in frob[:g.degree]]
                 advance = _row_times(kern, frob)
     return out
@@ -202,17 +198,16 @@ def _row_times(kern, rows):
 
 
 def _padded(kern, a: list, m: int) -> list:
-    return a + [kern.zero] * (m - len(a))
+    return list(a) + [kern.zero] * (m - len(a))
 
 
 def _frobenius_rows(xq: Poly, g: Poly) -> list:
     """The Frobenius matrix of g, from xq = x^q mod g: row j holds x^(qj) mod
     g, padded to deg g, so that h^q mod g is the row vector h times it."""
     kern = g.field.kernel
-    graw, xraw = g._raw(), xq._raw()
     rows = [[kern.one]]
     for _ in range(g.degree - 1):
-        rows.append(kern.poly_divmod(kern.poly_mul(rows[-1], xraw), graw)[1])
+        rows.append(kern.poly_divmod(kern.poly_mul(rows[-1], xq.reps), g.reps)[1])
     return [_padded(kern, row, g.degree) for row in rows]
 
 
@@ -251,13 +246,13 @@ def _factor_rationals(f: Poly) -> list:
     rng = random.Random(0)
     if f.degree < 1:
         return []
-    factors = _zassenhaus(_primitive(f._raw()), rng, 13)
+    factors = _zassenhaus(_primitive(f.reps), rng, 13)
     if factors is not None:
         return [FactorTerm(Poly(f.field, g).monic(), 1) for g in factors]
     # no small prime keeps f squarefree: split off its repeated factors
     return [FactorTerm(Poly(f.field, g).monic(), mult)
             for piece, mult in _squarefree_decomposition(f.monic())
-            for g in _zassenhaus(_primitive(piece._raw()), rng)]
+            for g in _zassenhaus(_primitive(piece.reps), rng)]
 
 
 def _primitive(xs: list) -> list:
@@ -284,7 +279,7 @@ def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
             fp = Poly(Field("prime", p=p), f)
             if fp.gcd(fp.derivative()).degree == 0:
                 break
-    modular = [g._raw() for g in _squarefree_factor(fp.monic(), rng)]
+    modular = [g.reps for g in _squarefree_factor(fp.monic(), rng)]
     bound = (f[-1] << len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
     M = p
     while M <= 2 * bound:

@@ -34,11 +34,10 @@ picked by the field kind:
                   element-by-element arithmetic, so R/C results are the
                   same floats FieldElement operators give
 
-FieldElement stays the public boundary: Matrix and Poly keep FieldElement
-entries and coefficients, unwrap the reps once per operation, call the
-kernel, and wrap the result once (the Jordan form stays on raw rows
-throughout and wraps once at the end).  Extension inverses use the base
-field's polynomial kernel.
+Matrix and Poly store raw reps in the kernel's format, so kernel output is
+stored as it comes; FieldElements are made only where a caller reads an
+entry or a coefficient.  Extension inverses use the base field's
+polynomial kernel.
 
 Log tables.  A finite extension with q <= ELEMENT_TABLE_BOUND, towers
 included, replaces its element closures with Zech-logarithm lookups when
@@ -102,9 +101,7 @@ from .errors import (
 # Finite fields up to this cardinality have their elements enumerated as
 # candidates in scalar searches, and get their k-th roots in enumeration order.
 SCAN_BOUND = 10**6
-# Prime fields up to this size keep one FieldElement per value, so that
-# wrapping kernel output is a table lookup rather than an allocation;
-# finite extensions up to this size do their arithmetic by log tables.
+# Finite extensions up to this size do their arithmetic by log tables.
 ELEMENT_TABLE_BOUND = 1 << 12
 
 
@@ -237,7 +234,7 @@ class Field:
     __slots__ = (
         "kind", "p", "degree", "modulus", "tolerance", "base", "key",
         "_radd", "_rsub", "_rmul", "_rneg", "_rinv", "_zero_raw", "_one_raw",
-        "_zero", "_one", "kernel", "_elements",
+        "_zero", "_one", "kernel",
     )
 
     def __init__(self, kind: str, p: int = 0, modulus: tuple = (),
@@ -298,9 +295,6 @@ class Field:
         self._one = FieldElement(self, self._one_raw)
         if kind != "prime":
             self.kernel = (RationalKernel if kind == "rationals" else GenericKernel)(self)
-        self._elements = None
-        if kind == "prime" and p <= ELEMENT_TABLE_BOUND:
-            self._elements = tuple(FieldElement(self, i) for i in range(p))
 
     def _install_operator_ops(self):
         """Q, R and C: the reps are Python numbers and the operators are
@@ -479,9 +473,7 @@ class Field:
         return FieldElement(self, raw)
 
     def wrap(self, raws) -> tuple:
-        """FieldElements for a sequence of raw reps (kernel output)."""
-        if self._elements is not None:
-            return tuple(map(self._elements.__getitem__, raws))
+        """FieldElements for a sequence of raw reps."""
         return tuple([FieldElement(self, r) for r in raws])
 
     def __call__(self, value) -> FieldElement:
@@ -1423,7 +1415,7 @@ def extend(base: Field, modulus) -> tuple:
     if isinstance(modulus, Poly):
         if modulus.field.key != base.key:
             raise DescriptorMismatch("modulus must live over the base field")
-        coeffs = tuple(c.rep for c in modulus.coeffs)
+        coeffs = modulus.reps
     else:
         coeffs = tuple(base(c).rep for c in modulus)
     field = Field("ext", modulus=coeffs, base=base)

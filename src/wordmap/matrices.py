@@ -1,5 +1,6 @@
-"""Dense matrices over a Field, plus the exact decompositions the solvers
-need: Berkowitz characteristic polynomials, Krylov minimal polynomials,
+"""Dense matrices over a Field, stored as raw reps in the kernel's format
+(``Matrix.reps``), plus the exact decompositions the solvers need:
+Berkowitz characteristic polynomials, Krylov minimal polynomials,
 nullspaces, nilpotent Jordan structure, the generalized Jordan form with
 companion blocks, and the companion-lift homomorphism that carries
 extension-field witnesses back to the base field.  ``MatrixSpace`` is the
@@ -51,43 +52,39 @@ _BYTE = 256
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    """An immutable dense matrix over ``field``.  ``reps`` holds the entries
+    in the kernel's format, one tuple of row tuples of raw reps, and kernel
+    output is stored as it comes.  FieldElements are made only where an
+    entry is read: ``rows``, ``col``, ``cols``, ``M[i, j]`` and the vectors
+    that ``nullspace``, ``apply`` and ``solve_right`` return."""
+
+    __slots__ = ("field", "nrows", "ncols", "reps")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[FieldElement]]):
-        self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise UsageError(f"ragged rows: lengths {len(row)} and {self.ncols}")
+        rows = [tuple(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != ncols:
+                raise UsageError(f"ragged rows: lengths {len(row)} and {ncols}")
             for x in row:
                 if not isinstance(x, FieldElement) or (
                         x.field is not field and x.field.key != field.key):
                     raise UsageError(f"matrix entry {x!r} is not an element of {field}")
+        self.field, self.nrows, self.ncols = field, len(rows), ncols
+        self.reps = tuple(tuple(x.rep for x in row) for row in rows)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def _unchecked(field: Field, rows) -> "Matrix":
-        """A matrix from equal-length rows of elements of ``field`` (its
-        constants, the entries of its matrices and polynomials), without
-        the per-entry check of ``Matrix(...)``."""
+    def _from_raw(field: Field, raw_rows) -> "Matrix":
+        """The one internal constructor: equal-length rows of raw reps of
+        ``field`` (kernel output), stored without a check."""
         M = object.__new__(Matrix)
         M.field = field
-        M.rows = tuple(map(tuple, rows))
-        M.nrows = len(M.rows)
-        M.ncols = len(M.rows[0]) if M.rows else 0
+        M.reps = tuple(map(tuple, raw_rows))
+        M.nrows = len(M.reps)
+        M.ncols = len(M.reps[0]) if M.reps else 0
         return M
-
-    @staticmethod
-    def _from_raw(field: Field, raw_rows) -> "Matrix":
-        """Wrap rows of raw reps (the kernel's output) without coercion."""
-        return Matrix._unchecked(field, map(field.wrap, raw_rows))
-
-    def _raw(self) -> list:
-        """Fresh row lists of raw reps, ready for the kernel."""
-        return [[x.rep for x in row] for row in self.rows]
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
@@ -96,29 +93,26 @@ class Matrix:
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int = None) -> "Matrix":
         ncols = nrows if ncols is None else ncols
-        z = field.zero()
-        return Matrix._unchecked(field, [[z] * ncols for _ in range(nrows)])
+        return Matrix._from_raw(field, [(field._zero_raw,) * ncols] * nrows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix._unchecked(field, [[o if i == j else z for j in range(n)]
-                                         for i in range(n)])
+        return Matrix.permutation(field, range(n))
 
     @staticmethod
     def unit(field: Field, n: int, i: int, j: int) -> "Matrix":
         """e_{i,j}: single 1 at 0-indexed position (i, j)."""
-        z, o = field.zero(), field.one()
-        return Matrix._unchecked(field, [[o if (r, c) == (i, j) else z for c in range(n)]
-                                         for r in range(n)])
+        z, o = field._zero_raw, field._one_raw
+        return Matrix._from_raw(field, [[o if (r, c) == (i, j) else z for c in range(n)]
+                                        for r in range(n)])
 
     @staticmethod
     def diagonal(field: Field, entries) -> "Matrix":
-        entries = [field(e) for e in entries]
-        z = field.zero()
+        entries = [field(e).rep for e in entries]
+        z = field._zero_raw
         n = len(entries)
-        return Matrix(field, [[entries[i] if i == j else z for j in range(n)]
-                              for i in range(n)])
+        return Matrix._from_raw(field, [[entries[i] if i == j else z for j in range(n)]
+                                        for i in range(n)])
 
     @staticmethod
     def companion(p: Poly) -> "Matrix":
@@ -126,97 +120,95 @@ class Matrix:
             raise UsageError("companion matrix needs a monic polynomial of degree >= 1")
         field = p.field
         n = p.degree
-        z, o = field.zero(), field.one()
+        z, o = field._zero_raw, field._one_raw
         rows = [[z] * n for _ in range(n)]
         for i in range(1, n):
             rows[i][i - 1] = o
         for i in range(n):
-            rows[i][n - 1] = -p[i]
-        return Matrix._unchecked(field, rows)
+            rows[i][n - 1] = field._rneg(p.reps[i])
+        return Matrix._from_raw(field, rows)
 
     @staticmethod
     def jordan_block(alpha: FieldElement, l: int) -> "Matrix":
         """J_{alpha,l}: alpha on the diagonal, ones on the superdiagonal."""
         field = alpha.field
-        z, o = field.zero(), field.one()
+        z, o = field._zero_raw, field._one_raw
         rows = [[z] * l for _ in range(l)]
         for i in range(l):
-            rows[i][i] = alpha
+            rows[i][i] = alpha.rep
             if i + 1 < l:
                 rows[i][i + 1] = o
-        return Matrix._unchecked(field, rows)
+        return Matrix._from_raw(field, rows)
 
     @staticmethod
     def generalized_jordan_block(p: Poly, l: int) -> "Matrix":
         """J_{p,l}: l companion blocks of p with identity superblocks."""
         field = p.field
         d = p.degree
-        C = Matrix.companion(p)
+        C = Matrix.companion(p).reps
         n = l * d
-        z, o = field.zero(), field.one()
+        z, o = field._zero_raw, field._one_raw
         rows = [[z] * n for _ in range(n)]
         for b in range(l):
             for i in range(d):
-                for j in range(d):
-                    rows[b * d + i][b * d + j] = C.rows[i][j]
+                rows[b * d + i][b * d:(b + 1) * d] = C[i]
             if b + 1 < l:
                 for i in range(d):
                     rows[b * d + i][(b + 1) * d + i] = o
-        return Matrix._unchecked(field, rows)
+        return Matrix._from_raw(field, rows)
 
     @staticmethod
     def block_diag(field: Field, mats: Iterable["Matrix"]) -> "Matrix":
         mats = list(mats)
         for m in mats:
             if m.ncols and m.field is not field and m.field.key != field.key:
-                raise UsageError(f"matrix entry {m.rows[0][0]!r} is not an element of {field}")
+                raise UsageError(f"matrix entry {m[0, 0]!r} is not an element of {field}")
         n = sum(m.nrows for m in mats)
-        z = field.zero()
+        z = field._zero_raw
         rows = [[z] * n for _ in range(n)]
         off = 0
         for m in mats:
-            for i in range(m.nrows):
-                for j in range(m.ncols):
-                    rows[off + i][off + j] = m.rows[i][j]
+            for i, row in enumerate(m.reps):
+                rows[off + i][off:off + m.ncols] = row
             off += m.nrows
-        return Matrix._unchecked(field, rows)
+        return Matrix._from_raw(field, rows)
 
     @staticmethod
     def cyclic_shift(field: Field, n: int) -> "Matrix":
         """Superdiagonal ones plus a 1 in the bottom-left corner."""
-        z, o = field.zero(), field.one()
-        rows = [[z] * n for _ in range(n)]
-        for i in range(n - 1):
-            rows[i][i + 1] = o
-        rows[n - 1][0] = o
-        return Matrix._unchecked(field, rows)
+        return Matrix.permutation(field, [(t + 1) % n for t in range(n)])
 
     @staticmethod
     def permutation(field: Field, order: Sequence[int]) -> "Matrix":
         """P with P e_{order[t]} = e_t, i.e. (P A P^-1)[t][u] = A[order[t]][order[u]]."""
         n = len(order)
-        z, o = field.zero(), field.one()
+        z, o = field._zero_raw, field._one_raw
         rows = [[z] * n for _ in range(n)]
         for t, src in enumerate(order):
             rows[t][src] = o
-        return Matrix._unchecked(field, rows)
+        return Matrix._from_raw(field, rows)
 
     @staticmethod
     def from_cols(field: Field, cols) -> "Matrix":
         n = len(cols[0])
         return Matrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
-    # -- basics ---------------------------------------------------------------
+    # -- reading entries ----------------------------------------------------
 
-    def __getitem__(self, ij):
+    rows = property(lambda self: tuple(map(self.field.wrap, self.reps)),
+                    doc="The entries as row tuples of FieldElements.")
+
+    def __getitem__(self, ij) -> FieldElement:
         i, j = ij
-        return self.rows[i][j]
+        return self.field.element(self.reps[i][j])
 
     def col(self, j: int) -> tuple:
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        return self.field.wrap([row[j] for row in self.reps])
 
     def cols(self) -> list:
         return [self.col(j) for j in range(self.ncols)]
+
+    # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "Matrix"):
         if not isinstance(other, Matrix):
@@ -231,23 +223,20 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        vadd = self.field.kernel.vadd
-        return Matrix._from_raw(self.field, [vadd(ra, rb) for ra, rb in
-                                             zip(self._raw(), other._raw())])
+        return Matrix._from_raw(self.field, map(self.field.kernel.vadd, self.reps, other.reps))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        vsub = self.field.kernel.vsub
-        return Matrix._from_raw(self.field, [vsub(ra, rb) for ra, rb in
-                                             zip(self._raw(), other._raw())])
+        return Matrix._from_raw(self.field, map(self.field.kernel.vsub, self.reps, other.reps))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.rows])
+        rneg = self.field._rneg
+        return Matrix._from_raw(self.field, [map(rneg, row) for row in self.reps])
 
     def scale(self, c) -> "Matrix":
         c = self.field(c).rep
         vscale = self.field.kernel.vscale
-        return Matrix._from_raw(self.field, [vscale(row, c) for row in self._raw()])
+        return Matrix._from_raw(self.field, [vscale(row, c) for row in self.reps])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -255,8 +244,7 @@ class Matrix:
         self._check(other)
         if self.ncols != other.nrows:
             raise UsageError("matrix dimensions do not match")
-        return Matrix._from_raw(self.field,
-                                self.field.kernel.matmul(self._raw(), other._raw()))
+        return Matrix._from_raw(self.field, self.field.kernel.matmul(self.reps, other.reps))
 
     def __pow__(self, k: int) -> "Matrix":
         if not isinstance(k, int):
@@ -266,24 +254,26 @@ class Matrix:
             return self.inverse() ** (-k)
         if k == 0:
             return Matrix.identity(self.field, self.nrows)
-        return Matrix._from_raw(self.field, self.field.kernel.matpow(self._raw(), k))
+        return Matrix._from_raw(self.field, self.field.kernel.matpow(self.reps, k))
 
     def trace(self) -> FieldElement:
         _require_square(self)
-        acc = self.field.zero()
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        radd = self.field._radd
+        acc = self.field._zero_raw
+        for i, row in enumerate(self.reps):
+            acc = radd(acc, row[i])
+        return self.field.element(acc)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        is_zero = self.field.kernel.is_zero
+        return all(is_zero(a) for row in self.reps for a in row)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field.key == self.field.key
-                and other.rows == self.rows)
+                and other.reps == self.reps)
 
     def __hash__(self):
-        return hash((self.field.key, self.rows))
+        return hash((self.field.key, self.reps))
 
     def allclose(self, other: "Matrix") -> bool:
         """Entrywise equality, up to the field tolerance for approximate kinds."""
@@ -291,47 +281,39 @@ class Matrix:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
         close = self.field.close_raw
-        return all(close(x, y) for ra, rb in zip(self._raw(), other._raw())
+        return all(close(x, y) for ra, rb in zip(self.reps, other.reps)
                    for x, y in zip(ra, rb))
 
     def __repr__(self):
-        body = "; ".join(" ".join(repr(a) for a in row) for row in self.rows)
-        return f"[{body}]"
+        fmt = self.field.format_raw
+        return "[" + "; ".join(" ".join(map(fmt, row)) for row in self.reps) + "]"
 
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        return len(self.field.kernel.echelon(self._raw()))
+        return len(self.field.kernel.echelon(list(map(list, self.reps))))
 
     def inverse(self) -> "Matrix":
         _require_square(self)
-        return Matrix._from_raw(self.field, _inverse_raw(self.field, self._raw()))
+        return Matrix._from_raw(self.field, _inverse_raw(self.field, self.reps))
 
     def nullspace(self) -> list:
         """Basis of the right kernel, deterministic order (free columns ascending)."""
-        return [self.field.wrap(v) for v in _nullspace_raw(self.field, self._raw())]
+        return list(map(self.field.wrap, _nullspace_raw(self.field, self.reps)))
 
     def solve_right(self, b: Sequence[FieldElement]):
         """One solution x of self*x = b, or None."""
         field = self.field
-        kern = field.kernel
-        n = self.ncols
         if len(b) != self.nrows:
             raise UsageError("right-hand side length does not match the matrix rows")
-        aug = [row + [field(b[i]).rep] for i, row in enumerate(self._raw())]
-        pivots = kern.echelon(aug, n)
-        if any(not kern.is_zero(row[n]) for row in aug[len(pivots):]):
-            return None
-        x = [field._zero_raw] * n
-        for rowidx, pcol in enumerate(pivots):
-            x[pcol] = aug[rowidx][n]
-        return field.wrap(x)
+        x = _solve_raw(field, [[*row, field(bi).rep] for row, bi in zip(self.reps, b)],
+                       self.ncols)
+        return None if x is None else field.wrap(x)
 
     def apply(self, v: Sequence[FieldElement]) -> tuple:
-        field = self.field
         # a single product, for which preparing a matvec_fn does not pay
-        col = field.kernel.matmul(self._raw(), [[x.rep] for x in v])
-        return field.wrap([r[0] for r in col])
+        col = self.field.kernel.matmul(self.reps, [[x.rep] for x in v])
+        return self.field.wrap([r[0] for r in col])
 
     def shear(self, r: int, s: int, c, conjugate: bool = True) -> "Matrix":
         """E*self*E^-1, or E*self when ``conjugate`` is false, for the
@@ -339,17 +321,16 @@ class Matrix:
         _require_square(self)
         if r == s:
             raise UsageError("a shear needs two distinct indices")
-        rows = self._raw()
+        rows = list(map(list, self.reps))
         self.field.kernel.shear(rows, r, s, self.field(c).rep, conjugate)
         return Matrix._from_raw(self.field, rows)
 
 
 def _inverse_raw(field: Field, rows) -> list:
-    """The inverse of a square matrix of raw rows, as raw rows; ``rows``
-    is left as it is."""
+    """The inverse of a square matrix of raw rows, as raw rows."""
     n = len(rows)
     zero, one = field._zero_raw, field._one_raw
-    aug = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(rows)]
+    aug = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(rows)]
     if len(field.kernel.echelon(aug, n)) != n:
         raise SingularMatrix("matrix is not invertible")
     return [row[n:] for row in aug]
@@ -357,8 +338,9 @@ def _inverse_raw(field: Field, rows) -> list:
 
 def _nullspace_raw(field: Field, rows) -> list:
     """Raw basis vectors of the right kernel of raw rows, free columns
-    ascending; ``rows`` is reduced in place."""
+    ascending."""
     ncols = len(rows[0]) if rows else 0
+    rows = list(map(list, rows))
     pivots = field.kernel.echelon(rows)
     pivot_cols = set(pivots)
     rneg = field._rneg
@@ -372,6 +354,19 @@ def _nullspace_raw(field: Field, rows) -> list:
             vec[pcol] = rneg(rows[rowidx][fcol])
         basis.append(vec)
     return basis
+
+
+def _solve_raw(field: Field, aug, n: int) -> Optional[list]:
+    """One raw solution x of A*x = b for the augmented raw rows [A | b] of
+    n unknowns, or None; ``aug`` is reduced in place."""
+    kern = field.kernel
+    pivots = kern.echelon(aug, n)
+    if any(not kern.is_zero(row[n]) for row in aug[len(pivots):]):
+        return None
+    x = [field._zero_raw] * n
+    for rowidx, pcol in enumerate(pivots):
+        x[pcol] = aug[rowidx][n]
+    return x
 
 
 def _transpose(vecs) -> list:
@@ -625,7 +620,7 @@ def charpoly(A: Matrix) -> Poly:
     dot, is_zero = kern.dot, kern.is_zero
     radd, rmul, rneg = field._radd, field._rmul, field._rneg
     one, zero = field._one_raw, field._zero_raw
-    rows = A._raw()
+    rows = A.reps
     C = [one]
     for r in range(1, n + 1):
         R = rows[r - 1][: r - 1]
@@ -656,7 +651,7 @@ def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
     kern = field.kernel
     n = A.nrows
     zero, one = field._zero_raw, field._one_raw
-    apply = kern.matvec_fn(A._raw())
+    apply = kern.matvec_fn(A.reps)
     # reduced vectors with their pivots and power-combination tails
     ech_rows = []
     cur = [x.rep for x in v]
@@ -686,9 +681,9 @@ def minpoly(A: Matrix) -> Poly:
     field = A.field
     n = A.nrows
     m = Poly.one(field)
-    ident = Matrix.identity(field, n)
+    z, o = field.zero(), field.one()
     for i in range(n):
-        g = krylov_annihilator(A, ident.col(i))
+        g = krylov_annihilator(A, [o if t == i else z for t in range(n)])
         m = m.lcm(g)
         if m.degree == n:
             break
@@ -761,11 +756,11 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
     field = A.field
     kern = field.kernel
     n = A.nrows
-    braw = B._raw()
+    braw = B.reps
     kers = [[]]
     Bj = braw
     while True:
-        ker = _nullspace_raw(field, [row[:] for row in Bj])
+        ker = _nullspace_raw(field, Bj)
         if len(ker) == len(kers[-1]):
             break
         kers.append(ker)
@@ -778,7 +773,7 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
     dims = [len(k) for k in kers] + [len(kers[-1])]
     # A-orbits have more than one vector only for d > 1, and chains are
     # carried down by B only from a level above the first
-    apply_a = kern.matvec_fn(A._raw()) if d > 1 else None
+    apply_a = kern.matvec_fn(A.reps) if d > 1 else None
     apply_b = kern.matvec_fn(braw) if s > 1 else None
     chains = []
     carry = []
@@ -822,7 +817,7 @@ def nilpotent_jordan_basis(N: Matrix) -> tuple:
         raise NotNilpotent("matrix is not nilpotent")
     chains = _chain_filtration(N, N, 1)
     chains.sort(key=lambda c: -c[1])
-    apply = N.field.kernel.matvec_fn(N._raw())
+    apply = N.field.kernel.matvec_fn(N.reps)
     cols = []
     for v, l in chains:
         chain_vecs = [v]
@@ -849,11 +844,11 @@ def eigenbasis(M: Matrix, eigenvalues) -> Matrix:
     ident = Matrix.identity(field, n)
     cols = []
     for lam in eigenvalues:
-        ns = (M - ident.scale(field(lam))).nullspace()
+        ns = _nullspace_raw(field, (M - ident.scale(field(lam))).reps)
         if not ns:
             raise NotSimilar(f"no eigenvector for {lam!r}")
         cols.append(ns[0])
-    return Matrix.from_cols(field, cols)
+    return Matrix._from_raw(field, _transpose(cols))
 
 
 # ----------------------------------------------------------------------
@@ -948,8 +943,8 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
             qrow.extend(prow)
     P = _inverse_raw(field, Q)
     close = field.close_raw
-    if not all(close(x, y) for ra, rb in zip(kern.matmul(kern.matmul(P, A._raw()), Q),
-                                             realization._raw())
+    if not all(close(x, y) for ra, rb in zip(kern.matmul(kern.matmul(P, A.reps), Q),
+                                             realization.reps)
                for x, y in zip(ra, rb)):
         raise VerificationFailed("generalized Jordan form failed to verify")
     return GeneralizedJordanForm(specs, Matrix._from_raw(field, P), realization)
@@ -968,7 +963,7 @@ def _cyclic_basis_cols(M: Matrix) -> list:
     kern = field.kernel
     n = M.nrows
     one, zero = field._one_raw, field._zero_raw
-    apply = kern.matvec_fn(M._raw())
+    apply = kern.matvec_fn(M.reps)
     supports = itertools.chain(((i,) for i in range(n)),
                                itertools.combinations(range(n), 2),
                                (range(count) for count in range(3, n + 1)))
@@ -1021,7 +1016,7 @@ def _jordan_block_data(A: Matrix, pairs) -> list:
     root clusters, and the chain runs until it stabilises, which tests it."""
     block_data = []
     exact = A.field.is_exact
-    apply = A.field.kernel.matvec_fn(A._raw())
+    apply = A.field.kernel.matvec_fn(A.reps)
     for p, s in pairs:
         d = p.degree
         B = p(A)
@@ -1061,14 +1056,14 @@ def _approx_charpoly_factors(chi: Poly, roots, radius: float) -> list:
     conjugate partner at that radius.  Cluster centers are polished by
     Newton on a derivative of the characteristic polynomial.
     """
-    coeffs = [complex(c.rep) for c in chi.coeffs]
+    coeffs = [complex(c) for c in chi.reps]
     return _pair_clusters(chi.field, _cluster_roots(roots, radius), radius, coeffs)
 
 
 def _pairs_key(pairs) -> tuple:
     """The clusters of one attempt with their float bits exact (-0.0 and
     0.0 differ), for recognising clusters that were already tried."""
-    return tuple((s, tuple(_float_bits(c.rep) for c in p.coeffs)) for p, s in pairs)
+    return tuple((s, tuple(map(_float_bits, p.reps))) for p, s in pairs)
 
 
 def _float_bits(x) -> bytes:
@@ -1127,20 +1122,18 @@ def companion_lift(W: Matrix, p: Poly, root: complex = None) -> Matrix:
         powers.append(powers[-1] * C)
 
     wf = W.field
-    if wf.kind == "ext" and wf.base.key == base.key and \
-            wf.modulus == tuple(c.rep for c in p.coeffs):
+    if wf.kind == "ext" and wf.base.key == base.key and wf.modulus == p.reps:
         def lift_entry(x):
             out = Matrix.zeros(base, d, d)
-            for i, c in enumerate(x.rep):
-                ci = base.element(c)
-                if not ci.is_zero():
-                    out = out + powers[i].scale(ci)
+            for i, c in enumerate(x):
+                if not base.is_zero_raw(c):
+                    out = out + powers[i].scale(base.element(c))
             return out
     elif wf.kind == "complex" and base.kind == "real" and d == 2 and root is not None:
         lam = complex(root)
 
         def lift_entry(x):
-            w = complex(x.rep)
+            w = complex(x)
             v = w.imag / lam.imag
             u = w.real - v * lam.real
             return powers[0].scale(base(u)) + powers[1].scale(base(v))
@@ -1148,13 +1141,9 @@ def companion_lift(W: Matrix, p: Poly, root: complex = None) -> Matrix:
         raise DescriptorMismatch(
             f"cannot lift entries of {wf} through the companion of {p!r} over {base}")
 
-    n = W.nrows * d
-    z = base.zero()
-    rows = [[z] * (W.ncols * d) for _ in range(n)]
-    for i in range(W.nrows):
-        for j in range(W.ncols):
-            blockm = lift_entry(W.rows[i][j])
-            for bi in range(d):
-                for bj in range(d):
-                    rows[i * d + bi][j * d + bj] = blockm.rows[bi][bj]
-    return Matrix(base, rows)
+    rows = [[] for _ in range(W.nrows * d)]
+    for i, wrow in enumerate(W.reps):
+        for x in wrow:
+            for bi, brow in enumerate(lift_entry(x).reps):
+                rows[i * d + bi].extend(brow)
+    return Matrix._from_raw(base, rows)

@@ -1,8 +1,10 @@
 """Univariate polynomials over a Field.
 
-Coefficients are stored low degree first with no trailing zeros; the zero
-polynomial has an empty coefficient tuple.  Evaluation accepts anything with
-ring operations (field elements and square matrices), so ``p(A)`` works.
+``Poly.reps`` holds the coefficients as one tuple of raw reps, the kernel's
+format, low degree first with no trailing zeros; the zero polynomial has
+an empty tuple.  ``coeffs``, ``p[i]``, ``leading`` and iteration wrap
+coefficients as FieldElements when they are read.  Evaluation accepts
+field elements and square matrices, so ``p(A)`` works.
 """
 
 from __future__ import annotations
@@ -17,39 +19,37 @@ APPROX_ROOT_ITERATIONS = 400
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "reps")
 
     def __init__(self, field: Field, coeffs: Sequence = ()):
-        elems = [field(c) for c in coeffs]
-        while elems and elems[-1].is_zero():
-            elems.pop()
+        reps = [field(c).rep for c in coeffs]
+        while reps and field.is_zero_raw(reps[-1]):
+            reps.pop()
         self.field = field
-        self.coeffs = tuple(elems)
+        self.reps = tuple(reps)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def _from_raw(field: Field, raws) -> "Poly":
-        """Wrap trimmed raw coefficients (the kernel's output) without coercion."""
+        """The one internal constructor: trimmed raw coefficients of
+        ``field`` (kernel output), stored without a check."""
         p = object.__new__(Poly)
         p.field = field
-        p.coeffs = field.wrap(raws)
+        p.reps = tuple(raws)
         return p
-
-    def _raw(self) -> list:
-        return [c.rep for c in self.coeffs]
 
     @staticmethod
     def zero(field: Field) -> "Poly":
-        return Poly(field, ())
+        return Poly._from_raw(field, ())
 
     @staticmethod
     def one(field: Field) -> "Poly":
-        return Poly(field, (field.one(),))
+        return Poly._from_raw(field, (field._one_raw,))
 
     @staticmethod
     def x(field: Field) -> "Poly":
-        return Poly(field, (field.zero(), field.one()))
+        return Poly._from_raw(field, (field._zero_raw, field._one_raw))
 
     @staticmethod
     def constant(c: FieldElement) -> "Poly":
@@ -66,24 +66,29 @@ class Poly:
     # -- inspection ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as FieldElements, low degree first."""
+        return self.field.wrap(self.reps)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.reps) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.reps
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.reps) and self.reps[-1] == self.field._one_raw
 
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.reps:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.element(self.reps[-1])
 
     def __getitem__(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.reps):
+            return self.field.element(self.reps[i])
         return self.field.zero()
 
     def __iter__(self) -> Iterator[FieldElement]:
@@ -91,28 +96,30 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.field.key == self.field.key
-                and other.coeffs == self.coeffs)
+                and other.reps == self.reps)
 
     def __hash__(self):
-        return hash((self.field.key, self.coeffs))
+        return hash((self.field.key, self.reps))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.reps:
             return "0"
+        field = self.field
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for i, c in enumerate(self.reps):
+            if field.is_zero_raw(c):
                 continue
+            c = field.format_raw(c)
             if i == 0:
-                parts.append(f"{c!r}")
+                parts.append(c)
             elif i == 1:
-                parts.append(f"{c!r}*T")
+                parts.append(f"{c}*T")
             else:
-                parts.append(f"{c!r}*T^{i}")
+                parts.append(f"{c}*T^{i}")
         return " + ".join(reversed(parts))
 
     def sort_key(self):
-        return (self.degree, tuple(c.sort_key() for c in self.coeffs))
+        return (self.degree, tuple(map(self.field.sort_key_raw, self.reps)))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -124,28 +131,25 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly._from_raw(self.field,
-                              self.field.kernel.poly_add(self._raw(), other._raw()))
+        return Poly._from_raw(self.field, self.field.kernel.poly_add(self.reps, other.reps))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly._from_raw(self.field,
-                              self.field.kernel.poly_sub(self._raw(), other._raw()))
+        return Poly._from_raw(self.field, self.field.kernel.poly_sub(self.reps, other.reps))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._from_raw(self.field, map(self.field._rneg, self.reps))
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other)
         self._check(other)
-        return Poly._from_raw(self.field,
-                              self.field.kernel.poly_mul(self._raw(), other._raw()))
+        return Poly._from_raw(self.field, self.field.kernel.poly_mul(self.reps, other.reps))
 
     def scale(self, c: FieldElement) -> "Poly":
         kern = self.field.kernel
         return Poly._from_raw(self.field,
-                              kern.poly_trim(kern.vscale(self._raw(), self.field(c).rep)))
+                              kern.poly_trim(kern.vscale(self.reps, self.field(c).rep)))
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int):
@@ -164,7 +168,7 @@ class Poly:
 
     def divmod(self, other: "Poly") -> tuple:
         self._check(other)
-        quot, rem = self.field.kernel.poly_divmod(self._raw(), other._raw())
+        quot, rem = self.field.kernel.poly_divmod(self.reps, other.reps)
         return Poly._from_raw(self.field, quot), Poly._from_raw(self.field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -180,11 +184,9 @@ class Poly:
 
     def derivative(self) -> "Poly":
         field = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            mult = field(i)
-            out.append(self.coeffs[i] * mult)
-        return Poly(field, out)
+        rmul = field._rmul
+        return Poly._from_raw(field, field.kernel.poly_trim(
+            [rmul(c, field(i).rep) for i, c in enumerate(self.reps) if i]))
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd.  Over exact kinds every remainder is made monic,
@@ -192,7 +194,7 @@ class Poly:
         self._check(other)
         kern = self.field.kernel
         exact = self.field.is_exact
-        a, b = self._raw(), other._raw()
+        a, b = self.reps, other.reps
         while b:
             if exact:
                 b = kern.vscale(b, kern.inv(b[-1]))
@@ -209,14 +211,14 @@ class Poly:
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         self._check(mod)
         return Poly._from_raw(self.field,
-                              self.field.kernel.poly_powmod(self._raw(), e, mod._raw()))
+                              self.field.kernel.poly_powmod(self.reps, e, mod.reps))
 
     def __call__(self, x):
         """Horner evaluation; x may be a FieldElement or a square Matrix."""
         if isinstance(x, FieldElement):
             acc = self.field.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
+            for c in reversed(self.reps):
+                acc = acc * x + self.field.element(c)
             return acc
         # matrix argument
         from .matrices import Matrix
@@ -226,9 +228,11 @@ class Poly:
         if x.nrows != x.ncols:
             raise UsageError("polynomials are evaluated at square matrices only")
         field, n = x.field, x.nrows
+        if self.reps and field.key != self.field.key:
+            raise DescriptorMismatch(f"cannot coerce {self.field} into {field}")
         kern, radd = field.kernel, field._radd
-        X = x._raw()
-        coeffs = [field(c).rep for c in reversed(self.coeffs)]
+        X = x.reps
+        coeffs = self.reps[::-1]
         # Horner: acc <- acc*X + c*I, starting from the zero matrix; over
         # exact kinds the first product (c*I)*X is c*X, so it is skipped
         acc = [[field._zero_raw] * n for _ in range(n)]
@@ -247,7 +251,7 @@ def approx_roots(p: Poly) -> list:
     Durand-Kerner iteration.  Desk-scale degrees only."""
     if p.degree < 1:
         return []
-    coeffs = [complex(c.rep) for c in p.coeffs]
+    coeffs = [complex(c) for c in p.reps]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     n = len(coeffs) - 1

@@ -17,7 +17,7 @@ from wordmap.commutators import (
     two_by_two_trace_zero,
 )
 from wordmap.errors import NonzeroTrace, UnhandledShape, Unsupported, WordmapError
-from wordmap.fields import Field, GF, extend, parse_field_spec
+from wordmap.fields import Field, GF, GenericKernel, extend, parse_field_spec
 from wordmap.matrices import Matrix, generalized_jordan_form
 from wordmap.polynomials import Poly
 from wordmap.words import CommutatorProduct, eval_word
@@ -333,16 +333,27 @@ def test_commutator_component_split():
 STUCK_F4_DIGEST = "e04c3a89be8a930b6be0fe4a0ac78300cede1b66e111973bca18c07e1517d39b"
 
 
-def test_stuck_zero_diagonal_falls_back_to_the_linear_search():
-    # over F_4, diag(1+t, 0, 1+t) keeps merging for the whole shear budget;
-    # over R, diagonal entries 1e-12 apart give a merge shear whose coupling
-    # is within the tolerance
+def test_stuck_zero_diagonal_falls_back_to_the_linear_search(monkeypatch):
+    # over F_4, the merges of diag(1+t, 0, 1+t) cycle, so the shears stop
+    # once Z repeats a state rather than at the end of the budget; over R,
+    # diagonal entries 1e-12 apart give a merge shear whose coupling is
+    # within the tolerance
     F4 = parse_field_spec("Fq:p=2,d=2,mod=[1,1,1]")
     T = Matrix(F4, [[F4(e) for e in row] for row in
                     [[[1, 1], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
                      [[0, 0], [0, 0], [1, 1]]]])
     assert _zero_diag_commutator(T) is None
+    conjugating = []
+    shear = GenericKernel.shear
+
+    def counted(self, rows, r, s, c, conjugate=True):
+        conjugating.append(conjugate)
+        return shear(self, rows, r, s, c, conjugate)
+
+    monkeypatch.setattr(GenericKernel, "shear", counted)
     X, Y = trace_zero_to_commutator(T)
+    monkeypatch.undo()
+    assert 0 < conjugating.count(True) <= 4
     assert X * Y - Y * X == T
     assert hashlib.sha256(repr((X, Y)).encode()).hexdigest() == STUCK_F4_DIGEST
     R = Field("real", tolerance=1e-9)
@@ -350,6 +361,19 @@ def test_stuck_zero_diagonal_falls_back_to_the_linear_search():
     assert _zero_diag_commutator(T) is None
     X, Y = trace_zero_to_commutator(T)
     assert (X * Y - Y * X).allclose(T)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_near_scalar_targets_in_characteristic_zero_get_a_commutator(kind):
+    # T is within the tolerance of c*I but is no scalar; a trace-zero scalar
+    # is zero in characteristic 0, so the scalar route, whose formula needs
+    # char | n, is not taken, and the other routes answer
+    field = Field(kind, tolerance=1e-9)
+    T = Matrix.diagonal(field, [1e-10, 1.1e-9, -9e-10])
+    X, Y = trace_zero_to_commutator(T)
+    assert (X * Y - Y * X).allclose(T)
+    w = solve_commutator_product(T, 2)
+    assert eval_word(w.word, w.matrices).allclose(T)
 
 
 def test_factor_two_repeated_extension_factor_tower():

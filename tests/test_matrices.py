@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +14,14 @@ from wordmap.errors import (
     VerificationFailed,
 )
 from wordmap.factor import is_irreducible
-from wordmap.fields import Field, GF, enumerate_elements, extend, parse_field_spec
+from wordmap.fields import (
+    GF,
+    Field,
+    FieldElement,
+    enumerate_elements,
+    extend,
+    parse_field_spec,
+)
 from wordmap.matrices import (
     Matrix,
     MatrixSpace,
@@ -353,6 +362,95 @@ R9 = Field("real", tolerance=1e-9)
 C9 = Field("complex", tolerance=1e-9)
 
 
+# -- storage: raw reps inside, FieldElements where an entry is read ----------
+
+def _f16_tower():
+    F4 = GF(4)
+    # T^2 + T + t has no root in F_4, so it is irreducible
+    return extend(F4, Poly(F4, [F4.generator(), F4.one(), F4.one()]))[0]
+
+
+# each kind's field and nine entry values; the fourth is nonzero, and the R
+# and C lists hold a negative zero
+STORAGE_CASES = {
+    "Fp:5": (lambda: F5, lambda F: [F(v) for v in (3, 0, 4, 1, 2, 2, 0, 1, 4)]),
+    "F9": (lambda: GF(9), lambda F: list(enumerate_elements(F))[:9]),
+    "F16-tower": (_f16_tower, lambda F: list(enumerate_elements(F))[3:12]),
+    "Q": (lambda: Q, lambda F: [F(v) for v in (Fraction(1, 2), 0, -3, Fraction(7, 3), 5,
+                                               Fraction(-1, 4), 2, 0, 1)]),
+    "R": (lambda: R9, lambda F: [F(v) for v in (0.5, -0.0, -3.25, 1e4, 2.0, -1e-3,
+                                                7.0, 0.0, 1.0)]),
+    "C": (lambda: C9, lambda F: [F(v) for v in (0.5 + 1j, complex(-0.0, -0.0), -3 + 2j,
+                                                1e3j, 2, -1e-3 + 0.5j, 1j, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(STORAGE_CASES))
+def test_readers_wrap_the_stored_reps(name):
+    """rows, col, M[i, j], coeffs, p[i] and iteration give the FieldElements
+    the values were built from, and a kernel product read back entry by
+    entry is the element-by-element arithmetic."""
+    make_field, make_values = STORAGE_CASES[name]
+    field = make_field()
+    elems = make_values(field)
+    rows = [elems[:3], elems[3:6]]
+    M = Matrix(field, rows)
+    assert M.reps == tuple(tuple(x.rep for x in row) for row in rows)
+    assert M.rows == tuple(map(tuple, rows))
+    assert all(type(x) is FieldElement and x.field is field for row in M.rows for x in row)
+    assert [M[i, j] for i in range(2) for j in range(3)] == elems[:6]
+    assert [M.col(j) for j in range(3)] == [(rows[0][j], rows[1][j]) for j in range(3)]
+    v = elems[6:9]
+    got = M * Matrix(field, [[x] for x in v])
+    for i, row in enumerate(rows):
+        want = field.zero()
+        for a, b in zip(row, v):
+            if not a.is_zero():
+                want = want + a * b
+        assert got[i, 0] == want and got.rows[i] == (want,)
+    p = Poly(field, elems[:4])
+    assert p.reps == tuple(x.rep for x in elems[:4])
+    assert p.coeffs == tuple(elems[:4]) == tuple(p)
+    assert [p[i] for i in range(6)] == elems[:4] + [field.zero()] * 2
+    assert p.leading() == elems[3]
+    assert all(type(x) is FieldElement and x.field is field for x in p.coeffs)
+
+
+@pytest.mark.parametrize("name", list(STORAGE_CASES))
+def test_built_and_computed_values_are_equal_and_hash_equal(name):
+    """A matrix or polynomial from the checked constructors and the same one
+    from a kernel operation are equal and hash equal; over R and C the
+    kernel's zeros are +0.0 where the built ones are -0.0."""
+    make_field, make_values = STORAGE_CASES[name]
+    field = make_field()
+    elems = make_values(field)
+    A = Matrix(field, [elems[:3], elems[3:6], elems[6:9]])
+    for B in (Matrix.identity(field, 3) * A, A + Matrix.zeros(field, 3), -(-A)):
+        assert B == A and hash(B) == hash(A) and {A: 1}[B] == 1
+    p = Poly(field, elems[:4])
+    q = p * Poly.one(field)
+    assert q == p and hash(q) == hash(p)
+    if not field.is_exact:
+        sign = lambda x: math.copysign(1, complex(x).real)
+        assert sign(A.reps[0][1]) == -1 and sign((Matrix.identity(field, 3) * A).reps[0][1]) == 1
+        assert sign(p.reps[1]) == -1 and sign(q.reps[1]) == 1
+
+
+def test_constructors_refuse_foreign_ragged_and_non_field_entries():
+    for field, rows in ((F5, [[F5(1)], [F5(2), F5(3)]]), (F5, [[F5(1), F7(1)]]),
+                        (F5, [[F5(1), 2]]), (F5, [[F5(1), "x"]]), (F5, [[None]]),
+                        (R9, [[R9(1.0), C9(1.0)]]), (R9, [[R9(1.0), 1.0]])):
+        with pytest.raises(UsageError):
+            Matrix(field, rows)
+    for field, coeffs in ((F5, ["x"]), (F5, [1.5]), (F5, [None]), (Q, [1.5]),
+                          (R9, [float("nan")]), (C9, ["x"])):
+        with pytest.raises(UsageError):
+            Poly(field, coeffs)
+    # a foreign element is a coercion error, as it has always been for Poly
+    with pytest.raises(DescriptorMismatch):
+        Poly(F5, [F7(1)])
+
+
 def _large_entries(field, seed):
     rng = random.Random(seed)
     return Matrix(field, [[field(round(rng.uniform(-1e4, 1e4), 1)) for _ in range(3)]
@@ -408,7 +506,7 @@ def test_matrix_space_order_and_round_trip(spec, n):
     reps = [x.rep for x in enumerate_elements(field)]
     for code, M in enumerate(expected):
         rows = [[reps[planes[i * n + j][code]] for j in range(n)] for i in range(n)]
-        assert Matrix._from_raw(field, rows) == M
+        assert M.reps == tuple(map(tuple, rows))
         assert space.rows_at(code) == rows
         assert space.matrix_at(code) == M
     for limit in range(1, space.size + 1, 3):
