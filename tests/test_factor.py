@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import wordmap
 from wordmap.errors import UnsupportedField, ZeroPolynomial
 from wordmap.factor import _distinct_degree, factor, is_irreducible
-from wordmap.fields import Field, GF, _iroot_ceil, enumerate_elements, extend
+from wordmap.fields import Field, GF, _iroot_ceil, enumerate_elements, extend, parse_field_spec
 from wordmap.polynomials import Poly
 
 from oracles import naive_rational_roots, power_per_degree_distinct_degree, rabin_irreducible
@@ -387,3 +388,79 @@ def test_distinct_degree_matches_power_per_degree(field):
         assert got == power_per_degree_distinct_degree(f)
         splits += len(got) > 1
     assert splits >= 5
+
+
+# ----------------------------------------------------------------------
+# pinned factorizations
+# ----------------------------------------------------------------------
+
+def _golden_cases(field, kind, seed):
+    """Seeded polynomials of degree 1..40: ``random`` ones (any leading
+    coefficient), products of random monic factors of degree 1-4 with
+    multiplicities 1-3 (``repeated``), and p-th powers (``pth``, which reach
+    ``_pth_root_poly``; only degrees divisible by p)."""
+    rng = random.Random(seed)
+    p = field.characteristic
+    elems = list(enumerate_elements(field)) if field.cardinality <= 256 else None
+
+    def draw(nonzero=False):
+        while True:
+            c = rng.choice(elems) if elems else field(rng.randrange(p))
+            if c != field.zero() or not nonzero:
+                return c
+
+    def poly(d, monic):
+        return Poly(field, [draw() for _ in range(d)] + [field.one() if monic else draw(True)])
+
+    out = []
+    for d in range(1, 41):
+        if kind == "random":
+            out.append(poly(d, False))
+        elif kind == "repeated":
+            f, left = poly(0, False), d
+            while left:
+                e = rng.randint(1, min(4, left))
+                m = rng.randint(1, min(3, left // e))
+                f = f * poly(e, True) ** m
+                left -= e * m
+            out.append(f)
+        elif d % p == 0:
+            out.append(poly(d // p, False) ** p)
+    return out
+
+
+def _factor_digest(field, kind, seed):
+    data = []
+    for f in _golden_cases(field, kind, seed):
+        fac = factor(f)
+        data.append((f.reps, fac.unit.rep, [(t.poly.reps, t.multiplicity) for t in fac.factors]))
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+# SHA-256 of (f, unit, [(factor, multiplicity)]) over the seed-1 cases of each
+# field and kind, recorded before factoring moved onto raw reps and kernel ops
+FACTOR_GOLDEN = [
+    ("Fp:2", "random", "1ab01b1eb71f8e93868b59d171b10b1732ba62d71191ceeb0bb17894e21ec997"),
+    ("Fp:2", "repeated", "0bd2c7a32859603baec3bf2efa17a5c76ed772a2b693964d27e707c6e131a950"),
+    ("Fp:2", "pth", "49bb064f23092b5651dd7998a16854e5d5b6f1b7063f22943688628a2251839e"),
+    ("Fp:3", "random", "d3c56190bdfe7f92c82063d30e1ed6b4ffa0e1796d8b0a64a56a40014ab16548"),
+    ("Fp:3", "repeated", "8df03e53c90aa8925a533b5dc9c6f039622ea68cb50827202e90b915dcf0b305"),
+    ("Fp:3", "pth", "f1d25659f09c7d21ee525cb600bb3468ce2ae4f995bce2c82ef366a8a6f0ffde"),
+    ("Fp:101", "random", "8b2d92896caf38dfa1a13c72674c6eeb422ebb95b4ddcc1e34c9910e2c6c7b37"),
+    ("Fp:101", "repeated", "78db05cdca08b7d68f15677cbbb8f7b28aeef752714767d540f6d801efd639b3"),
+    ("Fp:65521", "random", "fbb75cfd89aa956afa20a039423d5308e7a6a45db987479283cceba1b2d87f5d"),
+    ("Fp:65521", "repeated", "50489ff2835bb8f3de4d69787b8fa7d42f2484ebfd4e65a37841f73a4ee82a0f"),
+    ("Fp:2147483647", "random", "ebd1be85f976b92dace2d587ab3e0d9a8acac5b45e65ecb42d95a23de67b38a5"),
+    ("Fp:2147483647", "repeated", "e165402200bd8de5209719dbfc84d16912f436031047b12356134e9d58bdda0e"),
+    ("Fq:p=2,d=2,mod=[1,1,1]", "random", "e1a6d692368a69441150003f0028260a6d38b61cd1a4c1cb51f33962d799ffd5"),
+    ("Fq:p=2,d=2,mod=[1,1,1]", "repeated", "efa2f8fce2d5ed4640e204e1f7ed405db54c40c13363e5d7efd7f7f7aa06fe8b"),
+    ("Fq:p=2,d=2,mod=[1,1,1]", "pth", "639b84dde4c9b3705a955ca232aac17d6f1e49e89eb4e3db9fc647f7ee8a3cd2"),
+    ("Fq:p=3,d=2,mod=[2,2,1]", "random", "ae32439f48aa372fef27422cd45747e65c1370bb62eb5a9646a8cf578ebc26a5"),
+    ("Fq:p=3,d=2,mod=[2,2,1]", "repeated", "15d792c05d3a3d7a8e84646de436edd66f35a8dae12e3a2071e4d7950d00d930"),
+    ("Fq:p=3,d=2,mod=[2,2,1]", "pth", "cdd5ee188b09812566d248e0fe0b830b4b257135a6c35a73accfb682249ea74c"),
+]
+
+
+@pytest.mark.parametrize("spec,kind,digest", FACTOR_GOLDEN)
+def test_factorizations_are_pinned(spec, kind, digest):
+    assert _factor_digest(parse_field_spec(spec), kind, 1) == digest
