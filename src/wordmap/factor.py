@@ -33,7 +33,15 @@ import random
 from dataclasses import dataclass
 
 from .errors import UnsupportedField, VerificationFailed, ZeroPolynomial
-from .fields import Field, FieldElement, PrimeKernel, _cleared, _is_prime, random_element
+from .fields import (
+    POWMOD_PREPARE_MIN_EXP,
+    Field,
+    FieldElement,
+    PrimeKernel,
+    _is_prime,
+    _primitive,
+    random_element,
+)
 from .polynomials import Poly
 
 
@@ -49,10 +57,13 @@ class Factorization:
     factors: tuple
 
     def expand(self) -> Poly:
-        out = Poly.constant(self.unit)
+        field = self.unit.field
+        mul = field.kernel.poly_mul
+        out = [self.unit.rep]
         for term in self.factors:
-            out = out * term.poly ** term.multiplicity
-        return out
+            for _ in range(term.multiplicity):
+                out = mul(out, term.poly.reps)
+        return Poly._from_raw(field, out)
 
     def __iter__(self):
         return iter(self.factors)
@@ -94,100 +105,111 @@ def is_irreducible(f: Poly) -> bool:
 # ----------------------------------------------------------------------
 
 def _factor_finite(f: Poly) -> list:
+    field = f.field
     rng = random.Random(0)
     out = []
-    for g, mult in _squarefree_decomposition(f.monic()):
-        for h in _squarefree_factor(g, rng):
-            out.append(FactorTerm(h, mult))
+    for g, mult in _squarefree_decomposition(field, _monic(field.kernel, f.reps)):
+        for h in _squarefree_factor(field, g, rng):
+            out.append(FactorTerm(Poly._from_raw(field, h), mult))
     return out
 
 
-def _pth_root_poly(f: Poly) -> Poly:
+def _monic(kern, a) -> list:
+    return kern.vscale(a, kern.inv(a[-1]))
+
+
+def _pth_root_poly(field: Field, f) -> list:
     """For f(x) = g(x^p) over F_{p^d}, return g with the coefficients' p-th
     roots (Frobenius inverse: c -> c^(p^(d-1)))."""
-    field = f.field
     p = field.characteristic
     root_exp = p ** (field.absolute_degree - 1)
-    return Poly._from_raw(field, [field._rpow(c, root_exp) for c in f.reps[::p]])
+    return [field._rpow(c, root_exp) for c in f[::p]]
 
 
-def _squarefree_decomposition(f: Poly) -> list:
-    """Monic f -> list of (squarefree g_i, multiplicity m_i), char-p aware."""
-    p = f.field.characteristic
+def _squarefree_decomposition(field: Field, f: list) -> list:
+    """Monic f -> list of (squarefree monic g_i, multiplicity m_i), char-p
+    aware."""
+    kern = field.kernel
+    gcd, divmod_ = kern.poly_gcd, kern.poly_divmod
+    p = field.characteristic
     out = []
-    if f.degree < 1:
-        return out
 
-    def rec(g: Poly, outer: int):
-        if g.degree < 1:
+    def rec(g, outer: int):
+        if len(g) < 2:
             return
-        dg = g.derivative()
-        if dg.is_zero():
-            rec(_pth_root_poly(g), outer * p)
+        dg = kern.poly_derivative(g)
+        if not dg:
+            rec(_pth_root_poly(field, g), outer * p)
             return
-        c = g.gcd(dg)
-        w = g // c
+        c = gcd(g, dg)
+        if len(c) == 1:
+            out.append((g, outer))
+            return
+        w = divmod_(g, c)[0]
         m = 1
-        while w.degree >= 1:
-            y = w.gcd(c)
-            piece = w // y
-            if piece.degree >= 1:
-                out.append((piece.monic(), m * outer))
+        while len(w) > 1:
+            y = gcd(w, c)
+            piece = divmod_(w, y)[0]
+            if len(piece) > 1:
+                out.append((_monic(kern, piece), m * outer))
             w = y
-            c = c // y
+            c = divmod_(c, y)[0]
             m += 1
-        if c.degree >= 1:
+        if len(c) > 1:
             # what survives is exactly the p-th power part
-            rec(_pth_root_poly(c), outer * p)
+            rec(_pth_root_poly(field, c), outer * p)
 
     rec(f, 1)
     return out
 
 
-def _squarefree_factor(f: Poly, rng: random.Random) -> list:
+def _squarefree_factor(field: Field, f: list, rng: random.Random) -> list:
     """Factor a monic squarefree polynomial over a finite field."""
     out = []
-    for g, d in _distinct_degree(f):
-        out.extend(_equal_degree(g, d, rng))
+    for g, d in _distinct_degree(field, f):
+        out.extend(_equal_degree(field, g, d, rng))
     return out
 
 
-def _distinct_degree(f: Poly) -> list:
+def _distinct_degree(field: Field, f: list) -> list:
     """(g_d, d) for monic squarefree f: g_d is the product of the irreducible
     factors of degree d.  h runs through x^(q^d) mod g; from d = 2 on it is
     advanced by the Frobenius matrix of g, built once from x^q mod g and
     reduced modulo g whenever g loses a factor, and applied through one
-    prepared product per g."""
-    field = f.field
+    prepared product per g.  x^q mod g and the Frobenius rows come from one
+    prepared product mod g, prepared again when g loses a factor first."""
     kern = field.kernel
-    q = field.cardinality
-    x = Poly.x(field)
+    x = [kern.zero, kern.one]
     out = []
     h = x
     g = f
-    frob = None  # rows j = 0..deg g - 1: x^(qj) mod g, padded to deg g
+    mulmod = frob = None  # frob: rows j = 0..deg g - 1: x^(qj) mod g, padded
     d = 0
-    while g.degree > 0:
+    while len(g) > 1:
         d += 1
-        if 2 * d > g.degree:
-            out.append((g, g.degree))
+        n = len(g) - 1
+        if 2 * d > n:
+            out.append((g, n))
             break
+        if frob is None and mulmod is None:
+            mulmod = kern.poly_mulmod_fn(g)
         if d == 1:
-            h = h.pow_mod(q, g)
+            h = kern.poly_powmod(h, field.cardinality, g, mulmod)
         else:
             if frob is None:
-                frob = _frobenius_rows(h, g)
+                frob = _frobenius_rows(kern, h, g, mulmod)
                 advance = _row_times(kern, frob)
-            hv = _padded(kern, h.reps, g.degree)
-            h = Poly._from_raw(field, kern.poly_trim(advance(hv)))
-        gd = g.gcd(h - x)
-        if gd.degree > 0:
+            h = kern.poly_trim(advance(_padded(kern, h, n)))
+        gd = kern.poly_gcd(g, kern.poly_sub(h, x))
+        if len(gd) > 1:
             out.append((gd, d))
-            g = g // gd
-            h = h % g
+            g = kern.poly_divmod(g, gd)[0]
+            h = kern.poly_divmod(h, g)[1]
+            mulmod = None
             if frob is not None:
-                frob = [_padded(kern, kern.poly_divmod(kern.poly_trim(row), g.reps)[1], g.degree)
-                        for row in frob[:g.degree]]
+                n = len(g) - 1
+                frob = [_padded(kern, kern.poly_divmod(kern.poly_trim(row), g)[1], n)
+                        for row in frob[:n]]
                 advance = _row_times(kern, frob)
     return out
 
@@ -201,41 +223,47 @@ def _padded(kern, a: list, m: int) -> list:
     return list(a) + [kern.zero] * (m - len(a))
 
 
-def _frobenius_rows(xq: Poly, g: Poly) -> list:
-    """The Frobenius matrix of g, from xq = x^q mod g: row j holds x^(qj) mod
-    g, padded to deg g, so that h^q mod g is the row vector h times it."""
-    kern = g.field.kernel
+def _frobenius_rows(kern, xq: list, g: list, mulmod) -> list:
+    """The Frobenius matrix of g, from xq = x^q mod g and a product mod g:
+    row j holds x^(qj) mod g, padded to deg g, so that h^q mod g is the row
+    vector h times it."""
     rows = [[kern.one]]
-    for _ in range(g.degree - 1):
-        rows.append(kern.poly_divmod(kern.poly_mul(rows[-1], xq.reps), g.reps)[1])
-    return [_padded(kern, row, g.degree) for row in rows]
+    for _ in range(len(g) - 2):
+        rows.append(mulmod(rows[-1], xq))
+    return [_padded(kern, row, len(g) - 1) for row in rows]
 
 
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:
-    """Split a product of distinct irreducibles all of degree d."""
-    field = f.field
-    if f.degree == d:
-        return [f.monic()]
-    q = field.cardinality
-    p = field.characteristic
-    one = Poly.one(field)
+def _equal_degree(field: Field, f: list, d: int, rng: random.Random) -> list:
+    """Split a monic product of distinct irreducibles all of degree d, with
+    one product mod f prepared for its powers."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    kern = field.kernel
+    char2 = field.characteristic == 2
+    if char2:
+        # the additive trace map a + a^2 + ... + a^(2^steps): as many
+        # squarings as a power with exponent 2^steps
+        steps = d * field.absolute_degree - 1
+        e = 1 << steps
+    else:
+        e = (field.cardinality ** d - 1) // 2
+    mulmod = kern.poly_mulmod_fn(f) if e >= POWMOD_PREPARE_MIN_EXP else None
     while True:
-        a = Poly(field, [random_element(field, rng) for _ in range(f.degree)])
-        if a.degree < 1:
+        a = kern.poly_trim([random_element(field, rng).rep for _ in range(n)])
+        if len(a) < 2:
             continue
-        if p == 2:
-            # additive trace map over F_2
-            t = a % f
-            b = t
-            steps = d * field.absolute_degree - 1
+        if char2:
+            t = b = a
             for _ in range(steps):
-                t = t.pow_mod(2, f)
-                b = (b + t) % f
+                t = kern.poly_powmod(t, 2, f, mulmod)
+                b = kern.poly_add(b, t)
         else:
-            b = a.pow_mod((q ** d - 1) // 2, f) - one
-        g = f.gcd(b)
-        if 0 < g.degree < f.degree:
-            return _equal_degree(g, d, rng) + _equal_degree((f // g).monic(), d, rng)
+            b = kern.poly_sub(kern.poly_powmod(a, e, f, mulmod), [kern.one])
+        g = kern.poly_gcd(f, b)
+        if 0 < len(g) - 1 < n:
+            return (_equal_degree(field, g, d, rng)
+                    + _equal_degree(field, kern.poly_divmod(f, g)[0], d, rng))
 
 
 # ----------------------------------------------------------------------
@@ -251,16 +279,8 @@ def _factor_rationals(f: Poly) -> list:
         return [FactorTerm(Poly(f.field, g).monic(), 1) for g in factors]
     # no small prime keeps f squarefree: split off its repeated factors
     return [FactorTerm(Poly(f.field, g).monic(), mult)
-            for piece, mult in _squarefree_decomposition(f.monic())
-            for g in _zassenhaus(_primitive(piece.reps), rng)]
-
-
-def _primitive(xs: list) -> list:
-    """The primitive integer multiple, with positive leading coefficient, of
-    the rationals xs."""
-    ints, _ = _cleared(xs)
-    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-    return [c // g for c in ints]
+            for piece, mult in _squarefree_decomposition(f.field, f.monic().reps)
+            for g in _zassenhaus(_primitive(piece), rng)]
 
 
 def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
@@ -276,20 +296,21 @@ def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
         if p > limit:
             return None
         if f[-1] % p and _is_prime(p):
-            fp = Poly(Field("prime", p=p), f)
-            if fp.gcd(fp.derivative()).degree == 0:
+            field = Field("prime", p=p)
+            kern = field.kernel
+            fp = kern.poly_trim([c % p for c in f])
+            if len(kern.poly_gcd(fp, kern.poly_derivative(fp))) == 1:
                 break
-    modular = [g.reps for g in _squarefree_factor(fp.monic(), rng)]
+    modular = _squarefree_factor(field, _monic(kern, fp), rng)
     bound = (f[-1] << len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
     M = p
     while M <= 2 * bound:
         M *= p
-    lifted = _hensel_lift(f, modular, fp.field.kernel, M)
-    kern = PrimeKernel(M)
+    lifted = _hensel_lift(f, modular, kern, M)
+    mul = PrimeKernel(M).poly_mul
 
     def symmetric(polys):  # lc(f) * prod polys mod M, coefficients in (-M/2, M/2]
-        return [c - M if 2 * c > M else c
-                for c in functools.reduce(kern.poly_mul, polys, [f[-1]])]
+        return [c - M if 2 * c > M else c for c in functools.reduce(mul, polys, [f[-1]])]
 
     out, size = [], 1
     while 2 * size <= len(lifted):

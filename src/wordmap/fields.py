@@ -817,17 +817,57 @@ class GenericKernel:
             u0, u1 = u1, self.poly_sub(u0, self.poly_mul(q, u1))
         return r0, u0
 
-    def poly_powmod(self, a, e: int, m):
-        """a^e mod m by binary powering."""
-        result = self.poly_divmod([self.one], m)[1]
+    def poly_derivative(self, a):
+        """The formal derivative; the integer i is the sum of i ones, so over
+        R and C the products are those of the coefficients with float(i)."""
+        radd, rmul, one = self.radd, self.rmul, self.one
+        out, i = [], self.zero
+        for c in a[1:]:
+            i = radd(i, one)
+            out.append(rmul(c, i))
+        return self.poly_trim(out)
+
+    def poly_gcd(self, a, b):
+        """The monic gcd ([] when both are zero).  Over exact kinds every
+        remainder is made monic, which keeps coefficients small; R and C
+        divide as they come."""
+        exact = self.exact
+        while b:
+            if exact:
+                b = self.vscale(b, self.inv(b[-1]))
+            a, b = b, self.poly_divmod(a, b)[1]
+        if not a:
+            return []
+        return self.poly_trim(self.vscale(a, self.inv(a[-1])))
+
+    def poly_mulmod_fn(self, g):
+        """(a, b) -> a*b mod g for a fixed g, prepared once; a and b must be
+        reduced mod g."""
+        return _mulmod_lists(self, g)
+
+    def poly_powmod(self, a, e: int, m, mulmod=None):
+        """a^e mod m by binary powering, through ``mulmod``, a product mod m
+        from ``poly_mulmod_fn(m)``.  Without one, a power with an exponent
+        of at least POWMOD_PREPARE_MIN_EXP prepares its own, and a smaller
+        one multiplies on lists."""
+        if mulmod is None:
+            mulmod = (self.poly_mulmod_fn(m) if e >= POWMOD_PREPARE_MIN_EXP
+                      else _mulmod_lists(self, m))
         cur = self.poly_divmod(a, m)[1]
+        result = None if e else self.poly_divmod([self.one], m)[1]
         while e:
             if e & 1:
-                result = self.poly_divmod(self.poly_mul(result, cur), m)[1]
+                result = cur if result is None else mulmod(result, cur)
             e >>= 1
             if e:
-                cur = self.poly_divmod(self.poly_mul(cur, cur), m)[1]
+                cur = mulmod(cur, cur)
         return result
+
+
+def _mulmod_lists(kern, g):
+    """(a, b) -> a*b mod g as one product and one division on lists."""
+    mul, divmod_ = kern.poly_mul, kern.poly_divmod
+    return lambda a, b: divmod_(mul(a, b), g)[1]
 
 
 # PrimeKernel packs a product with at least PACK_MIN_COLS result columns,
@@ -836,6 +876,12 @@ class GenericKernel:
 PACK_MIN_COLS = 4
 ECHELON_PACK_MIN_ROWS = 6
 ECHELON_PACK_MIN_COLS = 8
+# It packs a product mod g when deg g >= MULMOD_PACK_MIN_DEGREE, and a
+# modular power prepares its product only from exponent
+# POWMOD_PREPARE_MIN_EXP on: a tinier power does not pay for the
+# preparation.
+MULMOD_PACK_MIN_DEGREE = 3
+POWMOD_PREPARE_MIN_EXP = 8
 
 
 def _pack(xs, code: str) -> int:
@@ -1034,6 +1080,70 @@ class PrimeKernel(GenericKernel):
         m = self.m
         return self.poly_trim([c % m for c in out])
 
+    def _mulmod_slot(self, d: int):
+        """The slot of a packed product mod a g of degree d, or None for the
+        list loops.  Each of the d low slots gets at most d products of
+        reps, and each of the d - 1 high slots, unreduced, times a rep:
+        d (m-1)^2 (1 + (d-1)(m-1)) in all, plus one rep."""
+        if d < MULMOD_PACK_MIN_DEGREE:
+            return None
+        return self._slot(d * (1 + (d - 1) * (self.m - 1)))
+
+    def poly_mulmod_fn(self, g):
+        d = len(g) - 1
+        slot = self._mulmod_slot(d)
+        if slot is None:
+            return _mulmod_lists(self, g)
+        m, mul, trim = self.m, operator.mul, self.poly_trim
+        width, code = slot
+        # rows j = 0..d-2: x^(d+j) mod g, by x^(d+j) = x * x^(d+j-1)
+        inv = m - pow(g[-1], -1, m)
+        rows = [[c * inv % m for c in g[:d]]]
+        for _ in range(d - 2):
+            row = rows[-1]
+            top = row[-1]
+            rows.append([(a + top * b) % m
+                         for a, b in zip(itertools.chain((0,), row), rows[0])])
+        packs = [_pack(row, code) for row in rows]
+        shift = 8 * width * d
+        low = (1 << shift) - 1
+
+        def mulmod(a, b):
+            prod = _pack(a, code)
+            prod *= prod if a is b else _pack(b, code)
+            high = _unpack(prod >> shift, d - 1, width, code)
+            return trim([x % m for x in _unpack(sum(map(mul, high, packs), prod & low),
+                                                d, width, code)])
+        return mulmod
+
+    def poly_derivative(self, a):
+        m = self.m
+        return self.poly_trim([i * c % m for i, c in enumerate(a) if i])
+
+    def poly_gcd(self, a, b):
+        """Euclid on remainders as they come, made monic once at the end.
+        The usual step, deg a = deg b + 1, is fused: the quotient q1*x + q0
+        comes from the top two coefficients of a, and the remainder
+        a - (q1*x + q0)*b is one pass over a; other steps divide."""
+        m = self.m
+        while len(b) > 1:
+            d = len(b) - 1
+            if len(a) == d + 2:
+                inv = pow(b[-1], -1, m)
+                q1 = a[-1] * inv % m
+                q0 = (a[-2] - q1 * b[-2]) * inv % m
+                r = [(x - q1 * y - q0 * z) % m
+                     for x, y, z in zip(a, itertools.chain((0,), b), b[:d])]
+            else:
+                r = self.poly_divmod(a, b)[1]
+            a, b = b, self.poly_trim(r)
+        if b:  # a nonzero constant: the gcd is 1
+            return [1]
+        if not a:
+            return []
+        inv = pow(a[-1], -1, m)
+        return [c * inv % m for c in a]
+
     def poly_divmod(self, a, b):
         """One pass over the quotient positions, top down, skipping zero
         quotient coefficients; the leading coefficient of b must be a unit.
@@ -1060,6 +1170,30 @@ def _cleared(xs):
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
+def _primitive(xs: list) -> list:
+    """The primitive integer multiple, with positive leading coefficient, of
+    the nonzero rationals (or ints) xs."""
+    ints, _ = _cleared(xs)
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """The remainder of lc(b)^k * a by b, for the integer polynomials a and
+    b and the least k that keeps it integral, trimmed."""
+    d, lead, low = len(b) - 1, b[-1], b[:-1]
+    r = list(a)
+    while len(r) > d:
+        c = r.pop()
+        if c:
+            k = len(r) - d
+            r = [x * lead for x in r]
+            r[k:] = [x - c * y for x, y in zip(r[k:], low)]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 class RationalKernel(GenericKernel):
     """Q on integers.  A dot product or matrix product clears each row and
     each column to integers over one lcm denominator, so an entry costs one
@@ -1083,6 +1217,18 @@ class RationalKernel(GenericKernel):
             u, du = _cleared(row)
             out.append([Fraction(sum(map(mul, u, v)), du * dv) for v, dv in cols])
         return out
+
+    def poly_gcd(self, a, b):
+        """By the primitive remainder sequence (von zur Gathen and Gerhard,
+        Modern Computer Algebra, 6.12): both inputs are cleared to primitive
+        integer polynomials, and each pseudo-remainder loses its content, so
+        the coefficients stay integers of the gcd's size; the last nonzero
+        remainder is made monic."""
+        a, b = (_primitive(a) if a else []), (_primitive(b) if b else [])
+        while b:
+            r = _pseudo_remainder(a, b)
+            a, b = b, (_primitive(r) if r else [])
+        return [Fraction(c, a[-1]) for c in a]
 
     def echelon(self, rows, ncols: int = None) -> list:
         nrows = len(rows)
@@ -1310,12 +1456,13 @@ def _roots_by_gcd(field: Field, e: FieldElement, k: int) -> list:
     """The roots of x^k - e: its linear part gcd(x^k - e, x^q - x), split
     into linear factors by Cantor-Zassenhaus with a fixed seed."""
     from .factor import _equal_degree  # deferred: factor imports this module
-    from .polynomials import Poly
 
-    f = Poly(field, [-e] + [field.zero()] * (k - 1) + [field.one()])
-    x = Poly.x(field)
-    linear = f.gcd(x.pow_mod(field.cardinality, f) - x)
-    return [-g[0] for g in _equal_degree(linear, 1, random.Random(0))]
+    kern = field.kernel
+    f = [field._rneg(e.rep)] + [kern.zero] * (k - 1) + [kern.one]
+    x = [kern.zero, kern.one]
+    linear = kern.poly_gcd(f, kern.poly_sub(kern.poly_powmod(x, field.cardinality, f), x))
+    return [field.element(field._rneg(g[0]))
+            for g in _equal_degree(field, linear, 1, random.Random(0))]
 
 
 def _iroot_ceil(m: int, k: int) -> int:

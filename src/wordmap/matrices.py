@@ -190,8 +190,10 @@ class Matrix:
 
     @staticmethod
     def from_cols(field: Field, cols) -> "Matrix":
-        n = len(cols[0])
-        return Matrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        n = len(cols[0]) if cols else 0
+        if not n or any(len(col) != n for col in cols):
+            raise UsageError(f"ragged columns: lengths {[len(col) for col in cols]}")
+        return Matrix(field, list(zip(*cols)))
 
     # -- reading entries ----------------------------------------------------
 

@@ -183,25 +183,12 @@ class Poly:
         return self.scale(self.leading().inverse())
 
     def derivative(self) -> "Poly":
-        field = self.field
-        rmul = field._rmul
-        return Poly._from_raw(field, field.kernel.poly_trim(
-            [rmul(c, field(i).rep) for i, c in enumerate(self.reps) if i]))
+        return Poly._from_raw(self.field, self.field.kernel.poly_derivative(self.reps))
 
     def gcd(self, other: "Poly") -> "Poly":
-        """The monic gcd.  Over exact kinds every remainder is made monic,
-        which keeps Q coefficients small; R and C divide as they come."""
+        """The monic gcd (``poly_gcd`` of the field's kernel)."""
         self._check(other)
-        kern = self.field.kernel
-        exact = self.field.is_exact
-        a, b = self.reps, other.reps
-        while b:
-            if exact:
-                b = kern.vscale(b, kern.inv(b[-1]))
-            a, b = b, kern.poly_divmod(a, b)[1]
-        if not a:
-            return Poly.zero(self.field)
-        return Poly._from_raw(self.field, a).monic()
+        return Poly._from_raw(self.field, self.field.kernel.poly_gcd(self.reps, other.reps))
 
     def lcm(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():

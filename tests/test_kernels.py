@@ -26,9 +26,11 @@ from wordmap.diagonal import _exhaustive_two_term, solve_diagonal_word
 from wordmap.errors import ReduciblePolynomial, SingularMatrix
 from wordmap.factor import is_irreducible
 from wordmap.fields import (
+    MULMOD_PACK_MIN_DEGREE,
     GenericKernel,
     PrimeKernel,
     RationalKernel,
+    _mulmod_lists,
     enumerate_elements,
     extend,
     parse_field_spec,
@@ -552,6 +554,112 @@ def test_packed_echelon_equals_the_list_loop(m):
             pivots = kern.echelon(got, ncols)
             assert pivots == kern._echelon_lists(want, width if ncols is None else ncols)
             assert got == want
+
+
+def test_mulmod_slot_widths_at_the_layout_boundaries():
+    # a product mod g of degree d fills a slot up to
+    # d(m-1)^2 (1 + (d-1)(m-1)) + m; below MULMOD_PACK_MIN_DEGREE it stays on lists
+    assert MULMOD_PACK_MIN_DEGREE == 3
+    assert PrimeKernel(101)._mulmod_slot(2) is None
+    assert PrimeKernel(101)._mulmod_slot(3) == (4, "I")
+    assert PrimeKernel(101)._mulmod_slot(66) == (4, "I")
+    assert PrimeKernel(101)._mulmod_slot(67) == (8, "Q")
+    assert PrimeKernel(2)._mulmod_slot(65535) == (4, "I")
+    assert PrimeKernel(2)._mulmod_slot(65536) == (8, "Q")
+    assert PrimeKernel(3)._mulmod_slot(23170) == (4, "I")
+    assert PrimeKernel(3)._mulmod_slot(23171) == (8, "Q")
+    assert PrimeKernel(65521)._mulmod_slot(3) == (8, "Q")
+    assert PrimeKernel(65521)._mulmod_slot(256) == (8, "Q")
+    assert PrimeKernel(65521)._mulmod_slot(257) is None
+    assert PrimeKernel(2 ** 31 - 1)._mulmod_slot(3) is None
+
+
+def _residue_poly(rng, m, length, fill=None):
+    """A trimmed list of ``length`` residues, every one ``fill`` when given."""
+    out = [fill if fill is not None else rng.randrange(m) for _ in range(length)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("m", PACK_MODULI)
+def test_packed_mulmod_and_powmod_equal_the_list_loops(m):
+    """For deg g = 1..40, the prepared product mod g (packed from degree 3
+    on where a slot fits) against one list product and division and against
+    the FieldElement oracles; powers against the same power on list
+    products, the generic kernel's loops and, for small exponents, repeated
+    oracle products."""
+    field = parse_field_spec(f"Fp:{m}")
+    kern, generic, rng = field.kernel, GenericKernel(field), random.Random(m)
+    wrap = field.wrap
+    for d in range(1, 41):
+        g = [rng.randrange(m) for _ in range(d)] + [rng.randrange(1, m)]
+        mulmod = kern.poly_mulmod_fn(g)
+        cases = [(_residue_poly(rng, m, d), _residue_poly(rng, m, d)) for _ in range(3)]
+        cases += [(_residue_poly(rng, m, d, m - 1),) * 2, ([], _residue_poly(rng, m, d)),
+                  ([1], _residue_poly(rng, m, d))]
+        for i, (a, b) in enumerate(cases):
+            got = mulmod(a, b)
+            assert got == generic.poly_divmod(generic.poly_mul(a, b), g)[1]
+            if i in (0, 3):  # a random pair and the pair that fills every slot
+                assert got == [x.rep for x in naive_poly_divmod(
+                    naive_poly_mul(wrap(a), wrap(b), field), wrap(g), field)[1]]
+        a = _residue_poly(rng, m, d + 3)
+        lists = _mulmod_lists(kern, g)
+        for e in (0, 1, 2, 7, 8, 9, 1000) + ((m,) if d <= 12 or d % 4 == 0 else ()):
+            got = kern.poly_powmod(a, e, g, mulmod)
+            assert got == kern.poly_powmod(a, e, g, lists)
+            if e in (7, 8):  # either side of POWMOD_PREPARE_MIN_EXP
+                assert got == kern.poly_powmod(a, e, g)
+            if e <= 9 or (e == 1000 and d <= 12):
+                assert got == generic.poly_powmod(a, e, g)
+            if e == 2 or (e == 9 and d <= 12):
+                want = [field.one()]
+                for _ in range(e):
+                    want = naive_poly_mul(want, wrap(a), field)
+                assert got == [x.rep for x in naive_poly_divmod(want, wrap(g), field)[1]]
+
+
+@pytest.mark.parametrize("m", PACK_MODULI)
+def test_prime_kernel_gcd_equals_the_generic_loop(m):
+    """poly_gcd on F_p against the FieldElement Euclid and the generic
+    kernel's monic loop: coprime pairs, pairs with a planted common factor
+    (repeated too), unequal and equal degrees, constants and zero."""
+    field = parse_field_spec(f"Fp:{m}")
+    kern, generic, rng = field.kernel, GenericKernel(field), random.Random(m)
+    for d in range(1, 41):
+        common = _residue_poly(rng, m, rng.randrange(1, d + 1)) + [1]
+        a = _residue_poly(rng, m, d + 1)
+        b = _residue_poly(rng, m, rng.randrange(0, d + 2))
+        pairs = [(a, b), (b, a), (kern.poly_mul(a, common), kern.poly_mul(b, common)),
+                 (kern.poly_mul(kern.poly_mul(a, common), common), kern.poly_mul(common, b)),
+                 (a, kern.poly_derivative(a)), (a, []), ([], a), ([3 % m or 1], a), ([], [])]
+        for x, y in pairs:
+            want = [c.rep for c in naive_poly_gcd(field.wrap(x), field.wrap(y), field)]
+            assert kern.poly_gcd(x, y) == want == generic.poly_gcd(x, y)
+
+
+def test_rational_gcd_equals_the_generic_loop_on_repeated_factors():
+    """The primitive remainder sequence over Q against the FieldElement
+    Euclid, on seeded products with repeated factors and large coefficients,
+    and on f with f' (the squarefree decomposition's first gcd)."""
+    Q = FIELDS["Q"]
+    kern, rng = Q.kernel, random.Random(40)
+
+    def rational(length, digits):
+        top = 10 ** digits
+        return [Fraction(rng.randrange(-top, top), rng.randrange(1, 50)) for _ in range(length)]
+
+    for _ in range(12):
+        parts = [kern.poly_trim(rational(rng.randrange(2, 5), rng.choice((1, 8, 20))))
+                 for _ in range(3)]
+        parts = [p for p in parts if len(p) > 1]
+        f = functools.reduce(kern.poly_mul, [p for p in parts for _ in range(rng.randrange(1, 4))],
+                             [Fraction(1)])
+        g = kern.poly_mul(parts[0], kern.poly_trim(rational(rng.randrange(1, 4), 3)) or [1])
+        for x, y in ((f, kern.poly_derivative(f)), (f, g), (g, f), (f, []), ([], g)):
+            want = [c.rep for c in naive_poly_gcd(Q.wrap(x), Q.wrap(y), Q)]
+            assert kern.poly_gcd(x, y) == want == GenericKernel.poly_gcd(kern, x, y)
 
 
 # ----------------------------------------------------------------------

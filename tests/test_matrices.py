@@ -451,6 +451,16 @@ def test_constructors_refuse_foreign_ragged_and_non_field_entries():
         Poly(F5, [F7(1)])
 
 
+def test_from_cols_refuses_ragged_and_empty_columns():
+    for cols in ([], [[F5(1)], []], [[], []], [[F5(1)], [F5(1), F5(2)]]):
+        with pytest.raises(UsageError, match="ragged columns"):
+            Matrix.from_cols(F5, cols)
+    with pytest.raises(UsageError, match="not an element"):
+        Matrix.from_cols(F5, [[F5(1)], [F7(1)]])
+    assert Matrix.from_cols(F5, [[F5(1), F5(2)], [F5(3), F5(4)]]) == \
+        Matrix.from_rows(F5, [[1, 3], [2, 4]])
+
+
 def _large_entries(field, seed):
     rng = random.Random(seed)
     return Matrix(field, [[field(round(rng.uniform(-1e4, 1e4), 1)) for _ in range(3)]
