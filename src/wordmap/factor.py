@@ -11,6 +11,15 @@ the factors are sorted, so the draws change only the time taken.  In
 characteristic 2 it uses the additive trace map since the multiplicative
 variant degenerates there.
 
+The pipeline runs on raw coefficient lists through the field's kernel
+ops (``poly_gcd``, ``poly_divmod``, ``poly_derivative``, ``poly_powmod``)
+and wraps each factor in a Poly once, at the end.  Its powers and the
+Frobenius rows go through one product mod g prepared by
+``poly_mulmod_fn``: the distinct-degree step prepares it once per g, and
+again when g loses a factor before the Frobenius rows are built; the
+equal-degree step once per polynomial it splits.  Over F_p that product
+is packed Kronecker arithmetic (``PrimeKernel``).
+
 Over Q, f is factored by Zassenhaus's algorithm (ch. 15) on the same
 pipeline: its primitive integer multiple is factored modulo the least odd
 prime p that does not divide lc(f) and keeps f squarefree; the factors
@@ -34,7 +43,6 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedField, VerificationFailed, ZeroPolynomial
 from .fields import (
-    POWMOD_PREPARE_MIN_EXP,
     Field,
     FieldElement,
     PrimeKernel,
@@ -128,7 +136,7 @@ def _pth_root_poly(field: Field, f) -> list:
 
 def _squarefree_decomposition(field: Field, f: list) -> list:
     """Monic f -> list of (squarefree monic g_i, multiplicity m_i), char-p
-    aware."""
+    aware; a squarefree f (gcd(f, f') = 1) is its own decomposition."""
     kern = field.kernel
     gcd, divmod_ = kern.poly_gcd, kern.poly_divmod
     p = field.characteristic
@@ -176,8 +184,8 @@ def _distinct_degree(field: Field, f: list) -> list:
     factors of degree d.  h runs through x^(q^d) mod g; from d = 2 on it is
     advanced by the Frobenius matrix of g, built once from x^q mod g and
     reduced modulo g whenever g loses a factor, and applied through one
-    prepared product per g.  x^q mod g and the Frobenius rows come from one
-    prepared product mod g, prepared again when g loses a factor first."""
+    prepared matrix-vector product per g.  x^q mod g and the Frobenius rows
+    come from one prepared product mod g."""
     kern = field.kernel
     x = [kern.zero, kern.one]
     out = []
@@ -240,26 +248,20 @@ def _equal_degree(field: Field, f: list, d: int, rng: random.Random) -> list:
     if n == d:
         return [f]
     kern = field.kernel
-    char2 = field.characteristic == 2
-    if char2:
-        # the additive trace map a + a^2 + ... + a^(2^steps): as many
-        # squarings as a power with exponent 2^steps
-        steps = d * field.absolute_degree - 1
-        e = 1 << steps
-    else:
-        e = (field.cardinality ** d - 1) // 2
-    mulmod = kern.poly_mulmod_fn(f) if e >= POWMOD_PREPARE_MIN_EXP else None
+    q = field.cardinality
+    mulmod = kern.poly_mulmod_fn(f)
     while True:
         a = kern.poly_trim([random_element(field, rng).rep for _ in range(n)])
         if len(a) < 2:
             continue
-        if char2:
+        if field.characteristic == 2:
+            # additive trace map over F_2
             t = b = a
-            for _ in range(steps):
-                t = kern.poly_powmod(t, 2, f, mulmod)
+            for _ in range(d * field.absolute_degree - 1):
+                t = mulmod(t, t)
                 b = kern.poly_add(b, t)
         else:
-            b = kern.poly_sub(kern.poly_powmod(a, e, f, mulmod), [kern.one])
+            b = kern.poly_sub(kern.poly_powmod(a, (q ** d - 1) // 2, f, mulmod), [kern.one])
         g = kern.poly_gcd(f, b)
         if 0 < len(g) - 1 < n:
             return (_equal_degree(field, g, d, rng)
