@@ -1197,15 +1197,16 @@ def _cleared(xs):
 
 def _primitive(xs: list) -> list:
     """The primitive integer multiple, with positive leading coefficient, of
-    the nonzero rationals (or ints) xs."""
+    the rationals (or ints) xs, not all zero."""
     ints, _ = _cleared(xs)
     g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
     return [c // g for c in ints]
 
 
 def _pseudo_remainder(a: list, b: list) -> list:
-    """The remainder of lc(b)^k * a by b, for the integer polynomials a and
-    b and the least k that keeps it integral, trimmed."""
+    """The remainder of lc(b)^k * a by b for the integer polynomials a and
+    b, trimmed, with one factor lc(b) per nonzero division step, so that
+    it stays integral."""
     d, lead, low = len(b) - 1, b[-1], b[:-1]
     r = list(a)
     while len(r) > d:
