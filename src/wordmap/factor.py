@@ -243,13 +243,14 @@ def _frobenius_rows(kern, xq: list, g: list, mulmod) -> list:
 
 def _equal_degree(field: Field, f: list, d: int, rng: random.Random) -> list:
     """Split a monic product of distinct irreducibles all of degree d, with
-    one product mod f prepared for its powers."""
+    one product mod f prepared for its powers; over F_2 and F_3 at d = 1 a
+    draw makes no product, and none is prepared."""
     n = len(f) - 1
     if n == d:
         return [f]
     kern = field.kernel
     q = field.cardinality
-    mulmod = kern.poly_mulmod_fn(f)
+    mulmod = kern.poly_mulmod_fn(f) if q ** d > 3 else None
     while True:
         a = kern.poly_trim([random_element(field, rng).rep for _ in range(n)])
         if len(a) < 2:

@@ -852,12 +852,10 @@ class GenericKernel:
 
     def poly_powmod(self, a, e: int, m, mulmod=None):
         """a^e mod m by binary powering, through ``mulmod``, a product mod m
-        from ``poly_mulmod_fn(m)``.  Without one, a power with an exponent
-        of at least POWMOD_PREPARE_MIN_EXP prepares its own, and a smaller
-        one multiplies on lists."""
-        if mulmod is None:
-            mulmod = (self.poly_mulmod_fn(m) if e >= POWMOD_PREPARE_MIN_EXP
-                      else _mulmod_lists(self, m))
+        from ``poly_mulmod_fn(m)``, prepared here when none is given and a
+        product is made (e >= 2)."""
+        if mulmod is None and e > 1:
+            mulmod = self.poly_mulmod_fn(m)
         cur = self.poly_divmod(a, m)[1]
         result = None if e else self.poly_divmod([self.one], m)[1]
         while e:
@@ -881,12 +879,8 @@ def _mulmod_lists(kern, g):
 PACK_MIN_COLS = 4
 ECHELON_PACK_MIN_ROWS = 6
 ECHELON_PACK_MIN_COLS = 8
-# It packs a product mod g when deg g >= MULMOD_PACK_MIN_DEGREE, and a
-# modular power prepares its product only from exponent
-# POWMOD_PREPARE_MIN_EXP on: a tinier power does not pay for the
-# preparation.
+# It packs a product mod g when deg g >= MULMOD_PACK_MIN_DEGREE.
 MULMOD_PACK_MIN_DEGREE = 3
-POWMOD_PREPARE_MIN_EXP = 8
 
 
 def _pack(xs, code: str) -> int:
@@ -952,13 +946,11 @@ class PrimeKernel(GenericKernel):
     are equal.
 
     A product mod g is packed when the slot bound fits in 8 bytes (4
-    when it fits there) and deg g >= MULMOD_PACK_MIN_DEGREE; a modular
-    power prepares one only for an exponent of at least
-    POWMOD_PREPARE_MIN_EXP, since a tinier power does not pay for the
-    preparation.  At F_101, on the same host and in the same way
-    (list product and division against packed): 14 against 5.7 us at
-    deg g = 4, 45 against 7.8 at 8 and 53 against 5.7 at 12, after a
-    preparation of 11, 28 and 34 us; at deg g = 2 both take about 5 us.
+    when it fits there) and deg g >= MULMOD_PACK_MIN_DEGREE.  At F_101,
+    on the same host and in the same way (list product and division
+    against packed): 14 against 5.7 us at deg g = 4, 45 against 7.8 at
+    8 and 53 against 5.7 at 12, after a preparation of 11, 28 and 34 us;
+    at deg g = 2 both take about 5 us.
     a^(q^(d/2)) mod g at deg g = d takes 385 against 140 us at d = 4 and
     2,815 against 330 at d = 12.  F_101 packs into 4-byte slots up to
     deg g = 66, F_65521 into 8-byte slots up to 256, and 2^31 - 1 never."""
@@ -1480,13 +1472,15 @@ def _sqrt_odd_finite(field: Field, e: FieldElement) -> FieldElement:
 
 def _roots_by_gcd(field: Field, e: FieldElement, k: int) -> list:
     """The roots of x^k - e: its linear part gcd(x^k - e, x^q - x), split
-    into linear factors by Cantor-Zassenhaus with a fixed seed."""
+    into linear factors by Cantor-Zassenhaus with a fixed seed.  As
+    x^k = e mod x^k - e, x^q mod x^k - e is e^(q div k) x^(q mod k)."""
     from .factor import _equal_degree  # deferred: factor imports this module
 
     kern = field.kernel
+    q = field.cardinality
     f = [field._rneg(e.rep)] + [kern.zero] * (k - 1) + [kern.one]
-    x = [kern.zero, kern.one]
-    linear = kern.poly_gcd(f, kern.poly_sub(kern.poly_powmod(x, field.cardinality, f), x))
+    xq = [kern.zero] * (q % k) + [field._rpow(e.rep, q // k)]
+    linear = kern.poly_gcd(f, kern.poly_sub(xq, [kern.zero, kern.one]))
     return [field.element(field._rneg(g[0]))
             for g in _equal_degree(field, linear, 1, random.Random(0))]
 
