@@ -204,7 +204,7 @@ def diagonal_trace_zero(entries) -> TraceZeroPair:
     P = Matrix.permutation(field, order)
     t1 = Matrix.block_diag(field, blocks1)
     t2 = Matrix.block_diag(field, blocks2)
-    Pi = P.inverse()
+    Pi = Matrix.permutation(field, sorted(range(n), key=order.__getitem__))  # P^-1
     return _checked_pair(Pi * t1 * P, Pi * t2 * P, target)
 
 
@@ -285,35 +285,38 @@ def factor_two_trace_zero(A: Matrix, seed: int = 0) -> TraceZeroPair:
     trace(T1) = trace(T2) = 0, routing through the generalized Jordan form.
     The pair is a fixed function of A alone: ``seed`` is accepted for the
     callers that pass one and changes nothing."""
-    u, v, G = _factor_two_canonical(A)
-    Gi = G.inverse()
+    u, v, G, Gi = _factor_two_canonical(A)
     return _checked_pair(Gi * u * G, Gi * v * G, A)
 
 
 def _factor_two_canonical(A: Matrix, blocks=None):
-    """(U, V, G) with U*V = G A G^-1, a middle that depends only on the
-    Jordan data of A (so conjugate inputs share it).  ``blocks``, when
+    """(U, V, G, G^-1) with U*V = G A G^-1, a middle that depends only on
+    the Jordan data of A (so conjugate inputs share it).  ``blocks``, when
     given, are the Jordan blocks of A and A is their realization: the
     realization is a fixed point of ``generalized_jordan_form`` (same
-    blocks, identity conjugator), so its Jordan form is not computed."""
+    blocks, identity conjugator), so its Jordan form is not computed.
+    Over exact kinds G^-1 comes from the bases G is built from; over R/C
+    it is G.inverse(), whose float bits the callers had before."""
     field = A.field
     n = A.nrows
     if n != A.ncols:
         raise UsageError("square matrix expected")
-    ident = Matrix.identity(field, n)
     if A.is_zero():
-        z = Matrix.zeros(field, n, n)
-        return z, z, ident
-    if n == 1:
+        u = v = Matrix.zeros(field, n, n)
+        G = Gi = Matrix.identity(field, n)
+    elif n == 1:
         raise Unsupported("a nonzero 1x1 matrix is not a product of two trace-zero factors")
-    if n == 2:
+    elif n == 2:
         shape, S = _canonical_2x2(A)
-        pair = two_by_two_trace_zero(shape)
-        return pair.t1, pair.t2, S.inverse()
-    pairs, G = _factorization_tasks(A, blocks)
-    u = Matrix.block_diag(field, [t1 for t1, _ in pairs])
-    v = Matrix.block_diag(field, [t2 for _, t2 in pairs])
-    return u, v, G
+        u, v = two_by_two_trace_zero(shape)
+        G, Gi = S.inverse(), S
+    else:
+        pairs, G, Gi = _factorization_tasks(A, blocks)
+        u = Matrix.block_diag(field, [t1 for t1, _ in pairs])
+        v = Matrix.block_diag(field, [t2 for _, t2 in pairs])
+    if not field.is_exact:
+        Gi = G.inverse()
+    return u, v, G, Gi
 
 
 def _canonical_2x2(A: Matrix):
@@ -402,16 +405,17 @@ def _factorization_tasks(A: Matrix, blocks=None):
        root over R), chosen once per factor, each lifted back to K through
        the companion map.
 
-    Returns (pairs, G): one (t1, t2) over K per task, whose product is the
-    direct sum of the task's blocks after the global reordering; G
-    conjugates A onto the concatenated task products.  ``blocks`` are as in
-    ``_factor_two_canonical``.
+    Returns (pairs, G, G^-1): one (t1, t2) over K per task, whose product
+    is the direct sum of the task's blocks after the global reordering; G
+    conjugates A onto the concatenated task products.  G^-1 is None over
+    R/C.  ``blocks`` are as in ``_factor_two_canonical``.
     """
     field = A.field
-    P = None  # the Jordan conjugator of A; None when A is its realization
+    # the Jordan conjugator of A and its inverse; None when A is its realization
+    P = Pinv = None
     if blocks is None:
         jf = generalized_jordan_form(A)
-        blocks, P = jf.blocks, jf.conjugator
+        blocks, P, Pinv = jf.blocks, jf.conjugator, jf.conjugator_inverse
     blocks = list(blocks)
     by_factor = {}
     for idx, spec in enumerate(blocks):
@@ -426,7 +430,7 @@ def _factorization_tasks(A: Matrix, blocks=None):
         else:
             ext_factors.append((p, idxs))
 
-    tasks = []  # ((t1, t2), block indices, R with R (+)blocks R^-1 = t1*t2, or None)
+    tasks = []  # ((t1, t2), block indices, W with W^-1 (+)blocks W = t1*t2, or None)
     if len(scalars) == 1:
         s = scalars.pop()
         if bigs:
@@ -443,7 +447,7 @@ def _factorization_tasks(A: Matrix, blocks=None):
                                         * p ** blocks[j].size)
             B = Matrix.block_diag(field, [
                 Matrix.diagonal(field, [gamma]), blocks[j].realization()])
-            tasks.append((pair, [s, j], _cyclic_basis(B).inverse()))
+            tasks.append((pair, [s, j], _cyclic_basis(B)))
         else:
             raise Unsupported("isolated scalar block with no partner (n >= 2 expected)")
     for i in bigs:
@@ -481,12 +485,22 @@ def _factorization_tasks(A: Matrix, blocks=None):
         size = spec.size * spec.degree
         spans.append(range(off, off + size))
         off += size
-    Pi = Matrix.permutation(field, [pos for i in flat for pos in spans[i]])
-    Rall = Matrix.block_diag(field, [
-        R if R is not None else Matrix.identity(field, t1.nrows)
-        for (t1, _), _, R in tasks])
-    G = Rall * Pi
-    return [pair for pair, _, _ in tasks], G if P is None else G * P
+    order = [pos for i in flat for pos in spans[i]]
+    # R^-1 per task: the cyclic basis of a companion merge, else I
+    bases = [Matrix.identity(field, t1.nrows) if W is None else W for (t1, _), _, W in tasks]
+    Rall = Matrix.block_diag(field, [B if W is None else B.inverse()
+                                     for (_, _, W), B in zip(tasks, bases)])
+    G = Rall * Matrix.permutation(field, order)
+    if P is not None:
+        G = G * P
+    pairs = [pair for pair, _, _ in tasks]
+    if not field.is_exact:
+        return pairs, G, None
+    # G^-1 = P^-1 Pi^-1 Rall^-1, Pi the permutation, whose inverse reorders rows
+    Rinv = Matrix.block_diag(field, bases).reps
+    Gi = Matrix._from_raw(field, [Rinv[t] for t in sorted(range(len(order)),
+                                                           key=order.__getitem__)])
+    return pairs, G, Gi if P is None else Pinv * Gi
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +600,7 @@ def _zero_diag_commutator(T: Matrix):
     res = _zero_diagonalize(T)
     if res is None:
         return None
-    S, Z = res
+    S, Si, Z = res
     kern = field.kernel
     rmul, rsub, inv, zero = kern.rmul, kern.rsub, kern.inv, kern.zero
     if field.is_finite:
@@ -596,32 +610,39 @@ def _zero_diag_commutator(T: Matrix):
     D = [[dvals[i] if i == j else zero for j in range(n)] for i in range(n)]
     B = [[zero if i == j else rmul(Z[i][j], inv(rsub(dvals[i], dvals[j])))
           for j in range(n)] for i in range(n)]
-    Si = _inverse_raw(field, S)
+    if Si is None:
+        Si = _inverse_raw(field, S)
     matmul = kern.matmul
     return (Matrix._from_raw(field, matmul(matmul(Si, D), S)),
             Matrix._from_raw(field, matmul(matmul(Si, B), S)))
 
 
 def _zero_diagonalize(T: Matrix):
-    """Raw rows (S, Z) with Z = S T S^-1 of zero diagonal, via 2x2 shear
-    merges.  Returns None when the merge loop gets stuck (tiny-field
+    """Raw rows (S, S^-1, Z) with Z = S T S^-1 of zero diagonal, via 2x2
+    shear merges; S^-1 is None over R/C, whose callers invert S for its
+    float bits.  Returns None when the merge loop gets stuck (tiny-field
     pathologies) or Z comes back to a state it had: Z alone decides each
     step, so from there the merges cycle."""
     kern = T.field.kernel
-    is_zero, rmul, inv = kern.is_zero, kern.rmul, kern.inv
+    is_zero, rmul, rsub, inv = kern.is_zero, kern.rmul, kern.rsub, kern.inv
     n = T.nrows
     Z = list(map(list, T.reps))
     S = [[kern.one if i == j else kern.zero for j in range(n)] for i in range(n)]
+    # S^-1 E^-1 for each shear E = I + c*e_{r,s}: column s -= c*column r
+    Si = [row[:] for row in S] if kern.exact else None
     seen = set()
 
     def shear(r, s, c):
         kern.shear(Z, r, s, c)
         kern.shear(S, r, s, c, conjugate=False)
+        if Si is not None:
+            for row in Si:
+                row[s] = rsub(row[s], rmul(c, row[r]))
 
     for _ in range(8 * n * n + 16):
         nonzero = [i for i in range(n) if not is_zero(Z[i][i])]
         if not nonzero:
-            return S, Z
+            return S, Si, Z
         state = tuple(map(tuple, Z))
         if state in seen:
             return None
@@ -744,11 +765,10 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     blocks = None  # the Jordan blocks that M realizes, when M is not A
     if field.is_exact and n >= 2 and not A.is_zero():
         jf = generalized_jordan_form(A)
-        G, M, blocks = jf.conjugator, jf.realization, jf.blocks
+        G, Gi, M, blocks = jf.conjugator, jf.conjugator_inverse, jf.realization, jf.blocks
     else:
-        G = Matrix.identity(field, n)
+        G = Gi = Matrix.identity(field, n)
         M = A
-    Gi = G.inverse()
     if m == 2:
         x, y = trace_zero_to_commutator(M, seed)
         mats = [Gi * x * G, Gi * y * G]
@@ -760,13 +780,13 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
             raise Unsupported("peeling needs n >= 2")
         U = Matrix.cyclic_shift(field, n)
         xu, yu = trace_zero_to_commutator(U, seed)
-        rest_target = (U.inverse() ** peel) * M
+        Ui = Matrix.permutation(field, [(t - 1) % n for t in range(n)])
+        rest_target = (Ui ** peel) * M
         for _ in range(peel):
             mats_mid.extend([xu, yu])
-        u, v, G2 = _factor_two_canonical(rest_target)
+        u, v, G2, G2i = _factor_two_canonical(rest_target)
     else:
-        u, v, G2 = _factor_two_canonical(M, blocks)
-    G2i = G2.inverse()
+        u, v, G2, G2i = _factor_two_canonical(M, blocks)
     x1, x2 = trace_zero_to_commutator(u, seed)
     x3, x4 = trace_zero_to_commutator(v, seed)
     mats_mid.extend([G2i * x * G2 for x in (x1, x2, x3, x4)])

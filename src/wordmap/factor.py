@@ -15,9 +15,8 @@ The pipeline runs on raw coefficient lists through the field's kernel
 ops (``poly_gcd``, ``poly_divmod``, ``poly_derivative``, ``poly_powmod``)
 and wraps each factor in a Poly once, at the end.  Its powers and the
 Frobenius rows go through one product mod g prepared by
-``poly_mulmod_fn``: the distinct-degree step prepares it once per g, and
-again when g loses a factor before the Frobenius rows are built; the
-equal-degree step once per polynomial it splits.  Over F_p that product
+``poly_mulmod_fn``: the distinct-degree step prepares it once, for f,
+and the equal-degree step once per polynomial it splits.  Over F_p that product
 is packed Kronecker arithmetic (``PrimeKernel``).
 
 Over Q, f is factored by Zassenhaus's algorithm (ch. 15) on the same
@@ -184,14 +183,15 @@ def _distinct_degree(field: Field, f: list) -> list:
     factors of degree d.  h runs through x^(q^d) mod g; from d = 2 on it is
     advanced by the Frobenius matrix of g, built once from x^q mod g and
     reduced modulo g whenever g loses a factor, and applied through one
-    prepared matrix-vector product per g.  x^q mod g and the Frobenius rows
-    come from one prepared product mod g."""
+    prepared matrix-vector product per g.  x^q mod f and the Frobenius rows
+    come from one product mod f, prepared once: when f loses its linear
+    factors, the rows x^(qj) mod f are built first and then reduced."""
     kern = field.kernel
     x = [kern.zero, kern.one]
     out = []
     h = x
     g = f
-    mulmod = frob = None  # frob: rows j = 0..deg g - 1: x^(qj) mod g, padded
+    frob = None  # rows j = 0..deg g - 1: x^(qj) mod g
     d = 0
     while len(g) > 1:
         d += 1
@@ -199,46 +199,47 @@ def _distinct_degree(field: Field, f: list) -> list:
         if 2 * d > n:
             out.append((g, n))
             break
-        if frob is None and mulmod is None:
-            mulmod = kern.poly_mulmod_fn(g)
         if d == 1:
+            mulmod = kern.poly_mulmod_fn(g)
             h = kern.poly_powmod(h, field.cardinality, g, mulmod)
         else:
             if frob is None:
-                frob = _frobenius_rows(kern, h, g, mulmod)
-                advance = _row_times(kern, frob)
+                frob = _frobenius_rows(kern, h, n, mulmod)
+                advance = _row_times(kern, frob, n)
             h = kern.poly_trim(advance(_padded(kern, h, n)))
         gd = kern.poly_gcd(g, kern.poly_sub(h, x))
         if len(gd) > 1:
             out.append((gd, d))
             g = kern.poly_divmod(g, gd)[0]
-            h = kern.poly_divmod(h, g)[1]
-            mulmod = None
+            n = len(g) - 1
+            if frob is None and 2 * (d + 1) <= n:
+                # x^(qj) mod the old g reduces to x^(qj) mod its factor g
+                frob = _frobenius_rows(kern, h, n, mulmod)
             if frob is not None:
-                n = len(g) - 1
-                frob = [_padded(kern, kern.poly_divmod(kern.poly_trim(row), g)[1], n)
-                        for row in frob[:n]]
-                advance = _row_times(kern, frob)
+                frob = [kern.poly_divmod(row, g)[1] for row in frob[:n]]
+                advance = _row_times(kern, frob, n)
+            h = kern.poly_divmod(h, g)[1]
     return out
 
 
-def _row_times(kern, rows):
-    """v -> v * rows for row vectors v, prepared once."""
-    return kern.matvec_fn([list(col) for col in zip(*rows)])
+def _row_times(kern, rows, n: int):
+    """v -> v * rows for row vectors v, the rows padded to length n,
+    prepared once."""
+    return kern.matvec_fn([list(col) for col in zip(*(_padded(kern, row, n) for row in rows))])
 
 
 def _padded(kern, a: list, m: int) -> list:
     return list(a) + [kern.zero] * (m - len(a))
 
 
-def _frobenius_rows(kern, xq: list, g: list, mulmod) -> list:
-    """The Frobenius matrix of g, from xq = x^q mod g and a product mod g:
-    row j holds x^(qj) mod g, padded to deg g, so that h^q mod g is the row
-    vector h times it."""
+def _frobenius_rows(kern, xq: list, count: int, mulmod) -> list:
+    """The first ``count`` rows of the Frobenius matrix of g, from
+    xq = x^q mod g and a product mod g: row j holds x^(qj) mod g, so that
+    h^q mod g is the row vector h times the deg g rows."""
     rows = [[kern.one]]
-    for _ in range(len(g) - 2):
+    for _ in range(count - 1):
         rows.append(mulmod(rows[-1], xq))
-    return [_padded(kern, row, len(g) - 1) for row in rows]
+    return rows
 
 
 def _equal_degree(field: Field, f: list, d: int, rng: random.Random) -> list:

@@ -87,7 +87,9 @@ def assemble(rplan: ReductionPlan,
     if len(solutions) != len(rplan.blocks) or len({len(sol) for sol in solutions}) != 1:
         raise UsageError("assemble needs one solution tuple of equal length per block")
     P = rplan.jordan.conjugator
-    Pinv = P.inverse()
+    Pinv = rplan.jordan.conjugator_inverse
+    if Pinv is None:  # R/C
+        Pinv = P.inverse()
     mats = []
     for pos in range(len(solutions[0])):
         lifted = []

@@ -274,11 +274,13 @@ def test_solve_failed_verification_exits_1_without_traceback(capsys):
 def test_failed_chain_check_exits_1_without_traceback(capsys, monkeypatch):
     # a kernel chain that contradicts a certified factor is an internal
     # consistency failure: the library raises VerificationFailed, and the
-    # CLI prints one error line. Passing the chain filtration one more than
-    # the factor degree makes its own dimension check fail.
-    chain_filtration = matrices._chain_filtration
-    monkeypatch.setattr(matrices, "_chain_filtration",
-                        lambda A, B, d, dim=None: chain_filtration(A, B, d + 1, dim))
+    # CLI prints one error line. Passing the chain-tops step, which both
+    # kernel sources (Krylov basis and nullspaces) reach, one more than the
+    # factor degree makes its own dimension check fail.
+    chain_tops = matrices._chain_tops
+    monkeypatch.setattr(matrices, "_chain_tops",
+                        lambda kern, kers, d, apply_a, apply_b:
+                        chain_tops(kern, kers, d + 1, apply_a, apply_b))
     F5 = Field("prime", p=5)
     with pytest.raises(VerificationFailed, match="incompatible with factor degree"):
         solve_commutator_product(Matrix.from_rows(F5, [[1, 2], [3, 4]]), 4)

@@ -6,7 +6,9 @@ import pytest
 
 from wordmap.commutators import (
     TraceZeroPair,
+    _factorization_tasks,
     _zero_diag_commutator,
+    _zero_diagonalize,
     companion_trace_zero,
     diagonal_trace_zero,
     factor_two_trace_zero,
@@ -22,7 +24,7 @@ from wordmap.matrices import Matrix, generalized_jordan_form
 from wordmap.polynomials import Poly
 from wordmap.words import CommutatorProduct, eval_word
 
-from oracles import all_matrices, random_matrix
+from oracles import all_matrices, random_invertible, random_matrix
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -391,6 +393,52 @@ def test_factor_two_repeated_extension_factor_tower():
     check(factor_two_trace_zero(A))
     B = Matrix.block_diag(F4, [Matrix.companion(p)] * 2)
     check(factor_two_trace_zero(B))
+
+
+def test_factorization_tasks_hand_back_the_inverse_of_their_conjugator():
+    # every task kind: Jordan, Jordan-plus-scalar, diagonal, companion and
+    # the companion merge of a lone scalar with an extension block (whose
+    # cyclic basis is R^-1), with and without a Jordan conjugator
+    F3 = Field("prime", p=3)
+    rng = random.Random(11)
+    targets = [random_matrix(F101, n, rng) for n in (3, 5, 8)]
+    for field, parts in ((F3, [([1, 1], 2), ([2, 1], 1), ([1, 0, 1], 1)]),
+                         (F3, [([0, 1], 1), ([1, 0, 1], 2), ([1, 0, 1], 1)]),
+                         (F101, [([5, 1], 3), ([7, 1], 1), ([7, 1], 1), ([1, 1, 0, 1], 1)])):
+        J = Matrix.block_diag(field, [Matrix.generalized_jordan_block(Poly(field, c), l)
+                                      for c, l in parts])
+        S = random_invertible(field, J.nrows, rng)
+        targets += [J, S * J * S.inverse()]
+    for A in targets:
+        _, G, Gi = _factorization_tasks(A)
+        assert Gi == G.inverse()
+        jf = generalized_jordan_form(A)
+        _, G, Gi = _factorization_tasks(jf.realization, jf.blocks)
+        assert Gi == G.inverse()
+    R = Field("real", tolerance=1e-9)
+    assert _factorization_tasks(random_matrix(R, 4, rng))[2] is None
+
+
+def _trace_zero(field, rows):
+    rows = [[field(x) for x in row] for row in rows]
+    rows[-1][-1] = rows[-1][-1] - Matrix(field, rows).trace()
+    return Matrix(field, rows)
+
+
+def test_zero_diagonalize_builds_the_inverse_alongside():
+    rng = random.Random(12)
+    checked = 0
+    for field in (F5, F101, Q, GF(9)):
+        for n in range(2, 7):
+            T = _trace_zero(field, [[rng.randrange(5) for _ in range(n)] for _ in range(n)])
+            res = _zero_diagonalize(T)
+            if res is not None:
+                S, Si, Z = res
+                assert Matrix._from_raw(field, Si) == Matrix._from_raw(field, S).inverse()
+                checked += 1
+    assert checked >= 15
+    R = Field("real", tolerance=1e-9)
+    assert _zero_diagonalize(_trace_zero(R, [[1, 2, 0], [3, -1, 1], [0, 1, 5]]))[1] is None
 
 
 # a real 2x2 target whose computed eigenvalue misses the spectrum by more

@@ -390,6 +390,36 @@ def test_distinct_degree_matches_power_per_degree(field):
     assert splits >= 5
 
 
+@pytest.mark.parametrize("field", [Field("prime", p=101), GF(9)], ids=repr)
+def test_distinct_degree_prepares_one_product_when_linear_factors_split_off(
+        monkeypatch, field):
+    """f = two linear factors times irreducibles of degrees 2, 3 and 4: g
+    loses its linear factors at d = 1, and the Frobenius rows are then built
+    through the product mod f and reduced, not through a second one."""
+    rng = random.Random(5)
+    elems = list(enumerate_elements(field))
+
+    def irreducible(deg):
+        while True:
+            p = Poly(field, [rng.choice(elems) for _ in range(deg)] + [field.one()])
+            if is_irreducible(p):
+                return p
+
+    f = Poly(field, [1, 1]) * Poly(field, [2, 1])
+    for deg in (2, 3, 4):
+        f = f * irreducible(deg)
+    kernel_type = type(field.kernel)
+    prepare = kernel_type.poly_mulmod_fn
+    prepared = []
+    monkeypatch.setattr(kernel_type, "poly_mulmod_fn",
+                        lambda self, g: prepared.append(len(g) - 1) or prepare(self, g))
+    got = [(Poly._from_raw(field, g), d) for g, d in _distinct_degree(field, list(f.reps))]
+    monkeypatch.undo()
+    assert prepared == [f.degree]
+    assert [d for _, d in got] == [1, 2, 3, 4]
+    assert got == power_per_degree_distinct_degree(f)
+
+
 # ----------------------------------------------------------------------
 # pinned factorizations
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +15,7 @@ from wordmap.errors import (
     UsageError,
     VerificationFailed,
 )
-from wordmap.factor import is_irreducible
+from wordmap.factor import factor, is_irreducible
 from wordmap.fields import (
     GF,
     Field,
@@ -21,6 +23,7 @@ from wordmap.fields import (
     enumerate_elements,
     extend,
     parse_field_spec,
+    random_element,
 )
 from wordmap.matrices import (
     Matrix,
@@ -224,6 +227,144 @@ def test_jordan_form_extension_blocks():
     A = Matrix.generalized_jordan_block(p, 2)
     gj = generalized_jordan_form(A)
     assert [(b.poly, b.size) for b in gj.blocks] == [(p, 2)]
+
+
+# the Krylov route against the nullspace route: every exact kind, packed and
+# unpacked F_p kernels among them
+KRYLOV_FIELDS = {"F2": F2, "F3": Field("prime", p=3), "F4": GF(4), "F9": GF(9),
+                 "F101": F101, "F65521": Field("prime", p=65521),
+                 "F2147483647": Field("prime", p=2**31 - 1), "Q": Q}
+
+
+def _krylov_cases(field, n, rng):
+    """(name, A, cyclic): scalar, derogatory, nilpotent, repeated-factor
+    and S J S^-1 targets, and two inputs on which e_0 is not cyclic.
+    ``cyclic`` is the candidate the Krylov route starts from, "e0", None
+    when no candidate is cyclic, or "maybe" for a cyclic matrix conjugated
+    by a random S, which leaves it to chance which candidate is cyclic."""
+    if field.is_finite:
+        elems = list(itertools.islice(enumerate_elements(field), 64))
+        draw = partial(random_element, field, rng)
+    else:
+        elems = [field(c) for c in range(-4, 5)]
+        draw = partial(rng.choice, elems)
+    one, zero = field.one(), field.zero()
+    a = draw()
+    b = next(e for e in elems if e != a)
+
+    def square():
+        return Matrix(field, [[draw() for _ in range(n)] for _ in range(n)])
+
+    # S = L*U, unit triangular factors; over Q with entries in -1..1, which
+    # keeps S J S^-1 small
+    small = draw if field.is_finite else partial(rng.choice, elems[3:6])
+    L = Matrix(field, [[small() if i > j else one if i == j else zero for j in range(n)]
+                       for i in range(n)])
+    U = Matrix(field, [[small() if i < j else one if i == j else zero for j in range(n)]
+                       for i in range(n)])
+    S = L * U
+    Si = S.inverse()
+
+    def conj(J):
+        return S * J * Si
+
+    def jordan_sum(*parts):
+        return Matrix.block_diag(field, [Matrix.jordan_block(x, l) for x, l in parts if l])
+
+    ones = [one] * n
+    last = [zero] * (n - 1) + [one]
+    cases = [("scalar", Matrix.identity(field, n).scale(a), None if n > 1 else "e0"),
+             ("nilpotent", conj(Matrix.jordan_block(zero, n)), "maybe"),
+             ("random", square(), "maybe"),
+             # e_0 is an eigenvector; only the top of the chain, e_{n-1}, is cyclic
+             ("e_{n-1} only", Matrix.jordan_block(a, n), "e0" if n == 1 else last),
+             # e_0 and e_{n-1} each generate one block; their sum generates both
+             ("all-ones only", jordan_sum((a, n - n // 2), (b, n // 2)),
+              "e0" if n == 1 else ones)]
+    if n >= 2:
+        cases.append(("derogatory", conj(jordan_sum((a, n - 1), (a, 1))), None))
+        cases.append(("nilpotent derogatory", conj(jordan_sum((zero, n // 2),
+                                                              (zero, n - n // 2))), None))
+    if n >= 3:
+        cases.append(("repeated factor", conj(jordan_sum((a, n - 2), (b, 2))), "maybe"))
+        cases.append(("repeated factor, all-ones", jordan_sum((a, n - 2), (b, 2)), ones))
+    p = next((Poly(field, [c, one, one]) for c in elems
+              if is_irreducible(Poly(field, [c, one, one]))), None)
+    if p is not None and n >= 4:
+        J = Matrix.block_diag(field, [Matrix.generalized_jordan_block(p, n // 2 - 1),
+                                      jordan_sum((a, n - 2 * (n // 2 - 1)))])
+        cases.append(("S J S^-1 extension factor", conj(J), "maybe"))
+        if n >= 6:
+            J = Matrix.block_diag(field, [Matrix.generalized_jordan_block(p, 1),
+                                          Matrix.generalized_jordan_block(p, 2),
+                                          jordan_sum((a, n - 6))])
+            cases.append(("S J S^-1 repeated extension factor", conj(J), None))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(KRYLOV_FIELDS))
+def test_krylov_route_equals_the_nullspace_route(monkeypatch, name):
+    field = KRYLOV_FIELDS[name]
+    rng = random.Random(2024)
+    krylov = matrices_mod._cyclic_krylov
+    routes = {True: 0, False: 0}
+    for n in range(1, 13):
+        for case, A, cyclic in _krylov_cases(field, n, rng):
+            found = krylov(A)
+            if cyclic is None:
+                assert found is None, (case, n)
+            elif cyclic == "e0":
+                assert found[1][0] == [field._one_raw] + [field._zero_raw] * (n - 1)
+            elif cyclic != "maybe":
+                assert found[1][0] == [x.rep for x in cyclic], (case, n)
+            else:
+                routes[found is not None] += 1
+            if found is not None:
+                assert found[0] == charpoly(A)
+            jf = generalized_jordan_form(A)
+            monkeypatch.setattr(matrices_mod, "_cyclic_krylov", lambda A: None)
+            ref = generalized_jordan_form(A)
+            monkeypatch.setattr(matrices_mod, "_cyclic_krylov", krylov)
+            assert jf.blocks == ref.blocks, (case, n)
+            assert jf.conjugator.reps == ref.conjugator.reps, (case, n)
+            assert jf.realization == ref.realization, (case, n)
+            assert jf.conjugator_inverse == ref.conjugator_inverse \
+                == jf.conjugator.inverse(), (case, n)
+    # most random and conjugated cyclic inputs take the Krylov route
+    assert routes[True] > routes[False]
+
+
+def test_krylov_kernels_are_the_nullspace_bases():
+    rng = random.Random(7)
+    repeated = 0
+    for field in (F101, Field("prime", p=3), Q):
+        # repeated factors: (x^2 + 1)^3, irreducible over F_3 and Q and a
+        # product of two linear factors over F_101, and (x - 1)^3 (x - 2)^2
+        blocks = [Matrix.generalized_jordan_block(Poly(field, [1, 0, 1]), 3),
+                  Matrix.block_diag(field, [Matrix.jordan_block(field(1), 3),
+                                            Matrix.jordan_block(field(2), 2)])]
+        for A in blocks + [Matrix(field, [[field(rng.randrange(-2, 3)) for _ in range(n)]
+                                          for _ in range(n)]) for n in range(2, 9)]:
+            found = matrices_mod._cyclic_krylov(A)
+            if found is None:
+                continue
+            chi, rows, _ = found
+            for term in factor(chi):
+                p, s = term.poly, term.multiplicity
+                kers = matrices_mod._krylov_kernels(field.kernel, rows, chi, p, s)
+                B = p(A)
+                assert kers[0] == []
+                for j in range(1, s + 1):
+                    assert kers[j] == matrices_mod._nullspace_raw(field, (B ** j).reps)
+                repeated += s > 1
+    assert repeated >= 6
+
+
+@pytest.mark.parametrize("field", [Field("real", tolerance=1e-9),
+                                   Field("complex", tolerance=1e-9)])
+def test_conjugator_inverse_is_left_to_callers_over_r_and_c(field):
+    A = random_matrix(field, 4, random.Random(3))
+    assert generalized_jordan_form(A).conjugator_inverse is None
 
 
 def test_companion_lift_base_cases():
