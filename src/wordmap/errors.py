@@ -12,8 +12,12 @@ class WordmapError(Exception):
     """Base class for all library errors."""
 
 
-class DescriptorMismatch(WordmapError):
-    """Operands belong to different fields."""
+class UsageError(WordmapError):
+    """Malformed CLI or parser input."""
+
+
+class DescriptorMismatch(UsageError):
+    """Operands belong to different fields: a usage error."""
 
 
 class DivisionByZero(WordmapError, ZeroDivisionError):
@@ -99,6 +103,3 @@ class VerificationFailed(WordmapError):
 class TooLarge(WordmapError):
     """Enumeration would exceed the configured cap."""
 
-
-class UsageError(WordmapError):
-    """Malformed CLI or parser input."""

@@ -41,8 +41,12 @@ implementations, picked by the field kind:
 
 Matrix and Poly store raw reps in the kernel's format, so kernel output is
 stored as it comes; FieldElements are made only where a caller reads an
-entry or a coefficient.  Extension inverses use the base field's
-polynomial kernel.
+entry or a coefficient.  Extension fields have no arithmetic of their own:
+their element closures are the base field's kernel ops on coefficient
+tuples.  A product is one product mod the modulus from
+``poly_mulmod_fn``, prepared when the field is built (over F_p packed
+where PrimeKernel's rule allows), sums and negation are coefficientwise,
+and an inverse is the extended gcd with the modulus.
 
 Log tables.  A finite extension with q <= ELEMENT_TABLE_BOUND, towers
 included, replaces its element closures with Zech-logarithm lookups when
@@ -53,8 +57,9 @@ reps stay coefficient tuples, so values and orders do not change; only
 the cost of an operation does.  g is the first element in
 ``enumerate_elements`` order with g^((q-1)/r) != 1 for every prime r |
 q-1.  Every finite extension with q <= ELEMENT_TABLE_BOUND gets tables;
-fields above the bound keep the closures.  The tables are built once, with
-about one multiplication and one addition per element, and never change.
+above the bound the base kernel's ops stay.  The tables are built once, with
+about one multiplication by g and one addition per element, and never
+change.
 
 K-th roots over F_q are computed per call, with no table and no state kept
 on the Field: with g = gcd(k, q-1), exponent inversion when g = 1; else the
@@ -205,7 +210,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             try:
                 other = self._coerced(other)
-            except (DescriptorMismatch, UsageError, TypeError, ValueError):
+            except (UsageError, TypeError, ValueError):
                 return NotImplemented
         elif other.field is not self.field and other.field.key != self.field.key:
             return False
@@ -309,59 +314,30 @@ class Field:
         self._rinv = lambda a: 1 / a
 
     def _install_ext_ops(self):
-        base, mod = self.base, self.modulus
-        d = self.degree
-        badd, bsub, bmul = base._radd, base._rsub, base._rmul
-        bneg, binv = base._rneg, base._rinv
-        bzero = base._zero_raw
-        bis_zero = base.is_zero_raw
-        # reduction table: t^(d+j) mod m for j = 0..d-2
-        red = []
-        cur = [bneg(c) for c in mod[:d]]
-        red.append(tuple(cur))
-        for _ in range(1, d - 1):
-            lead = cur[d - 1]
-            cur = [bzero] + cur[: d - 1]
-            cur = [badd(c, bmul(lead, r)) for c, r in zip(cur, red[0])]
-            red.append(tuple(cur))
-
-        def radd(a, b):
-            return tuple(badd(x, y) for x, y in zip(a, b))
-
-        def rsub(a, b):
-            return tuple(bsub(x, y) for x, y in zip(a, b))
-
-        def rneg(a):
-            return tuple(bneg(x) for x in a)
+        """base[t]/(m) on the base field's kernel: a product is one prepared
+        product mod m, padded back to d coefficients; sums are the kernel's
+        vector ops, and an inverse is its extended gcd with m."""
+        base, mod, d = self.base, self.modulus, self.degree
+        kern, bneg = base.kernel, base._rneg
+        mulmod = kern.poly_mulmod_fn(mod)
+        pad = (base._zero_raw,) * d
 
         def rmul(a, b):
-            conv = [bzero] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if bis_zero(ai):
-                    continue
-                for j, bj in enumerate(b):
-                    conv[i + j] = badd(conv[i + j], bmul(ai, bj))
-            out = conv[:d]
-            for j in range(d - 1):
-                c = conv[d + j]
-                if bis_zero(c):
-                    continue
-                rj = red[j]
-                out = [badd(x, bmul(c, r)) for x, r in zip(out, rj)]
-            return tuple(out)
+            c = mulmod(a, b)
+            return (*c, *pad[len(c):])
 
         def rinv(a):
             # extended Euclid over base[t]; returns u with u*a = 1 mod m
-            g, u = base.kernel.poly_gcdext(a, mod)
+            g, u = kern.poly_gcdext(a, mod)
             if len(g) != 1:
                 raise DivisionByZero("element is a zero divisor (reducible modulus?)")
-            c = binv(g[0])
-            out = [bmul(c, x) for x in u]
-            out += [bzero] * (d - len(out))
-            return tuple(out[:d])
+            u = kern.vscale(u, kern.inv(g[0]))
+            return (*u, *pad[len(u):])
 
-        self._radd, self._rsub, self._rmul = radd, rsub, rmul
-        self._rneg, self._rinv = rneg, rinv
+        self._radd = lambda a, b: tuple(kern.vadd(a, b))
+        self._rsub = lambda a, b: tuple(kern.vsub(a, b))
+        self._rneg = lambda a: tuple(map(bneg, a))
+        self._rmul, self._rinv = rmul, rinv
 
     def _install_log_ops(self, log, antilog, zech):
         """Arithmetic by table lookups; see ``_log_tables`` for the layout."""
@@ -1316,7 +1292,7 @@ def _prime_divisors(n: int) -> list:
 
 def _log_tables(field: Field):
     """Zech-logarithm tables (log, antilog, zech) of a finite extension
-    field, built with its closure arithmetic.  The modulus is irreducible
+    field, built with its kernel arithmetic.  The modulus is irreducible
     (``Field`` refuses any other), so a primitive element exists.
 
     With n = q - 1 and g the first element in ``enumerate_elements`` order
@@ -1344,7 +1320,8 @@ def _log_tables(field: Field):
             break
 
     # x*g by Horner's rule on the coefficients of g (g has low degree, so
-    # this is a few vector ops where the closure product is d^2 base ops):
+    # this is a few vector ops, which measured faster than the product mod
+    # the modulus):
     # x*t shifts x up and subtracts its top coefficient times the modulus
     kern, mod = base.kernel, list(field.modulus[:d])
     e = max(i for i, c in enumerate(g) if c != bzero)
@@ -1774,37 +1751,38 @@ def parse_field_spec(spec: str) -> Field:
 
 
 def GF(q: int, modulus=None) -> Field:
-    """Convenience constructor for small finite fields by cardinality."""
+    """Convenience constructor for finite fields by cardinality."""
     if _is_prime(q):
         return Field("prime", p=q)
-    for p in range(2, q):
-        if _is_prime(p):
-            d = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                d += 1
-            if n == 1:
-                base = Field("prime", p=p)
-                if modulus is not None:
-                    modulus = tuple(c % p for c in modulus)
-                    if len(modulus) != d + 1:
-                        raise UsageError(f"GF({q}) needs a modulus of degree {d}")
-                    return Field("ext", modulus=modulus, base=base)
-                for cand in _monic_polys(p, d):
-                    try:
-                        return Field("ext", modulus=cand, base=base)
-                    except ReduciblePolynomial:
-                        continue
-    raise UsageError(f"{q} is not a prime power")
+    # q = p^d for at most one prime p: the exact d-th root of q, tried for
+    # every d up to log2 q
+    for d in range(q.bit_length(), 1, -1):
+        p = _iroot_ceil(q, d)
+        if p ** d == q and _is_prime(p):
+            break
+    else:
+        raise UsageError(f"{q} is not a prime power")
+    base = Field("prime", p=p)
+    if modulus is not None:
+        modulus = tuple(c % p for c in modulus)
+        if len(modulus) != d + 1:
+            raise UsageError(f"GF({q}) needs a modulus of degree {d}")
+        return Field("ext", modulus=modulus, base=base)
+    for cand in _monic_polys(p, d):
+        try:
+            return Field("ext", modulus=cand, base=base)
+        except ReduciblePolynomial:
+            continue
 
 
 def _monic_polys(p: int, d: int) -> Iterator[tuple]:
-    """Monic degree-d candidates, constant term varying slowest; for d >= 2
-    the constant term starts at 1, since t divides every other candidate."""
-    for const in range(1 if d >= 2 else 0, p):
-        for tail in itertools.product(range(p), repeat=d - 1):
-            yield (const,) + tail + (1,)
+    """Monic degree-d candidates in the order of the base-p numbers their
+    low coefficients spell, constant term most significant, so it varies
+    slowest; for d >= 2 it starts at 1, since t divides every other
+    candidate.  They are made one at a time, so a large p costs nothing."""
+    span = p ** (d - 1)
+    for n in range(span if d >= 2 else 0, p * span):
+        yield tuple(n // p ** i % p for i in range(d - 1, -1, -1)) + (1,)
 
 
 RATIONALS = Field("rationals")

@@ -319,17 +319,22 @@ def brute_inverse(x):
 
 # Raw arithmetic of F_p and of quotients base[t]/(m) from the definitions:
 # coefficientwise sums, schoolbook products reduced by the modulus, down to
-# integers mod p.  Nothing here calls the field's own operations.
+# integers mod p or to rationals.  Nothing here calls the field's own
+# operations.
 
 def ref_add(field, a, b):
     if field.kind == "prime":
         return (a + b) % field.p
+    if field.kind == "rationals":
+        return a + b
     return tuple(ref_add(field.base, x, y) for x, y in zip(a, b))
 
 
 def ref_neg(field, a):
     if field.kind == "prime":
         return -a % field.p
+    if field.kind == "rationals":
+        return -a
     return tuple(ref_neg(field.base, x) for x in a)
 
 
@@ -340,6 +345,8 @@ def ref_sub(field, a, b):
 def ref_mul(field, a, b):
     if field.kind == "prime":
         return a * b % field.p
+    if field.kind == "rationals":
+        return a * b
     base, d, mod = field.base, field.degree, field.modulus
     conv = [base._zero_raw] * (2 * d - 1)
     for i, x in enumerate(a):

@@ -136,6 +136,32 @@ def test_gf_checks_a_given_modulus():
     assert GF(9, modulus=(1, 0, 4)).modulus == (1, 0, 1)
 
 
+def test_gf_finds_p_and_d_without_a_search_below_q():
+    """GF once tested every integer below q for primality: GF(10**7) took
+    21 s to refuse, and GF((2**31 - 1)**2) did not return in a minute.  A
+    subprocess with a timeout keeps a regression from hanging the suite."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordmap.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = (
+        "from wordmap.errors import UsageError\n"
+        "from wordmap.fields import GF\n"
+        "for q in (10**12, 10**7, 6, 1, 0):\n"
+        "    try:\n"
+        "        GF(q)\n"
+        "    except UsageError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'GF({q}) built')\n"
+        "L = GF((2**31 - 1)**2)\n"
+        "assert (L.p, L.degree, L.modulus) == (2**31 - 1, 2, (1, 0, 1))\n"
+        "L = GF(2**20)\n"
+        "assert (L.p, L.degree) == (2, 20)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_f4_generator_relation():
     F4 = parse_field_spec("Fq:p=2,d=2,mod=[1,1,1]")
     t = F4.generator()
@@ -587,11 +613,71 @@ def test_field_refuses_a_reducible_modulus(name, coeffs, root):
         Field("ext", modulus=tuple(c.rep for c in modulus.coeffs), base=base)
 
 
-def test_fields_past_the_bound_keep_closure_arithmetic():
-    L = GF(101 ** 2)
-    assert L.cardinality > ELEMENT_TABLE_BOUND
-    rng = random.Random(5)
-    for _ in range(200):
-        a = (rng.randrange(101), rng.randrange(101))
-        b = (rng.randrange(101), rng.randrange(101))
+# (base, modulus as {exponent: coefficient}) of fields with no log tables,
+# whose products are the base kernel's prepared product mod the modulus: the
+# finite moduli are those GF(q) picks; F_2 has tables below d = 13, and
+# 2^31 - 1 fits no packed slot, so its products run on the list loops
+PAST_BOUND_MODULI = [
+    ("Fp:101", {0: 1, 1: 1, 2: 1}), ("Fp:101", {0: 1, 2: 1, 3: 1}),
+    ("Fp:101", {0: 1, 3: 1, 4: 1}), ("Fp:101", {0: 1, 4: 4, 5: 1}),
+    ("Fp:101", {0: 1, 5: 6, 6: 1}), ("Fp:101", {0: 1, 6: 1, 7: 1}),
+    ("Fp:101", {0: 1, 7: 8, 8: 1}), ("Fp:101", {0: 1, 8: 11, 9: 1}),
+    ("Fp:101", {0: 1, 9: 3, 10: 1}), ("Fp:101", {0: 1, 10: 22, 11: 1}),
+    ("Fp:101", {0: 1, 11: 14, 12: 1}), ("Fp:101", {0: 1, 12: 4, 13: 1}),
+    ("Fp:101", {0: 1, 13: 6, 14: 1}), ("Fp:101", {0: 1, 14: 39, 15: 1}),
+    ("Fp:101", {0: 1, 15: 3, 16: 1}), ("Fp:101", {0: 1, 16: 14, 17: 1}),
+    ("Fp:101", {0: 1, 17: 3, 18: 1}), ("Fp:101", {0: 1, 18: 3, 19: 1}),
+    ("Fp:101", {0: 1, 18: 1, 19: 47, 20: 1}), ("Fp:101", {0: 1, 20: 2, 21: 1}),
+    ("Fp:101", {0: 1, 21: 29, 22: 1}), ("Fp:101", {0: 1, 22: 17, 23: 1}),
+    ("Fp:101", {0: 1, 22: 2, 23: 6, 24: 1}), ("Fp:101", {0: 1, 24: 1, 25: 1}),
+    ("Fp:101", {0: 1, 25: 11, 26: 1}), ("Fp:101", {0: 1, 26: 19, 27: 1}),
+    ("Fp:101", {0: 1, 27: 9, 28: 1}), ("Fp:101", {0: 1, 28: 18, 29: 1}),
+    ("Fp:101", {0: 1, 29: 4, 30: 1}), ("Fp:101", {0: 1, 30: 75, 31: 1}),
+    ("Fp:101", {0: 1, 31: 7, 32: 1}), ("Fp:2", {0: 1, 9: 1, 10: 1, 12: 1, 13: 1}),
+    ("Fp:2", {0: 1, 9: 1, 14: 1}), ("Fp:2", {0: 1, 14: 1, 15: 1}),
+    ("Fp:2", {0: 1, 11: 1, 13: 1, 15: 1, 16: 1}), ("Fp:2", {0: 1, 14: 1, 17: 1}),
+    ("Fp:2", {0: 1, 15: 1, 18: 1}), ("Fp:2", {0: 1, 14: 1, 17: 1, 18: 1, 19: 1}),
+    ("Fp:2", {0: 1, 17: 1, 20: 1}), ("Fp:2", {0: 1, 19: 1, 21: 1}),
+    ("Fp:2", {0: 1, 21: 1, 22: 1}), ("Fp:2", {0: 1, 18: 1, 23: 1}),
+    ("Fp:2", {0: 1, 20: 1, 21: 1, 23: 1, 24: 1}), ("Fp:2", {0: 1, 22: 1, 25: 1}),
+    ("Fp:2", {0: 1, 22: 1, 23: 1, 25: 1, 26: 1}),
+    ("Fp:2", {0: 1, 22: 1, 25: 1, 26: 1, 27: 1}), ("Fp:2", {0: 1, 27: 1, 28: 1}),
+    ("Fp:2", {0: 1, 27: 1, 29: 1}), ("Fp:2", {0: 1, 29: 1, 30: 1}),
+    ("Fp:2", {0: 1, 28: 1, 31: 1}), ("Fp:2", {0: 1, 25: 1, 29: 1, 30: 1, 32: 1}),
+    ("Fp:2147483647", {0: 1, 2: 1}), ("Fp:2147483647", {0: 1, 2: 5, 3: 1}),
+    ("Fp:2147483647", {0: 1, 3: 1, 4: 1}), ("Fp:2147483647", {0: 1, 7: 3, 8: 1}),
+    ("Fp:2147483647", {0: 1, 12: 33, 13: 1}), ("Fp:2147483647", {0: 1, 20: 24, 21: 1}),
+    ("Fp:2147483647", {0: 1, 31: 34, 32: 1}),
+    # F_{9^4} over F_9 = F_3[s]/(s^2 + 1): t^4 + s t^3 + t^2 + t + 1
+    ("Fq:p=3,d=2,mod=[1,0,1]", {0: [1, 0], 1: [1, 0], 2: [1, 0], 3: [0, 1], 4: [1, 0]}),
+    # Q(alpha): a quadratic with no rational root, then Eisenstein at 2
+    ("Q", {0: Fraction(1, 3), 1: Fraction(-1, 2), 2: 1}), ("Q", {0: 6, 1: -4, 2: 2, 3: 1}),
+    ("Q", {0: 6, 1: -4, 3: 2, 4: 1}), ("Q", {0: 6, 1: -4, 4: 2, 5: 1}),
+    ("Q", {0: 6, 1: -4, 5: 2, 6: 1}), ("Q", {0: 6, 1: -4, 6: 2, 7: 1}),
+    ("Q", {0: 6, 1: -4, 7: 2, 8: 1}),
+]
+
+
+def _random_raw(field, rng):
+    if field.kind == "prime":
+        return rng.randrange(field.p)
+    if field.kind == "rationals":
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+    return tuple(_random_raw(field.base, rng) for _ in range(field.degree))
+
+
+@pytest.mark.parametrize("name,modulus", PAST_BOUND_MODULI,
+                         ids=lambda v: v if isinstance(v, str) else f"d={max(v)}")
+def test_fields_past_the_bound_match_schoolbook_arithmetic(name, modulus):
+    base, d = parse_field_spec(name), max(modulus)
+    coeffs = tuple(base(modulus.get(i, 0)).rep for i in range(d + 1))
+    L = Field("ext", modulus=coeffs, base=base)
+    assert not L.is_finite or L.cardinality > ELEMENT_TABLE_BOUND
+    rng = random.Random(f"{name} {d}")
+    raws = [_random_raw(L, rng) for _ in range(12)]
+    for a, b in zip(raws, raws[1:] + [L.zero().rep]):
         _check_ops(L, a, b)
+        _check_ops(L, a, a)  # a product of an element with itself squares
+        x = L.element(a)
+        if not x.is_zero():
+            assert x * x.inverse() == L.one()

@@ -587,8 +587,11 @@ def test_constructors_refuse_foreign_ragged_and_non_field_entries():
                           (R9, [float("nan")]), (C9, ["x"])):
         with pytest.raises(UsageError):
             Poly(field, coeffs)
-    # a foreign element is a coercion error, as it has always been for Poly
+    # a foreign element is a coercion error, which is a usage error, as it
+    # is for Matrix
     with pytest.raises(DescriptorMismatch):
+        Poly(F5, [F7(1)])
+    with pytest.raises(UsageError):
         Poly(F5, [F7(1)])
 
 
