@@ -62,13 +62,15 @@ about one multiplication by g and one addition per element, and never
 change.
 
 K-th roots over F_q are computed per call, with no table and no state kept
-on the Field: with g = gcd(k, q-1), exponent inversion when g = 1; else the
-power-residue test e^((q-1)/g) = 1 first, then Tonelli-Shanks for k = 2
-and, for any other k, the linear part gcd(x^k - e, x^q - x) split by the
-Cantor-Zassenhaus equal-degree step of ``factor``.  For q <= SCAN_BOUND the
-roots come in ``enumerate_elements`` order, so the root a scalar search
-picks does not depend on the algorithm; above it they come in the order the
-algorithm gives (Tonelli-Shanks: [r, -r]).
+on the Field, by one element-level algorithm (Adleman, Manders and Miller
+1977): with g = gcd(k, q-1), e is a k-th power iff e^((q-1)/g) = 1; then
+y with y^g = e comes from v_l(g) successive l-th roots for each prime l | g,
+each step driven by the first non-l-th power in ``enumerate_elements``
+order (the l = 2 step is Tonelli-Shanks), x = y^((k/g)^-1 mod (q-1)/g) is
+one root, and x*zeta^j for j < g are all of them, zeta of order g.  For q
+<= SCAN_BOUND the roots come in ``enumerate_elements`` order, so the root a
+scalar search picks does not depend on the algorithm; above it they come in
+the order x, x*zeta, x*zeta^2, ... (k = 2: [r, -r]).
 
 Extensions are a quotient step ``base[t]/(m)`` with ``base`` a finite field
 (giving F_{p^d} and towers over F_{p^d}) or Q.  An extension ``Field``
@@ -255,8 +257,8 @@ class Field:
         self.modulus = modulus
         self.tolerance = tolerance
         if kind == "prime":
-            if not _is_prime(p):
-                raise UsageError(f"{p} is not prime")
+            if not (isinstance(p, int) and _is_prime(p)):
+                raise UsageError(f"{p!r} is not prime")
             self.degree = 1
             self.key = ("prime", p)
             self._zero_raw, self._one_raw = 0, 1
@@ -1406,60 +1408,48 @@ def _element_at(field: Field, idx: int):
     return tuple(rep)
 
 
-def _first_nonresidue(field: Field):
-    """Raw value of the first non-square in enumeration order (q odd).
+def _first_non_power(field: Field, l: int):
+    """Raw value of the first element in enumeration order that is not an
+    l-th power, for a prime l dividing q - 1.
 
-    The first |base| elements in that order are the base field's; in an
-    extension of even degree every one of them is a square, so the search
-    starts after them."""
+    The first |base| elements in that order are the base field's; when l
+    divides (q-1)/(|base|-1), every one of them is an l-th power, so the
+    search starts after them."""
     q = field.cardinality
     start = 1
-    if field.kind == "ext" and field.degree % 2 == 0:
+    if field.kind == "ext" and (q - 1) // (field.base.cardinality - 1) % l == 0:
         start = field.base.cardinality
     for idx in itertools.count(start):
         rep = _element_at(field, idx)
-        if field._rpow(rep, (q - 1) // 2) != field._one_raw:
+        if field._rpow(rep, (q - 1) // l) != field._one_raw:
             return rep
 
 
-def _sqrt_odd_finite(field: Field, e: FieldElement) -> FieldElement:
-    """Tonelli-Shanks square root; e must be a nonzero quadratic residue."""
+def _amm_root(field: Field, a: FieldElement, l: int, rho: FieldElement) -> FieldElement:
+    """An l-th root of a nonzero l-th power a, for a prime l dividing q - 1
+    and rho a non-l-th power: the step of Adleman, Manders and Miller
+    (1977).  For l = 2 it is Tonelli-Shanks, step for step."""
     q = field.cardinality
-    s, r = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        r += 1
-    m = r
-    c = field.element(_first_nonresidue(field)) ** s
-    t = e ** s
-    x = e ** ((s + 1) // 2)
-    one = field.one()
+    s, m = q - 1, 0
+    while s % l == 0:
+        s //= l
+        m += 1
+    w = -pow(s, -1, l) % l  # s*w + 1 = 0 mod l
+    one, zeta = field.one(), rho ** ((q - 1) // l)
+    # x^l = a*t with t in the l-Sylow subgroup, which c = rho^s generates
+    c, t, x = rho ** s, a ** (s * w), a ** ((s * w + 1) // l)
     while t != one:
-        # find least i with t^(2^i) = 1
+        # least i with t^(l^i) = 1; h = t^(l^(i-1)) has order l
         i, t2 = 0, t
         while t2 != one:
-            t2 = t2 * t2
+            h, t2 = t2, t2 ** l
             i += 1
-        b = c ** (2 ** (m - i - 1))
-        m, c = i, b * b
-        t = t * c
-        x = x * b
+        b = c ** l ** (m - i - 1)
+        m, c = i, b ** l
+        # c^(l^(i-1)) = zeta, so at most l - 1 steps clear h
+        while h != one:
+            h, t, x = h * zeta, t * c, x * b
     return x
-
-
-def _roots_by_gcd(field: Field, e: FieldElement, k: int) -> list:
-    """The roots of x^k - e: its linear part gcd(x^k - e, x^q - x), split
-    into linear factors by Cantor-Zassenhaus with a fixed seed.  As
-    x^k = e mod x^k - e, x^q mod x^k - e is e^(q div k) x^(q mod k)."""
-    from .factor import _equal_degree  # deferred: factor imports this module
-
-    kern = field.kernel
-    q = field.cardinality
-    f = [field._rneg(e.rep)] + [kern.zero] * (k - 1) + [kern.one]
-    xq = [kern.zero] * (q % k) + [field._rpow(e.rep, q // k)]
-    linear = kern.poly_gcd(f, kern.poly_sub(xq, [kern.zero, kern.one]))
-    return [field.element(field._rneg(g[0]))
-            for g in _equal_degree(field, linear, 1, random.Random(0))]
 
 
 def _iroot_ceil(m: int, k: int) -> int:
@@ -1475,18 +1465,27 @@ def _iroot_ceil(m: int, k: int) -> int:
     return c if c ** k >= m else c + 1
 
 
+def _check_exponent(k) -> None:
+    """UsageError unless k is an int >= 1."""
+    if not isinstance(k, int):
+        raise UsageError(f"k must be an int, got {type(k).__name__}")
+    if k < 1:
+        raise UsageError("k must be >= 1")
+
+
 def kth_roots(e: FieldElement, k: int) -> list:
     """All x with x^k = e (finite fields, Q); real roots over R; the
     principal root over C.  Empty list when none exist.
 
-    Over F_q, with g = gcd(k, q-1): g = 1 gives the single root
-    e^(k^-1 mod q-1); otherwise e is a k-th power iff e^((q-1)/g) = 1, and
-    then k = 2 is Tonelli-Shanks, giving [r, -r], and any other k splits the
-    linear part gcd(x^k - e, x^q - x) by Cantor-Zassenhaus.  For q <=
-    SCAN_BOUND the roots come in ``enumerate_elements`` order; above it they
-    come in the order the algorithm gives them."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
+    Over F_q, with g = gcd(k, q-1), e is a k-th power iff e^((q-1)/g) = 1.
+    Then Adleman-Manders-Miller l-th root steps, v_l(g) of them for each
+    prime l | g, give y with y^g = e; x = y^((k/g)^-1 mod (q-1)/g) is a root
+    (for g = 1 the single one), and the roots are x*zeta^j, j < g, with zeta
+    the product of rho_l^((q-1)/l^v_l(g)), rho_l the non-l-th power the steps
+    use.  For q <= SCAN_BOUND the roots come in ``enumerate_elements``
+    order; above it they come as x*zeta^j in increasing j (k = 2: [r, -r]
+    with r Tonelli-Shanks')."""
+    _check_exponent(k)
     field = e.field
     if k == 1:
         return [e]
@@ -1495,15 +1494,19 @@ def kth_roots(e: FieldElement, k: int) -> list:
             return [field.zero()]
         q = field.cardinality
         g = math.gcd(k, q - 1)
-        if g == 1:
-            return [e ** pow(k % (q - 1), -1, q - 1)]
         if e ** ((q - 1) // g) != field.one():
             return []
-        if k == 2:
-            r = _sqrt_odd_finite(field, e)
-            roots = [r, -r]
-        else:
-            roots = _roots_by_gcd(field, e, (k - 1) % (q - 1) + 1)  # same on F_q^*
+        # y^g = e by successive l-th roots; zeta has order g
+        y, zeta = e, field.one()
+        for l in _prime_divisors(g):
+            rho, lv = field.element(_first_non_power(field, l)), 1
+            while g % (lv * l) == 0:
+                y, lv = _amm_root(field, y, l, rho), lv * l
+            zeta *= rho ** ((q - 1) // lv)
+        # k/g is invertible mod (q-1)/g, and x^k = y^g
+        roots = [y ** pow(k // g, -1, (q - 1) // g)]
+        for _ in range(g - 1):
+            roots.append(roots[-1] * zeta)
         if q <= SCAN_BOUND:
             roots.sort(key=lambda x: _element_index(field, x.rep))
         return roots
@@ -1582,6 +1585,7 @@ def regular_solution_iter(field: Field, k: int, n: int, gamma: FieldElement,
     gamma = field(gamma)
     if n < 1:
         raise UsageError("n must be >= 1")
+    _check_exponent(k)
     if field.kind in ("real", "complex"):
         sol = _regular_construct_analytic(field, k, n, gamma, require_nonzero)
         if sol is not None:
@@ -1752,6 +1756,8 @@ def parse_field_spec(spec: str) -> Field:
 
 def GF(q: int, modulus=None) -> Field:
     """Convenience constructor for finite fields by cardinality."""
+    if not isinstance(q, int):
+        raise UsageError(f"{q!r} is not a prime power")
     if _is_prime(q):
         return Field("prime", p=q)
     # q = p^d for at most one prime p: the exact d-th root of q, tried for

@@ -415,6 +415,31 @@ def naive_kth_roots(e, k):
     return [x for x in enumerate_elements(e.field) if x ** k == e]
 
 
+def ref_sqrt_tonelli_shanks(e):
+    """Tonelli-Shanks (Shanks 1973) square root of a nonzero square e of
+    F_q, q odd, with c built from the first non-square in enumeration
+    order: the reference for the l = 2 step of ``fields.kth_roots``, whose
+    square roots are [r, -r] for this r."""
+    field = e.field
+    q, one = field.cardinality, field.one()
+    s, m = q - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        m += 1
+    z = next(x for x in enumerate_elements(field) if x ** ((q - 1) // 2) == -one)
+    c, t, x = z ** s, e ** s, e ** ((s + 1) // 2)
+    while t != one:
+        i, t2 = 0, t
+        while t2 != one:
+            t2 = t2 * t2
+            i += 1
+        b = c ** (2 ** (m - i - 1))
+        m, c = i, b * b
+        t = t * c
+        x = x * b
+    return x
+
+
 def rabin_irreducible(mod, base):
     """Rabin's irreducibility test (Rabin 1980) for a monic polynomial of
     degree d >= 1 over a finite field F_q, raw coefficients low degree

@@ -647,7 +647,8 @@ def test_solve_diagonal_word_over_extension_field_target():
 def test_cube_roots_beyond_scan_bound(d2):
     # x^4 + x^3 + 1 is irreducible over F_101, so the one Jordan block lives
     # in F_{101^4}, above SCAN_BOUND, where gcd(3, q-1) = 3: the cube roots
-    # come from gcd(x^3 - e, x^q - x)
+    # come from an Adleman-Manders-Miller step, in the order x, x*zeta,
+    # x*zeta^2
     A = Matrix.companion(Poly(F101, [1, 0, 0, 1, 1]))
     word = DiagonalWord(((F101.one(), 3), (F101(d2), 3)))
     w = solve_diagonal_word(A, word)

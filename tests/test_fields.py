@@ -28,11 +28,21 @@ from wordmap.fields import (
     extend,
     kth_roots,
     parse_field_spec,
+    random_element,
     regular_solution_search,
 )
 from wordmap.polynomials import Poly
 
-from oracles import naive_kth_roots, ref_add, ref_inverses, ref_mul, ref_neg, ref_pow, ref_sub
+from oracles import (
+    naive_kth_roots,
+    ref_add,
+    ref_inverses,
+    ref_mul,
+    ref_neg,
+    ref_pow,
+    ref_sqrt_tonelli_shanks,
+    ref_sub,
+)
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -271,12 +281,15 @@ def _field(name):
     return parse_field_spec(name)
 
 
-# (field, stride): every stride-th element and its k-th power is a target
+# (field, stride): every stride-th element and its k-th power is a target;
+# in F_163, F_251, F_257 and F_449 (q - 1 = 2*3^4, 2*5^3, 2^8, 2^6*7) a k-th
+# root for k = 8, 9, 25 or 27 takes several l-th root steps of one prime l
 ROOT_FIELDS = [(name, 1) for name in (
     "Fp:2", "Fp:3", "Fq:p=2,d=2,mod=[1,1,1]", "Fp:5", "Fp:7", "Fq:p=2,d=3,mod=[1,0,1,1]",
     "Fq:p=3,d=2,mod=[1,0,1]", "Fp:11", "Fp:13", "Fq:p=2,d=4,mod=[1,0,0,1,1]",
     "Fq:p=5,d=2,mod=[1,1,1]", "Fq:p=3,d=3,mod=[1,0,2,1]", "Fq:p=7,d=2,mod=[1,0,1]",
-    "Fp:101", "Ftower:card=16")] + [("Ftower:card=64", 7), ("Ftower:card=81", 7)]
+    "Fp:101", "Ftower:card=16")] + [("Ftower:card=64", 7), ("Ftower:card=81", 7)] + [
+    ("Fp:163", 7), ("Fp:251", 11), ("Fp:257", 11), ("Fp:449", 17)]
 
 
 @pytest.mark.parametrize("name,stride", ROOT_FIELDS)
@@ -284,7 +297,7 @@ def test_kth_roots_match_enumeration(name, stride):
     # the roots, order included, are those a scan in enumeration order finds
     field = _field(name)
     elems = list(enumerate_elements(field))[::stride]
-    for k in range(1, 7):
+    for k in (1, 2, 3, 4, 5, 6, 8, 9, 25, 27):
         targets = {y.rep: y for x in elems for y in (x, x ** k)}
         for e in targets.values():
             assert kth_roots(e, k) == naive_kth_roots(e, k)
@@ -301,6 +314,54 @@ def test_kth_roots_beyond_scan_bound_with_common_factor():
     non_cube = next(big(v) for v in range(2, 100)
                     if big(v) ** ((big.p - 1) // 3) != big.one())
     assert kth_roots(non_cube, 3) == []
+
+
+# above SCAN_BOUND roots come in the algorithm's order, which witnesses read;
+# 2^23 divides 998244353 - 1, so Tonelli-Shanks' loop runs deep there
+BIG_ROOT_FIELDS = [998244353, 1000003, 101 ** 3, 101 ** 4]
+
+
+@pytest.mark.parametrize("q", BIG_ROOT_FIELDS)
+def test_square_roots_above_scan_bound_are_tonelli_shanks(q):
+    field = GF(q)
+    assert q > SCAN_BOUND
+    rng = random.Random(q)
+    for _ in range(6):
+        e = random_element(field, rng) ** 2
+        if e.is_zero():
+            continue
+        r = ref_sqrt_tonelli_shanks(e)
+        assert [x.rep for x in kth_roots(e, 2)] == [r.rep, (-r).rep]
+
+
+@pytest.mark.parametrize("q", [1000003, 101 ** 4])
+def test_roots_above_scan_bound_are_one_root_times_powers_of_zeta(q):
+    field = GF(q)
+    one = field.one()
+    rng = random.Random(q)
+    for k in (3, 4, 6, 12):
+        g = math.gcd(k, q - 1)
+        e = random_element(field, rng) ** k
+        roots = kth_roots(e, k)
+        assert len({r.rep for r in roots}) == len(roots) == g
+        assert roots[0] ** k == e
+        zeta = roots[1] / roots[0]
+        assert zeta ** g == one
+        assert all(zeta ** (g // l) != one for l in (2, 3) if g % l == 0)
+        assert all(roots[j] == roots[0] * zeta ** j for j in range(g))
+
+
+def test_non_integer_sizes_and_exponents_are_usage_errors():
+    with pytest.raises(UsageError):
+        kth_roots(F5(4), 2.0)
+    with pytest.raises(UsageError):
+        kth_roots(Field("real", tolerance=1e-9)(4), 2.0)
+    with pytest.raises(UsageError):
+        GF(4.5)
+    with pytest.raises(UsageError):
+        Field("prime", p=7.0)
+    with pytest.raises(UsageError, match="k must be >= 1"):
+        regular_solution_search(F7, -1, 2, F7(1))
 
 
 @pytest.mark.parametrize("name", ["Fp:7", "Fp:13", "Fq:p=7,d=2,mod=[1,0,1]"])
