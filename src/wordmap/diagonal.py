@@ -103,9 +103,10 @@ def _scalar_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
         rng = random.Random(seed)
         candidates = itertools.chain(
             (random_element(field, rng) for _ in range(RANDOM_TRIES)), [field.zero()])
+    beta_inv = beta.inverse()  # x / beta is x * beta.inverse()
     for a in candidates:
         try:
-            roots = kth_roots((alpha - a ** k1) / beta, k2)
+            roots = kth_roots((alpha - a ** k1) * beta_inv, k2)
         except Unsupported:  # number fields: only the root of zero is known
             continue
         if roots:

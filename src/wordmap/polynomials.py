@@ -235,7 +235,12 @@ class Poly:
 
 def approx_roots(p: Poly) -> list:
     """All complex roots of a real/complex-coefficient polynomial by the
-    Durand-Kerner iteration.  Desk-scale degrees only."""
+    Durand-Kerner iteration.  Desk-scale degrees only.
+
+    Each sweep runs the complex operations of the textbook loop
+    (``ref_durand_kerner`` in the tests) in the same order, and no
+    summation helper, whose rounding may depend on the interpreter, so
+    the returned floats are the same bits."""
     if p.degree < 1:
         return []
     coeffs = [complex(c) for c in p.reps]
@@ -243,28 +248,29 @@ def approx_roots(p: Poly) -> list:
     coeffs = [c / lead for c in coeffs]
     n = len(coeffs) - 1
     scale = 1.0 + max(abs(c) for c in coeffs[:-1])
+    tol = 1e-14 * scale
+    top_down = coeffs[::-1]
     roots = [(0.4 + 0.9j) ** k * scale for k in range(1, n + 1)]
-
-    def ev(z):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
     for _ in range(APPROX_ROOT_ITERATIONS):
         moved = 0.0
         new = []
         for i, z in enumerate(roots):
             denom = 1.0 + 0j
-            for j, w in enumerate(roots):
-                if i != j:
-                    denom *= (z - w)
+            for w in roots[:i]:
+                denom *= z - w
+            for w in roots[i + 1:]:
+                denom *= z - w
             if denom == 0:
                 denom = 1e-30
-            step = ev(z) / denom
+            acc = 0j
+            for c in top_down:
+                acc = acc * z + c
+            step = acc / denom
             new.append(z - step)
-            moved = max(moved, abs(step))
+            size = abs(step)
+            if size > moved:  # max(moved, size), NaN included
+                moved = size
         roots = new
-        if moved < 1e-14 * scale:
+        if moved < tol:
             break
     return roots

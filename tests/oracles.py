@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from wordmap.fields import enumerate_elements
 from wordmap.matrices import Matrix
-from wordmap.polynomials import Poly
+from wordmap.polynomials import APPROX_ROOT_ITERATIONS, Poly
 
 
 def poly_det(entries):
@@ -307,6 +307,44 @@ def naive_horner(coeffs, A):
         acc = Matrix(field, [[x + ident[i][j] * c for j, x in enumerate(row)]
                              for i, row in enumerate(prod.rows)])
     return acc
+
+
+def ref_durand_kerner(p):
+    """The Durand-Kerner loop in its textbook form, the reference for
+    ``approx_roots``' float bits: a nested Horner, the denominator over
+    every j != i, and ``max`` for the largest step."""
+    if p.degree < 1:
+        return []
+    coeffs = [complex(c) for c in p.reps]
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    n = len(coeffs) - 1
+    scale = 1.0 + max(abs(c) for c in coeffs[:-1])
+    roots = [(0.4 + 0.9j) ** k * scale for k in range(1, n + 1)]
+
+    def ev(z):
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+
+    for _ in range(APPROX_ROOT_ITERATIONS):
+        moved = 0.0
+        new = []
+        for i, z in enumerate(roots):
+            denom = 1.0 + 0j
+            for j, w in enumerate(roots):
+                if i != j:
+                    denom *= (z - w)
+            if denom == 0:
+                denom = 1e-30
+            step = ev(z) / denom
+            new.append(z - step)
+            moved = max(moved, abs(step))
+        roots = new
+        if moved < 1e-14 * scale:
+            break
+    return roots
 
 
 def brute_inverse(x):

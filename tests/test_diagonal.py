@@ -32,7 +32,13 @@ from wordmap.errors import (
     WordmapError,
     ZeroLeadingCoordinate,
 )
-from wordmap.fields import Field, kth_roots, parse_field_spec, regular_solution_search
+from wordmap.fields import (
+    Field,
+    extend,
+    kth_roots,
+    parse_field_spec,
+    regular_solution_search,
+)
 from wordmap.matrices import Matrix, Partition, charpoly, minpoly, nilpotent_partition
 from wordmap.polynomials import Poly
 from wordmap.words import DiagonalWord, eval_word
@@ -93,7 +99,10 @@ def test_scalar_two_solutions_not_found_small_field():
 # extensions); recorded before the two searches were merged.  GF(101^3) lies
 # above SCAN_BOUND, so its candidates are seeded random draws and then zero;
 # its one_digest was recorded again when zero was added, which turned its
-# one NotFound line (alpha = 0, k1 = k2 = 2, beta = 3) into (0, 0).
+# one NotFound line (alpha = 0, k1 = k2 = 2, beta = 3) into (0, 0).  Q(alpha)
+# has no field spec: its row names the modulus t^3 - 2 (``_scalar_field``)
+# and was recorded before the search inverted beta once per search.
+QA_SPEC = "Q[t]/(t^3-2)"
 SCALAR_GOLDEN = [
     ("Fp:7", "9e2ba55500ea92a4ce0ca5ae068a91f65186e7a65af06fe6207291757088181f",
      "10b771d86a50cde5de3e117941bbb024c1ad66d77359ac924b99a3424a7e50d2"),
@@ -105,7 +114,15 @@ SCALAR_GOLDEN = [
      "c6cb92c82a6cb211a59a00c7e189ba36d7fefadd79efa1ec400da79bd45c20da"),
     ("Q", "5c45b14edf43edcd086c5adb362efb2bd8057e781cfd9a742fb72a39f7e57c0a",
      "1b30d94301abbcd6b018c1e971aaa11ab832f057e2a4df4fd67eb3e884e1cc5d"),
+    (QA_SPEC, "44c70efbcd6820413c67088bff674bb60333132eb047357927d1cd51d283f2b3",
+     "bbc3f21ac2d3e0b6b31e612f06e99541ba17f9c4c0aae6be20a357568cc544f4"),
 ]
+
+
+def _scalar_field(spec):
+    if spec == QA_SPEC:
+        return extend(Field("rationals"), [-2, 0, 0, 1])[0]
+    return parse_field_spec(spec)
 
 
 def test_scalar_solution_above_scan_bound_tries_zero():
@@ -119,7 +136,7 @@ def test_scalar_solution_above_scan_bound_tries_zero():
 @pytest.mark.parametrize("spec,one_digest,two_digest", SCALAR_GOLDEN,
                          ids=[spec for spec, _, _ in SCALAR_GOLDEN])
 def test_scalar_solutions_are_pinned(spec, one_digest, two_digest):
-    field = parse_field_spec(spec)
+    field = _scalar_field(spec)
     if field.kind == "rationals":
         alphas = [field(v) for v in (0, 1, -1, 2, 7, "1/2", -19)]
     else:
@@ -139,6 +156,32 @@ def test_scalar_solutions_are_pinned(spec, one_digest, two_digest):
                     h.update((line + "\n").encode())
         digests.append(h.hexdigest())
     assert digests == [one_digest, two_digest]
+
+
+def test_scalar_search_inverts_beta_once(monkeypatch):
+    """Over Q(alpha), alpha^3 = 2, no small integer a has a^2 = alpha, so
+    the search tries every SMALL_INTEGERS candidate and raises NotFound; it
+    inverts beta once for all of them, not once per candidate."""
+    import wordmap.diagonal as diagonal_mod
+
+    field = _scalar_field(QA_SPEC)
+    t = field.generator()
+    calls = {"kth_roots": 0, "inverse": 0}
+    roots, inverse = diagonal_mod.kth_roots, field._rinv
+
+    def counted_roots(e, k):
+        calls["kth_roots"] += 1
+        return roots(e, k)
+
+    def counted_inverse(a):
+        calls["inverse"] += 1
+        return inverse(a)
+
+    monkeypatch.setattr(diagonal_mod, "kth_roots", counted_roots)
+    monkeypatch.setattr(field, "_rinv", counted_inverse)
+    with pytest.raises(NotFound):
+        scalar_solution(field, t, 2, 3, t + field(1))
+    assert calls == {"kth_roots": 21, "inverse": 1}
 
 
 # -- invertible Jordan blocks -------------------------------------------------

@@ -42,7 +42,7 @@ from wordmap.matrices import (
     generalized_jordan_form,
     krylov_annihilator,
 )
-from wordmap.polynomials import Poly
+from wordmap.polynomials import Poly, approx_roots
 from wordmap.words import DiagonalWord
 
 from oracles import (
@@ -61,6 +61,7 @@ from oracles import (
     naive_rank,
     naive_solve_right,
     rabin_irreducible,
+    ref_durand_kerner,
 )
 
 F4_SPEC = "Fq:p=2,d=2,mod=[1,1,1]"
@@ -354,6 +355,48 @@ def test_poly_pow_mod(spec, data, e):
     for _ in range(e):
         want = (want * a) % m
     assert a.pow_mod(e, m) == want % m
+
+
+def _durand_kerner_cases():
+    """Seeded real and complex polynomials of degree 1..10 whose coefficients
+    have magnitudes from 1e-3 to 1e28, repeated roots, zero constant terms,
+    and the charpoly of an 8x8 real S diag(1000, ..., 8000) S^-1."""
+    rng = random.Random(2025)
+    R, C = FIELDS["R:tol=1e-9"], FIELDS["C:tol=1e-9"]
+
+    def coeff(field, mag):
+        if field is R:
+            return rng.uniform(-1, 1) * mag
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mag
+
+    cases = []
+    for field in (R, C):
+        for deg in range(1, 11):
+            for mag in (1e-3, 1.0, 1e4, 1e16, 1e28, None):  # None: mixed magnitudes
+                cases.append(Poly(field, [
+                    coeff(field, 10.0 ** rng.uniform(-3, 28) if mag is None else mag)
+                    for _ in range(deg + 1)]))
+        cases.append(Poly(field, [0.0] + [coeff(field, 1e3) for _ in range(4)]))
+    cases += [Poly.from_roots(R, [2.0, 2.0, 2.0, -1.0]),
+              Poly.from_roots(C, [1j, 1j, -3.0, -3.0, 0.5, 0.0]),
+              Poly(R, [0.0, 0.0, 0.0, 1.0])]
+    S = Matrix(R, [[R(rng.uniform(-1, 1)) for _ in range(8)] for _ in range(8)])
+    D = Matrix(R, [[R(1000.0 * (i + 1) if i == j else 0.0) for j in range(8)]
+                   for i in range(8)])
+    cases.append(charpoly(S * D * S.inverse()))
+    return cases
+
+
+def test_approx_roots_bits_equal_the_textbook_loop():
+    """approx_roots against the Durand-Kerner loop as first written, every
+    real and imaginary part compared by float.hex: the same complex
+    operations in the same order give the same bits on every interpreter."""
+    def bits(zs):
+        return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+    for p in _durand_kerner_cases():
+        assert p.degree >= 1
+        assert bits(approx_roots(p)) == bits(ref_durand_kerner(p)), p
 
 
 # ----------------------------------------------------------------------
@@ -659,6 +702,34 @@ def test_rational_gcd_equals_the_generic_loop_on_repeated_factors():
         for x, y in ((f, kern.poly_derivative(f)), (f, g), (g, f), (f, []), ([], g)):
             want = [c.rep for c in naive_poly_gcd(Q.wrap(x), Q.wrap(y), Q)]
             assert kern.poly_gcd(x, y) == want == GenericKernel.poly_gcd(kern, x, y)
+
+
+def test_rational_mulmod_equals_the_list_product():
+    """The prepared integer fold over Q against one list product and
+    division, numerators and denominators alike: seeded g of degree 1..8
+    with integer or rational coefficients, monic or not, and reduced a, b,
+    the zero polynomial, trailing zeros and squares included."""
+    Q = FIELDS["Q"]
+    kern, rng = Q.kernel, random.Random(25)
+
+    def coeff(rational):
+        return Fraction(rng.randrange(-40, 41), rng.randrange(1, 12) if rational else 1)
+
+    def parts(xs):
+        assert all(type(x) is Fraction for x in xs)
+        return [(x.numerator, x.denominator) for x in xs]
+
+    for d in range(1, 9):
+        for rational, monic in itertools.product((False, True), repeat=2):
+            lead = Fraction(1) if monic else rng.choice((Fraction(-3), Fraction(5, 7), Fraction(2)))
+            g = [coeff(rational) for _ in range(d)] + [lead]
+            mulmod, lists = kern.poly_mulmod_fn(g), _mulmod_lists(kern, g)
+            for _ in range(6):
+                a = [coeff(rng.random() < 0.5) for _ in range(rng.randrange(d + 1))]
+                b = [coeff(rng.random() < 0.5) for _ in range(rng.randrange(d + 1))]
+                padded = a + [Fraction(0)] * (d - len(a))
+                for x, y in ((a, b), (b, a), (a, a), (padded, b), (a, []), ([], b)):
+                    assert parts(mulmod(x, y)) == parts(lists(x, y)), (g, x, y)
 
 
 # ----------------------------------------------------------------------
