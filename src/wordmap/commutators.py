@@ -39,7 +39,7 @@ from .errors import (
 from .fields import Field, FieldElement, enumerate_elements, random_element
 from .matrices import (
     Matrix,
-    _cyclic_basis,
+    _cyclic_basis_cols,
     _inverse_raw,
     _nullspace_raw,
     _solve_raw,
@@ -447,7 +447,8 @@ def _factorization_tasks(A: Matrix, blocks=None):
                                         * p ** blocks[j].size)
             B = Matrix.block_diag(field, [
                 Matrix.diagonal(field, [gamma]), blocks[j].realization()])
-            tasks.append((pair, [s, j], _cyclic_basis(B)))
+            W = Matrix._from_raw(field, _transpose(_cyclic_basis_cols(B)))
+            tasks.append((pair, [s, j], W))
         else:
             raise Unsupported("isolated scalar block with no partner (n >= 2 expected)")
     for i in bigs:

@@ -59,8 +59,7 @@ from .matrices import (
     _transpose,
     charpoly,
     eigenbasis,
-    nilpotent_conjugator,
-    nilpotent_partition,
+    nilpotent_jordan_basis,
 )
 from .polynomials import Poly
 from .reduction import BlockPlan, solve_blockwise
@@ -329,9 +328,11 @@ def junction_as_scaled_power(field: Field, partition: Partition, k: int,
     B0 = Matrix.block_diag(field, blocks)
     N = B0 ** k
     target = J.scale(beta.inverse())
-    if nilpotent_partition(N) != nilpotent_partition(target):
+    S1, l1 = nilpotent_jordan_basis(N)
+    S2, l2 = nilpotent_jordan_basis(target)
+    if l1 != l2:
         raise VerificationFailed("junction source has the wrong Jordan type")
-    Q = nilpotent_conjugator(N, target)
+    Q = S2 * S1.inverse()
     B = Q * B0 * Q.inverse()
     if not (B ** k).scale(beta).allclose(J):
         raise VerificationFailed("junction power witness failed")
@@ -402,22 +403,6 @@ def bordered_matrix(field: Field, eps: FieldElement, x, y, z: FieldElement) -> M
         M[n - 1][i] = y[i]
     M[n - 1][n - 1] = z
     return Matrix(field, M)
-
-
-def bordered_charpoly_closed_form(field: Field, eps: FieldElement, x, y,
-                            z: FieldElement) -> Poly:
-    """chi_M(T) for M(eps, x, y, z), written directly from the closed form:
-    coefficient of T^{n-j} is -eps^{j-2} * sum_{i=j-1}^{n-1} x_i y_{i-j+2}."""
-    n = len(x) + 1
-    coeffs = [field.zero()] * (n + 1)
-    coeffs[n] = field.one()
-    coeffs[n - 1] = -z
-    for j in range(2, n + 1):
-        acc = field.zero()
-        for i in range(j - 1, n):
-            acc = acc + x[i - 1] * y[i - j + 1]
-        coeffs[n - j] = -(eps ** (j - 2)) * acc
-    return Poly(field, coeffs)
 
 
 def bordered_solve(field: Field, eps: FieldElement, z: FieldElement, mu, k: int,
@@ -557,11 +542,13 @@ def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
         if not b2.x[n - 2].is_zero():
             raise VerificationFailed("mu_n = 0 must force x_{n-1} = 0")
         R = b1.matrix + b2.matrix
-        if nilpotent_partition(R) != Partition((n,)):
+        S1, lengths = nilpotent_jordan_basis(R)
+        if lengths != (n,):
             raise VerificationFailed("bordered sum is not a full nilpotent block")
-        Qc = nilpotent_conjugator(R, target)
-        X = Qc * b1.witness * Qc.inverse()
-        Y = Qc * b2.witness * Qc.inverse()
+        Qc = nilpotent_jordan_basis(target)[0] * S1.inverse()
+        Qc_inv = Qc.inverse()
+        X = Qc * b1.witness * Qc_inv
+        Y = Qc * b2.witness * Qc_inv
         _check_two_term(X, Y, k1, k2, beta, target)
         return X, Y
     raise NotFound(

@@ -45,6 +45,11 @@ implementations, picked by the field kind:
                   element-by-element arithmetic, so R/C results are the
                   same floats FieldElement operators give
 
+Every power by squaring (field elements, ``matpow``, ``poly_powmod``,
+Poly and whole-space powers) runs one loop, ``_binary_power``; each caller
+picks its start, so the products and their order are those of its own
+former loop.
+
 Matrix and Poly store raw reps in the kernel's format, so kernel output is
 stored as it comes; FieldElements are made only where a caller reads an
 entry or a coefficient.  Extension fields have no arithmetic of their own:
@@ -208,7 +213,7 @@ class FieldElement:
         return FieldElement(self.field, self.field._rinv(self.rep))
 
     def is_zero(self) -> bool:
-        return self.field.is_zero_raw(self.rep)
+        return self.field.kernel.is_zero(self.rep)
 
     def is_close(self, other) -> bool:
         """Equality up to the field tolerance (exact equality for exact kinds)."""
@@ -245,6 +250,20 @@ def _integer(value) -> int:
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"not an integer: {value!r}") from exc
     return n
+
+
+def _binary_power(mul, x, k: int, result=None):
+    """x^k by binary powering under the product ``mul``: x's repeated
+    squares are multiplied into ``result`` at the set bits of k, from the
+    lowest, starting from x itself when result is None (then k >= 1, or the
+    answer is None), and the last, unused squaring is skipped."""
+    while k:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return result
 
 
 class Field:
@@ -390,22 +409,9 @@ class Field:
     # -- basic raw helpers ------------------------------------------------
 
     def _rpow(self, a, k: int):
-        """a^k by binary powering; the last, unused squaring is skipped."""
-        result = self._one_raw
-        while k:
-            if k & 1:
-                result = self._rmul(result, a)
-            k >>= 1
-            if k:
-                a = self._rmul(a, a)
-        return result
-
-    def is_zero_raw(self, a) -> bool:
-        if self.kind == "real":
-            return abs(a) <= self.tolerance
-        if self.kind == "complex":
-            return abs(a) <= self.tolerance
-        return a == self._zero_raw
+        """a^k by binary powering from one: the first product is one * a,
+        on which the signed zeros of some R/C powers depend."""
+        return _binary_power(self._rmul, a, k, self._one_raw)
 
     def close_raw(self, a, b) -> bool:
         if self.kind in ("real", "complex"):
@@ -707,15 +713,8 @@ class GenericKernel:
 
     def matpow(self, A, k: int):
         """A^k for k >= 1: binary powering that starts from A itself (not
-        from the identity) and skips the final, unused squaring."""
-        result = None
-        while True:
-            if k & 1:
-                result = A if result is None else self.matmul(result, A)
-            k >>= 1
-            if not k:
-                return result
-            A = self.matmul(A, A)
+        from the identity)."""
+        return _binary_power(self.matmul, A, k)
 
     def echelon(self, rows, ncols: int = None) -> list:
         """Reduced row echelon form over the first ``ncols`` columns, in
@@ -835,6 +834,17 @@ class GenericKernel:
         reduced mod g."""
         return _mulmod_lists(self, g)
 
+    def _xpow_rows(self, g):
+        """The rows x^(d+j) mod g, d = deg g and j = 0..d-2 (one row when
+        d < 2), by x^d = -(g_0 + ... + g_(d-1) x^(d-1)) / g_d and
+        x^(d+j) = x * x^(d+j-1), both mod g."""
+        d = len(g) - 1
+        rows = [self.vscale(g[:d], self.rneg(self.inv(g[-1])))]
+        for _ in range(d - 2):
+            row = rows[-1]
+            rows.append(self.vadd([self.zero] + row[:-1], self.vscale(rows[0], row[-1])))
+        return rows
+
     def poly_powmod(self, a, e: int, m, mulmod=None):
         """a^e mod m by binary powering, through ``mulmod``, a product mod m
         from ``poly_mulmod_fn(m)``, prepared here when none is given and a
@@ -843,13 +853,7 @@ class GenericKernel:
             mulmod = self.poly_mulmod_fn(m)
         cur = self.poly_divmod(a, m)[1]
         result = None if e else self.poly_divmod([self.one], m)[1]
-        while e:
-            if e & 1:
-                result = cur if result is None else mulmod(result, cur)
-            e >>= 1
-            if e:
-                cur = mulmod(cur, cur)
-        return result
+        return _binary_power(mulmod, cur, e, result)
 
 
 def _mulmod_lists(kern, g):
@@ -1098,15 +1102,7 @@ class PrimeKernel(GenericKernel):
             return _mulmod_lists(self, g)
         m, mul, trim = self.m, operator.mul, self.poly_trim
         width, code = slot
-        # rows j = 0..d-2: x^(d+j) mod g, by x^(d+j) = x * x^(d+j-1)
-        inv = m - pow(g[-1], -1, m)
-        rows = [[c * inv % m for c in g[:d]]]
-        for _ in range(d - 2):
-            row = rows[-1]
-            top = row[-1]
-            rows.append([(a + top * b) % m
-                         for a, b in zip(itertools.chain((0,), row), rows[0])])
-        packs = [_pack(row, code) for row in rows]
+        packs = [_pack(row, code) for row in self._xpow_rows(g)]
         shift = 8 * width * d
         low = (1 << shift) - 1
 
@@ -1241,13 +1237,7 @@ class RationalKernel(GenericKernel):
         its d low ones, and one Fraction over D*du*dv per coefficient.  The
         remainder is unique, so this is the list product and division."""
         d = len(g) - 1
-        # x^d = r_0 and x^(d+j) = x * x^(d+j-1) mod g, over Q
-        inv = -1 / Fraction(g[-1])
-        rows = [[c * inv for c in g[:d]]]
-        for _ in range(d - 2):
-            row = rows[-1]
-            top = row[-1]
-            rows.append([a + top * b for a, b in zip(itertools.chain((0,), row), rows[0])])
+        rows = self._xpow_rows(g)
         flat, den = _cleared([c for row in rows for c in row])
         rows = [flat[j * d:(j + 1) * d] for j in range(len(rows))]
 
@@ -1557,7 +1547,7 @@ def kth_roots(e: FieldElement, k: int) -> list:
         return roots
     if field.kind == "ext":
         # number field Q(alpha): only the trivial root is recognised
-        if field.is_zero_raw(e.rep):
+        if field.kernel.is_zero(e.rep):
             return [field.zero()]
         raise Unsupported("k-th roots in number fields are not supported")
     if field.kind == "rationals":

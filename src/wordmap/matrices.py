@@ -24,11 +24,17 @@ among them, take Berkowitz's chi and the nullspaces of p(A)^j.  On the
 comm-f101 benchmark some candidate is cyclic for 898 of 900 Jordan forms
 of seed 1.
 
+Nilpotent structure.  A nilpotent N's Jordan type and its chain basis
+come from one pass, the kernel chain ker N, ker N^2, ... of
+``_chain_filtration``: ``nilpotent_partition`` reads the chain lengths,
+``nilpotent_jordan_basis`` the chains themselves, and no rank of a power
+is computed.
+
 Verification rule: a result is checked where a public entry point returns
 it (``generalized_jordan_form``), where a failed check selects another
 attempt (the cluster-radius loop), or where the next step needs it.  The
-helpers that build a basis or conjugator for a solver (``eigenbasis``,
-``nilpotent_conjugator``) check nothing; the public solve that uses them
+helpers that build a basis for a solver (``eigenbasis``,
+``nilpotent_jordan_basis``) check nothing; the public solve that uses them
 verifies its finished witness once.
 
 Conventions.  The companion matrix of p(x) = x^n + a_{n-1}x^{n-1} + ... + a_0
@@ -56,7 +62,7 @@ from .errors import (
     UsageError,
     VerificationFailed,
 )
-from .fields import Field, FieldElement, enumerate_elements
+from .fields import Field, FieldElement, _binary_power, enumerate_elements
 from .polynomials import Poly, approx_roots
 
 # Newton steps ``_newton_refine_root`` takes at most.
@@ -592,14 +598,7 @@ class MatrixSpace:
 
     def power(self, X, k: int) -> list:
         """X^k for k >= 1, by the binary powering of ``kernel.matpow``."""
-        result = None
-        while True:
-            if k & 1:
-                result = X if result is None else self.matmul(result, X)
-            k >>= 1
-            if not k:
-                return result
-            X = self.matmul(X, X)
+        return _binary_power(self.matmul, X, k)
 
 
 class _Echelon:
@@ -741,25 +740,12 @@ def is_nilpotent(A: Matrix) -> bool:
 
 
 def nilpotent_partition(A: Matrix) -> Partition:
-    """Jordan partition of a nilpotent matrix from ranks of its powers."""
+    """Jordan partition of a nilpotent matrix: the lengths of its kernel
+    chains (``_chain_filtration``)."""
     _require_square(A)
     if not is_nilpotent(A):
         raise NotNilpotent("matrix is not nilpotent")
-    n = A.nrows
-    ranks = [n]
-    P = Matrix.identity(A.field, n)
-    for _ in range(n + 1):
-        P = P * A
-        ranks.append(P.rank())
-        if ranks[-1] == 0:
-            break
-    while len(ranks) < n + 2:
-        ranks.append(0)
-    parts = []
-    for s in range(1, n + 1):
-        mult = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        parts.extend([s] * mult)
-    return Partition(tuple(sorted(parts)))
+    return Partition(tuple(sorted(level for _, level in _chain_filtration(A, A, 1))))
 
 
 def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
@@ -941,13 +927,19 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
         pairs = [(t.poly, t.multiplicity) for t in factor(chi).factors]
         block_data = _jordan_block_data(A, pairs, krylov)
     else:
-        # numeric root clusters are validated by the chain structure; widen
-        # the cluster radius until the multiplicities are consistent.  The
-        # spectrum is computed once; a radius that reproduces clusters
-        # already rejected is not checked again (the chain check depends
-        # only on A and the clusters, so it would fail the same way).
+        # (poly, multiplicity) clusters come from the numeric roots.  A root
+        # of multiplicity m is only located to about eps^(1/m) by the
+        # global iteration, so the cluster radius widens until the chain
+        # structure validates the clusters; over R every complex cluster
+        # must find a conjugate partner at that radius.  Cluster centers are
+        # polished by Newton on a derivative of the characteristic
+        # polynomial.  The spectrum is computed once; a radius that
+        # reproduces clusters already rejected is not checked again (the
+        # chain check depends only on A and the clusters, so it would fail
+        # the same way).
         chi = charpoly(A)
         roots = approx_roots(chi)
+        coeffs = [complex(c) for c in chi.reps]
         scale = 1.0 + max(abs(r) for r in roots) if roots else 1.0
         last_err = None
         block_data = None
@@ -958,7 +950,7 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
                 last_err = VerificationFailed("eigenvalue cluster radius escalation exhausted")
                 break
             try:
-                pairs = _approx_charpoly_factors(chi, roots, radius)
+                pairs = _pair_clusters(field, _cluster_roots(roots, radius), radius, coeffs)
             except VerificationFailed as exc:  # an unpaired complex cluster over R
                 last_err = exc
                 continue
@@ -1020,15 +1012,11 @@ def _cyclic_krylov(A: Matrix):
     return None
 
 
-def _cyclic_basis(M: Matrix) -> Matrix:
-    """Krylov basis from a cyclic vector of M (M must be non-derogatory)."""
-    return Matrix._from_raw(M.field, _transpose(_cyclic_basis_cols(M)))
-
-
 def _cyclic_basis_cols(M: Matrix) -> list:
-    """The columns of ``_cyclic_basis(M)`` as raw vectors.  Candidates, in
-    order: the standard basis vectors, then sums of two of them, then the
-    sums of the first 3, 4, ..., n."""
+    """The columns, as raw vectors, of a Krylov basis from a cyclic vector
+    of M (M must be non-derogatory).  Candidates, in order: the standard
+    basis vectors, then sums of two of them, then the sums of the first 3,
+    4, ..., n."""
     field = M.field
     kern = field.kernel
     n = M.nrows
@@ -1153,21 +1141,6 @@ def _cluster_roots(roots, radius):
     return clusters
 
 
-def _approx_charpoly_factors(chi: Poly, roots, radius: float) -> list:
-    """(poly, multiplicity) clusters over R/C from numeric roots.
-
-    The caller computes the spectrum once, ``chi`` and its Durand-Kerner
-    ``roots``, and passes it in for every cluster radius it tries.  A root
-    of multiplicity m is only located to about eps^(1/m) by the global
-    iteration, so the caller escalates ``radius`` until the chain structure
-    validates the clusters; over R every complex cluster must find a
-    conjugate partner at that radius.  Cluster centers are polished by
-    Newton on a derivative of the characteristic polynomial.
-    """
-    coeffs = [complex(c) for c in chi.reps]
-    return _pair_clusters(chi.field, _cluster_roots(roots, radius), radius, coeffs)
-
-
 def _pairs_key(pairs) -> tuple:
     """The clusters of one attempt with their float bits exact (-0.0 and
     0.0 differ), for recognising clusters that were already tried."""
@@ -1234,7 +1207,7 @@ def companion_lift(W: Matrix, p: Poly, root: complex = None) -> Matrix:
         def lift_entry(x):
             out = Matrix.zeros(base, d, d)
             for i, c in enumerate(x):
-                if not base.is_zero_raw(c):
+                if not base.kernel.is_zero(c):
                     out = out + powers[i].scale(base.element(c))
             return out
     elif wf.kind == "complex" and base.kind == "real" and d == 2 and root is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import DescriptorMismatch, UsageError, ZeroPolynomial
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _binary_power
 
 # Durand-Kerner sweeps ``approx_roots`` makes at most.
 APPROX_ROOT_ITERATIONS = 400
@@ -23,7 +23,7 @@ class Poly:
 
     def __init__(self, field: Field, coeffs: Sequence = ()):
         reps = [field(c).rep for c in coeffs]
-        while reps and field.is_zero_raw(reps[-1]):
+        while reps and field.kernel.is_zero(reps[-1]):
             reps.pop()
         self.field = field
         self.reps = tuple(reps)
@@ -107,7 +107,7 @@ class Poly:
         field = self.field
         parts = []
         for i, c in enumerate(self.reps):
-            if field.is_zero_raw(c):
+            if field.kernel.is_zero(c):
                 continue
             c = field.format_raw(c)
             if i == 0:
@@ -156,15 +156,7 @@ class Poly:
             raise UsageError(f"polynomial powers need an int exponent, got {type(k).__name__}")
         if k < 0:
             raise UsageError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:  # the last squaring would go unused
-                base = base * base
-        return result
+        return _binary_power(Poly.__mul__, self, k, Poly.one(self.field))
 
     def divmod(self, other: "Poly") -> tuple:
         self._check(other)
@@ -194,11 +186,6 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.field)
         return ((self * other) // self.gcd(other)).monic()
-
-    def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        self._check(mod)
-        return Poly._from_raw(self.field,
-                              self.field.kernel.poly_powmod(self.reps, e, mod.reps))
 
     def __call__(self, x):
         """Horner evaluation; x may be a FieldElement or a square Matrix."""

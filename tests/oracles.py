@@ -478,6 +478,11 @@ def ref_sqrt_tonelli_shanks(e):
     return x
 
 
+def _pow_mod(a, e, m):
+    """a^e mod m by the kernel's modular power."""
+    return Poly._from_raw(a.field, a.field.kernel.poly_powmod(a.reps, e, m.reps))
+
+
 def rabin_irreducible(mod, base):
     """Rabin's irreducibility test (Rabin 1980) for a monic polynomial of
     degree d >= 1 over a finite field F_q, raw coefficients low degree
@@ -487,10 +492,10 @@ def rabin_irreducible(mod, base):
     m = Poly(base, [base.element(c) for c in mod])
     d, q = m.degree, base.cardinality
     x = Poly.x(base)
-    if x.pow_mod(q ** d, m) != x % m:
+    if _pow_mod(x, q ** d, m) != x % m:
         return False
     primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
-    return all(m.gcd(x.pow_mod(q ** (d // r), m) - x).degree == 0 for r in primes)
+    return all(m.gcd(_pow_mod(x, q ** (d // r), m) - x).degree == 0 for r in primes)
 
 
 def power_per_degree_distinct_degree(f):
@@ -509,10 +514,89 @@ def power_per_degree_distinct_degree(f):
         if 2 * d > g.degree:
             out.append((g, g.degree))
             break
-        h = h.pow_mod(q, g)
+        h = _pow_mod(h, q, g)
         gd = g.gcd(h - x)
         if gd.degree > 0:
             out.append((gd, d))
             g = g // gd
             h = h % g
     return out
+
+
+def bordered_charpoly_closed_form(field, eps, x, y, z) -> Poly:
+    """chi_M(T) for M(eps, x, y, z), written directly from the closed form:
+    coefficient of T^{n-j} is -eps^{j-2} * sum_{i=j-1}^{n-1} x_i y_{i-j+2}."""
+    n = len(x) + 1
+    coeffs = [field.zero()] * (n + 1)
+    coeffs[n] = field.one()
+    coeffs[n - 1] = -z
+    for j in range(2, n + 1):
+        acc = field.zero()
+        for i in range(j - 1, n):
+            acc = acc + x[i - 1] * y[i - j + 1]
+        coeffs[n - j] = -(eps ** (j - 2)) * acc
+    return Poly(field, coeffs)
+
+
+# The five binary powering loops that ``fields._binary_power`` replaced,
+# as they were written in Field._rpow, GenericKernel.matpow,
+# GenericKernel.poly_powmod, Poly.__pow__ and MatrixSpace.power: the
+# references of the bit pin in test_kernels.
+
+def loop_rpow(field, a, k: int):
+    result = field._one_raw
+    while k:
+        if k & 1:
+            result = field._rmul(result, a)
+        k >>= 1
+        if k:
+            a = field._rmul(a, a)
+    return result
+
+
+def loop_matpow(kern, A, k: int):
+    result = None
+    while True:
+        if k & 1:
+            result = A if result is None else kern.matmul(result, A)
+        k >>= 1
+        if not k:
+            return result
+        A = kern.matmul(A, A)
+
+
+def loop_poly_powmod(kern, a, e: int, m, mulmod=None):
+    if mulmod is None and e > 1:
+        mulmod = kern.poly_mulmod_fn(m)
+    cur = kern.poly_divmod(a, m)[1]
+    result = None if e else kern.poly_divmod([kern.one], m)[1]
+    while e:
+        if e & 1:
+            result = cur if result is None else mulmod(result, cur)
+        e >>= 1
+        if e:
+            cur = mulmod(cur, cur)
+    return result
+
+
+def loop_poly_pow(p, k: int):
+    result = Poly.one(p.field)
+    base = p
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:  # the last squaring would go unused
+            base = base * base
+    return result
+
+
+def loop_space_power(space, X, k: int):
+    result = None
+    while True:
+        if k & 1:
+            result = X if result is None else space.matmul(result, X)
+        k >>= 1
+        if not k:
+            return result
+        X = space.matmul(X, X)

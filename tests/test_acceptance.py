@@ -19,7 +19,6 @@ from wordmap.diagonal import (
     junction_as_scaled_power,
     junction_matrix,
     nilpotent_power_partition,
-    bordered_charpoly_closed_form,
     solve_diagonal_word,
 )
 from wordmap.fields import Field, regular_solution_search
@@ -27,7 +26,12 @@ from wordmap.matrices import Matrix, Partition, charpoly, nilpotent_partition
 from wordmap.polynomials import Poly
 from wordmap.words import CommutatorProduct, DiagonalWord, eval_word
 
-from oracles import all_matrices, charpoly_cofactor, random_matrix
+from oracles import (
+    all_matrices,
+    bordered_charpoly_closed_form,
+    charpoly_cofactor,
+    random_matrix,
+)
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)

@@ -19,7 +19,6 @@ from wordmap.diagonal import (
     junction_matrix,
     large_nilpotent_decompose,
     nilpotent_power_partition,
-    bordered_charpoly_closed_form,
     scalar_solution,
     scalar_two_solutions,
     small_nilpotent_decompose,
@@ -43,7 +42,13 @@ from wordmap.matrices import Matrix, Partition, charpoly, minpoly, nilpotent_par
 from wordmap.polynomials import Poly
 from wordmap.words import DiagonalWord, eval_word
 
-from oracles import all_matrices, charpoly_cofactor, naive_power, random_matrix
+from oracles import (
+    all_matrices,
+    bordered_charpoly_closed_form,
+    charpoly_cofactor,
+    naive_power,
+    random_matrix,
+)
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -251,6 +256,27 @@ def test_junction_as_scaled_power_examples():
     assert (B ** 2).scale(F7(3)) == spec.realization
     B, spec = junction_as_scaled_power(F7, Partition((2, 2)), 1, F7(3))
     assert B.scale(F7(3)) == spec.realization
+
+
+def test_nilpotent_types_come_from_one_chain_pass_per_matrix(monkeypatch):
+    """The junction and the bordered route read each nilpotent's Jordan
+    type and chain basis from one ``nilpotent_jordan_basis`` call, so each
+    of the two matrices they conjugate is tested for nilpotency once."""
+    import wordmap.matrices as matrices_mod
+
+    calls = []
+    inner = matrices_mod.is_nilpotent
+
+    def counted(A):
+        calls.append(A.nrows)
+        return inner(A)
+
+    monkeypatch.setattr(matrices_mod, "is_nilpotent", counted)
+    junction_as_scaled_power(F7, (3, 4), 2, 3)
+    assert len(calls) == 2
+    calls.clear()
+    small_nilpotent_decompose(F101, 3, 2, 2, 1)
+    assert len(calls) == 2
 
 
 def test_junction_many_parts_needs_multiple_blocks():

@@ -47,6 +47,11 @@ from wordmap.words import DiagonalWord
 
 from oracles import (
     brute_inverse,
+    loop_matpow,
+    loop_poly_pow,
+    loop_poly_powmod,
+    loop_rpow,
+    loop_space_power,
     random_invertible,
     naive_apply,
     naive_berkowitz,
@@ -354,7 +359,69 @@ def test_poly_pow_mod(spec, data, e):
     want = Poly.one(field)
     for _ in range(e):
         want = (want * a) % m
-    assert a.pow_mod(e, m) == want % m
+    assert Poly._from_raw(field, field.kernel.poly_powmod(a.reps, e, m.reps)) == want % m
+
+
+def _hex(rep):
+    if isinstance(rep, complex):
+        return (rep.real.hex(), rep.imag.hex())
+    return rep.hex()
+
+
+def _hex_rows(rows):
+    return None if rows is None else [[_hex(x) for x in row] for row in rows]
+
+
+SIGNED_FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 1.1, -1.25)
+
+
+def test_binary_power_bits_equal_the_five_loops():
+    """The one binary power against the five loops it replaced (kept in
+    oracles), float bits and signed zeros included: element powers over R
+    and C, whose first product from one is one * a, polynomial powers and
+    modular powers over C, and matrix powers over R."""
+    R, C = FIELDS["R:tol=1e-9"], FIELDS["C:tol=1e-9"]
+    reals = SIGNED_FLOATS + (1e-10, -3.0)
+    complexes = [complex(a, b) for a in SIGNED_FLOATS for b in SIGNED_FLOATS]
+    for field, xs in ((R, reals), (C, complexes)):
+        for x in xs:
+            for k in range(71):
+                assert _hex((field.element(x) ** k).rep) == _hex(loop_rpow(field, x, k))
+    rng = random.Random(27)
+    kern = C.kernel
+    for _ in range(6):
+        reps = [complex(rng.choice(SIGNED_FLOATS), rng.choice(SIGNED_FLOATS))
+                for _ in range(3)] + [complex(1.0, rng.choice(SIGNED_FLOATS))]
+        p = Poly._from_raw(C, reps)
+        m = Poly._from_raw(C, reps[1:] + [complex(0.5, -0.0)])
+        for k in range(21):
+            assert [_hex(c) for c in (p ** k).reps] == [_hex(c) for c in loop_poly_pow(p, k).reps]
+        for e in range(41):
+            assert ([_hex(c) for c in kern.poly_powmod(p.reps, e, m.reps)]
+                    == [_hex(c) for c in loop_poly_powmod(kern, p.reps, e, m.reps)])
+    kern = R.kernel
+    for n in (1, 2, 3):
+        A = Matrix._from_raw(R, [[rng.choice(SIGNED_FLOATS) for _ in range(n)]
+                                 for _ in range(n)])
+        for k in range(71):
+            want = _hex_rows(loop_matpow(kern, A.reps, k))
+            assert _hex_rows(kern.matpow(A.reps, k)) == want
+            if k:
+                assert _hex_rows((A ** k).reps) == want
+
+
+def test_matrix_space_power_equals_the_kernel_power():
+    """MatrixSpace.power on the planes of all of M_2(F_3) against
+    kernel.matpow, matrix by matrix, and against its former loop."""
+    field = FIELDS["Fp:3"]
+    space = MatrixSpace(field, 2)
+    whole = space.planes()
+    for k in range(1, 10):
+        planes = space.power(whole, k)
+        assert planes == loop_space_power(space, whole, k)
+        for code, got in enumerate(space.codes(planes)):
+            assert (space.matrix_at(got).reps
+                    == Matrix._from_raw(field, field.kernel.matpow(space.rows_at(code), k)).reps)
 
 
 def _durand_kerner_cases():
