@@ -20,6 +20,17 @@ assembly, and the routes of ``_commutator``, whose component split recurses
 into ``_commutator`` rather than the public function) check nothing that a
 later gate checks again; the linear search's partner check stays, since
 its failure selects the next candidate.
+
+Exact shortcuts.  Over exact kinds a product by a permutation or an
+identity matrix is done as the reordering it is: the task layout's
+permutation applied to the Jordan conjugator (and, when no companion
+merge happened, to its inverse), the pairing permutation of
+``diagonal_trace_zero``, the row rotation of the m >= 6 peel, and Shoda's
+[D, B] when no shear ran; ``solve_commutator_product`` conjugates its four
+inner factors once, by G2*G, since exact products associate.  The values
+are unique, so the witnesses are those of the dense products.  R and C
+keep the dense products: they skip tolerance-zero left factors and turn
+-0.0 into 0.0, and those float bits are part of their witnesses.
 """
 
 from __future__ import annotations
@@ -201,10 +212,17 @@ def diagonal_trace_zero(entries) -> TraceZeroPair:
         z = Matrix.zeros(field, len(zeros), len(zeros))
         blocks1.append(z)
         blocks2.append(z)
-    P = Matrix.permutation(field, order)
     t1 = Matrix.block_diag(field, blocks1)
     t2 = Matrix.block_diag(field, blocks2)
-    Pi = Matrix.permutation(field, sorted(range(n), key=order.__getitem__))  # P^-1
+    inv = sorted(range(n), key=order.__getitem__)
+    if field.is_exact:
+        # P^-1 t P, P = Matrix.permutation(field, order), reorders the rows
+        # and columns of t: its (a, b) entry is t[inv[a]][inv[b]]
+        t1, t2 = (Matrix._from_raw(field, [[t.reps[i][j] for j in inv] for i in inv])
+                  for t in (t1, t2))
+        return _checked_pair(t1, t2, target)
+    P = Matrix.permutation(field, order)
+    Pi = Matrix.permutation(field, inv)  # P^-1
     return _checked_pair(Pi * t1 * P, Pi * t2 * P, target)
 
 
@@ -491,13 +509,21 @@ def _factorization_tasks(A: Matrix, blocks=None):
     bases = [Matrix.identity(field, t1.nrows) if W is None else W for (t1, _), _, W in tasks]
     Rall = Matrix.block_diag(field, [B if W is None else B.inverse()
                                      for (_, _, W), B in zip(tasks, bases)])
-    G = Rall * Matrix.permutation(field, order)
-    if P is not None:
-        G = G * P
     pairs = [pair for pair, _, _ in tasks]
     if not field.is_exact:
-        return pairs, G, None
-    # G^-1 = P^-1 Pi^-1 Rall^-1, Pi the permutation, whose inverse reorders rows
+        G = Rall * Matrix.permutation(field, order)
+        return pairs, (G if P is None else G * P), None
+    # G = Rall Pi P, Pi the permutation, where Pi P reorders the rows of P
+    # and Rall = I unless a companion merge happened
+    merged = any(W is not None for _, _, W in tasks)
+    G = (Matrix.permutation(field, order) if P is None
+         else Matrix._from_raw(field, [P.reps[t] for t in order]))
+    if merged:
+        G = Rall * G
+    elif P is not None:
+        # G^-1 = P^-1 Pi^-1 reorders the columns of P^-1
+        return pairs, G, Matrix._from_raw(field, [[row[t] for t in order] for row in Pinv.reps])
+    # G^-1 = P^-1 Pi^-1 Rall^-1, whose factor Pi^-1 reorders rows
     Rinv = Matrix.block_diag(field, bases).reps
     Gi = Matrix._from_raw(field, [Rinv[t] for t in sorted(range(len(order)),
                                                            key=order.__getitem__)])
@@ -604,17 +630,30 @@ def _zero_diag_commutator(T: Matrix):
     S, Si, Z = res
     kern = field.kernel
     rmul, rsub, inv, zero = kern.rmul, kern.rsub, kern.inv, kern.zero
+    exact = kern.exact
     if field.is_finite:
         dvals = [e.rep for _, e in zip(range(n), enumerate_elements(field))]
     else:
         dvals = [field(i).rep for i in range(n)]
+    # 1/(d_i - d_j); over exact kinds 1/(d_j - d_i) is its negative
+    inv_diff = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = inv_diff[i, j] = inv(rsub(dvals[i], dvals[j]))
+            inv_diff[j, i] = kern.rneg(c) if exact else inv(rsub(dvals[j], dvals[i]))
     D = [[dvals[i] if i == j else zero for j in range(n)] for i in range(n)]
-    B = [[zero if i == j else rmul(Z[i][j], inv(rsub(dvals[i], dvals[j])))
+    B = [[zero if i == j else rmul(Z[i][j], inv_diff[i, j])
           for j in range(n)] for i in range(n)]
-    if Si is None:
-        Si = _inverse_raw(field, S)
     matmul = kern.matmul
-    return (Matrix._from_raw(field, matmul(matmul(Si, D), S)),
+    if not exact:
+        Si = _inverse_raw(field, S)
+        return (Matrix._from_raw(field, matmul(matmul(Si, D), S)),
+                Matrix._from_raw(field, matmul(matmul(Si, B), S)))
+    # S = I when T's diagonal was zero already: no shear ran
+    if all(kern.is_zero(row[i]) for i, row in enumerate(T.reps)):
+        return Matrix._from_raw(field, D), Matrix._from_raw(field, B)
+    SiD = [[rmul(x, d) for x, d in zip(row, dvals)] for row in Si]  # a column scaling
+    return (Matrix._from_raw(field, matmul(SiD, S)),
             Matrix._from_raw(field, matmul(matmul(Si, B), S)))
 
 
@@ -781,8 +820,12 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
             raise Unsupported("peeling needs n >= 2")
         U = Matrix.cyclic_shift(field, n)
         xu, yu = trace_zero_to_commutator(U, seed)
-        Ui = Matrix.permutation(field, [(t - 1) % n for t in range(n)])
-        rest_target = (Ui ** peel) * M
+        if field.is_exact:
+            # U^-peel M moves row t - peel of M to row t
+            rest_target = Matrix._from_raw(field, [M.reps[(t - peel) % n] for t in range(n)])
+        else:
+            Ui = Matrix.permutation(field, [(t - 1) % n for t in range(n)])
+            rest_target = (Ui ** peel) * M
         for _ in range(peel):
             mats_mid.extend([xu, yu])
         u, v, G2, G2i = _factor_two_canonical(rest_target)
@@ -790,6 +833,12 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         u, v, G2, G2i = _factor_two_canonical(M, blocks)
     x1, x2 = trace_zero_to_commutator(u, seed)
     x3, x4 = trace_zero_to_commutator(v, seed)
-    mats_mid.extend([G2i * x * G2 for x in (x1, x2, x3, x4)])
-    mats = [Gi * x * G for x in mats_mid]
+    inner = (x1, x2, x3, x4)
+    if field.is_exact:
+        # Gi (G2i x G2) G = (Gi G2i) x (G2 G): exact products associate
+        Hi, H = Gi * G2i, G2 * G
+        mats = [Gi * x * G for x in mats_mid] + [Hi * x * H for x in inner]
+    else:
+        mats_mid.extend([G2i * x * G2 for x in inner])
+        mats = [Gi * x * G for x in mats_mid]
     return make_witness(word, A, mats, conjugators=(G, G2))

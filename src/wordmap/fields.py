@@ -10,6 +10,20 @@ overloads the operators.  Raw representations:
   real       float
   complex    complex
 
+The rational core.  Q's element closures are int-pair functions, the
+gcd-reduced sum and product of CPython 3.12's ``fractions``, and every
+Fraction that they and RationalKernel compute comes from ``_ratio`` (any
+int pair, normalised) or ``_rational`` (a coprime pair with positive
+denominator).  ``_rational`` fills Fraction's two private slots itself,
+as CPython 3.12+ does in ``Fraction._from_coprime_ints``: the
+constructor's type dispatch and normalisation took a fifth of the
+slowest Q solves.  A normalised Fraction is unique, so values, hashes and
+everything built from them are those of Fraction arithmetic.
+``_rational`` is the only code that touches the private slots (a CI step
+checks it); the closures read the public ``numerator`` and
+``denominator``, so ints pass through them too, and a property test
+compares them with the fractions module on every supported Python.
+
 Kernel layer.  Each field also builds one immutable raw kernel
 (``Field.kernel``) that does the dense work on lists of raw reps: dot
 products, matrix products and powers, prepared matrix-vector products
@@ -29,17 +43,18 @@ implementations, picked by the field kind:
                   big int (a product mod g of degree 12 over F_101 takes
                   an eighth of the list loops' time), and the gcd
                   takes the usual Euclid step in one pass
-  RationalKernel  Q on integers: dot and matrix products clear rows and
-                  columns to one common denominator, echelon is
-                  fraction-free Gauss-Jordan on primitive integer rows,
-                  the gcd runs on primitive integer remainders, and a
-                  product mod g is one integer convolution whose high
-                  coefficients fold onto the low ones on the rows
-                  x^(d+j) mod g, cleared to integers once (the product
-                  of Q(alpha): per product on a 2-core x86-64 host,
-                  3.4x faster than the list product and division at
-                  d = 2, 7-8x at d = 4 and 11-12x at d = 8); the other
-                  ops are the generic ones
+  RationalKernel  Q on integers: dot, matrix and prepared matrix-vector
+                  products clear rows and columns to one common
+                  denominator (a matvec_fn clears its matrix once),
+                  echelon is fraction-free Gauss-Jordan on primitive
+                  integer rows, the gcd runs on primitive integer
+                  remainders, and a product mod g is one integer
+                  convolution whose high coefficients fold onto the low
+                  ones on the rows x^(d+j) mod g, cleared to integers
+                  once (the product of Q(alpha): per product on a 2-core
+                  x86-64 host, 3.4x faster than the list product and
+                  division at d = 2, 7-8x at d = 4 and 11-12x at d = 8);
+                  the other ops are the generic ones
   GenericKernel   every other kind, through the closures above, in the
                   operation order, zero skips and pivot rules of
                   element-by-element arithmetic, so R/C results are the
@@ -266,6 +281,83 @@ def _binary_power(mul, x, k: int, result=None):
     return result
 
 
+# -- the rational core ---------------------------------------------------------
+
+def _rational(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime ints n and d > 0, with its two slots
+    filled directly, as CPython 3.12+ does in ``Fraction._from_coprime_ints``:
+    the constructor's type dispatch and normalisation cost more than the
+    arithmetic they wrap.  The only code that touches Fraction's private
+    slots (a CI step checks it)."""
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """n/d normalised, for ints n and d != 0: the value Fraction(n, d) gives."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    return _rational(n, d)
+
+
+def _q_sum(na: int, da: int, nb: int, db: int) -> Fraction:
+    """na/da + nb/db for normalised pairs, by the gcd-reduced sum of
+    CPython 3.12's ``fractions``: a common factor can only come from
+    gcd(da, db)."""
+    g = math.gcd(da, db)
+    if g == 1:
+        return _rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _rational(t, s * db)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _q_add(a, b) -> Fraction:
+    return _q_sum(a.numerator, a.denominator, b.numerator, b.denominator)
+
+
+def _q_sub(a, b) -> Fraction:
+    return _q_sum(a.numerator, a.denominator, -b.numerator, b.denominator)
+
+
+def _q_mul(a, b) -> Fraction:
+    """a*b with each numerator reduced against the other's denominator."""
+    na, da = a.numerator, a.denominator
+    nb, db = b.numerator, b.denominator
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _rational(na * nb, da * db)
+
+
+def _q_neg(a) -> Fraction:
+    return _rational(-a.numerator, a.denominator)
+
+
+def _q_inv(a) -> Fraction:
+    """1/a; ZeroDivisionError for a = 0, as ``1 / Fraction(0)`` raises."""
+    n, d = a.numerator, a.denominator
+    if n > 0:
+        return _rational(d, n)
+    if n < 0:
+        return _rational(-d, -n)
+    raise ZeroDivisionError("Fraction(1, 0)")
+
+
 class Field:
     """A coefficient field descriptor plus its raw arithmetic."""
 
@@ -318,7 +410,8 @@ class Field:
             self.degree = 1
             self.key = ("rationals",)
             self._zero_raw, self._one_raw = Fraction(0), Fraction(1)
-            self._install_operator_ops()
+            self._radd, self._rsub, self._rmul = _q_add, _q_sub, _q_mul
+            self._rneg, self._rinv = _q_neg, _q_inv
         elif kind in ("real", "complex"):
             if not (math.isfinite(tolerance) and tolerance > 0):
                 raise UsageError("approximate fields need a finite tolerance > 0")
@@ -335,7 +428,7 @@ class Field:
             self.kernel = (RationalKernel if kind == "rationals" else GenericKernel)(self)
 
     def _install_operator_ops(self):
-        """Q, R and C: the reps are Python numbers and the operators are
+        """R and C: the reps are Python numbers and the operators are
         exactly the field operations."""
         self._radd, self._rsub, self._rmul = operator.add, operator.sub, operator.mul
         self._rneg = operator.neg
@@ -680,8 +773,7 @@ class GenericKernel:
 
     def matvec_fn(self, A):
         """v -> A*v for a fixed matrix A, as one product against v as a
-        single column, so a kernel that prepares its operands (Q clears
-        denominators) does so for v once rather than once per row."""
+        single column (F_p and Q prepare A once in their own versions)."""
         matmul = self.matmul
         return lambda v: [r[0] for r in matmul(A, [[x] for x in v])]
 
@@ -1161,11 +1253,13 @@ class PrimeKernel(GenericKernel):
 
 
 def _cleared(xs):
-    """(v, d): integers v and one denominator d > 0 with xs = v / d."""
-    d = math.lcm(*[x.denominator for x in xs])
+    """(v, d): integers v and one denominator d > 0 with xs = v / d; each
+    entry (a Fraction or an int) is read once."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    d = math.lcm(*[e for _, e in pairs])
     if d == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (d // x.denominator) for x in xs], d
+        return [n for n, _ in pairs], 1
+    return [n * (d // e) for n, e in pairs], d
 
 
 def _primitive(xs: list) -> list:
@@ -1194,19 +1288,21 @@ def _pseudo_remainder(a: list, b: list) -> list:
 
 
 class RationalKernel(GenericKernel):
-    """Q on integers.  A dot product or matrix product clears each row and
-    each column to integers over one lcm denominator, so an entry costs one
-    integer dot product and one Fraction.  ``echelon`` is fraction-free
-    Gauss-Jordan on primitive integer rows, with the pivot rule of the
-    generic kernel; it returns the same rows: normalised pivot rows and,
-    past them, the reduced non-pivot rows at their true scale."""
+    """Q on integers.  A dot product, matrix product or matrix-vector
+    product clears each row and each column to integers over one lcm
+    denominator, so an entry costs one integer dot product and one
+    ``_ratio``; ``matvec_fn`` clears the fixed matrix's rows once.
+    ``echelon`` is fraction-free Gauss-Jordan on primitive integer rows,
+    with the pivot rule of the generic kernel; it returns the same rows:
+    normalised pivot rows and, past them, the reduced non-pivot rows at
+    their true scale."""
 
     __slots__ = ()
 
     def dot(self, xs, ys):
         u, du = _cleared(xs)
         v, dv = _cleared(ys)
-        return Fraction(sum(map(operator.mul, u, v)), du * dv)
+        return _ratio(sum(map(operator.mul, u, v)), du * dv)
 
     def matmul(self, A, B):
         mul = operator.mul
@@ -1214,8 +1310,17 @@ class RationalKernel(GenericKernel):
         out = []
         for row in A:
             u, du = _cleared(row)
-            out.append([Fraction(sum(map(mul, u, v)), du * dv) for v, dv in cols])
+            out.append([_ratio(sum(map(mul, u, v)), du * dv) for v, dv in cols])
         return out
+
+    def matvec_fn(self, A):
+        mul = operator.mul
+        rows = [_cleared(row) for row in A]
+
+        def apply(v):
+            u, du = _cleared(v)
+            return [_ratio(sum(map(mul, r, u)), dr * du) for r, dr in rows]
+        return apply
 
     def poly_gcd(self, a, b):
         """By the primitive remainder sequence (von zur Gathen and Gerhard,
@@ -1227,7 +1332,7 @@ class RationalKernel(GenericKernel):
         while b:
             r = _pseudo_remainder(a, b)
             a, b = b, (_primitive(r) if r else [])
-        return [Fraction(c, a[-1]) for c in a]
+        return [_ratio(c, a[-1]) for c in a]
 
     def poly_mulmod_fn(self, g):
         """The rows x^(d+j) mod g, d = deg g and j = 0..d-2, are cleared to
@@ -1258,7 +1363,7 @@ class RationalKernel(GenericKernel):
             while low and not low[-1]:
                 low.pop()
             total = den * du * dv
-            return [Fraction(c, total) for c in low]
+            return [_ratio(c, total) for c in low]
         return mulmod
 
     def echelon(self, rows, ncols: int = None) -> list:
@@ -1271,7 +1376,7 @@ class RationalKernel(GenericKernel):
             v, d = _cleared(row)
             g = math.gcd(*v)
             ints.append([a // g for a in v] if g > 1 else v)
-            scales.append(Fraction(g, d))
+            scales.append(_ratio(g, d))
         pivots = []
         r = 0
         for c in range(ncols):
@@ -1298,17 +1403,18 @@ class RationalKernel(GenericKernel):
                 if rr > r:
                     # (s/p)(p*v - f*w) = (s*g/p) * new/g; rows above r
                     # are pivot rows, whose scale the normalisation drops
-                    scales[rr] = scales[rr] * g / p
+                    s = scales[rr]
+                    scales[rr] = _ratio(s.numerator * g, s.denominator * p)
             pivots.append(c)
             r += 1
             if r == nrows:
                 break
         for i, c in enumerate(pivots):
             p = ints[i][c]
-            rows[i] = [Fraction(a, p) for a in ints[i]]
+            rows[i] = [_ratio(a, p) for a in ints[i]]
         for i in range(r, nrows):
-            s = scales[i]
-            rows[i] = [s * a for a in ints[i]]
+            sn, sd = scales[i].numerator, scales[i].denominator
+            rows[i] = [_ratio(sn * a, sd) for a in ints[i]]
         return pivots
 
 

@@ -304,6 +304,8 @@ class Matrix:
         self._check(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
+        if self.field.is_exact:  # close_raw is == there
+            return self.reps == other.reps
         close = self.field.close_raw
         return all(close(x, y) for ra, rb in zip(self.reps, other.reps)
                    for x, y in zip(ra, rb))
@@ -741,11 +743,17 @@ def is_nilpotent(A: Matrix) -> bool:
 
 def nilpotent_partition(A: Matrix) -> Partition:
     """Jordan partition of a nilpotent matrix: the lengths of its kernel
-    chains (``_chain_filtration``)."""
+    chains (``_chain_filtration``).  Over R/C the kernels of an
+    ill-conditioned nilpotent can stall below n at the pivot tolerance;
+    chains that do not add up to n raise VerificationFailed."""
     _require_square(A)
     if not is_nilpotent(A):
         raise NotNilpotent("matrix is not nilpotent")
-    return Partition(tuple(sorted(level for _, level in _chain_filtration(A, A, 1))))
+    parts = sorted(level for _, level in _chain_filtration(A, A, 1))
+    if sum(parts) != A.nrows:
+        raise VerificationFailed(
+            f"kernel chains of total length {sum(parts)} in a {A.nrows}x{A.nrows} nilpotent")
+    return Partition(tuple(parts))
 
 
 def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
@@ -838,15 +846,6 @@ def nilpotent_jordan_basis(N: Matrix) -> tuple:
         cols.extend(reversed(chain_vecs))
     S = Matrix._from_raw(N.field, _transpose(cols))
     return S, tuple(l for _, l in chains)
-
-
-def nilpotent_conjugator(N1: Matrix, N2: Matrix) -> Matrix:
-    """Q with Q N1 Q^-1 = N2 for nilpotents of equal partition."""
-    S1, l1 = nilpotent_jordan_basis(N1)
-    S2, l2 = nilpotent_jordan_basis(N2)
-    if l1 != l2:
-        raise NotSimilar(f"nilpotent partitions differ: {l1} vs {l2}")
-    return S2 * S1.inverse()
 
 
 def eigenbasis(M: Matrix, eigenvalues) -> Matrix:
@@ -981,10 +980,7 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
         for qrow, prow in zip(Q, part):
             qrow.extend(prow)
     P = _inverse_raw(field, Q)
-    close = field.close_raw
-    if not all(close(x, y) for ra, rb in zip(kern.matmul(kern.matmul(P, A.reps), Q),
-                                             realization.reps)
-               for x, y in zip(ra, rb)):
+    if not Matrix._from_raw(field, kern.matmul(kern.matmul(P, A.reps), Q)).allclose(realization):
         raise VerificationFailed("generalized Jordan form failed to verify")
     return GeneralizedJordanForm(specs, Matrix._from_raw(field, P), realization,
                                  Matrix._from_raw(field, Q) if exact else None)

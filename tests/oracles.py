@@ -12,8 +12,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from wordmap.errors import NotSimilar
 from wordmap.fields import enumerate_elements
-from wordmap.matrices import Matrix
+from wordmap.matrices import Matrix, nilpotent_jordan_basis
 from wordmap.polynomials import APPROX_ROOT_ITERATIONS, Poly
 
 
@@ -521,6 +522,15 @@ def power_per_degree_distinct_degree(f):
             g = g // gd
             h = h % g
     return out
+
+
+def nilpotent_conjugator(N1: Matrix, N2: Matrix) -> Matrix:
+    """Q with Q N1 Q^-1 = N2 for nilpotents of equal partition."""
+    S1, l1 = nilpotent_jordan_basis(N1)
+    S2, l2 = nilpotent_jordan_basis(N2)
+    if l1 != l2:
+        raise NotSimilar(f"nilpotent partitions differ: {l1} vs {l2}")
+    return S2 * S1.inverse()
 
 
 def bordered_charpoly_closed_form(field, eps, x, y, z) -> Poly:

@@ -19,7 +19,7 @@ from wordmap.commutators import (
     two_by_two_trace_zero,
 )
 from wordmap.errors import NonzeroTrace, UnhandledShape, Unsupported, WordmapError
-from wordmap.fields import Field, GF, GenericKernel, extend, parse_field_spec
+from wordmap.fields import Field, GF, GenericKernel, PrimeKernel, extend, parse_field_spec
 from wordmap.matrices import Matrix, generalized_jordan_form
 from wordmap.polynomials import Poly
 from wordmap.words import CommutatorProduct, eval_word
@@ -509,3 +509,22 @@ def test_cli_m4_over_q_with_factors_of_two_multiplicities(capsys):
                  json.dumps({"rows": 6, "cols": 6, "entries": entries})])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_exact_reorderings_replace_dense_products(monkeypatch):
+    # over exact kinds the conjugations by permutations and identities are
+    # reorderings: the dense products made 49 (m = 4) and 69 (m = 6)
+    # PrimeKernel products on this target
+    rng = random.Random(7)
+    A = Matrix.from_rows(F101, [[rng.randrange(101) for _ in range(8)] for _ in range(8)])
+    calls = []
+    matmul = PrimeKernel.matmul
+
+    def counted(self, X, Y):
+        calls.append(None)
+        return matmul(self, X, Y)
+    monkeypatch.setattr(PrimeKernel, "matmul", counted)
+    for m, bound in ((4, 39), (6, 53)):
+        calls.clear()
+        solve_commutator_product(A, m)
+        assert len(calls) <= bound, (m, len(calls))

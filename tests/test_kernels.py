@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wordmap.cli import main
@@ -25,12 +25,14 @@ from wordmap.commutators import factor_two_trace_zero, solve_commutator_product
 from wordmap.diagonal import _exhaustive_two_term, solve_diagonal_word
 from wordmap.errors import ReduciblePolynomial, SingularMatrix
 from wordmap.factor import is_irreducible
+import wordmap.fields as fields_mod
 from wordmap.fields import (
     MULMOD_PACK_MIN_DEGREE,
     GenericKernel,
     PrimeKernel,
     RationalKernel,
     _mulmod_lists,
+    _ratio,
     enumerate_elements,
     extend,
     parse_field_spec,
@@ -328,6 +330,63 @@ def test_rational_kernel_matches_generic_kernel(data):
     for xs in rows:
         for ys in rows:
             assert kern.dot(xs, ys) == ref.dot(xs, ys)
+
+
+# the rational core: Q's closures and _ratio build Fractions without the
+# constructor, so their values, normalisation and hashes must be the
+# fractions module's own
+
+_BIG = st.integers(-2**130, 2**130)
+_INTS = st.one_of(st.just(0), st.integers(-12, 12), _BIG)
+_Q_VALUES = st.one_of(_INTS, st.builds(Fraction, _INTS, _INTS.filter(bool)))
+
+
+def _same_fraction(got, want):
+    return (type(got) is Fraction and got == want and hash(got) == hash(want)
+            and (got.numerator, got.denominator) == (want.numerator, want.denominator))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_Q_VALUES, b=_Q_VALUES, n=_INTS, d=_INTS.filter(bool))
+@example(a=0, b=Fraction(-3, 2**70), n=0, d=-5)
+@example(a=Fraction(0), b=-7, n=2**80, d=-(2**81))
+def test_rational_core_equals_fraction_arithmetic(a, b, n, d):
+    Q = FIELDS["Q"]
+    fa, fb = Fraction(a), Fraction(b)
+    assert _same_fraction(_ratio(n, d), Fraction(n, d))
+    assert _same_fraction(Q._radd(a, b), fa + fb)
+    assert _same_fraction(Q._rsub(a, b), fa - fb)
+    assert _same_fraction(Q._rmul(a, b), fa * fb)
+    assert _same_fraction(Q._rneg(a), -fa)
+    if fa:
+        assert _same_fraction(Q._rinv(a), 1 / fa)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            Q._rinv(a)
+
+
+def test_rational_matvec_fn_clears_the_matrix_once(monkeypatch):
+    Q = FIELDS["Q"]
+    rng = random.Random(28)
+    calls = []
+    cleared = fields_mod._cleared
+    monkeypatch.setattr(fields_mod, "_cleared",
+                        lambda xs: calls.append(len(xs)) or cleared(xs))
+
+    def entry():
+        return Q(Fraction(rng.choice((0, rng.randint(-9, 9), rng.randint(-2**70, 2**70))),
+                          rng.randint(1, 12)))
+    for nrows, ncols in ((1, 1), (3, 5), (6, 6)):
+        A = Matrix(Q, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+        calls.clear()
+        apply = Q.kernel.matvec_fn(A.reps)
+        assert calls == [ncols] * nrows
+        for _ in range(5):
+            v = [entry() for _ in range(ncols)]
+            got = apply([x.rep for x in v])
+            assert all(type(x) is Fraction for x in got)
+            assert got == [x.rep for x in naive_apply(A, v)]
+        assert calls == [ncols] * (nrows + 5)
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,17 @@ from wordmap.matrices import (
     generalized_jordan_form,
     is_nilpotent,
     minpoly,
-    nilpotent_conjugator,
     nilpotent_partition,
 )
 from wordmap.polynomials import Poly
 
-from oracles import all_matrices, charpoly_cofactor, random_invertible, random_matrix
+from oracles import (
+    all_matrices,
+    charpoly_cofactor,
+    nilpotent_conjugator,
+    random_invertible,
+    random_matrix,
+)
 
 F2 = Field("prime", p=2)
 F5 = Field("prime", p=5)
@@ -109,6 +114,17 @@ def test_nilpotent_partition_conjugation_invariant():
     for _ in range(10):
         P = random_invertible(F101, 8, rng)
         assert nilpotent_partition(P * N * P.inverse()).parts == (1, 2, 2, 3)
+
+
+def test_nilpotent_partition_refuses_chains_that_miss_n():
+    # over R the kernels of this type (1, 4) nilpotent stall at dimension 4
+    # at the pivot tolerance; the chains then add up to 4, not 5
+    R = parse_field_spec("R:tol=1e-9")
+    rng = random.Random(20)
+    S = Matrix.from_rows(R, [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(5)])
+    J = Matrix.block_diag(R, [Matrix.jordan_block(R(0), 1), Matrix.jordan_block(R(0), 4)])
+    with pytest.raises(VerificationFailed, match="total length 4 in a 5x5"):
+        nilpotent_partition(S * J * S.inverse())
 
 
 def test_nilpotent_conjugator():
