@@ -683,10 +683,10 @@ def _zero_diagonalize(T: Matrix):
         nonzero = [i for i in range(n) if not is_zero(Z[i][i])]
         if not nonzero:
             return S, Si, Z
-        state = tuple(map(tuple, Z))
-        if state in seen:
+        size = len(seen)
+        seen.add(tuple(map(tuple, Z)))
+        if len(seen) == size:  # a state seen before: the shears cycle
             return None
-        seen.add(state)
         # a pair that is coupled or has unequal diagonal entries: merges
         # of two nonzero diagonal entries first
         pair = next(((i, j) for zero_j in (False, True) for i in nonzero

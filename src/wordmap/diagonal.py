@@ -15,7 +15,8 @@ generalized Jordan form:
     system fed by regular solutions of scalar power-sum equations;
   * remaining terms of the word are witnessed by zero matrices.
 
-Searches (scalar solutions, regular solutions) are deterministic and their
+Both searches (scalar solutions, regular solutions) run
+``fields._power_sum_solutions``; they are deterministic and their
 exhaustion is reported as NotFound: over a small finite field that is a
 legitimate mathematical answer, not a failure.  When the whole witness
 space M_n(F_q)^2 is small enough to enumerate, a final hash-join search
@@ -46,6 +47,7 @@ from .fields import (
     SCAN_BOUND,
     Field,
     FieldElement,
+    _power_sum_solutions,
     enumerate_elements,
     kth_roots,
     random_element,
@@ -102,14 +104,8 @@ def _scalar_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
         rng = random.Random(seed)
         candidates = itertools.chain(
             (random_element(field, rng) for _ in range(RANDOM_TRIES)), [field.zero()])
-    beta_inv = beta.inverse()  # x / beta is x * beta.inverse()
-    for a in candidates:
-        try:
-            roots = kth_roots((alpha - a ** k1) * beta_inv, k2)
-        except Unsupported:  # number fields: only the root of zero is known
-            continue
-        if roots:
-            yield a, roots[0]
+    # b^{k2} = (alpha - a^{k1}) * beta^-1, beta inverted once per search
+    return _power_sum_solutions(alpha, (k1, k2), lambda: candidates, beta.inverse())
 
 
 def scalar_two_solutions(field: Field, alpha: FieldElement, k1: int, k2: int,
@@ -359,9 +355,9 @@ def large_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
         groups.append((len(idxs), r, idxs))
     groups.sort(key=lambda g: (g[0], g[1]))
     order = [i - 1 for _, _, idxs in groups for i in idxs]
-    P = Matrix.permutation(field, order)
     J = Matrix.jordan_block(field.zero(), n)
-    X = P * J * P.inverse()
+    # P J P^-1 for P = Matrix.permutation(field, order), read off J
+    X = Matrix._from_raw(field, [[J.reps[t][u] for u in order] for t in order])
     Y, _ = junction_as_scaled_power(field, part, k2, beta)
     _check_two_term(X, Y, k1, k2, beta, J)
     return X, Y

@@ -1498,22 +1498,11 @@ def _log_tables(field: Field):
 # ----------------------------------------------------------------------
 
 def enumerate_elements(field: Field) -> Iterator[FieldElement]:
-    """Yield every element of a finite field once, in a deterministic order."""
-    if field.kind == "prime":
-        for i in range(field.p):
-            yield FieldElement(field, i)
-        return
-    if field.kind == "ext" and field.base.is_finite:
-        base_raws = [x.rep for x in enumerate_elements(field.base)]
-        b, d = len(base_raws), field.degree
-        for idx in range(b ** d):
-            rep, k = [], idx
-            for _ in range(d):
-                rep.append(base_raws[k % b])
-                k //= b
-            yield FieldElement(field, tuple(rep))
-        return
-    raise InfiniteField(f"{field} is not finite")
+    """Yield every element of a finite field once, in ``_element_at`` order."""
+    if not field.is_finite:
+        raise InfiniteField(f"{field} is not finite")
+    for i in range(field.cardinality):
+        yield FieldElement(field, _element_at(field, i))
 
 
 def random_element(field: Field, rng: random.Random) -> FieldElement:
@@ -1529,7 +1518,7 @@ def random_element(field: Field, rng: random.Random) -> FieldElement:
 
 
 def _element_index(field: Field, rep) -> int:
-    """Position of a raw value in ``enumerate_elements(field)`` order."""
+    """Position of a raw value in ``_element_at`` order, the inverse map."""
     if field.kind == "prime":
         return rep
     b, idx = field.base.cardinality, 0
@@ -1539,7 +1528,9 @@ def _element_index(field: Field, rep) -> int:
 
 
 def _element_at(field: Field, idx: int):
-    """The raw value at position ``idx`` of ``enumerate_elements(field)``."""
+    """The raw value at position ``idx`` of a finite field's element order:
+    over F_p the integer itself, over an extension the base-|base| digits
+    of idx, low degree first, each read in the base field's order."""
     if field.kind == "prime":
         return idx
     b, rep = field.base.cardinality, []
@@ -1733,110 +1724,89 @@ def regular_solution_iter(field: Field, k: int, n: int, gamma: FieldElement,
             yield sol
         return
     if field.is_finite:
-        # every level walks one shared list, built from a single pass over
-        # the field only as far as some level has read, so each element is
-        # made once and a search over a large field stops at its first hit
-        seen, fresh = [], enumerate_elements(field)
-
-        def candidates():
-            for i in itertools.count():
-                if i == len(seen):
-                    nxt = next(fresh, None)
-                    if nxt is None:
-                        return
-                    seen.append(nxt)
-                yield seen[i]
+        candidates = lambda: enumerate_elements(field)
     else:
         # Q: bounded small search; large-field existence guarantees do not cover Q
         small = [field(v) for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)]
         candidates = lambda: small
-    yield from _regular_iter_candidates(field, k, n, gamma, require_nonzero, candidates)
+    yield from _power_sum_solutions(gamma, [k] * n, candidates, distinct=True,
+                                    nonzero=require_nonzero)
 
 
-def _regular_iter_candidates(field, k, n, gamma, require_nonzero, candidates):
-    """Regular solutions with the first n - 1 coordinates drawn from
-    ``candidates()`` in its order and the last one from a k-th root."""
-    def close(total, used):
-        """Pick the last coordinate by a k-th root."""
-        want = gamma - total
+def _power_sum_solutions(gamma: FieldElement, ks, candidates, inv=None,
+                         distinct: bool = False, nonzero: bool = False):
+    """Tuples (x_1..x_n), n = len(ks), with x_1^{k_1} + ... + x_{n-1}^{k_{n-1}}
+    + w = gamma and x_n^{k_n} = w * inv (w when inv is None), over an exact
+    field: the one scalar search.
+
+    x_1..x_{n-1} are drawn depth first from ``candidates()``, each level a
+    fresh call in the same order, and x_n is the first k_n-th root of what
+    is left.  ``nonzero`` skips zero draws and zero roots; ``distinct``
+    keeps the n terms x_i^{k_i} (the last one w) pairwise distinct.  A
+    remainder whose roots ``kth_roots`` cannot find (number fields) closes
+    nothing."""
+    n, used = len(ks), set()
+
+    def close(w):
+        # the only root of zero is zero, and no other value has it
+        if (nonzero and w.is_zero()) or (distinct and w.rep in used):
+            return None
         try:
-            roots = kth_roots(field.element(want.rep), k)
-        except Unsupported:
-            roots = []
-        for r in roots:
-            if require_nonzero and r.is_zero():
-                continue
-            if want.rep in used:
-                return None
-            return r
-        return None
+            roots = kth_roots(w if inv is None else w * inv, ks[-1])
+        except Unsupported:  # number fields: only the root of zero is known
+            return None
+        return roots[0] if roots else None
 
-    def rec(prefix, total, used):
+    def walk(prefix, w):
         if len(prefix) == n - 1:
-            last = close(total, used)
+            last = close(w)
             if last is not None:
-                yield tuple(prefix) + (last,)
+                yield prefix + (last,)
             return
-        for cand in candidates():
-            if require_nonzero and cand.is_zero():
+        k = ks[len(prefix)]
+        for x in candidates():
+            if nonzero and x.is_zero():
                 continue
-            p = cand ** k
-            if p.rep in used:
-                continue
-            used.add(p.rep)
-            yield from rec(prefix + [cand], total + p, used)
-            used.discard(p.rep)
+            p = x ** k
+            if not distinct:
+                yield from walk(prefix + (x,), w - p)
+            elif p.rep not in used:
+                used.add(p.rep)
+                yield from walk(prefix + (x,), w - p)
+                used.discard(p.rep)
 
-    if n == 1:
-        last = close(field.zero(), set())
-        if last is not None:
-            yield (last,)
-        return
-    yield from rec([], field.zero(), set())
+    return walk((), gamma)
 
 
 def _regular_construct_analytic(field, k, n, gamma, require_nonzero):
     """Direct construction over R/C: distinct k-th powers summing to gamma."""
-    one = field.one()
+    if field.kind == "real" and k % 2 == 0:
+        # powers must be distinct non-negatives summing to gamma
+        g = gamma.rep
+        if n == 1:
+            if g < 0 or (require_nonzero and g <= field.tolerance):
+                return None
+            return (kth_roots(gamma, k)[0],)
+        if g <= field.tolerance:
+            return None
+        tot = n * (n + 1) // 2  # the weights 1..n
+        return tuple(kth_roots(field(g * (i + 1) / tot), k)[0] for i in range(n))
+    # every value is a k-th power: the first n - 1 powers on a grid, the
+    # last one closing the sum
     if field.kind == "complex":
-        for shift in range(64):
-            powers = [field(complex(i + 1 + shift * 0.5, 0.25)) for i in range(n - 1)]
-            last = gamma - sum(powers, field.zero())
-            vals = [p.rep for p in powers]
-            if any(abs(last.rep - v) <= field.tolerance for v in vals):
-                continue
-            if require_nonzero and abs(last.rep) <= field.tolerance:
-                continue
-            powers.append(last)
-            return tuple(kth_roots(p, k)[0] for p in powers)
-        return None
-    # real field
-    if k % 2 == 1 or k == 1:
-        for scale in (1.0, 0.5, 0.25, 2.0, 0.125):
-            powers = [field((i + 1) * scale) for i in range(n - 1)]
-            last = gamma - sum(powers, field.zero())
-            vals = [p.rep for p in powers]
-            if any(abs(last.rep - v) <= field.tolerance for v in vals):
-                continue
-            if require_nonzero and abs(last.rep) <= field.tolerance:
-                continue
-            powers.append(last)
-            return tuple(kth_roots(p, k)[0] for p in powers)
-        return None
-    # k even: powers must be distinct non-negatives summing to gamma
-    g = gamma.rep
-    if n == 1:
-        if g < 0:
-            return None
-        if require_nonzero and g <= field.tolerance:
-            return None
-        return (kth_roots(gamma, k)[0],)
-    if g <= field.tolerance:
-        return None
-    weights = [i + 1 for i in range(n)]
-    tot = sum(weights)
-    powers = [field(g * w / tot) for w in weights]
-    return tuple(kth_roots(p, k)[0] for p in powers)
+        grids = ([complex(i + 1 + shift * 0.5, 0.25) for i in range(n - 1)]
+                 for shift in range(64))
+    else:
+        grids = ([(i + 1) * scale for i in range(n - 1)]
+                 for scale in (1.0, 0.5, 0.25, 2.0, 0.125))
+    for grid in grids:
+        powers = [field(v) for v in grid]
+        last = gamma - sum(powers, field.zero())
+        if any(abs(last.rep - p.rep) <= field.tolerance for p in powers) or (
+                require_nonzero and abs(last.rep) <= field.tolerance):
+            continue
+        return tuple(kth_roots(p, k)[0] for p in powers + [last])
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -166,13 +166,14 @@ def test_scalar_solutions_are_pinned(spec, one_digest, two_digest):
 def test_scalar_search_inverts_beta_once(monkeypatch):
     """Over Q(alpha), alpha^3 = 2, no small integer a has a^2 = alpha, so
     the search tries every SMALL_INTEGERS candidate and raises NotFound; it
-    inverts beta once for all of them, not once per candidate."""
-    import wordmap.diagonal as diagonal_mod
+    inverts beta once for all of them, not once per candidate.  The roots
+    are taken by the shared search in ``fields``."""
+    import wordmap.fields as fields_mod
 
     field = _scalar_field(QA_SPEC)
     t = field.generator()
     calls = {"kth_roots": 0, "inverse": 0}
-    roots, inverse = diagonal_mod.kth_roots, field._rinv
+    roots, inverse = fields_mod.kth_roots, field._rinv
 
     def counted_roots(e, k):
         calls["kth_roots"] += 1
@@ -182,7 +183,7 @@ def test_scalar_search_inverts_beta_once(monkeypatch):
         calls["inverse"] += 1
         return inverse(a)
 
-    monkeypatch.setattr(diagonal_mod, "kth_roots", counted_roots)
+    monkeypatch.setattr(fields_mod, "kth_roots", counted_roots)
     monkeypatch.setattr(field, "_rinv", counted_inverse)
     with pytest.raises(NotFound):
         scalar_solution(field, t, 2, 3, t + field(1))

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import os
@@ -17,6 +18,7 @@ from wordmap.errors import (
     NotFound,
     ReduciblePolynomial,
     UsageError,
+    WordmapError,
 )
 from wordmap.fields import (
     ELEMENT_TABLE_BOUND,
@@ -29,6 +31,7 @@ from wordmap.fields import (
     kth_roots,
     parse_field_spec,
     random_element,
+    regular_solution_iter,
     regular_solution_search,
 )
 from wordmap.polynomials import Poly
@@ -525,6 +528,57 @@ def test_regular_solution_real_even_and_odd():
     sol = regular_solution_search(R, 3, 2, R(-5))
     total = sum((x ** 3 for x in sol), R.zero())
     assert abs(total.rep + 5) < 1e-9
+
+
+# One digest per field over a grid of k in {1, 2, 3}, n in {1..4}, five
+# gammas and both require_nonzero values: the repr of each regular solution
+# or its error line, then, over finite fields, the first five tuples of
+# regular_solution_iter for each point.  It pins which solution the search
+# picks and the float bits of the R/C closed forms.
+REGULAR_GOLDEN = [
+    ("Fp:7",
+     "506d5c03e6b24ae9c4ca943ddfcd58a54e7759afc09c112f8cfa70f776acc89d"),
+    ("Fq:p=3,d=2,mod=[1,0,1]",
+     "473c98211a360dd4663e58f8bd6d151c35c1e119df08b79819f1c8a9c6be6fb8"),
+    ("Fp:101",
+     "5e25be17f2ecdfb1ea750037310900e9f2bec0fcb291e5b356bc871e917d5919"),
+    ("Ftower:card=16",
+     "3b94342226f9c18f86ef5eeb7bdc2f9c5193b64d706116ec6b8b78600bc0baa5"),
+    ("Q",
+     "dc27d99e42a74b6c1881eae29274d0f2a547953a07097a5e28134961ce1c4ba6"),
+    ("R:tol=1e-9",
+     "3cd6be1878f99a04358e2846edfd67a7af86e73a3c7131f193df2d9950609d44"),
+    ("C:tol=1e-9",
+     "6fdba76355e4c7a7892c9ab16b40b1b13a8733b55fc49182879366a79310cae1"),
+]
+
+
+def _regular_digest(field):
+    if field.kind == "ext":
+        g = field.generator()
+    elif field.kind == "complex":
+        g = field(complex(1, 2))
+    else:
+        g = field(3) / field(2)
+    gammas = [field(0), field(1), field(-1), g, g + field(2)]
+    h = hashlib.sha256()
+    for k, n, gamma, nonzero in itertools.product((1, 2, 3), (1, 2, 3, 4), gammas,
+                                                 (False, True)):
+        try:
+            line = repr(regular_solution_search(field, k, n, gamma, nonzero))
+        except WordmapError as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        if field.is_finite:
+            line += " " + repr(list(itertools.islice(
+                regular_solution_iter(field, k, n, gamma, nonzero), 5)))
+        h.update((line + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,digest", REGULAR_GOLDEN,
+                         ids=[name for name, _ in REGULAR_GOLDEN])
+def test_regular_solutions_are_pinned(name, digest):
+    assert _regular_digest(_field(name)) == digest
 
 
 def test_field_spec_round_trip():
