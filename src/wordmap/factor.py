@@ -45,6 +45,7 @@ from .fields import (
     Field,
     FieldElement,
     PrimeKernel,
+    _interned_field,
     _is_prime,
     _primitive,
     random_element,
@@ -300,7 +301,7 @@ def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
         if p > limit:
             return None
         if f[-1] % p and _is_prime(p):
-            field = Field("prime", p=p)
+            field = _interned_field("prime", p=p)
             kern = field.kernel
             fp = kern.poly_trim([c % p for c in f])
             if len(kern.poly_gcd(fp, kern.poly_derivative(fp))) == 1:

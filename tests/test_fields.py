@@ -23,6 +23,7 @@ from wordmap.errors import (
 from wordmap.fields import (
     ELEMENT_TABLE_BOUND,
     GF,
+    RATIONALS,
     SCAN_BOUND,
     Field,
     _log_tables,
@@ -147,6 +148,12 @@ def test_gf_checks_a_given_modulus():
         GF(9, modulus=(1, 1))
     assert GF(4, modulus=(1, 1, 1)).modulus == (1, 1, 1)
     assert GF(9, modulus=(1, 0, 4)).modulus == (1, 0, 1)
+    # a prime q takes a degree-1 modulus only, as a prime power takes degree d
+    for q, modulus in ((7, (1, 0, 1)), (7, (5,)), (9, (1, 0, 1, 0))):
+        d = 1 if q == 7 else 2
+        with pytest.raises(UsageError, match=rf"^GF\({q}\) needs a modulus of degree {d}$"):
+            GF(q, modulus=modulus)
+    assert GF(7, modulus=(3, 1)) is GF(7)
 
 
 def test_gf_finds_p_and_d_without_a_search_below_q():
@@ -418,6 +425,75 @@ def test_field_holds_no_state_changed_by_roots_or_solves():
     A = Matrix.companion(Poly(F101, [3, 0, 1]))  # x^2 + 3: F_{101^2} block
     solve_diagonal_word(A, word)
     assert_unchanged(before)
+    # a field from the field table is shared by every later caller: two solves
+    # over it (with an F_81 block) leave it as they found it
+    F9 = parse_field_spec("Fq:p=3,d=2,mod=[2,2,1]")
+    fields.append(F9)
+    before = snapshot()
+    word = DiagonalWord(((F9.one(), 2), (F9.one(), 3)))
+    A = Matrix(F9, [[F9.zero(), F9.one()], [F9.generator(), F9.zero()]])  # x^2 - t
+    for _ in range(2):
+        solve_diagonal_word(A, word)
+    assert parse_field_spec("Fq:p=3,d=2,mod=[2,2,1]") is F9
+    assert_unchanged(before)
+
+
+def test_small_finite_fields_are_built_once_per_key():
+    for spec in ("Fp:7", "Fq:p=2,d=2,mod=[1,1,1]", "Fq:p=3,d=2,mod=[2,2,1]"):
+        assert parse_field_spec(spec) is parse_field_spec(spec)
+    assert GF(9) is GF(9)
+    F9 = extend(F3, Poly(F3, [1, 0, 1]))[0]
+    assert extend(F3, Poly(F3, [1, 0, 1]))[0] is F9 and extend(F3, [1, 0, 1])[0] is F9
+    F81 = _tower(F9, 2)
+    assert F81.cardinality == 81 and _tower(GF(9, modulus=(1, 0, 1)), 2) is F81
+    assert parse_field_spec("Q") is RATIONALS
+
+
+def test_larger_and_infinite_fields_are_built_on_every_call():
+    F101 = parse_field_spec("Fp:101")
+    pairs = [(GF(343), GF(343)), (GF(101 ** 2), GF(101 ** 2)),
+             (extend(F101, [2, 0, 1])[0], extend(F101, [2, 0, 1])[0]),
+             (extend(Q, [-2, 0, 1])[0], extend(Q, [-2, 0, 1])[0]),
+             (parse_field_spec("R:tol=1e-9"), parse_field_spec("R:tol=1e-9"))]
+    for a, b in pairs:
+        assert a == b and a is not b
+
+
+def test_reducible_moduli_are_refused_on_every_call():
+    for _ in range(2):  # t^2 + 2 = (t + 1)(t + 2) over F_3
+        with pytest.raises(ReduciblePolynomial):
+            extend(F3, [2, 0, 1])
+        with pytest.raises(ReduciblePolynomial):
+            GF(9, modulus=(2, 0, 1))
+        with pytest.raises(ReduciblePolynomial):
+            parse_field_spec("Fq:p=3,d=2,mod=[2,0,1]")
+
+
+def test_cli_calls_prove_a_spec_modulus_irreducible_once(monkeypatch, capsys):
+    """Ten solves from the CLI over one F_9 spec share one field: its modulus
+    is factored at most once (not at all when an earlier test built it)."""
+    import importlib
+
+    import wordmap.cli
+
+    # the module: the package's name wordmap.factor is the function factor
+    factor_mod = importlib.import_module("wordmap.factor")
+    proofs, is_irreducible = [], factor_mod.is_irreducible
+
+    def counted(f):
+        if f.field.key == ("prime", 3) and f.reps == (2, 2, 1):
+            proofs.append(f)
+        return is_irreducible(f)
+
+    monkeypatch.setattr(factor_mod, "is_irreducible", counted)
+    matrix = '{"rows":2,"cols":2,"entries":[[[0,0],[1,0]],[[0,1],[0,0]]]}'
+    outs = []
+    for _ in range(10):
+        assert wordmap.cli.main(["solve", "--field", "Fq:p=3,d=2,mod=[2,2,1]", "--word",
+                                 "diag:d=1,k=2;d=1,k=3", "--matrix", matrix]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(proofs) <= 1
+    assert len(set(outs)) == 1 and '"verified":true' in outs[0]
 
 
 def test_enumerate_fields():
