@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fields import Field, parse_field_spec
 from .matrices import Matrix
-from .words import CommutatorProduct, DiagonalWord, eval_word, parse_word
+from .words import CommutatorProduct, DiagonalWord, eval_word, parse_word, require_int
 
 SCHEMA = "wordmap/1"
 NEGATIVE = (NotFound, Unsupported, NonzeroTrace, WitnessNotFound,
@@ -40,8 +40,9 @@ NEGATIVE = (NotFound, Unsupported, NonzeroTrace, WitnessNotFound,
 
 
 def _load_json_arg(text: str) -> dict:
+    """Inline JSON when the text opens an object or an array, else a path."""
     text = text.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         data = json.loads(text)
     else:
         with open(text, "r", encoding="utf-8") as fh:
@@ -62,16 +63,24 @@ def matrix_from_json(obj: dict, field: Field) -> Matrix:
     entries = obj["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise UsageError("matrix entries must be a list of rows")
-    try:
-        rows = int(obj.get("rows", len(entries)))
-        cols = int(obj.get("cols", len(entries[0]) if entries else 0))
-    except TypeError as exc:
-        raise UsageError("matrix rows and cols must be integers") from exc
+    if _holds_bool(entries):
+        raise UsageError("matrix entries must be numbers, not true or false")
+    rows = obj.get("rows", len(entries))
+    cols = obj.get("cols", len(entries[0]) if entries else 0)
+    require_int(rows, "matrix rows")
+    require_int(cols, "matrix cols")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise UsageError("matrix entries do not match the declared shape")
     if not rows or not cols:
         raise UsageError("a matrix needs at least one row and one column")
     return Matrix(field, [[field.entry_from_json(v) for v in row] for row in entries])
+
+
+def _holds_bool(value) -> bool:
+    """JSON true or false anywhere in a nest of lists."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
 
 
 def matrix_to_json(M: Matrix) -> dict:

@@ -17,7 +17,7 @@ from typing import Tuple
 from .errors import TooLarge, UsageError
 from .fields import Field, FieldElement, enumerate_elements
 from .matrices import Matrix, MatrixSpace
-from .words import CommutatorProduct, DiagonalWord
+from .words import CommutatorProduct, DiagonalWord, require_int
 
 DEFAULT_CAP = 2 * 10 ** 8
 
@@ -60,6 +60,8 @@ class ThresholdReport:
 
 def threshold(k1: int, k2: int) -> ThresholdReport:
     """Scalar two-solution threshold: q > k1^4 * k2^4 suffices."""
+    require_int(k1, "k1")
+    require_int(k2, "k2")
     if k1 < 1 or k2 < 1:
         raise UsageError("exponents must be positive")
     return ThresholdReport(k1, k2, k1 ** 4 * k2 ** 4)
@@ -81,7 +83,9 @@ def count_solutions(field: Field, coefficients, exponents, gamma,
     if not field.is_finite:
         raise UsageError("counting needs a finite field")
     coeffs = [field(c) for c in coefficients]
-    ks = [int(k) for k in exponents]
+    ks = list(exponents)
+    for k in ks:
+        require_int(k, "an exponent")
     if len(coeffs) != len(ks) or not ks:
         raise UsageError("coefficients and exponents must align and be nonempty")
     gamma = field(gamma)
@@ -138,6 +142,8 @@ def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> Image
     ``missing`` is read off the set of values in code order: the first ten
     non-values, whatever order the planes computed them in.
     """
+    if not isinstance(word, (CommutatorProduct, DiagonalWord)):
+        raise UsageError(f"image_enumerate takes a word, got {word!r}")
     if not field.is_finite:
         raise UsageError("image enumeration needs a finite field")
     cells = MatrixSpace.cardinality(field, n)
@@ -150,7 +156,7 @@ def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> Image
         image = singles
         for _ in range(word.m // 2 - 1):
             image = _products(space, image, singles)
-    elif isinstance(word, DiagonalWord):
+    else:
         image = None
         for delta, k in word.terms:
             d = space.digit(delta.rep)
@@ -158,8 +164,6 @@ def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> Image
             for planes in space.blocks():
                 values.update(space.codes([space.scale(P, d) for P in space.power(planes, k)]))
             image = values if image is None else _sumset(space, image, values)
-    else:
-        raise UsageError(f"unknown word {word!r}")
     missing = []
     if len(image) != cells:
         for c in range(cells):

@@ -594,6 +594,8 @@ def solve_diagonal_word(A: Matrix, word: DiagonalWord, seed: int = 0) -> Witness
     search exhausted over a small field; Unsupported marks the open real
     even/even case.
     """
+    if not isinstance(word, DiagonalWord):
+        raise UsageError(f"solve_diagonal_word takes a DiagonalWord, got {word!r}")
     field = A.field
     m = word.arity
     zero_mat = Matrix.zeros(field, A.nrows, A.ncols)

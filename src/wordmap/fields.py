@@ -75,18 +75,24 @@ where PrimeKernel's rule allows, over Q the integer fold, over towers the
 generic list product and division), sums and negation are coefficientwise,
 and an inverse is the extended gcd with the modulus.
 
-Log tables.  A finite extension with q <= ELEMENT_TABLE_BOUND, towers
-included, replaces its element closures with Zech-logarithm lookups when
-it is constructed (Lidl and Niederreiter, Finite Fields, ch. 2): with g a
+Log tables.  A finite extension with log tables, towers included,
+replaces its element closures with Zech-logarithm lookups when it is
+constructed (Lidl and Niederreiter, Finite Fields, ch. 2): with g a
 primitive element, a product is antilog[log a + log b] and a sum is
 antilog[log a + zech[log b - log a]], where g^zech[i] = 1 + g^i.  The
 reps stay coefficient tuples, so values and orders do not change; only
 the cost of an operation does.  g is the first element in
 ``enumerate_elements`` order with g^((q-1)/r) != 1 for every prime r |
-q-1.  Every finite extension with q <= ELEMENT_TABLE_BOUND gets tables;
-above the bound the base kernel's ops stay.  The tables are built once, with
-about one multiplication by g and one addition per element, and never
-change.
+q-1.  The tables are built once, with about one multiplication by g and
+one addition per element, and never change.  Which fields get them is
+decided where fields are built (``_interned_field``): a named field
+(``GF``, ``parse_field_spec``, ``Field(...)``) when q <= ELEMENT_TABLE_BOUND,
+and a per-solve working field (``extend``) only when the field table
+keeps it, q <= FIELD_TABLE_BOUND.  Every other finite extension runs on
+the base kernel's ops.  A per-solve F_343 or F_729 does a few hundred
+operations, fewer than its tables cost to build (an F_64 solve through
+F_{64^2} spent 30 of its 32 ms on them); a named field may serve many
+solves, and at q = 343..2187 its solves ran 6-7.5x slower without them.
 
 K-th roots over F_q are computed per call, with no table and no state kept
 on the Field, by one element-level algorithm (Adleman, Manders and Miller
@@ -109,12 +115,13 @@ refuses a modulus that is not monic (UsageError) or not irreducible
 The field table.  ``_interned_field`` builds each F_p and finite extension
 that ``extend``, ``GF``, ``parse_field_spec`` and ``factor``'s Zassenhaus
 step ask for, and keeps the one Field of each key with at most
-FIELD_TABLE_BOUND = 256 elements, built once per process.  Sharing is safe:
-a Field never changes after ``__init__``, and elements compare by ``field is
-other or key ==``.  Failed builds, ``Field(...)`` calls, Q(alpha), R and C
-are not stored.  At a bound of 4096, one-off F_343 and F_729 fields stayed
-with their tables (small-fields peak RSS +17-20%); ELEMENT_TABLE_BOUND =
-256 made solves over GF(343), GF(729), GF(2187) 6-7.5x slower.
+FIELD_TABLE_BOUND = 256 elements, built once per process, log tables
+included.  Sharing is safe: a Field never changes after ``__init__``, and
+elements compare by ``field is other or key ==``, so a per-solve field and
+the named field of the same modulus, one with tables and one without, hold
+the same values.  Failed builds, ``Field(...)`` calls, fields past the
+bound, Q(alpha), R and C are not stored: at a bound of 4096, one-off F_343
+and F_729 fields stayed with their tables (small-fields peak RSS +17-20%).
 
 Approximate kinds carry an explicit tolerance used only when *comparing*
 values; every construction stays formula driven.
@@ -151,10 +158,11 @@ from .errors import (
 # Finite fields up to this cardinality have their elements enumerated as
 # candidates in scalar searches, and get their k-th roots in enumeration order.
 SCAN_BOUND = 10**6
-# Finite extensions up to this size do their arithmetic by log tables.
+# Named finite extensions (GF, parse_field_spec, Field(...)) up to this size
+# do their arithmetic by log tables.
 ELEMENT_TABLE_BOUND = 1 << 12
-# Finite fields up to this size are built once per process; a larger bound
-# would keep one-off splitting fields of 343 to 4096 elements and their tables.
+# Finite fields up to this size are built once per process, with their log
+# tables; a per-solve working field past it gets none (``extend``).
 FIELD_TABLE_BOUND = 256
 
 
@@ -382,7 +390,8 @@ class Field:
     )
 
     def __init__(self, kind: str, p: int = 0, modulus: tuple = (),
-                 tolerance: float = 0.0, base: "Field" = None):
+                 tolerance: float = 0.0, base: "Field" = None, *,
+                 _table_bound: int = ELEMENT_TABLE_BOUND):
         self.kind = kind
         self.p = p
         self.base = base
@@ -418,7 +427,7 @@ class Field:
             self._one_raw = tuple(
                 base._one_raw if i == 0 else base._zero_raw for i in range(d))
             self._install_ext_ops()
-            if self.is_finite and self.cardinality <= ELEMENT_TABLE_BOUND:
+            if self.is_finite and self.cardinality <= _table_bound:
                 self._install_log_ops(*_log_tables(self))
         elif kind == "rationals":
             self.degree = 1
@@ -1699,8 +1708,10 @@ def kth_roots(e: FieldElement, k: int) -> list:
 
 
 def extend(base: Field, modulus) -> tuple:
-    """Quotient extension base[t]/(p).  Returns (field, generator, embed);
-    ``Field`` refuses a p that is not monic or not irreducible."""
+    """Quotient extension base[t]/(p), a Jordan factor's working field for
+    one solve.  Returns (field, generator, embed); ``Field`` refuses a p that
+    is not monic or not irreducible.  Past FIELD_TABLE_BOUND elements the
+    field runs on the base kernel's ops, with no log tables."""
     from .polynomials import Poly  # deferred: polynomials imports this module
 
     if not (base.is_finite or base.kind == "rationals"):
@@ -1711,7 +1722,7 @@ def extend(base: Field, modulus) -> tuple:
         coeffs = modulus.reps
     else:
         coeffs = tuple(base(c).rep for c in modulus)
-    field = _interned_field("ext", modulus=coeffs, base=base)
+    field = _interned_field("ext", modulus=coeffs, base=base, per_solve=True)
     return field, field.generator(), field.embed_base
 
 
@@ -1922,13 +1933,18 @@ RATIONALS = Field("rationals")
 _FIELD_TABLE: dict = {}  # the field table: Field.key -> the one Field of that key
 
 
-def _interned_field(kind: str, p: int = 0, modulus: tuple = (), base=None) -> Field:
+def _interned_field(kind: str, p: int = 0, modulus: tuple = (), base=None,
+                    per_solve: bool = False) -> Field:
     """``Field(kind, ...)`` for kind "prime" or "ext", from the field table when
-    it holds the key; a new finite field with q <= FIELD_TABLE_BOUND goes in."""
+    it holds the key; a new finite field with q <= FIELD_TABLE_BOUND goes in.
+    A ``per_solve`` field (``extend``'s) gets log tables only when the table
+    keeps it: past FIELD_TABLE_BOUND it lives for one solve, which does too
+    few operations in it to pay for them."""
     key = ("prime", p) if kind == "prime" else ("ext", base.key, modulus)
     field = _FIELD_TABLE.get(key)
     if field is None:
-        field = Field(kind, p=p, modulus=modulus, base=base)
+        bound = FIELD_TABLE_BOUND if per_solve else ELEMENT_TABLE_BOUND
+        field = Field(kind, p=p, modulus=modulus, base=base, _table_bound=bound)
         if field.is_finite and field.cardinality <= FIELD_TABLE_BOUND:
             _FIELD_TABLE[key] = field
     return field

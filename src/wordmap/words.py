@@ -19,6 +19,12 @@ from .fields import Field, FieldElement
 from .matrices import Matrix
 
 
+def require_int(value, name: str) -> None:
+    """Refuse a word size or exponent that is not an int (bools included)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CommutatorProduct:
     """[X1,X2][X3,X4]...[X_{m-1},X_m]."""
@@ -26,6 +32,7 @@ class CommutatorProduct:
     m: int
 
     def __post_init__(self):
+        require_int(self.m, "m")
         if self.m < 2 or self.m % 2:
             raise UsageError("commutator products need an even m >= 2")
 
@@ -44,9 +51,14 @@ class DiagonalWord:
     terms: Tuple[Tuple[FieldElement, int], ...]
 
     def __post_init__(self):
-        if not self.terms:
-            raise UsageError("diagonal words need at least one term")
-        for delta, k in self.terms:
+        if not isinstance(self.terms, tuple) or not self.terms:
+            raise UsageError("diagonal words need a nonempty tuple of terms")
+        for term in self.terms:
+            if not (isinstance(term, tuple) and len(term) == 2
+                    and isinstance(term[0], FieldElement)):
+                raise UsageError(f"a diagonal term is a (field element, k) pair, got {term!r}")
+            delta, k = term
+            require_int(k, "k")
             if delta.is_zero():
                 raise UsageError("diagonal word coefficients must be nonzero")
             if k < 1:
@@ -105,11 +117,17 @@ def parse_word(spec: str, field: Field):
                 continue
             parts = dict()
             for kv in item.split(","):
-                key, _, val = kv.partition("=")
-                parts[key.strip()] = val.strip()
-            if "d" not in parts or "k" not in parts:
+                key, eq, val = kv.partition("=")
+                key = key.strip()
+                if not eq or key not in ("d", "k") or key in parts:
+                    raise UsageError(f"diagonal term {item!r} takes one d= and one k=")
+                parts[key] = val.strip()
+            if len(parts) != 2:
                 raise UsageError(f"diagonal term {item!r} needs d= and k=")
-            delta = _parse_literal(parts["d"], field)
+            try:
+                delta = _parse_literal(parts["d"], field)
+            except ValueError as exc:
+                raise UsageError(f"bad coefficient in {item!r}") from exc
             try:
                 k = int(parts["k"])
             except ValueError as exc:
@@ -126,8 +144,9 @@ def _parse_literal(text: str, field: Field) -> FieldElement:
     if field.kind in ("real", "complex"):
         return field(float(text))
     if field.kind == "ext" and text.startswith("["):
-        coeffs = [int(v) for v in text.strip("[]").split("|")]
-        return field(coeffs)
+        if not text.endswith("]"):
+            raise ValueError(f"unterminated coefficient list {text!r}")
+        return field([int(v) for v in text[1:-1].split("|")])
     return field(int(text))
 
 

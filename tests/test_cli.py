@@ -137,6 +137,29 @@ def test_bad_entries_exit_1_without_traceback(capsys, field, entry):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,matrix,message", [
+    ("Fp:7", '{"rows": 2, "cols": 2, "entries": [[true, false], [false, true]]}',
+     "error: matrix entries must be numbers, not true or false"),
+    ("Fq:p=2,d=2,mod=[1,1,1]", '{"entries": [[[1, true], [0]], [[0], [1]]]}',
+     "error: matrix entries must be numbers, not true or false"),
+    ("Fp:7", '{"rows": 2.7, "cols": 2, "entries": [[1, 0], [0, 1]]}',
+     "error: matrix rows must be an integer, got 2.7"),
+    ("Fp:7", '{"rows": 2, "cols": "2", "entries": [[1, 0], [0, 1]]}',
+     "error: matrix cols must be an integer, got '2'"),
+    ("Fp:7", '{"rows": true, "cols": 1, "entries": [[1]]}',
+     "error: matrix rows must be an integer, got True"),
+    ("Fp:7", "[[1, 2], [3, 4]]", "error: expected a JSON object"),
+], ids=["bool-entries", "bool-coefficient", "float-rows", "string-cols", "bool-rows",
+        "inline-array"])
+def test_cli_refuses_booleans_non_integer_shapes_and_inline_arrays(capsys, field, matrix,
+                                                                   message):
+    code, out, err = run(capsys, "solve", "--field", field, "--word", "comm:m=4",
+                         "--matrix", matrix)
+    assert (code, out, err) == (1, "", message + "\n")
+    code, out, err = run(capsys, "verify", "--witness", " [1, 2]")
+    assert (code, out, err) == (1, "", "error: expected a JSON object\n")
+
+
 def _solve_argv(matrix):
     return ["solve", "--field", "Fp:5", "--word", "comm:m=4", "--matrix", matrix]
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import random
 import subprocess
@@ -10,10 +11,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import wordmap
-from wordmap.errors import UnsupportedField, ZeroPolynomial
-from wordmap.factor import _distinct_degree, factor, is_irreducible
+from wordmap.commutators import solve_commutator_product
+from wordmap.diagonal import solve_diagonal_word
+from wordmap.errors import NotFound, UnsupportedField, ZeroPolynomial
+from wordmap.factor import FACTOR_MEMO_SIZE, _distinct_degree, factor, is_irreducible
 from wordmap.fields import Field, GF, _iroot_ceil, enumerate_elements, extend, parse_field_spec
+from wordmap.matrices import Matrix, charpoly
 from wordmap.polynomials import Poly
+from wordmap.words import parse_word
 
 from oracles import naive_rational_roots, power_per_degree_distinct_degree, rabin_irreducible
 
@@ -22,6 +27,16 @@ F3 = Field("prime", p=3)
 F5 = Field("prime", p=5)
 F7 = Field("prime", p=7)
 Q = Field("rationals")
+
+# the module: the package's name wordmap.factor is the function factor
+factor_mod = importlib.import_module("wordmap.factor")
+
+
+@pytest.fixture
+def empty_factor_memo():
+    """A test that patches factor's internals counts their calls, so it starts
+    with no earlier test's factorizations in the memo."""
+    factor_mod._FACTOR_MEMO.clear()
 
 
 def as_pairs(fac):
@@ -494,3 +509,73 @@ FACTOR_GOLDEN = [
 @pytest.mark.parametrize("spec,kind,digest", FACTOR_GOLDEN)
 def test_factorizations_are_pinned(spec, kind, digest):
     assert _factor_digest(parse_field_spec(spec), kind, 1) == digest
+
+
+# ----------------------------------------------------------------------
+# the memo of recent factorizations
+# ----------------------------------------------------------------------
+
+def _counting(monkeypatch, name):
+    """Patch factor's internal ``name`` to record its first argument."""
+    calls, real = [], getattr(factor_mod, name)
+    monkeypatch.setattr(factor_mod, name, lambda f, *rest: calls.append(f) or real(f, *rest))
+    return calls
+
+
+def test_a_repeated_polynomial_gets_the_same_factorization(monkeypatch, empty_factor_memo):
+    calls = _counting(monkeypatch, "_factor_finite")
+    f = Poly(F7, [3, 1]) * Poly(F7, [3, 1]) * Poly(F7, [3, 0, 1]) * Poly(F7, [5])
+    fac = factor(f)
+    assert factor(Poly(F7, [c.rep for c in f.coeffs])) is fac
+    # each factor found is irreducible, which factor and is_irreducible
+    # answer from the factorization that found it
+    for term in fac.factors:
+        assert is_irreducible(term.poly)
+        assert [(t.poly, t.multiplicity) for t in factor(term.poly)] == [(term.poly, 1)]
+    assert len(calls) == 1
+    # over another field object of the same key the answer is the same
+    assert factor(Poly(parse_field_spec("Fp:7"), [c.rep for c in f.coeffs])) is fac
+    assert len(calls) == 1
+
+
+def test_the_memo_holds_at_most_its_bound(empty_factor_memo):
+    rng = random.Random(33)
+    polys = [Poly(F5, [rng.randrange(5) for _ in range(4)] + [1])
+             for _ in range(3 * FACTOR_MEMO_SIZE)]
+    for f in polys:
+        fac = factor(f)
+        assert fac.expand() == f
+        assert len(factor_mod._FACTOR_MEMO) <= FACTOR_MEMO_SIZE
+    assert len(factor_mod._FACTOR_MEMO) == FACTOR_MEMO_SIZE
+    # the oldest polynomials were dropped and are factored again, alike
+    assert as_pairs(factor(polys[0])) == as_pairs(factor_mod._factorization(polys[0]))
+
+
+def test_a_q_solve_proves_its_factor_irreducible_once(monkeypatch, empty_factor_memo):
+    """A = X^2 + Y^2 over Q with chi = x^2 + x + 189 irreducible: the
+    factorization of chi proves the working field's modulus irreducible, so
+    Zassenhaus runs once (twice when Q(alpha) factored its modulus again).
+    Planted Q targets can still end in a false NotFound (ROADMAP item 12)."""
+    X = Matrix.from_rows(Q, [[2, 1], [-3, 3]])
+    Y = Matrix.from_rows(Q, [[0, 3], [-2, 2]])
+    A = X * X + Y * Y
+    assert [t.poly.degree for t in factor_mod._factorization(charpoly(A)).factors] == [2]
+    calls = _counting(monkeypatch, "_zassenhaus")
+    try:
+        solve_diagonal_word(A, parse_word("diag:d=1,k=2;d=1,k=2", Q))
+    except NotFound:
+        pass
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [0, 3]], [[0, 1], [3, 0]], [[2, 1], [0, 2]]],
+                         ids=["split", "irreducible", "repeated"])
+def test_a_2x2_commutator_solve_factors_chi_once(monkeypatch, empty_factor_memo, rows):
+    """The m = 4 solve on a 2x2 target reads chi's roots (``_canonical_2x2``)
+    from the Jordan form's factorization of the same chi."""
+    A = Matrix.from_rows(F5, rows)
+    chi = charpoly(A)
+    calls = _counting(monkeypatch, "_factor_finite")
+    w = solve_commutator_product(A, 4, seed=1)
+    assert w.target == A
+    assert [f for f in calls if f == chi] == [chi]

@@ -266,14 +266,19 @@ def test_gf_modulus_is_unchanged(q):
     assert GF(q).modulus == GF_MODULI[q]
 
 
-def _tower(base, d):
-    """base[t]/(m) for the first irreducible monic m of degree d."""
+def _first_irreducible(base, d):
+    """The first irreducible monic m of degree d over base."""
     from wordmap.factor import is_irreducible
 
     for tail in itertools.product(list(enumerate_elements(base)), repeat=d):
         m = Poly(base, list(tail) + [base.one()])
         if is_irreducible(m):
-            return extend(base, m)[0]
+            return m
+
+
+def _tower(base, d):
+    """base[t]/(m) for the first irreducible monic m of degree d."""
+    return extend(base, _first_irreducible(base, d))[0]
 
 
 # Test cases name their fields by repr and build them inside the test, so a
@@ -286,8 +291,11 @@ TOWERS = {"Ftower:card=16": (4, 2), "Ftower:card=64": (4, 3),
 
 def _field(name):
     if name in TOWERS:
+        # named, like the fields of GF and parse_field_spec: log tables up to
+        # ELEMENT_TABLE_BOUND, where extend's F_729 has none
         q, d = TOWERS[name]
-        return _tower(GF(q), d)
+        base = GF(q)
+        return Field("ext", modulus=_first_irreducible(base, d).reps, base=base)
     return parse_field_spec(name)
 
 
@@ -783,6 +791,55 @@ def test_table_arithmetic_matches_schoolbook_on_seeded_pairs(name):
         k = rng.choice(POWERS)
         assert (x ** k).rep == ref_pow(field, a, k)
         assert (x ** -k).rep == ref_pow(field, inv, k)
+
+
+def _arithmetic(field):
+    """Which closures a field's element ops run on."""
+    qualname = field._rmul.__qualname__
+    return "log tables" if "_install_log_ops" in qualname else "base kernel"
+
+
+def test_log_tables_go_to_named_fields_and_to_the_field_table():
+    F64 = parse_field_spec("Fq:p=2,d=6,mod=[1,1,0,0,0,0,1]")
+    cubic, quadratic = _first_irreducible(F7, 3), _first_irreducible(F64, 2)
+    # per-solve working fields: tables only for those the field table keeps
+    assert _arithmetic(extend(F3, [1, 0, 1])[0]) == "log tables"  # F_9
+    assert _arithmetic(extend(F7, cubic)[0]) == "base kernel"  # F_343
+    assert _arithmetic(extend(F64, quadratic)[0]) == "base kernel"  # F_{64^2}
+    # named fields, up to ELEMENT_TABLE_BOUND
+    assert _arithmetic(GF(343, modulus=[c.rep for c in cubic.coeffs])) == "log tables"
+    assert _arithmetic(parse_field_spec("Fq:p=7,d=3,mod=[4,0,0,1]")) == "log tables"
+    assert _arithmetic(Field("ext", modulus=quadratic.reps, base=F64)) == "log tables"
+    assert _arithmetic(GF(8192)) == "base kernel"
+
+
+@pytest.mark.parametrize("name,d", [("Fp:7", 3), ("Fq:p=3,d=2,mod=[1,0,1]", 3)],
+                         ids=["F_343", "F_729-tower"])
+def test_per_solve_fields_agree_with_the_named_field(name, d):
+    """A working field past the field table runs on its base kernel's ops;
+    the named field of the same modulus runs on log tables, with the same
+    values."""
+    from wordmap.reduction import working_field
+
+    base = parse_field_spec(name)
+    m = _first_irreducible(base, d)
+    L = working_field(base, m)[0]
+    named = Field("ext", modulus=m.reps, base=base)
+    assert (_arithmetic(L), _arithmetic(named)) == ("base kernel", "log tables")
+    assert L == named and L is not named
+
+    def ops(F, a, b, k):
+        x, y = F.element(a), F.element(b)
+        out = [(x + y).rep, (x - y).rep, (-x).rep, (x * y).rep]
+        if not y.is_zero():
+            out += [y.inverse().rep, (y ** k).rep, (y ** -k).rep]
+        return out
+
+    raws = [x.rep for x in enumerate_elements(named)]
+    rng = random.Random(L.cardinality)
+    for _ in range(2000):
+        a, b, k = rng.choice(raws), rng.choice(raws), rng.choice(POWERS)
+        assert ops(L, a, b, k) == ops(named, a, b, k)
 
 
 # (base, modulus coefficients low degree first, a root of the modulus)

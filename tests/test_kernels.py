@@ -73,6 +73,7 @@ from oracles import (
 
 F4_SPEC = "Fq:p=2,d=2,mod=[1,1,1]"
 F9_SPEC = "Fq:p=3,d=2,mod=[2,2,1]"
+F64_SPEC = "Fq:p=2,d=6,mod=[1,1,0,0,0,0,1]"
 SPECS = ["Fp:2", "Fp:3", "Fp:101", F4_SPEC, F9_SPEC, "Q", "R:tol=1e-9", "C:tol=1e-9"]
 FIELDS = {spec: parse_field_spec(spec) for spec in SPECS}
 
@@ -1020,6 +1021,13 @@ GOLDEN = [
     # recorded with the per-element closure arithmetic of F_4
     (F4_SPEC, "comm:m=4", 3, 43,
      "c56ba6e6b095dafbee48df767b2cadfc0fab13bc46e6593650a6055a1d574323"),
+    # an irreducible cubic chi over F_7 and an irreducible quadratic chi over
+    # F_64, so each solve builds a working field past the field table (F_343,
+    # F_{64^2}); recorded while those fields still had log tables
+    ("Fp:7", "diag:d=1,k=2;d=1,k=3", 3, 44,
+     "e2b478b343ff60ab6290907621de4a0facc6d2e476aa48cb2d5313b5ef531921"),
+    (F64_SPEC, "diag:d=1,k=2;d=1,k=3", 2, 45,
+     "a015479e48e0c42f21e59018550bfe75a00ae0275c74cff082d01b4a25a48877"),
 ]
 
 
@@ -1033,6 +1041,10 @@ def _golden_target(spec, wspec, n, seed) -> str:
             return [rng.randrange(3), rng.randrange(3)]
         if spec == F4_SPEC:
             return [rng.randrange(2), rng.randrange(2)]
+        if spec == F64_SPEC:
+            return [rng.randrange(2) for _ in range(6)]
+        if spec == "Fp:7":
+            return rng.randrange(7)
         if spec.startswith("R"):
             return round(rng.uniform(-2, 2), 2)
         if spec.startswith("C"):

@@ -5,6 +5,7 @@ import pytest
 
 import wordmap.words as words_mod
 from wordmap.commutators import solve_commutator_product
+from wordmap.counting import count_solutions, image_enumerate, threshold
 from wordmap.diagonal import solve_diagonal_word
 from wordmap.errors import UsageError, VerificationFailed
 from wordmap.fields import Field
@@ -47,6 +48,44 @@ def test_parse_diag():
         parse_word("diag:k=2", F5)
     with pytest.raises(UsageError):
         parse_word("nonsense", F5)
+
+
+F4 = Field("ext", modulus=(1, 1, 1), base=F2)
+
+
+@pytest.mark.parametrize("spec,field", [
+    ("diag:d=x,k=2", F5), ("diag:d=abc,k=2", R), ("diag:d=[1|x],k=2", F4),
+    ("diag:d=[1,x],k=2", F4), ("diag:d=[1|1,k=2", F4), ("diag:d=1,k=2,z=5", F5),
+    ("diag:d=1,d=2,k=2", F5), ("diag:d=,k=2", F5), ("diag:d=1,k", F5),
+    ("diag:d=1.5,k=2", F5), ("diag:d=1,k=2.0", F5), ("diag:d=x,k=2", Q),
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_parse_diag_refuses_every_malformed_term(spec, field):
+    with pytest.raises(UsageError):
+        parse_word(spec, field)
+
+
+def test_parse_diag_reads_coefficient_lists_and_spaces():
+    w = parse_word("diag: d = [1|1] , k = 2 ; d=1,k=3", F4)
+    assert [(d.rep, k) for d, k in w.terms] == [((1, 1), 2), ((1, 0), 3)]
+
+
+def test_wrong_typed_arguments_raise_usage_errors():
+    A = Matrix.from_rows(F5, [[1, 2], [3, 4]])
+    calls = [
+        lambda: CommutatorProduct("4"), lambda: CommutatorProduct(True),
+        lambda: solve_commutator_product(A, 4.0), lambda: solve_commutator_product(A, True),
+        lambda: solve_diagonal_word(A, "diag:d=1,k=2;d=1,k=3"),
+        lambda: solve_diagonal_word(A, CommutatorProduct(4)),
+        lambda: DiagonalWord(((F5(1), 2.0),)), lambda: DiagonalWord(((F5(1), True),)),
+        lambda: DiagonalWord(((1, 2),)), lambda: DiagonalWord("ab"),
+        lambda: DiagonalWord([(F5(1), 2)]),
+        lambda: image_enumerate("comm:m=2", 2, F5),
+        lambda: count_solutions(F5, [1], [2.0], 1), lambda: threshold("2", 3),
+        lambda: threshold(2, False),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError):
+            call()
 
 
 def test_eval_comm_product():
