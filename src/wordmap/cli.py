@@ -23,8 +23,6 @@ from .diagonal import solve_diagonal_word
 from .errors import (
     NonzeroTrace,
     NotFound,
-    PartitionTooSmall,
-    SizeTooSmall,
     Unsupported,
     UsageError,
     WitnessNotFound,
@@ -35,8 +33,7 @@ from .matrices import Matrix
 from .words import CommutatorProduct, DiagonalWord, eval_word, parse_word, require_int
 
 SCHEMA = "wordmap/1"
-NEGATIVE = (NotFound, Unsupported, NonzeroTrace, WitnessNotFound,
-            SizeTooSmall, PartitionTooSmall)
+NEGATIVE = (NotFound, Unsupported, NonzeroTrace, WitnessNotFound)
 
 
 def _load_json_arg(text: str) -> dict:

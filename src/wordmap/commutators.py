@@ -58,6 +58,7 @@ from .matrices import (
     charpoly,
     generalized_jordan_form,
     companion_lift,
+    require_matrix,
 )
 from .polynomials import Poly
 from .reduction import working_field
@@ -303,6 +304,7 @@ def factor_two_trace_zero(A: Matrix, seed: int = 0) -> TraceZeroPair:
     trace(T1) = trace(T2) = 0, routing through the generalized Jordan form.
     The pair is a fixed function of A alone: ``seed`` is accepted for the
     callers that pass one and changes nothing."""
+    require_matrix(A)
     u, v, G, Gi = _factor_two_canonical(A)
     return _checked_pair(Gi * u * G, Gi * v * G, A)
 
@@ -536,6 +538,7 @@ def _factorization_tasks(A: Matrix, blocks=None):
 
 def trace_zero_to_commutator(T: Matrix, seed: int = 0) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X*Y - Y*X = T, for trace(T) = 0."""
+    require_matrix(T)
     if not T.trace().is_zero():
         raise NonzeroTrace("commutators have trace zero")
     X, Y = _commutator(T, seed)
@@ -796,6 +799,7 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     m >= 4 covers all of M_n(K) for n >= 2 over the supported perfect fields.
     """
     word = CommutatorProduct(m)
+    require_matrix(A)
     field = A.field
     n = A.nrows
     if n != A.ncols:

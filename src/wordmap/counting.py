@@ -1,16 +1,19 @@
 """Quantitative layer: exact solution counts for diagonal equations over
 finite fields, the Lang-Weil style bound that controls them, the scalar
 threshold q > k1^4 * k2^4, and exhaustive image enumeration for word maps on
-small matrix spaces (the oracle the solvers are tested against).  The
-enumeration computes on ``matrices.MatrixSpace``'s digit planes, every
-matrix of M_n(F_q) at once; the space's code order decides which matrices
-``ImageSummary.missing`` lists.
+small matrix spaces (the oracle the solvers are tested against).  For
+n >= 2 the enumeration computes on ``matrices.MatrixSpace``'s byte
+planes, every matrix of M_n(F_q) at once; at n = 1 it reads the image off
+scalar value sets.  The space's code order (at n = 1, the order of
+``enumerate_elements``) decides which matrices ``ImageSummary.missing``
+lists.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -82,6 +85,7 @@ def count_solutions(field: Field, coefficients, exponents, gamma,
     with the bound check |S - q^{m-1}| <= bound."""
     if not field.is_finite:
         raise UsageError("counting needs a finite field")
+    require_int(cap, "cap")
     coeffs = [field(c) for c in coefficients]
     ks = list(exponents)
     for k in ks:
@@ -131,25 +135,31 @@ class ImageSummary:
 def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> ImageSummary:
     """Exact image of the word map on M_n(F_q)^m by exhaustive enumeration.
 
-    Values are ``MatrixSpace`` codes, computed on its digit planes (one
-    byte per matrix and entry for q <= 256): a diagonal term's values are
-    its power planes times its coefficient; a sumset adds each value of
-    the smaller set to the planes of the larger; [X, Y] is linear in Y, so
-    each X gives [X, Y] for every Y, X running over one matrix per class
-    of X + cI and cX; a product of commutators multiplies each element of
-    the smaller factor set into the planes of the larger.  The cap still
-    bounds ``work``, the evaluations of a walk over every tuple.
-    ``missing`` is read off the set of values in code order: the first ten
-    non-values, whatever order the planes computed them in.
+    At n = 1 the image is a set of scalars: a commutator is 0, and a
+    diagonal word's values are the sumset of the sets {delta x^k} of its
+    terms.  For n >= 2 values are ``MatrixSpace`` codes, computed on its
+    digit planes (one byte per matrix and entry): a diagonal term's values
+    are its power planes times its coefficient; a sumset adds each value
+    of the smaller set to the planes of the larger; [X, Y] is linear in Y,
+    so each X gives [X, Y] for every Y, X running over one matrix per
+    class of X + cI and cX; a product of commutators multiplies each
+    element of the smaller factor set into the planes of the larger.  The
+    cap still bounds ``work``, the evaluations of a walk over every tuple.
+    ``missing`` is read off the set of values in code order (at n = 1,
+    ``enumerate_elements`` order): the first ten non-values, whatever
+    order the values were computed in.
     """
     if not isinstance(word, (CommutatorProduct, DiagonalWord)):
         raise UsageError(f"image_enumerate takes a word, got {word!r}")
     if not field.is_finite:
         raise UsageError("image enumeration needs a finite field")
+    require_int(cap, "cap")
     cells = MatrixSpace.cardinality(field, n)
     work = cells ** 2 if word.arity >= 2 else cells
     if work > cap:
         raise TooLarge(f"enumeration needs about {work} evaluations, over the cap {cap}")
+    if n == 1:
+        return _scalar_image(word, field)
     space = MatrixSpace(field, n)
     if isinstance(word, CommutatorProduct):
         singles = _commutators(space)
@@ -172,6 +182,25 @@ def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> Image
                 if len(missing) == 10:
                     break
     return ImageSummary(len(image), cells, tuple(missing))
+
+
+def _scalar_image(word, field: Field) -> ImageSummary:
+    """The image on M_1(F_q) = F_q: {0} for a commutator word, and for a
+    diagonal word the sumset of its terms' value sets {delta x^k}, each
+    element of the smaller side adding the larger side in turn until the
+    sums are all of F_q; ``missing`` in ``enumerate_elements`` order."""
+    elems = list(enumerate_elements(field))
+    image = {field._zero_raw}  # every 1x1 commutator, and the empty sum
+    for delta, k in (word.terms if isinstance(word, DiagonalWord) else ()):
+        few, many = sorted((image, {(delta * x ** k).rep for x in elems}), key=len)
+        image = set()
+        for a in few:
+            image.update(field._radd(a, b) for b in many)
+            if len(image) == len(elems):
+                break
+    outside = (x.rep for x in elems if x.rep not in image)
+    missing = tuple(Matrix._from_raw(field, [[r]]) for r in itertools.islice(outside, 10))
+    return ImageSummary(len(image), len(elems), missing)
 
 
 def _commutators(space: MatrixSpace) -> set:

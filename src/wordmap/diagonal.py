@@ -18,11 +18,12 @@ generalized Jordan form:
 Both searches (scalar solutions, regular solutions) run
 ``fields._power_sum_solutions``; they are deterministic and their
 exhaustion is reported as NotFound: over a small finite field that is a
-legitimate mathematical answer, not a failure.  When the whole witness
-space M_n(F_q)^2 is small enough to enumerate, a final hash-join search
-on ``matrices.MatrixSpace``'s digit planes runs before NotFound is raised,
-making the negative an actual proof; the space's code order decides its
-witness.
+legitimate mathematical answer, not a failure.  When n >= 2 and the
+whole witness space M_n(F_q)^2 is small enough to enumerate, a final
+hash-join search on ``matrices.MatrixSpace``'s digit planes runs before
+NotFound is raised, making the negative an actual proof; the space's code
+order decides its witness.  At n = 1 the scalar search has already walked
+every element of F_q, so its exhaustion is the proof.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from typing import Tuple
 from .errors import (
     CharPolyMismatch,
     NotFound,
+    NotSimilar,
     PartitionTooSmall,
+    SingularMatrix,
     SizeTooSmall,
     Unsupported,
     UsageError,
@@ -62,6 +65,7 @@ from .matrices import (
     charpoly,
     eigenbasis,
     nilpotent_jordan_basis,
+    require_matrix,
 )
 from .polynomials import Poly
 from .reduction import BlockPlan, solve_blockwise
@@ -253,13 +257,7 @@ def _check_two_term(X: Matrix, Y: Matrix, k1: int, k2: int,
 # junction matrices and partitions of nilpotent powers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JunctionSpec:
-    partition: Partition
-    realization: Matrix
-
-
-def junction_matrix(field: Field, partition: Partition) -> JunctionSpec:
+def junction_matrix(field: Field, partition: Partition) -> Matrix:
     """Sum of unit matrices at the partition boundaries."""
     if not isinstance(partition, Partition):
         partition = Partition(tuple(partition))
@@ -269,7 +267,7 @@ def junction_matrix(field: Field, partition: Partition) -> JunctionSpec:
     for part in list(partition)[:-1]:
         cum += part
         J = J + Matrix.unit(field, n, cum - 1, cum)
-    return JunctionSpec(partition, J)
+    return J
 
 
 def nilpotent_power_partition(n: int, k: int) -> Partition:
@@ -284,7 +282,7 @@ def nilpotent_power_partition(n: int, k: int) -> Partition:
 
 
 def junction_as_scaled_power(field: Field, partition: Partition, k: int,
-                             beta: FieldElement) -> Tuple[Matrix, JunctionSpec]:
+                             beta: FieldElement) -> Matrix:
     """B with beta * B^k equal to the junction matrix of ``partition``.
 
     The nilpotent source B0 pads 1x1 blocks around blocks of size k+s
@@ -292,19 +290,15 @@ def junction_as_scaled_power(field: Field, partition: Partition, k: int,
     blocks of size 2; the scalar 1/beta is absorbed by the chain-basis
     conjugation (nilpotents are conjugate to their nonzero multiples).
     """
-    if not isinstance(partition, Partition):
-        partition = Partition(tuple(partition))
     beta = field(beta)
     if beta.is_zero():
         raise UsageError("beta must be nonzero")
-    jspec = junction_matrix(field, partition)
-    J = jspec.realization
-    n = partition.total
+    J = junction_matrix(field, partition)
+    n = J.nrows
     if k == 1:
-        B = J.scale(beta.inverse())
-        return B, jspec
+        return J.scale(beta.inverse())
     if len(partition) == 1:
-        return Matrix.zeros(field, n, n), jspec
+        return Matrix.zeros(field, n, n)
     if any(p < 2 for p in partition):
         raise PartitionTooSmall("junction power construction needs all parts >= 2")
     twos = len(partition) - 1
@@ -332,7 +326,7 @@ def junction_as_scaled_power(field: Field, partition: Partition, k: int,
     B = Q * B0 * Q.inverse()
     if not (B ** k).scale(beta).allclose(J):
         raise VerificationFailed("junction power witness failed")
-    return B, jspec
+    return B
 
 
 def large_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
@@ -358,7 +352,7 @@ def large_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
     J = Matrix.jordan_block(field.zero(), n)
     # P J P^-1 for P = Matrix.permutation(field, order), read off J
     X = Matrix._from_raw(field, [[J.reps[t][u] for u in order] for t in order])
-    Y, _ = junction_as_scaled_power(field, part, k2, beta)
+    Y = junction_as_scaled_power(field, part, k2, beta)
     _check_two_term(X, Y, k1, k2, beta, J)
     return X, Y
 
@@ -369,10 +363,8 @@ def large_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
 
 @dataclass(frozen=True)
 class BorderedSpec:
-    eps: FieldElement
     x: tuple
     y: tuple
-    z: FieldElement
     matrix: Matrix
     witness: Matrix           # scale * witness^k = matrix
     spectrum: tuple           # the prescribed eigenvalues scale*mu_i^k
@@ -471,7 +463,7 @@ def bordered_solve(field: Field, eps: FieldElement, z: FieldElement, mu, k: int,
     W = S * Matrix.diagonal(field, mu) * S.inverse()
     if not (W ** k).scale(scale).allclose(M):
         raise VerificationFailed("bordered power witness failed")
-    return BorderedSpec(eps, tuple(x), tuple(y), z, M, W, tuple(powers))
+    return BorderedSpec(tuple(x), tuple(y), M, W, tuple(powers))
 
 
 # ----------------------------------------------------------------------
@@ -541,7 +533,8 @@ def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
         S1, lengths = nilpotent_jordan_basis(R)
         if lengths != (n,):
             raise VerificationFailed("bordered sum is not a full nilpotent block")
-        Qc = nilpotent_jordan_basis(target)[0] * S1.inverse()
+        # the chain basis of J_{0,n} itself is the identity
+        Qc = S1.inverse()
         Qc_inv = Qc.inverse()
         X = Qc * b1.witness * Qc_inv
         Y = Qc * b2.witness * Qc_inv
@@ -596,6 +589,7 @@ def solve_diagonal_word(A: Matrix, word: DiagonalWord, seed: int = 0) -> Witness
     """
     if not isinstance(word, DiagonalWord):
         raise UsageError(f"solve_diagonal_word takes a DiagonalWord, got {word!r}")
+    require_matrix(A)
     field = A.field
     m = word.arity
     zero_mat = Matrix.zeros(field, A.nrows, A.ncols)
@@ -637,7 +631,10 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
         return X, Y, (P,)
     except NotFound:
         # over a tiny field the whole witness space is searchable, which
-        # turns NotFound into an actual proof of unreachability
+        # turns NotFound into an actual proof of unreachability; at n = 1
+        # the scalar search has already walked all of F_q
+        if A.nrows < 2 or not A.field.is_finite:
+            raise
         got = _exhaustive_two_term(A, k1, beta, k2)
         if got is None:
             raise
@@ -646,7 +643,7 @@ def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
 
 def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     """Hash join over all of M_n(F_q)^2 on ``MatrixSpace``'s digit planes
-    (one byte per matrix and entry for q <= 256).
+    (one byte per matrix and entry).
 
     X^{k1} for every X at once gives a dict from each power's code to the
     first X with it; A - beta*Y^{k2} for every Y at once is n^2 unary
@@ -655,8 +652,6 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     lowest code, so the pair is the one a walk in code order meets first.
     Each table is dropped once read, to keep the peak memory low."""
     field = A.field
-    if not field.is_finite:
-        return None
     n = A.nrows
     if MatrixSpace.cardinality(field, n) > EXHAUSTIVE_CAP:
         return None
@@ -670,7 +665,7 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
         powers = space.power(planes, k2)
     del planes
     rsub, rmul, b = field._rsub, field._rmul, beta.rep
-    want = space.codes([space.apply(P, space.table(lambda r, a=a: rsub(a, rmul(b, r))))
+    want = space.codes([P.translate(space.table(lambda r, a=a: rsub(a, rmul(b, r))))
                         for P, a in zip(powers, itertools.chain(*A.reps))])
     del powers
     y = bytes(map(first_x.__contains__, want)).find(1)
@@ -680,7 +675,14 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
 
 
 def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int = 0):
-    """Solve X^{k1} + beta*Y^{k2} = J_{alpha,l} in the block's working field."""
+    """Solve X^{k1} + beta*Y^{k2} = J_{alpha,l} in the block's working field.
+
+    A nilpotent block tries its routes in turn: the junction (l >= 2*k1),
+    the bordered route, the alpha = 0 scalar pair, and the junction with
+    the exponents swapped (l >= 2*k2).  A route falls through when the
+    junction has no room (PartitionTooSmall) or a search is exhausted
+    (NotFound), and over R also when the bordered route breaks down
+    numerically; NotFound when every route fails."""
     L = bp.field
     beta_L = bp.embed(beta) if bp.embed is not None else beta
     alpha, l = bp.alpha, bp.size
@@ -695,26 +697,32 @@ def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int 
     if l == 1:
         return (Matrix.zeros(L, 1, 1), Matrix.zeros(L, 1, 1))
     if l >= 2 * k1:
-        return large_nilpotent_decompose(L, l, k1, k2, beta_L)
+        try:
+            return large_nilpotent_decompose(L, l, k1, k2, beta_L)
+        except PartitionTooSmall:
+            pass
+    breakdowns = (NotFound,) if L.is_exact else (
+        NotFound, VerificationFailed, NotSimilar, CharPolyMismatch, SingularMatrix)
     try:
         return small_nilpotent_decompose(L, l, k1, k2, beta_L)
-    except NotFound as small_err:
-        # two independent fallbacks: the alpha = 0 scalar-pair route, and the
-        # large-index route with the exponents' roles swapped
+    except breakdowns as exc:
+        small_err = exc
+    try:
+        sols = scalar_two_solutions(L, L.zero(), k1, k2, beta_L, seed)
+        return invertible_jordan_decompose(L.zero(), l, k1, k2, beta_L, sols)
+    except NotFound:
+        pass
+    if l >= 2 * k2 and k2 >= 2:
         try:
-            sols = scalar_two_solutions(L, L.zero(), k1, k2, beta_L, seed)
-            return invertible_jordan_decompose(L.zero(), l, k1, k2, beta_L, sols)
-        except NotFound:
+            Yp, Xp = large_nilpotent_decompose(L, l, k2, k1, beta_L.inverse())
+            E = _nilpotent_scaling(L, l, beta_L)
+            Ei = E.inverse()
+            return Ei * Xp * E, Ei * Yp * E
+        except PartitionTooSmall:
             pass
-        if l >= 2 * k2 and k2 >= 2:
-            try:
-                Yp, Xp = large_nilpotent_decompose(L, l, k2, k1, beta_L.inverse())
-                E = _nilpotent_scaling(L, l, beta_L)
-                Ei = E.inverse()
-                return Ei * Xp * E, Ei * Yp * E
-            except (NotFound, PartitionTooSmall, SizeTooSmall):
-                pass
+    if isinstance(small_err, NotFound):
         raise small_err
+    raise NotFound(f"no route solves J_{{0,{l}}} over {L} (small route: {small_err})")
 
 
 def _nilpotent_scaling(field: Field, n: int, c: FieldElement) -> Matrix:
@@ -848,7 +856,7 @@ def _block_kth_root(bp: BlockPlan, k: int) -> Matrix:
         raise NotFound(f"eigenvalue {alpha!r} is not a {k}-th power")
     r = roots[0]
     X = Matrix.identity(L, l).scale(r)
-    target = bp.target
+    target = Matrix.jordan_block(alpha, l)
     N = Matrix.jordan_block(L.zero(), l)
     for _ in range(l + 1):
         E = target - X ** k

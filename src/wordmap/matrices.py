@@ -26,9 +26,10 @@ of seed 1.
 
 Nilpotent structure.  A nilpotent N's Jordan type and its chain basis
 come from one pass, the kernel chain ker N, ker N^2, ... of
-``_chain_filtration``: ``nilpotent_partition`` reads the chain lengths,
-``nilpotent_jordan_basis`` the chains themselves, and no rank of a power
-is computed.
+``_chain_filtration`` in ``_nilpotent_chains``, which also decides
+nilpotency (the chains cover n): ``nilpotent_partition`` reads the chain
+lengths, ``nilpotent_jordan_basis`` the chains themselves, and no rank of
+a power is computed.
 
 Verification rule: a result is checked where a public entry point returns
 it (``generalized_jordan_form``), where a failed check selects another
@@ -59,6 +60,7 @@ from .errors import (
     NotNilpotent,
     NotSimilar,
     SingularMatrix,
+    TooLarge,
     UsageError,
     VerificationFailed,
 )
@@ -229,9 +231,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return self.field.wrap([row[j] for row in self.reps])
 
-    def cols(self) -> list:
-        return [self.col(j) for j in range(self.ncols)]
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "Matrix"):
@@ -400,14 +399,21 @@ def _transpose(vecs) -> list:
     return [list(r) for r in zip(*vecs)]
 
 
+def require_matrix(value) -> None:
+    """Refuse an argument that is not a Matrix (a solver's target, say)."""
+    if not isinstance(value, Matrix):
+        raise UsageError(f"expected a Matrix, got {type(value).__name__}")
+
+
 def _require_square(A: Matrix):
+    require_matrix(A)
     if A.nrows != A.ncols:
         raise NonSquare(f"{A.nrows}x{A.ncols} matrix where square is required")
 
 
 class MatrixSpace:
     """M_n(F_q) in its one enumeration order, and the whole-space kernel of
-    the brute-force searches.
+    the brute-force searches, for q <= 256.
 
     A matrix's code is its index in that order: its entries' digits
     (indices in ``enumerate_elements`` order) as base-q digits, row-major,
@@ -417,14 +423,14 @@ class MatrixSpace:
 
     Digit planes: over a run of codes, entry t's plane holds entry t's
     digit of the run's i-th matrix in slot i, so n^2 planes stand for all
-    of them.  For q <= 256 a plane is a ``bytes``, one byte per slot: a
-    map of one entry is one ``translate``; a sum or product packs each
-    slot pair into a*q + b by big-int arithmetic, carry-free while that
-    fits a byte (always for q <= 16; above, the first digit goes in groups
-    of 256 // q values, one masked translate each), then translates once.
-    For q > 256 (n = 1 under the default caps) a plane is a list of ints.
-    ``codes`` widens the planes into 4- or 8-byte slots and takes one
-    weighted big-int sum.
+    of them.  A plane is a ``bytes``, one byte per slot: a map of one
+    entry is one ``translate``; a sum or product packs each slot pair into
+    a*q + b by big-int arithmetic, carry-free while that fits a byte
+    (always for q <= 16; above, the first digit goes in groups of 256 // q
+    values, one masked translate each), then translates once.  ``codes``
+    widens the planes into 4- or 8-byte slots and takes one weighted
+    big-int sum.  A field over 256 elements is refused with TooLarge: the
+    searches reach it only at n = 1, where they solve scalar equations.
     """
 
     @staticmethod
@@ -436,18 +442,18 @@ class MatrixSpace:
 
     def __init__(self, field: Field, n: int):
         self.size = MatrixSpace.cardinality(field, n)
+        if field.cardinality > _BYTE:
+            raise TooLarge(f"digit planes hold one byte per entry, and {field} "
+                           f"has {field.cardinality} elements")
         self.field = field
         self.n = n
         reps = self._reps = [x.rep for x in enumerate_elements(field)]
         digit = self._digit = {r: i for i, r in enumerate(reps)}
         q = self.q = len(reps)
         self.zero, self.one = digit[field._zero_raw], digit[field._one_raw]
-        self._narrow = q <= _BYTE
-        self._ops = (field._radd, field._rmul)
-        if not self._narrow:
-            return
         # _rows[op][c] is the table of d -> c + d (op 0) or c * d (op 1)
-        self._rows = [[self.table(partial(f, r)) for r in reps] for f in self._ops]
+        self._rows = [[self.table(partial(f, r)) for r in reps]
+                      for f in (field._radd, field._rmul)]
         # (a, b) packs into a byte as (a mod g)*q + b, g = 256 // q, with one
         # mask and one pair table per group of g consecutive first digits
         g = _BYTE // q
@@ -479,9 +485,6 @@ class MatrixSpace:
 
     # -- digit planes -----------------------------------------------------
 
-    def _fill(self, d: int, count: int):
-        return bytes((d,)) * count if self._narrow else [d] * count
-
     def planes(self) -> list:
         """The digit planes of the whole space, in code order."""
         return next(self.blocks(self.size))
@@ -496,28 +499,18 @@ class MatrixSpace:
         while j > 1 and q ** j > limit:
             j -= 1
         span = q ** j
-        low = []
-        for t in range(j):
-            runs = [self._fill(d, q ** (j - 1 - t)) for d in range(q)]
-            period = b"".join(runs) if self._narrow else list(itertools.chain(*runs))
-            low.append(period * q ** t)
+        low = [b"".join(bytes((d,)) * q ** (j - 1 - t) for d in range(q)) * q ** t
+               for t in range(j)]
         for top in range(q ** (nn - j)):
-            yield [self._fill(d, span) for d in self.digits_at(top)[j:]] + low
+            yield [bytes((d,)) * span for d in self.digits_at(top)[j:]] + low
 
     def select(self, P, codes) -> list:
         """The planes P restricted to the slots ``codes``, in that order."""
-        seq = bytes if self._narrow else list
-        return [seq(map(plane.__getitem__, codes)) for plane in P]
+        return [bytes(map(plane.__getitem__, codes)) for plane in P]
 
     def codes(self, P):
         """The code of the matrix in each slot of the planes P."""
-        q = self.q
-        if not self._narrow:
-            acc = [0] * len(P[0])
-            for plane in P:
-                acc = [c * q + d for c, d in zip(acc, plane)]
-            return acc
-        count = len(P[0])
+        q, count = self.q, len(P[0])
         fmt, width = ("I", 4) if self.size <= 1 << 32 else ("Q", 8)
         order = sys.byteorder
         buf = bytearray(width * count)
@@ -530,26 +523,12 @@ class MatrixSpace:
 
     # -- arithmetic on planes ---------------------------------------------
 
-    def table(self, f):
+    def table(self, f) -> bytes:
         """The translate table of d -> digit of f(element d), f on raw reps."""
         digit = self._digit
-        out = [digit[f(r)] for r in self._reps]
-        return bytes(out).ljust(_BYTE, b"\0") if self._narrow else out
-
-    def apply(self, plane, table):
-        if self._narrow:
-            return plane.translate(table)
-        return list(map(table.__getitem__, plane))
-
-    def _row(self, op: int, c: int):
-        if self._narrow:
-            return self._rows[op][c]
-        return self.table(partial(self._ops[op], self._reps[c]))
+        return bytes(digit[f(r)] for r in self._reps).ljust(_BYTE, b"\0")
 
     def _binary(self, op: int, P, Q):
-        if not self._narrow:
-            f, reps, digit = self._ops[op], self._reps, self._digit
-            return [digit[f(reps[a], reps[b])] for a, b in zip(P, Q)]
         count, tables = len(P), self._pairs[op]
         low = P if len(tables) == 1 else P.translate(self._low)
         packed = (int.from_bytes(low, "little") * self.q
@@ -564,11 +543,11 @@ class MatrixSpace:
 
     def shift(self, P, c: int):
         """c + P for a digit c."""
-        return self.apply(P, self._row(0, c))
+        return P.translate(self._rows[0][c])
 
     def scale(self, P, c: int):
         """c * P for a digit c."""
-        return self.apply(P, self._row(1, c))
+        return P.translate(self._rows[1][c])
 
     def add(self, P, Q):
         return self._binary(0, P, Q)
@@ -585,7 +564,7 @@ class MatrixSpace:
             if c != self.one:
                 P = self.scale(P, c)
             acc = P if acc is None else self.add(acc, P)
-        return self._fill(self.zero, count) if acc is None else acc
+        return bytes((self.zero,)) * count if acc is None else acc
 
     def matmul(self, X, Y) -> list:
         n, add, mul = self.n, self.add, self.mul
@@ -743,17 +722,26 @@ def is_nilpotent(A: Matrix) -> bool:
 
 def nilpotent_partition(A: Matrix) -> Partition:
     """Jordan partition of a nilpotent matrix: the lengths of its kernel
-    chains (``_chain_filtration``).  Over R/C the kernels of an
-    ill-conditioned nilpotent can stall below n at the pivot tolerance;
-    chains that do not add up to n raise VerificationFailed."""
+    chains (``_nilpotent_chains``)."""
+    return Partition(tuple(sorted(level for _, level in _nilpotent_chains(A))))
+
+
+def _nilpotent_chains(A: Matrix) -> list:
+    """The chain tops (v, level) of a nilpotent A, from one pass of
+    ``_chain_filtration``.  A is nilpotent exactly when its chains cover
+    n, so A is powered to A^n only when they do not, to name the error:
+    NotNilpotent, or VerificationFailed when A^n = 0, since over R/C the
+    kernels of an ill-conditioned nilpotent can stall below n at the pivot
+    tolerance."""
     _require_square(A)
-    if not is_nilpotent(A):
-        raise NotNilpotent("matrix is not nilpotent")
-    parts = sorted(level for _, level in _chain_filtration(A, A, 1))
-    if sum(parts) != A.nrows:
+    chains = _chain_filtration(A, A, 1)
+    total = sum(level for _, level in chains)
+    if total != A.nrows:
+        if not is_nilpotent(A):
+            raise NotNilpotent("matrix is not nilpotent")
         raise VerificationFailed(
-            f"kernel chains of total length {sum(parts)} in a {A.nrows}x{A.nrows} nilpotent")
-    return Partition(tuple(parts))
+            f"kernel chains of total length {total} in a {A.nrows}x{A.nrows} nilpotent")
+    return chains
 
 
 def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
@@ -831,11 +819,8 @@ def _chain_tops(kern, kers, d: int, apply_a, apply_b) -> list:
 
 def nilpotent_jordan_basis(N: Matrix) -> tuple:
     """(S, partition_desc) with S^-1 N S = block_diag(J_{0,l}) for the parts
-    in descending order."""
-    _require_square(N)
-    if not is_nilpotent(N):
-        raise NotNilpotent("matrix is not nilpotent")
-    chains = _chain_filtration(N, N, 1)
+    in descending order (chains from ``_nilpotent_chains``)."""
+    chains = _nilpotent_chains(N)
     chains.sort(key=lambda c: -c[1])
     apply = N.field.kernel.matvec_fn(N.reps)
     cols = []

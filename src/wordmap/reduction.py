@@ -10,7 +10,11 @@ quadratic factor is handled through C and lifted back to real 2x2 blocks.
 both the diagonal-word solver and the commutator task planner.
 ``plan`` / ``assemble`` / ``solve_blockwise`` serve the diagonal-word
 solver.  They verify nothing: the public solve that calls them checks the
-finished witness once, by evaluating its word against the target.
+finished witness once, by evaluating its word against the target.  A plan
+holds the Jordan form (the base field is its realization's field) and,
+per block, what the block solvers read: the factor, the size, the working
+field, the eigenvalue, the embedding and the R -> C root.  J_{alpha,l}
+itself is built only by ``diagonal._block_kth_root``, its one reader.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ class BlockPlan:
     field: Field                   # K(alpha), or the base field when deg = 1
     alpha: FieldElement            # the eigenvalue in the working field
     embed: Optional[Callable]      # base -> working field (None when identity)
-    target: Matrix                 # J_{alpha, l} over the working field
     complex_root: Optional[complex]  # chosen root for the R -> C route
 
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    base_field: Field
+    """The Jordan form of the target (whose ``realization.field`` is the
+    base field) and its blocks in Jordan-form order."""
+
     jordan: GeneralizedJordanForm
     blocks: Tuple[BlockPlan, ...]
 
@@ -71,10 +76,8 @@ def plan(A: Matrix) -> ReductionPlan:
     blocks = []
     for p, specs in itertools.groupby(jf.blocks, key=lambda spec: spec.poly):
         L, alpha, embed, root = working_field(A.field, p)
-        blocks.extend(BlockPlan(p, spec.size, L, alpha, embed,
-                                Matrix.jordan_block(alpha, spec.size), root)
-                      for spec in specs)
-    return ReductionPlan(A.field, jf, tuple(blocks))
+        blocks.extend(BlockPlan(p, spec.size, L, alpha, embed, root) for spec in specs)
+    return ReductionPlan(jf, tuple(blocks))
 
 
 def assemble(rplan: ReductionPlan,
@@ -82,7 +85,7 @@ def assemble(rplan: ReductionPlan,
     """(matrices, P): lift the per-block solutions (one tuple per block, in
     ``rplan.blocks`` order), direct-sum them per word position and conjugate
     back by the Jordan conjugator P.  The result is not verified here."""
-    field = rplan.base_field
+    field = rplan.jordan.realization.field
     solutions = [tuple(sol) for sol in solutions]
     if len(solutions) != len(rplan.blocks) or len({len(sol) for sol in solutions}) != 1:
         raise UsageError("assemble needs one solution tuple of equal length per block")

@@ -68,10 +68,6 @@ class DiagonalWord:
     def arity(self) -> int:
         return len(self.terms)
 
-    @property
-    def exponents(self) -> tuple:
-        return tuple(k for _, k in self.terms)
-
     def spec_string(self) -> str:
         return "diag:" + ";".join(f"d={delta!r},k={k}" for delta, k in self.terms)
 

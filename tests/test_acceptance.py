@@ -219,9 +219,8 @@ def test_criterion_4_power_partition_junction_layer():
         parts = sorted(rng.randrange(2, 6) for _ in range(rng.randrange(2, 5)))
         part = Partition(tuple(parts))
         beta = F7(rng.randrange(1, 7))
-        B, spec = junction_as_scaled_power(F7, part, k, beta)
-        assert (B ** k).scale(beta) == spec.realization
-        assert spec.realization == junction_matrix(F7, part).realization
+        B = junction_as_scaled_power(F7, part, k, beta)
+        assert (B ** k).scale(beta) == junction_matrix(F7, part)
         done += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -101,6 +102,34 @@ def test_enumerate_image(capsys):
     assert data["image_size"] == 8 and data["total"] == 16
     assert data["surjective"] is False
     assert len(data["missing"]) == 8
+
+
+# (field, word, --out, SHA-256 of the stdout of `wordmap enumerate-image
+# --n 1`), recorded when n = 1 images were enumerated on MatrixSpace planes
+# (a list of ints per plane above 256 elements)
+N1_IMAGE_GOLDEN = [
+    ("Fp:2", "comm:m=2", "json", "62f2afb8a18a41a38aa4c2e5ee1a8c69a7cf89a3aeaf0feeffdf4b919ca35f98"),
+    ("Fp:257", "comm:m=4", "json", "ea0aaff14ebc150c6f2fa19c2d2a88daca9f01b0992a495086f521d89ecdc721"),
+    ("Fp:257", "diag:d=1,k=2", "json", "51dcf93acf64ad927999d21a6c537c252575ed02774c21bf312de3079fe5e9fb"),
+    ("Fp:257", "diag:d=1,k=4;d=3,k=6", "json",
+     "0ba4ade5c1fb25e361fec162c2ce4ce2507a02ac94a04505b87516babeb1a674"),
+    ("Fq:p=3,d=2,mod=[2,2,1]", "diag:d=[0|1],k=4", "json",
+     "9c4907f6b2d679bfc6e6affb8e9ac067f38b5f25a3e9ee80ff39b7787f0836f5"),
+    ("Fq:p=3,d=2,mod=[2,2,1]", "diag:d=1,k=4;d=[1|1],k=4", "text",
+     "7a546f0cde3815234e90ac9fc73f5aeaa6ed9c29fa85107f098b2d50df54b7c1"),
+    ("Fp:13", "diag:d=1,k=12;d=1,k=12", "text",
+     "d2c2fcd3b55943e868f030ec502d3452762d088a5e69d89e31c57642f299ea9b"),
+    ("Fp:2", "diag:d=1,k=3", "text", "a43a66cd1796db0c8f30cb2a3807bd31555e05e250b51859bb1eff5a4ecd4e1f"),
+]
+
+
+@pytest.mark.parametrize("field,word,out,digest", N1_IMAGE_GOLDEN,
+                         ids=[f"{f}-{w}-{o}" for f, w, o, _ in N1_IMAGE_GOLDEN])
+def test_enumerate_image_n1_is_pinned(capsys, field, word, out, digest):
+    code, stdout, _ = run(capsys, "enumerate-image", "--field", field, "--word", word,
+                          "--n", "1", "--out", out)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_malformed_input_exits_1(capsys):

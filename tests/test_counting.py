@@ -14,7 +14,7 @@ from wordmap.counting import (
     threshold,
 )
 from wordmap.errors import TooLarge, UsageError
-from wordmap.fields import Field, parse_field_spec
+from wordmap.fields import Field, enumerate_elements, parse_field_spec
 from wordmap.matrices import Matrix, MatrixSpace
 from wordmap.words import CommutatorProduct, DiagonalWord, parse_word
 
@@ -219,8 +219,8 @@ def test_image_just_over_the_default_cap_is_refused():
 
 
 def test_image_over_a_field_above_one_byte():
-    """F_257 at n = 1: the planes hold one int per slot; the squares are 0
-    and the 128 quadratic residues."""
+    """F_257 at n = 1, a scalar image: the squares are 0 and the 128
+    quadratic residues."""
     F257 = Field("prime", p=257)
     summary = image_enumerate(DiagonalWord(((F257(1), 2),)), 1, F257)
     residues = {x * x % 257 for x in range(257)}
@@ -229,6 +229,48 @@ def test_image_over_a_field_above_one_byte():
         [x for x in range(257) if x not in residues][:10]
     both = image_enumerate(DiagonalWord(((F257(1), 2), (F257(3), 2))), 1, F257)
     assert both.surjective
+
+
+N1_FIELDS = ["Fp:2", "Fq:p=3,d=2,mod=[2,2,1]", "Fp:257"]
+N1_WORDS = ["comm:m=2", "diag:d={a},k=2", "diag:d={a},k=3", "diag:d=1,k=4;d={a},k=6",
+            "diag:d={a},k=2;d=1,k=2"]
+
+
+def _brute_scalar_image(field, word):
+    """Every value of the word on F_q^m by direct scalar arithmetic."""
+    elems = list(enumerate_elements(field))
+    values = set()
+    for xs in itertools.product(elems, repeat=word.arity):
+        if isinstance(word, CommutatorProduct):
+            v = field.zero()
+            for x, y in zip(xs[::2], xs[1::2]):
+                v = v + (x * y - y * x)
+        else:
+            v = field.zero()
+            for (delta, k), x in zip(word.terms, xs):
+                v = v + delta * x ** k
+        values.add(v.rep)
+    return values
+
+
+@pytest.mark.parametrize("spec", N1_FIELDS)
+@pytest.mark.parametrize("wspec", N1_WORDS)
+def test_n1_image_is_the_scalar_image(spec, wspec, monkeypatch):
+    """At n = 1 the image is read off scalar value sets and builds no
+    MatrixSpace; size, total and ``missing`` (the first ten non-values in
+    ``enumerate_elements`` order) equal a brute force over F_q^m."""
+    field = parse_field_spec(spec)
+    last = repr(list(enumerate_elements(field))[-1]).replace(",", "|")
+    word = parse_word(wspec.format(a=last), field)
+
+    def refuse(*args):
+        raise AssertionError("an n = 1 image built a MatrixSpace")
+    monkeypatch.setattr(MatrixSpace, "__init__", refuse)
+    summary = image_enumerate(word, 1, field)
+    values = _brute_scalar_image(field, word)
+    outside = [x for x in enumerate_elements(field) if x.rep not in values]
+    assert (summary.size, summary.total) == (len(values), field.cardinality)
+    assert summary.missing == tuple(Matrix.from_rows(field, [[x]]) for x in outside[:10])
 
 
 def test_csv_row_quotes_tower_elements():

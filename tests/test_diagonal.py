@@ -242,49 +242,57 @@ def test_invertible_jordan_sizes_and_diagonalizability(n):
 # -- junction matrices and the power-partition layer ----------------------------
 
 def test_junction_matrix_examples():
-    assert junction_matrix(F5, Partition((4,))).realization.is_zero()
-    j = junction_matrix(F5, Partition((2, 2))).realization
+    assert junction_matrix(F5, Partition((4,))).is_zero()
+    j = junction_matrix(F5, Partition((2, 2)))
     assert j == Matrix.unit(F5, 4, 1, 2)
-    j = junction_matrix(F7, Partition((2, 2, 3))).realization
+    j = junction_matrix(F7, Partition((2, 2, 3)))
     assert j == Matrix.unit(F7, 7, 1, 2) + Matrix.unit(F7, 7, 3, 4)
 
 
 def test_junction_as_scaled_power_examples():
-    B, spec = junction_as_scaled_power(F5, Partition((2, 2)), 2, F5(1))
-    assert (B ** 2) == spec.realization
+    B = junction_as_scaled_power(F5, Partition((2, 2)), 2, F5(1))
+    assert (B ** 2) == junction_matrix(F5, Partition((2, 2)))
     assert nilpotent_partition(B ** 2).parts == (1, 1, 2)
-    B, spec = junction_as_scaled_power(F7, Partition((3, 4)), 2, F7(3))
-    assert (B ** 2).scale(F7(3)) == spec.realization
-    B, spec = junction_as_scaled_power(F7, Partition((2, 2)), 1, F7(3))
-    assert B.scale(F7(3)) == spec.realization
+    B = junction_as_scaled_power(F7, Partition((3, 4)), 2, F7(3))
+    assert (B ** 2).scale(F7(3)) == junction_matrix(F7, Partition((3, 4)))
+    B = junction_as_scaled_power(F7, Partition((2, 2)), 1, F7(3))
+    assert B.scale(F7(3)) == junction_matrix(F7, Partition((2, 2)))
 
 
 def test_nilpotent_types_come_from_one_chain_pass_per_matrix(monkeypatch):
-    """The junction and the bordered route read each nilpotent's Jordan
-    type and chain basis from one ``nilpotent_jordan_basis`` call, so each
-    of the two matrices they conjugate is tested for nilpotency once."""
+    """The junction reads the Jordan type and chain basis of each of the
+    two nilpotents it conjugates from one kernel-chain pass, which also
+    decides nilpotency; the bordered route reads only its bordered sum's,
+    since the chain basis of J_{0,n} is the identity.  No power A^n is
+    taken when the chains cover n."""
     import wordmap.matrices as matrices_mod
 
-    calls = []
-    inner = matrices_mod.is_nilpotent
+    calls, powers = [], []
+    inner, nilpotent = matrices_mod._chain_filtration, matrices_mod.is_nilpotent
 
-    def counted(A):
+    def counted(A, *args):
         calls.append(A.nrows)
-        return inner(A)
+        return inner(A, *args)
 
-    monkeypatch.setattr(matrices_mod, "is_nilpotent", counted)
+    def counted_power(A):
+        powers.append(A.nrows)
+        return nilpotent(A)
+
+    monkeypatch.setattr(matrices_mod, "_chain_filtration", counted)
+    monkeypatch.setattr(matrices_mod, "is_nilpotent", counted_power)
     junction_as_scaled_power(F7, (3, 4), 2, 3)
     assert len(calls) == 2
     calls.clear()
     small_nilpotent_decompose(F101, 3, 2, 2, 1)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert powers == []
 
 
 def test_junction_many_parts_needs_multiple_blocks():
     # 6 parts, power 2: five 2-blocks in the k-th power
     part = Partition((2, 2, 2, 2, 2, 2))
-    B, spec = junction_as_scaled_power(F7, part, 2, F7(2))
-    assert (B ** 2).scale(F7(2)) == spec.realization
+    B = junction_as_scaled_power(F7, part, 2, F7(2))
+    assert (B ** 2).scale(F7(2)) == junction_matrix(F7, part)
 
 
 def test_power_partition_examples():
@@ -571,6 +579,44 @@ def test_finite_not_found_within_the_exhaustive_cap_is_a_proof(spec, n):
                 continue
             assert naive_power(X, k1) + naive_power(Y, k2) == A
             assert reachable
+
+
+# (field, n, k1, k2) of X^k1 + 2 Y^k2 = J_{0,n} where one route fails and a
+# later one answers: the junction has no room (PartitionTooSmall), or over R
+# the small route breaks down numerically (VerificationFailed,
+# CharPolyMismatch, SingularMatrix, NotSimilar); over R an odd exponent
+# makes the word onto, so every such cell has a witness
+NILPOTENT_FALLBACK_CELLS = [
+    ("R", 4, 2, 5), ("R", 4, 3, 4), ("R", 6, 4, 3), ("R", 6, 4, 7), ("R", 9, 3, 6),
+    ("Fp:101", 12, 4, 6), ("Fp:101", 12, 6, 4),
+]
+
+
+@pytest.mark.parametrize("spec,n,k1,k2", NILPOTENT_FALLBACK_CELLS,
+                         ids=[f"{s}-n={n}-{k1},{k2}" for s, n, k1, k2 in NILPOTENT_FALLBACK_CELLS])
+def test_nilpotent_blocks_fall_back_to_the_next_route(spec, n, k1, k2):
+    field = parse_field_spec(spec)
+    J = Matrix.jordan_block(field(0), n)
+    word = DiagonalWord(((field(1), k1), (field(2), k2)))
+    w = solve_diagonal_word(J, word)
+    assert eval_word(word, w.matrices).allclose(J)
+
+
+@pytest.mark.parametrize("spec,k", [("Fp:13", 12), ("Fp:257", 256)])
+def test_one_by_one_not_found_builds_no_matrix_space(spec, k, monkeypatch):
+    """x^k takes only the values 0 and 1 here, so 3 is not x^k + y^k.  The
+    scalar search has walked all of F_q by then, which is the proof: no
+    whole-space join (and no MatrixSpace) follows at n = 1."""
+    import wordmap.matrices as matrices_mod
+
+    built = []
+    monkeypatch.setattr(matrices_mod.MatrixSpace, "__init__",
+                        lambda self, field, n: built.append((field, n)))
+    field = parse_field_spec(spec)
+    word = DiagonalWord(((field.one(), k), (field.one(), k)))
+    with pytest.raises(NotFound):
+        solve_diagonal_word(Matrix.diagonal(field, [3]), word)
+    assert built == []
 
 
 # -- real and complex dispatch ---------------------------------------------------

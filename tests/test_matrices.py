@@ -12,6 +12,7 @@ import wordmap.matrices as matrices_mod
 from wordmap.errors import (
     DescriptorMismatch,
     NotNilpotent,
+    TooLarge,
     UsageError,
     VerificationFailed,
 )
@@ -35,6 +36,7 @@ from wordmap.matrices import (
     generalized_jordan_form,
     is_nilpotent,
     minpoly,
+    nilpotent_jordan_basis,
     nilpotent_partition,
 )
 from wordmap.polynomials import Poly
@@ -116,15 +118,26 @@ def test_nilpotent_partition_conjugation_invariant():
         assert nilpotent_partition(P * N * P.inverse()).parts == (1, 2, 2, 3)
 
 
-def test_nilpotent_partition_refuses_chains_that_miss_n():
+def _stalled_real_nilpotent():
     # over R the kernels of this type (1, 4) nilpotent stall at dimension 4
     # at the pivot tolerance; the chains then add up to 4, not 5
     R = parse_field_spec("R:tol=1e-9")
     rng = random.Random(20)
     S = Matrix.from_rows(R, [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(5)])
     J = Matrix.block_diag(R, [Matrix.jordan_block(R(0), 1), Matrix.jordan_block(R(0), 4)])
+    return S * J * S.inverse()
+
+
+def test_nilpotent_partition_refuses_chains_that_miss_n():
     with pytest.raises(VerificationFailed, match="total length 4 in a 5x5"):
-        nilpotent_partition(S * J * S.inverse())
+        nilpotent_partition(_stalled_real_nilpotent())
+
+
+def test_nilpotent_jordan_basis_refuses_chains_that_miss_n():
+    """The basis reads the same chain pass, so it refuses the stall too,
+    rather than return a 5x4 basis that fails later as NonSquare."""
+    with pytest.raises(VerificationFailed, match="total length 4 in a 5x5"):
+        nilpotent_jordan_basis(_stalled_real_nilpotent())
 
 
 def test_nilpotent_conjugator():
@@ -684,6 +697,14 @@ def test_matrix_space_order_and_round_trip(spec, n):
         assert [b"".join(run[t] for run in runs) for t in range(n * n)] == planes
 
 
+def test_matrix_space_refuses_fields_over_one_byte():
+    """Planes hold one byte per entry: F_256 is the largest field a space
+    takes, and F_257 is refused even at n = 1."""
+    assert MatrixSpace(parse_field_spec("Fq:p=2,d=8,mod=[1,0,1,1,1,0,0,0,1]"), 1).q == 256
+    with pytest.raises(TooLarge):
+        MatrixSpace(parse_field_spec("Fp:257"), 1)
+
+
 @pytest.mark.parametrize("n", [0, -2, 1.5, "2"])
 def test_matrix_space_needs_a_positive_int_size(n):
     with pytest.raises(UsageError):
@@ -692,11 +713,10 @@ def test_matrix_space_needs_a_positive_int_size(n):
         MatrixSpace.cardinality(F2, n)
 
 
-# one field per way the planes hold digits and combine two planes: digit
-# pairs in one byte (q <= 16), one masked translate per digit (16 < q <= 256),
-# and a list with one int per slot (q > 256)
+# one field per way the byte planes combine two planes: digit pairs in one
+# byte (q <= 16) and one masked translate per digit (16 < q <= 256)
 PLANE_CELLS = [("Fp:2", 3), ("Fq:p=3,d=2,mod=[2,2,1]", 2), ("Fp:17", 2),
-               ("Fq:p=5,d=2,mod=[2,1,1]", 2), ("Fp:257", 1)]
+               ("Fq:p=5,d=2,mod=[2,1,1]", 2)]
 
 
 @pytest.mark.parametrize("spec,n", PLANE_CELLS, ids=[f"{s}-{n}" for s, n in PLANE_CELLS])

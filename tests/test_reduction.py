@@ -62,7 +62,7 @@ def test_assemble_returns_block_solutions_unverified():
     A = Matrix.diagonal(F5, [2])
     rp = plan(A)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        rp.blocks[0].target = A
+        rp.blocks[0].alpha = F5(3)
     # a wrong block solution comes back as it is: the public solve's gate
     # is the only check
     wrong = (Matrix.diagonal(F5, [0]), Matrix.diagonal(F5, [3]))
@@ -90,7 +90,7 @@ def test_solve_blockwise_lifts_and_conjugates_back():
 
         def block_solver(bp):
             seen.append(bp)
-            return (bp.target,)
+            return (Matrix.jordan_block(bp.alpha, bp.size),)
         (X,), P = solve_blockwise(A, block_solver)
         assert X == A
         rp = plan(A)

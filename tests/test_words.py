@@ -4,12 +4,16 @@ import sys
 import pytest
 
 import wordmap.words as words_mod
-from wordmap.commutators import solve_commutator_product
+from wordmap.commutators import (
+    factor_two_trace_zero,
+    solve_commutator_product,
+    trace_zero_to_commutator,
+)
 from wordmap.counting import count_solutions, image_enumerate, threshold
 from wordmap.diagonal import solve_diagonal_word
 from wordmap.errors import UsageError, VerificationFailed
 from wordmap.fields import Field
-from wordmap.matrices import Matrix
+from wordmap.matrices import Matrix, charpoly, nilpotent_partition
 from wordmap.words import (
     CommutatorProduct,
     DiagonalWord,
@@ -86,6 +90,28 @@ def test_wrong_typed_arguments_raise_usage_errors():
     for call in calls:
         with pytest.raises(UsageError):
             call()
+
+
+WRONG_TYPED = {
+    "diag-target-list": lambda: solve_diagonal_word(
+        [[1, 2], [3, 4]], DiagonalWord(((F5(1), 2), (F5(1), 3)))),
+    "comm-target-str": lambda: solve_commutator_product("A", 4),
+    "two-trace-zero-None": lambda: factor_two_trace_zero(None),
+    "commutator-target-int": lambda: trace_zero_to_commutator(3),
+    "count-cap-str": lambda: count_solutions(F5, [1], [2], 1, cap="x"),
+    "image-cap-float": lambda: image_enumerate(CommutatorProduct(2), 2, F5, cap=1e8),
+    "charpoly-rows": lambda: charpoly([[1, 2], [3, 4]]),
+    "partition-tuple": lambda: nilpotent_partition(((0, 1), (0, 0))),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_TYPED.values()), ids=list(WRONG_TYPED))
+def test_wrong_typed_targets_and_caps_raise_usage_errors(call):
+    """A target that is not a Matrix, given to a public solver or to a
+    public matrix function, and a cap that is not an int are usage errors,
+    not AttributeError or TypeError from deep inside."""
+    with pytest.raises(UsageError):
+        call()
 
 
 def test_eval_comm_product():
