@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
     NonzeroTrace,
@@ -46,6 +46,7 @@ from .errors import (
     UsageError,
     VerificationFailed,
     WitnessNotFound,
+    first_route,
 )
 from .fields import Field, FieldElement, enumerate_elements, random_element
 from .matrices import (
@@ -62,7 +63,7 @@ from .matrices import (
 )
 from .polynomials import Poly
 from .reduction import working_field
-from .words import CommutatorProduct, Witness, make_witness
+from .words import CommutatorProduct, Witness, make_witness, require_int
 
 
 @dataclass(frozen=True)
@@ -539,6 +540,7 @@ def _factorization_tasks(A: Matrix, blocks=None):
 def trace_zero_to_commutator(T: Matrix, seed: int = 0) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X*Y - Y*X = T, for trace(T) = 0."""
     require_matrix(T)
+    require_int(seed, "seed")
     if not T.trace().is_zero():
         raise NonzeroTrace("commutators have trace zero")
     X, Y = _commutator(T, seed)
@@ -548,20 +550,24 @@ def trace_zero_to_commutator(T: Matrix, seed: int = 0) -> Tuple[Matrix, Matrix]:
 
 
 def _commutator(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
-    """(X, Y) with X*Y - Y*X = T for trace(T) = 0, unchecked: the first
-    route that applies of zero, scalar, support components, zero diagonal
-    and the linear search.  A nonzero scalar has trace zero only in
-    characteristic p with p | n, so only there is the scalar route tried;
-    in characteristic 0 a target within the tolerance of c*I goes on to
-    the other routes."""
+    """(X, Y) with X*Y - Y*X = T for trace(T) = 0, unchecked.  Zero and
+    scalar targets have their formulas; any other T runs the route tuple
+    support components, zero diagonal, linear search, each declining with
+    None, and WitnessNotFound with ``.routes`` when all three decline.  A
+    nonzero scalar has trace zero only in characteristic p with p | n, so
+    only there is the scalar formula used; in characteristic 0 a target
+    within the tolerance of c*I goes on to the routes."""
     if T.is_zero():
         z = Matrix.zeros(T.field, T.nrows, T.nrows)
         return z, z
     p = T.field.characteristic
     if p and T.nrows % p == 0 and T == Matrix.identity(T.field, T.nrows).scale(T[0, 0]):
         return _scalar_commutator(T)
-    return (_component_commutator(T, seed) or _zero_diag_commutator(T)
-            or _commutator_linear_search(T, seed))
+    return first_route((
+        ("support components", lambda: _component_commutator(T, seed), ()),
+        ("zero diagonal", lambda: _zero_diag_commutator(T), ()),
+        ("linear search", lambda: _commutator_linear_search(T, seed), ()),
+    ), lambda declined: WitnessNotFound("no commutator witness found in the fallback family"))
 
 
 def _component_commutator(T: Matrix, seed: int):
@@ -748,10 +754,11 @@ def _moments_vanish(X: Matrix, T: Matrix) -> bool:
     return True
 
 
-def _commutator_linear_search(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
+def _commutator_linear_search(T: Matrix, seed: int) -> Optional[Tuple[Matrix, Matrix]]:
     """Drive the linear system [X, Y] = T over a stream of mostly-cyclic
     candidates; a random candidate admits a partner with probability about
-    q^{1-n}, so the stream is long and rejections are prechecked cheaply."""
+    q^{1-n}, so the stream is long and rejections are prechecked cheaply.
+    None when every try is spent."""
     field = T.field
     n = T.nrows
     rng = random.Random(seed)
@@ -785,7 +792,7 @@ def _commutator_linear_search(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
         Y = _solve_partner(X, T)
         if Y is not None:
             return X, Y
-    raise WitnessNotFound("no commutator witness found in the fallback family")
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -800,6 +807,7 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     """
     word = CommutatorProduct(m)
     require_matrix(A)
+    require_int(seed, "seed")
     field = A.field
     n = A.nrows
     if n != A.ncols:

@@ -24,6 +24,14 @@ hash-join search on ``matrices.MatrixSpace``'s digit planes runs before
 NotFound is raised, making the negative an actual proof; the space's code
 order decides its witness.  At n = 1 the scalar search has already walked
 every element of F_q, so its exhaustion is the proof.
+
+Fallbacks are route tuples run by ``errors.first_route``: the blockwise
+solve and the exhaustive join (``_solve_two_term``), a nilpotent block's
+junction, bordered, alpha = 0 scalar-pair and swapped-junction routes
+(``_solve_block``), and the bordered route's corner values
+(``small_nilpotent_decompose``).  A chain whose routes all decline raises
+the error it always raised, with the declined routes and their reasons in
+``.routes``.
 """
 
 from __future__ import annotations
@@ -36,15 +44,18 @@ from typing import Tuple
 
 from .errors import (
     CharPolyMismatch,
+    InfiniteField,
     NotFound,
     NotSimilar,
     PartitionTooSmall,
     SingularMatrix,
     SizeTooSmall,
+    TooLarge,
     Unsupported,
     UsageError,
     VerificationFailed,
     ZeroLeadingCoordinate,
+    first_route,
 )
 from .fields import (
     SCAN_BOUND,
@@ -69,7 +80,7 @@ from .matrices import (
 )
 from .polynomials import Poly
 from .reduction import BlockPlan, solve_blockwise
-from .words import DiagonalWord, Witness, make_witness
+from .words import DiagonalWord, Witness, make_witness, require_int
 
 # Seeded random scalar candidates tried over fields above SCAN_BOUND.
 RANDOM_TRIES = 4096
@@ -81,6 +92,9 @@ PAIR_CAP = 64
 CORNER_CAP = 16
 # Largest witness space q^(n^2) the exhaustive hash join enumerates.
 EXHAUSTIVE_CAP = 200000
+# Numerical breakdowns of the bordered route over R and C, on which a
+# nilpotent block goes on to its next route.
+NUMERICAL_BREAKDOWNS = (VerificationFailed, NotSimilar, CharPolyMismatch, SingularMatrix)
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +287,8 @@ def junction_matrix(field: Field, partition: Partition) -> Matrix:
 def nilpotent_power_partition(n: int, k: int) -> Partition:
     """Jordan type of J_{0,n}^k: k-m blocks of floor(n/k) and m of ceil(n/k),
     m = n mod k (zero-size blocks dropped)."""
+    require_int(n, "n")
+    require_int(k, "k")
     if n < 1 or k < 1:
         raise UsageError("n, k must be positive")
     lo, m = divmod(n, k)
@@ -492,7 +508,13 @@ def _corner_candidates(field: Field) -> list:
 def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
                               beta: FieldElement) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X^{k1} + beta*Y^{k2} = J_{0,n} for 2 <= n < 2*k1, via
-    regular solutions of the two scalar power-sum equations."""
+    regular solutions of the two scalar power-sum equations.
+
+    The corners z of ``_corner_candidates`` are a route tuple, one route
+    per corner: at n = 2 a corner declines when no regular-solution pair
+    fits it, at n >= 3 when either regular-solution search is exhausted
+    (the matrices are then built for the first corner that passed).  When
+    every corner declines, NotFound with ``.routes``."""
     beta = field(beta)
     if n < 2:
         raise UsageError("use the scalar route for 1x1 blocks")
@@ -501,24 +523,21 @@ def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
     target = Matrix.jordan_block(field.zero(), n)
     one = field.one()
     if n == 2:
-        for z in _corner_candidates(field):
-            got = _small_nilpotent_2(field, k1, k2, beta, z)
-            if got is not None:
-                _check_two_term(got[0], got[1], k1, k2, beta, target)
-                return got
-        raise NotFound(
-            f"no regular-solution pair solves J_{{0,2}} for X^{k1}+{beta!r}Y^{k2}")
-    # n >= 3
-    eps = _first_eps(field)
-    err = None
-    for z in _corner_candidates(field):
-        try:
-            lam = regular_solution_search(field, k1, n, z, require_nonzero=True)
-            mu_head = regular_solution_search(field, k2, n - 1, -(z / beta),
-                                              require_nonzero=True)
-        except NotFound as exc:
-            err = exc
-            continue
+        X, Y = first_route(
+            ((f"z = {z!r}", lambda z=z: _small_nilpotent_2(field, k1, k2, beta, z), ())
+             for z in _corner_candidates(field)),
+            lambda declined: NotFound(
+                f"no regular-solution pair solves J_{{0,2}} for X^{k1}+{beta!r}Y^{k2}"))
+    else:
+        eps = _first_eps(field)
+        z, lam, mu_head = first_route(
+            ((f"z = {z!r}", lambda z=z: (
+                z, regular_solution_search(field, k1, n, z, require_nonzero=True),
+                regular_solution_search(field, k2, n - 1, -(z / beta), require_nonzero=True)),
+              (NotFound,)) for z in _corner_candidates(field)),
+            lambda declined: NotFound(
+                f"no corner value admits the required regular solutions over {field}"
+                f" (last: {declined[-1][1]})"))
         mu = tuple(mu_head) + (field.zero(),)
         xvec = [field.zero()] * (n - 1)
         xvec[n - 2] = one + eps
@@ -538,11 +557,8 @@ def small_nilpotent_decompose(field: Field, n: int, k1: int, k2: int,
         Qc_inv = Qc.inverse()
         X = Qc * b1.witness * Qc_inv
         Y = Qc * b2.witness * Qc_inv
-        _check_two_term(X, Y, k1, k2, beta, target)
-        return X, Y
-    raise NotFound(
-        f"no corner value admits the required regular solutions over {field}"
-        + (f" (last: {err})" if err else ""))
+    _check_two_term(X, Y, k1, k2, beta, target)
+    return X, Y
 
 
 def _small_nilpotent_2(field: Field, k1: int, k2: int, beta: FieldElement,
@@ -590,6 +606,7 @@ def solve_diagonal_word(A: Matrix, word: DiagonalWord, seed: int = 0) -> Witness
     if not isinstance(word, DiagonalWord):
         raise UsageError(f"solve_diagonal_word takes a DiagonalWord, got {word!r}")
     require_matrix(A)
+    require_int(seed, "seed")
     field = A.field
     m = word.arity
     zero_mat = Matrix.zeros(field, A.nrows, A.ncols)
@@ -605,56 +622,57 @@ def solve_diagonal_word(A: Matrix, word: DiagonalWord, seed: int = 0) -> Witness
     (d1, k1), (d2, k2) = word.terms[0], word.terms[1]
     Aprime = A.scale(d1.inverse())
     beta = d2 / d1
-    X, Y, conjs = _solve_two_term(Aprime, k1, beta, k2, seed)
+    X, Y, *conjs = _solve_two_term(Aprime, k1, beta, k2, seed)
     mats = [X, Y] + [zero_mat] * (m - 2)
     return make_witness(word, A, mats, conjugators=conjs)
 
 
 def _solve_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int,
                     seed: int) -> tuple:
-    """(X, Y, conjugators) with X^{k1} + beta*Y^{k2} = A."""
-    field = A.field
-    if field.kind == "real":
-        if k1 % 2 == 0 and k2 % 2 == 0:
-            return _real_even_even(A, k1, beta, k2)
-        if k2 % 2 == 0:
-            X, Y, conjs = _solve_two_term(
-                A.scale(beta.inverse()), k2, beta.inverse(), k1, seed)
-            return Y, X, conjs
-    elif k2 > k1:
-        X, Y, conjs = _solve_two_term(
-            A.scale(beta.inverse()), k2, beta.inverse(), k1, seed)
-        return Y, X, conjs
-    try:
-        (X, Y), P = solve_blockwise(
-            A, lambda bp: _solve_block(bp, k1, beta, k2, seed))
-        return X, Y, (P,)
-    except NotFound:
-        # over a tiny field the whole witness space is searchable, which
-        # turns NotFound into an actual proof of unreachability; at n = 1
-        # the scalar search has already walked all of F_q
-        if A.nrows < 2 or not A.field.is_finite:
-            raise
-        got = _exhaustive_two_term(A, k1, beta, k2)
-        if got is None:
-            raise
-        return got[0], got[1], ()
+    """(X, Y, *conjugators) with X^{k1} + beta*Y^{k2} = A, the conjugator
+    being the Jordan form's when one was used.
+
+    The route tuple is the Jordan blocks one by one, then the exhaustive
+    join, which turns the blocks' NotFound into a proof over a tiny field.
+    When both decline, the blocks' NotFound is raised again, and its
+    ``.routes`` tells a join that walked the whole space and found nothing
+    (reason None, a proof) from one that could not run."""
+    real = A.field.kind == "real"
+    if real and k1 % 2 == 0 and k2 % 2 == 0:
+        return _real_even_even(A, k1, beta, k2)
+    # the larger exponent as k1; over R the odd one as k2
+    if (k2 % 2 == 0 if real else k2 > k1):
+        X, Y, *conjs = _solve_two_term(A.scale(beta.inverse()), k2, beta.inverse(), k1, seed)
+        return (Y, X, *conjs)
+
+    def blockwise():
+        (X, Y), P = solve_blockwise(A, lambda bp: _solve_block(bp, k1, beta, k2, seed))
+        return X, Y, P
+    return first_route((("blockwise", blockwise, (NotFound,)),
+                        ("exhaustive join", lambda: _exhaustive_two_term(A, k1, beta, k2),
+                         (SizeTooSmall, InfiniteField, TooLarge))),
+                       lambda declined: NotFound(str(declined[0][1])))
 
 
 def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
     """Hash join over all of M_n(F_q)^2 on ``MatrixSpace``'s digit planes
-    (one byte per matrix and entry).
+    (one byte per matrix and entry); None when no pair solves.
 
     X^{k1} for every X at once gives a dict from each power's code to the
     first X with it; A - beta*Y^{k2} for every Y at once is n^2 unary
     translates of Y^{k2}'s planes (X^{k1}'s when k1 = k2), and the first Y
     whose value is in the dict decides the witness.  Both sides keep the
     lowest code, so the pair is the one a walk in code order meets first.
-    Each table is dropped once read, to keep the peak memory low."""
-    field = A.field
-    n = A.nrows
+    Each table is dropped once read, to keep the peak memory low.  At
+    n = 1 (where the scalar search has walked all of F_q already), over an
+    infinite field and past EXHAUSTIVE_CAP it refuses to run."""
+    field, n = A.field, A.nrows
+    if n < 2:
+        raise SizeTooSmall("at n = 1 the scalar search walks the whole field")
+    if not field.is_finite:
+        raise InfiniteField(f"M_{n}({field}) cannot be enumerated")
     if MatrixSpace.cardinality(field, n) > EXHAUSTIVE_CAP:
-        return None
+        raise TooLarge(f"{field.cardinality}^{n * n} > EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}")
     space = MatrixSpace(field, n)
     planes = space.planes()
     powers = space.power(planes, k1)
@@ -677,12 +695,13 @@ def _exhaustive_two_term(A: Matrix, k1: int, beta: FieldElement, k2: int):
 def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int = 0):
     """Solve X^{k1} + beta*Y^{k2} = J_{alpha,l} in the block's working field.
 
-    A nilpotent block tries its routes in turn: the junction (l >= 2*k1),
-    the bordered route, the alpha = 0 scalar pair, and the junction with
-    the exponents swapped (l >= 2*k2).  A route falls through when the
-    junction has no room (PartitionTooSmall) or a search is exhausted
-    (NotFound), and over R also when the bordered route breaks down
-    numerically; NotFound when every route fails."""
+    A nilpotent block runs the route tuple junction, bordered, alpha = 0
+    scalar pair, swapped junction.  A junction declines when the block has
+    no room for it (SizeTooSmall below 2*k1, resp. 2*k2, or
+    PartitionTooSmall), the other routes when a search is exhausted
+    (NotFound), and over R and C the bordered route also when it breaks
+    down numerically.  When every route declines, NotFound: the bordered
+    route's own, or one that names its breakdown, with ``.routes``."""
     L = bp.field
     beta_L = bp.embed(beta) if bp.embed is not None else beta
     alpha, l = bp.alpha, bp.size
@@ -690,39 +709,38 @@ def _solve_block(bp: BlockPlan, k1: int, beta: FieldElement, k2: int, seed: int 
         # a 1x1 block needs just one scalar solution, not the distinct pair
         a, b = scalar_solution(L, alpha, k1, k2, beta_L, seed)
         return (Matrix.diagonal(L, [a]), Matrix.diagonal(L, [b]))
+
+    def scalar_pair(a):
+        sols = scalar_two_solutions(L, a, k1, k2, beta_L, seed)
+        return invertible_jordan_decompose(a, l, k1, k2, beta_L, sols)
     if not alpha.is_zero() or L.kind == "complex":
-        sols = scalar_two_solutions(L, alpha, k1, k2, beta_L, seed)
-        return invertible_jordan_decompose(alpha, l, k1, k2, beta_L, sols)
+        return scalar_pair(alpha)
     # nilpotent block over the base field
     if l == 1:
         return (Matrix.zeros(L, 1, 1), Matrix.zeros(L, 1, 1))
-    if l >= 2 * k1:
-        try:
-            return large_nilpotent_decompose(L, l, k1, k2, beta_L)
-        except PartitionTooSmall:
-            pass
-    breakdowns = (NotFound,) if L.is_exact else (
-        NotFound, VerificationFailed, NotSimilar, CharPolyMismatch, SingularMatrix)
-    try:
-        return small_nilpotent_decompose(L, l, k1, k2, beta_L)
-    except breakdowns as exc:
-        small_err = exc
-    try:
-        sols = scalar_two_solutions(L, L.zero(), k1, k2, beta_L, seed)
-        return invertible_jordan_decompose(L.zero(), l, k1, k2, beta_L, sols)
-    except NotFound:
-        pass
-    if l >= 2 * k2 and k2 >= 2:
-        try:
-            Yp, Xp = large_nilpotent_decompose(L, l, k2, k1, beta_L.inverse())
-            E = _nilpotent_scaling(L, l, beta_L)
-            Ei = E.inverse()
-            return Ei * Xp * E, Ei * Yp * E
-        except PartitionTooSmall:
-            pass
-    if isinstance(small_err, NotFound):
-        raise small_err
-    raise NotFound(f"no route solves J_{{0,{l}}} over {L} (small route: {small_err})")
+    no_room = (SizeTooSmall, PartitionTooSmall)
+    return first_route((
+        ("junction", lambda: large_nilpotent_decompose(L, l, k1, k2, beta_L), no_room),
+        ("bordered", lambda: small_nilpotent_decompose(L, l, k1, k2, beta_L),
+         (NotFound,) + (() if L.is_exact else NUMERICAL_BREAKDOWNS)),
+        ("scalar pair", lambda: scalar_pair(L.zero()), (NotFound,)),
+        ("swapped junction", lambda: _swapped_junction(L, l, k1, k2, beta_L), no_room),
+    ), lambda declined: _nilpotent_not_found(L, l, dict(declined)["bordered"]))
+
+
+def _nilpotent_not_found(L: Field, l: int, small_err: Exception) -> NotFound:
+    """The bordered route's own NotFound, or one that names its breakdown."""
+    return NotFound(str(small_err) if isinstance(small_err, NotFound) else
+                    f"no route solves J_{{0,{l}}} over {L} (small route: {small_err})")
+
+
+def _swapped_junction(L: Field, l: int, k1: int, k2: int, beta: FieldElement):
+    """The junction for Y^{k2} + beta^-1*X^{k1} = beta^-1*J_{0,l}, moved
+    back to J_{0,l} by the scaling E with E J E^-1 = beta*J."""
+    Yp, Xp = large_nilpotent_decompose(L, l, k2, k1, beta.inverse())
+    E = _nilpotent_scaling(L, l, beta)
+    Ei = E.inverse()
+    return Ei * Xp * E, Ei * Yp * E
 
 
 def _nilpotent_scaling(field: Field, n: int, c: FieldElement) -> Matrix:
@@ -753,14 +771,14 @@ def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int):
             Y = Matrix.diagonal(field, [kth_roots(a / beta, k2)[0]])
         else:
             raise Unsupported("negative scalar with positive even word over R")
-        return X, Y, ()
+        return X, Y
     if n == 2 and k1 == 2 and k2 == 2 and beta.rep > 0:
         return _sum_of_two_squares_2x2(A, beta)
     # per-block attempt: complex-pair blocks always work, real blocks work
     # when individually reachable (nonnegative eigenvalues, large nilpotents)
     try:
         (X, Y), P = solve_blockwise(A, lambda bp: _solve_block(bp, k1, beta, k2))
-        return X, Y, (P,)
+        return X, Y, P
     except NotFound as exc:
         raise Unsupported(
             f"even/even exponents over R beyond 2x2 sums of squares are open "
@@ -771,7 +789,7 @@ def _sum_of_two_squares_2x2(A: Matrix, beta: FieldElement):
     """X^2 + beta*Y^2 = A over R for beta > 0, through the beta = 1 case."""
     sqrt_beta = kth_roots(beta, 2)[0]
     X, Z = _two_squares_2x2(A)
-    return X, Z.scale(sqrt_beta.inverse()), ()
+    return X, Z.scale(sqrt_beta.inverse())
 
 
 def _two_squares_2x2(A: Matrix):

@@ -5,6 +5,9 @@ unsupported field kinds) and *mathematically meaningful* negatives such as
 ``NotFound`` (a search over a small field was exhausted) or ``NonzeroTrace``
 (the target is provably outside the image of the word map).  The CLI maps the
 second family to exit code 2.
+
+``first_route`` runs a solver's fallback chain, and the error it raises when
+every route declines lists the routes and their reasons as ``.routes``.
 """
 
 
@@ -85,7 +88,8 @@ class PartitionTooSmall(WordmapError):
 
 
 class SizeTooSmall(WordmapError):
-    """Nilpotent block too small for the large-index construction."""
+    """Matrix too small for a construction: a nilpotent block for the
+    large-index junction, a 1x1 target for the whole-space join."""
 
 
 class ZeroLeadingCoordinate(WordmapError):
@@ -103,3 +107,24 @@ class VerificationFailed(WordmapError):
 class TooLarge(WordmapError):
     """Enumeration would exceed the configured cap."""
 
+
+def first_route(routes, exhausted):
+    """The first result that is not None of ``routes``, (name, call,
+    declines) triples run in order: every fallback chain of the solvers.
+
+    A route declines by returning None or by raising one of its
+    ``declines``.  When every route declines, the error ``exhausted(declined)``
+    is raised with the (name, reason) pairs attached as ``.routes``, the
+    reason being the raised error or None."""
+    declined = []
+    for name, call, declines in routes:
+        try:
+            got = call()
+            if got is not None:
+                return got
+            declined.append((name, None))
+        except declines as exc:
+            declined.append((name, exc))
+    error = exhausted(declined)
+    error.routes = tuple(declined)
+    raise error

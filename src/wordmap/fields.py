@@ -1740,6 +1740,8 @@ def regular_solution_search(field: Field, k: int, n: int, gamma: FieldElement,
 def regular_solution_iter(field: Field, k: int, n: int, gamma: FieldElement,
                           require_nonzero: bool = False) -> Iterator[tuple]:
     gamma = field(gamma)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise UsageError(f"n must be an int, got {n!r}")
     if n < 1:
         raise UsageError("n must be >= 1")
     _check_exponent(k)
@@ -1749,6 +1751,9 @@ def regular_solution_iter(field: Field, k: int, n: int, gamma: FieldElement,
             yield sol
         return
     if field.is_finite:
+        q = field.cardinality
+        if (q - 1) // math.gcd(k, q - 1) + (not require_nonzero) < n:
+            return  # F_q has fewer than n distinct (nonzero) k-th powers
         candidates = lambda: enumerate_elements(field)
     else:
         # Q: bounded small search; large-field existence guarantees do not cover Q

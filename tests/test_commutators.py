@@ -18,7 +18,13 @@ from wordmap.commutators import (
     trace_zero_to_commutator,
     two_by_two_trace_zero,
 )
-from wordmap.errors import NonzeroTrace, UnhandledShape, Unsupported, WordmapError
+from wordmap.errors import (
+    NonzeroTrace,
+    UnhandledShape,
+    Unsupported,
+    WitnessNotFound,
+    WordmapError,
+)
 from wordmap.fields import Field, GF, GenericKernel, PrimeKernel, extend, parse_field_spec
 from wordmap.matrices import Matrix, generalized_jordan_form
 from wordmap.polynomials import Poly
@@ -528,3 +534,18 @@ def test_exact_reorderings_replace_dense_products(monkeypatch):
         calls.clear()
         solve_commutator_product(A, m)
         assert len(calls) <= bound, (m, len(calls))
+
+
+def test_an_exhausted_commutator_chain_lists_its_three_routes(monkeypatch):
+    """J_{0,3} over F_2: one support component, and F_2 has no three
+    distinct diagonal values, so the first two routes decline at once; with
+    every candidate's moment check failing, the linear search spends its
+    tries and declines too.  WitnessNotFound keeps its message."""
+    import wordmap.commutators as commutators_mod
+
+    monkeypatch.setattr(commutators_mod, "_moments_vanish", lambda X, T: False)
+    with pytest.raises(WitnessNotFound) as info:
+        trace_zero_to_commutator(Matrix.jordan_block(F2(0), 3))
+    assert str(info.value) == "no commutator witness found in the fallback family"
+    assert info.value.routes == (("support components", None), ("zero diagonal", None),
+                                 ("linear search", None))

@@ -27,7 +27,9 @@ from wordmap.diagonal import (
 from wordmap.errors import (
     NotFound,
     SizeTooSmall,
+    TooLarge,
     Unsupported,
+    UsageError,
     WordmapError,
     ZeroLeadingCoordinate,
 )
@@ -36,9 +38,17 @@ from wordmap.fields import (
     extend,
     kth_roots,
     parse_field_spec,
+    regular_solution_iter,
     regular_solution_search,
 )
-from wordmap.matrices import Matrix, Partition, charpoly, minpoly, nilpotent_partition
+from wordmap.matrices import (
+    Matrix,
+    MatrixSpace,
+    Partition,
+    charpoly,
+    minpoly,
+    nilpotent_partition,
+)
 from wordmap.polynomials import Poly
 from wordmap.words import DiagonalWord, eval_word
 
@@ -600,6 +610,62 @@ def test_nilpotent_blocks_fall_back_to_the_next_route(spec, n, k1, k2):
     word = DiagonalWord(((field(1), k1), (field(2), k2)))
     w = solve_diagonal_word(J, word)
     assert eval_word(word, w.matrices).allclose(J)
+
+
+def test_an_exhausted_chain_keeps_its_error_and_lists_its_routes():
+    """X^2 + 2Y^6 = J_{0,3} over F_13, solved as Y^6 + 7X^2 = 7J_{0,3}:
+    NotFound with the message it always had.  The blockwise route declined,
+    and the exhaustive join never ran (13^9 > EXHAUSTIVE_CAP); the nilpotent
+    block declined on its four routes in order, the bordered one on each
+    corner value."""
+    F13 = parse_field_spec("Fp:13")
+    word = DiagonalWord(((F13(1), 2), (F13(2), 6)))
+    with pytest.raises(NotFound) as info:
+        solve_diagonal_word(Matrix.jordan_block(F13(0), 3), word)
+    err = info.value
+    assert str(err) == (
+        "no corner value admits the required regular solutions over Fp:13 (last: no "
+        "non-zero regular solution of sum of 3 6-th powers = 12 over Fp:13)")
+    (blockwise, block_err), (join, join_err) = err.routes
+    assert (blockwise, join) == ("blockwise", "exhaustive join")
+    assert type(block_err) is NotFound and str(block_err) == str(err)
+    assert type(join_err) is TooLarge and 13 ** 9 > EXHAUSTIVE_CAP
+    assert [(name, type(reason)) for name, reason in block_err.routes] == [
+        ("junction", SizeTooSmall), ("bordered", NotFound),
+        ("scalar pair", NotFound), ("swapped junction", SizeTooSmall)]
+    corners = block_err.routes[1][1].routes
+    assert [name for name, _ in corners] == [f"z = {z}" for z in [1, 0] + list(range(2, 13))]
+    assert all(type(reason) is NotFound for _, reason in corners)
+    assert str(err).endswith(f"(last: {corners[-1][1]})")
+
+
+def test_a_join_that_walked_the_space_is_a_proof():
+    """A NotFound within the exhaustive cap: the join ran and declined with
+    no reason, which separates it from a join that could not run."""
+    F2 = parse_field_spec("Fp:2")
+    A = MatrixSpace(F2, 3).matrix_at(507)
+    with pytest.raises(NotFound) as info:
+        solve_diagonal_word(A, DiagonalWord(((F2(1), 84), (F2(1), 84))))
+    assert [name for name, _ in info.value.routes] == ["blockwise", "exhaustive join"]
+    assert info.value.routes[1][1] is None
+    # at n = 1 the scalar search walked all of F_13; the join does not run
+    F13 = parse_field_spec("Fp:13")
+    word = DiagonalWord(((F13(1), 12), (F13(1), 12)))
+    with pytest.raises(NotFound) as info:
+        solve_diagonal_word(Matrix.diagonal(F13, [3]), word)
+    assert type(info.value.routes[1][1]) is SizeTooSmall
+
+
+@pytest.mark.parametrize("call", [
+    lambda F: regular_solution_search(F, 2, "3", F(1)),
+    lambda F: next(regular_solution_iter(F, 2, 3.0, F(1))),
+    lambda F: nilpotent_power_partition("4", 2),
+    lambda F: nilpotent_power_partition(4, 2.0),
+], ids=["regular_solution_search-n", "regular_solution_iter-n",
+        "nilpotent_power_partition-n", "nilpotent_power_partition-k"])
+def test_wrong_typed_sizes_are_usage_errors(call):
+    with pytest.raises(UsageError):
+        call(parse_field_spec("Fp:7"))
 
 
 @pytest.mark.parametrize("spec,k", [("Fp:13", 12), ("Fp:257", 256)])

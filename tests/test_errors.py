@@ -1,0 +1,34 @@
+import pytest
+
+from wordmap.errors import NotFound, SizeTooSmall, TooLarge, first_route
+
+
+def _route(name, got, declines=(NotFound,), ran=None):
+    """A route that records its run, then returns ``got`` or raises it."""
+    def call():
+        if ran is not None:
+            ran.append(name)
+        if isinstance(got, Exception):
+            raise got
+        return got
+    return name, call, declines
+
+
+def test_first_route_returns_the_first_answer_and_runs_nothing_after_it():
+    ran = []
+    routes = [_route("a", None, ran=ran), _route("b", 0, ran=ran), _route("c", 1, ran=ran)]
+    assert first_route(routes, NotFound) == 0  # an answer that is falsy but not None
+    assert ran == ["a", "b"]
+
+
+def test_first_route_collects_every_decline_in_order():
+    small = SizeTooSmall("no room")
+    with pytest.raises(NotFound, match="^none of 2$") as info:
+        first_route([_route("a", None, ()), _route("b", small, (SizeTooSmall,))],
+                    lambda declined: NotFound(f"none of {len(declined)}"))
+    assert info.value.routes == (("a", None), ("b", small))
+
+
+def test_first_route_lets_an_error_outside_the_declines_through():
+    with pytest.raises(TooLarge):
+        first_route([_route("a", TooLarge("cap")), _route("b", 1)], NotFound)

@@ -604,6 +604,32 @@ def test_regular_solution_nonzero_flag():
         regular_solution_search(F7, 2, 3, F7(1), require_nonzero=True)
 
 
+def test_impossible_regular_solutions_are_decided_by_counting_powers(monkeypatch):
+    """F_13 has (13 - 1)/gcd(2, 12) = 6 nonzero squares, 7 with zero: 7
+    pairwise distinct nonzero squares, or 8 squares, do not exist, and the
+    search says so without a walk; at the count itself it walks."""
+    import wordmap.fields as fields_mod
+
+    F13 = Field("prime", p=13)
+    walks = []
+    walk = fields_mod._power_sum_solutions
+
+    def counted(gamma, ks, *args, **kwargs):
+        walks.append(len(ks))
+        return walk(gamma, ks, *args, **kwargs)
+
+    monkeypatch.setattr(fields_mod, "_power_sum_solutions", counted)
+    with pytest.raises(NotFound):
+        regular_solution_search(F13, 2, 7, F13(1), require_nonzero=True)
+    assert list(regular_solution_iter(F13, 2, 8, F13(1))) == []
+    assert walks == []
+    # the six nonzero squares 1, 4, 9, 3, 12, 10 sum to 0, and with 0 so do seven
+    for n, nonzero in ((6, True), (7, False)):
+        sol = regular_solution_search(F13, 2, n, F13(0), require_nonzero=nonzero)
+        assert len({(x * x).rep for x in sol}) == n
+    assert walks == [6, 7]
+
+
 def test_regular_solution_real_even_and_odd():
     R = Field("real", tolerance=1e-9)
     sol = regular_solution_search(R, 2, 3, R(1), require_nonzero=True)
