@@ -30,7 +30,11 @@ merge happened, to its inverse), the pairing permutation of
 inner factors once, by G2*G, since exact products associate.  The values
 are unique, so the witnesses are those of the dense products.  R and C
 keep the dense products: they skip tolerance-zero left factors and turn
--0.0 into 0.0, and those float bits are part of their witnesses.
+-0.0 into 0.0, and those float bits are part of their witnesses.  The
+conjugations G^-1 x G and the commutator checks run on the kernel's chain
+products (``Matrix.product``, ``Matrix.commutator``): over Q each factor
+is cleared to integers once and each entry normalised once; elsewhere
+they are the products left to right, with the same results.
 """
 
 from __future__ import annotations
@@ -307,7 +311,7 @@ def factor_two_trace_zero(A: Matrix, seed: int = 0) -> TraceZeroPair:
     callers that pass one and changes nothing."""
     require_matrix(A)
     u, v, G, Gi = _factor_two_canonical(A)
-    return _checked_pair(Gi * u * G, Gi * v * G, A)
+    return _checked_pair(Matrix.product(Gi, u, G), Matrix.product(Gi, v, G), A)
 
 
 def _factor_two_canonical(A: Matrix, blocks=None):
@@ -544,7 +548,7 @@ def trace_zero_to_commutator(T: Matrix, seed: int = 0) -> Tuple[Matrix, Matrix]:
     if not T.trace().is_zero():
         raise NonzeroTrace("commutators have trace zero")
     X, Y = _commutator(T, seed)
-    if not (X * Y - Y * X).allclose(T):
+    if not X.commutator(Y).allclose(T):
         raise VerificationFailed("commutator witness failed to verify")
     return X, Y
 
@@ -653,17 +657,17 @@ def _zero_diag_commutator(T: Matrix):
     D = [[dvals[i] if i == j else zero for j in range(n)] for i in range(n)]
     B = [[zero if i == j else rmul(Z[i][j], inv_diff[i, j])
           for j in range(n)] for i in range(n)]
-    matmul = kern.matmul
+    chain = kern.matmul_chain
     if not exact:
         Si = _inverse_raw(field, S)
-        return (Matrix._from_raw(field, matmul(matmul(Si, D), S)),
-                Matrix._from_raw(field, matmul(matmul(Si, B), S)))
+        return (Matrix._from_raw(field, chain([Si, D, S])),
+                Matrix._from_raw(field, chain([Si, B, S])))
     # S = I when T's diagonal was zero already: no shear ran
     if all(kern.is_zero(row[i]) for i, row in enumerate(T.reps)):
         return Matrix._from_raw(field, D), Matrix._from_raw(field, B)
     SiD = [[rmul(x, d) for x, d in zip(row, dvals)] for row in Si]  # a column scaling
-    return (Matrix._from_raw(field, matmul(SiD, S)),
-            Matrix._from_raw(field, matmul(matmul(Si, B), S)))
+    return (Matrix._from_raw(field, kern.matmul(SiD, S)),
+            Matrix._from_raw(field, chain([Si, B, S])))
 
 
 def _zero_diagonalize(T: Matrix):
@@ -737,7 +741,7 @@ def _solve_partner(X: Matrix, T: Matrix):
     if sol is None:
         return None
     Y = Matrix._from_raw(field, [sol[i * n:(i + 1) * n] for i in range(n)])
-    if (X * Y - Y * X).allclose(T):
+    if X.commutator(Y).allclose(T):
         return Y
     return None
 
@@ -823,7 +827,7 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         M = A
     if m == 2:
         x, y = trace_zero_to_commutator(M, seed)
-        mats = [Gi * x * G, Gi * y * G]
+        mats = [Matrix.product(Gi, x, G), Matrix.product(Gi, y, G)]
         return make_witness(word, A, mats, conjugators=(G,))
     peel = (m - 4) // 2
     mats_mid: List[Matrix] = []
@@ -849,8 +853,9 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     if field.is_exact:
         # Gi (G2i x G2) G = (Gi G2i) x (G2 G): exact products associate
         Hi, H = Gi * G2i, G2 * G
-        mats = [Gi * x * G for x in mats_mid] + [Hi * x * H for x in inner]
+        mats = ([Matrix.product(Gi, x, G) for x in mats_mid]
+                + [Matrix.product(Hi, x, H) for x in inner])
     else:
-        mats_mid.extend([G2i * x * G2 for x in inner])
-        mats = [Gi * x * G for x in mats_mid]
+        mats_mid.extend([Matrix.product(G2i, x, G2) for x in inner])
+        mats = [Matrix.product(Gi, x, G) for x in mats_mid]
     return make_witness(word, A, mats, conjugators=(G, G2))

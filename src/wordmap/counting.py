@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import TooLarge, UsageError
-from .fields import Field, FieldElement, enumerate_elements
+from .fields import Field, FieldElement, enumerate_elements, require_field
 from .matrices import Matrix, MatrixSpace
 from .words import CommutatorProduct, DiagonalWord, require_int
 
@@ -83,6 +83,7 @@ def count_solutions(field: Field, coefficients, exponents, gamma,
                     cap: int = DEFAULT_CAP) -> CountReport:
     """Exact number of solutions of sum_i delta_i x_i^{k_i} = gamma in F_q^m,
     with the bound check |S - q^{m-1}| <= bound."""
+    require_field(field)
     if not field.is_finite:
         raise UsageError("counting needs a finite field")
     require_int(cap, "cap")
@@ -151,6 +152,8 @@ def image_enumerate(word, n: int, field: Field, cap: int = DEFAULT_CAP) -> Image
     """
     if not isinstance(word, (CommutatorProduct, DiagonalWord)):
         raise UsageError(f"image_enumerate takes a word, got {word!r}")
+    require_field(field)
+    require_int(n, "n")
     if not field.is_finite:
         raise UsageError("image enumeration needs a finite field")
     require_int(cap, "cap")

@@ -63,7 +63,7 @@ from .fields import (
     _primitive,
     random_element,
 )
-from .polynomials import Poly
+from .polynomials import Poly, require_poly
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ def factor(f: Poly) -> Factorization:
     depends on f alone, and a polynomial among the last FACTOR_MEMO_SIZE
     factored (or found as an irreducible factor) gets the same immutable
     Factorization again."""
+    require_poly(f)
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     key = (f.field.key, f.reps)

@@ -26,13 +26,14 @@ compares them with the fractions module on every supported Python.
 
 Kernel layer.  Each field also builds one immutable raw kernel
 (``Field.kernel``) that does the dense work on lists of raw reps: dot
-products, matrix products and powers, prepared matrix-vector products
-(``matvec_fn``), shears E*M*E^-1 (row and column operations over exact
-kinds), in-place reduced row echelon form, and polynomial
-add/sub/mul/divmod, the derivative, the monic gcd (``poly_gcd``),
-prepared products modulo a fixed g (``poly_mulmod_fn``) with the modular
-powers built on them, and the extended gcd.  There are three
-implementations, picked by the field kind:
+products, matrix products and powers, chain products of matrices and of
+commutators (``matmul_chain``, ``commutator_chain``), prepared
+matrix-vector products (``matvec_fn``), shears E*M*E^-1 (row and column
+operations over exact kinds), in-place reduced row echelon form, and
+polynomial add/sub/mul/divmod, the derivative, the monic gcd
+(``poly_gcd``), prepared products modulo a fixed g (``poly_mulmod_fn``)
+with the modular powers built on them, and the extended gcd.  There are
+three implementations, picked by the field kind:
 
   PrimeKernel     Z/m on plain ints, built from m alone: the kernel of
                   F_p, whose element closures come from it, and of the
@@ -46,6 +47,8 @@ implementations, picked by the field kind:
   RationalKernel  Q on integers: dot, matrix and prepared matrix-vector
                   products clear rows and columns to one common
                   denominator (a matvec_fn clears its matrix once),
+                  a chain product clears each factor once and
+                  normalises each entry of its result once,
                   echelon is fraction-free Gauss-Jordan on primitive
                   integer rows, the gcd runs on primitive integer
                   remainders, and a product mod g is one integer
@@ -275,6 +278,18 @@ class FieldElement:
 
     def sort_key(self):
         return self.field.sort_key_raw(self.rep)
+
+
+def require_field(value) -> None:
+    """Refuse an argument that is not a Field."""
+    if not isinstance(value, Field):
+        raise UsageError(f"expected a Field, got {type(value).__name__}")
+
+
+def require_element(value) -> None:
+    """Refuse an argument that is not a FieldElement."""
+    if not isinstance(value, FieldElement):
+        raise UsageError(f"expected a FieldElement, got {type(value).__name__}")
 
 
 def _integer(value) -> int:
@@ -694,7 +709,8 @@ class GenericKernel:
     A matrix is a list of row lists of raw reps; a polynomial is a list of
     raw coefficients, low degree first, with no trailing zeros (results
     included).  Ops return new lists, except that ``echelon`` and ``shear``
-    work in place and ``matpow`` with k = 1 returns its argument.
+    work in place, and ``matpow`` with k = 1 and ``matmul_chain`` of one
+    matrix return their argument.
 
     The operation order, the skip of (tolerance-)zero left factors and the
     pivot rules are those of element-by-element FieldElement arithmetic, so
@@ -793,6 +809,18 @@ class GenericKernel:
                 out_row.append(acc)
             out.append(out_row)
         return out
+
+    def matmul_chain(self, mats):
+        """mats[0] * mats[1] * ... for a nonempty sequence, as a left fold
+        of ``matmul``."""
+        return functools.reduce(self.matmul, mats)
+
+    def commutator_chain(self, pairs):
+        """The product, in order, of the commutators X*Y - Y*X of a
+        nonempty sequence of (X, Y) pairs of square matrices."""
+        matmul, vsub = self.matmul, self.vsub
+        return self.matmul_chain([list(map(vsub, matmul(x, y), matmul(y, x)))
+                                  for x, y in pairs])
 
     def matvec_fn(self, A):
         """v -> A*v for a fixed matrix A, as one product against v as a
@@ -1285,6 +1313,20 @@ def _cleared(xs):
     return [n * (d // e) for n, e in pairs], d
 
 
+def _cleared_rows(A):
+    """(M, d): an integer matrix M and one denominator d > 0 with A = M / d."""
+    flat, d = _cleared([x for row in A for x in row])
+    ncols = len(A[0]) if A else 0
+    return [flat[i * ncols:(i + 1) * ncols] for i in range(len(A))], d
+
+
+def _int_matmul(A, B):
+    """The product of two integer matrices."""
+    mul = operator.mul
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
 def _primitive(xs: list) -> list:
     """The primitive integer multiple, with positive leading coefficient, of
     the rationals (or ints) xs, not all zero."""
@@ -1314,13 +1356,22 @@ class RationalKernel(GenericKernel):
     """Q on integers.  A dot product, matrix product or matrix-vector
     product clears each row and each column to integers over one lcm
     denominator, so an entry costs one integer dot product and one
-    ``_ratio``; ``matvec_fn`` clears the fixed matrix's rows once.
-    ``echelon`` is fraction-free Gauss-Jordan on primitive integer rows,
-    with the pivot rule of the generic kernel; it returns the same rows:
-    normalised pivot rows and, past them, the reduced non-pivot rows at
-    their true scale."""
+    ``_ratio``; ``matvec_fn`` clears the fixed matrix's rows once.  The
+    chain products (``matmul_chain``, ``commutator_chain``) clear each
+    operand once, to an integer matrix over one denominator, multiply and
+    subtract on ints, and normalise each entry of the result with one
+    ``_ratio``, not every entry of every intermediate product.  The zero
+    test is ``0 == a``, which takes Fraction.__eq__'s int branch instead
+    of its ``numbers.Rational`` check.  ``echelon`` is fraction-free
+    Gauss-Jordan on primitive integer rows, with the pivot rule of the
+    generic kernel; it returns the same rows: normalised pivot rows and,
+    past them, the reduced non-pivot rows at their true scale."""
 
     __slots__ = ()
+
+    def __init__(self, field: "Field"):
+        super().__init__(field)
+        self.is_zero = functools.partial(operator.eq, 0)
 
     def dot(self, xs, ys):
         u, du = _cleared(xs)
@@ -1335,6 +1386,22 @@ class RationalKernel(GenericKernel):
             u, du = _cleared(row)
             out.append([_ratio(sum(map(mul, u, v)), du * dv) for v, dv in cols])
         return out
+
+    def matmul_chain(self, mats):
+        acc, den = _cleared_rows(mats[0])
+        for M in mats[1:]:
+            ints, d = _cleared_rows(M)
+            acc, den = _int_matmul(acc, ints), den * d
+        return [[_ratio(x, den) for x in row] for row in acc]
+
+    def commutator_chain(self, pairs):
+        acc, den = None, 1
+        for X, Y in pairs:
+            (x, dx), (y, dy) = _cleared_rows(X), _cleared_rows(Y)
+            c = [list(map(operator.sub, r, s))
+                 for r, s in zip(_int_matmul(x, y), _int_matmul(y, x))]
+            acc, den = (c if acc is None else _int_matmul(acc, c)), den * dx * dy
+        return [[_ratio(x, den) for x in row] for row in acc]
 
     def matvec_fn(self, A):
         mul = operator.mul
@@ -1522,6 +1589,7 @@ def _log_tables(field: Field):
 
 def enumerate_elements(field: Field) -> Iterator[FieldElement]:
     """Yield every element of a finite field once, in ``_element_at`` order."""
+    require_field(field)
     if not field.is_finite:
         raise InfiniteField(f"{field} is not finite")
     for i in range(field.cardinality):
@@ -1641,6 +1709,7 @@ def kth_roots(e: FieldElement, k: int) -> list:
     order; above it they come as x*zeta^j in increasing j (k = 2: [r, -r]
     with r Tonelli-Shanks')."""
     _check_exponent(k)
+    require_element(e)
     field = e.field
     if k == 1:
         return [e]
@@ -1714,6 +1783,9 @@ def extend(base: Field, modulus) -> tuple:
     field runs on the base kernel's ops, with no log tables."""
     from .polynomials import Poly  # deferred: polynomials imports this module
 
+    require_field(base)
+    if not isinstance(modulus, (Poly, list, tuple)):
+        raise UsageError(f"a modulus is a Poly or a coefficient list, got {modulus!r}")
     if not (base.is_finite or base.kind == "rationals"):
         raise UnsupportedBase(f"cannot extend {base}")
     if isinstance(modulus, Poly):
@@ -1772,10 +1844,20 @@ def _power_sum_solutions(gamma: FieldElement, ks, candidates, inv=None,
     x_1..x_{n-1} are drawn depth first from ``candidates()``, each level a
     fresh call in the same order, and x_n is the first k_n-th root of what
     is left.  ``nonzero`` skips zero draws and zero roots; ``distinct``
-    keeps the n terms x_i^{k_i} (the last one w) pairwise distinct.  A
-    remainder whose roots ``kth_roots`` cannot find (number fields) closes
-    nothing."""
-    n, used = len(ks), set()
+    keeps the n terms x_i^{k_i} (the last one w) pairwise distinct.
+
+    A remainder whose roots ``kth_roots`` cannot find (number fields)
+    closes nothing: over a number field only a zero remainder closes.  The
+    candidates there are rationals (both callers draw small integers), so
+    every remainder keeps gamma's irrational part, and a gamma with one
+    yields nothing without a draw.  What a subtree yields depends only on
+    its depth, its remainder and the powers in use, so a state whose
+    subtree yielded nothing is remembered for the life of the search and
+    not walked again; the yields are those of the plain walk."""
+    field = gamma.field
+    if field.kind == "ext" and not field.is_finite and any(gamma.rep[1:]):
+        return iter(())
+    n, used, dead = len(ks), set(), set()
 
     def close(w):
         # the only root of zero is zero, and no other value has it
@@ -1793,17 +1875,25 @@ def _power_sum_solutions(gamma: FieldElement, ks, candidates, inv=None,
             if last is not None:
                 yield prefix + (last,)
             return
+        state = (len(prefix), w.rep, frozenset(used))
+        if state in dead:
+            return
+        found = False
         k = ks[len(prefix)]
         for x in candidates():
             if nonzero and x.is_zero():
                 continue
             p = x ** k
-            if not distinct:
-                yield from walk(prefix + (x,), w - p)
-            elif p.rep not in used:
+            if distinct:
+                if p.rep in used:
+                    continue
                 used.add(p.rep)
-                yield from walk(prefix + (x,), w - p)
-                used.discard(p.rep)
+            for sol in walk(prefix + (x,), w - p):
+                found = True
+                yield sol
+            used.discard(p.rep)
+        if not found:
+            dead.add(state)
 
     return walk((), gamma)
 

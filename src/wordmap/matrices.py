@@ -64,7 +64,7 @@ from .errors import (
     UsageError,
     VerificationFailed,
 )
-from .fields import Field, FieldElement, _binary_power, enumerate_elements
+from .fields import Field, FieldElement, _binary_power, enumerate_elements, require_field
 from .polynomials import Poly, approx_roots
 
 # Newton steps ``_newton_refine_root`` takes at most.
@@ -85,7 +85,11 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "reps")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[FieldElement]]):
-        rows = [tuple(r) for r in rows]
+        require_field(field)
+        try:
+            rows = [tuple(r) for r in rows]
+        except TypeError as exc:
+            raise UsageError(f"matrix rows must be sequences, got {rows!r}") from exc
         ncols = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != ncols:
@@ -244,6 +248,18 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise UsageError("matrix dimensions do not match")
 
+    def _check_product(self, other: "Matrix"):
+        """The checks of self*other: one field, inner sizes equal."""
+        self._check(other)
+        if self.ncols != other.nrows:
+            raise UsageError("matrix dimensions do not match")
+
+    def _check_square_pair(self, other: "Matrix"):
+        """The checks of self*other - other*self: one field, one square size."""
+        self._check(other)
+        if not self.nrows == self.ncols == other.nrows == other.ncols:
+            raise UsageError("matrix dimensions do not match")
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         return Matrix._from_raw(self.field, map(self.field.kernel.vadd, self.reps, other.reps))
@@ -264,10 +280,26 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other)
-        self._check(other)
-        if self.ncols != other.nrows:
-            raise UsageError("matrix dimensions do not match")
+        self._check_product(other)
         return Matrix._from_raw(self.field, self.field.kernel.matmul(self.reps, other.reps))
+
+    @staticmethod
+    def product(*mats: "Matrix") -> "Matrix":
+        """mats[0] * mats[1] * ..., with the checks of ``*``, as one
+        ``matmul_chain`` of the kernel: over Q each factor is cleared to
+        integers once and each entry normalised once."""
+        require_matrix(mats[0])
+        for a, b in zip(mats, mats[1:]):
+            a._check_product(b)
+        field = mats[0].field
+        return Matrix._from_raw(field, field.kernel.matmul_chain([M.reps for M in mats]))
+
+    def commutator(self, other: "Matrix") -> "Matrix":
+        """self*other - other*self, with the checks of ``*`` and ``-``, as
+        one ``commutator_chain`` of the kernel."""
+        self._check_square_pair(other)
+        return Matrix._from_raw(self.field, self.field.kernel.commutator_chain(
+            [(self.reps, other.reps)]))
 
     def __pow__(self, k: int) -> "Matrix":
         if not isinstance(k, int):
@@ -965,7 +997,7 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
         for qrow, prow in zip(Q, part):
             qrow.extend(prow)
     P = _inverse_raw(field, Q)
-    if not Matrix._from_raw(field, kern.matmul(kern.matmul(P, A.reps), Q)).allclose(realization):
+    if not Matrix._from_raw(field, kern.matmul_chain([P, A.reps, Q])).allclose(realization):
         raise VerificationFailed("generalized Jordan form failed to verify")
     return GeneralizedJordanForm(specs, Matrix._from_raw(field, P), realization,
                                  Matrix._from_raw(field, Q) if exact else None)

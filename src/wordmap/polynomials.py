@@ -18,6 +18,12 @@ from .fields import Field, FieldElement, _binary_power
 APPROX_ROOT_ITERATIONS = 400
 
 
+def require_poly(value) -> None:
+    """Refuse an argument that is not a Poly."""
+    if not isinstance(value, Poly):
+        raise UsageError(f"expected a Poly, got {type(value).__name__}")
+
+
 class Poly:
     __slots__ = ("field", "reps")
 

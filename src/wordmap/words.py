@@ -72,20 +72,34 @@ class DiagonalWord:
         return "diag:" + ";".join(f"d={delta!r},k={k}" for delta, k in self.terms)
 
 
+def _require_operand(x) -> None:
+    """Refuse a word argument that is not a Matrix, in the words of
+    ``Matrix._check``."""
+    if not isinstance(x, Matrix):
+        raise UsageError(f"expected a Matrix operand, got {type(x).__name__}")
+
+
 def eval_word(word, mats) -> Matrix:
+    """The word's value at the matrices ``mats``.  A commutator product
+    is one ``commutator_chain`` of the kernel; its operands are refused
+    with the error the product-by-product evaluation raises first."""
     mats = list(mats)
     if len(mats) != word.arity:
         raise UsageError(f"word takes {word.arity} matrices, got {len(mats)}")
     if isinstance(word, CommutatorProduct):
-        out = None
-        for i in range(0, word.m, 2):
-            x, y = mats[i], mats[i + 1]
-            c = x * y - y * x
-            out = c if out is None else out * c
-        return out
+        pairs = list(zip(mats[::2], mats[1::2]))
+        first = mats[0]
+        for i, (x, y) in enumerate(pairs):
+            _require_operand(x)
+            x._check_square_pair(y)
+            if i:  # the running product times this commutator
+                first._check_same_shape(x)
+        return Matrix._from_raw(first.field, first.field.kernel.commutator_chain(
+            [(x.reps, y.reps) for x, y in pairs]))
     if isinstance(word, DiagonalWord):
         out = None
         for (delta, k), x in zip(word.terms, mats):
+            _require_operand(x)
             term = (x ** k).scale(delta)
             out = term if out is None else out + term
         return out

@@ -610,3 +610,40 @@ def loop_space_power(space, X, k: int):
         if not k:
             return result
         X = space.matmul(X, X)
+
+
+def plain_power_sum_walk(gamma, ks, candidates, inv=None, distinct=False, nonzero=False):
+    """The scalar search ``fields._power_sum_solutions`` as a plain depth
+    first walk, with no memo of dead states and no number-field shortcut:
+    every subtree is walked, and a remainder closes by its first root."""
+    from wordmap.errors import Unsupported
+    from wordmap.fields import kth_roots
+
+    n, used = len(ks), set()
+
+    def close(w):
+        if (nonzero and w.is_zero()) or (distinct and w.rep in used):
+            return None
+        try:
+            roots = kth_roots(w if inv is None else w * inv, ks[-1])
+        except Unsupported:
+            return None
+        return roots[0] if roots else None
+
+    def walk(prefix, w):
+        if len(prefix) == n - 1:
+            last = close(w)
+            if last is not None:
+                yield prefix + (last,)
+            return
+        for x in candidates():
+            if nonzero and x.is_zero():
+                continue
+            p = x ** ks[len(prefix)]
+            if distinct and p.rep in used:
+                continue
+            used.add(p.rep)
+            yield from walk(prefix + (x,), w - p)
+            used.discard(p.rep)
+
+    return walk((), gamma)

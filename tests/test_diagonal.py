@@ -11,6 +11,7 @@ import wordmap
 
 from wordmap.diagonal import (
     EXHAUSTIVE_CAP,
+    SMALL_INTEGERS,
     _power_sum_ratio,
     bordered_matrix,
     bordered_solve,
@@ -174,14 +175,13 @@ def test_scalar_solutions_are_pinned(spec, one_digest, two_digest):
 
 
 def test_scalar_search_inverts_beta_once(monkeypatch):
-    """Over Q(alpha), alpha^3 = 2, no small integer a has a^2 = alpha, so
-    the search tries every SMALL_INTEGERS candidate and raises NotFound; it
-    inverts beta once for all of them, not once per candidate.  The roots
-    are taken by the shared search in ``fields``."""
+    """Over Q, (2 - a^2)/3 is a cube for no SMALL_INTEGERS candidate a
+    (its denominator is 3), so the search tries every candidate and raises
+    NotFound; it inverts beta once for all of them, not once per candidate.
+    The roots are taken by the shared search in ``fields``."""
     import wordmap.fields as fields_mod
 
-    field = _scalar_field(QA_SPEC)
-    t = field.generator()
+    field = Field("rationals")
     calls = {"kth_roots": 0, "inverse": 0}
     roots, inverse = fields_mod.kth_roots, field._rinv
 
@@ -196,8 +196,26 @@ def test_scalar_search_inverts_beta_once(monkeypatch):
     monkeypatch.setattr(fields_mod, "kth_roots", counted_roots)
     monkeypatch.setattr(field, "_rinv", counted_inverse)
     with pytest.raises(NotFound):
+        scalar_solution(field, field(2), 2, 3, field(3))
+    assert calls == {"kth_roots": len(SMALL_INTEGERS), "inverse": 1}
+
+
+def test_number_field_scalar_search_is_decided_without_roots(monkeypatch):
+    """Over Q(alpha), alpha^3 = 2, the candidates are rationals, so every
+    remainder keeps the target's irrational part and no draw can close:
+    the search raises today's NotFound without taking a k-th root."""
+    import wordmap.fields as fields_mod
+
+    field = _scalar_field(QA_SPEC)
+    t = field.generator()
+    calls = []
+    roots = fields_mod.kth_roots
+    monkeypatch.setattr(fields_mod, "kth_roots", lambda e, k: calls.append(k) or roots(e, k))
+    with pytest.raises(NotFound) as info:
         scalar_solution(field, t, 2, 3, t + field(1))
-    assert calls == {"kth_roots": 21, "inverse": 1}
+    assert str(info.value) == (
+        "no scalar solution of X^2 + [1,1,0]*Y^3 = [0,1,0] over Qext:mod=[-2,0,0,1]")
+    assert calls == []
 
 
 # -- invertible Jordan blocks -------------------------------------------------

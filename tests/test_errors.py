@@ -1,6 +1,6 @@
 import pytest
 
-from wordmap.errors import NotFound, SizeTooSmall, TooLarge, first_route
+from wordmap.errors import NotFound, SizeTooSmall, TooLarge, UsageError, first_route
 
 
 def _route(name, got, declines=(NotFound,), ran=None):
@@ -32,3 +32,28 @@ def test_first_route_collects_every_decline_in_order():
 def test_first_route_lets_an_error_outside_the_declines_through():
     with pytest.raises(TooLarge):
         first_route([_route("a", TooLarge("cap")), _route("b", 1)], NotFound)
+
+
+def _wrong_typed_calls():
+    from wordmap import CommutatorProduct, Matrix, eval_word, factor, parse_field_spec
+    from wordmap.counting import count_solutions, image_enumerate
+    from wordmap.fields import enumerate_elements, extend, kth_roots
+
+    F = parse_field_spec("Fp:5")
+    word = CommutatorProduct(2)
+    return {
+        "eval_word": lambda: eval_word(word, "AB"),
+        "kth_roots": lambda: kth_roots(2, 2),
+        "factor": lambda: factor([1, 2]),
+        "enumerate_elements": lambda: list(enumerate_elements(3)),
+        "extend": lambda: extend(F, None),
+        "Matrix": lambda: Matrix(F, 5),
+        "image_enumerate": lambda: image_enumerate(word, F, 2),
+        "count_solutions": lambda: count_solutions("F", [1], [2], 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_wrong_typed_calls()))
+def test_wrong_typed_arguments_raise_usage_error(name):
+    with pytest.raises(UsageError):
+        _wrong_typed_calls()[name]()

@@ -630,6 +630,51 @@ def test_impossible_regular_solutions_are_decided_by_counting_powers(monkeypatch
     assert walks == [6, 7]
 
 
+def _memo_walk_cases(field):
+    """(gamma, n, nonzero) for k in 2..4 and n <= 9 over ``field``: a target
+    planted as a sum of n draws and a random one, where the plain walk
+    ends in well under a second (over Q, n <= 4, and n <= 6 for k = 3;
+    over F_q only the n the power count lets through)."""
+    rng = random.Random(37)
+    pool = (list(enumerate_elements(field)) if field.is_finite
+            else [field(v) for v in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)])
+    for k, n, nonzero in itertools.product((2, 3, 4), range(1, 10), (False, True)):
+        if field.is_finite:
+            q = field.cardinality
+            if (q - 1) // math.gcd(k, q - 1) + (not nonzero) < n:
+                continue
+        elif n > (6 if k == 3 else 4):
+            continue
+        planted = sum((x ** k for x in rng.sample(pool, n)), field.zero())
+        drawn = random_element(field, rng) if field.is_finite else field(rng.randint(-50, 50))
+        for gamma in (planted, drawn):
+            yield k, n, nonzero, gamma, pool
+
+
+@pytest.mark.parametrize("spec", ["Fp:13", "Fp:101", "tower", "Q"])
+def test_memoized_walk_yields_the_plain_walk(spec):
+    """The regular-solution search, which skips the states whose subtree
+    yielded nothing, against the plain walk: the first ten yields are the
+    same tuples in the same order, and so are the diagonal solver's
+    two-term searches a^k1 + beta*b^k2 = alpha (no distinct powers)."""
+    from wordmap.fields import _power_sum_solutions
+
+    from oracles import plain_power_sum_walk
+
+    field = _tower(_tower(F3, 2), 2) if spec == "tower" else parse_field_spec(spec)
+    for k, n, nonzero, gamma, pool in _memo_walk_cases(field):
+        cands = lambda: pool
+        got = _power_sum_solutions(gamma, [k] * n, cands, distinct=True, nonzero=nonzero)
+        want = plain_power_sum_walk(gamma, [k] * n, cands, distinct=True, nonzero=nonzero)
+        assert list(itertools.islice(got, 10)) == list(itertools.islice(want, 10)), \
+            (k, n, nonzero, gamma)
+        beta = pool[-1]
+        for k2 in (2, 3, 4):
+            got = _power_sum_solutions(gamma, (k, k2), cands, beta.inverse())
+            want = plain_power_sum_walk(gamma, (k, k2), cands, beta.inverse())
+            assert list(itertools.islice(got, 10)) == list(itertools.islice(want, 10))
+
+
 def test_regular_solution_real_even_and_odd():
     R = Field("real", tolerance=1e-9)
     sol = regular_solution_search(R, 2, 3, R(1), require_nonzero=True)

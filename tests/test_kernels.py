@@ -36,6 +36,7 @@ from wordmap.fields import (
     enumerate_elements,
     extend,
     parse_field_spec,
+    random_element,
 )
 from wordmap.matrices import (
     Matrix,
@@ -388,6 +389,61 @@ def test_rational_matvec_fn_clears_the_matrix_once(monkeypatch):
             assert all(type(x) is Fraction for x in got)
             assert got == [x.rep for x in naive_apply(A, v)]
         assert calls == [ncols] * (nrows + 5)
+
+
+def _chain_entry(field, rng):
+    """A random entry, zero a quarter of the time; Q's reach 2^70 over
+    denominators up to 12, R's and C's include values below the tolerance."""
+    if rng.random() < 0.25:
+        return field.zero()
+    if field.is_finite:
+        return random_element(field, rng)
+    if field.kind == "rationals":
+        return field(Fraction(rng.choice((rng.randint(-9, 9), rng.randint(-2**70, 2**70))),
+                              rng.randint(1, 12)))
+    if field.kind == "ext":
+        return field([_chain_entry(field.base, rng) for _ in range(field.degree)])
+    x = rng.choice((rng.uniform(-1e3, 1e3), rng.uniform(-1e-9, 1e-9), 1.0))
+    return field(x if field.kind == "real" else complex(x, rng.uniform(-1e3, 1e3)))
+
+
+CHAIN_FIELDS = {
+    "Fp:2": FIELDS["Fp:2"], "Fp:101": FIELDS["Fp:101"], "F9": FIELDS[F9_SPEC],
+    "F81-tower": None, "Q": FIELDS["Q"], "Q(2^(1/3))": extend(FIELDS["Q"], [-2, 0, 0, 1])[0],
+    "R": FIELDS["R:tol=1e-9"], "C": FIELDS["C:tol=1e-9"],
+}
+
+
+@pytest.mark.parametrize("name", list(CHAIN_FIELDS))
+def test_chain_products_equal_the_sequential_products(name):
+    """matmul_chain and commutator_chain (and Matrix.product and
+    Matrix.commutator on them) against products of Matrix operators, entry
+    for entry (R and C bit for bit), on chains of one to four factors,
+    1x1 matrices and zero factors included."""
+    field = CHAIN_FIELDS[name] or TOWER
+    kern, rng = field.kernel, random.Random(37)
+
+    def rand(n):
+        return Matrix(field, [[_chain_entry(field, rng) for _ in range(n)] for _ in range(n)])
+
+    for n in (1, 2, 3, 5):
+        for length in (1, 2, 3, 4):
+            mats = [rand(n) for _ in range(length)]
+            pairs = [(rand(n), rand(n)) for _ in range(length)]
+            if length == 3:
+                mats[1] = Matrix.zeros(field, n)
+                pairs[1] = (mats[1], pairs[1][1])
+            want = functools.reduce(lambda a, b: a * b, mats)
+            got = Matrix._from_raw(field, kern.matmul_chain([M.reps for M in mats]))
+            assert mbits(got) == mbits(want) == mbits(Matrix.product(*mats))
+            want = functools.reduce(lambda a, b: a * b, [x * y - y * x for x, y in pairs])
+            got = Matrix._from_raw(field, kern.commutator_chain(
+                [(x.reps, y.reps) for x, y in pairs]))
+            assert mbits(got) == mbits(want)
+            x, y = pairs[0]
+            assert mbits(x.commutator(y)) == mbits(x * y - y * x)
+            if field.kind == "rationals":
+                assert all(type(a) is Fraction for row in got.reps for a in row)
 
 
 # ----------------------------------------------------------------------

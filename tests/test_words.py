@@ -57,6 +57,32 @@ def test_parse_diag():
 F4 = Field("ext", modulus=(1, 1, 1), base=F2)
 
 
+def _operands():
+    rng = random.Random(5)
+    return {"A": random_matrix(F5, 2, rng), "B": random_matrix(F5, 2, rng),
+            "C3": random_matrix(F5, 3, rng), "W23": Matrix.zeros(F5, 2, 3),
+            "W32": Matrix.zeros(F5, 3, 2), "G": random_matrix(F101, 2, rng), "s": "s"}
+
+
+@pytest.mark.parametrize("names,error", [
+    ("A s", "UsageError: expected a Matrix operand, got str"),
+    ("A C3", "UsageError: matrix dimensions do not match"),
+    ("W23 W32", "UsageError: matrix dimensions do not match"),
+    ("A G", "DescriptorMismatch: matrices over different fields"),
+    ("A B G G", "DescriptorMismatch: matrices over different fields"),
+    ("A B C3 C3", "UsageError: matrix dimensions do not match"),
+    ("A B C3 G", "DescriptorMismatch: matrices over different fields"),
+    ("A B s A", "UsageError: expected a Matrix operand, got str"),
+])
+def test_commutator_words_refuse_operands_as_products_do(names, error):
+    """The commutator chain refuses its operands with the error that
+    evaluating X*Y - Y*X and the running product one by one raises first."""
+    mats = [_operands()[name] for name in names.split()]
+    with pytest.raises(Exception) as info:
+        eval_word(CommutatorProduct(len(mats)), mats)
+    assert f"{type(info.value).__name__}: {info.value}" == error
+
+
 @pytest.mark.parametrize("spec,field", [
     ("diag:d=x,k=2", F5), ("diag:d=abc,k=2", R), ("diag:d=[1|x],k=2", F4),
     ("diag:d=[1,x],k=2", F4), ("diag:d=[1|1,k=2", F4), ("diag:d=1,k=2,z=5", F5),
