@@ -319,9 +319,10 @@ def _factor_two_canonical(A: Matrix, blocks=None):
     the Jordan data of A (so conjugate inputs share it).  ``blocks``, when
     given, are the Jordan blocks of A and A is their realization: the
     realization is a fixed point of ``generalized_jordan_form`` (same
-    blocks, identity conjugator), so its Jordan form is not computed.
-    Over exact kinds G^-1 comes from the bases G is built from; over R/C
-    it is G.inverse(), whose float bits the callers had before."""
+    blocks, identity conjugator), so its Jordan form is not computed, and
+    the 2x2 step reads chi's roots from them.  Over exact kinds G^-1 comes
+    from the bases G is built from; over R/C it is G.inverse(), whose float
+    bits the callers had before."""
     field = A.field
     n = A.nrows
     if n != A.ncols:
@@ -332,7 +333,7 @@ def _factor_two_canonical(A: Matrix, blocks=None):
     elif n == 1:
         raise Unsupported("a nonzero 1x1 matrix is not a product of two trace-zero factors")
     elif n == 2:
-        shape, S = _canonical_2x2(A)
+        shape, S = _canonical_2x2(A, blocks)
         u, v = two_by_two_trace_zero(shape)
         G, Gi = S.inverse(), S
     else:
@@ -344,13 +345,14 @@ def _factor_two_canonical(A: Matrix, blocks=None):
     return u, v, G, Gi
 
 
-def _canonical_2x2(A: Matrix):
-    """(canonical shape C, S) with S^-1 A S = C; C is one of the 2x2 canonical shapes."""
+def _canonical_2x2(A: Matrix, blocks=None):
+    """(canonical shape C, S) with S^-1 A S = C; C is one of the 2x2 canonical
+    shapes.  ``blocks`` are as in ``_factor_two_canonical``."""
     field = A.field
     chi = charpoly(A)
     a = -chi[1]
     b = -chi[0]
-    roots = _quadratic_roots(chi)
+    roots = _quadratic_roots(chi, blocks)
     ident = Matrix.identity(field, 2)
     if len(roots) == 2 and roots[0] != roots[1]:
         cols = []
@@ -384,17 +386,19 @@ def _canonical_2x2(A: Matrix):
     return comp, S
 
 
-def _quadratic_roots(chi: Poly) -> list:
+def _quadratic_roots(chi: Poly, blocks=None) -> list:
+    """chi's roots in its field, sorted.  Over exact kinds a linear factor
+    x - alpha of multiplicity l gives l copies of alpha; the linear Jordan
+    blocks of a matrix with charpoly chi, when given, hold the same roots
+    (J_{x - alpha, l} holds alpha l times), and chi is not factored."""
     field = chi.field
     if field.is_exact:
         from .factor import factor
 
-        roots = []
-        for term in factor(chi):
-            if term.poly.degree == 1:
-                roots.extend([-term.poly[0]] * term.multiplicity)
-        roots.sort(key=lambda r: r.sort_key())
-        return roots
+        pairs = ([(spec.poly, spec.size) for spec in blocks] if blocks is not None
+                 else [(term.poly, term.multiplicity) for term in factor(chi)])
+        roots = [-p[0] for p, count in pairs if p.degree == 1 for _ in range(count)]
+        return sorted(roots, key=lambda r: r.sort_key())
     from .polynomials import approx_roots
 
     rts = approx_roots(chi)

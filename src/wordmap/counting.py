@@ -87,6 +87,8 @@ def count_solutions(field: Field, coefficients, exponents, gamma,
     if not field.is_finite:
         raise UsageError("counting needs a finite field")
     require_int(cap, "cap")
+    if not (isinstance(coefficients, (list, tuple)) and isinstance(exponents, (list, tuple))):
+        raise UsageError("coefficients and exponents are lists or tuples")
     coeffs = [field(c) for c in coefficients]
     ks = list(exponents)
     for k in ks:

@@ -31,18 +31,23 @@ proven irreducible, so ``is_irreducible`` is "one factor of multiplicity
 one" over every base: over F_q the distinct-degree step does the work of
 Rabin's test.
 
-``factor`` keeps its last FACTOR_MEMO_SIZE = 256 results, keyed by the
-field's key and the coefficient reps, least recently used dropped first,
-and also files each irreducible factor it finds, whose one-term
-factorization is made when that factor is asked for.  A hit returns the
-same immutable Factorization, which the uniqueness of factorization makes
-the one a new run would build.  So an extension ``Field`` proves a Jordan
-factor's modulus irreducible by the factorization of chi that found it,
-and the 2x2 commutator step reads its roots from the Jordan form's
-factorization of the same chi.  The bound comes from seed-1 workload
-runs: 256 answered 62% of small-fields' 1,800 calls (33% at 64, 73% at
-512, where its 569 distinct keys all fit), 35% of char0's 129 at any
-bound from 64, and none of comm-f101's 360; 256 entries hold about 0.2 MB.
+``factor`` keeps its last FACTOR_MEMO_SIZE = 256 results in a
+``functools.lru_cache`` on ``_factorization``, keyed by the Poly, which
+hashes and compares by the field's key and the coefficient reps.  A hit
+returns the same immutable Factorization, which the uniqueness of
+factorization makes the one a new run would build.  Nothing else is
+filed: a Jordan factor's working field is proven by the factorization that
+found it (``reduction.working_field``), and the 2x2 commutator step reads
+chi's roots from the Jordan blocks.  What the cache serves is charpolys
+that recur across ops over small fields: on the small-fields stream of
+seed 1, 896 of 1,425 factorizations repeat an earlier op's charpoly, and
+each would cost 42-133 us to factor again (10th to 90th percentile,
+median 70 us, on a 2-core x86-64 host).  Over the seed-1 timed streams
+of the benchmark workloads (``cache_info()`` after the ops a 15 s run
+times), 256 entries answered 53% of small-fields' 1,439 calls (21% at
+64; 63% at 512, where every repeat is kept), 31% of diag-f101's 272, and
+none of char0's 88 or comm-f101's 385, whose charpolys never repeat; 256
+entries hold about 0.2-0.3 MB.
 """
 
 from __future__ import annotations
@@ -90,41 +95,22 @@ class Factorization:
         return iter(self.factors)
 
 
-# factor's last results (see the module docstring): (field key, coefficient
-# reps) -> Factorization, or the Poly of an irreducible factor found in one,
-# least recently used first
+# how many recent results ``_factorization`` keeps (see the module docstring)
 FACTOR_MEMO_SIZE = 256
-_FACTOR_MEMO: dict = {}
 
 
 def factor(f: Poly) -> Factorization:
     """Factor f into monic irreducibles times a unit (see module docstring).
     The factorization is unique and its factors are sorted, so the result
     depends on f alone, and a polynomial among the last FACTOR_MEMO_SIZE
-    factored (or found as an irreducible factor) gets the same immutable
-    Factorization again."""
+    factored gets the same immutable Factorization again."""
     require_poly(f)
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    key = (f.field.key, f.reps)
-    fac = _FACTOR_MEMO.pop(key, None)
-    if fac is None:
-        fac = _factorization(f)
-        for term in fac.factors:  # filed as the bare Poly until it is asked for
-            _remember((key[0], term.poly.reps), term.poly)
-    elif isinstance(fac, Poly):  # an irreducible factor found earlier
-        fac = Factorization(f.field.one(), (FactorTerm(fac, 1),))
-    _remember(key, fac)
-    return fac
+    return _factorization(f)
 
 
-def _remember(key, value) -> None:
-    _FACTOR_MEMO.pop(key, None)
-    _FACTOR_MEMO[key] = value
-    if len(_FACTOR_MEMO) > FACTOR_MEMO_SIZE:
-        del _FACTOR_MEMO[next(iter(_FACTOR_MEMO))]
-
-
+@functools.lru_cache(maxsize=FACTOR_MEMO_SIZE)
 def _factorization(f: Poly) -> Factorization:
     field = f.field
     if field.is_finite:
@@ -142,13 +128,11 @@ def _factorization(f: Poly) -> Factorization:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """The irreducibility predicate ``Field`` checks every extension modulus
-    with, over every base ``factor`` supports: f is irreducible when its
-    factorization is one factor of multiplicity one."""
-    if f.degree < 1:
-        return False
-    fac = factor(f)
-    return len(fac.factors) == 1 and fac.factors[0].multiplicity == 1
+    """The irreducibility predicate ``Field`` checks a named extension's
+    modulus with, over every base ``factor`` supports: f is irreducible when
+    its factorization is one factor of multiplicity one.  A Jordan factor's
+    working field skips it, proven by the factorization that found it."""
+    return f.degree >= 1 and [term.multiplicity for term in factor(f)] == [1]
 
 
 # ----------------------------------------------------------------------

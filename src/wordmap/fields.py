@@ -89,9 +89,10 @@ the cost of an operation does.  g is the first element in
 q-1.  The tables are built once, with about one multiplication by g and
 one addition per element, and never change.  Which fields get them is
 decided where fields are built (``_interned_field``): a named field
-(``GF``, ``parse_field_spec``, ``Field(...)``) when q <= ELEMENT_TABLE_BOUND,
-and a per-solve working field (``extend``) only when the field table
-keeps it, q <= FIELD_TABLE_BOUND.  Every other finite extension runs on
+(``GF``, ``parse_field_spec``, ``extend``, ``Field(...)``) when q <=
+ELEMENT_TABLE_BOUND, and a Jordan factor's per-solve working field
+(``reduction.working_field``) only when the field table keeps it, q <=
+FIELD_TABLE_BOUND.  Every other finite extension runs on
 the base kernel's ops.  A per-solve F_343 or F_729 does a few hundred
 operations, fewer than its tables cost to build (an F_64 solve through
 F_{64^2} spent 30 of its 32 ms on them); a named field may serve many
@@ -113,13 +114,18 @@ Extensions are a quotient step ``base[t]/(m)`` with ``base`` a finite field
 refuses a modulus that is not monic (UsageError) or not irreducible
 (ReduciblePolynomial); it is the one place that checks, through
 ``factor.is_irreducible``, which factors the modulus over every base.
-``extend``, ``GF`` and ``parse_field_spec`` rely on that check.
+``extend``, ``GF`` and ``parse_field_spec`` rely on that check.  A Jordan
+factor's working field skips it: its modulus is an irreducible factor of
+chi that ``factor`` found and proved (distinct- and equal-degree splitting,
+or Zassenhaus, with the product checked), so one solve proves each modulus
+once, and only ``_interned_field``'s ``per_solve`` flag, which
+``reduction.working_field`` alone sets, can skip the check.
 
 The field table.  ``_interned_field`` builds each F_p and finite extension
-that ``extend``, ``GF``, ``parse_field_spec`` and ``factor``'s Zassenhaus
-step ask for, and keeps the one Field of each key with at most
-FIELD_TABLE_BOUND = 256 elements, built once per process, log tables
-included.  Sharing is safe: a Field never changes after ``__init__``, and
+that ``extend``, ``GF``, ``parse_field_spec``, ``reduction.working_field``
+and ``factor``'s Zassenhaus step ask for, and keeps the one Field of each
+key with at most FIELD_TABLE_BOUND = 256 elements, built once per process,
+log tables included.  Sharing is safe: a Field never changes after ``__init__``, and
 elements compare by ``field is other or key ==``, so a per-solve field and
 the named field of the same modulus, one with tables and one without, hold
 the same values.  Failed builds, ``Field(...)`` calls, fields past the
@@ -406,7 +412,7 @@ class Field:
 
     def __init__(self, kind: str, p: int = 0, modulus: tuple = (),
                  tolerance: float = 0.0, base: "Field" = None, *,
-                 _table_bound: int = ELEMENT_TABLE_BOUND):
+                 _per_solve: bool = False):
         self.kind = kind
         self.p = p
         self.base = base
@@ -422,19 +428,20 @@ class Field:
             self._radd, self._rsub, self._rmul = kern.radd, kern.rsub, kern.rmul
             self._rneg, self._rinv = kern.rneg, kern.inv
         elif kind == "ext":
-            if base is None or not (base.kind in ("prime", "rationals")
-                                    or (base.kind == "ext" and base.is_finite)):
+            if not isinstance(base, Field) or not (
+                    base.kind in ("prime", "rationals") or (base.kind == "ext" and base.is_finite)):
                 raise UnsupportedBase(
                     "extensions are supported over finite fields and Q only")
-            d = len(modulus) - 1
+            d = len(modulus) - 1 if isinstance(modulus, tuple) else 0
             if d < 1 or modulus[-1] != base._one_raw:
                 raise UsageError("modulus must be monic of degree >= 1")
-            from .factor import is_irreducible  # deferred: factor imports this module
-            from .polynomials import Poly
+            if not _per_solve:  # a Jordan factor is proven by the factorization that found it
+                from .factor import is_irreducible  # deferred: factor imports this module
+                from .polynomials import Poly
 
-            mod_poly = Poly._from_raw(base, modulus)
-            if not is_irreducible(mod_poly):
-                raise ReduciblePolynomial(f"modulus {mod_poly!r} factors over {base!r}")
+                mod_poly = Poly._from_raw(base, modulus)
+                if not is_irreducible(mod_poly):
+                    raise ReduciblePolynomial(f"modulus {mod_poly!r} factors over {base!r}")
             self.degree = d
             self.p = base.p
             self.key = ("ext", base.key, modulus)
@@ -442,7 +449,8 @@ class Field:
             self._one_raw = tuple(
                 base._one_raw if i == 0 else base._zero_raw for i in range(d))
             self._install_ext_ops()
-            if self.is_finite and self.cardinality <= _table_bound:
+            bound = FIELD_TABLE_BOUND if _per_solve else ELEMENT_TABLE_BOUND
+            if self.is_finite and self.cardinality <= bound:
                 self._install_log_ops(*_log_tables(self))
         elif kind == "rationals":
             self.degree = 1
@@ -451,7 +459,8 @@ class Field:
             self._radd, self._rsub, self._rmul = _q_add, _q_sub, _q_mul
             self._rneg, self._rinv = _q_neg, _q_inv
         elif kind in ("real", "complex"):
-            if not (math.isfinite(tolerance) and tolerance > 0):
+            if not (isinstance(tolerance, (int, float)) and math.isfinite(tolerance)
+                    and tolerance > 0):
                 raise UsageError("approximate fields need a finite tolerance > 0")
             self.degree = 1
             self.key = (kind, tolerance)
@@ -1777,10 +1786,10 @@ def kth_roots(e: FieldElement, k: int) -> list:
 
 
 def extend(base: Field, modulus) -> tuple:
-    """Quotient extension base[t]/(p), a Jordan factor's working field for
-    one solve.  Returns (field, generator, embed); ``Field`` refuses a p that
-    is not monic or not irreducible.  Past FIELD_TABLE_BOUND elements the
-    field runs on the base kernel's ops, with no log tables."""
+    """Quotient extension base[t]/(p), a named field like ``GF(q, modulus)``.
+    Returns (field, generator, embed); ``Field`` refuses a p that is not
+    monic (UsageError) or not irreducible (ReduciblePolynomial).  A Jordan
+    factor's working field is ``reduction.working_field``'s, not this."""
     from .polynomials import Poly  # deferred: polynomials imports this module
 
     require_field(base)
@@ -1794,7 +1803,7 @@ def extend(base: Field, modulus) -> tuple:
         coeffs = modulus.reps
     else:
         coeffs = tuple(base(c).rep for c in modulus)
-    field = _interned_field("ext", modulus=coeffs, base=base, per_solve=True)
+    field = _interned_field("ext", modulus=coeffs, base=base)
     return field, field.generator(), field.embed_base
 
 
@@ -1811,11 +1820,10 @@ def regular_solution_search(field: Field, k: int, n: int, gamma: FieldElement,
 
 def regular_solution_iter(field: Field, k: int, n: int, gamma: FieldElement,
                           require_nonzero: bool = False) -> Iterator[tuple]:
+    require_field(field)
     gamma = field(gamma)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise UsageError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise UsageError("n must be >= 1")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise UsageError(f"n must be an int >= 1, got {n!r}")
     _check_exponent(k)
     if field.kind in ("real", "complex"):
         sol = _regular_construct_analytic(field, k, n, gamma, require_nonzero)
@@ -1853,11 +1861,12 @@ def _power_sum_solutions(gamma: FieldElement, ks, candidates, inv=None,
     yields nothing without a draw.  What a subtree yields depends only on
     its depth, its remainder and the powers in use, so a state whose
     subtree yielded nothing is remembered for the life of the search and
-    not walked again; the yields are those of the plain walk."""
+    not walked again; the yields are those of the plain walk.  Each
+    candidate power x^k is computed once per search, in ``pows``."""
     field = gamma.field
     if field.kind == "ext" and not field.is_finite and any(gamma.rep[1:]):
         return iter(())
-    n, used, dead = len(ks), set(), set()
+    n, used, dead, pows = len(ks), set(), set(), {}
 
     def close(w):
         # the only root of zero is zero, and no other value has it
@@ -1883,7 +1892,9 @@ def _power_sum_solutions(gamma: FieldElement, ks, candidates, inv=None,
         for x in candidates():
             if nonzero and x.is_zero():
                 continue
-            p = x ** k
+            p = pows.get((k, x.rep))
+            if p is None:
+                p = pows[k, x.rep] = x ** k
             if distinct:
                 if p.rep in used:
                     continue
@@ -2003,7 +2014,9 @@ def GF(q: int, modulus=None) -> Field:
         raise UsageError(f"{q} is not a prime power")
     base = _interned_field("prime", p=p)
     if modulus is not None:
-        modulus = tuple(c % p for c in modulus)
+        if not isinstance(modulus, (list, tuple)):
+            raise UsageError(f"a modulus is a coefficient list, got {modulus!r}")
+        modulus = tuple(_integer(c) % p for c in modulus)
         if len(modulus) != d + 1:
             raise UsageError(f"GF({q}) needs a modulus of degree {d}")
         return _interned_field("ext", modulus=modulus, base=base)
@@ -2032,14 +2045,16 @@ def _interned_field(kind: str, p: int = 0, modulus: tuple = (), base=None,
                     per_solve: bool = False) -> Field:
     """``Field(kind, ...)`` for kind "prime" or "ext", from the field table when
     it holds the key; a new finite field with q <= FIELD_TABLE_BOUND goes in.
-    A ``per_solve`` field (``extend``'s) gets log tables only when the table
+    A ``per_solve`` field is a Jordan factor's working field
+    (``reduction.working_field``, the one caller that sets the flag): its
+    modulus is a factor that ``factor`` found, which proves it irreducible,
+    so it is not proved again, and it gets log tables only when the table
     keeps it: past FIELD_TABLE_BOUND it lives for one solve, which does too
     few operations in it to pay for them."""
     key = ("prime", p) if kind == "prime" else ("ext", base.key, modulus)
     field = _FIELD_TABLE.get(key)
     if field is None:
-        bound = FIELD_TABLE_BOUND if per_solve else ELEMENT_TABLE_BOUND
-        field = Field(kind, p=p, modulus=modulus, base=base, _table_bound=bound)
+        field = Field(kind, p=p, modulus=modulus, base=base, _per_solve=per_solve)
         if field.is_finite and field.cardinality <= FIELD_TABLE_BOUND:
             _FIELD_TABLE[key] = field
     return field

@@ -65,7 +65,7 @@ from .errors import (
     VerificationFailed,
 )
 from .fields import Field, FieldElement, _binary_power, enumerate_elements, require_field
-from .polynomials import Poly, approx_roots
+from .polynomials import Poly, approx_roots, require_poly
 
 # Newton steps ``_newton_refine_root`` takes at most.
 NEWTON_ITERATIONS = 40
@@ -731,8 +731,9 @@ class Partition:
     parts: Tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise UsageError("partition parts must be positive")
+        if not isinstance(self.parts, tuple) or any(
+                not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in self.parts):
+            raise UsageError(f"partition parts must be positive ints, got {self.parts!r}")
         if tuple(sorted(self.parts)) != self.parts:
             raise UsageError("partition parts must be weakly increasing")
 
@@ -1208,6 +1209,8 @@ def companion_lift(W: Matrix, p: Poly, root: complex = None) -> Matrix:
     quadratic factor, ``root`` names the chosen complex root and entries are
     decomposed as u + v*root.
     """
+    require_matrix(W)
+    require_poly(p)
     base = p.field
     d = p.degree
     C = Matrix.companion(p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import DescriptorMismatch, UsageError, ZeroPolynomial
-from .fields import Field, FieldElement, _binary_power
+from .fields import Field, FieldElement, _binary_power, require_field
 
 # Durand-Kerner sweeps ``approx_roots`` makes at most.
 APPROX_ROOT_ITERATIONS = 400
@@ -28,6 +28,9 @@ class Poly:
     __slots__ = ("field", "reps")
 
     def __init__(self, field: Field, coeffs: Sequence = ()):
+        require_field(field)
+        if not isinstance(coeffs, (list, tuple)):
+            raise UsageError(f"coefficients are a list or tuple, got {coeffs!r}")
         reps = [field(c).rep for c in coeffs]
         while reps and field.kernel.is_zero(reps[-1]):
             reps.pop()

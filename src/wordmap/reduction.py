@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import UsageError
-from .fields import Field, FieldElement, extend
+from .fields import Field, FieldElement, _interned_field
 from .matrices import (
     GeneralizedJordanForm,
     Matrix,
@@ -58,11 +58,14 @@ class ReductionPlan:
 def working_field(field: Field, p: Poly) -> tuple:
     """(L, alpha, embed, root) for the Jordan factor p: the base field for a
     linear factor, K(alpha) over exact kinds, and over R the field C with
-    ``root`` a chosen root of p, which ``companion_lift`` needs to lift back."""
+    ``root`` a chosen root of p, which ``companion_lift`` needs to lift back.
+    K(alpha) is a per-solve field: p is a factor that ``factor`` found, and
+    that factorization is its proof of irreducibility."""
     if p.degree == 1:
         return field, -p[0], None, None
     if field.is_exact:
-        return extend(field, p) + (None,)
+        L = _interned_field("ext", modulus=p.reps, base=field, per_solve=True)
+        return L, L.generator(), L.embed_base, None
     L = Field("complex", tolerance=field.tolerance)
     roots = approx_roots(p)
     root = next((r for r in roots if r.imag > 0), roots[0])

@@ -83,7 +83,10 @@ def eval_word(word, mats) -> Matrix:
     """The word's value at the matrices ``mats``.  A commutator product
     is one ``commutator_chain`` of the kernel; its operands are refused
     with the error the product-by-product evaluation raises first."""
-    mats = list(mats)
+    if not isinstance(word, (CommutatorProduct, DiagonalWord)):
+        raise UsageError(f"unknown word {word!r}")
+    if not isinstance(mats, (list, tuple)):
+        raise UsageError(f"the matrices are a list or tuple, got {mats!r}")
     if len(mats) != word.arity:
         raise UsageError(f"word takes {word.arity} matrices, got {len(mats)}")
     if isinstance(word, CommutatorProduct):
@@ -96,14 +99,12 @@ def eval_word(word, mats) -> Matrix:
                 first._check_same_shape(x)
         return Matrix._from_raw(first.field, first.field.kernel.commutator_chain(
             [(x.reps, y.reps) for x, y in pairs]))
-    if isinstance(word, DiagonalWord):
-        out = None
-        for (delta, k), x in zip(word.terms, mats):
-            _require_operand(x)
-            term = (x ** k).scale(delta)
-            out = term if out is None else out + term
-        return out
-    raise UsageError(f"unknown word {word!r}")
+    out = None
+    for (delta, k), x in zip(word.terms, mats):
+        _require_operand(x)
+        term = (x ** k).scale(delta)
+        out = term if out is None else out + term
+    return out
 
 
 def parse_word(spec: str, field: Field):

@@ -292,7 +292,7 @@ TOWERS = {"Ftower:card=16": (4, 2), "Ftower:card=64": (4, 3),
 def _field(name):
     if name in TOWERS:
         # named, like the fields of GF and parse_field_spec: log tables up to
-        # ELEMENT_TABLE_BOUND, where extend's F_729 has none
+        # ELEMENT_TABLE_BOUND, where a working field's F_729 has none
         q, d = TOWERS[name]
         base = GF(q)
         return Field("ext", modulus=_first_irreducible(base, d).reps, base=base)
@@ -656,7 +656,8 @@ def test_memoized_walk_yields_the_plain_walk(spec):
     """The regular-solution search, which skips the states whose subtree
     yielded nothing, against the plain walk: the first ten yields are the
     same tuples in the same order, and so are the diagonal solver's
-    two-term searches a^k1 + beta*b^k2 = alpha (no distinct powers)."""
+    two-term searches a^k1 + beta*b^k2 = alpha and the three-term search
+    with exponents (2, 3, 4) (no distinct powers)."""
     from wordmap.fields import _power_sum_solutions
 
     from oracles import plain_power_sum_walk
@@ -669,10 +670,10 @@ def test_memoized_walk_yields_the_plain_walk(spec):
         assert list(itertools.islice(got, 10)) == list(itertools.islice(want, 10)), \
             (k, n, nonzero, gamma)
         beta = pool[-1]
-        for k2 in (2, 3, 4):
-            got = _power_sum_solutions(gamma, (k, k2), cands, beta.inverse())
-            want = plain_power_sum_walk(gamma, (k, k2), cands, beta.inverse())
-            assert list(itertools.islice(got, 10)) == list(itertools.islice(want, 10))
+        for ks in ((k, 2), (k, 3), (k, 4), (2, 3, 4)):
+            got = _power_sum_solutions(gamma, ks, cands, beta.inverse())
+            want = plain_power_sum_walk(gamma, ks, cands, beta.inverse())
+            assert list(itertools.islice(got, 10)) == list(itertools.islice(want, 10)), ks
 
 
 def test_regular_solution_real_even_and_odd():
@@ -871,13 +872,16 @@ def _arithmetic(field):
 
 
 def test_log_tables_go_to_named_fields_and_to_the_field_table():
+    from wordmap.reduction import working_field
+
     F64 = parse_field_spec("Fq:p=2,d=6,mod=[1,1,0,0,0,0,1]")
     cubic, quadratic = _first_irreducible(F7, 3), _first_irreducible(F64, 2)
     # per-solve working fields: tables only for those the field table keeps
-    assert _arithmetic(extend(F3, [1, 0, 1])[0]) == "log tables"  # F_9
-    assert _arithmetic(extend(F7, cubic)[0]) == "base kernel"  # F_343
-    assert _arithmetic(extend(F64, quadratic)[0]) == "base kernel"  # F_{64^2}
+    assert _arithmetic(working_field(F3, Poly(F3, [1, 0, 1]))[0]) == "log tables"  # F_9
+    assert _arithmetic(working_field(F7, cubic)[0]) == "base kernel"  # F_343
+    assert _arithmetic(working_field(F64, quadratic)[0]) == "base kernel"  # F_{64^2}
     # named fields, up to ELEMENT_TABLE_BOUND
+    assert _arithmetic(extend(F7, cubic)[0]) == "log tables"
     assert _arithmetic(GF(343, modulus=[c.rep for c in cubic.coeffs])) == "log tables"
     assert _arithmetic(parse_field_spec("Fq:p=7,d=3,mod=[4,0,0,1]")) == "log tables"
     assert _arithmetic(Field("ext", modulus=quadratic.reps, base=F64)) == "log tables"

@@ -1,11 +1,12 @@
 import dataclasses
+import importlib
 import random
+import re
 
 import pytest
 
 import wordmap.commutators as commutators_mod
 import wordmap.diagonal as diagonal_mod
-import wordmap.fields as fields_mod
 import wordmap.reduction as reduction_mod
 from wordmap.commutators import (
     factor_two_trace_zero,
@@ -13,9 +14,9 @@ from wordmap.commutators import (
     trace_zero_to_commutator,
 )
 from wordmap.diagonal import solve_diagonal_word
-from wordmap.errors import UsageError, VerificationFailed
-from wordmap.fields import Field
-from wordmap.matrices import Matrix
+from wordmap.errors import ReduciblePolynomial, UsageError, VerificationFailed
+from wordmap.fields import Field, extend
+from wordmap.matrices import Matrix, charpoly
 from wordmap.polynomials import Poly
 from wordmap.reduction import assemble, plan, solve_blockwise
 from wordmap.words import DiagonalWord, eval_word
@@ -110,13 +111,13 @@ def test_each_extension_factor_builds_its_field_once(monkeypatch):
     S = random_invertible(F3, 12, random.Random(5))
     A = S * J * S.inverse()
     calls = []
-    extend = fields_mod.extend
+    working_field = reduction_mod.working_field
 
-    def counting(base, modulus):
-        calls.append(modulus)
-        return extend(base, modulus)
-    for module in (fields_mod, reduction_mod):
-        monkeypatch.setattr(module, "extend", counting)
+    def counting(base, p):
+        calls.append(p)
+        return working_field(base, p)
+    for module in (reduction_mod, commutators_mod):
+        monkeypatch.setattr(module, "working_field", counting)
     pair = factor_two_trace_zero(A)
     assert pair.t1 * pair.t2 == A
     assert calls == [p]
@@ -124,6 +125,33 @@ def test_each_extension_factor_builds_its_field_once(monkeypatch):
     rp = plan(A)
     assert [bp.size for bp in rp.blocks] == [2, 2, 1, 1]
     assert calls == [p]
+
+
+def test_working_fields_are_proven_by_the_factorization_that_found_them(monkeypatch):
+    """A diagonal solve over F_101 of S (C(x^2 - 2) + C(x^3 + x + 1)) S^-1
+    builds F_{101^2} and F_{101^3}, past the field table, without proving
+    either modulus again; named extensions still prove theirs."""
+    factor_mod = importlib.import_module("wordmap.factor")
+    quadratic, cubic = Poly(F101, [-2, 0, 1]), Poly(F101, [1, 1, 0, 1])
+    J = Matrix.block_diag(F101, [Matrix.companion(quadratic), Matrix.companion(cubic)])
+    S = random_invertible(F101, 5, random.Random(7))
+    A = S * J * S.inverse()
+    assert [t.poly for t in factor_mod.factor(charpoly(A))] == [quadratic, cubic]
+    calls = []
+    is_irreducible = factor_mod.is_irreducible
+    monkeypatch.setattr(factor_mod, "is_irreducible",
+                        lambda f: calls.append(f) or is_irreducible(f))
+    word = DiagonalWord(((F101(1), 2), (F101(1), 3)))
+    assert eval_word(word, solve_diagonal_word(A, word).matrices) == A
+    assert sorted(bp.field.cardinality for bp in plan(A).blocks) == [101 ** 2, 101 ** 3]
+    assert calls == []
+    reducible = Poly(F101, [-1, 0, 1])  # (x - 1)(x + 1)
+    message = re.escape(f"modulus {reducible!r} factors over {F101!r}")
+    with pytest.raises(ReduciblePolynomial, match=message):
+        extend(F101, reducible)
+    with pytest.raises(ReduciblePolynomial, match=message):
+        Field("ext", modulus=reducible.reps, base=F101)
+    assert len(calls) == 2
 
 
 def test_single_gate_refuses_corrupted_block(monkeypatch):
