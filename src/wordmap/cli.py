@@ -8,6 +8,9 @@ arrays (extensions), "a/b" strings (Q), floats (R), [re, im] pairs (C).
 Exit codes: 0 success; 2 for mathematically meaningful negatives (NotFound,
 Unsupported, nonzero trace, failed verification of a supplied witness);
 1 for malformed input or internal errors.
+
+A command imports the solver or counting function it runs when it runs, so
+a process compiles only the modules its command calls.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import functools
 import json
 import sys
 
-from .counting import CSV_HEADER, DEFAULT_CAP, count_solutions, image_enumerate, threshold
-from .commutators import solve_commutator_product
-from .diagonal import solve_diagonal_word
 from .errors import (
     NonzeroTrace,
     NotFound,
@@ -106,8 +106,10 @@ def _cmd_solve(args) -> int:
     word = parse_word(args.word, field)
     target = matrix_from_json(_load_json_arg(args.matrix), field)
     if isinstance(word, CommutatorProduct):
+        from .commutators import solve_commutator_product
         witness = solve_commutator_product(target, word.m, seed=args.seed)
     else:
+        from .diagonal import solve_diagonal_word
         witness = solve_diagonal_word(target, word, seed=args.seed)
     payload = {
         "schema": SCHEMA,
@@ -148,10 +150,17 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+def _cap(args) -> dict:
+    """``cap=`` for a counting call when --cap was given; without it the
+    function's own default, counting.DEFAULT_CAP, applies."""
+    return {} if args.cap is None else {"cap": args.cap}
+
+
 def _cmd_enumerate_image(args) -> int:
+    from .counting import image_enumerate
     field = parse_field_spec(args.field)
     word = parse_word(args.word, field)
-    summary = image_enumerate(word, args.n, field, cap=args.cap)
+    summary = image_enumerate(word, args.n, field, **_cap(args))
     payload = {
         "schema": SCHEMA,
         "command": "enumerate-image",
@@ -168,6 +177,7 @@ def _cmd_enumerate_image(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import CSV_HEADER, count_solutions
     field = parse_field_spec(args.field)
     word = parse_word(args.word, field)
     if not isinstance(word, DiagonalWord):
@@ -175,7 +185,7 @@ def _cmd_count(args) -> int:
     gamma = field(int(args.gamma)) if field.kind in ("prime", "ext") \
         else field(args.gamma)
     report = count_solutions(field, [d for d, _ in word.terms],
-                             [k for _, k in word.terms], gamma, cap=args.cap)
+                             [k for _, k in word.terms], gamma, **_cap(args))
     if args.out == "csv":
         sys.stdout.write(CSV_HEADER + "\n" + report.csv_row() + "\n")
         return 0
@@ -195,6 +205,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from .counting import threshold
     report = threshold(args.k1, args.k2)
     payload = {
         "schema": SCHEMA,
@@ -236,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--word", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_enumerate_image)
 
     p = sub.add_parser("count", help="count scalar solutions and check the bound")
     common(p, outs=("json", "text", "csv"))
     p.add_argument("--word", required=True, help="diagonal word giving deltas and exponents")
     p.add_argument("--gamma", default="1", help="target value (field literal)")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("threshold", help="scalar two-solution threshold k1^4*k2^4")

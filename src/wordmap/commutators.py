@@ -310,6 +310,7 @@ def factor_two_trace_zero(A: Matrix, seed: int = 0) -> TraceZeroPair:
     The pair is a fixed function of A alone: ``seed`` is accepted for the
     callers that pass one and changes nothing."""
     require_matrix(A)
+    require_int(seed, "seed")
     u, v, G, Gi = _factor_two_canonical(A)
     return _checked_pair(Matrix.product(Gi, u, G), Matrix.product(Gi, v, G), A)
 

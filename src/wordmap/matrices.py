@@ -86,10 +86,7 @@ class Matrix:
 
     def __init__(self, field: Field, rows: Sequence[Sequence[FieldElement]]):
         require_field(field)
-        try:
-            rows = [tuple(r) for r in rows]
-        except TypeError as exc:
-            raise UsageError(f"matrix rows must be sequences, got {rows!r}") from exc
+        rows = _row_tuples(rows)
         ncols = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != ncols:
@@ -116,7 +113,8 @@ class Matrix:
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
-        return Matrix(field, [[field(x) for x in row] for row in rows])
+        require_field(field)
+        return Matrix(field, [[field(x) for x in row] for row in _row_tuples(rows)])
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int = None) -> "Matrix":
@@ -429,6 +427,15 @@ def _solve_raw(field: Field, aug, n: int) -> Optional[list]:
 def _transpose(vecs) -> list:
     """Rows from columns, or columns from rows, as lists."""
     return [list(r) for r in zip(*vecs)]
+
+
+def _row_tuples(rows) -> list:
+    """The rows of a constructor's argument as tuples, refusing what is not
+    a sequence of sequences."""
+    try:
+        return [tuple(r) for r in rows]
+    except TypeError as exc:
+        raise UsageError(f"matrix rows must be sequences, got {rows!r}") from exc
 
 
 def require_matrix(value) -> None:

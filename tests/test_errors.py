@@ -57,6 +57,8 @@ def _wrong_typed_calls():
         "enumerate_elements": lambda: list(enumerate_elements(3)),
         "extend": lambda: extend(F, None),
         "Matrix": lambda: Matrix(F, 5),
+        "Matrix.from_rows-field": lambda: Matrix.from_rows(5, [[1]]),
+        "Matrix.from_rows-rows": lambda: Matrix.from_rows(F, 5),
         "image_enumerate": lambda: image_enumerate(word, F, 2),
         "count_solutions": lambda: count_solutions("F", [1], [2], 1),
         "regular_solution_search": lambda: regular_solution_search(2, 2, 2, F(1)),

@@ -227,7 +227,9 @@ def test_each_public_solve_evaluates_its_word_once(monkeypatch, solve):
     lambda A, seed: solve_diagonal_word(A, DiagonalWord(((F5(1), 2), (F5(1), 3))), seed=seed),
     lambda A, seed: solve_commutator_product(A, 4, seed=seed),
     lambda A, seed: trace_zero_to_commutator(A, seed=seed),
-], ids=["solve_diagonal_word", "solve_commutator_product", "trace_zero_to_commutator"])
+    lambda A, seed: factor_two_trace_zero(A, seed=seed),
+], ids=["solve_diagonal_word", "solve_commutator_product", "trace_zero_to_commutator",
+        "factor_two_trace_zero"])
 def test_public_solves_refuse_a_seed_that_is_not_an_int(solve, seed):
     A = Matrix.from_rows(F5, [[1, 2], [3, 4]])  # trace 0 over F_5
     solve(A, 0)
