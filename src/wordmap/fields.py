@@ -173,6 +173,8 @@ ELEMENT_TABLE_BOUND = 1 << 12
 # Finite fields up to this size are built once per process, with their log
 # tables; a per-solve working field past it gets none (``extend``).
 FIELD_TABLE_BOUND = 256
+# How many (field, l) pairs keep their non-l-th power rho_l for kth_roots.
+NON_POWER_CACHE_SIZE = 32
 
 
 def _is_prime(n: int) -> bool:
@@ -1640,13 +1642,16 @@ def _element_at(field: Field, idx: int):
     return tuple(rep)
 
 
+@functools.lru_cache(maxsize=NON_POWER_CACHE_SIZE)
 def _first_non_power(field: Field, l: int):
     """Raw value of the first element in enumeration order that is not an
     l-th power, for a prime l dividing q - 1.
 
     The first |base| elements in that order are the base field's; when l
     divides (q-1)/(|base|-1), every one of them is an l-th power, so the
-    search starts after them."""
+    search starts after them.  The value depends on the field's key and l
+    alone (fields with equal keys are equal and hash alike), so the last
+    NON_POWER_CACHE_SIZE searches are kept."""
     q = field.cardinality
     start = 1
     if field.kind == "ext" and (q - 1) // (field.base.cardinality - 1) % l == 0:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from wordmap.errors import NotSimilar
-from wordmap.fields import enumerate_elements
+from wordmap.fields import enumerate_elements, random_element
 from wordmap.matrices import Matrix, nilpotent_jordan_basis
 from wordmap.polynomials import APPROX_ROOT_ITERATIONS, Poly
 
@@ -522,6 +522,53 @@ def power_per_degree_distinct_degree(f):
             g = g // gd
             h = h % g
     return out
+
+
+def frobenius_rows(g):
+    """x^(qj) mod g for j < deg g, each by its own modular power: the rows
+    ``factor._distinct_degree`` hands on, reduced mod g."""
+    q = g.field.cardinality
+    x = Poly.x(g.field)
+    return [_pow_mod(x, q * j, g) for j in range(g.degree)]
+
+
+def equal_degree_power(a, d, g):
+    """a^((q^d-1)/2) mod g by one binary power: the value each
+    Cantor-Zassenhaus draw needs in odd characteristic, as
+    ``factor._equal_degree`` computed it before the Frobenius split."""
+    return _pow_mod(a, (a.field.cardinality ** d - 1) // 2, g)
+
+
+def power_equal_degree_split(f, d, rng):
+    """The monic irreducible factors, sorted, of a monic product f of
+    distinct irreducibles of degree d over F_q, q odd: Cantor-Zassenhaus
+    with ``equal_degree_power`` per draw (at d = 1, random root splitting),
+    the split ``factor._equal_degree`` made before the Frobenius split and
+    the root scan."""
+    field = f.field
+    if f.degree == d:
+        return [f]
+    while True:
+        a = Poly(field, [random_element(field, rng) for _ in range(f.degree)])
+        if a.degree < 1:
+            continue
+        g = f.gcd(equal_degree_power(a, d, f) - Poly.one(field))
+        if 0 < g.degree < f.degree:
+            parts = (power_equal_degree_split(g, d, rng)
+                     + power_equal_degree_split(f // g, d, rng))
+            return sorted(parts, key=Poly.sort_key)
+
+
+def product_loop_moments_vanish(X, T):
+    """trace(T X^j) = 0 for 0 < j < n, each from the product T X^j: the
+    loop ``commutators._moments_vanish`` ran before it tested the first
+    moment as a sum of entry products."""
+    P = T
+    for _ in range(T.nrows - 1):
+        P = P * X
+        if not P.trace().is_zero():
+            return False
+    return True
 
 
 def nilpotent_conjugator(N1: Matrix, N2: Matrix) -> Matrix:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import wordmap.commutators as commutators_mod
 from wordmap.commutators import (
     TraceZeroPair,
     _factorization_tasks,
@@ -25,12 +26,20 @@ from wordmap.errors import (
     WitnessNotFound,
     WordmapError,
 )
-from wordmap.fields import Field, GF, GenericKernel, PrimeKernel, extend, parse_field_spec
+from wordmap.fields import (
+    Field,
+    GF,
+    GenericKernel,
+    PrimeKernel,
+    extend,
+    parse_field_spec,
+    random_element,
+)
 from wordmap.matrices import Matrix, generalized_jordan_form
 from wordmap.polynomials import Poly
 from wordmap.words import CommutatorProduct, eval_word
 
-from oracles import all_matrices, random_invertible, random_matrix
+from oracles import all_matrices, product_loop_moments_vanish, random_invertible, random_matrix
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -38,6 +47,13 @@ F5 = Field("prime", p=5)
 F7 = Field("prime", p=7)
 F101 = Field("prime", p=101)
 Q = Field("rationals")
+R = Field("real", tolerance=1e-9)
+
+@pytest.fixture
+def empty_peel_cache():
+    """A test that patches or counts what a single commutator runs starts
+    with no earlier test's m >= 6 peel pairs in the cache."""
+    commutators_mod._shift_commutator.cache_clear()
 
 
 def check(pair: TraceZeroPair):
@@ -297,6 +313,56 @@ def test_solve_m6():
     assert eval_word(CommutatorProduct(6), w.matrices) == A
 
 
+# SHA-256 of the witness matrices' reps for the seed-1 solves below, recorded
+# before the peel pair was cached
+PEEL_GOLDEN = [
+    (F2, 4, 6, "5e84931cb2784c04ed60cd59abe959bd706a407946425bf84c52fbd8b5ee1782"),
+    (F2, 4, 8, "e1ae5c94150c99eacf483a2d59cbee42da40969e50f8b3cba0938a9cc59a5fe6"),
+    (F101, 7, 6, "baf5ae735b426527f1d9259db6f16eaf272670fdb42bf668cf7535bf63040f95"),
+    (F101, 7, 8, "5c2dd354c103637dfa4d02221d9edc51e03ae1ce395b385e1189b64d56bdb652"),
+    (Q, 5, 6, "3627eda3b1cc00663f13db8715e8424e6fd8a0347ee798b3e1b8264a12b127d3"),
+    (Q, 5, 8, "1aeedb90285d6f063504a280e088bc092cdef18d5c437ac72aa6076fe7c15716"),
+    (R, 4, 6, "09e98153177b7ff7bbf6836bd946506c1097b81fabbb27cb307218af823a8177"),
+    (R, 4, 8, "45895cb713a1ea4061c71a3b58e79d8cbb0d52c2082a33e0291a0fd3c06bef39"),
+]
+
+
+@pytest.mark.parametrize("field,n,m,digest", PEEL_GOLDEN,
+                         ids=[f"{f!r}-n={n}-m={m}" for f, n, m, _ in PEEL_GOLDEN])
+def test_the_cached_peel_pair_is_a_fresh_shift_commutator(field, n, m, digest,
+                                                          empty_peel_cache):
+    """The peel's [X_U, Y_U] = U is solved once per (field, n, seed): over
+    F_2 at n = 4 (q < n, so the linear search answers), F_101, Q and R the
+    cached pair equals a fresh trace_zero_to_commutator of the cyclic
+    shift, and the witnesses are those of the uncached solver, with the
+    cache cold, warm and cleared again."""
+    rng = random.Random(n)
+    A = (Matrix.from_rows(Q, [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
+         if field is Q else random_matrix(field, n, rng))
+
+    def solved():
+        w = solve_commutator_product(A, m, 1)
+        return hashlib.sha256(repr([x.reps for x in w.matrices]).encode()).hexdigest()
+
+    assert solved() == digest
+    info = commutators_mod._shift_commutator.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert solved() == digest
+    assert commutators_mod._shift_commutator.cache_info().hits == info.hits + 1
+    U = Matrix.cyclic_shift(field, n)
+    assert commutators_mod._shift_commutator(U, 1) == trace_zero_to_commutator(U, 1)
+    commutators_mod._shift_commutator.cache_clear()
+    assert solved() == digest
+
+
+def test_the_peel_cache_is_bounded(empty_peel_cache):
+    U = Matrix.cyclic_shift(F101, 3)
+    for seed in range(commutators_mod.PEEL_CACHE_SIZE + 4):
+        commutators_mod._shift_commutator(U, seed)
+    info = commutators_mod._shift_commutator.cache_info()
+    assert info.currsize == info.maxsize == commutators_mod.PEEL_CACHE_SIZE
+
+
 def test_solve_conjugation_covariance():
     # witnesses of A and P A P^-1 differ by one common conjugation
     rng = random.Random(13)
@@ -341,7 +407,7 @@ def test_commutator_component_split():
 STUCK_F4_DIGEST = "e04c3a89be8a930b6be0fe4a0ac78300cede1b66e111973bca18c07e1517d39b"
 
 
-def test_stuck_zero_diagonal_falls_back_to_the_linear_search(monkeypatch):
+def test_stuck_zero_diagonal_falls_back_to_the_linear_search(monkeypatch, empty_peel_cache):
     # over F_4, the merges of diag(1+t, 0, 1+t) cycle, so the shears stop
     # once Z repeats a state rather than at the end of the budget; over R,
     # diagonal entries 1e-12 apart give a merge shear whose coupling is
@@ -517,7 +583,7 @@ def test_cli_m4_over_q_with_factors_of_two_multiplicities(capsys):
     assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
-def test_exact_reorderings_replace_dense_products(monkeypatch):
+def test_exact_reorderings_replace_dense_products(monkeypatch, empty_peel_cache):
     # over exact kinds the conjugations by permutations and identities are
     # reorderings: the dense products made 49 (m = 4) and 69 (m = 6)
     # PrimeKernel products on this target
@@ -536,13 +602,41 @@ def test_exact_reorderings_replace_dense_products(monkeypatch):
         assert len(calls) <= bound, (m, len(calls))
 
 
-def test_an_exhausted_commutator_chain_lists_its_three_routes(monkeypatch):
+@pytest.mark.parametrize("field", [F2, F3, GF(4), R], ids=repr)
+def test_the_first_moment_precheck_keeps_every_decision(field):
+    """On seeded candidate streams (cyclic companions and dense draws
+    against trace-zero targets, a third of them commutators with the
+    candidate), ``_moments_vanish`` accepts and rejects exactly the
+    candidates the product loop does; R checks that the first moment
+    keeps the product's float bits."""
+    rng = random.Random(5)
+
+    def draw(n):
+        return Matrix(field, [[random_element(field, rng) for _ in range(n)]
+                              for _ in range(n)])
+
+    decisions = []
+    for t in range(300):
+        n = rng.randrange(2, 6)
+        X = (Matrix.companion(Poly(field, [random_element(field, rng) for _ in range(n)]
+                                   + [field.one()]))
+             if t % 2 else draw(n))
+        if t % 3 == 0:
+            T = X.commutator(draw(n))
+        else:
+            T = draw(n)
+            T = T - Matrix.diagonal(field, [field.zero()] * (n - 1) + [T.trace()])
+        expected = product_loop_moments_vanish(X, T)
+        assert commutators_mod._moments_vanish(X, T) == expected
+        decisions.append(expected)
+    assert 0 < decisions.count(True) < len(decisions)
+
+
+def test_an_exhausted_commutator_chain_lists_its_three_routes(monkeypatch, empty_peel_cache):
     """J_{0,3} over F_2: one support component, and F_2 has no three
     distinct diagonal values, so the first two routes decline at once; with
     every candidate's moment check failing, the linear search spends its
     tries and declines too.  WitnessNotFound keeps its message."""
-    import wordmap.commutators as commutators_mod
-
     monkeypatch.setattr(commutators_mod, "_moments_vanish", lambda X, T: False)
     with pytest.raises(WitnessNotFound) as info:
         trace_zero_to_commutator(Matrix.jordan_block(F2(0), 3))

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import importlib
+import operator
 import os
 import random
 import subprocess
@@ -14,13 +16,35 @@ import wordmap
 from wordmap.commutators import solve_commutator_product
 from wordmap.diagonal import solve_diagonal_word
 from wordmap.errors import NotFound, UnsupportedField, ZeroPolynomial
-from wordmap.factor import FACTOR_MEMO_SIZE, _distinct_degree, factor, is_irreducible
-from wordmap.fields import Field, GF, _iroot_ceil, enumerate_elements, extend, parse_field_spec
+from wordmap.factor import (
+    FACTOR_MEMO_SIZE,
+    _distinct_degree,
+    _equal_degree,
+    _half_power,
+    factor,
+    is_irreducible,
+)
+from wordmap.fields import (
+    Field,
+    GF,
+    _iroot_ceil,
+    enumerate_elements,
+    extend,
+    parse_field_spec,
+    random_element,
+)
 from wordmap.matrices import Matrix, charpoly
 from wordmap.polynomials import Poly
 from wordmap.words import parse_word
 
-from oracles import naive_rational_roots, power_per_degree_distinct_degree, rabin_irreducible
+from oracles import (
+    equal_degree_power,
+    frobenius_rows,
+    naive_rational_roots,
+    power_equal_degree_split,
+    power_per_degree_distinct_degree,
+    rabin_irreducible,
+)
 
 F2 = Field("prime", p=2)
 F3 = Field("prime", p=3)
@@ -399,10 +423,24 @@ def test_distinct_degree_matches_power_per_degree(field):
         cases.append(f)
     splits = 0
     for f in cases:
-        got = [(Poly._from_raw(field, g), d) for g, d in _distinct_degree(field, list(f.reps))]
+        parts = _distinct_degree(field, list(f.reps))
+        got = [(Poly._from_raw(field, g), d) for g, d, _ in parts]
         assert got == power_per_degree_distinct_degree(f)
+        _assert_frobenius_rows(field, parts)
         splits += len(got) > 1
     assert splits >= 5
+
+
+def _assert_frobenius_rows(field, parts):
+    """From d = 2 on, each piece g comes with rows that reduce mod g to its
+    Frobenius rows x^(qj) mod g (the equal-degree split reads them)."""
+    for g, d, rows in parts:
+        if rows is None:
+            assert d == 1 or len(g) - 1 == d
+        else:
+            assert d > 1
+            gp = Poly._from_raw(field, g)
+            assert [Poly._from_raw(field, r) % gp for r in rows[:gp.degree]] == frobenius_rows(gp)
 
 
 @pytest.mark.parametrize("field", [Field("prime", p=101), GF(9)], ids=repr)
@@ -428,11 +466,77 @@ def test_distinct_degree_prepares_one_product_when_linear_factors_split_off(
     prepared = []
     monkeypatch.setattr(kernel_type, "poly_mulmod_fn",
                         lambda self, g: prepared.append(len(g) - 1) or prepare(self, g))
-    got = [(Poly._from_raw(field, g), d) for g, d in _distinct_degree(field, list(f.reps))]
+    parts = _distinct_degree(field, list(f.reps))
     monkeypatch.undo()
+    got = [(Poly._from_raw(field, g), d) for g, d, _ in parts]
     assert prepared == [f.degree]
     assert [d for _, d in got] == [1, 2, 3, 4]
     assert got == power_per_degree_distinct_degree(f)
+    _assert_frobenius_rows(field, parts)
+
+
+# odd q on both sides of FIELD_TABLE_BOUND (F_65521 splits its linear factors
+# by random draws), and two extension fields
+SPLIT_FIELDS = [Field("prime", p=p) for p in (3, 5, 101, 251, 65521)] + [GF(9), GF(25)]
+
+
+def _random_irreducibles(field, deg, count, rng):
+    """``count`` distinct random monic irreducibles of degree ``deg``."""
+    elems = list(enumerate_elements(field)) if field.cardinality <= 256 else None
+    out = []
+    while len(out) < count:
+        coeffs = [rng.choice(elems) if elems else field(rng.randrange(field.p))
+                  for _ in range(deg)]
+        f = Poly(field, coeffs + [field.one()])
+        if f not in out and is_irreducible(f):
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=repr)
+def test_frobenius_split_matches_the_binary_power(field):
+    """For a product g of two or three irreducibles of degree d = 2..6, the
+    draws' a^((q^d-1)/2) mod g through the Frobenius rows that the
+    degree split hands on equals one binary power, and the split gives the
+    reference's factors."""
+    rng = random.Random(field.cardinality)
+    kern = field.kernel
+    for d in range(2, 7):
+        planted = _random_irreducibles(field, d, 2 + d % 2, rng)
+        g = functools.reduce(operator.mul, planted)
+        [(piece, degree, rows)] = _distinct_degree(field, list(g.reps))
+        assert (Poly._from_raw(field, piece), degree) == (g, d)
+        reduced = [kern.poly_divmod(r, piece)[1] for r in rows[:g.degree]]
+        power = _half_power(kern, piece, d, field.cardinality, reduced,
+                            kern.poly_mulmod_fn(piece))
+        for _ in range(4):
+            a = Poly(field, [random_element(field, rng) for _ in range(g.degree)])
+            assert Poly._from_raw(field, power(list(a.reps))) == equal_degree_power(a, d, g)
+        got = sorted((Poly._from_raw(field, h)
+                      for h in _equal_degree(field, piece, d, random.Random(d), rows)),
+                     key=Poly.sort_key)
+        assert got == sorted(planted, key=Poly.sort_key)
+        assert got == power_equal_degree_split(g, d, random.Random(d))
+        assert [t.poly for t in factor(g)] == got
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 251, 257, 65521])
+def test_linear_factors_by_scan_match_random_root_splitting(p):
+    """Products of distinct linear factors over F_p: the root scan (p up to
+    FIELD_TABLE_BOUND) and random root splitting (above it) both give the
+    reference's roots."""
+    field = Field("prime", p=p)
+    rng = random.Random(p)
+    for size in range(2, min(p, 9) + 1):
+        roots = rng.sample(range(p), size)
+        f = functools.reduce(operator.mul, (Poly(field, [-r, 1]) for r in roots))
+        got = sorted((Poly._from_raw(field, h)
+                      for h in _equal_degree(field, list(f.reps), 1, random.Random(size))),
+                     key=Poly.sort_key)
+        expected = ([Poly(field, [-r, 1]) for r in sorted(roots)] if p == 2 else
+                    power_equal_degree_split(f, 1, random.Random(size)))
+        assert got == expected
+        assert sorted(-t.poly.reps[0] % p for t in factor(f)) == sorted(roots)
 
 
 # ----------------------------------------------------------------------

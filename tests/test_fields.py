@@ -334,6 +334,28 @@ def test_kth_roots_beyond_scan_bound_with_common_factor():
     assert kth_roots(non_cube, 3) == []
 
 
+def test_each_non_power_is_searched_once_per_field_key_and_prime():
+    """rho_l depends on the field's key and l alone: repeated k-th roots,
+    also in a second F_{101^2} built with the same key, search for it once
+    per (key, l), and the kept value is the search's."""
+    from wordmap.fields import _first_non_power
+
+    _first_non_power.cache_clear()
+    F101 = Field("prime", p=101)
+    for v in range(1, 30):
+        kth_roots(F101(v) ** 10, 10)  # l = 2 and l = 5
+    spec = "Fq:p=101,d=2,mod=[2,0,1]"
+    same_key = extend(F101, Poly(F101, [2, 0, 1]))[0]
+    for field in (parse_field_spec(spec), parse_field_spec(spec), same_key):
+        x = field.generator() + field.one()
+        assert kth_roots(x ** 3, 3)
+    info = _first_non_power.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert info.maxsize == wordmap.fields.NON_POWER_CACHE_SIZE
+    for field, l in [(F101, 2), (F101, 5), (parse_field_spec(spec), 3)]:
+        assert _first_non_power(field, l) == _first_non_power.__wrapped__(field, l)
+
+
 # above SCAN_BOUND roots come in the algorithm's order, which witnesses read;
 # 2^23 divides 998244353 - 1, so Tonelli-Shanks' loop runs deep there
 BIG_ROOT_FIELDS = [998244353, 1000003, 101 ** 3, 101 ** 4]
