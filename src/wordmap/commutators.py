@@ -15,45 +15,47 @@ Verification rule: the public factor-pair constructors (the ``*_trace_zero``
 functions and ``factor_two_trace_zero``) check their pair by direct
 multiplication, ``trace_zero_to_commutator`` checks X*Y - Y*X = T once at
 its end, whichever route answered, and ``solve_commutator_product`` checks
-the finished word.  The internal steps between them (lifted pairs, task
-assembly, and the routes of ``_commutator``, whose component split recurses
-into ``_commutator`` rather than the public function) check nothing that a
-later gate checks again; the linear search's partner check stays, since
-its failure selects the next candidate.
+the finished word and nothing else.  Inside the library nothing calls
+``trace_zero_to_commutator``: the routes of ``_commutator`` (the component
+split recurses into it) and the product solver's single commutators (m = 2,
+the four inner factors, the m >= 6 peel pair) run unchecked, as do the
+lifted pairs and the task assembly, since a later gate checks them again;
+the linear search's partner check stays, since its failure selects the
+next candidate.
 
-Exact shortcuts.  Over exact kinds a product by a permutation or an
-identity matrix is done as the reordering it is: the task layout's
-permutation applied to the Jordan conjugator (and, when no companion
-merge happened, to its inverse), the pairing permutation of
-``diagonal_trace_zero``, the row rotation of the m >= 6 peel, and Shoda's
-[D, B] when no shear ran; ``solve_commutator_product`` conjugates its four
-inner factors once, by G2*G, since exact products associate.  The values
-are unique, so the witnesses are those of the dense products.  R and C
-keep the dense products: they skip tolerance-zero left factors and turn
--0.0 into 0.0, and those float bits are part of their witnesses.  The
-conjugations G^-1 x G and the commutator checks run on the kernel's chain
-products (``Matrix.product``, ``Matrix.commutator``): over Q each factor
-is cleared to integers once and each entry normalised once; elsewhere
-they are the products left to right, with the same results.
+Exact shortcuts.  Over exact kinds a product by a permutation, an identity
+or a diagonal matrix is done as the reordering or scaling it is: the task
+layout's permutation applied to the Jordan conjugator (and, when no
+companion merge happened, to its inverse), the pairing permutation of
+``diagonal_trace_zero``, the row rotation of the m >= 6 peel's target, the
+peel pair's conjugation, and Shoda's [D, B] when no shear ran;
+``solve_commutator_product`` conjugates its four inner factors once, by
+G2*G, since exact products associate.  The values are unique, so the
+witnesses are those of the dense products.  R and C keep the dense
+products: they skip tolerance-zero left factors and turn -0.0 into 0.0,
+and those float bits are part of their witnesses.  The conjugations
+G^-1 x G and the commutator checks run on the kernel's chain products
+(``Matrix.product``, ``Matrix.commutator``): over Q each factor is cleared
+to integers once and each entry normalised once; elsewhere they are the
+products left to right, with the same results.
 
 The peel pair.  For m >= 6, ``solve_commutator_product`` peels (m-4)/2
-copies of one commutator [X_U, Y_U] = U, U the cyclic shift, which
-depends only on the field, n and the seed.  ``_shift_commutator``, a
-``functools.lru_cache`` of PEEL_CACHE_SIZE = 16 entries around the gated
-``trace_zero_to_commutator``, keeps the last pairs, keyed by (U, seed):
-U hashes and compares by the field's key and its entries, and the pair's
-matrices are immutable, so a hit returns the matrices a new solve would
-build; the solve conjugates the pair once by the Jordan conjugator and
-repeats it for each of the (m-4)/2 copies.  On a 2-core x86-64 host a
-pair over F_101 costs 0.08, 0.14 and 0.22 ms to solve at n = 6, 9 and
-12.  Over the 288 ops of the benchmark's comm-f101 stream (seed 1) the
-72 m = 6 solves at n = 4..12 made 9 misses with 16 entries; 8 entries,
-fewer than the sizes the shuffled stream cycles through, made 29.
+copies of one commutator [X_U, Y_U] = U, U the cyclic shift, conjugated
+once by the Jordan conjugator G.  U has zero diagonal, so over an exact
+field with at least n elements Shoda's [D, B] needs no shear and the pair
+is in closed form (``_shift_pair``): X_U = diag(d), d the n values of
+``_distinct_values`` that ``_zero_diag_commutator`` uses too, and
+Y_U = diag(w) U with w_i = 1/(d_i - d_{i+1 mod n}), the weighted shift
+that ``_weighted_shift`` builds, as it builds the scalar formula's Y.
+The peel forms neither matrix: G^-1 X_U is G^-1 with its columns scaled
+by d, and G^-1 Y_U is G^-1 with its columns scaled by w and rotated one
+place, so each matrix costs one dense product, by G, where the solved
+pair took two.  Over R and C, and over F_q with q < n, ``_commutator``
+solves U on every call and the dense products stay.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -573,12 +575,6 @@ def trace_zero_to_commutator(T: Matrix, seed: int = 0) -> Tuple[Matrix, Matrix]:
     return X, Y
 
 
-# how many (U, seed) peel pairs ``_shift_commutator`` keeps (see the module
-# docstring)
-PEEL_CACHE_SIZE = 16
-_shift_commutator = functools.lru_cache(maxsize=PEEL_CACHE_SIZE)(trace_zero_to_commutator)
-
-
 def _commutator(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X*Y - Y*X = T for trace(T) = 0, unchecked.  Zero and
     scalar targets have their formulas; any other T runs the route tuple
@@ -610,34 +606,24 @@ def _component_commutator(T: Matrix, seed: int):
     is_zero = kern.is_zero
     n = T.nrows
     rows = T.reps
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    label = list(range(n))  # the least index of i's component so far
     for i in range(n):
         for j in range(i + 1, n):
-            if not is_zero(rows[i][j]) or not is_zero(rows[j][i]):
-                parent[find(i)] = find(j)
+            if label[i] != label[j] and (not is_zero(rows[i][j]) or not is_zero(rows[j][i])):
+                lo, hi = sorted((label[i], label[j]))
+                label = [lo if t == hi else t for t in label]
     groups = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(label[i], []).append(i)
     comps = list(groups.values())  # ascending, ordered by their least index
     if len(comps) <= 1:
         return None
-    for comp in comps:
-        tr = kern.zero
-        for i in comp:
-            tr = kern.radd(tr, rows[i][i])
-        if not is_zero(tr):
-            return None
+    subs = [Matrix._from_raw(field, [[rows[i][j] for j in comp] for i in comp]) for comp in comps]
+    if not all(sub.trace().is_zero() for sub in subs):
+        return None
     x_rows = [[kern.zero] * n for _ in range(n)]
     y_rows = [[kern.zero] * n for _ in range(n)]
-    for comp in comps:
-        sub = Matrix._from_raw(field, [[rows[i][j] for j in comp] for i in comp])
+    for comp, sub in zip(comps, subs):
         Xc, Yc = _commutator(sub, seed)
         for a, i in enumerate(comp):
             for b, j in enumerate(comp):
@@ -651,8 +637,24 @@ def _scalar_commutator(T: Matrix) -> Tuple[Matrix, Matrix]:
     by y_{i,i+1} = -(i+1)c; exact when char | n."""
     field, n, c = T.field, T.nrows, T[0, 0]
     X = Matrix.permutation(field, [(i - 1) % n for i in range(n)])
-    D = Matrix.diagonal(field, [-(field(i + 1) * c) for i in range(n)])
-    return X, D * Matrix.cyclic_shift(field, n)
+    return X, _weighted_shift(field, [(-(field(i + 1) * c)).rep for i in range(n)])
+
+
+def _weighted_shift(field: Field, weights) -> Matrix:
+    """diag(weights) times the cyclic shift, built entry by entry:
+    weights[i] at (i, i+1 mod n), zero elsewhere."""
+    n = len(weights)
+    return Matrix._from_raw(field, [[w if j == (i + 1) % n else field.kernel.zero
+                                     for j in range(n)] for i, w in enumerate(weights)])
+
+
+def _distinct_values(field: Field, n: int) -> list:
+    """Raw reps of n distinct elements, the diagonal of Shoda's D: the
+    first n in ``enumerate_elements`` order over a finite field (q >= n),
+    0, 1, ..., n-1 elsewhere."""
+    if field.is_finite:
+        return [e.rep for _, e in zip(range(n), enumerate_elements(field))]
+    return [field(i).rep for i in range(n)]
 
 
 def _zero_diag_commutator(T: Matrix):
@@ -669,22 +671,12 @@ def _zero_diag_commutator(T: Matrix):
     S, Si, Z = res
     kern = field.kernel
     rmul, rsub, inv, zero = kern.rmul, kern.rsub, kern.inv, kern.zero
-    exact = kern.exact
-    if field.is_finite:
-        dvals = [e.rep for _, e in zip(range(n), enumerate_elements(field))]
-    else:
-        dvals = [field(i).rep for i in range(n)]
-    # 1/(d_i - d_j); over exact kinds 1/(d_j - d_i) is its negative
-    inv_diff = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = inv_diff[i, j] = inv(rsub(dvals[i], dvals[j]))
-            inv_diff[j, i] = kern.rneg(c) if exact else inv(rsub(dvals[j], dvals[i]))
+    dvals = _distinct_values(field, n)
     D = [[dvals[i] if i == j else zero for j in range(n)] for i in range(n)]
-    B = [[zero if i == j else rmul(Z[i][j], inv_diff[i, j])
+    B = [[zero if i == j else rmul(Z[i][j], inv(rsub(dvals[i], dvals[j])))
           for j in range(n)] for i in range(n)]
     chain = kern.matmul_chain
-    if not exact:
+    if not kern.exact:
         Si = _inverse_raw(field, S)
         return (Matrix._from_raw(field, chain([Si, D, S])),
                 Matrix._from_raw(field, chain([Si, B, S])))
@@ -841,6 +833,33 @@ def _commutator_linear_search(T: Matrix, seed: int) -> Optional[Tuple[Matrix, Ma
 # products of commutators
 # ----------------------------------------------------------------------
 
+def _shift_pair(field: Field, n: int) -> Tuple[list, list]:
+    """[X_U, Y_U] = U, U the n x n cyclic shift, in closed form over an
+    exact field with at least n elements (see the module docstring): raw
+    (d, w) with X_U = diag(d) and Y_U = ``_weighted_shift(field, w)``, the
+    matrices ``_zero_diag_commutator(U)`` builds."""
+    kern = field.kernel
+    d = _distinct_values(field, n)
+    return d, [kern.inv(kern.rsub(d[i], d[(i + 1) % n])) for i in range(n)]
+
+
+def _peel_pair(G: Matrix, Gi: Matrix, seed: int) -> List[Matrix]:
+    """G^-1 X_U G and G^-1 Y_U G for [X_U, Y_U] = U.  With ``_shift_pair``
+    G^-1 X_U is G^-1 with column j times d_j, and G^-1 Y_U has column j-1
+    of G^-1 times w_{j-1} in column j; otherwise ``_commutator`` solves U
+    and the products are dense."""
+    field, n = G.field, G.nrows
+    if not field.is_exact or (field.is_finite and field.cardinality < n):
+        return [Matrix.product(Gi, x, G)
+                for x in _commutator(Matrix.cyclic_shift(field, n), seed)]
+    kern = field.kernel
+    d, w = _shift_pair(field, n)
+    w = w[-1:] + w[:-1]
+    gi_x = [list(map(kern.rmul, row, d)) for row in Gi.reps]
+    gi_y = [list(map(kern.rmul, row[-1:] + row[:-1], w)) for row in Gi.reps]
+    return [Matrix._from_raw(field, kern.matmul(rows, G.reps)) for rows in (gi_x, gi_y)]
+
+
 def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     """Witness (X_1..X_m) with [X1,X2]...[X_{m-1},X_m] = A; m even.
 
@@ -864,29 +883,25 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         G = Gi = Matrix.identity(field, n)
         M = A
     if m == 2:
-        x, y = trace_zero_to_commutator(M, seed)
-        mats = [Matrix.product(Gi, x, G), Matrix.product(Gi, y, G)]
+        mats = [Matrix.product(Gi, x, G) for x in _commutator(M, seed)]
         return make_witness(word, A, mats, conjugators=(G,))
     peel = (m - 4) // 2
     peeled: List[Matrix] = []
     if peel:
         if n < 2:
             raise Unsupported("peeling needs n >= 2")
-        xu, yu = _shift_commutator(Matrix.cyclic_shift(field, n), seed)
+        # the peel's copies of [X_U, Y_U] are one pair, conjugated once
+        peeled = _peel_pair(G, Gi, seed) * peel
         if field.is_exact:
             # U^-peel M moves row t - peel of M to row t
             rest_target = Matrix._from_raw(field, [M.reps[(t - peel) % n] for t in range(n)])
         else:
             Ui = Matrix.permutation(field, [(t - 1) % n for t in range(n)])
             rest_target = (Ui ** peel) * M
-        # the peel's copies of [X_U, Y_U] are one pair, conjugated once
-        peeled = [Matrix.product(Gi, x, G) for x in (xu, yu)] * peel
         u, v, G2, G2i = _factor_two_canonical(rest_target)
     else:
         u, v, G2, G2i = _factor_two_canonical(M, blocks)
-    x1, x2 = trace_zero_to_commutator(u, seed)
-    x3, x4 = trace_zero_to_commutator(v, seed)
-    inner = (x1, x2, x3, x4)
+    inner = (*_commutator(u, seed), *_commutator(v, seed))
     if field.is_exact:
         # Gi (G2i x G2) G = (Gi G2i) x (G2 G): exact products associate
         Hi, H = Gi * G2i, G2 * G

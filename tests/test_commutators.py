@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wordmap.commutators as commutators_mod
 from wordmap.commutators import (
@@ -48,12 +50,6 @@ F7 = Field("prime", p=7)
 F101 = Field("prime", p=101)
 Q = Field("rationals")
 R = Field("real", tolerance=1e-9)
-
-@pytest.fixture
-def empty_peel_cache():
-    """A test that patches or counts what a single commutator runs starts
-    with no earlier test's m >= 6 peel pairs in the cache."""
-    commutators_mod._shift_commutator.cache_clear()
 
 
 def check(pair: TraceZeroPair):
@@ -313,8 +309,15 @@ def test_solve_m6():
     assert eval_word(CommutatorProduct(6), w.matrices) == A
 
 
+def target(field, n, rng):
+    """A random n x n matrix, with entries in -5..5 over Q."""
+    if field is Q:
+        return Matrix.from_rows(Q, [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
+    return random_matrix(field, n, rng)
+
+
 # SHA-256 of the witness matrices' reps for the seed-1 solves below, recorded
-# before the peel pair was cached
+# when the peel pair was solved by trace_zero_to_commutator on every call
 PEEL_GOLDEN = [
     (F2, 4, 6, "5e84931cb2784c04ed60cd59abe959bd706a407946425bf84c52fbd8b5ee1782"),
     (F2, 4, 8, "e1ae5c94150c99eacf483a2d59cbee42da40969e50f8b3cba0938a9cc59a5fe6"),
@@ -329,38 +332,75 @@ PEEL_GOLDEN = [
 
 @pytest.mark.parametrize("field,n,m,digest", PEEL_GOLDEN,
                          ids=[f"{f!r}-n={n}-m={m}" for f, n, m, _ in PEEL_GOLDEN])
-def test_the_cached_peel_pair_is_a_fresh_shift_commutator(field, n, m, digest,
-                                                          empty_peel_cache):
-    """The peel's [X_U, Y_U] = U is solved once per (field, n, seed): over
-    F_2 at n = 4 (q < n, so the linear search answers), F_101, Q and R the
-    cached pair equals a fresh trace_zero_to_commutator of the cyclic
-    shift, and the witnesses are those of the uncached solver, with the
-    cache cold, warm and cleared again."""
-    rng = random.Random(n)
-    A = (Matrix.from_rows(Q, [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
-         if field is Q else random_matrix(field, n, rng))
+def test_the_peel_pair_keeps_its_witnesses(field, n, m, digest):
+    """The m >= 6 peel's [X_U, Y_U] = U, in closed form over F_101 and Q,
+    solved by the routes over F_2 at n = 4 (q < n) and over R, gives the
+    witnesses it gave when it was solved by the gated single commutator."""
+    w = solve_commutator_product(target(field, n, random.Random(n)), m, 1)
+    assert hashlib.sha256(repr([x.reps for x in w.matrices]).encode()).hexdigest() == digest
 
-    def solved():
-        w = solve_commutator_product(A, m, 1)
-        return hashlib.sha256(repr([x.reps for x in w.matrices]).encode()).hexdigest()
 
-    assert solved() == digest
-    info = commutators_mod._shift_commutator.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert solved() == digest
-    assert commutators_mod._shift_commutator.cache_info().hits == info.hits + 1
+F9 = GF(9)
+F13 = Field("prime", p=13)
+SHIFT_PAIR_GRID = [(field, n) for field in (F101, F13, F7, F9, Q) for n in range(2, 13)
+                   if not field.is_finite or field.cardinality >= n]
+
+
+@pytest.mark.parametrize("field,n", SHIFT_PAIR_GRID,
+                         ids=[f"{f!r}-n={n}" for f, n in SHIFT_PAIR_GRID])
+def test_the_closed_form_shift_pair_is_the_gated_commutator(field, n):
+    """Over exact kinds with q >= n, the peel's closed-form (X_U, Y_U) is
+    the pair trace_zero_to_commutator gives for the cyclic shift, for every
+    seed, reps equal."""
     U = Matrix.cyclic_shift(field, n)
-    assert commutators_mod._shift_commutator(U, 1) == trace_zero_to_commutator(U, 1)
-    commutators_mod._shift_commutator.cache_clear()
-    assert solved() == digest
+    d, w = commutators_mod._shift_pair(field, n)
+    pair = (Matrix.diagonal(field, [field.element(x) for x in d]),
+            commutators_mod._weighted_shift(field, w))
+    for seed in (0, 1, 7):
+        assert [M.reps for M in pair] == [M.reps for M in trace_zero_to_commutator(U, seed)]
 
 
-def test_the_peel_cache_is_bounded(empty_peel_cache):
-    U = Matrix.cyclic_shift(F101, 3)
-    for seed in range(commutators_mod.PEEL_CACHE_SIZE + 4):
-        commutators_mod._shift_commutator(U, seed)
-    info = commutators_mod._shift_commutator.cache_info()
-    assert info.currsize == info.maxsize == commutators_mod.PEEL_CACHE_SIZE
+GATE_TARGETS = [(field, n, m) for field in (F101, Q, R) for n, m in ((4, 2), (4, 4), (5, 6))]
+
+
+@pytest.mark.parametrize("field,n,m", GATE_TARGETS + [(F2, 4, 6)],
+                         ids=[f"{f!r}-n={n}-m={m}" for f, n, m in GATE_TARGETS + [(F2, 4, 6)]])
+def test_solve_commutator_product_checks_only_the_word(monkeypatch, field, n, m):
+    """The product solver's single commutators (m = 2, the four inner
+    factors and the m >= 6 peel, q < n over F_2 included) run the unchecked
+    routes: with the gated entry point made to raise, every solve answers,
+    and make_witness is the one check."""
+    def gated(*args, **kwargs):
+        raise AssertionError("solve_commutator_product called trace_zero_to_commutator")
+    monkeypatch.setattr(commutators_mod, "trace_zero_to_commutator", gated)
+    A = target(field, n, random.Random(3))
+    if m == 2:
+        A = A - Matrix.unit(field, n, 0, 0).scale(A.trace())
+    w = solve_commutator_product(A, m, 1)
+    assert eval_word(CommutatorProduct(m), w.matrices).allclose(A)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_peeled_solves_conjugate_the_gated_shift_commutator(data):
+    """Over F_101 and Q every m = 4, 6, 8 solve answers, and for m >= 6 the
+    first two witnesses are the gated trace_zero_to_commutator(U, seed),
+    U the cyclic shift, conjugated by the target's Jordan conjugator."""
+    field = data.draw(st.sampled_from([F101, Q]), label="field")
+    n = data.draw(st.integers(2, 8), label="n")
+    m = data.draw(st.sampled_from([4, 6, 8]), label="m")
+    seed = data.draw(st.integers(0, 9), label="seed")
+    entries = st.integers(0, 100) if field is F101 else st.integers(-5, 5)
+    A = Matrix.from_rows(field, data.draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n), label="A"))
+    w = solve_commutator_product(A, m, seed)
+    assert eval_word(CommutatorProduct(m), w.matrices) == A
+    if m >= 6:
+        G = (generalized_jordan_form(A).conjugator if not A.is_zero()
+             else Matrix.identity(field, n))
+        Gi = G.inverse()
+        X, Y = trace_zero_to_commutator(Matrix.cyclic_shift(field, n), seed)
+        assert w.matrices[:2] == (Matrix.product(Gi, X, G), Matrix.product(Gi, Y, G))
 
 
 def test_solve_conjugation_covariance():
@@ -407,7 +447,7 @@ def test_commutator_component_split():
 STUCK_F4_DIGEST = "e04c3a89be8a930b6be0fe4a0ac78300cede1b66e111973bca18c07e1517d39b"
 
 
-def test_stuck_zero_diagonal_falls_back_to_the_linear_search(monkeypatch, empty_peel_cache):
+def test_stuck_zero_diagonal_falls_back_to_the_linear_search(monkeypatch):
     # over F_4, the merges of diag(1+t, 0, 1+t) cycle, so the shears stop
     # once Z repeats a state rather than at the end of the budget; over R,
     # diagonal entries 1e-12 apart give a merge shear whose coupling is
@@ -583,10 +623,12 @@ def test_cli_m4_over_q_with_factors_of_two_multiplicities(capsys):
     assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
-def test_exact_reorderings_replace_dense_products(monkeypatch, empty_peel_cache):
+def test_exact_reorderings_replace_dense_products(monkeypatch):
     # over exact kinds the conjugations by permutations and identities are
     # reorderings: the dense products made 49 (m = 4) and 69 (m = 6)
-    # PrimeKernel products on this target
+    # PrimeKernel products on this target.  With the single commutators
+    # unchecked (make_witness checks the word) and the peel pair's
+    # conjugation one product per matrix, they make 35 and 41
     rng = random.Random(7)
     A = Matrix.from_rows(F101, [[rng.randrange(101) for _ in range(8)] for _ in range(8)])
     calls = []
@@ -596,7 +638,7 @@ def test_exact_reorderings_replace_dense_products(monkeypatch, empty_peel_cache)
         calls.append(None)
         return matmul(self, X, Y)
     monkeypatch.setattr(PrimeKernel, "matmul", counted)
-    for m, bound in ((4, 39), (6, 53)):
+    for m, bound in ((4, 35), (6, 41)):
         calls.clear()
         solve_commutator_product(A, m)
         assert len(calls) <= bound, (m, len(calls))
@@ -632,7 +674,7 @@ def test_the_first_moment_precheck_keeps_every_decision(field):
     assert 0 < decisions.count(True) < len(decisions)
 
 
-def test_an_exhausted_commutator_chain_lists_its_three_routes(monkeypatch, empty_peel_cache):
+def test_an_exhausted_commutator_chain_lists_its_three_routes(monkeypatch):
     """J_{0,3} over F_2: one support component, and F_2 has no three
     distinct diagonal values, so the first two routes decline at once; with
     every candidate's moment check failing, the linear search spends its
