@@ -28,10 +28,11 @@ every element of F_q, so its exhaustion is the proof.
 Fallbacks are route tuples run by ``errors.first_route``: the blockwise
 solve and the exhaustive join (``_solve_two_term``), a nilpotent block's
 junction, bordered, alpha = 0 scalar-pair and swapped-junction routes
-(``_solve_block``), and the bordered route's corner values
-(``small_nilpotent_decompose``).  A chain whose routes all decline raises
-the error it always raised, with the declined routes and their reasons in
-``.routes``.
+(``_solve_block``), the bordered route's corner values
+(``small_nilpotent_decompose``), and the real even/even blockwise solve
+(``_real_even_even``, a one-route chain whose exhaustion is Unsupported).
+A chain whose routes all decline raises the error it always raised, with
+the declined routes and their reasons in ``.routes``.
 """
 
 from __future__ import annotations
@@ -776,13 +777,13 @@ def _real_even_even(A: Matrix, k1: int, beta: FieldElement, k2: int):
         return _sum_of_two_squares_2x2(A, beta)
     # per-block attempt: complex-pair blocks always work, real blocks work
     # when individually reachable (nonnegative eigenvalues, large nilpotents)
-    try:
+    def blockwise():
         (X, Y), P = solve_blockwise(A, lambda bp: _solve_block(bp, k1, beta, k2))
         return X, Y, P
-    except NotFound as exc:
-        raise Unsupported(
-            f"even/even exponents over R beyond 2x2 sums of squares are open "
-            f"({exc})") from exc
+    return first_route((("blockwise", blockwise, (NotFound,)),),
+                       lambda declined: Unsupported(
+                           f"even/even exponents over R beyond 2x2 sums of squares are open "
+                           f"({declined[0][1]})"))
 
 
 def _sum_of_two_squares_2x2(A: Matrix, beta: FieldElement):

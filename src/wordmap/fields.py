@@ -19,10 +19,11 @@ as CPython 3.12+ does in ``Fraction._from_coprime_ints``: the
 constructor's type dispatch and normalisation took a fifth of the
 slowest Q solves.  A normalised Fraction is unique, so values, hashes and
 everything built from them are those of Fraction arithmetic.
-``_rational`` is the only code that touches the private slots (a CI step
-checks it); the closures read the public ``numerator`` and
-``denominator``, so ints pass through them too, and a property test
-compares them with the fractions module on every supported Python.
+``_rational`` is the only code that touches the private slots (the check
+``fraction_internals_in_one_place`` in ``tools/invariants.py``); the
+closures read the public ``numerator`` and ``denominator``, so ints pass
+through them too, and a property test compares them with the fractions
+module on every supported Python.
 
 Kernel layer.  Each field also builds one immutable raw kernel
 (``Field.kernel``) that does the dense work on lists of raw reps: dot
@@ -333,7 +334,8 @@ def _rational(n: int, d: int) -> Fraction:
     filled directly, as CPython 3.12+ does in ``Fraction._from_coprime_ints``:
     the constructor's type dispatch and normalisation cost more than the
     arithmetic they wrap.  The only code that touches Fraction's private
-    slots (a CI step checks it)."""
+    slots (checked by ``fraction_internals_in_one_place`` in
+    ``tools/invariants.py``)."""
     q = object.__new__(Fraction)
     q._numerator = n
     q._denominator = d

@@ -748,8 +748,14 @@ def test_solve_sum_of_squares_2x2_real_shapes():
 def test_solve_real_even_even_unsupported_beyond_2x2():
     word = DiagonalWord(((R(1), 2), (R(1), 2)))
     A = Matrix.diagonal(R, [-1.0, -2.0, -3.0])
-    with pytest.raises((Unsupported, NotFound)):
+    with pytest.raises(Unsupported) as info:
         solve_diagonal_word(A, word)
+    # the blockwise solve is a one-route chain, whose declined NotFound the
+    # message quotes
+    (name, reason), = info.value.routes
+    assert name == "blockwise" and type(reason) is NotFound
+    assert str(info.value) == ("even/even exponents over R beyond 2x2 sums of squares "
+                               f"are open ({reason})")
 
 
 def test_solve_real_even_even_scalars():
