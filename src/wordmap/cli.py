@@ -30,7 +30,8 @@ from .errors import (
 )
 from .fields import Field, parse_field_spec
 from .matrices import Matrix
-from .words import CommutatorProduct, DiagonalWord, eval_word, parse_word, require_int
+from .words import (CommutatorProduct, DiagonalWord, _parse_literal, eval_word, parse_word,
+                    require_int)
 
 SCHEMA = "wordmap/1"
 NEGATIVE = (NotFound, Unsupported, NonzeroTrace, WitnessNotFound)
@@ -182,8 +183,7 @@ def _cmd_count(args) -> int:
     word = parse_word(args.word, field)
     if not isinstance(word, DiagonalWord):
         raise UsageError("count takes a diagonal word")
-    gamma = field(int(args.gamma)) if field.kind in ("prime", "ext") \
-        else field(args.gamma)
+    gamma = _parse_literal(args.gamma, field)
     report = count_solutions(field, [d for d, _ in word.terms],
                              [k for _, k in word.terms], gamma, **_cap(args))
     if args.out == "csv":

@@ -23,35 +23,40 @@ lifted pairs and the task assembly, since a later gate checks them again;
 the linear search's partner check stays, since its failure selects the
 next candidate.
 
-Exact shortcuts.  Over exact kinds a product by a permutation, an identity
-or a diagonal matrix is done as the reordering or scaling it is: the task
-layout's permutation applied to the Jordan conjugator (and, when no
-companion merge happened, to its inverse), the pairing permutation of
-``diagonal_trace_zero``, the row rotation of the m >= 6 peel's target, the
-peel pair's conjugation, and Shoda's [D, B] when no shear ran;
-``solve_commutator_product`` conjugates its four inner factors once, by
-G2*G, since exact products associate.  The values are unique, so the
-witnesses are those of the dense products.  R and C keep the dense
-products: they skip tolerance-zero left factors and turn -0.0 into 0.0,
-and those float bits are part of their witnesses.  The conjugations
-G^-1 x G and the commutator checks run on the kernel's chain products
-(``Matrix.product``, ``Matrix.commutator``): over Q each factor is cleared
-to integers once and each entry normalised once; elsewhere they are the
-products left to right, with the same results.
+Structured products.  A product by a permutation, an identity or a
+diagonal matrix is the kernel's ``reorder`` for every field kind: the task
+layout's permutation applied to the Jordan conjugator (and, over exact
+kinds, to its inverse), the pairing permutation of ``diagonal_trace_zero``,
+the row rotation of the m >= 6 peel's target, the peel pair's
+conjugation, S^-1 D in Shoda's [D, B], and D and B between identities when
+no shear ran.  Over exact kinds it reorders and scales.  Over R and C it
+keeps the one term each dense sum holds, skipped where the dense product
+skips a tolerance-zero left factor and added to zero as it adds it, so the
+witnesses are those of the dense products, float bits included.  The kinds
+part only where they compute differently: chi's roots (factored, or
+numeric over R and C), inverses (built alongside, or dense over R and C for
+their float bits) and association (``solve_commutator_product`` conjugates
+its four inner factors once, by G2*G, where exact products associate).
+The conjugations G^-1 x G and the commutator checks run on the kernel's
+chain products (``Matrix.product``, ``Matrix.commutator``): over Q each
+factor is cleared to integers once and each entry normalised once;
+elsewhere they are the products left to right, with the same results.
 
 The peel pair.  For m >= 6, ``solve_commutator_product`` peels (m-4)/2
 copies of one commutator [X_U, Y_U] = U, U the cyclic shift, conjugated
-once by the Jordan conjugator G.  U has zero diagonal, so over an exact
-field with at least n elements Shoda's [D, B] needs no shear and the pair
-is in closed form (``_shift_pair``): X_U = diag(d), d the n values of
-``_distinct_values`` that ``_zero_diag_commutator`` uses too, and
-Y_U = diag(w) U with w_i = 1/(d_i - d_{i+1 mod n}), the weighted shift
-that ``_weighted_shift`` builds, as it builds the scalar formula's Y.
-The peel forms neither matrix: G^-1 X_U is G^-1 with its columns scaled
-by d, and G^-1 Y_U is G^-1 with its columns scaled by w and rotated one
-place, so each matrix costs one dense product, by G, where the solved
-pair took two.  Over R and C, and over F_q with q < n, ``_commutator``
-solves U on every call and the dense products stay.
+once by the Jordan conjugator G.  U has zero diagonal, so over a field
+with at least n elements, every infinite field among them, Shoda's [D, B]
+needs no shear and the pair is in closed form (``_shift_pair``):
+X_U = diag(d), d the n values of ``_distinct_values`` that
+``_zero_diag_commutator`` uses too, and Y_U = diag(w) U with
+w_i = 1/(d_i - d_{i+1 mod n}), the weighted shift that ``_weighted_shift``
+builds, as it builds the scalar formula's Y.  The peel forms neither
+matrix: G^-1 X_U is G^-1 with its columns scaled by d, and G^-1 Y_U is
+G^-1 with its columns scaled by w and rotated one place, two ``reorder``
+calls, so each matrix costs one dense product, by G, where the solved pair
+took two.  Over R and C, G = I, and the closed form gives the bits the
+routes' products I D I and I B I gave.  Over F_q with q < n,
+``_commutator`` solves U on every call and the dense products stay.
 """
 
 from __future__ import annotations
@@ -237,16 +242,11 @@ def diagonal_trace_zero(entries) -> TraceZeroPair:
         blocks2.append(z)
     t1 = Matrix.block_diag(field, blocks1)
     t2 = Matrix.block_diag(field, blocks2)
+    # P^-1 t P, P = Matrix.permutation(field, order), reorders the rows and
+    # columns of t: its (a, b) entry is t[inv[a]][inv[b]]
     inv = sorted(range(n), key=order.__getitem__)
-    if field.is_exact:
-        # P^-1 t P, P = Matrix.permutation(field, order), reorders the rows
-        # and columns of t: its (a, b) entry is t[inv[a]][inv[b]]
-        t1, t2 = (Matrix._from_raw(field, [[t.reps[i][j] for j in inv] for i in inv])
-                  for t in (t1, t2))
-        return _checked_pair(t1, t2, target)
-    P = Matrix.permutation(field, order)
-    Pi = Matrix.permutation(field, inv)  # P^-1
-    return _checked_pair(Pi * t1 * P, Pi * t2 * P, target)
+    t1, t2 = (Matrix._from_raw(field, field.kernel.reorder(t.reps, inv, inv)) for t in (t1, t2))
+    return _checked_pair(t1, t2, target)
 
 
 def jordan_plus_scalar_trace_zero(alpha: FieldElement, n: int,
@@ -534,28 +534,31 @@ def _factorization_tasks(A: Matrix, blocks=None):
         spans.append(range(off, off + size))
         off += size
     order = [pos for i in flat for pos in spans[i]]
+    pairs = [pair for pair, _, _ in tasks]
     # R^-1 per task: the cyclic basis of a companion merge, else I
     bases = [Matrix.identity(field, t1.nrows) if W is None else W for (t1, _), _, W in tasks]
-    Rall = Matrix.block_diag(field, [B if W is None else B.inverse()
-                                     for (_, _, W), B in zip(tasks, bases)])
-    pairs = [pair for pair, _, _ in tasks]
-    if not field.is_exact:
-        G = Rall * Matrix.permutation(field, order)
-        return pairs, (G if P is None else G * P), None
-    # G = Rall Pi P, Pi the permutation, where Pi P reorders the rows of P
-    # and Rall = I unless a companion merge happened
     merged = any(W is not None for _, _, W in tasks)
-    G = (Matrix.permutation(field, order) if P is None
-         else Matrix._from_raw(field, [P.reps[t] for t in order]))
+    # G = Rall Pi P, Pi = Matrix.permutation(field, order) and Rall = I
+    # unless a companion merge happened: Rall Pi reorders the columns of
+    # Rall, and Pi P the rows of P (of I when P is None)
+    kern = field.kernel
+    inv = sorted(range(len(order)), key=order.__getitem__)
     if merged:
-        G = Rall * G
-    elif P is not None:
+        Rall = Matrix.block_diag(field, [B if W is None else B.inverse()
+                                         for (_, _, W), B in zip(tasks, bases)])
+        G = kern.reorder(Rall.reps, col_order=inv)
+        G = G if P is None else kern.matmul(G, P.reps)
+    else:
+        G = kern.reorder((Matrix.identity(field, len(order)) if P is None else P).reps, order)
+    G = Matrix._from_raw(field, G)
+    if not field.is_exact:
+        return pairs, G, None
+    if not merged and P is not None:
         # G^-1 = P^-1 Pi^-1 reorders the columns of P^-1
-        return pairs, G, Matrix._from_raw(field, [[row[t] for t in order] for row in Pinv.reps])
+        return pairs, G, Matrix._from_raw(field, kern.reorder(Pinv.reps, col_order=order))
     # G^-1 = P^-1 Pi^-1 Rall^-1, whose factor Pi^-1 reorders rows
-    Rinv = Matrix.block_diag(field, bases).reps
-    Gi = Matrix._from_raw(field, [Rinv[t] for t in sorted(range(len(order)),
-                                                           key=order.__getitem__)])
+    Gi = Matrix._from_raw(field, kern.reorder(Matrix.block_diag(field, bases).reps,
+                                              row_order=inv))
     return pairs, G, Gi if P is None else Pinv * Gi
 
 
@@ -672,20 +675,16 @@ def _zero_diag_commutator(T: Matrix):
     kern = field.kernel
     rmul, rsub, inv, zero = kern.rmul, kern.rsub, kern.inv, kern.zero
     dvals = _distinct_values(field, n)
-    D = [[dvals[i] if i == j else zero for j in range(n)] for i in range(n)]
     B = [[zero if i == j else rmul(Z[i][j], inv(rsub(dvals[i], dvals[j])))
           for j in range(n)] for i in range(n)]
-    chain = kern.matmul_chain
-    if not kern.exact:
-        Si = _inverse_raw(field, S)
-        return (Matrix._from_raw(field, chain([Si, D, S])),
-                Matrix._from_raw(field, chain([Si, B, S])))
     # S = I when T's diagonal was zero already: no shear ran
     if all(kern.is_zero(row[i]) for i, row in enumerate(T.reps)):
-        return Matrix._from_raw(field, D), Matrix._from_raw(field, B)
-    SiD = [[rmul(x, d) for x, d in zip(row, dvals)] for row in Si]  # a column scaling
-    return (Matrix._from_raw(field, kern.matmul(SiD, S)),
-            Matrix._from_raw(field, chain([Si, B, S])))
+        D = [[dvals[i] if i == j else zero for j in range(n)] for i in range(n)]
+        return tuple(Matrix._from_raw(field, kern.reorder(M, range(n), range(n))) for M in (D, B))
+    if Si is None:  # R/C: the float bits of the dense inverse
+        Si = _inverse_raw(field, S)
+    return (Matrix._from_raw(field, kern.matmul(kern.reorder(Si, col_scale=dvals), S)),
+            Matrix._from_raw(field, kern.matmul_chain([Si, B, S])))
 
 
 def _zero_diagonalize(T: Matrix):
@@ -834,8 +833,8 @@ def _commutator_linear_search(T: Matrix, seed: int) -> Optional[Tuple[Matrix, Ma
 # ----------------------------------------------------------------------
 
 def _shift_pair(field: Field, n: int) -> Tuple[list, list]:
-    """[X_U, Y_U] = U, U the n x n cyclic shift, in closed form over an
-    exact field with at least n elements (see the module docstring): raw
+    """[X_U, Y_U] = U, U the n x n cyclic shift, in closed form over a
+    field with at least n elements (see the module docstring): raw
     (d, w) with X_U = diag(d) and Y_U = ``_weighted_shift(field, w)``, the
     matrices ``_zero_diag_commutator(U)`` builds."""
     kern = field.kernel
@@ -846,17 +845,17 @@ def _shift_pair(field: Field, n: int) -> Tuple[list, list]:
 def _peel_pair(G: Matrix, Gi: Matrix, seed: int) -> List[Matrix]:
     """G^-1 X_U G and G^-1 Y_U G for [X_U, Y_U] = U.  With ``_shift_pair``
     G^-1 X_U is G^-1 with column j times d_j, and G^-1 Y_U has column j-1
-    of G^-1 times w_{j-1} in column j; otherwise ``_commutator`` solves U
-    and the products are dense."""
+    of G^-1 times w_{j-1} in column j; over F_q with q < n ``_commutator``
+    solves U and the products are dense."""
     field, n = G.field, G.nrows
-    if not field.is_exact or (field.is_finite and field.cardinality < n):
+    if field.is_finite and field.cardinality < n:
         return [Matrix.product(Gi, x, G)
                 for x in _commutator(Matrix.cyclic_shift(field, n), seed)]
     kern = field.kernel
     d, w = _shift_pair(field, n)
-    w = w[-1:] + w[:-1]
-    gi_x = [list(map(kern.rmul, row, d)) for row in Gi.reps]
-    gi_y = [list(map(kern.rmul, row[-1:] + row[:-1], w)) for row in Gi.reps]
+    rot = [(j - 1) % n for j in range(n)]
+    gi_x = kern.reorder(Gi.reps, col_scale=d)
+    gi_y = kern.reorder(Gi.reps, col_order=rot, col_scale=[w[j] for j in rot])
     return [Matrix._from_raw(field, kern.matmul(rows, G.reps)) for rows in (gi_x, gi_y)]
 
 
@@ -892,12 +891,9 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
             raise Unsupported("peeling needs n >= 2")
         # the peel's copies of [X_U, Y_U] are one pair, conjugated once
         peeled = _peel_pair(G, Gi, seed) * peel
-        if field.is_exact:
-            # U^-peel M moves row t - peel of M to row t
-            rest_target = Matrix._from_raw(field, [M.reps[(t - peel) % n] for t in range(n)])
-        else:
-            Ui = Matrix.permutation(field, [(t - 1) % n for t in range(n)])
-            rest_target = (Ui ** peel) * M
+        # U^-peel M moves row t - peel of M to row t
+        rest_target = Matrix._from_raw(field, field.kernel.reorder(
+            M.reps, row_order=[(t - peel) % n for t in range(n)]))
         u, v, G2, G2i = _factor_two_canonical(rest_target)
     else:
         u, v, G2, G2i = _factor_two_canonical(M, blocks)

@@ -30,7 +30,12 @@ Kernel layer.  Each field also builds one immutable raw kernel
 products, matrix products and powers, chain products of matrices and of
 commutators (``matmul_chain``, ``commutator_chain``), prepared
 matrix-vector products (``matvec_fn``), shears E*M*E^-1 (row and column
-operations over exact kinds), in-place reduced row echelon form, and
+operations over exact kinds), products P*M*Q*diag(s) by permutation and
+diagonal matrices (``reorder``: indexing and scaling over exact kinds;
+over R/C each entry is the single term of its dense sum, added to zero
+and skipped when its left factor is tolerance-zero, since the sum's other
+terms are signed zeros, so the float bits are the dense product's),
+in-place reduced row echelon form, and
 polynomial add/sub/mul/divmod, the derivative, the monic gcd
 (``poly_gcd``), prepared products modulo a fixed g (``poly_mulmod_fn``)
 with the modular powers built on them, and the extended gcd.  There are
@@ -866,6 +871,31 @@ class GenericKernel:
         if conjugate:
             out = self.matmul(out, [self.vsub(a, b) for a, b in zip(ident, scaled)])
         rows[:] = out
+
+    def reorder(self, rows, row_order=None, col_order=None, col_scale=None):
+        """P*rows*Q*diag(col_scale) as new lists, for P with one at
+        (i, row_order[i]) and Q with one at (col_order[j], j); a factor
+        whose argument is None is left out.  Entry (i, j) is
+        rows[row_order[i]][col_order[j]] * col_scale[j].
+
+        Exact kinds index and scale.  Over R/C each product keeps the one
+        term a*b its dense sum holds, added to ``zero`` and skipped when
+        the left factor a is tolerance-zero, as ``matmul`` skips it: P's
+        left factors are ``one``, so P*rows is zero when ``one`` is
+        tolerance-zero, and the entries of rows are the left factors of
+        their products by Q*diag(col_scale).  The dense sums' other terms
+        are signed zeros, which leave a nonzero sum as it is and a zero
+        one +0, so the float bits are those of the dense products."""
+        radd, rmul, is_zero, zero, one = self.radd, self.rmul, self.is_zero, self.zero, self.one
+        term = rmul if self.exact else lambda a, b: zero if is_zero(a) else radd(zero, rmul(a, b))
+        if row_order is not None:
+            rows = [rows[i] if self.exact else [term(one, x) for x in rows[i]] for i in row_order]
+        if col_order is not None:
+            rows = [[row[k] for k in col_order] for row in rows]
+        if col_scale is None and (col_order is None or self.exact):
+            return list(map(list, rows))
+        scale = [one] * len(col_order) if col_scale is None else col_scale
+        return [list(map(term, row, scale)) for row in rows]
 
     def matpow(self, A, k: int):
         """A^k for k >= 1: binary powering that starts from A itself (not

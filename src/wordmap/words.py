@@ -149,11 +149,12 @@ def parse_word(spec: str, field: Field):
 
 
 def _parse_literal(text: str, field: Field) -> FieldElement:
+    """A field literal: over a finite field an integer, or over an
+    extension a coefficient list [c_0|c_1|...], low degree first; over Q,
+    R and C whatever ``field(text)`` takes (over C, 1+2j among them)."""
     text = text.strip()
-    if field.kind == "rationals":
+    if not field.is_finite:
         return field(text)
-    if field.kind in ("real", "complex"):
-        return field(float(text))
     if field.kind == "ext" and text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unterminated coefficient list {text!r}")

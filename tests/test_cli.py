@@ -304,6 +304,25 @@ def test_count_extension_field(capsys):
     assert data["expected"] == 4
 
 
+@pytest.mark.parametrize("gamma,coeffs", [("[1|1]", [1, 1]), ("[0|1]", [0, 1]), ("[1]", [1]),
+                                          ("1", [1]), ("0", [0])])
+def test_count_takes_a_coefficient_list_gamma(capsys, gamma, coeffs):
+    """Over F_4 --gamma is a field literal, as a word's d= is: [1|1] is
+    1 + t, and the count is count_solutions' for that element."""
+    from wordmap.counting import count_solutions
+
+    spec = "Fq:p=2,d=2,mod=[1,1,1]"
+    code, out, _ = run(capsys, "count", "--field", spec, "--word", "diag:d=1,k=2;d=1,k=3",
+                       "--gamma", gamma)
+    assert code == 0
+    F4 = wordmap.parse_field_spec(spec)
+    report = count_solutions(F4, [F4.one(), F4.one()], [2, 3], F4(coeffs))
+    data = json.loads(out)
+    assert data["gamma"] == repr(F4(coeffs))
+    assert (data["count"], data["expected"], data["passes"]) == (
+        report.count, report.expected, report.passes)
+
+
 def test_solve_text_output(capsys):
     code, out, _ = run(
         capsys, "solve", "--field", "Fp:5", "--word", "diag:d=1,k=2;d=1,k=2",

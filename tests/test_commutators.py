@@ -50,6 +50,7 @@ F7 = Field("prime", p=7)
 F101 = Field("prime", p=101)
 Q = Field("rationals")
 R = Field("real", tolerance=1e-9)
+C = Field("complex", tolerance=1e-9)
 
 
 def check(pair: TraceZeroPair):
@@ -316,27 +317,46 @@ def target(field, n, rng):
     return random_matrix(field, n, rng)
 
 
-# SHA-256 of the witness matrices' reps for the seed-1 solves below, recorded
-# when the peel pair was solved by trace_zero_to_commutator on every call
+def char0_target(field, n, rng):
+    """The char0 benchmark's entry law over R: magnitudes log-uniform over
+    1e-2..1e4 with random signs, and about a quarter of the entries -0.0."""
+    return Matrix.from_rows(field, [[-0.0 if rng.random() < 0.25 else
+                                     rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 4.0)
+                                     for _ in range(n)] for _ in range(n)])
+
+
+# SHA-256 of the witness matrices' reps for the seed-1 solves below, the
+# target drawn by ``draw`` from random.Random(target seed); the first eight
+# recorded when the peel pair was solved by trace_zero_to_commutator on
+# every call, the C and char0 rows while R and C still solved it by the
+# routes and formed its products densely
 PEEL_GOLDEN = [
-    (F2, 4, 6, "5e84931cb2784c04ed60cd59abe959bd706a407946425bf84c52fbd8b5ee1782"),
-    (F2, 4, 8, "e1ae5c94150c99eacf483a2d59cbee42da40969e50f8b3cba0938a9cc59a5fe6"),
-    (F101, 7, 6, "baf5ae735b426527f1d9259db6f16eaf272670fdb42bf668cf7535bf63040f95"),
-    (F101, 7, 8, "5c2dd354c103637dfa4d02221d9edc51e03ae1ce395b385e1189b64d56bdb652"),
-    (Q, 5, 6, "3627eda3b1cc00663f13db8715e8424e6fd8a0347ee798b3e1b8264a12b127d3"),
-    (Q, 5, 8, "1aeedb90285d6f063504a280e088bc092cdef18d5c437ac72aa6076fe7c15716"),
-    (R, 4, 6, "09e98153177b7ff7bbf6836bd946506c1097b81fabbb27cb307218af823a8177"),
-    (R, 4, 8, "45895cb713a1ea4061c71a3b58e79d8cbb0d52c2082a33e0291a0fd3c06bef39"),
+    (F2, 4, 6, target, 4, "5e84931cb2784c04ed60cd59abe959bd706a407946425bf84c52fbd8b5ee1782"),
+    (F2, 4, 8, target, 4, "e1ae5c94150c99eacf483a2d59cbee42da40969e50f8b3cba0938a9cc59a5fe6"),
+    (F101, 7, 6, target, 7, "baf5ae735b426527f1d9259db6f16eaf272670fdb42bf668cf7535bf63040f95"),
+    (F101, 7, 8, target, 7, "5c2dd354c103637dfa4d02221d9edc51e03ae1ce395b385e1189b64d56bdb652"),
+    (Q, 5, 6, target, 5, "3627eda3b1cc00663f13db8715e8424e6fd8a0347ee798b3e1b8264a12b127d3"),
+    (Q, 5, 8, target, 5, "1aeedb90285d6f063504a280e088bc092cdef18d5c437ac72aa6076fe7c15716"),
+    (R, 4, 6, target, 4, "09e98153177b7ff7bbf6836bd946506c1097b81fabbb27cb307218af823a8177"),
+    (R, 4, 8, target, 4, "45895cb713a1ea4061c71a3b58e79d8cbb0d52c2082a33e0291a0fd3c06bef39"),
+    (C, 4, 6, target, 4, "31b0fe02fb55641981d981d229e2717e005e66134bdb1492bf304ee3b1444136"),
+    (C, 4, 8, target, 4, "aa2140844e1b4f7d5e9e2814d11dc91d09f876e4af6bd420dac88500828579ee"),
+    (R, 3, 6, char0_target, 4, "f4f06b288ceb40c113fbdd4c66b679e78d14fd418009f34a9fe4d6c8a47c62ac"),
+    (R, 3, 8, char0_target, 4, "38c8b62b6a7114cfd934e66d93a6e0a47c34c6857c8d8e209f67217e3689c064"),
+    (R, 4, 6, char0_target, 38, "1053b389582d9070bb6482e666b4a604b6769ecfa12757bd071e5f9328ebc957"),
+    (R, 4, 8, char0_target, 38, "5624d81fe30998b0ccb73c22d5a6a20c179e4088a49cf8a81b992feb5673d2c5"),
 ]
 
 
-@pytest.mark.parametrize("field,n,m,digest", PEEL_GOLDEN,
-                         ids=[f"{f!r}-n={n}-m={m}" for f, n, m, _ in PEEL_GOLDEN])
-def test_the_peel_pair_keeps_its_witnesses(field, n, m, digest):
-    """The m >= 6 peel's [X_U, Y_U] = U, in closed form over F_101 and Q,
-    solved by the routes over F_2 at n = 4 (q < n) and over R, gives the
-    witnesses it gave when it was solved by the gated single commutator."""
-    w = solve_commutator_product(target(field, n, random.Random(n)), m, 1)
+@pytest.mark.parametrize("field,n,m,draw,seed,digest", PEEL_GOLDEN, ids=[
+    f"{f!r}-{'' if draw is target else 'char0-'}n={n}-m={m}"
+    for f, n, m, draw, _, _ in PEEL_GOLDEN])
+def test_the_peel_pair_keeps_its_witnesses(field, n, m, draw, seed, digest):
+    """The m >= 6 peel's [X_U, Y_U] = U, in closed form over F_101, Q, R
+    and C, and solved by the routes over F_2 at n = 4 (q < n), gives the
+    witnesses it gave when it was solved by the gated single commutator
+    (and, over R and C, formed by dense products), float bits included."""
+    w = solve_commutator_product(draw(field, n, random.Random(seed)), m, 1)
     assert hashlib.sha256(repr([x.reps for x in w.matrices]).encode()).hexdigest() == digest
 
 

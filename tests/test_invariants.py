@@ -88,6 +88,19 @@ PLANTS = [
     # a cache on a function without parameters holds one value
     ("bounded_caches", "reduction", None,
      "@functools.lru_cache(maxsize=None)\ndef _table():\n    return {}", []),
+    # a product by a permutation is the kernel's reorder for every kind
+    ("structured_products_in_the_kernel", "commutators",
+     "    inv = sorted(range(n), key=order.__getitem__)\n",
+     "    if not field.is_exact:\n        return _checked_pair(t1, t2, target)\n"
+     "    inv = sorted(range(n), key=order.__getitem__)\n",
+     ["commutators.diagonal_trace_zero"]),
+    ("structured_products_in_the_kernel", "commutators",
+     "    kern = field.kernel\n    d, w = _shift_pair(field, n)\n",
+     "    kern = field.kernel\n    if not kern.exact:\n        return []\n"
+     "    d, w = _shift_pair(field, n)\n", ["commutators._peel_pair"]),
+    # _zero_diagonalize is one of the functions that read it
+    ("structured_products_in_the_kernel", "commutators",
+     "    seen = set()\n", "    seen = set() if kern.exact else set()\n", []),
 ]
 
 

@@ -28,6 +28,7 @@ from wordmap.factor import is_irreducible
 import wordmap.fields as fields_mod
 from wordmap.fields import (
     MULMOD_PACK_MIN_DEGREE,
+    Field,
     GenericKernel,
     PrimeKernel,
     RationalKernel,
@@ -189,6 +190,48 @@ def test_shear_matches_dense_products(spec, data):
     E, E_inv = ident + step, ident - step
     assert mbits(Z.shear(r, s, c)) == mbits(naive_matmul(naive_matmul(E, Z), E_inv))
     assert mbits(Z.shear(r, s, c, conjugate=False)) == mbits(naive_matmul(E, Z))
+
+
+@fields
+@SETTINGS
+@given(data=st.data())
+def test_reorder_matches_dense_products(spec, data):
+    """GenericKernel.reorder against the dense products of Matrix.permutation
+    and Matrix.diagonal matrices, bit for bit: on the left, on the right,
+    on both sides, and with a column scaling, both as a diagonal factor and
+    as one weighted permutation.  Over R and C the tolerance runs from
+    1e-12 to 10, so that sub-tolerance entries are skipped and, from 1 up,
+    so are the permutations' ones."""
+    field = FIELDS[spec]
+    if not field.is_exact:
+        tol = data.draw(st.one_of(st.sampled_from([1e-12, 1e-9, 1.0, 10.0]),
+                                  st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e)))
+        field = Field(field.kind, tolerance=tol)
+    n = data.draw(st.integers(1, 6))
+    Z = Matrix(field, [data.draw(st.lists(shear_elements(field), min_size=n, max_size=n))
+                       for _ in range(n)])
+    row_order = data.draw(st.permutations(range(n)))
+    col_order = data.draw(st.permutations(range(n)))
+    scale = data.draw(st.lists(shear_elements(field), min_size=n, max_size=n))
+    P = Matrix.permutation(field, row_order)
+    Q = Matrix.permutation(field, sorted(range(n), key=col_order.__getitem__))
+    D = Matrix.diagonal(field, scale)
+    # Q*D built entry by entry: scale[j] at (col_order[j], j)
+    W = Matrix(field, [[scale[j] if col_order[j] == i else field.zero() for j in range(n)]
+                       for i in range(n)])
+    PZ = naive_matmul(P, Z)
+
+    def reorder(*args, **kwargs):
+        return mbits(Matrix._from_raw(field, field.kernel.reorder(Z.reps, *args, **kwargs)))
+    assert reorder(row_order) == mbits(PZ)
+    assert reorder(col_order=col_order) == mbits(naive_matmul(Z, Q))
+    scale = [x.rep for x in scale]
+    assert reorder(col_scale=scale) == mbits(naive_matmul(Z, D))
+    assert reorder(col_order=col_order, col_scale=scale) == mbits(naive_matmul(Z, W))
+    assert reorder(row_order, col_order) == mbits(naive_matmul(PZ, Q))
+    both = reorder(row_order, col_order, scale)
+    assert both == mbits(naive_matmul(PZ, W)) == mbits(naive_matmul(naive_matmul(PZ, Q), D))
+    assert reorder() == mbits(Z)
 
 
 @fields

@@ -99,6 +99,17 @@ def test_parse_diag_reads_coefficient_lists_and_spaces():
     assert [(d.rep, k) for d, k in w.terms] == [((1, 1), 2), ((1, 0), 3)]
 
 
+def test_parse_diag_reads_the_literals_the_field_reads():
+    """A coefficient over Q, R and C is what ``field(text)`` reads, as
+    ``--gamma`` is: over C a complex literal among them."""
+    C = Field("complex", tolerance=1e-9)
+    w = parse_word("diag:d=1+2j,k=2;d= 2j ,k=3", C)
+    assert [(d.rep, k) for d, k in w.terms] == [(1 + 2j, 2), (2j, 3)]
+    assert parse_word("diag:d=1e3,k=2", R).terms[0][0].rep == 1000.0
+    with pytest.raises(UsageError, match="not a real number: '1/2'"):
+        parse_word("diag:d=1/2,k=2", R)
+
+
 def test_wrong_typed_arguments_raise_usage_errors():
     A = Matrix.from_rows(F5, [[1, 2], [3, 4]])
     calls = [

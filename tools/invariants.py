@@ -212,6 +212,19 @@ def one_commutator_gate():
                    and any(isinstance(s, FUNCTIONS) for s in scope)})
 
 
+# the commutators.py functions where the kinds really compute differently:
+# numeric roots, the float bits of inverses, and the association of products
+EXACTNESS_READERS = ("_quadratic_roots", "_factor_two_canonical", "_factorization_tasks",
+                     "_zero_diagonalize", "solve_commutator_product")
+
+
+def structured_products_in_the_kernel():
+    """exactness read in commutators.py outside the functions that need it"""
+    return sorted({_where(module, scope[:1]) for _, module, node, scope in _scan(["commutators"])
+                   if isinstance(node, ast.Attribute) and node.attr in ("is_exact", "exact")}
+                  - {f"commutators.{name}" for name in EXACTNESS_READERS})
+
+
 def one_fallback_mechanism():
     """try statements outside errors.first_route"""
     tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
@@ -308,8 +321,8 @@ CHECKS = {check.__name__: check for check in (
     one_polynomial_kernel, extension_arithmetic_on_base_kernel, one_kth_root_algorithm,
     one_scalar_search, one_binary_power, one_field_table, fraction_internals_in_one_place,
     one_whole_space_kernel, one_plane_format, no_unsteerable_seed, one_commutator_gate,
-    one_fallback_mechanism, product_chains, one_container_format,
-    import_only_what_is_called, bounded_caches)}
+    structured_products_in_the_kernel, one_fallback_mechanism, product_chains,
+    one_container_format, import_only_what_is_called, bounded_caches)}
 
 
 def main(argv=None):
