@@ -78,6 +78,7 @@ from .fields import Field, FieldElement, enumerate_elements, random_element
 from .matrices import (
     Matrix,
     _cyclic_basis_cols,
+    _finite_roots,
     _inverse_raw,
     _nullspace_raw,
     _solve_raw,
@@ -417,9 +418,7 @@ def _quadratic_roots(chi: Poly, blocks=None) -> list:
                  else [(term.poly, term.multiplicity) for term in factor(chi)])
         roots = [-p[0] for p, count in pairs if p.degree == 1 for _ in range(count)]
         return sorted(roots, key=lambda r: r.sort_key())
-    from .polynomials import approx_roots
-
-    rts = approx_roots(chi)
+    rts = _finite_roots(chi)
     tol = max(field.tolerance, 1e-10) * (1.0 + max(abs(r) for r in rts))
     out = []
     for r in rts:
@@ -878,11 +877,15 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     if field.is_exact and n >= 2 and not A.is_zero():
         jf = generalized_jordan_form(A)
         G, Gi, M, blocks = jf.conjugator, jf.conjugator_inverse, jf.realization, jf.blocks
+        conjugate = lambda x: Matrix.product(Gi, x, G)
     else:
         G = Gi = Matrix.identity(field, n)
         M = A
+        # Gi x G by the identity: the dense products' float bits, not their cost
+        conjugate = lambda x: Matrix._from_raw(
+            field, field.kernel.reorder(x.reps, range(n), range(n)))
     if m == 2:
-        mats = [Matrix.product(Gi, x, G) for x in _commutator(M, seed)]
+        mats = [conjugate(x) for x in _commutator(M, seed)]
         return make_witness(word, A, mats, conjugators=(G,))
     peel = (m - 4) // 2
     peeled: List[Matrix] = []
@@ -903,6 +906,5 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         Hi, H = Gi * G2i, G2 * G
         mats = peeled + [Matrix.product(Hi, x, H) for x in inner]
     else:
-        inner = [Matrix.product(G2i, x, G2) for x in inner]
-        mats = peeled + [Matrix.product(Gi, x, G) for x in inner]
+        mats = peeled + [conjugate(Matrix.product(G2i, x, G2)) for x in inner]
     return make_witness(word, A, mats, conjugators=(G, G2))

@@ -783,7 +783,7 @@ class GenericKernel:
             a = abs(rows[r][col])
             if a > best_abs:
                 best, best_abs = r, a
-        scale = max((abs(x) for row in rows for x in row), default=0.0)
+        scale = max(map(abs, itertools.chain.from_iterable(rows)), default=0.0)
         if best is None or best_abs <= self.eps * max(1.0, scale):
             return None
         return best
@@ -841,10 +841,11 @@ class GenericKernel:
                                   for x, y in pairs])
 
     def matvec_fn(self, A):
-        """v -> A*v for a fixed matrix A, as one product against v as a
-        single column (F_p and Q prepare A once in their own versions)."""
-        matmul = self.matmul
-        return lambda v: [r[0] for r in matmul(A, [[x] for x in v])]
+        """v -> A*v for a fixed matrix A, as one ``dot`` per row: the sums
+        ``matmul`` makes against v as a single column (F_p and Q prepare A
+        once in their own versions)."""
+        dot = self.dot
+        return lambda v: [dot(row, v) for row in A]
 
     def shear(self, rows, r: int, s: int, c, conjugate: bool = True):
         """In place: rows becomes E*rows*E^-1, or E*rows when ``conjugate``

@@ -47,6 +47,7 @@ superdiagonal ones).  Nilpotent partitions are reported weakly increasing.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import struct
 import sys
@@ -654,9 +655,7 @@ def charpoly(A: Matrix) -> Poly:
     if n == 0:
         return Poly.one(field)
     kern = field.kernel
-    dot, is_zero = kern.dot, kern.is_zero
-    radd, rmul, rneg = field._radd, field._rmul, field._rneg
-    one, zero = field._one_raw, field._zero_raw
+    dot, rneg, one = kern.dot, field._rneg, field._one_raw
     rows = A.reps
     C = [one]
     for r in range(1, n + 1):
@@ -669,15 +668,9 @@ def charpoly(A: Matrix) -> Poly:
             if j > 2:
                 v = lead(v)
             t.append(rneg(dot(R, v)))
-        Cn = []
-        for i in range(r + 1):
-            acc = zero
-            for j in range(max(0, i - r), min(i, r - 1) + 1):
-                ti = t[i - j]
-                if not is_zero(ti):
-                    acc = radd(acc, rmul(ti, C[j]))
-            Cn.append(acc)
-        C = Cn
+        # coefficient i of the product is the sum of t[i - j] * C[j] over
+        # j = 0..min(i, r - 1), zero left factors skipped
+        C = [dot(t[i::-1], C) for i in range(r + 1)]
     return Poly._from_raw(field, kern.poly_trim(C[::-1]))
 
 
@@ -962,7 +955,7 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
         # chain check depends only on A and the clusters, so it would fail
         # the same way).
         chi = charpoly(A)
-        roots = approx_roots(chi)
+        roots = sorted(_finite_roots(chi), key=lambda z: (round(z.real, 8), round(z.imag, 8)))
         coeffs = [complex(c) for c in chi.reps]
         scale = 1.0 + max(abs(r) for r in roots) if roots else 1.0
         last_err = None
@@ -1149,9 +1142,23 @@ def _horner(kern, apply, coeffs, v) -> list:
     return acc
 
 
+def _finite_roots(chi: Poly) -> list:
+    """``approx_roots(chi)`` for a characteristic polynomial over R or C,
+    refused when float overflow left a coefficient or a root that is not
+    finite (an overflowed chi gives NaN roots, which no field accepts)."""
+    if not all(map(cmath.isfinite, chi.reps)):
+        raise VerificationFailed("floating-point overflow: the characteristic polynomial "
+                                 "has a coefficient that is not finite")
+    roots = approx_roots(chi)
+    if not all(map(cmath.isfinite, roots)):
+        raise VerificationFailed("floating-point overflow: an eigenvalue estimate is not finite")
+    return roots
+
+
 def _cluster_roots(roots, radius):
+    """Clusters [center, count] of roots sorted by their rounded parts."""
     clusters = []
-    for r in sorted(roots, key=lambda z: (round(z.real, 8), round(z.imag, 8))):
+    for r in roots:
         for c in clusters:
             if abs(c[0] - r) <= radius:
                 c[1] += 1

@@ -9,6 +9,7 @@ field elements and square matrices, so ``p(A)`` works.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Sequence
 
 from .errors import DescriptorMismatch, UsageError, ZeroPolynomial
@@ -16,6 +17,9 @@ from .fields import Field, FieldElement, _binary_power, require_field
 
 # Durand-Kerner sweeps ``approx_roots`` makes at most.
 APPROX_ROOT_ITERATIONS = 400
+
+# Degrees whose generated Durand-Kerner sweeps ``_durand_kerner`` keeps.
+SWEEP_CACHE_SIZE = 16
 
 
 def require_poly(value) -> None:
@@ -233,40 +237,50 @@ def approx_roots(p: Poly) -> list:
     """All complex roots of a real/complex-coefficient polynomial by the
     Durand-Kerner iteration.  Desk-scale degrees only.
 
-    Each sweep runs the complex operations of the textbook loop
-    (``ref_durand_kerner`` in the tests) in the same order, and no
-    summation helper, whose rounding may depend on the interpreter, so
-    the returned floats are the same bits."""
+    The sweeps run in ``_durand_kerner(n)``, code generated once per degree
+    n: the textbook loop (``ref_durand_kerner`` in the tests) unrolled, so
+    that a sweep pays for its complex operations and not for nested loops,
+    slices and list appends.  It makes the loop's complex operations in the
+    loop's order on the loop's operand types, and no summation helper,
+    whose rounding may depend on the interpreter, so the returned floats
+    are the same bits."""
     if p.degree < 1:
         return []
     coeffs = [complex(c) for c in p.reps]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     n = len(coeffs) - 1
-    scale = 1.0 + max(abs(c) for c in coeffs[:-1])
-    tol = 1e-14 * scale
-    top_down = coeffs[::-1]
+    scale = 1.0 + max(map(abs, coeffs[:-1]))
     roots = [(0.4 + 0.9j) ** k * scale for k in range(1, n + 1)]
-    for _ in range(APPROX_ROOT_ITERATIONS):
-        moved = 0.0
-        new = []
-        for i, z in enumerate(roots):
-            denom = 1.0 + 0j
-            for w in roots[:i]:
-                denom *= z - w
-            for w in roots[i + 1:]:
-                denom *= z - w
-            if denom == 0:
-                denom = 1e-30
-            acc = 0j
-            for c in top_down:
-                acc = acc * z + c
-            step = acc / denom
-            new.append(z - step)
-            size = abs(step)
-            if size > moved:  # max(moved, size), NaN included
-                moved = size
-        roots = new
-        if moved < tol:
-            break
-    return roots
+    return _durand_kerner(n)(roots, coeffs[::-1], 1e-14 * scale)
+
+
+@functools.lru_cache(maxsize=SWEEP_CACHE_SIZE)
+def _durand_kerner(n: int):
+    """(roots, coefficients top down, tol) -> roots: the Jacobi sweeps of
+    Durand-Kerner for degree n as straight-line statements, none nested
+    deeper for a higher degree, so any degree compiles.  Per root z_i of a
+    sweep, the denominator is d = ONE, then d = d * (z_i - z_j) for each
+    j != i in ascending order (1e-30, a float, when it is 0) and the value
+    h = ZERO, then h = h * z_i + c_k from the top coefficient down; every
+    root moves by its step h / d after all steps are made.  The sweeps stop
+    once the largest step is below tol; ``max`` starting from 0.0 passes
+    over NaN steps, as a running maximum from 0.0 does."""
+    z = [f"z{i}" for i in range(n)]
+    lines = ["def sweeps(roots, top_down, tol):",
+             f"    {', '.join(z)}, = roots",
+             f"    {', '.join(f'c{k}' for k in range(n + 1))}, = top_down",
+             f"    for _ in range({APPROX_ROOT_ITERATIONS}):"]
+    for i in range(n):
+        lines += ["        d = ONE"]
+        lines += [f"        d = d * (z{i} - z{j})" for j in range(n) if j != i]
+        lines += ["        if d == 0:", "            d = 1e-30", "        h = ZERO"]
+        lines += [f"        h = h * z{i} + c{k}" for k in range(n + 1)]
+        lines += [f"        s{i} = h / d"]
+    lines += [f"        z{i} = z{i} - s{i}" for i in range(n)]
+    lines += [f"        if max(0.0, {', '.join(f'abs(s{i})' for i in range(n))}) < tol:",
+              "            break",
+              f"    return [{', '.join(z)}]"]
+    namespace = {"ONE": 1.0 + 0j, "ZERO": 0j}
+    exec("\n".join(lines), namespace)
+    return namespace["sweeps"]

@@ -310,10 +310,11 @@ def naive_horner(coeffs, A):
     return acc
 
 
-def ref_durand_kerner(p):
+def ref_durand_kerner(p, start=None):
     """The Durand-Kerner loop in its textbook form, the reference for
     ``approx_roots``' float bits: a nested Horner, the denominator over
-    every j != i, and ``max`` for the largest step."""
+    every j != i, and ``max`` for the largest step.  ``start``, when
+    given, replaces the initial roots."""
     if p.degree < 1:
         return []
     coeffs = [complex(c) for c in p.reps]
@@ -321,7 +322,8 @@ def ref_durand_kerner(p):
     coeffs = [c / lead for c in coeffs]
     n = len(coeffs) - 1
     scale = 1.0 + max(abs(c) for c in coeffs[:-1])
-    roots = [(0.4 + 0.9j) ** k * scale for k in range(1, n + 1)]
+    roots = (list(start) if start is not None
+             else [(0.4 + 0.9j) ** k * scale for k in range(1, n + 1)])
 
     def ev(z):
         acc = 0j

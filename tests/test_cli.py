@@ -342,6 +342,19 @@ def test_solve_failed_verification_exits_1_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,entries", [
+    ("R:tol=1e-9", [[1e200, 1], [1, 1e-200]]),
+    ("C:tol=1e-9", [[1e300, 2, 3], [4, 1e300, 6], [7, 8, 1e-300]]),
+], ids=["R", "C"])
+def test_overflowed_eigenvalue_search_exits_1_in_one_line(capsys, field, entries):
+    code, out, err = run(capsys, "solve", "--field", field, "--word", "comm:m=4",
+                         "--matrix", json.dumps({"entries": entries}))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: floating-point overflow: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_failed_chain_check_exits_1_without_traceback(capsys, monkeypatch):
     # a kernel chain that contradicts a certified factor is an internal
     # consistency failure: the library raises VerificationFailed, and the

@@ -587,6 +587,32 @@ def test_empty_eigenvector_nullspace_raises_verification_failed():
         solve_commutator_product(A, 4, seed=0)
 
 
+# finite targets whose eigenvalue search overflows: over R chi is finite and
+# its roots overflow, over C chi has the coefficient inf+nanj
+OVERFLOW_TARGETS = [
+    ("R:tol=1e-9", [[1e200, 1], [1, 1e-200]], "an eigenvalue estimate is not finite"),
+    ("C:tol=1e-9", [[1e300, 2, 3], [4, 1e300, 6], [7, 8, 1e-300]],
+     "the characteristic polynomial has a coefficient that is not finite"),
+]
+
+
+@pytest.mark.parametrize("spec,rows,message", OVERFLOW_TARGETS, ids=["R", "C"])
+def test_overflow_in_the_eigenvalue_search_is_named(spec, rows, message):
+    # the NaN roots of an overflowed search were once passed to the field,
+    # which refused them as if the user had given them
+    from wordmap.diagonal import solve_diagonal_word
+    from wordmap.errors import VerificationFailed
+    from wordmap.words import parse_word
+
+    F = parse_field_spec(spec)
+    A = Matrix.from_rows(F, rows)
+    for solve in (lambda: generalized_jordan_form(A),
+                  lambda: solve_commutator_product(A, 4, seed=0),
+                  lambda: solve_diagonal_word(A, parse_word("diag:d=1,k=2;d=1,k=3", F))):
+        with pytest.raises(VerificationFailed, match="floating-point overflow: " + message):
+            solve()
+
+
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 1)], ids=["C+C", "J2+C"])
 def test_real_repeated_complex_pair(sizes):
     # S (C(x^2+1) + C(x^2+1)) S^-1 (n = 4) and S (J_{x^2+1,2} + C(x^2+1)) S^-1

@@ -177,4 +177,5 @@ def test_ci_runs_every_check_in_exactly_one_step():
 
 def test_bounded_caches_walks_every_lru_cache_site():
     assert sorted(invariants.lru_caches()) == [
-        "cli._parser", "factor._factorization", "fields._first_non_power"]
+        "cli._parser", "factor._factorization", "fields._first_non_power",
+        "polynomials._durand_kerner"]

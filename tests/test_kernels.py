@@ -7,6 +7,7 @@ Results must agree exactly: exact kinds by value, R and C bit for bit
 of the FieldElement operators).
 """
 
+import cmath
 import contextlib
 import functools
 import hashlib
@@ -46,7 +47,7 @@ from wordmap.matrices import (
     generalized_jordan_form,
     krylov_annihilator,
 )
-from wordmap.polynomials import Poly, approx_roots
+from wordmap.polynomials import SWEEP_CACHE_SIZE, Poly, _durand_kerner, approx_roots
 from wordmap.words import DiagonalWord
 
 from oracles import (
@@ -623,6 +624,83 @@ def test_approx_roots_bits_equal_the_textbook_loop():
     for p in _durand_kerner_cases():
         assert p.degree >= 1
         assert bits(approx_roots(p)) == bits(ref_durand_kerner(p)), p
+
+
+# charpolys that overflow: a finite chi whose roots overflow in the
+# search (R), and chi with the coefficient inf+nanj (C)
+OVERFLOW_CHARPOLYS = [
+    (spec, charpoly(Matrix.from_rows(FIELDS[spec], rows)).reps) for spec, rows in (
+        ("R:tol=1e-9", [[1e200, 1], [1, 1e-200]]),
+        ("C:tol=1e-9", [[1e300, 2, 3], [4, 1e300, 6], [7, 8, 1e-300]]))]
+
+
+@st.composite
+def _dk_polys(draw):
+    """(spec, raw coefficients, low degree first, nonzero leading one) over
+    R or C, of degree 1..12 or one past the sweep cache's bound; the parts
+    are signed zeros, +-1 or +-m 10^e with m in [1, 10), e in [-3, 28],
+    either near one magnitude for the whole polynomial or mixed."""
+    spec = draw(st.sampled_from(["R:tol=1e-9", "C:tol=1e-9"]))
+    degree = draw(st.sampled_from([*range(1, 13), SWEEP_CACHE_SIZE + 1]))
+    exponents = st.floats(-3, 28)
+    common = draw(st.one_of(st.none(), exponents))
+    if common is not None:
+        exponents = st.floats(common - 1, common + 1)
+    nonzero = st.builds(lambda sign, m, e: sign * m * 10.0 ** e,
+                        st.sampled_from([1.0, -1.0]), st.floats(1, 10, exclude_max=True),
+                        exponents) | st.sampled_from([1.0, -1.0])
+    part = nonzero | st.sampled_from([0.0, -0.0])
+    if spec[0] == "R":
+        coeff, lead = part, st.just(1.0) | nonzero
+    else:
+        coeff = st.builds(complex, part, part)
+        lead = st.just(1 + 0j) | st.builds(complex, nonzero, part)
+    return spec, [*draw(st.lists(coeff, min_size=degree, max_size=degree)), draw(lead)]
+
+
+def _sweeps_from(p: Poly, start) -> list:
+    """approx_roots(p) with its sweeps started from ``start``."""
+    coeffs = [complex(c) for c in p.reps]
+    coeffs = [c / coeffs[-1] for c in coeffs]
+    tol = 1e-14 * (1.0 + max(abs(c) for c in coeffs[:-1]))
+    return _durand_kerner(p.degree)(start, coeffs[::-1], tol)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_dk_polys(), st.booleans(), st.randoms(use_true_random=False))
+@example(OVERFLOW_CHARPOLYS[0], False, random.Random(0))
+@example(OVERFLOW_CHARPOLYS[1], True, random.Random(0))
+def test_approx_roots_bits_equal_the_textbook_loop_everywhere(case, clear, rng):
+    """The generated sweeps against the textbook loop by float.hex, on a
+    fresh sweep when ``clear`` and then on the cached one (the overflow
+    examples return NaN roots on both); then from a start whose first root
+    is thrown out to 1e200(1 + i) and whose others are drawn from the
+    returned roots."""
+    spec, reps = case
+    p = Poly._from_raw(FIELDS[spec], reps)
+
+    def bits(zs):
+        return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+    want = bits(ref_durand_kerner(p))
+    if clear:
+        _durand_kerner.cache_clear()
+    for _ in range(2):
+        assert bits(approx_roots(p)) == want
+    start = [1e200 + 1e200j, *(rng.choice(approx_roots(p)) for _ in range(p.degree - 1))]
+    assert bits(_sweeps_from(p, start)) == bits(ref_durand_kerner(p, start))
+
+
+def test_sweeps_stop_past_a_nan_step():
+    """Roots 1, 2 of (x - 1)(x - 2)(x - 3) take zero steps while the first,
+    thrown out to 1e200(1 + i), takes a NaN step: the largest step counts
+    from 0.0 past NaN, so the sweeps stop and the first root alone is NaN."""
+    p = Poly.from_roots(FIELDS["R:tol=1e-9"], [1.0, 2.0, 3.0])
+    start = [1e200 + 1e200j, 1 + 0j, 2 + 0j]
+    got = _sweeps_from(p, start)
+    assert cmath.isnan(got[0]) and got[1:] == [1, 2]
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+        (z.real.hex(), z.imag.hex()) for z in ref_durand_kerner(p, start)]
 
 
 # ----------------------------------------------------------------------
