@@ -54,8 +54,10 @@ builds, as it builds the scalar formula's Y.  The peel forms neither
 matrix: G^-1 X_U is G^-1 with its columns scaled by d, and G^-1 Y_U is
 G^-1 with its columns scaled by w and rotated one place, two ``reorder``
 calls, so each matrix costs one dense product, by G, where the solved pair
-took two.  Over R and C, G = I, and the closed form gives the bits the
-routes' products I D I and I B I gave.  Over F_q with q < n,
+took two.  Over R and C, G = I, and the product by G is the identity
+conjugation through ``reorder`` that the other factors get: the closed
+form gives the bits the routes' products I D I and I B I gave, and no
+dense product is left.  Over F_q with q < n,
 ``_commutator`` solves U on every call and the dense products stay.
 """
 
@@ -841,21 +843,22 @@ def _shift_pair(field: Field, n: int) -> Tuple[list, list]:
     return d, [kern.inv(kern.rsub(d[i], d[(i + 1) % n])) for i in range(n)]
 
 
-def _peel_pair(G: Matrix, Gi: Matrix, seed: int) -> List[Matrix]:
-    """G^-1 X_U G and G^-1 Y_U G for [X_U, Y_U] = U.  With ``_shift_pair``
-    G^-1 X_U is G^-1 with column j times d_j, and G^-1 Y_U has column j-1
-    of G^-1 times w_{j-1} in column j; over F_q with q < n ``_commutator``
-    solves U and the products are dense."""
-    field, n = G.field, G.nrows
+def _peel_pair(Gi: Matrix, times_g, seed: int) -> List[Matrix]:
+    """G^-1 X_U G and G^-1 Y_U G for [X_U, Y_U] = U, ``times_g`` the raw
+    product rows -> rows G.  With ``_shift_pair`` G^-1 X_U is G^-1 with
+    column j times d_j, and G^-1 Y_U has column j-1 of G^-1 times w_{j-1}
+    in column j; over F_q with q < n ``_commutator`` solves U and the
+    products are dense."""
+    field, n = Gi.field, Gi.nrows
     if field.is_finite and field.cardinality < n:
-        return [Matrix.product(Gi, x, G)
+        return [Matrix._from_raw(field, times_g((Gi * x).reps))
                 for x in _commutator(Matrix.cyclic_shift(field, n), seed)]
     kern = field.kernel
     d, w = _shift_pair(field, n)
     rot = [(j - 1) % n for j in range(n)]
     gi_x = kern.reorder(Gi.reps, col_scale=d)
     gi_y = kern.reorder(Gi.reps, col_order=rot, col_scale=[w[j] for j in rot])
-    return [Matrix._from_raw(field, kern.matmul(rows, G.reps)) for rows in (gi_x, gi_y)]
+    return [Matrix._from_raw(field, times_g(rows)) for rows in (gi_x, gi_y)]
 
 
 def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
@@ -874,16 +877,19 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     if m == 2 and not A.trace().is_zero():
         raise NonzeroTrace("target has nonzero trace")
     blocks = None  # the Jordan blocks that M realizes, when M is not A
+    kern = field.kernel
     if field.is_exact and n >= 2 and not A.is_zero():
         jf = generalized_jordan_form(A)
         G, Gi, M, blocks = jf.conjugator, jf.conjugator_inverse, jf.realization, jf.blocks
         conjugate = lambda x: Matrix.product(Gi, x, G)
+        times_g = lambda rows: kern.matmul(rows, G.reps)
     else:
         G = Gi = Matrix.identity(field, n)
         M = A
-        # Gi x G by the identity: the dense products' float bits, not their cost
-        conjugate = lambda x: Matrix._from_raw(
-            field, field.kernel.reorder(x.reps, range(n), range(n)))
+        # Gi x G and x G by the identity: the dense products' float bits,
+        # not their cost
+        times_g = lambda rows: kern.reorder(rows, range(n), range(n))
+        conjugate = lambda x: Matrix._from_raw(field, times_g(x.reps))
     if m == 2:
         mats = [conjugate(x) for x in _commutator(M, seed)]
         return make_witness(word, A, mats, conjugators=(G,))
@@ -893,9 +899,9 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         if n < 2:
             raise Unsupported("peeling needs n >= 2")
         # the peel's copies of [X_U, Y_U] are one pair, conjugated once
-        peeled = _peel_pair(G, Gi, seed) * peel
+        peeled = _peel_pair(Gi, times_g, seed) * peel
         # U^-peel M moves row t - peel of M to row t
-        rest_target = Matrix._from_raw(field, field.kernel.reorder(
+        rest_target = Matrix._from_raw(field, kern.reorder(
             M.reps, row_order=[(t - peel) % n for t in range(n)]))
         u, v, G2, G2i = _factor_two_canonical(rest_target)
     else:

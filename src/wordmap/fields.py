@@ -56,14 +56,9 @@ three implementations, picked by the field kind:
                   a chain product clears each factor once and
                   normalises each entry of its result once,
                   echelon is fraction-free Gauss-Jordan on primitive
-                  integer rows, the gcd runs on primitive integer
-                  remainders, and a product mod g is one integer
-                  convolution whose high coefficients fold onto the low
-                  ones on the rows x^(d+j) mod g, cleared to integers
-                  once (the product of Q(alpha): per product on a 2-core
-                  x86-64 host, 3.4x faster than the list product and
-                  division at d = 2, 7-8x at d = 4 and 11-12x at d = 8);
-                  the other ops are the generic ones
+                  integer rows, and the gcd runs on primitive integer
+                  remainders; the other ops, the product mod g of
+                  Q(alpha) among them, are the generic ones
   GenericKernel   every other kind, through the closures above, in the
                   operation order, zero skips and pivot rules of
                   element-by-element arithmetic, so R/C results are the
@@ -80,8 +75,8 @@ entry or a coefficient.  Extension fields have no arithmetic of their own:
 their element closures are the base field's kernel ops on coefficient
 tuples.  A product is one product mod the modulus from
 ``poly_mulmod_fn``, prepared when the field is built (over F_p packed
-where PrimeKernel's rule allows, over Q the integer fold, over towers the
-generic list product and division), sums and negation are coefficientwise,
+where PrimeKernel's rule allows, over Q and over towers the generic list
+product and division), sums and negation are coefficientwise,
 and an inverse is the extended gcd with the modulus.
 
 Log tables.  A finite extension with log tables, towers included,
@@ -139,7 +134,10 @@ bound, Q(alpha), R and C are not stored: at a bound of 4096, one-off F_343
 and F_729 fields stayed with their tables (small-fields peak RSS +17-20%).
 
 Approximate kinds carry an explicit tolerance used only when *comparing*
-values; every construction stays formula driven.
+values; every construction stays formula driven.  The tolerance lies in
+(0, 1), since from 1 on the one would be tolerance-zero, and the kernel's
+``is_zero`` is the one test against it: ``close_raw`` tests a - b, and the
+few tests scaled by their operands' size build on the tolerance itself.
 
 The field-spec grammar used by the CLI and the JSON formats:
 
@@ -471,6 +469,9 @@ class Field:
             if not (isinstance(tolerance, (int, float)) and math.isfinite(tolerance)
                     and tolerance > 0):
                 raise UsageError("approximate fields need a finite tolerance > 0")
+            if tolerance >= 1:
+                raise UsageError(f"tolerance {tolerance!r} would make 1 tolerance-zero; "
+                                 "approximate fields need a tolerance below 1")
             self.degree = 1
             self.key = (kind, tolerance)
             cast = float if kind == "real" else complex
@@ -564,7 +565,7 @@ class Field:
 
     def close_raw(self, a, b) -> bool:
         if self.kind in ("real", "complex"):
-            return abs(a - b) <= self.tolerance
+            return self.kernel.is_zero(a - b)
         return a == b
 
     def sort_key_raw(self, a):
@@ -732,11 +733,13 @@ class GenericKernel:
 
     The operation order, the skip of (tolerance-)zero left factors and the
     pivot rules are those of element-by-element FieldElement arithmetic, so
-    R/C results come out bit for bit the same.
+    R/C results come out bit for bit the same.  Pivots compare
+    ``magnitude``: abs, over C with inf where a finite entry's modulus
+    overflows, so that no entry raises.
     """
 
     __slots__ = ("radd", "rsub", "rmul", "rneg", "inv", "zero", "one",
-                 "is_zero", "exact", "eps")
+                 "is_zero", "exact", "eps", "magnitude")
 
     def __init__(self, field: "Field"):
         self.radd, self.rsub, self.rmul = field._radd, field._rsub, field._rmul
@@ -748,9 +751,16 @@ class GenericKernel:
             self.eps = 0.0
         else:
             tol = field.tolerance
-            self.is_zero = lambda a: abs(a) <= tol
+            if field.kind == "complex":
+                # the real part first: with tol < 1 a finite a whose real
+                # part passes has a finite modulus, while abs of another
+                # finite complex can overflow; the verdict is abs(a) <= tol's
+                self.is_zero = lambda a: abs(a.real) <= tol and abs(a) <= tol
+            else:
+                self.is_zero = lambda a: abs(a) <= tol
             # pivots must exceed eps * max(1, largest magnitude)
             self.eps = max(1e-12, tol * 1e-3)
+        self.magnitude = _modulus if field.kind == "complex" else abs
 
     def lead(self, xs):
         """Pivot index of a vector for span tests: the first nonzero entry
@@ -761,9 +771,9 @@ class GenericKernel:
                 if not is_zero(a):
                     return i
             return None
-        best, best_abs = None, self.eps
+        best, best_abs, magnitude = None, self.eps, self.magnitude
         for i, a in enumerate(xs):
-            m = abs(a)
+            m = magnitude(a)
             if m > best_abs:
                 best, best_abs = i, m
         return best
@@ -778,12 +788,12 @@ class GenericKernel:
                 if not is_zero(rows[r][col]):
                     return r
             return None
-        best, best_abs = None, 0.0
+        best, best_abs, magnitude = None, 0.0, self.magnitude
         for r in range(start, len(rows)):
-            a = abs(rows[r][col])
+            a = magnitude(rows[r][col])
             if a > best_abs:
                 best, best_abs = r, a
-        scale = max(map(abs, itertools.chain.from_iterable(rows)), default=0.0)
+        scale = max(map(magnitude, itertools.chain.from_iterable(rows)), default=0.0)
         if best is None or best_abs <= self.eps * max(1.0, scale):
             return None
         return best
@@ -1041,6 +1051,15 @@ class GenericKernel:
         cur = self.poly_divmod(a, m)[1]
         result = None if e else self.poly_divmod([self.one], m)[1]
         return _binary_power(mulmod, cur, e, result)
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), and inf where the modulus of finite parts overflows, which
+    abs refuses with OverflowError: the pivot magnitude over C."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _mulmod_lists(kern, g):
@@ -1409,7 +1428,9 @@ class RationalKernel(GenericKernel):
     of its ``numbers.Rational`` check.  ``echelon`` is fraction-free
     Gauss-Jordan on primitive integer rows, with the pivot rule of the
     generic kernel; it returns the same rows: normalised pivot rows and,
-    past them, the reduced non-pivot rows at their true scale."""
+    past them, the reduced non-pivot rows at their true scale.  A product
+    mod g, the product of Q(alpha), is the generic list product and
+    division: number-field solves make few of them."""
 
     __slots__ = ()
 
@@ -1467,38 +1488,6 @@ class RationalKernel(GenericKernel):
             r = _pseudo_remainder(a, b)
             a, b = b, (_primitive(r) if r else [])
         return [_ratio(c, a[-1]) for c in a]
-
-    def poly_mulmod_fn(self, g):
-        """The rows x^(d+j) mod g, d = deg g and j = 0..d-2, are cleared to
-        integers over one denominator D once.  A product a*b mod g of
-        reduced a and b, cleared to u/du and v/dv, is then one integer
-        convolution u*v, whose d - 1 high coefficients fold onto D times
-        its d low ones, and one Fraction over D*du*dv per coefficient.  The
-        remainder is unique, so this is the list product and division."""
-        d = len(g) - 1
-        rows = self._xpow_rows(g)
-        flat, den = _cleared([c for row in rows for c in row])
-        rows = [flat[j * d:(j + 1) * d] for j in range(len(rows))]
-
-        def mulmod(a, b):
-            if not a or not b:
-                return []
-            u, du = _cleared(a)
-            v, dv = (u, du) if a is b else _cleared(b)
-            lv = len(v)
-            conv = [0] * (len(u) + lv - 1)
-            for i, x in enumerate(u):
-                if x:
-                    conv[i:i + lv] = [s + x * y for s, y in zip(conv[i:i + lv], v)]
-            low = [c * den for c in conv[:d]]
-            for h, row in zip(conv[d:], rows):
-                if h:
-                    low = [s + h * r for s, r in zip(low, row)]
-            while low and not low[-1]:
-                low.pop()
-            total = den * du * dv
-            return [_ratio(c, total) for c in low]
-        return mulmod
 
     def echelon(self, rows, ncols: int = None) -> list:
         nrows = len(rows)
@@ -1760,9 +1749,9 @@ def kth_roots(e: FieldElement, k: int) -> list:
     field = e.field
     if k == 1:
         return [e]
+    if e.is_zero():  # over every kind the only root of zero
+        return [field.zero()]
     if field.is_finite:
-        if e.is_zero():
-            return [field.zero()]
         q = field.cardinality
         g = math.gcd(k, q - 1)
         if e ** ((q - 1) // g) != field.one():
@@ -1783,13 +1772,9 @@ def kth_roots(e: FieldElement, k: int) -> list:
         return roots
     if field.kind == "ext":
         # number field Q(alpha): only the trivial root is recognised
-        if field.kernel.is_zero(e.rep):
-            return [field.zero()]
         raise Unsupported("k-th roots in number fields are not supported")
     if field.kind == "rationals":
         fr: Fraction = e.rep
-        if fr == 0:
-            return [field.zero()]
         num, den = fr.numerator, fr.denominator
         neg = num < 0
         if neg and k % 2 == 0:
@@ -1801,13 +1786,11 @@ def kth_roots(e: FieldElement, k: int) -> list:
             return []
         root = Fraction(-rn if neg else rn, rd)
         roots = [field.element(root)]
-        if k % 2 == 0 and root != 0:
+        if k % 2 == 0:
             roots.append(field.element(-root))
         return roots
     if field.kind == "real":
         v = e.rep
-        if abs(v) <= field.tolerance:
-            return [field.zero()]
         if k % 2 == 1:
             r = math.copysign(abs(v) ** (1.0 / k), v)
             return [field.element(r)]
@@ -1817,8 +1800,6 @@ def kth_roots(e: FieldElement, k: int) -> list:
         return [field.element(r), field.element(-r)]
     # complex
     v = e.rep
-    if abs(v) <= field.tolerance:
-        return [field.zero()]
     principal = v ** (1.0 / k) if v.imag == 0 and v.real > 0 else cmath.exp(cmath.log(v) / k)
     return [field.element(principal)]
 
@@ -1953,10 +1934,10 @@ def _regular_construct_analytic(field, k, n, gamma, require_nonzero):
         # powers must be distinct non-negatives summing to gamma
         g = gamma.rep
         if n == 1:
-            if g < 0 or (require_nonzero and g <= field.tolerance):
+            if g < 0 or (require_nonzero and gamma.is_zero()):
                 return None
             return (kth_roots(gamma, k)[0],)
-        if g <= field.tolerance:
+        if g < 0 or gamma.is_zero():
             return None
         tot = n * (n + 1) // 2  # the weights 1..n
         return tuple(kth_roots(field(g * (i + 1) / tot), k)[0] for i in range(n))
@@ -1971,8 +1952,7 @@ def _regular_construct_analytic(field, k, n, gamma, require_nonzero):
     for grid in grids:
         powers = [field(v) for v in grid]
         last = gamma - sum(powers, field.zero())
-        if any(abs(last.rep - p.rep) <= field.tolerance for p in powers) or (
-                require_nonzero and abs(last.rep) <= field.tolerance):
+        if any(map(last.is_close, powers)) or (require_nonzero and last.is_zero()):
             continue
         return tuple(kth_roots(p, k)[0] for p in powers + [last])
     return None

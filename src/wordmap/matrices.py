@@ -33,7 +33,9 @@ a power is computed.
 
 Verification rule: a result is checked where a public entry point returns
 it (``generalized_jordan_form``), where a failed check selects another
-attempt (the cluster-radius loop), or where the next step needs it.  The
+attempt (the R/C cluster radii, one ``errors.first_route`` route each,
+whose exhausted error lists the radii tried in ``.routes``), or where the
+next step needs it.  The
 helpers that build a basis for a solver (``eigenbasis``,
 ``nilpotent_jordan_basis``) check nothing; the public solve that uses them
 verifies its finished witness once.
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import struct
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -64,6 +65,7 @@ from .errors import (
     TooLarge,
     UsageError,
     VerificationFailed,
+    first_route,
 )
 from .fields import Field, FieldElement, _binary_power, enumerate_elements, require_field
 from .polynomials import Poly, approx_roots, require_poly
@@ -675,34 +677,21 @@ def charpoly(A: Matrix) -> Poly:
 
 
 def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
-    """Monic minimal g with g(A)v = 0."""
+    """Monic minimal g with g(A)v = 0, from one echelon of the columns v,
+    Av, ..., A^n v: the first j columns are independent, deg g = j, and
+    column j of the reduced form holds the coordinates of A^j v on them.
+    Over R/C a later column can pass the pivot test after one failed it;
+    j is the count of leading pivots."""
     _require_square(A)
     field = A.field
     kern = field.kernel
-    n = A.nrows
-    zero, one = field._zero_raw, field._one_raw
     apply = kern.matvec_fn(A.reps)
-    # reduced vectors with their pivots and power-combination tails
-    ech_rows = []
-    cur = [x.rep for x in v]
-    for j in range(n + 1):
-        vec = cur
-        tail = [zero] * (n + 1)
-        tail[j] = one
-        for evec, etail, piv in ech_rows:
-            c = vec[piv]
-            if kern.is_zero(c):
-                continue
-            vec = kern.vsub_scaled(vec, c, evec)
-            tail = kern.vsub_scaled(tail, c, etail)
-        piv = kern.lead(vec)
-        if piv is None:
-            return Poly._from_raw(field, kern.poly_trim(tail)).monic()
-        inv = kern.inv(vec[piv])
-        evec = kern.vscale(vec, inv)
-        ech_rows.append((evec, kern.vscale(tail, inv), kern.lead(evec)))
-        cur = apply(cur)
-    raise VerificationFailed("krylov annihilator did not terminate")
+    cols = [[x.rep for x in v]]
+    for _ in range(A.nrows):
+        cols.append(apply(cols[-1]))
+    rref = _transpose(cols)
+    j = sum(c == i for i, c in enumerate(kern.echelon(rref)))
+    return Poly._from_raw(field, [field._rneg(row[j]) for row in rref[:j]] + [field._one_raw])
 
 
 def minpoly(A: Matrix) -> Poly:
@@ -782,16 +771,18 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
     of A on ker-powers of B = p(A), deg p = d, from the nullspaces of the
     powers of B (see ``_chain_tops``).
 
-    The kernels ker B^j grow until they stabilise; ``dim``, when the caller
-    knows the dimension of the generalized eigenspace, stops them as soon as
-    they reach it, which saves one power of B and its nullspace."""
+    The kernels ker B^j grow until they stabilise, by j = n in exact
+    arithmetic; over R/C, kernels that have not stabilised after n + 1
+    powers raise VerificationFailed.  ``dim``, when the caller knows the
+    dimension of the generalized eigenspace, stops them as soon as they
+    reach it, which saves one power of B and its nullspace."""
     field = A.field
     kern = field.kernel
     n = A.nrows
     braw = B.reps
     kers = [[]]
     Bj = braw
-    while True:
+    for _ in range(n + 1):
         ker = _nullspace_raw(field, Bj)
         if len(ker) == len(kers[-1]):
             break
@@ -799,6 +790,9 @@ def _chain_filtration(A: Matrix, B: Matrix, d: int, dim: int = None) -> list:
         if len(ker) == n or len(ker) == dim:
             break
         Bj = kern.matmul(Bj, braw)
+    else:  # exact kernels stabilise by ker B^n; these are float noise
+        raise VerificationFailed(f"kernel chain did not stabilise in {n + 1} powers of a "
+                                 f"{n}x{n} matrix: dimensions {[len(k) for k in kers[1:]]}")
     # A-orbits have more than one vector only for d > 1, and chains are
     # carried down by B only from a level above the first
     apply_a = kern.matvec_fn(A.reps) if d > 1 else None
@@ -946,42 +940,38 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
     else:
         # (poly, multiplicity) clusters come from the numeric roots.  A root
         # of multiplicity m is only located to about eps^(1/m) by the
-        # global iteration, so the cluster radius widens until the chain
-        # structure validates the clusters; over R every complex cluster
-        # must find a conjugate partner at that radius.  Cluster centers are
-        # polished by Newton on a derivative of the characteristic
-        # polynomial.  The spectrum is computed once; a radius that
-        # reproduces clusters already rejected is not checked again (the
-        # chain check depends only on A and the clusters, so it would fail
-        # the same way).
+        # global iteration, so the cluster radius widens, one route per
+        # radius up to 0.05 * scale, until the chain structure validates
+        # the clusters; over R every complex cluster must find a conjugate
+        # partner at that radius.  Cluster centers are polished by Newton
+        # on a derivative of the characteristic polynomial.  The spectrum
+        # is computed once; a radius that reproduces clusters already tried
+        # declines at once (the chain check depends only on A and the
+        # clusters, so it would fail the same way).
         chi = charpoly(A)
         roots = sorted(_finite_roots(chi), key=lambda z: (round(z.real, 8), round(z.imag, 8)))
         coeffs = [complex(c) for c in chi.reps]
         scale = 1.0 + max(abs(r) for r in roots) if roots else 1.0
-        last_err = None
-        block_data = None
-        rejected = {}
-        for attempt in range(14):
-            radius = max(1e-8, field.tolerance * 1e-1) * scale * 8.0 ** attempt
-            if radius > 0.05 * scale:  # the radius only grows from here
-                last_err = VerificationFailed("eigenvalue cluster radius escalation exhausted")
-                break
-            try:
-                pairs = _pair_clusters(field, _cluster_roots(roots, radius), radius, coeffs)
-            except VerificationFailed as exc:  # an unpaired complex cluster over R
-                last_err = exc
-                continue
-            key = _pairs_key(pairs)
-            if key not in rejected:
-                try:
-                    block_data = _jordan_block_data(A, pairs)
-                    break
-                except VerificationFailed as exc:
-                    rejected[key] = exc
-            last_err = rejected[key]
-        if block_data is None:
-            raise VerificationFailed(
-                f"no consistent eigenvalue clustering found: {last_err}")
+        tried = set()
+
+        def clustering(radius):
+            pairs = _pair_clusters(field, _cluster_roots(roots, radius), radius, coeffs)
+            key = repr([(p.reps, s) for p, s in pairs])  # repr tells -0.0 from 0.0
+            if key in tried:
+                return None
+            tried.add(key)
+            return _jordan_block_data(A, pairs)
+
+        radii = itertools.takewhile(
+            lambda radius: radius <= 0.05 * scale,
+            (max(1e-8, field.tolerance * 1e-1) * scale * 8.0 ** attempt
+             for attempt in itertools.count()))
+        block_data = first_route(
+            ((f"radius {radius!r}", partial(clustering, radius), (VerificationFailed,))
+             for radius in radii),
+            lambda declined: VerificationFailed(
+                "no consistent eigenvalue clustering found: "
+                "eigenvalue cluster radius escalation exhausted"))
 
     specs = tuple(JordanBlockSpec(p, l) for p, l, _ in block_data)
     realization = Matrix.block_diag(field, [b.realization() for b in specs])
@@ -1149,7 +1139,11 @@ def _finite_roots(chi: Poly) -> list:
     if not all(map(cmath.isfinite, chi.reps)):
         raise VerificationFailed("floating-point overflow: the characteristic polynomial "
                                  "has a coefficient that is not finite")
-    roots = approx_roots(chi)
+    try:
+        roots = approx_roots(chi)
+    except OverflowError as exc:  # a complex abs in the sweep
+        raise VerificationFailed("floating-point overflow: the eigenvalue iteration "
+                                 "overflowed") from exc
     if not all(map(cmath.isfinite, roots)):
         raise VerificationFailed("floating-point overflow: an eigenvalue estimate is not finite")
     return roots
@@ -1167,17 +1161,6 @@ def _cluster_roots(roots, radius):
         else:
             clusters.append([r, 1])
     return clusters
-
-
-def _pairs_key(pairs) -> tuple:
-    """The clusters of one attempt with their float bits exact (-0.0 and
-    0.0 differ), for recognising clusters that were already tried."""
-    return tuple((s, tuple(map(_float_bits, p.reps))) for p, s in pairs)
-
-
-def _float_bits(x) -> bytes:
-    x = complex(x)
-    return struct.pack("<dd", x.real, x.imag)
 
 
 def _pair_clusters(field, clusters, radius, coeffs):

@@ -696,3 +696,34 @@ def plain_power_sum_walk(gamma, ks, candidates, inv=None, distinct=False, nonzer
             used.discard(p.rep)
 
     return walk((), gamma)
+
+
+def loop_krylov_annihilator(A: Matrix, v) -> Poly:
+    """The monic minimal g with g(A)v = 0 by the incremental elimination
+    that ``matrices.krylov_annihilator`` ran before it became one echelon:
+    each A^j v is reduced against the earlier ones, carrying the power
+    combination that it is, until one reduces to zero."""
+    field, n = A.field, A.nrows
+    kern = field.kernel
+    zero, one = field._zero_raw, field._one_raw
+    apply = kern.matvec_fn(A.reps)
+    ech_rows = []
+    cur = [x.rep for x in v]
+    for j in range(n + 1):
+        vec = cur
+        tail = [zero] * (n + 1)
+        tail[j] = one
+        for evec, etail, piv in ech_rows:
+            c = vec[piv]
+            if kern.is_zero(c):
+                continue
+            vec = kern.vsub_scaled(vec, c, evec)
+            tail = kern.vsub_scaled(tail, c, etail)
+        piv = kern.lead(vec)
+        if piv is None:
+            return Poly._from_raw(field, kern.poly_trim(tail)).monic()
+        inv = kern.inv(vec[piv])
+        evec = kern.vscale(vec, inv)
+        ech_rows.append((evec, kern.vscale(tail, inv), kern.lead(evec)))
+        cur = apply(cur)
+    raise ValueError("the Krylov sequence did not become dependent")

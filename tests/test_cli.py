@@ -403,6 +403,14 @@ def test_tolerance_option_is_refused(capsys):
     assert "Traceback" not in err
 
 
+def test_a_tolerance_at_which_one_is_zero_exits_1(capsys):
+    code, out, err = run(capsys, "solve", "--field", "R:tol=5", "--word", "comm:m=4",
+                         "--matrix", '{"entries": [[1, 2], [3, 4]]}')
+    assert (code, out) == (1, "")
+    assert err == ("error: tolerance 5.0 would make 1 tolerance-zero; "
+                   "approximate fields need a tolerance below 1\n")
+
+
 HUGE_K = str(10 ** 30)
 
 

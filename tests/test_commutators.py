@@ -329,7 +329,8 @@ def char0_target(field, n, rng):
 # target drawn by ``draw`` from random.Random(target seed); the first eight
 # recorded when the peel pair was solved by trace_zero_to_commutator on
 # every call, the C and char0 rows while R and C still solved it by the
-# routes and formed its products densely
+# routes and formed its products densely, and the n = 8 row while R still
+# multiplied the closed-form pair by G = I densely
 PEEL_GOLDEN = [
     (F2, 4, 6, target, 4, "5e84931cb2784c04ed60cd59abe959bd706a407946425bf84c52fbd8b5ee1782"),
     (F2, 4, 8, target, 4, "e1ae5c94150c99eacf483a2d59cbee42da40969e50f8b3cba0938a9cc59a5fe6"),
@@ -345,6 +346,7 @@ PEEL_GOLDEN = [
     (R, 3, 8, char0_target, 4, "38c8b62b6a7114cfd934e66d93a6e0a47c34c6857c8d8e209f67217e3689c064"),
     (R, 4, 6, char0_target, 38, "1053b389582d9070bb6482e666b4a604b6769ecfa12757bd071e5f9328ebc957"),
     (R, 4, 8, char0_target, 38, "5624d81fe30998b0ccb73c22d5a6a20c179e4088a49cf8a81b992feb5673d2c5"),
+    (R, 8, 6, target, 8, "f0a83f4ffdbdf4c5f9bafb5811cd3f5c3b3e188efc4c644472331f3fd28af071"),
 ]
 
 

@@ -769,8 +769,11 @@ def test_field_spec_round_trip():
         parse_field_spec("nonsense")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf,
+                                 1, 1.0, 5.0, 1e300, True])
 def test_approximate_fields_need_finite_positive_tolerance(tol):
+    """A tolerance must be finite, positive and below 1: from 1 on the
+    one would be tolerance-zero."""
     for kind in ("real", "complex"):
         with pytest.raises(UsageError):
             Field(kind, tolerance=tol)

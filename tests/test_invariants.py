@@ -101,6 +101,14 @@ PLANTS = [
     # _zero_diagonalize is one of the functions that read it
     ("structured_products_in_the_kernel", "commutators",
      "    seen = set()\n", "    seen = set() if kern.exact else set()\n", []),
+    # the R/C cluster radii are one route chain; other matrices code may
+    # check its input with a try
+    ("one_fallback_mechanism", "matrices", "        tried = set()\n",
+     "        try:\n            tried = set()\n        except TypeError:\n            raise\n",
+     ["matrices.py:{line}"]),
+    ("one_fallback_mechanism", "matrices", None,
+     "def _entries(rows):\n    try:\n        return list(rows)\n    except TypeError:\n"
+     "        return []", []),
 ]
 
 

@@ -52,6 +52,7 @@ from wordmap.words import DiagonalWord
 
 from oracles import (
     brute_inverse,
+    loop_krylov_annihilator,
     loop_matpow,
     loop_poly_pow,
     loop_poly_powmod,
@@ -201,12 +202,13 @@ def test_reorder_matches_dense_products(spec, data):
     and Matrix.diagonal matrices, bit for bit: on the left, on the right,
     on both sides, and with a column scaling, both as a diagonal factor and
     as one weighted permutation.  Over R and C the tolerance runs from
-    1e-12 to 10, so that sub-tolerance entries are skipped and, from 1 up,
-    so are the permutations' ones."""
+    1e-12 to below 1, where Field refuses it, so that sub-tolerance entries
+    are skipped."""
     field = FIELDS[spec]
     if not field.is_exact:
-        tol = data.draw(st.one_of(st.sampled_from([1e-12, 1e-9, 1.0, 10.0]),
-                                  st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e)))
+        tol = data.draw(st.one_of(st.sampled_from([1e-12, 1e-9, 0.5]),
+                                  st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
+                                  .filter(lambda t: t < 1.0)))
         field = Field(field.kind, tolerance=tol)
     n = data.draw(st.integers(1, 6))
     Z = Matrix(field, [data.draw(st.lists(shear_elements(field), min_size=n, max_size=n))
@@ -306,6 +308,38 @@ def test_charpoly_and_krylov(spec, data):
         assert g.is_monic()
         assert all(x.is_zero() for x in naive_apply(naive_horner(g.coeffs, A), v))
         assert (charpoly(A) % g).is_zero()
+
+
+@pytest.mark.parametrize("spec", ["Fp:2", "Fp:3", F4_SPEC, F9_SPEC, "Fp:101", "Q"])
+def test_krylov_annihilator_is_the_incremental_elimination(spec):
+    """The one echelon of v, Av, ..., A^n v against the incremental
+    elimination it replaced (``loop_krylov_annihilator``), reps equal, on
+    seeded A of size 1..7: random, of low rank, derogatory (B + B) and a
+    scalar plus a nilpotent; v random, a unit vector, sparse or zero."""
+    field = FIELDS[spec]
+    rng = random.Random(spec)
+
+    def draw(rows, cols):
+        return Matrix(field, [[random_element(field, rng) for _ in range(cols)]
+                              for _ in range(rows)])
+    for n in range(1, 8):
+        r = rng.randrange(1, n + 1)
+        mats = [draw(n, n), draw(n, r) * draw(r, n),
+                Matrix.identity(field, n).scale(random_element(field, rng))
+                + Matrix.jordan_block(field.zero(), n)]
+        if n > 1:
+            half = draw(n // 2, n // 2)
+            mats.append(Matrix.block_diag(field, [half, half] + [draw(1, 1)] * (n % 2)))
+        for A in mats:
+            for _ in range(4):
+                k = rng.randrange(n)
+                vecs = [[random_element(field, rng) for _ in range(n)],
+                        [field.one() if i == k else field.zero() for i in range(n)],
+                        [random_element(field, rng) if rng.random() < 0.3 else field.zero()
+                         for _ in range(n)],
+                        [field.zero()] * n]
+                for v in vecs:
+                    assert krylov_annihilator(A, v).reps == loop_krylov_annihilator(A, v).reps
 
 
 @fields
@@ -1006,34 +1040,6 @@ def test_rational_gcd_equals_the_generic_loop_on_repeated_factors():
         for x, y in ((f, kern.poly_derivative(f)), (f, g), (g, f), (f, []), ([], g)):
             want = [c.rep for c in naive_poly_gcd(Q.wrap(x), Q.wrap(y), Q)]
             assert kern.poly_gcd(x, y) == want == GenericKernel.poly_gcd(kern, x, y)
-
-
-def test_rational_mulmod_equals_the_list_product():
-    """The prepared integer fold over Q against one list product and
-    division, numerators and denominators alike: seeded g of degree 1..8
-    with integer or rational coefficients, monic or not, and reduced a, b,
-    the zero polynomial, trailing zeros and squares included."""
-    Q = FIELDS["Q"]
-    kern, rng = Q.kernel, random.Random(25)
-
-    def coeff(rational):
-        return Fraction(rng.randrange(-40, 41), rng.randrange(1, 12) if rational else 1)
-
-    def parts(xs):
-        assert all(type(x) is Fraction for x in xs)
-        return [(x.numerator, x.denominator) for x in xs]
-
-    for d in range(1, 9):
-        for rational, monic in itertools.product((False, True), repeat=2):
-            lead = Fraction(1) if monic else rng.choice((Fraction(-3), Fraction(5, 7), Fraction(2)))
-            g = [coeff(rational) for _ in range(d)] + [lead]
-            mulmod, lists = kern.poly_mulmod_fn(g), _mulmod_lists(kern, g)
-            for _ in range(6):
-                a = [coeff(rng.random() < 0.5) for _ in range(rng.randrange(d + 1))]
-                b = [coeff(rng.random() < 0.5) for _ in range(rng.randrange(d + 1))]
-                padded = a + [Fraction(0)] * (d - len(a))
-                for x, y in ((a, b), (b, a), (a, a), (padded, b), (a, []), ([], b)):
-                    assert parts(mulmod(x, y)) == parts(lists(x, y)), (g, x, y)
 
 
 # ----------------------------------------------------------------------

@@ -226,10 +226,13 @@ def structured_products_in_the_kernel():
 
 
 def one_fallback_mechanism():
-    """try statements outside errors.first_route"""
+    """try statements outside errors.first_route in the solvers and in
+    matrices.generalized_jordan_form"""
     tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
-    return sorted(f"{file}:{node.lineno}" for file, _, node, _ in _scan(["diagonal", "commutators"])
-                  if isinstance(node, tries))
+    return sorted(f"{file}:{node.lineno}" for file, module, node, scope
+                  in _scan(["diagonal", "commutators", "matrices"]) if isinstance(node, tries)
+                  and (module != "matrices"
+                       or _where(module, scope[:1]) == "matrices.generalized_jordan_form"))
 
 
 def product_chains():
