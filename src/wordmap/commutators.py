@@ -843,16 +843,15 @@ def _shift_pair(field: Field, n: int) -> Tuple[list, list]:
     return d, [kern.inv(kern.rsub(d[i], d[(i + 1) % n])) for i in range(n)]
 
 
-def _peel_pair(Gi: Matrix, times_g, seed: int) -> List[Matrix]:
-    """G^-1 X_U G and G^-1 Y_U G for [X_U, Y_U] = U, ``times_g`` the raw
-    product rows -> rows G.  With ``_shift_pair`` G^-1 X_U is G^-1 with
-    column j times d_j, and G^-1 Y_U has column j-1 of G^-1 times w_{j-1}
-    in column j; over F_q with q < n ``_commutator`` solves U and the
-    products are dense."""
+def _peel_pair(Gi: Matrix, conjugate, times_g, seed: int) -> List[Matrix]:
+    """G^-1 X_U G and G^-1 Y_U G for [X_U, Y_U] = U, ``conjugate`` the
+    product x -> G^-1 x G and ``times_g`` the raw product rows -> rows G.
+    With ``_shift_pair`` G^-1 X_U is G^-1 with column j times d_j, and
+    G^-1 Y_U has column j-1 of G^-1 times w_{j-1} in column j; over F_q
+    with q < n ``_commutator`` solves U and the products are dense."""
     field, n = Gi.field, Gi.nrows
     if field.is_finite and field.cardinality < n:
-        return [Matrix._from_raw(field, times_g((Gi * x).reps))
-                for x in _commutator(Matrix.cyclic_shift(field, n), seed)]
+        return [conjugate(x) for x in _commutator(Matrix.cyclic_shift(field, n), seed)]
     kern = field.kernel
     d, w = _shift_pair(field, n)
     rot = [(j - 1) % n for j in range(n)]
@@ -899,7 +898,7 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
         if n < 2:
             raise Unsupported("peeling needs n >= 2")
         # the peel's copies of [X_U, Y_U] are one pair, conjugated once
-        peeled = _peel_pair(Gi, times_g, seed) * peel
+        peeled = _peel_pair(Gi, conjugate, times_g, seed) * peel
         # U^-peel M moves row t - peel of M to row t
         rest_target = Matrix._from_raw(field, kern.reorder(
             M.reps, row_order=[(t - peel) % n for t in range(n)]))

@@ -802,9 +802,7 @@ def _two_squares_2x2(A: Matrix):
     disc = tr * tr - field(4) * det
     tol = field.tolerance * (1.0 + abs(tr.rep) + abs(det.rep))
     if not (math.isfinite(tol) and math.isfinite(disc.rep)):
-        raise VerificationFailed("floating-point overflow: the trace, determinant, "
-                                 "discriminant or scaled tolerance of a 2x2 real target "
-                                 "is not finite")
+        raise VerificationFailed("floating-point overflow in a 2x2 discriminant or tolerance")
     if disc.rep < -tol:
         # irreducible characteristic polynomial: complex-block route
         (X, Z), _ = solve_blockwise(A, lambda bp: _solve_block(bp, 2, one, 2))
@@ -826,11 +824,10 @@ def _two_squares_2x2(A: Matrix):
             M = Matrix(field, [[zero, half], [one, zero]])
             return M, M
         apply = field.kernel.matvec_fn(N.reps)
-        v = None
-        for cand in ident.reps:  # e_0, e_1
-            if any(abs(c) > tol for c in apply(cand)):
-                v = cand
-                break
+        v = next((cand for cand in ident.reps  # e_0, e_1
+                  if any(abs(c) > tol for c in apply(cand))), None)
+        if v is None:  # N is not zero, yet below the tolerance scaled by A
+            raise VerificationFailed("nilpotent part below the scaled tolerance, yet not zero")
         S = Matrix._from_raw(field, _transpose([apply(v), v]))
         X0 = Matrix(field, [[zero, alpha - field(0.25)], [one, zero]])
         Y0 = Matrix(field, [[field(0.5), one], [zero, field(0.5)]])
@@ -845,25 +842,17 @@ def _two_squares_2x2(A: Matrix):
     elif r2 < tol:
         # both negative: diag(-a, -b) with a = -r1 >= b = -r2
         a, b = -r1, -r2
-        X0 = Matrix(field, [[zero, _overflow_checked(field, -(4 * a + 1) / 4.0)], [one, zero]])
+        X0 = Matrix(field, [[zero, field(-(4 * a + 1) / 4.0)], [one, zero]])
         Y0 = Matrix.diagonal(field, [field(0.5), field(math.sqrt(a - b + 0.25))])
     else:
         # mixed: order the eigenbasis as (positive, negative)
         S = eigenbasis(A, [field(r2), field(r1)])
         Si = S.inverse()
         p, q = r2, -r1
-        X0 = Matrix(field, [[zero, _overflow_checked(field, -2.0 * q)], [one, zero]])
-        Y0 = Matrix.diagonal(field, [_overflow_checked(field, math.sqrt(p + 2.0 * q)),
+        X0 = Matrix(field, [[zero, field(-2.0 * q)], [one, zero]])
+        Y0 = Matrix.diagonal(field, [field(math.sqrt(p + 2.0 * q)),
                                      field(math.sqrt(q))])
     return S * X0 * Si, S * Y0 * Si
-
-
-def _overflow_checked(field, x: float):
-    """field(x) for a float computed from the target, and VerificationFailed
-    rather than the caller's UsageError when the computation overflowed."""
-    if not math.isfinite(x):
-        raise VerificationFailed("floating-point overflow in a 2x2 sum of two squares")
-    return field(x)
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -680,18 +681,40 @@ def krylov_annihilator(A: Matrix, v: Sequence[FieldElement]) -> Poly:
     """Monic minimal g with g(A)v = 0, from one echelon of the columns v,
     Av, ..., A^n v: the first j columns are independent, deg g = j, and
     column j of the reduced form holds the coordinates of A^j v on them.
-    Over R/C a later column can pass the pivot test after one failed it;
-    j is the count of leading pivots."""
+
+    Over R/C a later column can pass the pivot test after one failed it,
+    so j is the count of leading pivots.  The pivot test is relative to
+    the largest entry with a floor eps, so column i is s A^i v / rho^i
+    for powers of two rho >= n |A| (entrywise maxima), which no column
+    outgrows, and s that brings |v| to about 2^46 eps (at least 1), where
+    rounding noise (2^-52 of an entry, times up to 64) stays below eps.
+    The scalings are exact bar subnormals; coefficient i of g is rho^(j-i)
+    times the one the reduced form gives."""
     _require_square(A)
     field = A.field
     kern = field.kernel
     apply = kern.matvec_fn(A.reps)
     cols = [[x.rep for x in v]]
+    if not field.is_exact:
+        shrink = _binary_scale(kern, itertools.chain.from_iterable(A.reps), -A.nrows.bit_length())
+        target = max(0, math.frexp(kern.eps)[1] + 46)
+        cols[0] = kern.vscale(cols[0], _binary_scale(kern, cols[0], target))
+        apply = partial(lambda times_a, u: kern.vscale(times_a(u), shrink), apply)
     for _ in range(A.nrows):
         cols.append(apply(cols[-1]))
     rref = _transpose(cols)
     j = sum(c == i for i, c in enumerate(kern.echelon(rref)))
-    return Poly._from_raw(field, [field._rneg(row[j]) for row in rref[:j]] + [field._one_raw])
+    g = [field._rneg(row[j]) for row in rref[:j]] + [field._one_raw]
+    for i in range(0 if field.is_exact else j):  # g[k] takes rho j - k times
+        g[:i + 1] = kern.vscale(g[:i + 1], 1 / shrink)
+    return Poly._from_raw(field, g)
+
+
+def _binary_scale(kern, xs, e: int) -> float:
+    """2^(e - f), f the binary exponent of the largest magnitude in xs (0
+    for none), the exponent clamped to +-1000: exact to multiply by."""
+    top = max(map(kern.magnitude, xs), default=0.0)
+    return math.ldexp(1.0, max(-1000, min(1000, e - math.frexp(top)[1])))
 
 
 def minpoly(A: Matrix) -> Poly:
@@ -957,21 +980,18 @@ def generalized_jordan_form(A: Matrix) -> GeneralizedJordanForm:
         def clustering(radius):
             pairs = _pair_clusters(field, _cluster_roots(roots, radius), radius, coeffs)
             key = repr([(p.reps, s) for p, s in pairs])  # repr tells -0.0 from 0.0
-            if key in tried:
-                return None
-            tried.add(key)
-            return _jordan_block_data(A, pairs)
+            if key not in tried:  # else None: the same clusters fail the same way
+                tried.add(key)
+                return _jordan_block_data(A, pairs)
 
-        radii = itertools.takewhile(
-            lambda radius: radius <= 0.05 * scale,
-            (max(1e-8, field.tolerance * 1e-1) * scale * 8.0 ** attempt
-             for attempt in itertools.count()))
+        first = max(1e-8, field.tolerance * 1e-1) * scale
+        radii = itertools.takewhile(lambda radius: radius <= 0.05 * scale,
+                                    (first * 8.0 ** attempt for attempt in itertools.count()))
         block_data = first_route(
             ((f"radius {radius!r}", partial(clustering, radius), (VerificationFailed,))
              for radius in radii),
-            lambda declined: VerificationFailed(
-                "no consistent eigenvalue clustering found: "
-                "eigenvalue cluster radius escalation exhausted"))
+            lambda declined: VerificationFailed("no consistent eigenvalue clustering found: "
+                                                "eigenvalue cluster radius escalation exhausted"))
 
     specs = tuple(JordanBlockSpec(p, l) for p, l, _ in block_data)
     realization = Matrix.block_diag(field, [b.realization() for b in specs])

@@ -46,6 +46,7 @@ from wordmap.matrices import (
     charpoly,
     generalized_jordan_form,
     krylov_annihilator,
+    minpoly,
 )
 from wordmap.polynomials import SWEEP_CACHE_SIZE, Poly, _durand_kerner, approx_roots
 from wordmap.words import DiagonalWord
@@ -340,6 +341,27 @@ def test_krylov_annihilator_is_the_incremental_elimination(spec):
                         [field.zero()] * n]
                 for v in vecs:
                     assert krylov_annihilator(A, v).reps == loop_krylov_annihilator(A, v).reps
+
+
+@pytest.mark.parametrize("spec", ["R:tol=1e-12", "R:tol=1e-9", "R:tol=1e-3",
+                                  "C:tol=1e-12", "C:tol=1e-9", "C:tol=1e-3"])
+def test_krylov_annihilator_at_every_magnitude(spec):
+    """Over R/C the echelon's pivot test is relative to its largest entry:
+    columns that grow like A^i v must not refuse v itself.  diag(1e7, 1)
+    and 1e4 I_4 at exact bits, and c diag(1, 2, 2, 3) for c from 1e-2 to
+    1e12 at degree 3 with coefficients those of (x - c)(x - 2c)(x - 3c)."""
+    field = parse_field_spec(spec)
+    minus = lambda c: Poly(field, [-c, 1])  # x - c
+    diag = lambda *ds: Matrix(field, [[field(d if i == j else 0) for j in range(len(ds))]
+                                      for i, d in enumerate(ds)])
+    assert minpoly(diag(1e7, 1)) == minus(1e7) * minus(1)
+    e1 = [field(t == 0) for t in range(4)]
+    assert krylov_annihilator(diag(1e4, 1e4, 1e4, 1e4), e1) == minus(1e4)
+    for c in (1e-2, 1.0, 1e3, 1e7, 1e12):
+        g = krylov_annihilator(diag(c, 2 * c, 2 * c, 3 * c), [field(1)] * 4)
+        assert g.degree == 3
+        assert all(abs(complex(a.rep) - b * c ** (3 - i)) <= 1e-12 * c ** (3 - i)
+                   for i, (a, b) in enumerate(zip(g.coeffs, [-6, 11, -6, 1])))
 
 
 @fields
