@@ -583,10 +583,14 @@ def _commutator(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
     """(X, Y) with X*Y - Y*X = T for trace(T) = 0, unchecked.  Zero and
     scalar targets have their formulas; any other T runs the route tuple
     support components, zero diagonal, linear search, each declining with
-    None, and WitnessNotFound with ``.routes`` when all three decline.  A
-    nonzero scalar has trace zero only in characteristic p with p | n, so
-    only there is the scalar formula used; in characteristic 0 a target
-    within the tolerance of c*I goes on to the routes."""
+    None.  When all three decline, the error lists them as ``.routes``:
+    WitnessNotFound over a finite field, where the linear search is a
+    bounded draw that ran out, and VerificationFailed over an infinite one,
+    where every trace-zero matrix is a commutator (Shoda), so the routes
+    broke down (over R and C, in floating point).  A nonzero scalar has
+    trace zero only in characteristic p with p | n, so only there is the
+    scalar formula used; in characteristic 0 a target within the tolerance
+    of c*I goes on to the routes."""
     if T.is_zero():
         z = Matrix.zeros(T.field, T.nrows, T.nrows)
         return z, z
@@ -597,7 +601,9 @@ def _commutator(T: Matrix, seed: int) -> Tuple[Matrix, Matrix]:
         ("support components", lambda: _component_commutator(T, seed), ()),
         ("zero diagonal", lambda: _zero_diag_commutator(T), ()),
         ("linear search", lambda: _commutator_linear_search(T, seed), ()),
-    ), lambda declined: WitnessNotFound("no commutator witness found in the fallback family"))
+    ), lambda declined: (WitnessNotFound("no commutator witness found in the fallback family")
+                         if T.field.is_finite else
+                         VerificationFailed(f"every commutator route broke down over {T.field}")))
 
 
 def _component_commutator(T: Matrix, seed: int):

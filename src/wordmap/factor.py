@@ -76,6 +76,15 @@ times), 256 entries answered 53% of small-fields' 1,439 calls (21% at
 64; 63% at 512, where every repeat is kept), 31% of diag-f101's 272, and
 none of char0's 88 or comm-f101's 385, whose charpolys never repeat; 256
 entries hold about 0.2-0.3 MB.
+
+A result is a Factorization: a unit and a tuple of FactorTerms (a monic
+irreducible Poly and its multiplicity).  Both are plain immutable classes
+on ``_Frozen``, with the repr, equality, hash and refusal of assignment of
+the frozen dataclasses they replace: ``import wordmap`` loads this module,
+and ``dataclasses``, with the ``inspect`` it imports, was about a sixth of
+that import without a bytecode cache (``python -X importtime``).  The
+Zassenhaus path imports Q's rational core (``wordmap.rationals``) where
+it runs; its field is Q, so the core is loaded already.
 """
 
 from __future__ import annotations
@@ -84,7 +93,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import UnsupportedField, VerificationFailed, ZeroPolynomial
 from .fields import (
@@ -94,22 +102,48 @@ from .fields import (
     PrimeKernel,
     _interned_field,
     _is_prime,
-    _primitive,
     random_element,
 )
 from .polynomials import Poly, require_poly
 
 
-@dataclass(frozen=True)
-class FactorTerm:
-    poly: Poly
-    multiplicity: int
+class _Frozen:
+    """An immutable record with the methods of a frozen dataclass: its
+    fields, set once in ``__init__`` in declaration order, make its repr
+    ``Name(field=value, ...)``, its hash, and its equality with an instance
+    of the same class (NotImplemented for any other); assigning or deleting
+    an attribute raises AttributeError."""
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__.values())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    unit: FieldElement
-    factors: tuple
+class FactorTerm(_Frozen):
+    def __init__(self, poly: Poly, multiplicity: int):
+        self.__dict__.update(poly=poly, multiplicity=multiplicity)
+
+
+class Factorization(_Frozen):
+    def __init__(self, unit: FieldElement, factors: tuple):
+        self.__dict__.update(unit=unit, factors=factors)
 
     def expand(self) -> Poly:
         field = self.unit.field
@@ -396,6 +430,8 @@ def _roots_by_scan(f: list, p: int) -> list:
 # ----------------------------------------------------------------------
 
 def _factor_rationals(f: Poly) -> list:
+    from .rationals import _primitive  # Q's core, loaded with Q's field
+
     rng = random.Random(0)
     if f.degree < 1:
         return []
@@ -417,6 +453,8 @@ def _zassenhaus(f: list, rng: random.Random, limit: float = math.inf) -> list:
     lifted past twice the Mignotte bound B = lc(f) 2^n ||f||_2 and subsets
     of them recombined, smallest first: a candidate pair g*, h* with
     ||g*||_1 ||h*||_1 <= B is exactly a factorization of lc(f) f."""
+    from .rationals import _primitive  # Q's core, loaded with Q's field
+
     for p in itertools.count(3, 2):
         if p > limit:
             return None

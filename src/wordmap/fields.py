@@ -10,20 +10,12 @@ overloads the operators.  Raw representations:
   real       float
   complex    complex
 
-The rational core.  Q's element closures are int-pair functions, the
-gcd-reduced sum and product of CPython 3.12's ``fractions``, and every
-Fraction that they and RationalKernel compute comes from ``_ratio`` (any
-int pair, normalised) or ``_rational`` (a coprime pair with positive
-denominator).  ``_rational`` fills Fraction's two private slots itself,
-as CPython 3.12+ does in ``Fraction._from_coprime_ints``: the
-constructor's type dispatch and normalisation took a fifth of the
-slowest Q solves.  A normalised Fraction is unique, so values, hashes and
-everything built from them are those of Fraction arithmetic.
-``_rational`` is the only code that touches the private slots (the check
-``fraction_internals_in_one_place`` in ``tools/invariants.py``); the
-closures read the public ``numerator`` and ``denominator``, so ints pass
-through them too, and a property test compares them with the fractions
-module on every supported Python.
+The rational core.  Q's element closures and RationalKernel live in
+``wordmap.rationals``, which ``Field("rationals")`` imports when Q's field
+is first built: a process over F_p, R or C loads neither it nor
+``fractions``.  Q's field is kept in the field table like F_p's, and
+``RATIONALS`` (a module attribute made on first read, PEP 562) is that
+one field.
 
 Kernel layer.  Each field also builds one immutable raw kernel
 (``Field.kernel``) that does the dense work on lists of raw reps: dot
@@ -50,9 +42,10 @@ three implementations, picked by the field kind:
                   big int (a product mod g of degree 12 over F_101 takes
                   an eighth of the list loops' time), and the gcd
                   takes the usual Euclid step in one pass
-  RationalKernel  Q on integers: dot, matrix and prepared matrix-vector
-                  products clear rows and columns to one common
-                  denominator (a matvec_fn clears its matrix once),
+  RationalKernel  Q on integers, in ``wordmap.rationals``: dot, matrix
+                  and prepared matrix-vector products clear rows and
+                  columns to one common denominator (a matvec_fn clears
+                  its matrix once),
                   a chain product clears each factor once and
                   normalises each entry of its result once,
                   echelon is fraction-free Gauss-Jordan on primitive
@@ -126,7 +119,8 @@ The field table.  ``_interned_field`` builds each F_p and finite extension
 that ``extend``, ``GF``, ``parse_field_spec``, ``reduction.working_field``
 and ``factor``'s Zassenhaus step ask for, and keeps the one Field of each
 key with at most FIELD_TABLE_BOUND = 256 elements, built once per process,
-log tables included.  Sharing is safe: a Field never changes after ``__init__``, and
+log tables included; it keeps Q's one field too (``parse_field_spec("Q")``,
+``RATIONALS``).  Sharing is safe: a Field never changes after ``__init__``, and
 elements compare by ``field is other or key ==``, so a per-solve field and
 the named field of the same modulus, one with tables and one without, hold
 the same values.  Failed builds, ``Field(...)`` calls, fields past the
@@ -154,7 +148,6 @@ import operator
 import random
 import sys
 from array import array
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import (
@@ -309,7 +302,8 @@ def _integer(value) -> int:
     string; UsageError for anything else."""
     try:
         n = int(value)
-        if isinstance(value, (float, Fraction)) and n != value:
+        # a float, or a rational such as a Fraction, must be integral
+        if (n != value) if isinstance(value, float) else getattr(value, "denominator", 1) != 1:
             raise ValueError("not integral")
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"not an integer: {value!r}") from exc
@@ -328,84 +322,6 @@ def _binary_power(mul, x, k: int, result=None):
         if k:
             x = mul(x, x)
     return result
-
-
-# -- the rational core ---------------------------------------------------------
-
-def _rational(n: int, d: int) -> Fraction:
-    """The Fraction n/d for coprime ints n and d > 0, with its two slots
-    filled directly, as CPython 3.12+ does in ``Fraction._from_coprime_ints``:
-    the constructor's type dispatch and normalisation cost more than the
-    arithmetic they wrap.  The only code that touches Fraction's private
-    slots (checked by ``fraction_internals_in_one_place`` in
-    ``tools/invariants.py``)."""
-    q = object.__new__(Fraction)
-    q._numerator = n
-    q._denominator = d
-    return q
-
-
-def _ratio(n: int, d: int) -> Fraction:
-    """n/d normalised, for ints n and d != 0: the value Fraction(n, d) gives."""
-    g = math.gcd(n, d)
-    if d < 0:
-        g = -g
-    if g != 1:
-        n //= g
-        d //= g
-    return _rational(n, d)
-
-
-def _q_sum(na: int, da: int, nb: int, db: int) -> Fraction:
-    """na/da + nb/db for normalised pairs, by the gcd-reduced sum of
-    CPython 3.12's ``fractions``: a common factor can only come from
-    gcd(da, db)."""
-    g = math.gcd(da, db)
-    if g == 1:
-        return _rational(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return _rational(t, s * db)
-    return _rational(t // g2, s * (db // g2))
-
-
-def _q_add(a, b) -> Fraction:
-    return _q_sum(a.numerator, a.denominator, b.numerator, b.denominator)
-
-
-def _q_sub(a, b) -> Fraction:
-    return _q_sum(a.numerator, a.denominator, -b.numerator, b.denominator)
-
-
-def _q_mul(a, b) -> Fraction:
-    """a*b with each numerator reduced against the other's denominator."""
-    na, da = a.numerator, a.denominator
-    nb, db = b.numerator, b.denominator
-    g1 = math.gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = math.gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _rational(na * nb, da * db)
-
-
-def _q_neg(a) -> Fraction:
-    return _rational(-a.numerator, a.denominator)
-
-
-def _q_inv(a) -> Fraction:
-    """1/a; ZeroDivisionError for a = 0, as ``1 / Fraction(0)`` raises."""
-    n, d = a.numerator, a.denominator
-    if n > 0:
-        return _rational(d, n)
-    if n < 0:
-        return _rational(-d, -n)
-    raise ZeroDivisionError("Fraction(1, 0)")
 
 
 class Field:
@@ -460,11 +376,15 @@ class Field:
             if self.is_finite and self.cardinality <= bound:
                 self._install_log_ops(*_log_tables(self))
         elif kind == "rationals":
+            from . import rationals  # deferred: Q's core is loaded with Q's field
+
             self.degree = 1
             self.key = ("rationals",)
-            self._zero_raw, self._one_raw = Fraction(0), Fraction(1)
-            self._radd, self._rsub, self._rmul = _q_add, _q_sub, _q_mul
-            self._rneg, self._rinv = _q_neg, _q_inv
+            self._zero_raw, self._one_raw = rationals.Fraction(0), rationals.Fraction(1)
+            self._radd, self._rsub = rationals._q_add, rationals._q_sub
+            self._rmul, self._rneg = rationals._q_mul, rationals._q_neg
+            self._rinv = rationals._q_inv
+            self.kernel = rationals.RationalKernel(self)
         elif kind in ("real", "complex"):
             if not (isinstance(tolerance, (int, float)) and math.isfinite(tolerance)
                     and tolerance > 0):
@@ -481,8 +401,8 @@ class Field:
             raise UsageError(f"unknown field kind {kind!r}")
         self._zero = FieldElement(self, self._zero_raw)
         self._one = FieldElement(self, self._one_raw)
-        if kind != "prime":
-            self.kernel = (RationalKernel if kind == "rationals" else GenericKernel)(self)
+        if kind not in ("prime", "rationals"):
+            self.kernel = GenericKernel(self)
 
     def _install_operator_ops(self):
         """R and C: the reps are Python numbers and the operators are
@@ -645,7 +565,7 @@ class Field:
             if isinstance(value, float):
                 raise UsageError("refusing silent float -> Q coercion")
             try:
-                return FieldElement(self, Fraction(value))
+                return FieldElement(self, self.kernel.fraction(value))
             except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
                 raise UsageError(f"not a rational number: {value!r}") from exc
         try:
@@ -1366,181 +1286,6 @@ class PrimeKernel(GenericKernel):
         return self.poly_trim(quot), self.poly_trim(rem[:d])
 
 
-def _cleared(xs):
-    """(v, d): integers v and one denominator d > 0 with xs = v / d; each
-    entry (a Fraction or an int) is read once."""
-    pairs = [x.as_integer_ratio() for x in xs]
-    d = math.lcm(*[e for _, e in pairs])
-    if d == 1:
-        return [n for n, _ in pairs], 1
-    return [n * (d // e) for n, e in pairs], d
-
-
-def _cleared_rows(A):
-    """(M, d): an integer matrix M and one denominator d > 0 with A = M / d."""
-    flat, d = _cleared([x for row in A for x in row])
-    ncols = len(A[0]) if A else 0
-    return [flat[i * ncols:(i + 1) * ncols] for i in range(len(A))], d
-
-
-def _int_matmul(A, B):
-    """The product of two integer matrices."""
-    mul = operator.mul
-    cols = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in cols] for row in A]
-
-
-def _primitive(xs: list) -> list:
-    """The primitive integer multiple, with positive leading coefficient, of
-    the rationals (or ints) xs, not all zero."""
-    ints, _ = _cleared(xs)
-    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _pseudo_remainder(a: list, b: list) -> list:
-    """The remainder of lc(b)^k * a by b for the integer polynomials a and
-    b, trimmed, with one factor lc(b) per nonzero division step, so that
-    it stays integral."""
-    d, lead, low = len(b) - 1, b[-1], b[:-1]
-    r = list(a)
-    while len(r) > d:
-        c = r.pop()
-        if c:
-            k = len(r) - d
-            r = [x * lead for x in r]
-            r[k:] = [x - c * y for x, y in zip(r[k:], low)]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-class RationalKernel(GenericKernel):
-    """Q on integers.  A dot product, matrix product or matrix-vector
-    product clears each row and each column to integers over one lcm
-    denominator, so an entry costs one integer dot product and one
-    ``_ratio``; ``matvec_fn`` clears the fixed matrix's rows once.  The
-    chain products (``matmul_chain``, ``commutator_chain``) clear each
-    operand once, to an integer matrix over one denominator, multiply and
-    subtract on ints, and normalise each entry of the result with one
-    ``_ratio``, not every entry of every intermediate product.  The zero
-    test is ``0 == a``, which takes Fraction.__eq__'s int branch instead
-    of its ``numbers.Rational`` check.  ``echelon`` is fraction-free
-    Gauss-Jordan on primitive integer rows, with the pivot rule of the
-    generic kernel; it returns the same rows: normalised pivot rows and,
-    past them, the reduced non-pivot rows at their true scale.  A product
-    mod g, the product of Q(alpha), is the generic list product and
-    division: number-field solves make few of them."""
-
-    __slots__ = ()
-
-    def __init__(self, field: "Field"):
-        super().__init__(field)
-        self.is_zero = functools.partial(operator.eq, 0)
-
-    def dot(self, xs, ys):
-        u, du = _cleared(xs)
-        v, dv = _cleared(ys)
-        return _ratio(sum(map(operator.mul, u, v)), du * dv)
-
-    def matmul(self, A, B):
-        mul = operator.mul
-        cols = [_cleared(col) for col in zip(*B)]
-        out = []
-        for row in A:
-            u, du = _cleared(row)
-            out.append([_ratio(sum(map(mul, u, v)), du * dv) for v, dv in cols])
-        return out
-
-    def matmul_chain(self, mats):
-        acc, den = _cleared_rows(mats[0])
-        for M in mats[1:]:
-            ints, d = _cleared_rows(M)
-            acc, den = _int_matmul(acc, ints), den * d
-        return [[_ratio(x, den) for x in row] for row in acc]
-
-    def commutator_chain(self, pairs):
-        acc, den = None, 1
-        for X, Y in pairs:
-            (x, dx), (y, dy) = _cleared_rows(X), _cleared_rows(Y)
-            c = [list(map(operator.sub, r, s))
-                 for r, s in zip(_int_matmul(x, y), _int_matmul(y, x))]
-            acc, den = (c if acc is None else _int_matmul(acc, c)), den * dx * dy
-        return [[_ratio(x, den) for x in row] for row in acc]
-
-    def matvec_fn(self, A):
-        mul = operator.mul
-        rows = [_cleared(row) for row in A]
-
-        def apply(v):
-            u, du = _cleared(v)
-            return [_ratio(sum(map(mul, r, u)), dr * du) for r, dr in rows]
-        return apply
-
-    def poly_gcd(self, a, b):
-        """By the primitive remainder sequence (von zur Gathen and Gerhard,
-        Modern Computer Algebra, 6.12): both inputs are cleared to primitive
-        integer polynomials, and each pseudo-remainder loses its content, so
-        the coefficients stay integers of the gcd's size; the last nonzero
-        remainder is made monic."""
-        a, b = (_primitive(a) if a else []), (_primitive(b) if b else [])
-        while b:
-            r = _pseudo_remainder(a, b)
-            a, b = b, (_primitive(r) if r else [])
-        return [_ratio(c, a[-1]) for c in a]
-
-    def echelon(self, rows, ncols: int = None) -> list:
-        nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        # row i is scales[i] * ints[i], with ints[i] primitive (or zero)
-        ints, scales = [], []
-        for row in rows:
-            v, d = _cleared(row)
-            g = math.gcd(*v)
-            ints.append([a // g for a in v] if g > 1 else v)
-            scales.append(_ratio(g, d))
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            for piv in range(r, nrows):
-                if ints[piv][c]:
-                    break
-            else:
-                continue
-            ints[r], ints[piv] = ints[piv], ints[r]
-            scales[r], scales[piv] = scales[piv], scales[r]
-            prow = ints[r]
-            p = prow[c]
-            # rows at and below r vanish left of c, the pivot row included
-            tail = prow[c:]
-            for rr in range(nrows):
-                f = ints[rr][c]
-                if not f or rr == r:
-                    continue
-                row = ints[rr]
-                new = [a * p for a in row[:c]]
-                new += [a * p - f * b for a, b in zip(row[c:], tail)]
-                g = math.gcd(*new)
-                ints[rr] = [a // g for a in new] if g > 1 else new
-                if rr > r:
-                    # (s/p)(p*v - f*w) = (s*g/p) * new/g; rows above r
-                    # are pivot rows, whose scale the normalisation drops
-                    s = scales[rr]
-                    scales[rr] = _ratio(s.numerator * g, s.denominator * p)
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        for i, c in enumerate(pivots):
-            p = ints[i][c]
-            rows[i] = [_ratio(a, p) for a in ints[i]]
-        for i in range(r, nrows):
-            sn, sd = scales[i].numerator, scales[i].denominator
-            rows[i] = [_ratio(sn * a, sd) for a in ints[i]]
-        return pivots
-
-
 def _prime_divisors(n: int) -> list:
     """The distinct prime divisors of n >= 1, in increasing order."""
     primes = []
@@ -1774,8 +1519,7 @@ def kth_roots(e: FieldElement, k: int) -> list:
         # number field Q(alpha): only the trivial root is recognised
         raise Unsupported("k-th roots in number fields are not supported")
     if field.kind == "rationals":
-        fr: Fraction = e.rep
-        num, den = fr.numerator, fr.denominator
+        num, den = e.rep.numerator, e.rep.denominator
         neg = num < 0
         if neg and k % 2 == 0:
             return []
@@ -1784,7 +1528,7 @@ def kth_roots(e: FieldElement, k: int) -> list:
         rn, rd = _iroot_ceil(abs(num), k), _iroot_ceil(den, k)
         if rn ** k != abs(num) or rd ** k != den:
             return []
-        root = Fraction(-rn if neg else rn, rd)
+        root = field.kernel.fraction(-rn if neg else rn, rd)
         roots = [field.element(root)]
         if k % 2 == 0:
             roots.append(field.element(-root))
@@ -1967,7 +1711,7 @@ def parse_field_spec(spec: str) -> Field:
         raise UsageError(f"field spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec == "Q":
-        return RATIONALS
+        return _interned_field("rationals")
     if spec.startswith("Fp:"):
         try:
             p = int(spec[3:])
@@ -2055,24 +1799,33 @@ def _monic_polys(p: int, d: int) -> Iterator[tuple]:
         yield tuple(n // p ** i % p for i in range(d - 1, -1, -1)) + (1,)
 
 
-RATIONALS = Field("rationals")
 _FIELD_TABLE: dict = {}  # the field table: Field.key -> the one Field of that key
+
+
+def __getattr__(name):
+    """``RATIONALS``, Q's one field, built on first read (PEP 562), so that
+    importing this module does not load the rational core."""
+    if name == "RATIONALS":
+        return _interned_field("rationals")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _interned_field(kind: str, p: int = 0, modulus: tuple = (), base=None,
                     per_solve: bool = False) -> Field:
-    """``Field(kind, ...)`` for kind "prime" or "ext", from the field table when
-    it holds the key; a new finite field with q <= FIELD_TABLE_BOUND goes in.
+    """``Field(kind, ...)`` for kind "prime", "ext" or "rationals", from the
+    field table when it holds the key; Q and a new finite field with q <=
+    FIELD_TABLE_BOUND go in.
     A ``per_solve`` field is a Jordan factor's working field
     (``reduction.working_field``, the one caller that sets the flag): its
     modulus is a factor that ``factor`` found, which proves it irreducible,
     so it is not proved again, and it gets log tables only when the table
     keeps it: past FIELD_TABLE_BOUND it lives for one solve, which does too
     few operations in it to pay for them."""
-    key = ("prime", p) if kind == "prime" else ("ext", base.key, modulus)
+    key = (("prime", p) if kind == "prime" else ("ext", base.key, modulus) if kind == "ext"
+           else (kind,))
     field = _FIELD_TABLE.get(key)
     if field is None:
         field = Field(kind, p=p, modulus=modulus, base=base, _per_solve=per_solve)
-        if field.is_finite and field.cardinality <= FIELD_TABLE_BOUND:
+        if kind == "rationals" or field.is_finite and field.cardinality <= FIELD_TABLE_BOUND:
             _FIELD_TABLE[key] = field
     return field

@@ -18,6 +18,8 @@ from wordmap.diagonal import solve_diagonal_word
 from wordmap.errors import NotFound, UnsupportedField, ZeroPolynomial
 from wordmap.factor import (
     FACTOR_MEMO_SIZE,
+    FactorTerm,
+    Factorization,
     _distinct_degree,
     _equal_degree,
     _half_power,
@@ -228,6 +230,37 @@ def test_repeated_factors_with_large_coefficients_factor_quickly():
                           timeout=20, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("field, want", [
+    (F7, "Factorization(unit=2, factors=(FactorTerm(poly=1*T + 1, multiplicity=2), "
+         "FactorTerm(poly=1*T^2 + 6*T + 3, multiplicity=1), "
+         "FactorTerm(poly=1*T^3 + 1*T^2 + 2*T + 6, multiplicity=1)))"),
+    (Q, "Factorization(unit=2, factors=(FactorTerm(poly=1*T + 1, multiplicity=2), "
+        "FactorTerm(poly=1*T^5 + 1/2*T^3 + 1/2, multiplicity=1)))"),
+], ids=["F7", "Q"])
+def test_factorization_values_behave_as_frozen_dataclasses(field, want):
+    """FactorTerm and Factorization print, compare, hash, iterate and refuse
+    assignment as the frozen dataclasses they replaced did."""
+    linear = Poly(field, [1, 1])
+    fac = factor(Poly(field, [1, 0, 0, 1, 0, 2]) * linear * linear)
+    assert repr(fac) == want
+    term = fac.factors[0]
+    assert repr(term) == "FactorTerm(poly=1*T + 1, multiplicity=2)"
+    same = Factorization(fac.unit, tuple(FactorTerm(t.poly, t.multiplicity) for t in fac))
+    assert same is not fac and same == fac and not same != fac
+    assert hash(same) == hash(fac) == hash((fac.unit, fac.factors))
+    assert hash(term) == hash((linear, 2))
+    assert FactorTerm(poly=linear, multiplicity=2) == term != FactorTerm(linear, 3)
+    assert term != (linear, 2) and fac != fac.factors and fac != 2 and fac != term
+    assert term.__eq__((linear, 2)) is NotImplemented
+    assert list(fac) == list(fac.factors) and len(list(fac)) == len(want.split("FactorTerm")) - 1
+    for obj, name in ((term, "poly"), (fac, "unit"), (fac, "extra")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+    assert term.poly == linear and fac.unit == field(2)
 
 
 def test_factor_roundtrip_random():

@@ -26,6 +26,7 @@ from wordmap.fields import (
     RATIONALS,
     SCAN_BOUND,
     Field,
+    _integer,
     _log_tables,
     enumerate_elements,
     extend,
@@ -103,6 +104,24 @@ def test_integral_values_still_coerce():
     assert R(2).rep == 2.0 and R("0.5").rep == 0.5 and R(Fraction(1, 4)).rep == 0.25
     C = parse_field_spec("C:tol=1e-9")
     assert C([1, -2]).rep == 1 - 2j and C(1j).rep == 1j and C("1+2j").rep == 1 + 2j
+
+
+@pytest.mark.parametrize("value, want", [
+    (3, 3), (-7, -7), (True, 1), (False, 0), (7.0, 7), (-0.0, 0), (Fraction(14, 2), 7),
+    (Fraction(-3), -3), ("12", 12), (" -4 ", -4), (10**30, 10**30),
+])
+def test_integer_accepts_ints_integral_numbers_and_integer_strings(value, want):
+    got = _integer(value)
+    assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("value", [
+    7.5, -0.25, 1e-300, Fraction(3, 2), Fraction(-1, 10**20), "1.5", "1/2", "x", "",
+    None, [1], (1,), 1 + 0j, float("inf"), float("nan"), object(),
+])
+def test_integer_refuses_everything_else(value):
+    with pytest.raises(UsageError, match="not an integer"):
+        _integer(value)
 
 
 @pytest.mark.parametrize("spec", ["Fp:5", "Fq:p=3,d=2,mod=[2,2,1]", "Q", "R:tol=1e-9",

@@ -109,6 +109,19 @@ PLANTS = [
     ("one_fallback_mechanism", "matrices", None,
      "def _entries(rows):\n    try:\n        return list(rows)\n    except TypeError:\n"
      "        return []", []),
+    ("one_field_table", "factor", None, "Q = Field('rationals')", ["factor"]),
+    # the rule follows _rational to the rational core's module
+    ("fraction_internals_in_one_place", "fields", None,
+     "def _rational(n, d): return n._numerator", ["fields._rational"]),
+    ("light_eager_imports", "polynomials", None,
+     "from dataclasses import dataclass", ["polynomials.py imports dataclasses"]),
+    ("light_eager_imports", "fields", None, "import fractions", ["fields.py imports fractions"]),
+    # an import where it runs is not eager
+    ("light_eager_imports", "factor", None,
+     "def _q(): from fractions import Fraction", []),
+    # a module an eager module imports is eager too
+    ("light_eager_imports", "errors", None, "from . import reduction",
+     ["matrices.py imports dataclasses", "reduction.py imports dataclasses"]),
 ]
 
 

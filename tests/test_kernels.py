@@ -26,15 +26,13 @@ from wordmap.commutators import factor_two_trace_zero, solve_commutator_product
 from wordmap.diagonal import _exhaustive_two_term, solve_diagonal_word
 from wordmap.errors import ReduciblePolynomial, SingularMatrix
 from wordmap.factor import is_irreducible
-import wordmap.fields as fields_mod
+import wordmap.rationals as rationals_mod
 from wordmap.fields import (
     MULMOD_PACK_MIN_DEGREE,
     Field,
     GenericKernel,
     PrimeKernel,
-    RationalKernel,
     _mulmod_lists,
-    _ratio,
     enumerate_elements,
     extend,
     parse_field_spec,
@@ -49,6 +47,7 @@ from wordmap.matrices import (
     minpoly,
 )
 from wordmap.polynomials import SWEEP_CACHE_SIZE, Poly, _durand_kerner, approx_roots
+from wordmap.rationals import RationalKernel, _ratio
 from wordmap.words import DiagonalWord
 
 from oracles import (
@@ -471,8 +470,8 @@ def test_rational_matvec_fn_clears_the_matrix_once(monkeypatch):
     Q = FIELDS["Q"]
     rng = random.Random(28)
     calls = []
-    cleared = fields_mod._cleared
-    monkeypatch.setattr(fields_mod, "_cleared",
+    cleared = rationals_mod._cleared
+    monkeypatch.setattr(rationals_mod, "_cleared",
                         lambda xs: calls.append(len(xs)) or cleared(xs))
 
     def entry():

@@ -54,6 +54,44 @@ print(json.dumps({LOADED}))
     assert loaded == EAGER
 
 
+# what set-up over F_p, R and C leaves unloaded: dataclasses (with inspect)
+# and Q's rational core (with fractions and decimal)
+HEAVY = ["dataclasses", "decimal", "fractions", "inspect", "wordmap.rationals"]
+
+ADDED = """
+import json, sys
+before = set(sys.modules)
+import wordmap
+wordmap.parse_field_spec({spec!r})
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_and_a_field_spec_load_no_dataclass_and_no_fraction():
+    """Compared with what the interpreter held before the import, so that
+    a site module that preloads one of them does not count."""
+    added = fresh(ADDED.format(spec="Fp:101"))
+    assert not set(HEAVY) & set(added), added
+
+
+def test_q_loads_the_rational_core_when_its_field_is_built():
+    added = fresh(ADDED.format(spec="Q"))
+    assert "wordmap.rationals" in added
+    assert not {"dataclasses", "inspect"} & set(added), added
+
+
+def test_rationals_is_q_field_from_the_table():
+    got = fresh("""
+import json, sys
+from wordmap import fields
+loaded = "wordmap.rationals" in sys.modules
+from wordmap.fields import RATIONALS
+print(json.dumps([loaded, RATIONALS is fields.parse_field_spec("Q") is fields.RATIONALS,
+                  "wordmap.rationals" in sys.modules]))
+""")
+    assert got == [False, True, True]
+
+
 def test_every_export_resolves_and_is_listed():
     got = fresh("""
 import json

@@ -150,21 +150,22 @@ def one_binary_power():
 
 
 def one_field_table():
-    """Field('prime'/'ext') outside fields._interned_field"""
+    """Field('prime'/'ext'/'rationals') outside fields._interned_field"""
     def kind(call):
         args = call.args[:1] + [k.value for k in call.keywords if k.arg == "kind"]
         return getattr(args[0], "value", None) if args else None
     return _outside("fields._interned_field", lambda node: isinstance(node, ast.Call)
-                    and _name(node.func) == "Field" and kind(node) in ("prime", "ext"))
+                    and _name(node.func) == "Field"
+                    and kind(node) in ("prime", "ext", "rationals"))
 
 
 def fraction_internals_in_one_place():
-    """Fraction's private slots used outside fields._rational"""
+    """Fraction's private slots used outside rationals._rational"""
     def private(node):
         name = (getattr(node, "attr", None) or getattr(node, "id", None)
                 or getattr(node, "arg", None) or getattr(node, "value", None))
         return isinstance(name, str) and name in ("_numerator", "_denominator")
-    return _outside("fields._rational", private)
+    return _outside("rationals._rational", private)
 
 
 def one_whole_space_kernel():
@@ -249,23 +250,47 @@ def one_container_format():
     return _grep(r"\._raw\(\)|def _raw\(|_unchecked")
 
 
+def _imports(module):
+    """The modules that ``module`` imports at module level, by dotted name:
+    ``wordmap.x`` for the package's own (``from . import x`` included)."""
+    for _, _, node, scope in _scan([module]):
+        if scope:
+            continue
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["wordmap" if node.level else "", node.module]))
+            yield from ([f"{base}.{a.name}" for a in node.names] if base == "wordmap" else [base])
+
+
+def _package_imports(module):
+    return [name.split(".")[1] for name in _imports(module) if name.startswith("wordmap.")]
+
+
 def import_only_what_is_called():
     """module-level imports of what a call may not need"""
-    def imported(module):
-        for _, _, node, scope in _scan([module]):
-            if scope:
-                continue
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = ".".join(filter(None, ["wordmap" if node.level else "", node.module]))
-                names = [f"{base}.{a.name}" for a in node.names] if base == "wordmap" else [base]
-            else:
-                continue
-            yield from (n.split(".")[1] for n in names if n.startswith("wordmap."))
-    return ([f"__init__.py imports .{m}" for m in imported("__init__") if m != "factor"]
-            + [f"cli.py imports .{m}" for m in imported("cli")
+    return ([f"__init__.py imports .{m}" for m in _package_imports("__init__") if m != "factor"]
+            + [f"cli.py imports .{m}" for m in _package_imports("cli")
                if m in ("commutators", "diagonal", "counting")])
+
+
+def _eager_modules():
+    """The modules ``import wordmap`` loads: ``__init__`` and, in turn, the
+    package modules that an eager module imports at module level."""
+    eager, todo = [], ["__init__"]
+    while todo:
+        module = todo.pop()
+        if module not in eager:
+            eager.append(module)
+            todo += _package_imports(module)
+    return sorted(eager)
+
+
+def light_eager_imports():
+    """module-level imports of dataclasses or fractions in the modules that
+    import wordmap loads"""
+    return [f"{module}.py imports {name}" for module in _eager_modules()
+            for name in _imports(module) if name.split(".")[0] in ("dataclasses", "fractions")]
 
 
 def lru_caches():
@@ -325,7 +350,7 @@ CHECKS = {check.__name__: check for check in (
     one_scalar_search, one_binary_power, one_field_table, fraction_internals_in_one_place,
     one_whole_space_kernel, one_plane_format, no_unsteerable_seed, one_commutator_gate,
     structured_products_in_the_kernel, one_fallback_mechanism, product_chains,
-    one_container_format, import_only_what_is_called, bounded_caches)}
+    one_container_format, import_only_what_is_called, light_eager_imports, bounded_caches)}
 
 
 def main(argv=None):
