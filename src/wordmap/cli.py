@@ -30,8 +30,8 @@ from .errors import (
 )
 from .fields import Field, parse_field_spec
 from .matrices import Matrix
-from .words import (CommutatorProduct, DiagonalWord, _parse_literal, eval_word, parse_word,
-                    require_int)
+from .words import (CommutatorProduct, DiagonalWord, _parse_literal, parse_word, require_int,
+                    satisfies)
 
 SCHEMA = "wordmap/1"
 NEGATIVE = (NotFound, Unsupported, NonzeroTrace, WitnessNotFound)
@@ -138,8 +138,7 @@ def _cmd_verify(args) -> int:
     if not isinstance(data["witnesses"], list):
         raise UsageError("witnesses must be a list of matrices")
     mats = [matrix_from_json(obj, field) for obj in data["witnesses"]]
-    got = eval_word(word, mats)
-    ok = got.allclose(target)
+    ok = satisfies(word, target, mats)
     payload = {
         "schema": SCHEMA,
         "command": "verify",

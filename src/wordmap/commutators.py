@@ -11,17 +11,19 @@ layer writes any trace-zero matrix as one commutator [X, Y], which together
 solves [X1,X2]...[X_{m-1},X_m] = A for even m >= 4 (and m = 2 exactly on
 the trace-zero slice).
 
-Verification rule: the public factor-pair constructors (the ``*_trace_zero``
-functions and ``factor_two_trace_zero``) check their pair by direct
-multiplication, ``trace_zero_to_commutator`` checks X*Y - Y*X = T once at
-its end, whichever route answered, and ``solve_commutator_product`` checks
-the finished word and nothing else.  Inside the library nothing calls
-``trace_zero_to_commutator``: the routes of ``_commutator`` (the component
-split recurses into it) and the product solver's single commutators (m = 2,
-the four inner factors, the m >= 6 peel pair) run unchecked, as do the
-lifted pairs and the task assembly, since a later gate checks them again;
-the linear search's partner check stays, since its failure selects the
-next candidate.
+Verification rule: one gate per public entry point, at the call that
+returns the answer.  ``factor_two_trace_zero`` checks its pair's traces and
+product, ``trace_zero_to_commutator`` checks X*Y - Y*X = T once at its end,
+whichever route answered, and ``solve_commutator_product`` checks the
+finished word through ``words.make_witness`` and nothing else.  What they
+are built from is unchecked: the shape constructors (the ``*_trace_zero``
+functions) return plain (t1, t2) tuples, the planner covers the Jordan
+blocks by construction, and the lifted pairs, the task assembly and the
+single commutators (``_commutator``, whose component split recurses into
+it: the m = 2 commutator, the four inner factors, the m >= 6 peel pair)
+are checked again by the gate above them.  Inside the library nothing calls
+``trace_zero_to_commutator``.  One re-check stays below a gate, the linear
+search's partner check, since its failure selects the next candidate.
 
 Structured products.  A product by a permutation, an identity or a
 diagonal matrix is the kernel's ``reorder`` for every field kind: the task
@@ -97,7 +99,8 @@ from .words import CommutatorProduct, Witness, make_witness, require_int
 
 @dataclass(frozen=True)
 class TraceZeroPair:
-    """Two trace-zero matrices whose product is ``target``."""
+    """Two trace-zero matrices whose product is ``target``, as
+    ``factor_two_trace_zero`` checked them."""
 
     t1: Matrix
     t2: Matrix
@@ -107,27 +110,19 @@ class TraceZeroPair:
         return iter((self.t1, self.t2))
 
 
-def _checked_pair(t1: Matrix, t2: Matrix, target: Matrix) -> TraceZeroPair:
-    if not t1.trace().is_zero() or not t2.trace().is_zero():
-        raise VerificationFailed("factor has nonzero trace")
-    if not (t1 * t2).allclose(target):
-        raise VerificationFailed("trace-zero factor product mismatch")
-    return TraceZeroPair(t1, t2, target)
-
-
-def _conjugated_pair(t1: Matrix, t2: Matrix, S: Matrix, target: Matrix) -> TraceZeroPair:
-    """(S t1 S^-1, S t2 S^-1) against the conjugated target."""
+def _conjugated_pair(t1: Matrix, t2: Matrix, S: Matrix) -> Tuple[Matrix, Matrix]:
+    """(S t1 S^-1, S t2 S^-1)."""
     Si = S.inverse()
-    return _checked_pair(S * t1 * Si, S * t2 * Si, target)
+    return S * t1 * Si, S * t2 * Si
 
 
 # ----------------------------------------------------------------------
 # 2x2 canonical shapes
 # ----------------------------------------------------------------------
 
-def two_by_two_trace_zero(A: Matrix) -> TraceZeroPair:
-    """Explicit factor pair for the three canonical 2x2 shapes; general
-    matrices must be canonicalized first (see factor_two_trace_zero)."""
+def two_by_two_trace_zero(A: Matrix) -> Tuple[Matrix, Matrix]:
+    """Explicit factor pair for the three canonical 2x2 shapes, unchecked;
+    general matrices must be canonicalized first (see factor_two_trace_zero)."""
     if A.nrows != 2 or A.ncols != 2:
         raise UnhandledShape("2x2 matrix expected")
     field = A.field
@@ -137,17 +132,17 @@ def two_by_two_trace_zero(A: Matrix) -> TraceZeroPair:
     if a01.is_zero() and a10.is_zero():
         t1 = Matrix(field, [[zero, a00], [one, zero]])
         t2 = Matrix(field, [[zero, a11], [one, zero]])
-        return _checked_pair(t1, t2, A)
+        return t1, t2
     if a01 == one and a10.is_zero() and a00 == a11:
         alpha = a00
         t1 = Matrix.diagonal(field, [one, -one])
         t2 = Matrix(field, [[alpha, one], [zero, -alpha]])
-        return _checked_pair(t1, t2, A)
+        return t1, t2
     if a00.is_zero() and a10 == one and not a01.is_zero():
         b, a = a01, a11
         t1 = Matrix(field, [[a, -b], [one + a * a / b, -a]])
         t2 = Matrix(field, [[one, zero], [a / b, -one]])
-        return _checked_pair(t1, t2, A)
+        return t1, t2
     raise UnhandledShape("not a canonical 2x2 shape; canonicalize first")
 
 
@@ -165,15 +160,15 @@ def _sign_diag_fix(field: Field, signs: List[FieldElement], extra: int = 0) -> M
     return Matrix.diagonal(field, d)
 
 
-def jordan_block_trace_zero(alpha: FieldElement, n: int) -> TraceZeroPair:
-    """J_{alpha,n} as a product of two trace-zero matrices (n >= 2)."""
+def jordan_block_trace_zero(alpha: FieldElement, n: int) -> Tuple[Matrix, Matrix]:
+    """J_{alpha,n} as a product of two trace-zero matrices (n >= 2),
+    unchecked."""
     if n < 2:
         raise UsageError("Jordan factorization needs n >= 2")
     field = alpha.field
-    target = Matrix.jordan_block(alpha, n)
     one, zero = field.one(), field.zero()
     if n == 2:
-        return two_by_two_trace_zero(target)
+        return two_by_two_trace_zero(Matrix.jordan_block(alpha, n))
     if n % 2 == 0:
         d = [one if i % 2 == 0 else -one for i in range(n)]
         t1 = Matrix.diagonal(field, d)
@@ -182,8 +177,7 @@ def jordan_block_trace_zero(alpha: FieldElement, n: int) -> TraceZeroPair:
             rows[i][i] = alpha if i % 2 == 0 else -alpha
             if i + 1 < n:
                 rows[i][i + 1] = one if i % 2 == 0 else -one
-        t2 = Matrix(field, rows)
-        return _checked_pair(t1, t2, target)
+        return t1, Matrix(field, rows)
     # odd n: cyclic-shift factorization lands on the sign-alternating block
     t1 = Matrix.cyclic_shift(field, n)
     rows = [[zero] * n for _ in range(n)]
@@ -193,12 +187,11 @@ def jordan_block_trace_zero(alpha: FieldElement, n: int) -> TraceZeroPair:
         rows[j][j] = one if (j + 1) % 2 == 0 else -one
     t2 = Matrix(field, rows)
     signs = [one if i % 2 == 0 else -one for i in range(n - 1)]
-    D = _sign_diag_fix(field, signs)
-    return _conjugated_pair(t1, t2, D, target)
+    return _conjugated_pair(t1, t2, _sign_diag_fix(field, signs))
 
 
-def diagonal_trace_zero(entries) -> TraceZeroPair:
-    """diag(entries) as a product of two trace-zero matrices.
+def diagonal_trace_zero(entries) -> Tuple[Matrix, Matrix]:
+    """diag(entries) as a product of two trace-zero matrices, unchecked.
 
     Zero entries are paired with arbitrary partners through the 2x2 swap
     formula (which needs no division); the 3x3 closing formula is used once
@@ -210,12 +203,11 @@ def diagonal_trace_zero(entries) -> TraceZeroPair:
     if n < 1:
         raise UsageError("empty diagonal")
     field = entries[0].field
-    target = Matrix.diagonal(field, entries)
     one, zero = field.one(), field.zero()
     nz = [i for i, e in enumerate(entries) if not e.is_zero()]
     if not nz:
         z = Matrix.zeros(field, n, n)
-        return _checked_pair(z, z, target)
+        return z, z
     if n == 1:
         raise UnhandledShape("a nonzero 1x1 block is not a product of two trace-zero 1x1s")
     order, blocks1, blocks2 = [], [], []
@@ -248,20 +240,18 @@ def diagonal_trace_zero(entries) -> TraceZeroPair:
     # P^-1 t P, P = Matrix.permutation(field, order), reorders the rows and
     # columns of t: its (a, b) entry is t[inv[a]][inv[b]]
     inv = sorted(range(n), key=order.__getitem__)
-    t1, t2 = (Matrix._from_raw(field, field.kernel.reorder(t.reps, inv, inv)) for t in (t1, t2))
-    return _checked_pair(t1, t2, target)
+    return tuple(Matrix._from_raw(field, field.kernel.reorder(t.reps, inv, inv)) for t in (t1, t2))
 
 
 def jordan_plus_scalar_trace_zero(alpha: FieldElement, n: int,
-                                  beta: FieldElement) -> TraceZeroPair:
-    """J_{alpha,n} (+) (beta), total size n+1, as a trace-zero product."""
+                                  beta: FieldElement) -> Tuple[Matrix, Matrix]:
+    """J_{alpha,n} (+) (beta), total size n+1, as a trace-zero product,
+    unchecked."""
     if n < 2:
         raise UsageError("needs a Jordan part of size >= 2")
     field = alpha.field
     N = n + 1
     one, zero = field.one(), field.zero()
-    target = Matrix.block_diag(field, [
-        Matrix.jordan_block(alpha, n), Matrix.diagonal(field, [beta])])
     r1 = [[zero] * N for _ in range(N)]
     r2 = [[zero] * N for _ in range(N)]
     if n % 2 == 0:
@@ -288,12 +278,12 @@ def jordan_plus_scalar_trace_zero(alpha: FieldElement, n: int,
     t1, t2 = Matrix(field, r1), Matrix(field, r2)
     prod = t1 * t2
     signs = [prod[i, i + 1] for i in range(n - 1)]
-    D = _sign_diag_fix(field, signs, extra=1)
-    return _conjugated_pair(t1, t2, D, target)
+    return _conjugated_pair(t1, t2, _sign_diag_fix(field, signs, extra=1))
 
 
-def companion_trace_zero(p: Poly) -> TraceZeroPair:
-    """The companion matrix of monic p, deg p >= 3, as a trace-zero product."""
+def companion_trace_zero(p: Poly) -> Tuple[Matrix, Matrix]:
+    """The companion matrix of monic p, deg p >= 3, as a trace-zero
+    product, unchecked."""
     n = p.degree
     if n < 3:
         raise UsageError("companion factorization needs degree >= 3")
@@ -317,7 +307,7 @@ def companion_trace_zero(p: Poly) -> TraceZeroPair:
     for j in range(1, n - 1):
         r2[j][j - 1] = one
     r2[n - 1][n - 1] = -one
-    return _checked_pair(Matrix(field, r1), Matrix(field, r2), Matrix.companion(p))
+    return Matrix(field, r1), Matrix(field, r2)
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +322,12 @@ def factor_two_trace_zero(A: Matrix, seed: int = 0) -> TraceZeroPair:
     require_matrix(A)
     require_int(seed, "seed")
     u, v, G, Gi = _factor_two_canonical(A)
-    return _checked_pair(Matrix.product(Gi, u, G), Matrix.product(Gi, v, G), A)
+    t1, t2 = Matrix.product(Gi, u, G), Matrix.product(Gi, v, G)
+    if not t1.trace().is_zero() or not t2.trace().is_zero():
+        raise VerificationFailed("factor has nonzero trace")
+    if not (t1 * t2).allclose(A):
+        raise VerificationFailed("trace-zero factor product mismatch")
+    return TraceZeroPair(t1, t2, A)
 
 
 def _factor_two_canonical(A: Matrix, blocks=None):
@@ -442,7 +437,8 @@ def _factorization_tasks(A: Matrix, blocks=None):
     1. A lone scalar block (the only 1x1 block of a linear factor) goes with
        the first larger linear-factor block to Jordan-plus-scalar, or else
        with the first block of the first extension factor to the companion
-       merge: one companion of the coprime product.
+       merge: one companion of the coprime product (A is n x n, n >= 3, so
+       one of the two is there).
     2. Each other linear-factor block of size >= 2 is its own Jordan task.
     3. The remaining scalars form one diagonal.
     4. Per extension factor p, a lone 1x1 block is the companion of p over
@@ -479,13 +475,13 @@ def _factorization_tasks(A: Matrix, blocks=None):
             ext_factors.append((p, idxs))
 
     tasks = []  # ((t1, t2), block indices, W with W^-1 (+)blocks W = t1*t2, or None)
-    if len(scalars) == 1:
+    if len(scalars) == 1 and (bigs or ext_factors):
         s = scalars.pop()
         if bigs:
             i = bigs.pop(0)
             tasks.append((jordan_plus_scalar_trace_zero(
                 blocks[i].alpha, blocks[i].size, blocks[s].alpha), [i, s], None))
-        elif ext_factors:
+        else:
             p, idxs = ext_factors[0]
             j = idxs.pop(0)
             if not idxs:
@@ -497,8 +493,6 @@ def _factorization_tasks(A: Matrix, blocks=None):
                 Matrix.diagonal(field, [gamma]), blocks[j].realization()])
             W = Matrix._from_raw(field, _transpose(_cyclic_basis_cols(B)))
             tasks.append((pair, [s, j], W))
-        else:
-            raise Unsupported("isolated scalar block with no partner (n >= 2 expected)")
     for i in bigs:
         tasks.append((jordan_block_trace_zero(blocks[i].alpha, blocks[i].size), [i], None))
     if scalars:
@@ -525,8 +519,6 @@ def _factorization_tasks(A: Matrix, blocks=None):
                      for pair, idxs in ext_tasks)
 
     flat = [i for _, idxs, _ in tasks for i in idxs]
-    if sorted(flat) != list(range(len(blocks))):
-        raise VerificationFailed("task planner failed to cover every Jordan block")
     # permutation sending the Jordan realization layout to the task layout
     spans = []
     off = 0
@@ -870,7 +862,8 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     """Witness (X_1..X_m) with [X1,X2]...[X_{m-1},X_m] = A; m even.
 
     m = 2 requires trace(A) = 0 (the exact image of the commutator map);
-    m >= 4 covers all of M_n(K) for n >= 2 over the supported perfect fields.
+    m >= 4 covers all of M_n(K) for n >= 2 over the supported perfect fields;
+    at n = 1 every commutator is zero, so every even m reaches [[0]] alone.
     """
     word = CommutatorProduct(m)
     require_matrix(A)
@@ -898,11 +891,13 @@ def solve_commutator_product(A: Matrix, m: int, seed: int = 0) -> Witness:
     if m == 2:
         mats = [conjugate(x) for x in _commutator(M, seed)]
         return make_witness(word, A, mats, conjugators=(G,))
-    peel = (m - 4) // 2
-    peeled: List[Matrix] = []
+    if n == 1:
+        # a 1x1 commutator is zero: the factors past the first four are
+        # zeros, and those four solve A as at m = 4
+        peel, peeled = 0, [Matrix.zeros(field, 1, 1)] * (m - 4)
+    else:
+        peel, peeled = (m - 4) // 2, []
     if peel:
-        if n < 2:
-            raise Unsupported("peeling needs n >= 2")
         # the peel's copies of [X_U, Y_U] are one pair, conjugated once
         peeled = _peel_pair(Gi, conjugate, times_g, seed) * peel
         # U^-peel M moves row t - peel of M to row t

@@ -298,12 +298,14 @@ def require_element(value) -> None:
 
 
 def _integer(value) -> int:
-    """An int from an int, an integral float or fraction, or an integer
-    string; UsageError for anything else."""
+    """An int from an int, an integral number (a float, Fraction or
+    Decimal), or an integer string; UsageError for anything else, bytes
+    included."""
     try:
         n = int(value)
-        # a float, or a rational such as a Fraction, must be integral
-        if (n != value) if isinstance(value, float) else getattr(value, "denominator", 1) != 1:
+        # bytes are not text, and a number that is not an int must be integral
+        if isinstance(value, (bytes, bytearray)) or (
+                not isinstance(value, (int, str)) and n != value):
             raise ValueError("not integral")
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"not an integer: {value!r}") from exc

@@ -172,10 +172,16 @@ class Witness:
     conjugators: Tuple[Matrix, ...] = ()
 
 
+def satisfies(word, target: Matrix, mats) -> bool:
+    """Whether the word at ``mats`` is ``target``, within the tolerance over
+    R and C: the one witness test, which ``make_witness`` raises on and
+    ``wordmap verify`` reports."""
+    return eval_word(word, mats).allclose(target)
+
+
 def make_witness(word, target: Matrix, mats, conjugators=()) -> Witness:
     """The single gate every solver returns through: re-evaluate and compare."""
-    got = eval_word(word, mats)
-    if not got.allclose(target):
+    if not satisfies(word, target, mats):
         raise VerificationFailed(
             f"witness evaluation mismatch for {getattr(word, 'spec_string', lambda: word)()}")
     return Witness(word, target, tuple(mats), tuple(conjugators))

@@ -127,9 +127,11 @@ def test_criterion_3_identity_fixtures():
     from wordmap.commutators import jordan_plus_scalar_trace_zero
 
     for n, alpha_v, beta_v in ((2, 9, 4), (3, 9, 4), (4, 2, 0), (5, 1, 1)):
-        pair = jordan_plus_scalar_trace_zero(F101(alpha_v), n, F101(beta_v))
-        assert pair.t1.trace().is_zero() and pair.t2.trace().is_zero()
-        assert pair.t1 * pair.t2 == pair.target
+        alpha, beta = F101(alpha_v), F101(beta_v)
+        t1, t2 = jordan_plus_scalar_trace_zero(alpha, n, beta)
+        assert t1.trace().is_zero() and t2.trace().is_zero()
+        assert t1 * t2 == Matrix.block_diag(F101, [Matrix.jordan_block(alpha, n),
+                                                   Matrix.diagonal(F101, [beta])])
 
     # companion factor identity at n = 3, 4, 5 over F_7 and Q
     for field in (F7, Q):
@@ -157,8 +159,7 @@ def test_criterion_3_identity_fixtures():
             t1, t2 = Matrix(field, rows1), Matrix(field, rows2)
             assert t1.trace().is_zero() and t2.trace().is_zero()
             assert t1 * t2 == Matrix.companion(p)
-            got = companion_trace_zero(p)
-            assert (got.t1, got.t2) == (t1, t2)
+            assert companion_trace_zero(p) == (t1, t2)
 
     # nilpotent 2x2 sum-of-squares displays: F_5 with i = 2, and char 2
     assert Matrix.from_rows(F5, [[1, 3], [0, 1]]) ** 2 + \

@@ -9,9 +9,9 @@ import pytest
 import wordmap
 
 import wordmap.matrices as matrices
-from wordmap.cli import main
+from wordmap.cli import main, matrix_from_json
 from wordmap.commutators import solve_commutator_product
-from wordmap.errors import VerificationFailed
+from wordmap.errors import UsageError, VerificationFailed
 from wordmap.fields import Field
 from wordmap.matrices import Matrix
 
@@ -191,6 +191,64 @@ def test_cli_refuses_booleans_non_integer_shapes_and_inline_arrays(capsys, field
 
 def _solve_argv(matrix):
     return ["solve", "--field", "Fp:5", "--word", "comm:m=4", "--matrix", matrix]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--field", "Fp:abc", "--word", "comm:m=4", "--matrix", '{"entries": [[0]]}'],
+     "bad prime in field spec 'Fp:abc'"),
+    (["solve", "--field", "Fq:p=2,d=2", "--word", "comm:m=4", "--matrix", '{"entries": [[0]]}'],
+     "field spec 'Fq:p=2,d=2' needs mod=[...]"),
+    (["solve", "--field", "Fq:p=2,d=2,mod=[1,1,1", "--word", "comm:m=4",
+      "--matrix", '{"entries": [[0]]}'],
+     "field spec 'Fq:p=2,d=2,mod=[1,1,1': unterminated mod list"),
+    (["solve", "--field", "Fq:d=2,mod=[1,1,1]", "--word", "comm:m=4",
+      "--matrix", '{"entries": [[0]]}'], "field spec 'Fq:d=2,mod=[1,1,1]' needs p= and d="),
+    (["solve", "--field", "Fq:p=2,d=2,mod=[1,1]", "--word", "comm:m=4",
+      "--matrix", '{"entries": [[0]]}'], "mod list must have degree d = 2"),
+    (["solve", "--field", "Fp:5", "--word", "comm:x=4", "--matrix", '{"entries": [[0]]}'],
+     "bad commutator word spec 'comm:x=4'"),
+    (["solve", "--field", "Fp:5", "--word", "comm:m=abc", "--matrix", '{"entries": [[0]]}'],
+     "bad m in 'comm:m=abc'"),
+    (["solve", "--field", "Fp:5", "--word", "diag:d=1,k=0", "--matrix", '{"entries": [[0]]}'],
+     "diagonal word exponents must be >= 1"),
+    (_solve_argv('{"field": "Fp:7", "entries": [[0]]}'),
+     "matrix field 'Fp:7' does not match 'Fp:5'"),
+    (_solve_argv('{"rows": 2, "entries": [[0]]}'),
+     "matrix entries do not match the declared shape"),
+    (["count", "--field", "Q", "--word", "diag:d=1,k=2;d=1,k=2"],
+     "counting needs a finite field"),
+    (["enumerate-image", "--field", "Q", "--word", "comm:m=2", "--n", "1"],
+     "image enumeration needs a finite field"),
+], ids=["prime-abc", "fq-no-mod", "fq-open-mod", "fq-no-p", "fq-short-mod", "comm-no-m",
+        "comm-bad-m", "diag-k0", "matrix-field", "matrix-shape", "count-q", "image-q"])
+def test_refused_inputs_exit_1_with_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"field": "Fp:7", "entries": [[0]]}, "matrix field 'Fp:7' does not match 'Fp:5'"),
+    ({"rows": 2, "entries": [[0]]}, "matrix entries do not match the declared shape"),
+    ({"cols": 2, "entries": [[0]]}, "matrix entries do not match the declared shape"),
+])
+def test_matrix_from_json_refuses_a_field_or_shape_that_does_not_match(obj, message):
+    with pytest.raises(UsageError) as info:
+        matrix_from_json(obj, Field("prime", p=5))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m", [6, 8])
+@pytest.mark.parametrize("spec", ["Fp:5", "Q", "R:tol=1e-9"])
+def test_one_by_one_targets_solve_at_m_6_and_8_as_at_m_4(capsys, spec, m):
+    def solve(m, entry):
+        return run(capsys, "solve", "--field", spec, "--word", f"comm:m={m}",
+                   "--matrix", '{"entries": [[%d]]}' % entry)
+    code, out, err = solve(m, 0)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    zero = json.loads(solve(4, 0)[1])["witnesses"][0]
+    assert data["verified"] is True and data["witnesses"] == [zero] * m
+    assert solve(m, 3) == solve(4, 3) == (
+        2, "", "Unsupported: a nonzero 1x1 matrix is not a product of two trace-zero factors\n")
 
 
 def _verify_argv(**fields):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import wordmap.commutators as commutators_mod
 from wordmap.commutators import (
-    TraceZeroPair,
     _factorization_tasks,
     _zero_diag_commutator,
     _zero_diagonalize,
@@ -53,9 +52,11 @@ R = Field("real", tolerance=1e-9)
 C = Field("complex", tolerance=1e-9)
 
 
-def check(pair: TraceZeroPair):
-    assert pair.t1.trace().is_zero() and pair.t2.trace().is_zero()
-    assert pair.t1 * pair.t2 == pair.target
+def check(pair, target: Matrix):
+    """``pair`` is two trace-zero matrices whose product is ``target``."""
+    t1, t2 = pair
+    assert t1.trace().is_zero() and t2.trace().is_zero()
+    assert t1 * t2 == target
 
 
 # -- the three 2x2 displays ------------------------------------------------
@@ -68,7 +69,7 @@ def test_2x2_diagonal_identity_random():
         t1 = Matrix.from_rows(F101, [[0, a.rep], [1, 0]])
         t2 = Matrix.from_rows(F101, [[0, b.rep], [1, 0]])
         assert t1 * t2 == lhs and t1.trace().is_zero() and t2.trace().is_zero()
-        check(two_by_two_trace_zero(lhs))
+        check(two_by_two_trace_zero(lhs), lhs)
 
 
 def test_2x2_jordan_identity_random():
@@ -79,7 +80,7 @@ def test_2x2_jordan_identity_random():
         t1 = Matrix.diagonal(F101, [1, -1])
         t2 = Matrix(F101, [[a, F101(1)], [F101(0), -a]])
         assert t1 * t2 == lhs
-        check(two_by_two_trace_zero(lhs))
+        check(two_by_two_trace_zero(lhs), lhs)
 
 
 def test_2x2_companion_identity_random():
@@ -92,7 +93,7 @@ def test_2x2_companion_identity_random():
         t1 = Matrix(F101, [[a, -b], [one + a * a / b, -a]])
         t2 = Matrix(F101, [[one, F101(0)], [a / b, -one]])
         assert t1 * t2 == lhs and t1.trace().is_zero() and t2.trace().is_zero()
-        check(two_by_two_trace_zero(lhs))
+        check(two_by_two_trace_zero(lhs), lhs)
 
 
 def test_2x2_rejects_noncanonical():
@@ -105,22 +106,19 @@ def test_2x2_rejects_noncanonical():
 def test_jordan_block_even_identity():
     # diag(1,-1,...) times the signed bidiagonal reproduces J exactly
     alpha = F5(1)
-    pair = jordan_block_trace_zero(alpha, 4)
-    check(pair)
-    assert pair.t1 == Matrix.diagonal(F5, [1, -1, 1, -1])
-    assert pair.target == Matrix.jordan_block(alpha, 4)
+    t1, t2 = jordan_block_trace_zero(alpha, 4)
+    check((t1, t2), Matrix.jordan_block(alpha, 4))
+    assert t1 == Matrix.diagonal(F5, [1, -1, 1, -1])
 
 
 def test_jordan_block_odd_cyclic():
-    pair = jordan_block_trace_zero(F7(2), 3)
-    check(pair)
-    assert pair.target == Matrix.jordan_block(F7(2), 3)
+    check(jordan_block_trace_zero(F7(2), 3), Matrix.jordan_block(F7(2), 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_jordan_block_sizes(n):
     for field, val in ((F5, 2), (Q, 3), (F2, 1), (F2, 0)):
-        check(jordan_block_trace_zero(field(val), n))
+        check(jordan_block_trace_zero(field(val), n), Matrix.jordan_block(field(val), n))
 
 
 def test_diagonal_identities():
@@ -129,21 +127,20 @@ def test_diagonal_identities():
     t1 = Matrix.from_rows(F7, [[0, 1], [1, 0]])
     t2 = Matrix(F7, [[F7(0), a1], [a2, F7(0)]])
     assert t1 * t2 == Matrix.diagonal(F7, [a2, a1])  # swapped order, verified literally
-    check(diagonal_trace_zero([a1, a2]))
+    check(diagonal_trace_zero([a1, a2]), Matrix.diagonal(F7, [a1, a2]))
     a1, a2, a3 = F7(1), F7(2), F7(3)
     t1 = Matrix(F7, [[F7(0), a3, F7(0)], [-a1, a3, F7(0)], [F7(0), F7(0), -a3]])
     t2 = Matrix(F7, [[F7(1), -(a2 / a1), F7(0)],
                      [a1 / a3, F7(0), F7(0)], [F7(0), F7(0), F7(-1)]])
     assert t1 * t2 == Matrix.diagonal(F7, [a1, a2, a3])
-    check(diagonal_trace_zero([a1, a2, a3]))
+    check(diagonal_trace_zero([a1, a2, a3]), Matrix.diagonal(F7, [a1, a2, a3]))
 
 
 def test_diagonal_zero_handling():
-    check(diagonal_trace_zero([F7(0), F7(0)]))
-    check(diagonal_trace_zero([F7(5), F7(0), F7(0)]))
-    check(diagonal_trace_zero([F7(0), F7(0), F7(0), F7(0), F7(0)]))
-    check(diagonal_trace_zero([F7(1), F7(0), F7(2), F7(0), F7(5)]))
-    check(diagonal_trace_zero([F2(1), F2(1), F2(1)]))
+    for field, values in ((F7, [0, 0]), (F7, [5, 0, 0]), (F7, [0, 0, 0, 0, 0]),
+                          (F7, [1, 0, 2, 0, 5]), (F2, [1, 1, 1])):
+        entries = [field(v) for v in values]
+        check(diagonal_trace_zero(entries), Matrix.diagonal(field, entries))
 
 
 # SHA-256 of repr((t1, t2)) for the inputs above and two all-nonzero
@@ -161,17 +158,16 @@ DIAGONAL_GOLDEN = [
 
 @pytest.mark.parametrize("field,entries,digest", DIAGONAL_GOLDEN)
 def test_diagonal_trace_zero_is_pinned(field, entries, digest):
-    pair = diagonal_trace_zero([field(v) for v in entries])
-    assert hashlib.sha256(repr((pair.t1, pair.t2)).encode()).hexdigest() == digest
+    t1, t2 = diagonal_trace_zero([field(v) for v in entries])
+    assert hashlib.sha256(repr((t1, t2)).encode()).hexdigest() == digest
 
 
 def test_jordan_plus_scalar_cases():
-    check(jordan_plus_scalar_trace_zero(F3(0), 2, F3(1)))
-    check(jordan_plus_scalar_trace_zero(F3(0), 2, F3(0)))
-    check(jordan_plus_scalar_trace_zero(F7(1), 3, F7(2)))
-    check(jordan_plus_scalar_trace_zero(F5(2), 4, F5(3)))
-    check(jordan_plus_scalar_trace_zero(Q(2), 5, Q(-7)))
-    check(jordan_plus_scalar_trace_zero(F2(1), 2, F2(1)))
+    for alpha, n, beta in ((F3(0), 2, F3(1)), (F3(0), 2, F3(0)), (F7(1), 3, F7(2)),
+                           (F5(2), 4, F5(3)), (Q(2), 5, Q(-7)), (F2(1), 2, F2(1))):
+        target = Matrix.block_diag(alpha.field, [Matrix.jordan_block(alpha, n),
+                                                 Matrix.diagonal(alpha.field, [beta])])
+        check(jordan_plus_scalar_trace_zero(alpha, n, beta), target)
 
 
 @pytest.mark.parametrize("field,coeffs", [
@@ -185,14 +181,15 @@ def test_jordan_plus_scalar_cases():
 ])
 def test_companion_identities(field, coeffs):
     fobj = {"F7": F7, "F5": F5, "Q": Q, "F2": F2}[field]
-    check(companion_trace_zero(Poly(fobj, coeffs)))
+    p = Poly(fobj, coeffs)
+    check(companion_trace_zero(p), Matrix.companion(p))
 
 
 # -- the full dispatcher ------------------------------------------------------
 
 def test_factor_two_exhaustive_f3():
     for A in all_matrices(F3, 2):
-        check(factor_two_trace_zero(A))
+        check(factor_two_trace_zero(A), A)
 
 
 def test_factor_two_zero_matrix():
@@ -202,36 +199,37 @@ def test_factor_two_zero_matrix():
 
 def test_factor_two_companion_f2():
     A = Matrix.companion(Poly(F2, [1, 1, 0, 0, 1]))
-    check(factor_two_trace_zero(A))
+    check(factor_two_trace_zero(A), A)
 
 
 def test_factor_two_merge_and_groupings():
     # isolated scalar + quadratic factor (coprime companion merge)
     A = Matrix.block_diag(F7, [Matrix.diagonal(F7, [5]),
                                Matrix.companion(Poly(F7, [1, 0, 1]))])
-    check(factor_two_trace_zero(A))
+    check(factor_two_trace_zero(A), A)
     # scalar absorbed into a Jordan block
     A = Matrix.block_diag(F7, [Matrix.jordan_block(F7(3), 2),
                                Matrix.diagonal(F7, [4])])
-    check(factor_two_trace_zero(A))
+    check(factor_two_trace_zero(A), A)
     # extension-scalar pairs: two copies of the same quadratic factor
     A = Matrix.block_diag(F5, [Matrix.companion(Poly(F5, [2, 0, 1]))] * 2)
-    check(factor_two_trace_zero(A))
+    check(factor_two_trace_zero(A), A)
     # scalar merged with a bigger extension block
     A = Matrix.block_diag(F7, [Matrix.diagonal(F7, [5]),
                                Matrix.generalized_jordan_block(Poly(F7, [1, 0, 1]), 2)])
-    check(factor_two_trace_zero(A))
+    check(factor_two_trace_zero(A), A)
 
 
 def test_factor_two_random_f101_and_q():
     rng = random.Random(77)
     for _ in range(30):
         n = rng.randrange(2, 6)
-        check(factor_two_trace_zero(random_matrix(F101, n, rng)))
+        A = random_matrix(F101, n, rng)
+        check(factor_two_trace_zero(A), A)
     for _ in range(5):
         A = Matrix.from_rows(Q, [[rng.randrange(-3, 4) for _ in range(3)]
                                  for _ in range(3)])
-        check(factor_two_trace_zero(A))
+        check(factor_two_trace_zero(A), A)
 
 
 # -- single commutators -------------------------------------------------------
@@ -291,6 +289,23 @@ def test_solve_m2_diag():
     A = Matrix.from_rows(Q, [[1, 0], [0, -1]])
     w = solve_commutator_product(A, 2)
     assert eval_word(CommutatorProduct(2), w.matrices) == A
+
+
+@pytest.mark.parametrize("m", [6, 8])
+@pytest.mark.parametrize("field", [F5, Q, R], ids=["F5", "Q", "R"])
+def test_one_by_one_targets_answer_at_every_m_as_at_m_4(field, m):
+    # every 1x1 commutator is zero: [[0]] has the all-zero witness, and a
+    # nonzero scalar gets m = 4's Unsupported
+    zero = Matrix.zeros(field, 1, 1)
+    w = solve_commutator_product(zero, m)
+    assert w.matrices == (zero,) * m
+    assert w.conjugators == solve_commutator_product(zero, 4).conjugators
+    scalar = Matrix.diagonal(field, [field(3)])
+    with pytest.raises(Unsupported) as at_4:
+        solve_commutator_product(scalar, 4)
+    with pytest.raises(Unsupported) as at_m:
+        solve_commutator_product(scalar, m)
+    assert str(at_m.value) == str(at_4.value)
 
 
 def test_solve_m2_nonzero_trace_rejected():
@@ -524,9 +539,9 @@ def test_factor_two_repeated_extension_factor_tower():
         if is_irreducible(p):
             break
     A = Matrix.generalized_jordan_block(p, 2)
-    check(factor_two_trace_zero(A))
+    check(factor_two_trace_zero(A), A)
     B = Matrix.block_diag(F4, [Matrix.companion(p)] * 2)
-    check(factor_two_trace_zero(B))
+    check(factor_two_trace_zero(B), B)
 
 
 def test_factorization_tasks_hand_back_the_inverse_of_their_conjugator():

@@ -120,6 +120,14 @@ def test_image_cap_guard():
         image_enumerate(CommutatorProduct(2), 3, F7, cap=10 ** 4)
 
 
+def test_counting_and_images_need_a_finite_field():
+    Q = Field("rationals")
+    with pytest.raises(UsageError, match="counting needs a finite field"):
+        count_solutions(Q, [Q(1), Q(1)], [2, 2], Q(1))
+    with pytest.raises(UsageError, match="image enumeration needs a finite field"):
+        image_enumerate(CommutatorProduct(2), 1, Q)
+
+
 @pytest.mark.parametrize("n", [0, -2, -5, 1.5, "2"])
 def test_image_needs_a_positive_int_size(n):
     with pytest.raises(UsageError):

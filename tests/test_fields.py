@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -90,7 +91,8 @@ def test_coercion_errors_are_usage_errors(spec, value):
 
 
 @pytest.mark.parametrize("spec", ["Fp:5", "Fq:p=3,d=2,mod=[2,2,1]"])
-@pytest.mark.parametrize("value", [1.5, -0.25, Fraction(3, 2), "1.5", "1/2", 1 + 2j])
+@pytest.mark.parametrize("value", [1.5, -0.25, Fraction(3, 2), "1.5", "1/2", 1 + 2j,
+                                   Decimal("2.5"), b"7"])
 def test_finite_fields_refuse_non_integers(spec, value):
     with pytest.raises(UsageError):
         parse_field_spec(spec)(value)
@@ -108,7 +110,8 @@ def test_integral_values_still_coerce():
 
 @pytest.mark.parametrize("value, want", [
     (3, 3), (-7, -7), (True, 1), (False, 0), (7.0, 7), (-0.0, 0), (Fraction(14, 2), 7),
-    (Fraction(-3), -3), ("12", 12), (" -4 ", -4), (10**30, 10**30),
+    (Fraction(-3), -3), ("12", 12), (" -4 ", -4), (10**30, 10**30), (Decimal("7"), 7),
+    (Decimal("-12.000"), -12),
 ])
 def test_integer_accepts_ints_integral_numbers_and_integer_strings(value, want):
     got = _integer(value)
@@ -118,6 +121,7 @@ def test_integer_accepts_ints_integral_numbers_and_integer_strings(value, want):
 @pytest.mark.parametrize("value", [
     7.5, -0.25, 1e-300, Fraction(3, 2), Fraction(-1, 10**20), "1.5", "1/2", "x", "",
     None, [1], (1,), 1 + 0j, float("inf"), float("nan"), object(),
+    Decimal("2.5"), Decimal("-0.1"), Decimal("NaN"), Decimal("Infinity"), b"7", bytearray(b"7"),
 ])
 def test_integer_refuses_everything_else(value):
     with pytest.raises(UsageError, match="not an integer"):
@@ -136,7 +140,9 @@ def test_field_powers_need_int_exponents(spec):
 
 @pytest.mark.parametrize("spec", ["Fq:p=3,d=2,mod=[1,x,1]", "Fq:p=3,d=2,mod=[]",
                                   "Fq:p=3,d=0,mod=[1]", "Fq:p=3,d=2,mod=[1,0,3]",
-                                  "Fq:p=3,d=2,mod=[1,0,0]"])
+                                  "Fq:p=3,d=2,mod=[1,0,0]", "Fq:p=2,d=2",
+                                  "Fq:p=2,d=2,mod=[1,1,1", "Fq:d=2,mod=[1,1,1]",
+                                  "Fq:p=2,d=2,mod=[1,1]"])
 def test_bad_extension_specs_are_usage_errors(spec):
     with pytest.raises(UsageError):
         parse_field_spec(spec)
@@ -784,6 +790,8 @@ def test_field_spec_round_trip():
         assert parse_field_spec(field.spec_string()).key == field.key
     with pytest.raises(UsageError):
         parse_field_spec("Fp:6")
+    with pytest.raises(UsageError):
+        parse_field_spec("Fp:abc")
     with pytest.raises(UsageError):
         parse_field_spec("nonsense")
 

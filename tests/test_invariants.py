@@ -91,7 +91,7 @@ PLANTS = [
     # a product by a permutation is the kernel's reorder for every kind
     ("structured_products_in_the_kernel", "commutators",
      "    inv = sorted(range(n), key=order.__getitem__)\n",
-     "    if not field.is_exact:\n        return _checked_pair(t1, t2, target)\n"
+     "    if not field.is_exact:\n        return t1, t2\n"
      "    inv = sorted(range(n), key=order.__getitem__)\n",
      ["commutators.diagonal_trace_zero"]),
     ("structured_products_in_the_kernel", "commutators",
@@ -122,6 +122,22 @@ PLANTS = [
     # a module an eager module imports is eager too
     ("light_eager_imports", "errors", None, "from . import reduction",
      ["matrices.py imports dataclasses", "reduction.py imports dataclasses"]),
+    # a construction that a gate checks again is not checked on the way
+    ("one_gate_per_entry_point", "diagonal",
+     "    return X, junction_as_scaled_power(field, part, k2, beta)\n",
+     "    Y = junction_as_scaled_power(field, part, k2, beta)\n"
+     "    _check_two_term(X, Y, k1, k2, beta, J)\n    return X, Y\n",
+     ["diagonal.large_nilpotent_decompose"]),
+    ("one_gate_per_entry_point", "commutators",
+     "    return Matrix(field, r1), Matrix(field, r2)\n",
+     "    t1, t2 = Matrix(field, r1), Matrix(field, r2)\n"
+     "    if not (t1 * t2).allclose(Matrix.companion(p)):\n"
+     "        raise VerificationFailed('companion pair mismatch')\n    return t1, t2\n",
+     ["commutators.companion_trace_zero"]),
+    # a public gate checks what it returns
+    ("one_gate_per_entry_point", "commutators", "    X, Y = _commutator(T, seed)\n",
+     "    X, Y = _commutator(T, seed)\n    if not (X * Y - Y * X).allclose(T):\n"
+     "        raise VerificationFailed('commutator mismatch')\n", []),
 ]
 
 

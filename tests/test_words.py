@@ -38,6 +38,10 @@ def test_parse_comm():
         parse_word("comm:m=3", F5)
     with pytest.raises(UsageError):
         parse_word("comm:m=0", F5)
+    with pytest.raises(UsageError, match="bad commutator word spec 'comm:x=4'"):
+        parse_word("comm:x=4", F5)
+    with pytest.raises(UsageError, match="bad m in 'comm:m=abc'"):
+        parse_word("comm:m=abc", F5)
 
 
 def test_parse_diag():
@@ -88,6 +92,7 @@ def test_commutator_words_refuse_operands_as_products_do(names, error):
     ("diag:d=[1,x],k=2", F4), ("diag:d=[1|1,k=2", F4), ("diag:d=1,k=2,z=5", F5),
     ("diag:d=1,d=2,k=2", F5), ("diag:d=,k=2", F5), ("diag:d=1,k", F5),
     ("diag:d=1.5,k=2", F5), ("diag:d=1,k=2.0", F5), ("diag:d=x,k=2", Q),
+    ("diag:d=1,k=0", F5),
 ], ids=lambda v: v if isinstance(v, str) else repr(v))
 def test_parse_diag_refuses_every_malformed_term(spec, field):
     with pytest.raises(UsageError):

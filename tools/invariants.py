@@ -226,6 +226,22 @@ def structured_products_in_the_kernel():
                   - {f"commutators.{name}" for name in EXACTNESS_READERS})
 
 
+# the public gates of commutators.py and diagonal.py, and the re-checks
+# whose failure selects a route or the next candidate
+GATES = ("commutators.factor_two_trace_zero", "commutators.trace_zero_to_commutator",
+         "commutators._solve_partner", "diagonal._check_two_term",
+         "diagonal.small_nilpotent_decompose", "diagonal.bordered_solve",
+         "diagonal._two_squares_2x2", "diagonal._block_kth_root")
+
+
+def one_gate_per_entry_point():
+    """product or power re-checks in commutators.py and diagonal.py outside
+    the public gates and the route-selecting sites"""
+    return sorted({_where(module, scope[:1]) for _, module, node, scope
+                   in _scan(["commutators", "diagonal"]) if isinstance(node, ast.Call)
+                   and _name(node.func) in ("allclose", "_check_two_term")} - set(GATES))
+
+
 def one_fallback_mechanism():
     """try statements outside errors.first_route in the solvers and in
     matrices.generalized_jordan_form"""
@@ -349,7 +365,7 @@ CHECKS = {check.__name__: check for check in (
     one_polynomial_kernel, extension_arithmetic_on_base_kernel, one_kth_root_algorithm,
     one_scalar_search, one_binary_power, one_field_table, fraction_internals_in_one_place,
     one_whole_space_kernel, one_plane_format, no_unsteerable_seed, one_commutator_gate,
-    structured_products_in_the_kernel, one_fallback_mechanism, product_chains,
+    one_gate_per_entry_point, structured_products_in_the_kernel, one_fallback_mechanism, product_chains,
     one_container_format, import_only_what_is_called, light_eager_imports, bounded_caches)}
 
 
