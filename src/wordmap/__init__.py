@@ -9,19 +9,31 @@ arithmetic before it is returned.
 The package loads a submodule when one of its names is first read
 (PEP 562): ``_EXPORTS`` names the submodule that owns each export, and
 ``__getattr__`` imports it then and keeps the value in the package. So
-``import wordmap`` compiles only what it must, and a solver is compiled by
-the first process that calls it. The one eager import is ``factor``, which
-brings in ``errors``, ``fields`` and ``polynomials``: ``factor`` is both a
-submodule and an exported function, and the import system rebinds
-``wordmap.factor`` to the module when that submodule is first loaded (for
-example by the deferred ``from .factor import factor`` in
-``generalized_jordan_form``). Binding the function at package import keeps
-``wordmap.factor`` the function whatever runs first.
+``import wordmap`` compiles only this file, and a solver, the scalar layer
+and the factorization code are each compiled by the first process that
+calls them. ``factor`` is both a submodule and an exported function, and
+the import system binds a submodule to its name in the package when it is
+first loaded (for example by the deferred ``from .factor import factor``
+in ``generalized_jordan_form``). The package's class is ``_Package``,
+which declines that one binding, so ``wordmap.factor`` is the function
+whatever runs first.
 """
 
 import importlib
+import sys
+import types
 
-from .factor import factor
+
+class _Package(types.ModuleType):
+    """The package module: setting ``factor`` to a module is ignored."""
+
+    def __setattr__(self, name, value):
+        if name == "factor" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 # submodule -> the names it exports; a submodule is exported too
 _EXPORTS = {
@@ -50,7 +62,7 @@ def __getattr__(name):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = importlib.import_module(f"{__name__}.{module}")
-    if name != module:
+    if name in _EXPORTS[module]:
         value = getattr(value, name)
     globals()[name] = value
     return value

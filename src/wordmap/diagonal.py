@@ -16,7 +16,7 @@ generalized Jordan form:
   * remaining terms of the word are witnessed by zero matrices.
 
 Both searches (scalar solutions, regular solutions) run
-``fields._power_sum_solutions``; they are deterministic and their
+``scalars._power_sum_solutions``; they are deterministic and their
 exhaustion is reported as NotFound: over a small finite field that is a
 legitimate mathematical answer, not a failure.  When n >= 2 and the
 whole witness space M_n(F_q)^2 is small enough to enumerate, a final
@@ -70,17 +70,7 @@ from .errors import (
     ZeroLeadingCoordinate,
     first_route,
 )
-from .fields import (
-    SCAN_BOUND,
-    Field,
-    FieldElement,
-    _power_sum_solutions,
-    enumerate_elements,
-    kth_roots,
-    random_element,
-    regular_solution_iter,
-    regular_solution_search,
-)
+from .fields import Field, FieldElement, enumerate_elements, random_element
 from .matrices import (
     Matrix,
     MatrixSpace,
@@ -93,6 +83,13 @@ from .matrices import (
 )
 from .polynomials import Poly
 from .reduction import BlockPlan, solve_blockwise
+from .scalars import (
+    SCAN_BOUND,
+    _power_sum_solutions,
+    kth_roots,
+    regular_solution_iter,
+    regular_solution_search,
+)
 from .words import DiagonalWord, Witness, make_witness, require_int
 
 # Seeded random scalar candidates tried over fields above SCAN_BOUND.

@@ -662,7 +662,7 @@ def loop_space_power(space, X, k: int):
 
 
 def plain_power_sum_walk(gamma, ks, candidates, inv=None, distinct=False, nonzero=False):
-    """The scalar search ``fields._power_sum_solutions`` as a plain depth
+    """The scalar search ``scalars._power_sum_solutions`` as a plain depth
     first walk, with no memo of dead states and no number-field shortcut:
     every subtree is walked, and a remainder closes by its first root."""
     from wordmap.errors import Unsupported

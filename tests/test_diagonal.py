@@ -39,7 +39,6 @@ from wordmap.fields import (
     extend,
     kth_roots,
     parse_field_spec,
-    regular_solution_iter,
     regular_solution_search,
 )
 from wordmap.matrices import (
@@ -51,6 +50,7 @@ from wordmap.matrices import (
     nilpotent_partition,
 )
 from wordmap.polynomials import Poly
+from wordmap.scalars import regular_solution_iter
 from wordmap.words import DiagonalWord, eval_word
 
 from oracles import (
@@ -178,12 +178,12 @@ def test_scalar_search_inverts_beta_once(monkeypatch):
     """Over Q, (2 - a^2)/3 is a cube for no SMALL_INTEGERS candidate a
     (its denominator is 3), so the search tries every candidate and raises
     NotFound; it inverts beta once for all of them, not once per candidate.
-    The roots are taken by the shared search in ``fields``."""
-    import wordmap.fields as fields_mod
+    The roots are taken by the shared search in ``scalars``."""
+    import wordmap.scalars as scalars_mod
 
     field = Field("rationals")
     calls = {"kth_roots": 0, "inverse": 0}
-    roots, inverse = fields_mod.kth_roots, field._rinv
+    roots, inverse = scalars_mod.kth_roots, field._rinv
 
     def counted_roots(e, k):
         calls["kth_roots"] += 1
@@ -193,7 +193,7 @@ def test_scalar_search_inverts_beta_once(monkeypatch):
         calls["inverse"] += 1
         return inverse(a)
 
-    monkeypatch.setattr(fields_mod, "kth_roots", counted_roots)
+    monkeypatch.setattr(scalars_mod, "kth_roots", counted_roots)
     monkeypatch.setattr(field, "_rinv", counted_inverse)
     with pytest.raises(NotFound):
         scalar_solution(field, field(2), 2, 3, field(3))
@@ -204,13 +204,13 @@ def test_number_field_scalar_search_is_decided_without_roots(monkeypatch):
     """Over Q(alpha), alpha^3 = 2, the candidates are rationals, so every
     remainder keeps the target's irrational part and no draw can close:
     the search raises today's NotFound without taking a k-th root."""
-    import wordmap.fields as fields_mod
+    import wordmap.scalars as scalars_mod
 
     field = _scalar_field(QA_SPEC)
     t = field.generator()
     calls = []
-    roots = fields_mod.kth_roots
-    monkeypatch.setattr(fields_mod, "kth_roots", lambda e, k: calls.append(k) or roots(e, k))
+    roots = scalars_mod.kth_roots
+    monkeypatch.setattr(scalars_mod, "kth_roots", lambda e, k: calls.append(k) or roots(e, k))
     with pytest.raises(NotFound) as info:
         scalar_solution(field, t, 2, 3, t + field(1))
     assert str(info.value) == (

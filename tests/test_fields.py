@@ -25,7 +25,6 @@ from wordmap.fields import (
     ELEMENT_TABLE_BOUND,
     GF,
     RATIONALS,
-    SCAN_BOUND,
     Field,
     _integer,
     _log_tables,
@@ -34,10 +33,10 @@ from wordmap.fields import (
     kth_roots,
     parse_field_spec,
     random_element,
-    regular_solution_iter,
     regular_solution_search,
 )
 from wordmap.polynomials import Poly
+from wordmap.scalars import SCAN_BOUND, regular_solution_iter
 
 from oracles import (
     naive_kth_roots,
@@ -363,7 +362,7 @@ def test_each_non_power_is_searched_once_per_field_key_and_prime():
     """rho_l depends on the field's key and l alone: repeated k-th roots,
     also in a second F_{101^2} built with the same key, search for it once
     per (key, l), and the kept value is the search's."""
-    from wordmap.fields import _first_non_power
+    from wordmap.scalars import _first_non_power
 
     _first_non_power.cache_clear()
     F101 = Field("prime", p=101)
@@ -376,7 +375,7 @@ def test_each_non_power_is_searched_once_per_field_key_and_prime():
         assert kth_roots(x ** 3, 3)
     info = _first_non_power.cache_info()
     assert (info.misses, info.currsize) == (3, 3)
-    assert info.maxsize == wordmap.fields.NON_POWER_CACHE_SIZE
+    assert info.maxsize == wordmap.scalars.NON_POWER_CACHE_SIZE
     for field, l in [(F101, 2), (F101, 5), (parse_field_spec(spec), 3)]:
         assert _first_non_power(field, l) == _first_non_power.__wrapped__(field, l)
 
@@ -655,17 +654,17 @@ def test_impossible_regular_solutions_are_decided_by_counting_powers(monkeypatch
     """F_13 has (13 - 1)/gcd(2, 12) = 6 nonzero squares, 7 with zero: 7
     pairwise distinct nonzero squares, or 8 squares, do not exist, and the
     search says so without a walk; at the count itself it walks."""
-    import wordmap.fields as fields_mod
+    import wordmap.scalars as scalars_mod
 
     F13 = Field("prime", p=13)
     walks = []
-    walk = fields_mod._power_sum_solutions
+    walk = scalars_mod._power_sum_solutions
 
     def counted(gamma, ks, *args, **kwargs):
         walks.append(len(ks))
         return walk(gamma, ks, *args, **kwargs)
 
-    monkeypatch.setattr(fields_mod, "_power_sum_solutions", counted)
+    monkeypatch.setattr(scalars_mod, "_power_sum_solutions", counted)
     with pytest.raises(NotFound):
         regular_solution_search(F13, 2, 7, F13(1), require_nonzero=True)
     assert list(regular_solution_iter(F13, 2, 8, F13(1))) == []
@@ -705,7 +704,7 @@ def test_memoized_walk_yields_the_plain_walk(spec):
     same tuples in the same order, and so are the diagonal solver's
     two-term searches a^k1 + beta*b^k2 = alpha and the three-term search
     with exponents (2, 3, 4) (no distinct powers)."""
-    from wordmap.fields import _power_sum_solutions
+    from wordmap.scalars import _power_sum_solutions
 
     from oracles import plain_power_sum_walk
 

@@ -27,8 +27,8 @@ EXPORTS = [
     "solve_diagonal_word", "threshold", "trace_zero_to_commutator", "words",
 ]
 
-# what `import wordmap` loads: factor, bound eagerly, and what it imports
-EAGER = ["wordmap", "wordmap.errors", "wordmap.factor", "wordmap.fields", "wordmap.polynomials"]
+# what set-up, `import wordmap` and an F_p field spec, loads: the field core
+EAGER = ["wordmap", "wordmap.errors", "wordmap.fields"]
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('wordmap'))"
 
@@ -44,7 +44,7 @@ def fresh(code: str, *args: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_import_and_a_field_spec_load_only_factor_and_what_it_imports():
+def test_import_and_a_field_spec_load_only_the_field_core():
     loaded = fresh(f"""
 import json, sys
 import wordmap
@@ -92,6 +92,21 @@ print(json.dumps([loaded, RATIONALS is fields.parse_field_spec("Q") is fields.RA
     assert got == [False, True, True]
 
 
+def test_the_scalar_layer_loads_with_its_first_name_and_is_read_through_fields():
+    """``fields.kth_roots`` and ``fields.regular_solution_search`` are the
+    scalar layer's own functions, made on first read, not wrappers."""
+    got = fresh("""
+import json, sys
+from wordmap import fields
+loaded = "wordmap.scalars" in sys.modules
+roots = fields.kth_roots
+from wordmap import scalars
+print(json.dumps([loaded, roots is scalars.kth_roots is fields.kth_roots,
+                  fields.regular_solution_search is scalars.regular_solution_search]))
+""")
+    assert got == [False, True, True]
+
+
 def test_every_export_resolves_and_is_listed():
     got = fresh("""
 import json
@@ -109,7 +124,11 @@ print(json.dumps([names, resolved, sorted(set(names) - set(dir(wordmap)))]))
     "import wordmap.matrices",
     "from wordmap import matrices",
     "import wordmap.commutators",
-], ids=["import-submodule", "from-submodule", "matrices", "from-package", "commutators"])
+    "from wordmap import Matrix, parse_field_spec, solve_commutator_product\n"
+    "solve_commutator_product(Matrix.from_rows(parse_field_spec('Fp:7'), [[1, 2], [3, 4]]), 4)",
+    "import wordmap\nwordmap.factor",
+], ids=["import-submodule", "from-submodule", "matrices", "from-package", "commutators",
+        "solve", "read-from-package"])
 def test_factor_stays_the_function_whatever_runs_first(first):
     got = fresh(f"""
 import json, sys
@@ -158,17 +177,24 @@ TARGET = '{"rows":2,"cols":2,"entries":[[1,2],[3,4]]}'
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["threshold", "--k1", "2", "--k2", "3"], ["commutators", "diagonal"]),
+    (["threshold", "--k1", "2", "--k2", "3"], ["commutators", "diagonal", "factor"]),
     (["count", "--field", "Fp:5", "--word", "diag:d=1,k=2;d=1,k=2", "--gamma", "1"],
      ["commutators", "diagonal"]),
     (["count", "--field", "Fp:5", "--word", "diag:d=1,k=2;d=1,k=2", "--out", "csv",
       "--cap", "1000"], ["commutators", "diagonal"]),
-    (["verify", "--witness", WITNESS], ["commutators", "diagonal", "counting"]),
+    (["verify", "--witness", WITNESS], ["commutators", "diagonal", "counting", "factor"]),
     (["solve", "--field", "Fp:5", "--word", "comm:m=4", "--matrix", TARGET],
-     ["diagonal", "counting"]),
+     ["diagonal", "counting", "scalars"]),
     (["solve", "--field", "Fp:5", "--word", "diag:d=1,k=2;d=1,k=3", "--matrix", TARGET],
      ["commutators", "counting"]),
-], ids=["threshold", "count", "count-csv-cap", "verify", "solve-comm", "solve-diag"])
+    (["solve", "--field", "R:tol=1e-9", "--word", "comm:m=4", "--matrix", TARGET],
+     ["diagonal", "counting", "factor"]),
+    (["solve", "--field", "R:tol=1e-9", "--word", "diag:d=1,k=2;d=1,k=3", "--matrix", TARGET],
+     ["commutators", "counting", "factor"]),
+    (["solve", "--field", "C:tol=1e-9", "--word", "comm:m=4", "--matrix", TARGET],
+     ["diagonal", "counting", "factor"]),
+], ids=["threshold", "count", "count-csv-cap", "verify", "solve-comm", "solve-diag",
+        "solve-comm-R", "solve-diag-R", "solve-comm-C"])
 def test_a_command_loads_only_the_solver_it_runs(argv, absent):
     code, loaded = fresh(CLI, *argv)
     assert code == 0

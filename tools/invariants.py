@@ -127,18 +127,18 @@ def extension_arithmetic_on_base_kernel():
 
 
 def one_kth_root_algorithm():
-    """a second k-th root route in fields.py"""
+    """a second k-th root route in fields.py or scalars.py"""
     return _grep(r"_roots_by_gcd|_sqrt_odd_finite|_equal_degree|Random\(0\)",
-                 lambda file: file == "fields.py")
+                 lambda file: file in ("fields.py", "scalars.py"))
 
 
 def one_scalar_search():
-    """except Unsupported outside fields._power_sum_solutions"""
+    """except Unsupported outside scalars._power_sum_solutions"""
     def names(node):
         if isinstance(node, ast.Tuple):
             return [n for elt in node.elts for n in names(elt)]
         return [_name(node)]
-    return _outside("fields._power_sum_solutions",
+    return _outside("scalars._power_sum_solutions",
                     lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
                     and "Unsupported" in names(node.type), depth=1)
 
@@ -285,15 +285,16 @@ def _package_imports(module):
 
 def import_only_what_is_called():
     """module-level imports of what a call may not need"""
-    return ([f"__init__.py imports .{m}" for m in _package_imports("__init__") if m != "factor"]
+    return ([f"__init__.py imports .{m}" for m in _package_imports("__init__")]
             + [f"cli.py imports .{m}" for m in _package_imports("cli")
                if m in ("commutators", "diagonal", "counting")])
 
 
 def _eager_modules():
-    """The modules ``import wordmap`` loads: ``__init__`` and, in turn, the
-    package modules that an eager module imports at module level."""
-    eager, todo = [], ["__init__"]
+    """The modules set-up loads, ``import wordmap`` and a field spec:
+    ``__init__`` and ``fields`` and, in turn, the package modules that an
+    eager module imports at module level."""
+    eager, todo = [], ["__init__", "fields"]
     while todo:
         module = todo.pop()
         if module not in eager:
@@ -304,7 +305,7 @@ def _eager_modules():
 
 def light_eager_imports():
     """module-level imports of dataclasses or fractions in the modules that
-    import wordmap loads"""
+    set-up loads"""
     return [f"{module}.py imports {name}" for module in _eager_modules()
             for name in _imports(module) if name.split(".")[0] in ("dataclasses", "fractions")]
 
